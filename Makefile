@@ -6,6 +6,10 @@
 #   make bench-smoke  tier-2: one fast iteration of each benchmark file,
 #                     so benchmark code cannot silently rot
 #   make bench        regenerate every table & figure (slow)
+#   make wdbench      the repo benchmark (BENCHMARK.json's command);
+#                     pass run.py flags as ARGS="--workload wide_fleet"
+#   make bench-record run the benchmarks that append a record to their
+#                     BENCH_<name>.json trajectory (benchutil.record)
 #   make metrics-smoke  exercise the telemetry CLI: both exporters must
 #                     render and the Prometheus output must parse
 #   make serve-smoke  tier-2: real `repro serve` daemon + two SDK
@@ -17,7 +21,11 @@
 PYTEST = PYTHONPATH=src python -m pytest
 REPRO = PYTHONPATH=src python -m repro
 
-.PHONY: test lint bench-smoke bench metrics-smoke serve-smoke ha-smoke all
+# Benchmarks that append to a BENCH_<name>.json trajectory.
+BENCH_RECORD = benchmarks/test_bench_service_recovery.py
+
+.PHONY: test lint bench-smoke bench wdbench bench-record metrics-smoke \
+	serve-smoke ha-smoke all
 
 test:
 	$(PYTEST) -x -q
@@ -30,6 +38,12 @@ bench-smoke:
 
 bench:
 	$(PYTEST) benchmarks/ --benchmark-only
+
+wdbench:
+	python3 benchmarks/wdbench/run.py $(ARGS)
+
+bench-record:
+	$(PYTEST) $(BENCH_RECORD) --benchmark-disable -q
 
 metrics-smoke:
 	$(REPRO) metrics rig --seconds 1 --format prometheus > /dev/null

@@ -16,15 +16,15 @@ the restart.  This benchmark measures both numbers in-process:
   restored-ACTIVE registration whose application never came back is
   surfaced as a DETECTION by the ticker.
 
-Results are appended to ``BENCH_service_recovery.json`` at the repo
-root so the recovery trajectory is tracked across PRs.
+Each run is appended to ``BENCH_service_recovery.json`` at the repo
+root (:func:`benchutil.record`), so the recovery trajectory is tracked
+across changes.
 """
 
 import asyncio
-import json
-import os
 import time
 
+from benchutil import record
 from repro.core import FaultHypothesis, RunnableHypothesis
 from repro.service import SupervisionServer, WatchdogClient
 
@@ -32,9 +32,6 @@ N_REGISTRATIONS = 200
 JOURNAL_TAIL = 50          # registrations journaled after the last snapshot
 TICK_S = 0.005             # 5 ms check cycle, same as the serve smoke tests
 ALIVENESS_CYCLES = 20      # silence budget before a DETECTION (~100 ms)
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_RESULTS_PATH = os.path.join(_REPO_ROOT, "BENCH_service_recovery.json")
 
 
 def make_hypothesis(name):
@@ -111,7 +108,7 @@ def test_bench_service_recovery(benchmark, tmp_path):
     result = benchmark.pedantic(
         lambda: asyncio.run(_recovery_run(str(tmp_path / "state"))),
         rounds=1, iterations=1)
-    record = {
+    record("service_recovery", {
         "registrations": N_REGISTRATIONS,
         "journal_tail": JOURNAL_TAIL,
         "tick_seconds": TICK_S,
@@ -119,16 +116,13 @@ def test_bench_service_recovery(benchmark, tmp_path):
         "restore_seconds": round(result["restore_seconds"], 6),
         "detection_wait_seconds": round(result["detection_wait_seconds"], 6),
         "detection_gap_seconds": round(result["detection_gap_seconds"], 6),
-    }
-    with open(_RESULTS_PATH, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })
     print(f"\nrecovery: {result['restored']} registrations restored in "
           f"{result['restore_seconds'] * 1000:.1f} ms, silent apps all "
           f"detected after a further "
           f"{result['detection_wait_seconds'] * 1000:.1f} ms "
           f"(gap {result['detection_gap_seconds'] * 1000:.1f} ms) "
-          f"-> {_RESULTS_PATH}")
+          f"-> BENCH_service_recovery.json")
     assert result["restored"] == N_REGISTRATIONS
     assert result["restore_seconds"] < 2.0, (
         f"restore took {result['restore_seconds']:.3f}s for "

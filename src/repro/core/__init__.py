@@ -10,7 +10,14 @@ Public surface:
 * :func:`install_heartbeat_glue` / :class:`WatchdogTaskBinding` — OSEK
   integration (glue code + periodic check task),
 * report types (:class:`RunnableError`, :class:`TaskFaultEvent`, ...).
+
+The OSEK integration and the distributed supervision layer build on the
+simulated kernel and network, so their names are resolved on first
+access (PEP 562): a process that only supervises — the ``repro serve``
+daemon — never loads :mod:`repro.kernel` or :mod:`repro.network`.
 """
+
+import importlib
 
 from .config_io import (
     FindingSeverity,
@@ -21,13 +28,6 @@ from .config_io import (
     is_deployable,
 )
 from .counters import CounterHistory, RunnableCounters, SlotCounterArrays
-from .distributed import (
-    NodeAlivenessError,
-    PeerStatus,
-    RemoteSupervisor,
-    SupervisionPublisher,
-    make_supervision_frame_spec,
-)
 from .flowcheck import FlowTable, ProgramFlowCheckingUnit
 from .heartbeat import HeartbeatMonitoringUnit
 from .hypothesis import (
@@ -35,12 +35,6 @@ from .hypothesis import (
     HypothesisError,
     RunnableHypothesis,
     ThresholdPolicy,
-)
-from .integration import (
-    WatchdogTaskBinding,
-    attach_hardware_watchdog_kick,
-    install_glue_on_all,
-    install_heartbeat_glue,
 )
 from .reports import (
     EcuStateChange,
@@ -88,3 +82,29 @@ __all__ = [
     "install_heartbeat_glue",
     "make_supervision_frame_spec",
 ]
+
+#: Public names whose modules import the simulator, by defining module.
+_LAZY = {
+    "NodeAlivenessError": "distributed",
+    "PeerStatus": "distributed",
+    "RemoteSupervisor": "distributed",
+    "SupervisionPublisher": "distributed",
+    "make_supervision_frame_spec": "distributed",
+    "WatchdogTaskBinding": "integration",
+    "attach_hardware_watchdog_kick": "integration",
+    "install_glue_on_all": "integration",
+    "install_heartbeat_glue": "integration",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -177,7 +177,19 @@ class FlowTable:
 
 
 class ProgramFlowCheckingUnit:
-    """Checks observed runnable sequences against a :class:`FlowTable`."""
+    """Checks observed runnable sequences against a :class:`FlowTable`.
+
+    The table and the task attribution are configuration: the unit only
+    reads them, so every unit built from one hypothesis shares the same
+    objects (:meth:`FaultHypothesis.static_tables`).
+    """
+
+    __slots__ = (
+        "table", "task_attribution", "_last", "_listeners",
+        "observation_count", "violation_count", "lookup_operations",
+        "telemetry", "_tm_enabled", "_tm_observations", "_tm_lookups",
+        "_tm_violations", "_tm_table_pairs", "_tm_synced",
+    )
 
     def __init__(
         self,
@@ -188,8 +200,9 @@ class ProgramFlowCheckingUnit:
     ) -> None:
         self.table = table
         #: Maps runnable name → owning task, for attributing errors when a
-        #: heartbeat arrives without task context.
-        self.task_attribution = dict(task_attribution or {})
+        #: heartbeat arrives without task context (read-only).
+        self.task_attribution = (
+            task_attribution if task_attribution is not None else {})
         self._last: Dict[str, Optional[str]] = {}
         self._listeners: List[ErrorListener] = []
         self.observation_count = 0
@@ -213,7 +226,7 @@ class ProgramFlowCheckingUnit:
             "wd_pfc_table_pairs",
             "Whitelisted (predecessor, successor) pairs in the flow table")
         self._tm_table_pairs.set(table.pair_count())
-        self._tm_synced = [0, 0, 0]
+        self._tm_synced = (0, 0, 0)
 
     def sync_telemetry(self) -> None:
         """Fold the plain-int tallies into the registry counters and
@@ -224,10 +237,10 @@ class ProgramFlowCheckingUnit:
         self._tm_observations.inc(self.observation_count - last[0])
         self._tm_lookups.inc(self.lookup_operations - last[1])
         self._tm_violations.inc(self.violation_count - last[2])
-        self._tm_synced = [
+        self._tm_synced = (
             self.observation_count, self.lookup_operations,
             self.violation_count,
-        ]
+        )
         self._tm_table_pairs.set(self.table.pair_count())
 
     # ------------------------------------------------------------------
@@ -261,10 +274,10 @@ class ProgramFlowCheckingUnit:
         self.violation_count = int(state["violation_count"])
         self.lookup_operations = int(state["lookup_operations"])
         # Post-restore telemetry deltas count from the restored tallies.
-        self._tm_synced = [
+        self._tm_synced = (
             self.observation_count, self.lookup_operations,
             self.violation_count,
-        ]
+        )
 
     # ------------------------------------------------------------------
     def observe(

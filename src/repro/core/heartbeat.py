@@ -56,6 +56,10 @@ ErrorListener = Callable[[RunnableError], None]
 #: Sentinel deadline for a disarmed (deactivated) wheel entry.
 _DISARMED = -1
 
+#: A wheel entry is ``slot << 1 | kind``: both deadline kinds share one
+#: bucket map, so a slot whose two periods are equal costs one bucket.
+_ALIVE, _ARRIVAL = 0, 1
+
 #: Check cycles between automatic telemetry syncs.  Folding the
 #: plain-int tallies into registry counters costs several instrument
 #: updates, so it is batched; exporters force a sync before rendering.
@@ -64,6 +68,17 @@ _TM_SYNC_INTERVAL = 16
 
 class HeartbeatMonitoringUnit:
     """Aliveness and arrival-rate monitoring of independent runnables."""
+
+    __slots__ = (
+        "hypothesis", "eager_arrival_detection", "strategy", "_listeners",
+        "cycle_count", "heartbeat_count", "unknown_heartbeats",
+        "slots_visited", "counter_resets", "slot_of", "names", "_hyps",
+        "counters", "_alive_base", "_arr_base", "_alive_due", "_arr_due",
+        "_wheel", "telemetry", "_tm_enabled",
+        "_tm_cycle_seconds", "_tm_cycles", "_tm_heartbeats", "_tm_unknown",
+        "_tm_slots", "_tm_resets", "_tm_monitored", "_tm_synced",
+        "_tm_cycles_unsynced",
+    )
 
     def __init__(
         self,
@@ -95,18 +110,17 @@ class HeartbeatMonitoringUnit:
         #: ``slots_visited`` so the tally is strategy-independent and
         #: free even without telemetry.
         self.counter_resets = 0
+        # Slot interning is configuration, shared read-only by every
+        # unit built from this hypothesis; only the counters are ours.
+        tables = hypothesis.static_tables()
         #: Interned slot index per runnable name (configuration-time).
-        self.slot_of: Dict[str, int] = {}
+        self.slot_of: Dict[str, int] = tables.slot_of
         #: Slot index → runnable name / hypothesis (flat, slot-ordered).
-        self.names: List[str] = []
-        self._hyps: List[RunnableHypothesis] = []
+        self.names: List[str] = tables.names
+        self._hyps: List[RunnableHypothesis] = tables.hyps
         self.counters = SlotCounterArrays()
-        for name in hypothesis.slot_order():
-            hyp = hypothesis.runnables[name]
-            slot = self.counters.add_slot(active=hyp.active)
-            self.slot_of[name] = slot
-            self.names.append(name)
-            self._hyps.append(hyp)
+        for hyp in self._hyps:
+            self.counters.add_slot(active=hyp.active)
         # Wheel bookkeeping (maintained even under the scan strategy so
         # the strategy could be flipped between cycles if ever needed;
         # the cost is two ints per slot).
@@ -114,8 +128,8 @@ class HeartbeatMonitoringUnit:
         self._arr_base: List[int] = [0] * len(self.names)
         self._alive_due: List[int] = [_DISARMED] * len(self.names)
         self._arr_due: List[int] = [_DISARMED] * len(self.names)
-        self._alive_wheel: Dict[int, List[int]] = {}
-        self._arr_wheel: Dict[int, List[int]] = {}
+        #: Due cycle → wheel entries (``slot << 1 | kind``) expiring then.
+        self._wheel: Dict[int, List[int]] = {}
         for slot in range(len(self.names)):
             if self.counters.active[slot]:
                 self._arm_slot(slot)
@@ -144,12 +158,14 @@ class HeartbeatMonitoringUnit:
         self._tm_resets = tm.counter(
             "wd_hbm_counter_resets_total",
             "AC/ARC window counter resets at period expiry")
+        # Units sharing a registry (a daemon's fleet) share this series,
+        # so each contributes deltas and the gauge sums over the fleet.
         self._tm_monitored = tm.gauge(
             "wd_hbm_active_runnables",
             "Runnables with Activation Status true")
-        self._tm_monitored.set(sum(1 for a in self.counters.active if a))
+        self._tm_monitored.inc(sum(1 for a in self.counters.active if a))
         #: Last-synced values of (cycles, heartbeats, unknown, slots, resets).
-        self._tm_synced = [0, 0, 0, 0, 0]
+        self._tm_synced = (0, 0, 0, 0, 0)
         self._tm_cycles_unsynced = 0
 
     # ------------------------------------------------------------------
@@ -288,10 +304,10 @@ class HeartbeatMonitoringUnit:
         self._tm_unknown.inc(self.unknown_heartbeats - last[2])
         self._tm_slots.inc(self.slots_visited - last[3])
         self._tm_resets.inc(self.counter_resets - last[4])
-        self._tm_synced = [
+        self._tm_synced = (
             self.cycle_count, self.heartbeat_count, self.unknown_heartbeats,
             self.slots_visited, self.counter_resets,
-        ]
+        )
 
     def _cycle_scan(self, time: int) -> List[RunnableError]:
         """Reference implementation: visit every active slot."""
@@ -320,9 +336,8 @@ class HeartbeatMonitoringUnit:
     def _cycle_wheel(self, time: int) -> List[RunnableError]:
         """Expiry-wheel implementation: visit only the due buckets."""
         now = self.cycle_count
-        alive_bucket = self._alive_wheel.pop(now, None)
-        arr_bucket = self._arr_wheel.pop(now, None)
-        if not alive_bucket and not arr_bucket:
+        bucket = self._wheel.pop(now, None)
+        if not bucket:
             return []
         counters = self.counters
         # A bucket entry is *stale* when the slot was deactivated or
@@ -331,14 +346,11 @@ class HeartbeatMonitoringUnit:
         # so a slot due for both is visited once, aliveness judged
         # first — the same per-runnable order the scan produces.
         due: Dict[int, List[bool]] = {}
-        if alive_bucket:
-            for slot in alive_bucket:
-                if counters.active[slot] and self._alive_due[slot] == now:
-                    due[slot] = [True, False]
-        if arr_bucket:
-            for slot in arr_bucket:
-                if counters.active[slot] and self._arr_due[slot] == now:
-                    due.setdefault(slot, [False, False])[1] = True
+        deadlines = (self._alive_due, self._arr_due)  # indexed by kind
+        for entry in bucket:
+            slot, kind = entry >> 1, entry & 1
+            if counters.active[slot] and deadlines[kind][slot] == now:
+                due.setdefault(slot, [False, False])[kind] = True
         errors: List[RunnableError] = []
         for slot in sorted(due):
             aliveness_due, arrival_due = due[slot]
@@ -352,7 +364,7 @@ class HeartbeatMonitoringUnit:
                 self._alive_base[slot] = now
                 deadline = now + hyp.aliveness_period
                 self._alive_due[slot] = deadline
-                self._alive_wheel.setdefault(deadline, []).append(slot)
+                self._wheel.setdefault(deadline, []).append(slot << 1 | _ALIVE)
             if arrival_due:
                 if counters.arc[slot] > hyp.max_heartbeats:
                     errors.append(self._arrival_error(slot, hyp, time))
@@ -361,7 +373,7 @@ class HeartbeatMonitoringUnit:
                 self._arr_base[slot] = now
                 deadline = now + hyp.arrival_period
                 self._arr_due[slot] = deadline
-                self._arr_wheel.setdefault(deadline, []).append(slot)
+                self._wheel.setdefault(deadline, []).append(slot << 1 | _ARRIVAL)
         return errors
 
     # ------------------------------------------------------------------
@@ -421,31 +433,31 @@ class HeartbeatMonitoringUnit:
         self.unknown_heartbeats = int(state["unknown_heartbeats"])
         self.slots_visited = int(state["slots_visited"])
         self.counter_resets = int(state["counter_resets"])
+        active_before = sum(1 for a in self.counters.active if a)
         self.counters.load_state(state["counters"])
         self._alive_base = [int(v) for v in state["alive_base"]]
         self._arr_base = [int(v) for v in state["arr_base"]]
         self._alive_due = [int(v) for v in state["alive_due"]]
         self._arr_due = [int(v) for v in state["arr_due"]]
-        # Rebuild the wheels from the deadline arrays; bucket-internal
+        # Rebuild the wheel from the deadline arrays; bucket-internal
         # order is irrelevant (due slots are judged in sorted slot
         # order), so this reconstruction is behavior-identical.
-        self._alive_wheel.clear()
-        self._arr_wheel.clear()
-        for slot, deadline in enumerate(self._alive_due):
-            if deadline != _DISARMED:
-                self._alive_wheel.setdefault(deadline, []).append(slot)
-        for slot, deadline in enumerate(self._arr_due):
-            if deadline != _DISARMED:
-                self._arr_wheel.setdefault(deadline, []).append(slot)
-        # Telemetry: gauges reflect the restored AS flags; the sync marks
-        # move to the restored tallies so registry counters only grow by
-        # post-restore activity (a restarted daemon's exporters start
-        # fresh, they do not re-count the previous process's history).
-        self._tm_monitored.set(sum(1 for a in self.counters.active if a))
-        self._tm_synced = [
+        self._wheel.clear()
+        for kind, dues in ((_ALIVE, self._alive_due), (_ARRIVAL, self._arr_due)):
+            for slot, deadline in enumerate(dues):
+                if deadline != _DISARMED:
+                    self._wheel.setdefault(deadline, []).append(slot << 1 | kind)
+        # Telemetry: the gauge moves by this unit's change in restored AS
+        # flags; the sync marks move to the restored tallies so registry
+        # counters only grow by post-restore activity (a restarted
+        # daemon's exporters start fresh, they do not re-count the
+        # previous process's history).
+        self._tm_monitored.inc(
+            sum(1 for a in self.counters.active if a) - active_before)
+        self._tm_synced = (
             self.cycle_count, self.heartbeat_count, self.unknown_heartbeats,
             self.slots_visited, self.counter_resets,
-        ]
+        )
         self._tm_cycles_unsynced = 0
 
     def reset(self) -> None:
@@ -464,10 +476,9 @@ class HeartbeatMonitoringUnit:
         self.unknown_heartbeats = 0
         self.slots_visited = 0
         self.counter_resets = 0
-        self._tm_synced = [0, 0, 0, 0, 0]
+        self._tm_synced = (0, 0, 0, 0, 0)
         self.counters.reset_all()
-        self._alive_wheel.clear()
-        self._arr_wheel.clear()
+        self._wheel.clear()
         for slot in range(len(self.names)):
             if self.counters.active[slot]:
                 self._arm_slot(slot)
@@ -485,8 +496,8 @@ class HeartbeatMonitoringUnit:
         arr_deadline = now + hyp.arrival_period
         self._alive_due[slot] = alive_deadline
         self._arr_due[slot] = arr_deadline
-        self._alive_wheel.setdefault(alive_deadline, []).append(slot)
-        self._arr_wheel.setdefault(arr_deadline, []).append(slot)
+        self._wheel.setdefault(alive_deadline, []).append(slot << 1 | _ALIVE)
+        self._wheel.setdefault(arr_deadline, []).append(slot << 1 | _ARRIVAL)
 
     def _disarm_slot(self, slot: int) -> None:
         """Invalidate a slot's deadlines (stale wheel entries are

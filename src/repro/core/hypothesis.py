@@ -11,9 +11,12 @@ themselves live in :mod:`repro.core.counters`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .reports import ErrorType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (flowcheck imports us)
+    from .flowcheck import FlowTable
 
 
 class HypothesisError(ValueError):
@@ -106,6 +109,50 @@ class ThresholdPolicy:
         return self.per_type.get(error_type, self.default)
 
 
+class StaticTables:
+    """The design-time look-up tables every watchdog derives from one
+    hypothesis: slot interning, per-slot hypotheses, the runnable→task
+    attribution and the PFC flow table.
+
+    Built once per hypothesis by :meth:`FaultHypothesis.static_tables`
+    and shared by every watchdog built from it, so the objects are
+    read-only: a unit that needs to change one copies it first.
+    """
+
+    __slots__ = ("names", "slot_of", "hyps", "task_of_runnable",
+                 "task_of_slot", "flow_table", "_source")
+
+    def __init__(self, hypothesis: "FaultHypothesis") -> None:
+        from .flowcheck import FlowTable
+
+        #: Runnable names in slot order (registration order).
+        self.names: List[str] = list(hypothesis.runnables)
+        self.slot_of: Dict[str, int] = {
+            name: slot for slot, name in enumerate(self.names)
+        }
+        self.hyps: List[RunnableHypothesis] = [
+            hypothesis.runnables[name] for name in self.names
+        ]
+        self.task_of_runnable: Dict[str, str] = {
+            h.runnable: h.task for h in self.hyps if h.task is not None
+        }
+        self.task_of_slot: List[Optional[str]] = [h.task for h in self.hyps]
+        self.flow_table: "FlowTable" = FlowTable.from_hypothesis(hypothesis)
+        self._source = (hypothesis.runnables, len(hypothesis.runnables),
+                        hypothesis.flow_pairs, len(hypothesis.flow_pairs))
+
+    def derived_from(self, hypothesis: "FaultHypothesis") -> bool:
+        """Whether the tables still describe ``hypothesis``: the same two
+        containers at the same sizes, so replacing or growing either one
+        directly (bypassing ``add_runnable``/``allow_flow``) still
+        invalidates the memo."""
+        runnables, n_runnables, flow_pairs, n_pairs = self._source
+        return (runnables is hypothesis.runnables
+                and n_runnables == len(runnables)
+                and flow_pairs is hypothesis.flow_pairs
+                and n_pairs == len(flow_pairs))
+
+
 @dataclass
 class FaultHypothesis:
     """The complete static configuration of one Software Watchdog.
@@ -118,12 +165,16 @@ class FaultHypothesis:
     runnables: Dict[str, RunnableHypothesis] = field(default_factory=dict)
     flow_pairs: List[Tuple[Optional[str], str]] = field(default_factory=list)
     thresholds: ThresholdPolicy = field(default_factory=ThresholdPolicy)
+    #: Memo of :meth:`static_tables` (not part of the configuration).
+    _tables: Optional[StaticTables] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add_runnable(self, hypothesis: RunnableHypothesis) -> RunnableHypothesis:
         """Register monitoring parameters for a runnable (unique name)."""
         if hypothesis.runnable in self.runnables:
             raise HypothesisError(f"duplicate hypothesis for {hypothesis.runnable!r}")
         self.runnables[hypothesis.runnable] = hypothesis
+        self._tables = None
         return hypothesis
 
     def allow_flow(self, predecessor: Optional[str], successor: str) -> None:
@@ -133,6 +184,15 @@ class FaultHypothesis:
         (the first monitored runnable of a task activation).
         """
         self.flow_pairs.append((predecessor, successor))
+        self._tables = None
+
+    def static_tables(self) -> StaticTables:
+        """The read-only tables every watchdog of this hypothesis shares,
+        derived on first use and kept until the hypothesis changes."""
+        tables = self._tables
+        if tables is None or not tables.derived_from(self):
+            tables = self._tables = StaticTables(self)
+        return tables
 
     def allow_sequence(self, names: Iterable[str]) -> None:
         """Whitelist a linear sequence: entry point plus each adjacency."""

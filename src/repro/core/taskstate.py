@@ -41,6 +41,15 @@ MONITOR_STATE_VALUE: Dict[MonitorState, int] = {
 class TaskStateIndicationUnit:
     """Error indication vectors, thresholds, and state derivation."""
 
+    __slots__ = (
+        "thresholds", "task_of_runnable", "_owns_task_map", "task_of_slot",
+        "app_of_task", "error_vectors", "faulty_tasks", "errors_recorded",
+        "_task_fault_listeners", "_ecu_state_listeners", "_last_ecu_state",
+        "_error_log", "telemetry", "_tm_enabled", "_tm_errors",
+        "_tm_task_faults", "_tm_faulty_tasks", "_tm_faulty_count",
+        "_tm_ecu_state", "_tm_task_gauges", "_tm_app_gauges",
+    )
+
     def __init__(
         self,
         thresholds: Optional[ThresholdPolicy] = None,
@@ -52,11 +61,17 @@ class TaskStateIndicationUnit:
     ) -> None:
         self.thresholds = thresholds or ThresholdPolicy()
         #: runnable → hosting task (completed lazily from incoming errors).
-        self.task_of_runnable: Dict[str, str] = dict(task_of_runnable or {})
+        #: The configured mapping is shared with the other units built
+        #: from the same hypothesis, so it is copied before the first
+        #: learned entry is added (copy-on-write).
+        self.task_of_runnable: Dict[str, str] = (
+            task_of_runnable if task_of_runnable is not None else {})
+        self._owns_task_map = task_of_runnable is None
         #: interned slot id → hosting task, in the HBM unit's slot order;
         #: lets :meth:`record_error` attribute an error that carries a
-        #: ``runnable_id`` without hashing the runnable name.
-        self.task_of_slot: List[Optional[str]] = list(task_of_slot or [])
+        #: ``runnable_id`` without hashing the runnable name (read-only).
+        self.task_of_slot: List[Optional[str]] = (
+            task_of_slot if task_of_slot is not None else [])
         #: task → application (for application state derivation).
         self.app_of_task: Dict[str, str] = dict(app_of_task or {})
         #: task → runnable → error type → count  (the error indication vectors).
@@ -81,8 +96,11 @@ class TaskStateIndicationUnit:
         self._tm_task_faults = tm.counter(
             "wd_tsi_task_faults_total",
             "Task-faulty threshold crossings")
+        # Shared by every unit on one registry (a daemon's fleet): each
+        # unit adds the change in its own count, so the gauge sums.
         self._tm_faulty_tasks = tm.gauge(
             "wd_tsi_faulty_tasks", "Tasks currently declared faulty")
+        self._tm_faulty_count = 0
         self._tm_ecu_state = tm.gauge(
             "wd_tsi_ecu_state",
             "Derived global ECU state (0=ok 1=suspicious 2=faulty)")
@@ -114,7 +132,11 @@ class TaskStateIndicationUnit:
         if task is None:
             task = self.task_of_runnable.get(error.runnable)
         task = task or "<unmapped>"
-        self.task_of_runnable.setdefault(error.runnable, task)
+        if error.runnable not in self.task_of_runnable:
+            if not self._owns_task_map:
+                self.task_of_runnable = dict(self.task_of_runnable)
+                self._owns_task_map = True
+            self.task_of_runnable[error.runnable] = task
         vector = self.error_vectors.setdefault(task, {})
         per_type = vector.setdefault(error.runnable, {})
         per_type[error.error_type] = per_type.get(error.error_type, 0) + 1
@@ -274,10 +296,12 @@ class TaskStateIndicationUnit:
             RunnableError.from_dict(error) for error in state["error_log"]
         ]
         self.task_of_runnable = dict(state["task_of_runnable"])
+        self._owns_task_map = True
         self._last_ecu_state = MonitorState(state["last_ecu_state"])
         if self._tm_enabled:
             for task in self._known_tasks():
                 self._tm_refresh_states(task)
+            self._tm_sync_faulty_count()
 
     def reset(self) -> None:
         """Full reset (ECU software reset)."""
@@ -289,7 +313,7 @@ class TaskStateIndicationUnit:
         if self._tm_enabled:
             for task in list(self._tm_task_gauges):
                 self._tm_refresh_states(task)
-            self._tm_faulty_tasks.set(0)
+            self._tm_sync_faulty_count()
             self._tm_ecu_state.set(0)
 
     # ------------------------------------------------------------------
@@ -336,8 +360,14 @@ class TaskStateIndicationUnit:
                 )
                 self._tm_app_gauges[app] = app_gauge
             app_gauge.set(MONITOR_STATE_VALUE[self.application_state(app)])
-        self._tm_faulty_tasks.set(len(self.faulty_tasks))
+        self._tm_sync_faulty_count()
         self._tm_ecu_state.set(MONITOR_STATE_VALUE[self.ecu_state()])
+
+    def _tm_sync_faulty_count(self) -> None:
+        """Move the shared faulty-task gauge by this unit's change."""
+        count = len(self.faulty_tasks)
+        self._tm_faulty_tasks.inc(count - self._tm_faulty_count)
+        self._tm_faulty_count = count
 
     def _update_ecu_state(self, time: int) -> None:
         new_state = self.ecu_state()

@@ -34,7 +34,7 @@ from ..telemetry import (
     TelemetryEvent,
 )
 from .counters import CounterHistory
-from .flowcheck import FlowTable, ProgramFlowCheckingUnit
+from .flowcheck import ProgramFlowCheckingUnit
 from .heartbeat import HeartbeatMonitoringUnit, _TM_SYNC_INTERVAL
 from .hypothesis import FaultHypothesis
 from .reports import ErrorType, MonitorState, RunnableError, TaskFaultEvent
@@ -44,7 +44,20 @@ FaultListener = Callable[[RunnableError], None]
 
 
 class SoftwareWatchdog:
-    """The complete dependability software service of the paper."""
+    """The complete dependability software service of the paper.
+
+    The static half of the service — slot interning, the flow table,
+    the task attribution — comes from
+    :meth:`FaultHypothesis.static_tables` and is shared read-only by
+    every watchdog built from the same hypothesis object; what each
+    watchdog owns is its run-time state (counters, error vectors).
+    """
+
+    __slots__ = (
+        "telemetry", "event_sink", "_tm_enabled", "name", "hypothesis",
+        "hbm", "pfc", "tsi", "detected", "detected_per_runnable",
+        "check_cycle_count", "history", "_fault_listeners",
+    )
 
     def __init__(
         self,
@@ -73,9 +86,7 @@ class SoftwareWatchdog:
             self._lint_hypothesis(hypothesis, mode=lint, source=name)
         self.name = name
         self.hypothesis = hypothesis
-        task_of_runnable = {
-            r: h.task for r, h in hypothesis.runnables.items() if h.task is not None
-        }
+        tables = hypothesis.static_tables()
         self.hbm = HeartbeatMonitoringUnit(
             hypothesis,
             eager_arrival_detection=eager_arrival_detection,
@@ -83,15 +94,15 @@ class SoftwareWatchdog:
             telemetry=telemetry,
         )
         self.pfc = ProgramFlowCheckingUnit(
-            FlowTable.from_hypothesis(hypothesis),
-            task_attribution=task_of_runnable,
+            tables.flow_table,
+            task_attribution=tables.task_of_runnable,
             telemetry=telemetry,
         )
         self.tsi = TaskStateIndicationUnit(
             hypothesis.thresholds,
-            task_of_runnable=task_of_runnable,
+            task_of_runnable=tables.task_of_runnable,
             app_of_task=app_of_task,
-            task_of_slot=[h.task for h in self.hbm._hyps],
+            task_of_slot=tables.task_of_slot,
             telemetry=telemetry,
         )
         self.hbm.add_listener(self._on_runnable_error)
@@ -104,14 +115,10 @@ class SoftwareWatchdog:
         self.check_cycle_count = 0
         self.history: Optional[CounterHistory] = None
         self._fault_listeners: List[FaultListener] = []
-        self._tm_detections: Dict[ErrorType, object] = {}
         if self._tm_enabled:
+            # Create every series up front so exports show zeros.
             for et in ErrorType:
-                self._tm_detections[et] = self.telemetry.counter(
-                    "wd_detections_total",
-                    "Detected runnable errors by error type",
-                    error_type=et.value,
-                )
+                self._detection_counter(et)
         if self.event_sink.enabled:
             self.tsi.add_task_fault_listener(self._emit_task_fault_event)
             self.tsi.add_ecu_state_listener(self._emit_ecu_state_event)
@@ -334,7 +341,7 @@ class SoftwareWatchdog:
         per_type = self.detected_per_runnable.setdefault(error.runnable, {})
         per_type[error.error_type] = per_type.get(error.error_type, 0) + 1
         if self._tm_enabled:
-            self._tm_detections[error.error_type].inc()
+            self._detection_counter(error.error_type).inc()
         if self.event_sink.enabled:
             self.event_sink.emit(TelemetryEvent(
                 time=error.time,
@@ -349,6 +356,15 @@ class SoftwareWatchdog:
         self.tsi.record_error(error)
         for listener in self._fault_listeners:
             listener(error)
+
+    def _detection_counter(self, error_type: ErrorType):
+        """The registry's detection counter for ``error_type``, looked up
+        per detection (rare) rather than held by every watchdog."""
+        return self.telemetry.counter(
+            "wd_detections_total",
+            "Detected runnable errors by error type",
+            error_type=error_type.value,
+        )
 
     def _emit_task_fault_event(self, event: TaskFaultEvent) -> None:
         self.event_sink.emit(TelemetryEvent(

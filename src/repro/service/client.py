@@ -37,6 +37,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 from ..core.config_io import hypothesis_to_dict
 from ..core.hypothesis import FaultHypothesis
 from .protocol import (
+    FatalProtocolError,
     Frame,
     FrameDecoder,
     ProtocolError,
@@ -402,12 +403,21 @@ class WatchdogClient:
         return dispatched
 
     def _dispatch_chunk(self, chunk: bytes) -> int:
+        fatal = None
+        try:
+            items = self._decoder.feed(chunk)
+        except FatalProtocolError as exc:
+            items, fatal = exc.frames, exc
         dispatched = 0
-        for item in self._decoder.feed(chunk):
+        for item in items:
             if isinstance(item, ProtocolError):
                 continue
             self._dispatch_push(item)
             dispatched += 1
+        if fatal is not None:
+            # The server's framing is corrupt: keep the pushes decoded
+            # ahead of it, drop the stream (the next send reconnects).
+            self._drop_connection()
         return dispatched
 
     def _dispatch_push(self, frame: Frame) -> None:
@@ -442,8 +452,13 @@ class WatchdogClient:
                 chunk = self._sock.recv(65536)
                 if not chunk:
                     raise ClientError("connection closed mid-request")
+                fatal = None
+                try:
+                    items = self._decoder.feed(chunk)
+                except FatalProtocolError as exc:
+                    items, fatal = exc.frames, exc
                 ack: Optional[Frame] = None
-                for item in self._decoder.feed(chunk):
+                for item in items:
                     if isinstance(item, ProtocolError):
                         raise ClientError(f"undecodable server frame: {item}")
                     if item.type == T_ACK and ack is None:
@@ -452,8 +467,12 @@ class WatchdogClient:
                         # Pushes decoded from the same chunk as the ACK
                         # must not be lost.
                         self._dispatch_push(item)
+                if fatal is not None:
+                    self._drop_connection()
                 if ack is not None:
                     return ack
+                if fatal is not None:
+                    raise ClientError(f"corrupt server framing: {fatal}")
         except (OSError, socket.timeout) as exc:
             self._drop_connection()
             raise ClientError(f"{type} request failed: {exc}") from None

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.reports import EcuStateChange, MonitorState, RunnableError
-from .supervisor import Registration, SupervisorShard
+from .supervisor import HypothesisCache, Registration, SupervisorShard
 
 __all__ = ["Fleet"]
 
@@ -58,6 +58,11 @@ class Fleet:
             )
             for index in range(shards)
         ]
+        #: One compile-once cache for the whole fleet: a hypothesis
+        #: submitted to any shard is parsed and linted once.
+        self.hypotheses = HypothesisCache()
+        for shard in self.shards:
+            shard.hypotheses = self.hypotheses
         self._shard_of: Dict[str, SupervisorShard] = {}
         self._next_shard = 0
         self.state = MonitorState.OK
@@ -106,6 +111,11 @@ class Fleet:
 
     def deregister(self, name: str) -> None:
         self._shard_of[name].deregister(name)
+
+    @property
+    def registration_count(self) -> int:
+        """Number of registrations across shards, without merging them."""
+        return sum(len(shard.registrations) for shard in self.shards)
 
     @property
     def registrations(self) -> Dict[str, Registration]:
@@ -278,4 +288,6 @@ class Fleet:
             "detections": sum(r.detections for r in regs.values()),
             "ticks": max((s.tick_count for s in self.shards), default=0),
             "fleet_state": self.state.value,
+            "hypotheses_compiled": self.hypotheses.compiles,
+            "register_cache_hits": self.hypotheses.hits,
         }

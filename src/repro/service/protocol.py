@@ -51,7 +51,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
     "FatalProtocolError",
@@ -103,7 +103,18 @@ class ProtocolError(Exception):
 
 
 class FatalProtocolError(ProtocolError):
-    """The byte stream itself is corrupt; the connection must close."""
+    """The byte stream itself is corrupt; the connection must close.
+
+    ``frames`` holds what :meth:`FrameDecoder.feed` decoded from the same
+    chunk *before* the corrupt header, in order: those frames were
+    framed correctly, so the caller acts on them before closing.
+    """
+
+    def __init__(self, message: str,
+                 frames: Optional[List[Union["Frame", ProtocolError]]] = None
+                 ) -> None:
+        super().__init__(message)
+        self.frames = frames if frames is not None else []
 
 
 @dataclass(frozen=True)
@@ -180,33 +191,37 @@ class FrameDecoder:
         self.frames_rejected = 0
 
     def feed(self, chunk: bytes) -> List[Union[Frame, ProtocolError]]:
-        """Consume ``chunk``; return every complete frame it finished."""
-        self._buffer.extend(chunk)
-        return list(self._drain())
+        """Consume ``chunk``; return every complete frame it finished.
 
-    def _drain(self) -> Iterator[Union[Frame, ProtocolError]]:
-        while True:
-            if len(self._buffer) < HEADER_BYTES:
-                return
-            (length,) = _HEADER.unpack_from(self._buffer)
+        A corrupt length header raises :class:`FatalProtocolError`
+        carrying, as ``frames``, everything decoded before it — a HELLO
+        and a BYE followed by garbage still deliver that BYE.
+        """
+        buffer = self._buffer
+        buffer.extend(chunk)
+        items: List[Union[Frame, ProtocolError]] = []
+        while len(buffer) >= HEADER_BYTES:
+            (length,) = _HEADER.unpack_from(buffer)
             if length > self._max:
                 raise FatalProtocolError(
                     f"frame length {length} exceeds the {self._max}-byte "
-                    "limit; stream framing is corrupt"
+                    "limit; stream framing is corrupt",
+                    frames=items,
                 )
             end = HEADER_BYTES + length
-            if len(self._buffer) < end:
-                return
-            body = bytes(self._buffer[HEADER_BYTES:end])
-            del self._buffer[:end]
+            if len(buffer) < end:
+                break
+            body = bytes(buffer[HEADER_BYTES:end])
+            del buffer[:end]
             try:
                 frame = _decode_body(body)
             except ProtocolError as exc:
                 self.frames_rejected += 1
-                yield exc
+                items.append(exc)
             else:
                 self.frames_decoded += 1
-                yield frame
+                items.append(frame)
+        return items
 
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet framing a complete frame."""

@@ -495,8 +495,8 @@ class SupervisionServer:
         the restore bookkeeping."""
         for name, registration in self.fleet.registrations.items():
             self._hook_registration(name, registration)
-        self.restored_registrations = len(self.fleet.registrations)
-        self._tm_registrations.set(len(self.fleet.registrations))
+        self.restored_registrations = self.fleet.registration_count
+        self._tm_registrations.set(self.restored_registrations)
 
     def _journal(self, kind: str, subject: str, **data: Any) -> None:
         if self.store is None:
@@ -662,12 +662,13 @@ class SupervisionServer:
                 chunk = await reader.read(_READ_SIZE)
                 if not chunk:
                     break
+                fatal: Optional[FatalProtocolError] = None
                 try:
                     items = decoder.feed(chunk)
                 except FatalProtocolError as exc:
-                    self._tm_malformed.inc()
-                    self._send(conn, T_ACK, ok=False, re=None, error=str(exc))
-                    break
+                    # Frames ahead of the corrupt header were framed
+                    # correctly: act on them, then close.
+                    items, fatal = exc.frames, exc
                 for item in items:
                     if isinstance(item, ProtocolError):
                         self._tm_malformed.inc()
@@ -679,6 +680,10 @@ class SupervisionServer:
                     if conn.said_bye:
                         break
                 if conn.said_bye:
+                    break
+                if fatal is not None:
+                    self._tm_malformed.inc()
+                    self._send(conn, T_ACK, ok=False, re=None, error=str(fatal))
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -758,7 +763,7 @@ class SupervisionServer:
         registration.connected = True
         conn.registrations.add(name)
         self._conn_of[name] = conn
-        self._tm_registrations.set(len(self.fleet.registrations))
+        self._tm_registrations.set(self.fleet.registration_count)
         self._hook_registration(name, registration)
         if rebound:
             self._tm_rebinds.inc()
@@ -766,7 +771,7 @@ class SupervisionServer:
         else:
             self._journal(
                 JOURNAL_REGISTER, name,
-                hypothesis=dict(registration.hypothesis_dict),
+                hypothesis=registration.hypothesis_dict,
                 app_of_task=(
                     dict(app_of_task) if app_of_task is not None else None
                 ),

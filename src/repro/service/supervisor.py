@@ -15,11 +15,18 @@ task-state rollups are byte-identical to local supervision.  REGISTER
 runs the hypothesis through wdlint (:func:`repro.lint.lint_hypothesis`);
 error-severity diagnostics always reject, ``strict`` mode also rejects
 warnings (the ``--strict`` serve flag).
+
+The fault hypothesis is static configuration, so a fleet compiles each
+distinct one once (:class:`HypothesisCache`): N clients submitting the
+same hypothesis share one parsed :class:`FaultHypothesis`, its static
+tables and its lint result, and each registration owns only its
+watchdog's run-time state.  The admission rules still run on every
+REGISTER.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.config_io import hypothesis_from_dict
@@ -28,6 +35,8 @@ from ..core.reports import RunnableError, TaskFaultEvent
 from ..core.watchdog import SoftwareWatchdog
 
 __all__ = [
+    "CompiledHypothesis",
+    "HypothesisCache",
     "Registration",
     "RegistrationError",
     "SupervisorShard",
@@ -74,26 +83,54 @@ def build_watchdog(
     )
 
 
-@dataclass
 class Registration:
-    """One registered client hypothesis and its supervision state."""
+    """One registered client hypothesis and its supervision state.
 
-    name: str
-    shard_index: int
-    hypothesis: FaultHypothesis
-    hypothesis_dict: Dict[str, Any]
-    watchdog: SoftwareWatchdog
-    #: The runnable→task application mapping submitted with REGISTER
-    #: (kept so the registration can be journaled and rebuilt verbatim).
-    app_of_task: Optional[Dict[str, str]] = None
-    lint_diagnostics: List[str] = field(default_factory=list)
-    #: False after a graceful BYE (monitoring deactivated, state kept).
-    active: bool = True
-    #: True while a client connection is bound to this registration.
-    connected: bool = False
-    indications: int = 0
-    task_starts: int = 0
-    detections: int = 0
+    ``hypothesis``, ``hypothesis_dict`` and ``lint_diagnostics`` come
+    from the fleet's :class:`HypothesisCache` and are shared, read-only,
+    by every registration of the same hypothesis; the watchdog's
+    run-time state and the bookkeeping below are this registration's own.
+    """
+
+    __slots__ = (
+        "name", "shard_index", "hypothesis", "hypothesis_dict", "watchdog",
+        "app_of_task", "lint_diagnostics", "active", "connected",
+        "indications", "task_starts", "detections", "_shard",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        shard_index: int,
+        hypothesis: FaultHypothesis,
+        hypothesis_dict: Dict[str, Any],
+        watchdog: SoftwareWatchdog,
+        app_of_task: Optional[Dict[str, str]] = None,
+        lint_diagnostics: Optional[List[str]] = None,
+    ) -> None:
+        self.name = name
+        self.shard_index = shard_index
+        self.hypothesis = hypothesis
+        self.hypothesis_dict = hypothesis_dict
+        self.watchdog = watchdog
+        #: The runnable→task application mapping submitted with REGISTER
+        #: (kept so the registration can be journaled and rebuilt verbatim).
+        self.app_of_task = app_of_task
+        self.lint_diagnostics = (
+            lint_diagnostics if lint_diagnostics is not None else [])
+        #: False after a graceful BYE (monitoring deactivated, state kept).
+        self.active = True
+        #: True while a client connection is bound to this registration.
+        self.connected = False
+        self.indications = 0
+        self.task_starts = 0
+        self.detections = 0
+        #: The hosting shard, set when it admits the registration.
+        self._shard: Optional["SupervisorShard"] = None
+
+    def __repr__(self) -> str:
+        return (f"Registration(name={self.name!r}, "
+                f"shard_index={self.shard_index}, active={self.active})")
 
     def deactivate(self) -> None:
         """Graceful departure: switch every runnable's Activation Status
@@ -108,6 +145,105 @@ class Registration:
         self.active = True
         for runnable, hyp in self.hypothesis.runnables.items():
             self.watchdog.set_activation_status(runnable, hyp.active)
+
+    # Watchdog listeners: bound methods, which cost less per registration
+    # than a closure over the name.
+    def _on_detection(self, error: RunnableError) -> None:
+        self.detections += 1
+        self._shard._notify_detection(self.name, error)
+
+    def _on_task_fault(self, event: TaskFaultEvent) -> None:
+        self._shard._notify_task_fault(self.name, event)
+
+
+class CompiledHypothesis:
+    """One distinct submitted hypothesis, parsed and linted once.
+
+    Shared read-only by every registration that submitted an equal
+    hypothesis: the parsed :class:`FaultHypothesis` (and through it the
+    static tables its watchdogs share), one canonical copy of the
+    submitted dict, and the rendered lint diagnostics.
+    """
+
+    __slots__ = ("hypothesis", "hypothesis_dict", "diagnostics")
+
+    def __init__(self, hypothesis: FaultHypothesis,
+                 hypothesis_dict: Dict[str, Any],
+                 diagnostics: List[str]) -> None:
+        self.hypothesis = hypothesis
+        self.hypothesis_dict = hypothesis_dict
+        self.diagnostics = diagnostics
+
+
+class HypothesisCache:
+    """Compile each distinct hypothesis once; enforce the admission rules
+    on every REGISTER.
+
+    Entries are keyed on the canonical JSON (``sort_keys=True``) of the
+    submitted dict, and a hit must also compare equal to the submission,
+    so two hypotheses the rebind rule tells apart are never merged.  Only
+    admitted hypotheses are cached: a parse failure, a lint error or a
+    ``strict`` rejection recompiles on every attempt.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[str, CompiledHypothesis] = {}
+        #: Parse-and-lint runs (cache misses, rejected attempts included).
+        self.compiles = 0
+        #: Admissions served from an already compiled hypothesis.
+        self.hits = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def admit(self, name: str, submitted: Dict[str, Any], *,
+              strict: bool) -> CompiledHypothesis:
+        """The compiled form of ``submitted``; raises
+        :class:`RegistrationError` when the hypothesis is rejected."""
+        try:
+            key: Optional[str] = json.dumps(submitted, sort_keys=True)
+        except (TypeError, ValueError, RecursionError):
+            key = None  # not plain JSON: admitted, never cached
+        entry = self._entries.get(key) if key is not None else None
+        cached = entry is not None and entry.hypothesis_dict == submitted
+        if not cached:
+            self.compiles += 1
+            entry = _compile(name, submitted)
+        if strict and entry.diagnostics:
+            raise RegistrationError(
+                ["strict mode rejects lint warnings"] + entry.diagnostics
+            )
+        if cached:
+            self.hits += 1
+        elif key is not None:
+            self._entries[key] = entry
+        return entry
+
+
+def _compile(name: str, submitted: Dict[str, Any]) -> CompiledHypothesis:
+    """Parse and lint one hypothesis; error diagnostics reject it.
+
+    Both steps resolve their function at call time (the module-level
+    :func:`hypothesis_from_dict`, :func:`repro.lint.lint_hypothesis`),
+    so an outside tracer wrapping either sees every compile.
+    """
+    from ..lint import Severity, lint_hypothesis
+
+    try:
+        hypothesis = hypothesis_from_dict(dict(submitted))
+    except (HypothesisError, KeyError, TypeError, ValueError) as exc:
+        raise RegistrationError([f"invalid hypothesis: {exc}"]) from None
+    report = lint_hypothesis(hypothesis, source=name)
+    errors = [
+        str(d) for d in report.diagnostics if d.severity is Severity.ERROR
+    ]
+    if errors:
+        raise RegistrationError(errors)
+    return CompiledHypothesis(
+        hypothesis,
+        dict(submitted),
+        [str(d) for d in report.diagnostics],
+    )
 
 
 class SupervisorShard:
@@ -130,6 +266,9 @@ class SupervisorShard:
         self.telemetry = telemetry
         self.event_sink = event_sink
         self.registrations: Dict[str, Registration] = {}
+        #: Compiled hypotheses; a :class:`~repro.service.fleet.Fleet`
+        #: replaces this with one cache shared by all of its shards.
+        self.hypotheses = HypothesisCache()
         self.processed = 0
         self.tick_count = 0
         self._detection_listeners: List[DetectionListener] = []
@@ -147,7 +286,9 @@ class SupervisorShard:
     ) -> Registration:
         """Admit one hypothesis; lint it; reject what lint rejects.
 
-        Re-registering an existing name with a byte-identical hypothesis
+        A hypothesis equal to one already admitted reuses its compiled
+        form (:class:`HypothesisCache`) instead of being parsed and
+        linted again.  Re-registering an existing name with a byte-identical hypothesis
         is a *rebind* (the reconnect path): the existing watchdog and its
         counters survive, monitoring is reactivated.  A different
         hypothesis under a taken name is rejected.
@@ -161,50 +302,29 @@ class SupervisorShard:
                 [f"registration name {name!r} is already in use "
                  "with a different hypothesis"]
             )
-        try:
-            hypothesis = hypothesis_from_dict(dict(hypothesis_dict))
-        except (HypothesisError, KeyError, TypeError, ValueError) as exc:
-            raise RegistrationError([f"invalid hypothesis: {exc}"]) from None
-        diagnostics = self._lint(name, hypothesis)
+        compiled = self.hypotheses.admit(
+            name, hypothesis_dict, strict=self.strict)
         registration = Registration(
             name=name,
             shard_index=self.index,
-            hypothesis=hypothesis,
-            hypothesis_dict=dict(hypothesis_dict),
+            hypothesis=compiled.hypothesis,
+            hypothesis_dict=compiled.hypothesis_dict,
             watchdog=build_watchdog(
                 name,
-                hypothesis,
+                compiled.hypothesis,
                 app_of_task=app_of_task,
                 telemetry=self.telemetry,
                 event_sink=self.event_sink,
             ),
             app_of_task=dict(app_of_task) if app_of_task is not None else None,
-            lint_diagnostics=diagnostics,
+            lint_diagnostics=compiled.diagnostics,
         )
-        registration.watchdog.add_fault_listener(
-            lambda error, _name=name: self._on_detection(_name, error)
-        )
+        registration._shard = self
+        registration.watchdog.add_fault_listener(registration._on_detection)
         registration.watchdog.add_task_fault_listener(
-            lambda event, _name=name: self._on_task_fault(_name, event)
-        )
+            registration._on_task_fault)
         self.registrations[name] = registration
         return registration
-
-    def _lint(self, name: str, hypothesis: FaultHypothesis) -> List[str]:
-        from ..lint import Severity, lint_hypothesis
-
-        report = lint_hypothesis(hypothesis, source=name)
-        rendered = [str(d) for d in report.diagnostics]
-        errors = [
-            str(d) for d in report.diagnostics if d.severity is Severity.ERROR
-        ]
-        if errors:
-            raise RegistrationError(errors)
-        if self.strict and rendered:
-            raise RegistrationError(
-                ["strict mode rejects lint warnings"] + rendered
-            )
-        return rendered
 
     def deregister(self, name: str) -> None:
         """Graceful BYE: deactivate, keep counters for a later rebind."""
@@ -312,12 +432,11 @@ class SupervisorShard:
     def add_task_fault_listener(self, listener: TaskFaultListener) -> None:
         self._task_fault_listeners.append(listener)
 
-    def _on_detection(self, registration: str, error: RunnableError) -> None:
-        self.registrations[registration].detections += 1
+    def _notify_detection(self, registration: str, error: RunnableError) -> None:
         for listener in self._detection_listeners:
             listener(registration, error)
 
-    def _on_task_fault(self, registration: str, event: TaskFaultEvent) -> None:
+    def _notify_task_fault(self, registration: str, event: TaskFaultEvent) -> None:
         for listener in self._task_fault_listeners:
             listener(registration, event)
 

@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.core.config_io import hypothesis_to_dict
 from repro.service import ClientError, RegistrationRejected, WatchdogClient
 from repro.service.protocol import (
     FrameDecoder,
+    MAX_FRAME_BYTES,
     T_ACK,
     T_BYE,
     T_DETECTION,
@@ -179,6 +181,9 @@ class TestBatching:
         client.task_start("T", 2)
         client.heartbeat("sense", 3, "T")
         client.flush()
+        # flush() only writes to the socket; sync() waits until the
+        # fake daemon's reader thread has recorded the frames.
+        assert client.sync() is True
         kinds = [f.type for f in daemon.frames
                  if f.type in (T_HEARTBEAT, T_FLOW)]
         assert kinds == [T_HEARTBEAT, T_FLOW, T_HEARTBEAT]
@@ -193,6 +198,7 @@ class TestBatching:
         client.connect()
         client.register("p", make_hyp_dict())
         assert client.flush() is True
+        assert client.sync() is True
         assert daemon.frames_of(T_HEARTBEAT)[0].get("batch") == [
             ["sense", 1, "T"]]
         client.close(say_bye=False)
@@ -230,6 +236,7 @@ class TestOfflineBuffer:
         for t in range(5):
             client.heartbeat("sense", t, "T")
         assert client.flush()
+        assert client.sync() is True
         (frame,) = daemon.frames_of(T_HEARTBEAT)
         assert [entry[1] for entry in frame.get("batch")] == list(range(5))
         client.close(say_bye=False)
@@ -389,6 +396,25 @@ class TestPushes:
     def test_poll_without_connection_is_noop(self):
         client = WatchdogClient(("127.0.0.1", 1))
         assert client.poll() == 0
+
+    def test_pushes_ahead_of_corrupt_framing_are_kept(self):
+        corrupt = struct.pack("!I", MAX_FRAME_BYTES + 1)
+        daemon = FakeDaemon(push_frames=[
+            encode_frame(T_DETECTION, name="p", runnable="sense",
+                         error_type="aliveness", time=30) + corrupt])
+        try:
+            client = WatchdogClient(daemon.address)
+            client.connect()
+            for _ in range(50):
+                if not client.connected:
+                    break
+                client.poll()
+                time.sleep(0.01)
+            assert not client.connected
+            assert [d["runnable"] for d in client.detections] == ["sense"]
+            client.close(say_bye=False)
+        finally:
+            daemon.close()
 
 
 class TestUnixTransport:

@@ -13,6 +13,7 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
     T_ACK,
+    T_BYE,
     T_HEARTBEAT,
     T_HELLO,
     encode_frame,
@@ -115,6 +116,24 @@ class TestDecoder:
         decoder = FrameDecoder()
         with pytest.raises(FatalProtocolError):
             decoder.feed(struct.pack("!I", MAX_FRAME_BYTES + 1) + b"xxxx")
+
+    def test_frames_before_corrupt_header_are_delivered(self):
+        """A corrupt header must not swallow the well-framed frames that
+        preceded it in the same chunk (a BYE there is a real goodbye)."""
+        decoder = FrameDecoder()
+        raw = (encode_frame(T_HELLO, client="a") + encode_frame(T_BYE)
+               + struct.pack("!I", MAX_FRAME_BYTES + 1) + b"xxxx")
+        with pytest.raises(FatalProtocolError) as info:
+            decoder.feed(raw)
+        assert [f.type for f in info.value.frames] == [T_HELLO, T_BYE]
+        assert decoder.frames_decoded == 2
+
+    def test_fatal_error_without_preceding_frames_carries_none(self):
+        decoder = FrameDecoder()
+        decoder.feed(encode_frame(T_HELLO, client="a"))
+        with pytest.raises(FatalProtocolError) as info:
+            decoder.feed(struct.pack("!I", MAX_FRAME_BYTES + 1))
+        assert info.value.frames == []
 
     def test_custom_frame_limit(self):
         decoder = FrameDecoder(max_frame_bytes=8)

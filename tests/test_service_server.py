@@ -12,6 +12,7 @@ from repro.core.reports import ErrorType, MonitorState
 from repro.service import SupervisionServer, WatchdogClient
 from repro.service.protocol import (
     FrameDecoder,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     T_ACK,
     T_BYE,
@@ -95,6 +96,43 @@ class _WireClient:
 
 
 class TestWireServer:
+    def test_bye_ahead_of_corrupt_header_is_dispatched(self):
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_HELLO, client="it")
+            assert (await peer.recv_frame()).get("ok")
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            await peer.send_raw(encode_frame(T_BYE)
+                                + struct.pack("!I", MAX_FRAME_BYTES + 1))
+            ack = await peer.recv_frame()
+            assert ack.get("ok") and ack.get("re") == T_BYE
+            await peer.close()
+            await asyncio.sleep(0.02)
+            assert not server.fleet.registration("p").active
+            await server.stop()
+
+        asyncio.run(scenario())
+
+    def test_corrupt_header_closes_after_acking_preceding_frames(self):
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send_raw(encode_frame(T_HELLO, client="it")
+                                + struct.pack("!I", MAX_FRAME_BYTES + 1))
+            hello = await peer.recv_frame()
+            assert hello.get("ok") and hello.get("re") == T_HELLO
+            error = await peer.recv_frame()
+            assert not error.get("ok") and "framing" in error.get("error")
+            assert await peer.reader.read(65536) == b""
+            await peer.close()
+            assert server.telemetry.value(
+                "service_malformed_frames_total") == 1
+            await server.stop()
+
+        asyncio.run(scenario())
+
     def test_hello_register_heartbeat_bye(self):
         async def scenario():
             server = await start_server()
