@@ -22,7 +22,8 @@ PYTEST = PYTHONPATH=src python -m pytest
 REPRO = PYTHONPATH=src python -m repro
 
 # Benchmarks that append to a BENCH_<name>.json trajectory.
-BENCH_RECORD = benchmarks/test_bench_service_recovery.py
+BENCH_RECORD = benchmarks/test_bench_service_recovery.py \
+	benchmarks/test_bench_snapshot.py
 
 .PHONY: test lint bench-smoke bench wdbench bench-record metrics-smoke \
 	serve-smoke ha-smoke all

@@ -400,10 +400,11 @@ class HeartbeatMonitoringUnit:
         hypothesis: cycle index, tallies, the counter block, and the
         wheel's per-slot period bases and deadlines.  The wheel's bucket
         map is *not* captured — it is derived state, rebuilt from the
-        deadline arrays on restore.
+        deadline arrays on restore.  ``names`` is the hypothesis's
+        shared, never-mutated slot table, returned by reference.
         """
         return {
-            "names": list(self.names),
+            "names": self.names,
             "cycle_count": self.cycle_count,
             "heartbeat_count": self.heartbeat_count,
             "unknown_heartbeats": self.unknown_heartbeats,

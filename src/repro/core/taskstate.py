@@ -45,7 +45,7 @@ class TaskStateIndicationUnit:
         "thresholds", "task_of_runnable", "_owns_task_map", "task_of_slot",
         "app_of_task", "error_vectors", "faulty_tasks", "errors_recorded",
         "_task_fault_listeners", "_ecu_state_listeners", "_last_ecu_state",
-        "_error_log", "telemetry", "_tm_enabled", "_tm_errors",
+        "last_error_time", "telemetry", "_tm_enabled", "_tm_errors",
         "_tm_task_faults", "_tm_faulty_tasks", "_tm_faulty_count",
         "_tm_ecu_state", "_tm_task_gauges", "_tm_app_gauges",
     )
@@ -82,7 +82,12 @@ class TaskStateIndicationUnit:
         self._task_fault_listeners: List[TaskFaultListener] = []
         self._ecu_state_listeners: List[EcuStateListener] = []
         self._last_ecu_state = MonitorState.OK
-        self._error_log: List[RunnableError] = []
+        #: Time of the most recently recorded error (the time
+        #: :meth:`clear_task` stamps on the ECU state change it causes).
+        #: Only counts are kept per error, never the errors themselves:
+        #: the chronological stream is
+        #: :meth:`SoftwareWatchdog.add_fault_listener`'s to deliver.
+        self.last_error_time = 0
         # Telemetry: errors and threshold crossings are rare, so the
         # instruments are updated live (a no-op under the null
         # registry).  State gauges encode OK/SUSPICIOUS/FAULTY as 0/1/2
@@ -141,7 +146,7 @@ class TaskStateIndicationUnit:
         per_type = vector.setdefault(error.runnable, {})
         per_type[error.error_type] = per_type.get(error.error_type, 0) + 1
         self.errors_recorded += 1
-        self._error_log.append(error)
+        self.last_error_time = error.time
         self._tm_errors.inc()
         threshold = self.thresholds.threshold_for(error.error_type)
         if per_type[error.error_type] >= threshold and task not in self.faulty_tasks:
@@ -244,22 +249,24 @@ class TaskStateIndicationUnit:
                 )
         return reports
 
-    def error_log(self) -> List[RunnableError]:
-        """Chronological list of every recorded runnable error."""
-        return list(self._error_log)
-
     def clear_task(self, task: str) -> None:
         """Forget a task's errors (after the FMF restarted it)."""
         self.error_vectors.pop(task, None)
         self.faulty_tasks.pop(task, None)
-        self._update_ecu_state(time=self._error_log[-1].time if self._error_log else 0)
+        self._update_ecu_state(time=self.last_error_time)
         if self._tm_enabled:
             self._tm_refresh_states(task)
 
     def snapshot_state(self) -> Dict[str, object]:
         """JSON-compatible aggregation state (daemon persistence): the
-        error indication vectors, declared-faulty tasks, the error log,
-        lazily-learned attribution, and the last derived ECU state."""
+        error indication vectors, declared-faulty tasks, the last error
+        time, lazily-learned attribution, and the last derived ECU state.
+
+        The runnable-to-task map is returned by reference while it is
+        still the configured one shared with the hypothesis: that map is
+        never mutated (:meth:`record_error` copies it before learning an
+        entry), so a capture handed to another thread stays consistent.
+        """
         return {
             "error_vectors": {
                 task: {
@@ -273,13 +280,20 @@ class TaskStateIndicationUnit:
                 for task, event in self.faulty_tasks.items()
             },
             "errors_recorded": self.errors_recorded,
-            "error_log": [error.to_dict() for error in self._error_log],
-            "task_of_runnable": dict(self.task_of_runnable),
+            "last_error_time": self.last_error_time,
+            "task_of_runnable": (
+                dict(self.task_of_runnable) if self._owns_task_map
+                else self.task_of_runnable
+            ),
             "last_ecu_state": self._last_ecu_state.value,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Resume from a :meth:`snapshot_state` capture."""
+        """Resume from a :meth:`snapshot_state` capture.
+
+        Captures written before ``last_error_time`` existed carry the
+        full ``error_log`` instead; its last entry supplies the time.
+        """
         self.error_vectors = {
             task: {
                 runnable: {ErrorType(et): count for et, count in per_type.items()}
@@ -292,9 +306,11 @@ class TaskStateIndicationUnit:
             for task, event in state["faulty_tasks"].items()
         }
         self.errors_recorded = int(state["errors_recorded"])
-        self._error_log = [
-            RunnableError.from_dict(error) for error in state["error_log"]
-        ]
+        if "last_error_time" in state:
+            self.last_error_time = int(state["last_error_time"])
+        else:
+            log = state["error_log"]
+            self.last_error_time = int(log[-1]["time"]) if log else 0
         self.task_of_runnable = dict(state["task_of_runnable"])
         self._owns_task_map = True
         self._last_ecu_state = MonitorState(state["last_ecu_state"])
@@ -308,7 +324,7 @@ class TaskStateIndicationUnit:
         self.error_vectors.clear()
         self.faulty_tasks.clear()
         self.errors_recorded = 0
-        self._error_log.clear()
+        self.last_error_time = 0
         self._last_ecu_state = MonitorState.OK
         if self._tm_enabled:
             for task in list(self._tm_task_gauges):

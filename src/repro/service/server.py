@@ -67,6 +67,9 @@ __all__ = ["SupervisionServer"]
 
 #: Bytes per socket read.
 _READ_SIZE = 64 * 1024
+#: How long an HTTP connection answered 431 may keep sending before it
+#: is closed regardless.
+_HTTP_DISCARD_S = 1.0
 
 #: Indications a shard drain applies before yielding to the event loop
 #: (bounds how long a backlog can delay the check-cycle ticker).
@@ -234,7 +237,8 @@ class SupervisionServer:
         self._tm_frames: Dict[str, Any] = {}
         self._tm_malformed = tm.counter(
             "service_malformed_frames_total",
-            "Frames rejected by the wire-protocol decoder")
+            "Frames rejected by the wire-protocol decoder, and HTTP "
+            "requests with an oversized line")
         self._tm_indications = tm.counter(
             "service_indications_total",
             "Heartbeat and flow indications accepted into shard queues")
@@ -520,8 +524,8 @@ class SupervisionServer:
     async def _write_snapshot_async(self) -> Optional[Dict[str, Any]]:
         """One periodic snapshot with the blocking half off-loop.
 
-        The fleet state is serialized on-loop (the fleet is only ever
-        mutated on-loop), the ``json.dump`` + ``fsync`` + rename goes to
+        The fleet state is captured on-loop (the fleet is only ever
+        mutated on-loop), the JSON encoding + ``fsync`` + rename goes to
         a worker thread so a large fleet cannot stall heartbeat draining
         or the check-cycle ticker, and the journal is truncated back
         on-loop afterwards — keeping any records appended while the
@@ -944,15 +948,25 @@ class SupervisionServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await reader.readline()
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            parts = request_line.decode("latin-1", "replace").split()
+            try:
+                request_line = await reader.readline()
+                while True:
+                    line = await reader.readline()
+                    if line in (b"\r\n", b"\n", b""):
+                        break
+            except ValueError:
+                # readline() raises instead of returning a line longer
+                # than the stream limit (64 KiB).
+                request_line = None
+            parts = (request_line or b"").decode("latin-1", "replace").split()
             method = parts[0] if parts else ""
             path = parts[1].split("?", 1)[0] if len(parts) > 1 else ""
-            if method != "GET":
+            if request_line is None:
+                self._tm_malformed.inc()
+                status, ctype, body = (
+                    "431 Request Header Fields Too Large", "text/plain",
+                    "request line or header field too long\n")
+            elif method != "GET":
                 status, ctype, body = "405 Method Not Allowed", "text/plain", \
                     "only GET is supported\n"
             elif path == "/metrics":
@@ -976,7 +990,15 @@ class SupervisionServer:
                  "Connection: close\r\n\r\n").encode("latin-1") + payload
             )
             await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
+            if request_line is None:
+                # The rest of the request is unread, and closing on
+                # unread input resets the connection, which can destroy
+                # the reply before the client reads it.  Half-close and
+                # discard until the client closes, for a bounded time.
+                writer.write_eof()
+                await asyncio.wait_for(_discard(reader), _HTTP_DISCARD_S)
+        except (ConnectionError, asyncio.IncompleteReadError,
+                asyncio.TimeoutError):
             pass
         finally:
             try:
@@ -984,3 +1006,9 @@ class SupervisionServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    """Read and drop everything up to EOF."""
+    while await reader.read(_READ_SIZE):
+        pass

@@ -370,7 +370,12 @@ class SupervisorShard:
     def snapshot(self) -> Dict[str, Any]:
         """Full JSON-compatible shard state: every registration's
         hypothesis, bookkeeping counters, and its watchdog's complete
-        monitoring state (:meth:`SoftwareWatchdog.snapshot_state`)."""
+        monitoring state (:meth:`SoftwareWatchdog.snapshot_state`).
+
+        The hypothesis dict is the compiled one every registration of
+        that hypothesis shares; it is never mutated, so the capture
+        holds it by reference and stays a consistent cut while another
+        thread encodes it."""
         return {
             "index": self.index,
             "processed": self.processed,
@@ -378,7 +383,7 @@ class SupervisorShard:
             "registrations": [
                 {
                     "name": entry.name,
-                    "hypothesis": dict(entry.hypothesis_dict),
+                    "hypothesis": entry.hypothesis_dict,
                     "app_of_task": (
                         dict(entry.app_of_task)
                         if entry.app_of_task is not None else None

@@ -1,6 +1,14 @@
 """Tests for the task state indication unit."""
 
-from repro.core import ErrorType, MonitorState, RunnableError, ThresholdPolicy
+from repro.core import (
+    ErrorType,
+    FaultHypothesis,
+    MonitorState,
+    RunnableError,
+    RunnableHypothesis,
+    SoftwareWatchdog,
+    ThresholdPolicy,
+)
 from repro.core.taskstate import TaskStateIndicationUnit
 
 
@@ -148,12 +156,21 @@ class TestClearAndReset:
         unit.record_error(error(1))
         unit.reset()
         assert unit.errors_recorded == 0
-        assert unit.error_log() == []
+        assert unit.last_error_time == 0
         assert unit.ecu_state() is MonitorState.OK
 
-    def test_error_log_chronological(self):
-        unit, _ = make_unit()
-        unit.record_error(error(1))
-        unit.record_error(error(5))
-        log = unit.error_log()
-        assert [e.time for e in log] == [1, 5]
+    def test_fault_listener_stream_chronological(self):
+        # The TSI keeps counts, not errors: the chronological stream is
+        # the watchdog's fault listener.
+        hyp = FaultHypothesis()
+        hyp.add_runnable(RunnableHypothesis(
+            "R", task="T", aliveness_period=1, min_heartbeats=1,
+            arrival_period=1, max_heartbeats=10))
+        wd = SoftwareWatchdog(hyp)
+        stream = []
+        wd.add_fault_listener(stream.append)
+        wd.check_cycle(1)
+        wd.check_cycle(5)
+        assert [e.time for e in stream] == [1, 5]
+        assert wd.tsi.errors_recorded == len(stream)
+        assert wd.tsi.last_error_time == 5

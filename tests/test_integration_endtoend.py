@@ -122,6 +122,9 @@ class TestTracingAcrossTheStack:
         """One trace carries kernel, watchdog, bus and injection events —
         the analysis layer can reconstruct the experiment."""
         rig = HilValidator(fmf_policy=OBSERVE, fmf_auto_treatment=False)
+        detections = []
+        rig.ecu.watchdog.add_fault_listener(
+            lambda error: detections.append(error.time))
         injector = ErrorInjector(FaultTarget.from_ecu(rig.ecu))
         injector.inject_at(seconds(1), BlockedRunnableFault("SAFE_CC_process"))
         rig.run(seconds(2))
@@ -132,7 +135,6 @@ class TestTracingAcrossTheStack:
 
         from repro.analysis import detection_latency, heartbeat_gaps
 
-        detections = [e.time for e in rig.ecu.watchdog.tsi.error_log()]
         latencies = detection_latency(trace, detections)
         assert latencies[0] is not None and latencies[0] <= ms(30)
         gaps = heartbeat_gaps(trace, "Speed_process")

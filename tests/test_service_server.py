@@ -452,6 +452,34 @@ class TestHttp:
             await server.stop()
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("length", [70_000, 1_000_000])
+    def test_oversized_request_line_answered_431(self, length):
+        # A line past the 64 KiB stream limit makes readline() raise; the
+        # daemon must still answer, count it, and keep serving.  At 1 MB
+        # most of the request is still unread when the reply is sent.
+        async def scenario():
+            server = await start_server(http_port=0)
+
+            async def http_request(request):
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.http_port)
+                writer.write(request)
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.read(-1), timeout=5)
+                writer.close()
+                await writer.wait_closed()
+                return raw
+
+            raw = await http_request(
+                b"GET /" + b"a" * length + b" HTTP/1.0\r\n\r\n")
+            assert raw.startswith(b"HTTP/1.0 431 ")
+            raw = await http_request(b"GET /healthz HTTP/1.0\r\n\r\n")
+            assert raw.startswith(b"HTTP/1.0 200 OK")
+            raw = await http_request(b"GET /metrics HTTP/1.0\r\n\r\n")
+            assert b"service_malformed_frames_total 1" in raw
+            await server.stop()
+        asyncio.run(scenario())
+
 
 class TestTicker:
     def test_real_time_ticker_drives_check_cycles(self):
