@@ -23,7 +23,7 @@ REPRO = PYTHONPATH=src python -m repro
 
 # Benchmarks that append to a BENCH_<name>.json trajectory.
 BENCH_RECORD = benchmarks/test_bench_service_recovery.py \
-	benchmarks/test_bench_snapshot.py
+	benchmarks/test_bench_snapshot.py benchmarks/test_bench_footprint.py
 
 .PHONY: test lint bench-smoke bench wdbench bench-record metrics-smoke \
 	serve-smoke ha-smoke all

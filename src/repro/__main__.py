@@ -442,4 +442,12 @@ def main(argv: List[str] = None) -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["serve"]:
+        # The daemon serves plain TCP, UNIX sockets and HTTP, never TLS,
+        # but asyncio imports ``ssl`` whenever it can, and libssl plus
+        # libcrypto are ~4 MiB of its ~24 MiB peak RSS
+        # (BENCH_footprint.json).  A None entry makes ``import ssl``
+        # raise ImportError, which asyncio handles as on a Python built
+        # without OpenSSL.  In-process callers of main() keep ``ssl``.
+        sys.modules.setdefault("ssl", None)
     sys.exit(main())

@@ -32,30 +32,7 @@ stream over a loopback socket and via direct ``heartbeat_indication()``
 calls produces identical detections and task-state rollups.
 """
 
-from .client import ClientError, RegistrationRejected, WatchdogClient
-from .fleet import Fleet
-from .persistence import (
-    JournalFollower,
-    RestoredState,
-    SNAPSHOT_SCHEMA_VERSION,
-    StateStore,
-)
-from .protocol import (
-    FatalProtocolError,
-    Frame,
-    FrameDecoder,
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    ProtocolError,
-    encode_frame,
-)
-from .server import SupervisionServer
-from .supervisor import (
-    Registration,
-    RegistrationError,
-    SupervisorShard,
-    build_watchdog,
-)
+import importlib
 
 __all__ = [
     "ClientError",
@@ -78,3 +55,43 @@ __all__ = [
     "WatchdogClient",
     "build_watchdog",
 ]
+
+#: Public names by defining module, resolved on first access (PEP 562):
+#: ``python -m repro serve`` and every other subcommand's argument
+#: parsing import this package, and neither needs the client SDK — nor,
+#: until the daemon actually starts, asyncio and the server.
+_LAZY = {
+    "ClientError": "client",
+    "RegistrationRejected": "client",
+    "WatchdogClient": "client",
+    "Fleet": "fleet",
+    "JournalFollower": "persistence",
+    "RestoredState": "persistence",
+    "SNAPSHOT_SCHEMA_VERSION": "persistence",
+    "StateStore": "persistence",
+    "FatalProtocolError": "protocol",
+    "Frame": "protocol",
+    "FrameDecoder": "protocol",
+    "MAX_FRAME_BYTES": "protocol",
+    "PROTOCOL_VERSION": "protocol",
+    "ProtocolError": "protocol",
+    "encode_frame": "protocol",
+    "SupervisionServer": "server",
+    "Registration": "supervisor",
+    "RegistrationError": "supervisor",
+    "SupervisorShard": "supervisor",
+    "build_watchdog": "supervisor",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_LAZY))

@@ -6,17 +6,37 @@ until ``--run-seconds`` elapses (used by the smoke tests).  The bound
 addresses are printed on startup — with ``--port 0`` / ``--http-port 0``
 the OS picks free ports and the printed line is how a test harness
 discovers them.
+
+Only :func:`run_serve` imports asyncio: building the ``repro`` argument
+parser, which every subcommand does, must not load the daemon.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
-import signal
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 __all__ = ["add_serve_arguments", "run_serve"]
+
+
+def _checked(kind: Callable, ok: Callable, requirement: str) -> Callable:
+    """An argparse ``type=``: parse with *kind*, then reject values that
+    fail *ok* as a usage error (exit 2), not a traceback later."""
+
+    def parse(text: str):
+        value = kind(text)  # ValueError -> argparse's "invalid value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_positive_float = _checked(float, lambda value: value > 0, "> 0")
+_count = _checked(int, lambda value: value >= 1, ">= 1")
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -31,15 +51,15 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--http-port", type=int, default=None,
                         help="HTTP port for /metrics and /healthz "
                              "(0 = OS-assigned; default: TCP port + 1)")
-    parser.add_argument("--shards", type=int, default=1,
+    parser.add_argument("--shards", type=_count, default=1,
                         help="supervisor shards (each drives its own "
                              "watchdogs and inbound queue)")
     parser.add_argument("--strict", action="store_true",
                         help="reject REGISTERs whose hypothesis has any "
                              "lint diagnostics (not just errors)")
-    parser.add_argument("--tick-ms", type=float, default=10.0,
+    parser.add_argument("--tick-ms", type=_positive_float, default=10.0,
                         help="real-time check-cycle period in ms")
-    parser.add_argument("--queue-limit", type=int, default=10_000,
+    parser.add_argument("--queue-limit", type=_count, default=10_000,
                         help="per-shard inbound queue bound (oldest "
                              "dropped beyond it)")
     parser.add_argument("--telemetry", metavar="PATH", default=None,
@@ -85,6 +105,8 @@ def _banner(server, args: argparse.Namespace, *, verb: str) -> str:
 
 
 def run_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
     port: Optional[int] = args.port
     if port is None and args.socket is None:
         port = 6060
@@ -101,6 +123,9 @@ def run_serve(args: argparse.Namespace) -> int:
 async def _serve(
     args: argparse.Namespace, *, port: Optional[int], http_port: Optional[int]
 ) -> None:
+    import asyncio
+    import signal
+
     from ..telemetry import JsonlFileSink
     from .server import SupervisionServer
 
@@ -114,7 +139,7 @@ async def _serve(
         port=port,
         unix_path=args.socket,
         http_port=http_port,
-        shards=max(1, args.shards),
+        shards=args.shards,
         strict=args.strict,
         tick_interval=args.tick_ms / 1000.0,
         queue_limit=args.queue_limit,

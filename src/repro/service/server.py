@@ -184,6 +184,10 @@ class SupervisionServer:
         if standby and state_dir is None:
             raise ValueError("--standby needs --state-dir (the journal it "
                              "tails is the primary's state directory)")
+        if tick_interval is not None and not tick_interval > 0:
+            # The ticker would die on ``late // period`` and leave a
+            # daemon that acks heartbeats but never runs a check cycle.
+            raise ValueError("tick_interval must be positive or None")
         if snapshot_interval is not None and snapshot_interval <= 0:
             raise ValueError("snapshot_interval must be positive or None")
         self.name = name

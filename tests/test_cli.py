@@ -27,6 +27,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["figures", "--which", "7"])
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tick-ms", "0"), ("--tick-ms", "-5"),
+        ("--queue-limit", "0"), ("--shards", "0"), ("--shards", "-1"),
+    ])
+    def test_serve_rejects_non_positive_sizes(self, flag, value, capsys):
+        # `--tick-ms 0` used to start a daemon whose ticker died on a
+        # division by zero: it acked heartbeats but never detected.
+        # (--run-seconds bounds the run should such a daemon start.)
+        with pytest.raises(SystemExit) as stop:
+            main(["serve", "--port", "0", "--http-port", "0",
+                  "--run-seconds", "0.1", flag, value])
+        assert stop.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+
+    def test_serve_accepts_fractional_tick(self):
+        args = build_parser().parse_args(
+            ["serve", "--tick-ms", "0.5", "--shards", "2",
+             "--queue-limit", "1"])
+        assert (args.tick_ms, args.shards, args.queue_limit) == (0.5, 2, 1)
+
 
 class TestExecution:
     def test_rig_command(self, capsys):

@@ -1,0 +1,99 @@
+"""Import footprint of the daemon and of the ``repro`` argument parser.
+
+``python -m repro serve`` keeps OpenSSL out of its process (it never
+speaks TLS; asyncio would otherwise map libssl and libcrypto) and never
+loads the client SDK or the simulator.  Argument parsing, which every
+subcommand does, must not load the daemon at all.  In-process callers
+of :func:`repro.__main__.main` keep ``ssl``.
+
+Each probe runs in a fresh interpreter: this test process has long since
+imported asyncio and ``ssl``.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
+import repro.service
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+_SERVE_ARGV = ["serve", "--port", "0", "--http-port", "0",
+               "--run-seconds", "0.2"]
+
+#: Runs the real entry point, exactly as ``python -m repro serve`` does,
+#: and lists the modules actually loaded (the excluded ``ssl`` sits in
+#: ``sys.modules`` as ``None``).
+_ENTRY_POINT_PROBE = r"""
+import json, runpy, sys
+sys.argv = ["repro"] + json.loads(sys.argv[1])
+try:
+    runpy.run_module("repro", run_name="__main__")
+except SystemExit as stop:
+    assert not stop.code, stop.code
+print(json.dumps(sorted(n for n, m in sys.modules.items() if m is not None)))
+"""
+
+_PARSER_PROBE = r"""
+import json, sys
+from repro.__main__ import build_parser
+build_parser().parse_args(["serve", "--port", "0"])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+#: ``sys.argv`` names ``serve`` too, so only main()'s own code decides.
+_IN_PROCESS_PROBE = r"""
+import json, sys
+sys.argv = ["repro"] + json.loads(sys.argv[1])
+from repro.__main__ import main
+code = main(sys.argv[1:])
+ssl = sys.modules.get("ssl")
+print(json.dumps({"code": code, "ssl": getattr(ssl, "__name__", None)}))
+"""
+
+
+def _probe(source, *args):
+    result = subprocess.run(
+        [sys.executable, "-c", source, *args],
+        env=dict(os.environ, PYTHONPATH=_SRC), capture_output=True,
+        text=True, timeout=60, check=True)
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_serve_entry_point_loads_neither_tls_nor_simulator():
+    loaded = set(_probe(_ENTRY_POINT_PROBE, json.dumps(_SERVE_ARGV)))
+    assert {"asyncio", "repro.service.server"} <= loaded
+    assert loaded.isdisjoint({
+        "ssl", "_ssl", "_hashlib", "repro.service.client", "repro.kernel",
+        "repro.platform", "repro.apps", "repro.network"})
+
+
+def test_parsing_arguments_does_not_load_the_daemon():
+    loaded = set(_probe(_PARSER_PROBE))
+    assert "repro.service.cli" in loaded
+    assert loaded.isdisjoint({"asyncio", "repro.service.server", "ssl"})
+
+
+def test_in_process_serve_keeps_ssl():
+    report = _probe(_IN_PROCESS_PROBE, json.dumps(_SERVE_ARGV))
+    assert report == {"code": 0, "ssl": "ssl"}
+
+
+def test_lazy_service_names_still_resolve():
+    from repro.service import (  # noqa: F401
+        StateStore,
+        SupervisionServer,
+        WatchdogClient,
+        encode_frame,
+    )
+
+    for name in repro.service.__all__:
+        assert getattr(repro.service, name) is not None
+        assert name in dir(repro.service)
+    assert "encode_frame" in dir(repro.service)
+    with pytest.raises(AttributeError):
+        repro.service.NoSuchName  # noqa: B018

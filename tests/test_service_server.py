@@ -490,6 +490,13 @@ class TestTicker:
             assert server.fleet.stats()["ticks"] >= 5
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("tick_interval", [0.0, -0.01, float("nan")])
+    def test_rejects_non_positive_tick_interval(self, tick_interval):
+        # A zero period used to kill the ticker on `late // period` and
+        # leave a daemon that never runs a check cycle.
+        with pytest.raises(ValueError, match="tick_interval"):
+            SupervisionServer(port=0, tick_interval=tick_interval)
+
     def test_needs_some_listener(self):
         with pytest.raises(ValueError):
             SupervisionServer()
