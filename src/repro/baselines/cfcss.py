@@ -184,10 +184,6 @@ class CfcssChecker:
             self.step(block)
         return len(self.detections) - before
 
-    @property
-    def detected_count(self) -> int:
-        return len(self.detections)
-
 
 def instructions_per_block(graph: BasicBlockGraph) -> float:
     """Average dynamic instrumentation instructions per executed block,

@@ -539,6 +539,3 @@ class HeartbeatMonitoringUnit:
     def _emit(self, error: RunnableError) -> None:
         for listener in self._listeners:
             listener(error)
-
-    def _describe_hypothesis(self, runnable: str) -> RunnableHypothesis:
-        return self.hypothesis.runnables[runnable]

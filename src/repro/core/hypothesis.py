@@ -203,16 +203,6 @@ class FaultHypothesis:
         for pred, succ in zip(names, names[1:]):
             self.allow_flow(pred, succ)
 
-    def slot_order(self) -> List[str]:
-        """Runnable names in slot order (registration order).
-
-        The heartbeat monitoring unit interns runnable names to integer
-        slots in exactly this order; every component that wants to talk
-        about runnables by interned id (error reports, the TSI unit,
-        flat counter arrays) must use the same ordering.
-        """
-        return list(self.runnables)
-
     def tasks(self) -> List[str]:
         """Distinct task names referenced by the hypothesis."""
         seen: Dict[str, None] = {}

@@ -297,12 +297,6 @@ class Kernel:
         """Schedule an arbitrary kernel-context callback (ISR-like)."""
         return self.queue.schedule(when, callback, label)
 
-    def schedule_after(
-        self, delay: int, callback: Callable[[], None], label: str = ""
-    ) -> ScheduledEvent:
-        """Schedule a callback ``delay`` ticks from now."""
-        return self.queue.schedule(self.clock.now + delay, callback, label)
-
     # ------------------------------------------------------------------
     # simulation loop
     # ------------------------------------------------------------------

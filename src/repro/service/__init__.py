@@ -16,8 +16,8 @@ with and heartbeat into over a socket.
 * :mod:`repro.service.fleet` — shards registrations across N shards and
   rolls their task states up into the existing ECU/FMF state machine,
 * :mod:`repro.service.server` — the asyncio TCP + UNIX-socket daemon
-  with per-shard backpressure, a real-time check-cycle ticker and an
-  HTTP ``/metrics`` + ``/healthz`` endpoint,
+  with TCP flow control as its backpressure, a real-time check-cycle
+  ticker and an HTTP ``/metrics`` + ``/healthz`` endpoint,
 * :mod:`repro.service.client` — :class:`WatchdogClient`, the glue-code
   SDK (indication batching, reconnect with exponential backoff plus
   jitter, bounded offline buffer, failover address rotation),

@@ -53,15 +53,12 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                              "(0 = OS-assigned; default: TCP port + 1)")
     parser.add_argument("--shards", type=_count, default=1,
                         help="supervisor shards (each drives its own "
-                             "watchdogs and inbound queue)")
+                             "watchdogs)")
     parser.add_argument("--strict", action="store_true",
                         help="reject REGISTERs whose hypothesis has any "
                              "lint diagnostics (not just errors)")
     parser.add_argument("--tick-ms", type=_positive_float, default=10.0,
                         help="real-time check-cycle period in ms")
-    parser.add_argument("--queue-limit", type=_count, default=10_000,
-                        help="per-shard inbound queue bound (oldest "
-                             "dropped beyond it)")
     parser.add_argument("--telemetry", metavar="PATH", default=None,
                         help="stream structured telemetry events to this "
                              "JSONL file (flushed every 64 events)")
@@ -142,7 +139,6 @@ async def _serve(
         shards=args.shards,
         strict=args.strict,
         tick_interval=args.tick_ms / 1000.0,
-        queue_limit=args.queue_limit,
         event_sink=sink,
         state_dir=state_dir,
         snapshot_interval=(snapshot_interval if state_dir

@@ -332,8 +332,9 @@ class WatchdogClient:
 
     def sync(self) -> bool:
         """Flush, then round-trip a HELLO so every indication sent so
-        far is guaranteed to have been dispatched by the daemon (frames
-        are handled in order per connection).  A write barrier for
+        far is guaranteed to have been applied by the daemon (frames are
+        handled in order per connection, and the daemon applies each
+        indication before it reads the next frame).  A write barrier for
         deterministic tests and graceful handover; False when the
         daemon stayed unreachable."""
         if not self.flush():
@@ -385,7 +386,8 @@ class WatchdogClient:
         dispatched = 0
         self._sock.setblocking(False)
         try:
-            while True:
+            # _dispatch_chunk drops the connection on corrupt framing.
+            while self._sock is not None:
                 try:
                     chunk = self._sock.recv(65536)
                 except (BlockingIOError, InterruptedError):

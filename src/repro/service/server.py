@@ -11,10 +11,12 @@ dependability service rather than a liability:
   the heartbeat stream, which the watchdog reports as missed
   heartbeats — the service degrades into exactly the detection it
   exists to produce;
-* **backpressure is bounded and observable** — each shard owns a
-  bounded inbound queue; when a flood outruns the shard, the *oldest*
-  indications are dropped (they are the stalest evidence) and every
-  drop is counted in telemetry;
+* **overload is pushed back, not queued** — indications are applied
+  to their shard as their frame is read, and a connection's next chunk
+  is read only after the previous one has been applied, so TCP flow
+  control stalls a sender that outruns the daemon; the only place that
+  drops indications is the SDK's bounded buffer, oldest first and
+  counted in ``client.dropped``;
 * **the check cycle is real time** — a ticker task drives
   ``fleet.tick()`` on a fixed wall-clock period, accounting every
   overrun in ``missed_ticks``; tests pass ``tick_interval=None`` and
@@ -29,11 +31,10 @@ responder — no web framework, no dependency.
 from __future__ import annotations
 
 import asyncio
-import collections
 import json
 import os
 import time as _time
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.reports import EcuStateChange, RunnableError, TaskFaultEvent
 from ..telemetry import MetricsRegistry, NULL_SINK, TelemetryEvent
@@ -65,77 +66,15 @@ from .supervisor import RegistrationError
 
 __all__ = ["SupervisionServer"]
 
-#: Bytes per socket read.
-_READ_SIZE = 64 * 1024
+#: Bytes per socket read, which bounds how long one chunk holds the
+#: event loop (the ticker can wait behind two chunks).  Measured on a
+#: 2-core Xeon, Python 3.11.7, with a 20k-indication backlog: at 64 KiB
+#: one chunk took up to 9 ms to apply in 16-indication frames and 38 ms
+#: in 1-indication frames; at 8 KiB, 1.3 ms and 2.2 ms.
+_READ_SIZE = 8 * 1024
 #: How long an HTTP connection answered 431 may keep sending before it
 #: is closed regardless.
 _HTTP_DISCARD_S = 1.0
-
-#: Indications a shard drain applies before yielding to the event loop
-#: (bounds how long a backlog can delay the check-cycle ticker).
-_DRAIN_YIELD_EVERY = 64
-
-
-class _DropOldestQueue:
-    """Bounded FIFO with drop-oldest overflow and ``join()`` semantics.
-
-    ``asyncio.Queue`` blocks producers when full; a supervision daemon
-    must never let one flooding client stall the reader loop, so
-    overflow evicts the oldest queued indication instead (stalest
-    evidence first) and counts it.
-    """
-
-    def __init__(self, limit: int) -> None:
-        if limit < 1:
-            raise ValueError("queue limit must be >= 1")
-        self._items: Deque[Any] = collections.deque()
-        self._limit = limit
-        self._readable = asyncio.Event()
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._unfinished = 0
-        self.dropped = 0
-
-    def put_nowait(self, item: Any) -> int:
-        """Enqueue; returns the number of items evicted (0 or 1)."""
-        evicted = 0
-        if len(self._items) >= self._limit:
-            self._items.popleft()
-            self.dropped += 1
-            # Eviction consumes the evicted item's join() obligation,
-            # but must NOT route through _mark_done(): setting _idle
-            # wakes pending join() waiters irrevocably, and the item
-            # being enqueued right below is still unprocessed.  A full
-            # queue guarantees _unfinished >= 1, so a bare decrement
-            # (immediately re-incremented by the append) keeps the
-            # count exact without ever touching the event.
-            self._unfinished -= 1
-            evicted = 1
-        self._items.append(item)
-        self._unfinished += 1
-        self._idle.clear()
-        self._readable.set()
-        return evicted
-
-    async def get(self) -> Any:
-        while not self._items:
-            self._readable.clear()
-            await self._readable.wait()
-        return self._items.popleft()
-
-    def task_done(self) -> None:
-        self._mark_done()
-
-    def _mark_done(self) -> None:
-        self._unfinished -= 1
-        if self._unfinished <= 0:
-            self._idle.set()
-
-    async def join(self) -> None:
-        await self._idle.wait()
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 class _Connection:
@@ -167,7 +106,6 @@ class SupervisionServer:
         shards: int = 1,
         strict: bool = False,
         tick_interval: Optional[float] = 0.01,
-        queue_limit: int = 10_000,
         telemetry: Optional[MetricsRegistry] = None,
         event_sink=None,
         name: str = "repro-supervisord",
@@ -205,9 +143,6 @@ class SupervisionServer:
             telemetry=self.telemetry,
             event_sink=self.event_sink,
         )
-        self._queues: List[_DropOldestQueue] = [
-            _DropOldestQueue(queue_limit) for _ in range(shards)
-        ]
         self._conn_of: Dict[str, _Connection] = {}
         self._state_hooked: Set[str] = set()
         self._connections: Set[_Connection] = set()
@@ -236,6 +171,7 @@ class SupervisionServer:
         self._on_promote = on_promote
         self._follower: Optional[JournalFollower] = None
         self._lock_owned = False
+        self._snapshot_write: Optional[asyncio.Future] = None
 
         tm = self.telemetry
         self._tm_frames: Dict[str, Any] = {}
@@ -245,10 +181,7 @@ class SupervisionServer:
             "requests with an oversized line")
         self._tm_indications = tm.counter(
             "service_indications_total",
-            "Heartbeat and flow indications accepted into shard queues")
-        self._tm_dropped = tm.counter(
-            "service_dropped_indications_total",
-            "Indications evicted oldest-first by shard backpressure")
+            "Heartbeat and flow indications applied to shards")
         self._tm_unknown = tm.counter(
             "service_unknown_registration_total",
             "Indications naming a registration the fleet does not know")
@@ -274,8 +207,8 @@ class SupervisionServer:
             "DETECTION/STATE pushes dropped because no client was bound")
         self._tm_handler_errors = tm.counter(
             "service_handler_errors_total",
-            "Indications whose shard handler raised (isolated, drain "
-            "continues)")
+            "Indications whose shard handler raised (isolated, the rest "
+            "of the frame is still applied)")
         self._tm_journal_records = tm.counter(
             "service_journal_records_total",
             "State-changing frames appended to the durable journal")
@@ -329,8 +262,8 @@ class SupervisionServer:
         self._started = True
 
     async def _bind_and_run(self) -> None:
-        """Bind listeners, start the shard drains, ticker and snapshots
-        (the active-server half of startup, deferred in standby mode)."""
+        """Bind listeners, start the ticker and snapshots (the
+        active-server half of startup, deferred in standby mode)."""
         loop = asyncio.get_running_loop()
         if self.port is not None:
             server = await asyncio.start_server(
@@ -349,10 +282,6 @@ class SupervisionServer:
             )
             self.http_port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
-        for shard, queue in zip(self.fleet.shards, self._queues):
-            self._tasks.append(
-                loop.create_task(self._drain_shard(shard, queue))
-            )
         if self.tick_interval is not None:
             self._tasks.append(loop.create_task(self._ticker()))
         if self.store is not None and self.snapshot_interval is not None:
@@ -375,6 +304,12 @@ class SupervisionServer:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
+        if self._snapshot_write is not None:
+            # Cancelling the snapshot loop does not stop a write already
+            # running in its thread.  The final snapshot below must not
+            # race it for the temp file, nor be replaced by its older
+            # payload after the journal has been truncated.
+            await asyncio.gather(self._snapshot_write, return_exceptions=True)
         for conn in list(self._connections):
             await self._close_connection(conn, graceful=conn.said_bye)
         for server in self._servers:
@@ -395,8 +330,9 @@ class SupervisionServer:
             self.store.close()
 
     async def drain(self) -> None:
-        """Wait until every queued indication has been applied."""
-        await asyncio.gather(*(queue.join() for queue in self._queues))
+        """Wait until every indication received so far is applied, which
+        it already is: indications are applied as their frame is
+        dispatched, so this returns at once."""
 
     def now(self) -> int:
         """Server time in integer microseconds since start (the same
@@ -429,31 +365,6 @@ class SupervisionServer:
                 next_at += period * missed
             self.tick()
             next_at += period
-
-    async def _drain_shard(
-        self, shard, queue: _DropOldestQueue
-    ) -> None:
-        processed = 0
-        while True:
-            item = await queue.get()
-            try:
-                if item[0] == "hb":
-                    shard.heartbeat(item[1], item[2], item[3], item[4])
-                else:
-                    shard.task_start(item[1], item[2])
-            except Exception:
-                # One poisoned indication must not kill the drain task —
-                # a dead drain leaves the queue unconsumed forever and
-                # hangs every later join()/drain().  Count and continue.
-                self.handler_errors += 1
-                self._tm_handler_errors.inc()
-            finally:
-                queue.task_done()
-            # queue.get() is synchronous while items are queued; yield
-            # periodically so a deep backlog cannot starve the ticker.
-            processed += 1
-            if processed % _DRAIN_YIELD_EVERY == 0:
-                await asyncio.sleep(0)
 
     # ------------------------------------------------------------------
     # durable state: restore, journal, snapshots, warm standby
@@ -530,7 +441,7 @@ class SupervisionServer:
 
         The fleet state is captured on-loop (the fleet is only ever
         mutated on-loop), the JSON encoding + ``fsync`` + rename goes to
-        a worker thread so a large fleet cannot stall heartbeat draining
+        a worker thread so a large fleet cannot stall heartbeat ingest
         or the check-cycle ticker, and the journal is truncated back
         on-loop afterwards — keeping any records appended while the
         thread was writing (their seq is beyond the snapshot's), so a
@@ -540,7 +451,9 @@ class SupervisionServer:
         payload = self.store.build_snapshot_payload(
             self.fleet.snapshot(), name=self.name
         )
-        await asyncio.to_thread(self.store.write_snapshot_payload, payload)
+        self._snapshot_write = asyncio.ensure_future(asyncio.to_thread(
+            self.store.write_snapshot_payload, payload))
+        await asyncio.shield(self._snapshot_write)
         self.store.truncate_journal_through(int(payload["seq"]))
         self._tm_snapshots.inc()
         return payload
@@ -626,7 +539,7 @@ class SupervisionServer:
 
     async def promote(self) -> None:
         """Turn a standby into the live server: final journal catch-up,
-        take the primary lock, bind listeners, start drains/ticker/
+        take the primary lock, bind listeners, start the ticker and
         snapshots.  Idempotent; a no-op on a non-standby server."""
         if self.promoted or not self.standby:
             return
@@ -693,6 +606,10 @@ class SupervisionServer:
                     self._tm_malformed.inc()
                     self._send(conn, T_ACK, ok=False, re=None, error=str(fatal))
                     break
+                # read() returns already-buffered bytes without
+                # suspending, so a backlogged connection would otherwise
+                # hold the loop chunk after chunk and starve the ticker.
+                await asyncio.sleep(0)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:
@@ -814,7 +731,7 @@ class SupervisionServer:
             self._send(conn, T_ACK, ok=False, re=frame.type, name=name,
                        error="indication frames need a 'batch' list")
             return
-        queue = self._queues[shard.index]
+        applied = 0
         stamp = None
         for entry in batch:
             if kind == "hb":
@@ -827,19 +744,28 @@ class SupervisionServer:
                     if stamp is None:
                         stamp = self.now()
                     at = stamp
-                if not isinstance(at, int) or isinstance(at, bool):
+                if (not isinstance(at, int) or isinstance(at, bool)
+                        or not (task is None or isinstance(task, str))):
                     self._tm_malformed.inc()
                     continue
-                item = ("hb", name, runnable, at, task)
-            else:
-                if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                        or not isinstance(entry[0], str)):
-                    self._tm_malformed.inc()
-                    continue
-                item = ("flow", name, entry[0])
-            self._tm_indications.inc()
-            if queue.put_nowait(item):
-                self._tm_dropped.inc()
+            elif (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                    or not isinstance(entry[0], str)):
+                self._tm_malformed.inc()
+                continue
+            try:
+                if kind == "hb":
+                    shard.heartbeat(name, runnable, at, task)
+                else:
+                    shard.task_start(name, entry[0])
+            except Exception:
+                # One poisoned indication must not abort the rest of
+                # its frame or the connection.  Count and continue.
+                self.handler_errors += 1
+                self._tm_handler_errors.inc()
+                continue
+            applied += 1
+        if applied:
+            self._tm_indications.inc(applied)
 
     # ------------------------------------------------------------------
     # push channels (server → client frames)
@@ -931,8 +857,10 @@ class SupervisionServer:
             server=self.name,
             uptime_us=self.now() if self._started else 0,
             connections=len(self._connections),
-            queued=sum(len(queue) for queue in self._queues),
-            dropped=sum(queue.dropped for queue in self._queues),
+            # Always 0: there is no inbound queue.  The keys stay
+            # because /healthz consumers read them.
+            queued=0,
+            dropped=0,
             missed_ticks=self.missed_ticks,
             handler_errors=self.handler_errors,
             role=("standby" if self.standby

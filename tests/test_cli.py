@@ -29,7 +29,7 @@ class TestParser:
 
     @pytest.mark.parametrize("flag, value", [
         ("--tick-ms", "0"), ("--tick-ms", "-5"),
-        ("--queue-limit", "0"), ("--shards", "0"), ("--shards", "-1"),
+        ("--shards", "0"), ("--shards", "-1"),
     ])
     def test_serve_rejects_non_positive_sizes(self, flag, value, capsys):
         # `--tick-ms 0` used to start a daemon whose ticker died on a
@@ -43,9 +43,8 @@ class TestParser:
 
     def test_serve_accepts_fractional_tick(self):
         args = build_parser().parse_args(
-            ["serve", "--tick-ms", "0.5", "--shards", "2",
-             "--queue-limit", "1"])
-        assert (args.tick_ms, args.shards, args.queue_limit) == (0.5, 2, 1)
+            ["serve", "--tick-ms", "0.5", "--shards", "2"])
+        assert (args.tick_ms, args.shards) == (0.5, 2)
 
 
 class TestExecution:

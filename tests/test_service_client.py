@@ -3,7 +3,6 @@
 import socket
 import struct
 import threading
-import time
 
 import pytest
 
@@ -23,6 +22,8 @@ from repro.service.protocol import (
     T_STATE,
     encode_frame,
 )
+
+from testutil import wait_for
 
 
 def make_hyp_dict():
@@ -380,12 +381,13 @@ class TestPushes:
             client = WatchdogClient(
                 daemon.address, on_detection=lambda d: seen.append(d))
             client.connect()
-            deadline = 50
-            while len(client.detections) < 1 and deadline:
+
+            def every_push_arrived():
                 client.poll()
-                deadline -= 1
-                import time
-                time.sleep(0.01)
+                return len(client.detections) >= 1 and len(client.states) >= 1
+
+            wait_for(every_push_arrived, timeout=5, interval=0.01,
+                     message="the DETECTION and STATE pushes")
             assert client.detections[0]["error_type"] == "aliveness"
             assert seen == client.detections
             assert client.states[0]["scope"] == "fleet"
@@ -405,16 +407,36 @@ class TestPushes:
         try:
             client = WatchdogClient(daemon.address)
             client.connect()
-            for _ in range(50):
-                if not client.connected:
-                    break
+
+            def dropped_on_corrupt_framing():
                 client.poll()
-                time.sleep(0.01)
+                return not client.connected
+
+            wait_for(dropped_on_corrupt_framing, timeout=5, interval=0.01,
+                     message="the corrupt framing to drop the connection")
             assert not client.connected
             assert [d["runnable"] for d in client.detections] == ["sense"]
             client.close(say_bye=False)
         finally:
             daemon.close()
+
+    def test_poll_stops_reading_once_corrupt_framing_drops_the_stream(self):
+        """Regression: poll() kept looping after a corrupt server header
+        had dropped the connection, and died on ``None.recv``."""
+        client = WatchdogClient(("127.0.0.1", 1))
+        ours, theirs = socket.socketpair()
+        try:
+            client._sock = ours
+            theirs.sendall(
+                encode_frame(T_DETECTION, name="p", runnable="sense",
+                             error_type="aliveness", time=30)
+                + struct.pack("!I", MAX_FRAME_BYTES + 1))
+            assert client.poll() == 1
+            assert not client.connected
+            assert [d["runnable"] for d in client.detections] == ["sense"]
+        finally:
+            ours.close()
+            theirs.close()
 
 
 class TestUnixTransport:

@@ -31,6 +31,8 @@ import pytest
 from repro.core import FaultHypothesis, RunnableHypothesis
 from repro.service import WatchdogClient
 
+from testutil import wait_for
+
 pytestmark = pytest.mark.ha_smoke
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -85,16 +87,6 @@ def free_port():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         return sock.getsockname()[1]
-
-
-def wait_for(predicate, *, timeout=15.0, interval=0.02, message="condition"):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        value = predicate()
-        if value:
-            return value
-        time.sleep(interval)
-    raise AssertionError(f"timed out waiting for {message}")
 
 
 def test_kill_dash_nine_recovery_round_trip(tmp_path):

@@ -1,8 +1,10 @@
-"""The asyncio daemon: transport, degradation, backpressure, HTTP."""
+"""The asyncio daemon: transport, degradation, overload, HTTP."""
 
 import asyncio
 import json
 import struct
+import threading
+import time
 
 import pytest
 
@@ -50,7 +52,8 @@ async def in_thread(fn, *args):
 
 async def barrier(peer):
     """HELLO round-trip: frames are dispatched in order per connection,
-    so once the ACK arrives every prior indication is enqueued."""
+    and each indication is applied as its frame is dispatched, so once
+    the ACK arrives every prior indication has been applied."""
     await peer.send(T_HELLO, client="barrier")
     ack = await peer.recv_frame()
     assert ack.get("ok")
@@ -280,6 +283,36 @@ class TestWireServer:
             await server.stop()
         asyncio.run(scenario())
 
+    def test_non_string_task_is_malformed_not_a_handler_error(self):
+        """Regression: the HEARTBEAT ``task`` field reached the watchdog
+        unchecked.  A list there raised inside the shard after the
+        indication had been counted, and surfaced as a handler error
+        instead of a malformed entry."""
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            registration = server.fleet.registration("p")
+            await peer.send(T_HEARTBEAT, name="p", batch=[
+                ["sense", 1, ["T"]], ["act", 2, {"T": 1}], ["sense", 3, 7],
+                ["act", 4, True],
+            ])
+            await barrier(peer)
+            assert server.telemetry.value(
+                "service_malformed_frames_total") == 4
+            assert server.handler_errors == 0
+            assert registration.indications == 0
+            # A null task stays valid.
+            await peer.send(T_HEARTBEAT, name="p", batch=[["sense", 5, None]])
+            await barrier(peer)
+            assert registration.indications == 1
+            assert server.telemetry.value(
+                "service_malformed_frames_total") == 4
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
 
 class TestDegradation:
     def test_disconnect_without_bye_becomes_missed_heartbeats(self):
@@ -306,34 +339,6 @@ class TestDegradation:
             assert server.fleet.registration_states()["p"] is MonitorState.FAULTY
             assert server.telemetry.counter(
                 "service_disconnects_total", graceful="false").value == 1
-            await server.stop()
-        asyncio.run(scenario())
-
-    def test_backpressure_drops_oldest_and_counts(self):
-        async def scenario():
-            server = await start_server(queue_limit=10)
-            peer = await _WireClient.connect(server)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            # Flood 50 indications in one frame without yielding to the
-            # drain task: only the newest 10 survive.
-            batch = [["sense", t, "T"] for t in range(50)]
-            await peer.send(T_HEARTBEAT, name="p", batch=batch)
-            # Let the reader task ingest the frame (it enqueues
-            # synchronously while dispatching).
-            for _ in range(50):
-                await asyncio.sleep(0)
-                if server.telemetry.counter(
-                        "service_indications_total").value == 50:
-                    break
-            await server.drain()
-            dropped = server.telemetry.counter(
-                "service_dropped_indications_total").value
-            applied = server.fleet.registration("p").indications
-            assert applied + dropped == 50
-            assert dropped >= 1
-            assert server.health()["dropped"] == dropped
-            await peer.close()
             await server.stop()
         asyncio.run(scenario())
 
@@ -374,6 +379,29 @@ class TestSdkAgainstServer:
             await server.stop()
         asyncio.run(scenario())
 
+    def test_sync_means_applied(self):
+        async def scenario():
+            server = await start_server()
+            address = (server.host, server.port)
+            sent = 300
+
+            def client_work():
+                client = WatchdogClient(address, client_name="sync",
+                                        batch_size=64)
+                client.connect()
+                client.register("p", make_hyp_dict())
+                for t in range(sent):
+                    client.heartbeat("sense", t, "T")
+                assert client.sync()
+                return client
+
+            client = await in_thread(client_work)
+            # No drain(): sync() returning is itself the guarantee.
+            assert server.fleet.registration("p").indications == sent
+            await in_thread(client.close)
+            await server.stop()
+        asyncio.run(scenario())
+
     def test_unix_socket_transport(self, tmp_path):
         async def scenario():
             path = str(tmp_path / "wd.sock")
@@ -393,6 +421,48 @@ class TestSdkAgainstServer:
             await server.stop()
             import os
             assert not os.path.exists(path)  # unlinked on stop
+        asyncio.run(scenario())
+
+
+class TestShutdown:
+    def test_stop_waits_for_an_in_flight_periodic_snapshot(self, tmp_path):
+        """Regression: stop() cancelled the snapshot loop while its write
+        was still running in a worker thread, then wrote the final
+        snapshot itself.  The older payload could land last, after the
+        final snapshot had truncated the journal, and every REGISTER in
+        between was lost on restart."""
+        state_dir = str(tmp_path / "state")
+
+        async def scenario():
+            server = await start_server(state_dir=state_dir,
+                                        snapshot_interval=0.01)
+            write = server.store.write_snapshot_payload
+            started, finished = threading.Event(), threading.Event()
+
+            def slow_off_loop_write(payload):
+                if threading.current_thread() is threading.main_thread():
+                    write(payload)
+                    return
+                started.set()
+                time.sleep(0.2)
+                write(payload)
+                finished.set()
+
+            server.store.write_snapshot_payload = slow_off_loop_write
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            assert await in_thread(started.wait, 5)
+            await peer.send(T_REGISTER, name="q",
+                            hypothesis=make_hyp_dict("q"))
+            assert (await peer.recv_frame()).get("ok")
+            await peer.close()
+            await server.stop()
+            assert await in_thread(finished.wait, 5)
+            restarted = await start_server(state_dir=state_dir,
+                                           snapshot_interval=None)
+            assert set(restarted.fleet.registrations) == {"p", "q"}
+            await restarted.stop()
         asyncio.run(scenario())
 
 
@@ -508,86 +578,8 @@ class TestTicker:
 
 
 class TestQueueAccounting:
-    """Eviction and failure accounting of the shard queues: nothing the
-    queue or a handler does may leave join()/drain() hanging."""
-
-    def test_eviction_then_join_terminates(self):
-        """Regression (flood-then-drain): every evicted item's join()
-        obligation must be consumed by the eviction itself."""
-        from repro.service.server import _DropOldestQueue
-
-        async def scenario():
-            queue = _DropOldestQueue(4)
-            for n in range(25):  # 21 evictions, 4 survivors
-                queue.put_nowait(n)
-            assert queue.dropped == 21
-            assert len(queue) == 4
-            for _ in range(4):
-                await queue.get()
-                queue.task_done()
-            await asyncio.wait_for(queue.join(), timeout=2)
-        asyncio.run(scenario())
-
-    def test_eviction_does_not_wake_pending_join(self):
-        """Regression: eviction used to route through the task_done
-        path, which momentarily set the idle event (a full queue of 1
-        drops to 0 unfinished before the new item is counted) —
-        Event.set() wakes waiters irrevocably, so a concurrent join()
-        could return while the just-enqueued indication was still
-        unprocessed, making a SYNC ack lie."""
-        from repro.service.server import _DropOldestQueue
-
-        async def scenario():
-            queue = _DropOldestQueue(1)
-            queue.put_nowait("a")
-            waiter = asyncio.ensure_future(queue.join())
-            await asyncio.sleep(0)            # waiter parked on idle
-            assert queue.put_nowait("b") == 1  # evicts "a"
-            await asyncio.sleep(0)
-            assert not waiter.done()          # "b" is still unprocessed
-            assert await queue.get() == "b"
-            queue.task_done()
-            await asyncio.wait_for(waiter, timeout=2)
-        asyncio.run(scenario())
-
-    def test_eviction_while_consumer_in_flight(self):
-        from repro.service.server import _DropOldestQueue
-
-        async def scenario():
-            queue = _DropOldestQueue(2)
-            queue.put_nowait("a")
-            queue.put_nowait("b")
-            item = await queue.get()          # "a" in flight
-            queue.put_nowait("c")             # evicts "b"
-            queue.put_nowait("d")             # evicts nothing (room)
-            assert queue.dropped == 0 or queue.dropped == 1
-            queue.task_done()                 # finish "a"
-            while len(queue):
-                await queue.get()
-                queue.task_done()
-            await asyncio.wait_for(queue.join(), timeout=2)
-            assert item == "a"
-        asyncio.run(scenario())
-
-    def test_flood_then_drain_does_not_hang(self):
-        """End-to-end regression: a flood that evicts most of the queue
-        must still let SupervisionServer.drain() return."""
-        async def scenario():
-            server = await start_server(queue_limit=5)
-            peer = await _WireClient.connect(server)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            await peer.send(T_HEARTBEAT, name="p",
-                            batch=[["sense", t, "T"] for t in range(200)])
-            await barrier(peer)
-            await asyncio.wait_for(server.drain(), timeout=5)
-            dropped = server.telemetry.counter(
-                "service_dropped_indications_total").value
-            applied = server.fleet.registration("p").indications
-            assert applied + dropped == 200
-            await peer.close()
-            await server.stop()
-        asyncio.run(scenario())
+    """Failure accounting on the ingest path: nothing a handler does may
+    stop the indications behind it from being applied."""
 
     def test_poisoned_indication_does_not_kill_drain(self):
         """Regression: a handler exception used to kill the shard's
@@ -618,6 +610,65 @@ class TestQueueAccounting:
             # The items after the poison were still applied.
             assert server.fleet.registration("p").indications == 2
             assert server.health()["handler_errors"] == 1
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+
+def flood_hyp_dict():
+    # Bounds no flood can violate: the test is about ingest, not detection.
+    hyp = FaultHypothesis()
+    hyp.add_runnable(RunnableHypothesis(
+        "hot", task="T", aliveness_period=1_000_000, min_heartbeats=1,
+        arrival_period=1_000_000, max_heartbeats=10 ** 9))
+    return hypothesis_to_dict(hyp)
+
+
+async def longest_loop_stall(stop: asyncio.Event) -> float:
+    """Longest time the event loop went without running this task, in
+    seconds: an upper bound on any one synchronous step of the daemon,
+    such as applying one socket chunk."""
+    longest = 0.0
+    last = time.perf_counter()
+    while not stop.is_set():
+        await asyncio.sleep(0)
+        now = time.perf_counter()
+        longest = max(longest, now - last)
+        last = now
+    return longest
+
+
+class TestOverload:
+    FRAMES = 1_280
+    PER_FRAME = 16  # 20,480 indications
+
+    def test_flood_is_applied_in_full_and_ticker_keeps_time(self):
+        """A peer that writes without waiting for the daemon is held
+        back by TCP flow control, not by dropping: the whole flood is
+        applied, the connection still answers a HELLO, and the 10 ms
+        check cycle misses at most one tick."""
+        total = self.FRAMES * self.PER_FRAME
+
+        async def scenario():
+            server = await start_server(tick_interval=0.01)
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=flood_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            stop = asyncio.Event()
+            probe = asyncio.ensure_future(longest_loop_stall(stop))
+            frame = encode_frame(T_HEARTBEAT, name="p",
+                                 batch=[["hot", None, "T"]] * self.PER_FRAME)
+            peer.writer.write(frame * self.FRAMES)  # no drain, no ACK wait
+            await barrier(peer)
+            stop.set()
+            stall = await probe
+            print(f"\nflood: {total} indications, longest loop stall "
+                  f"{stall * 1e3:.2f} ms, {server.missed_ticks} missed ticks")
+            assert server.fleet.registration("p").indications == total
+            assert server.telemetry.value("service_indications_total") == total
+            health = server.health()
+            assert (health["dropped"], health["queued"]) == (0, 0)
+            assert server.missed_ticks <= 1
             await peer.close()
             await server.stop()
         asyncio.run(scenario())

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 from repro.kernel import AlarmTable, Kernel, Runnable, Task, ms, runnable_sequence_body
 from repro.platform import (
     Application,
@@ -44,3 +46,16 @@ def periodic_task(kernel: Kernel, alarms: AlarmTable, name: str, priority: int,
     kernel.add_task(Task(name, priority, runnable_sequence_body(runnables)))
     alarms.alarm_activate_task(f"{name}Alarm", name).set_rel(period, period)
     return runnables
+
+
+def wait_for(predicate, *, timeout=15.0, interval=0.02, message="condition"):
+    """Poll *predicate* until it returns something truthy and return
+    that; fail the test after *timeout* seconds.  For tests that wait
+    on another thread, process or socket."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(interval)
+    raise AssertionError(f"timed out waiting for {message}")
