@@ -66,11 +66,9 @@ async def _recovery_run(state_dir):
     await server.start()
     await loop.run_in_executor(
         None, _register_many, server.host, server.port, snapshotted)
-    await server.drain()
     server.write_snapshot()
     await loop.run_in_executor(
         None, _register_many, server.host, server.port, tail)
-    await server.drain()
     # Simulated SIGKILL: no farewell snapshot, the journal tail survives
     # only on disk.
     await server.stop(save=False)

@@ -55,7 +55,7 @@ def hypothesis_dict():
 def detection_heavy_fleet(registrations):
     """A fleet after :data:`CYCLES` check cycles in which every
     registration's first :data:`SILENT` runnables stayed silent."""
-    fleet = Fleet(shards=1)
+    fleet = Fleet()
     hyp = hypothesis_dict()
     names = [f"app{index:04d}" for index in range(registrations)]
     for name in names:

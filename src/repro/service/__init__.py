@@ -10,11 +10,11 @@ with and heartbeat into over a socket.
   protocol (HELLO/REGISTER/HEARTBEAT/FLOW/BYE requests, ACK/DETECTION/
   STATE server frames),
 * :mod:`repro.service.supervisor` — the synchronous supervision core:
-  :class:`SupervisorShard` wraps one wheel-strategy
-  :class:`~repro.core.watchdog.SoftwareWatchdog` per registration and
-  lints hypotheses on REGISTER,
-* :mod:`repro.service.fleet` — shards registrations across N shards and
-  rolls their task states up into the existing ECU/FMF state machine,
+  :class:`SupervisorShard`, the one supervision table, wraps one
+  wheel-strategy :class:`~repro.core.watchdog.SoftwareWatchdog` per
+  registration and lints hypotheses on REGISTER,
+* :mod:`repro.service.fleet` — holds that table and rolls its
+  registrations' states up into the existing ECU/FMF state machine,
 * :mod:`repro.service.server` — the asyncio TCP + UNIX-socket daemon
   with TCP flow control as its backpressure, a real-time check-cycle
   ticker and an HTTP ``/metrics`` + ``/healthz`` endpoint,

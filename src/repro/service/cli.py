@@ -36,7 +36,6 @@ def _checked(kind: Callable, ok: Callable, requirement: str) -> Callable:
 
 
 _positive_float = _checked(float, lambda value: value > 0, "> 0")
-_count = _checked(int, lambda value: value >= 1, ">= 1")
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -51,9 +50,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--http-port", type=int, default=None,
                         help="HTTP port for /metrics and /healthz "
                              "(0 = OS-assigned; default: TCP port + 1)")
-    parser.add_argument("--shards", type=_count, default=1,
-                        help="supervisor shards (each drives its own "
-                             "watchdogs)")
     parser.add_argument("--strict", action="store_true",
                         help="reject REGISTERs whose hypothesis has any "
                              "lint diagnostics (not just errors)")
@@ -93,8 +89,7 @@ def _banner(server, args: argparse.Namespace, *, verb: str) -> str:
     if server.http_port is not None:
         endpoints.append(f"http={server.host}:{server.http_port}")
     line = (f"{server.name} {verb} {' '.join(endpoints)} "
-            f"shards={len(server.fleet.shards)} strict={args.strict} "
-            f"tick_ms={args.tick_ms:g}")
+            f"strict={args.strict} tick_ms={args.tick_ms:g}")
     if server.store is not None:
         line += (f" state_dir={server.store.state_dir}"
                  f" restored={server.restored_registrations}")
@@ -136,7 +131,6 @@ async def _serve(
         port=port,
         unix_path=args.socket,
         http_port=http_port,
-        shards=args.shards,
         strict=args.strict,
         tick_interval=args.tick_ms / 1000.0,
         event_sink=sink,

@@ -254,7 +254,7 @@ class WatchdogClient:
         app_of_task: Optional[Dict[str, str]] = None,
     ) -> Dict[str, Any]:
         """Submit a fault hypothesis; returns the server's ACK payload
-        (``shard`` assignment and ``lint`` diagnostics).
+        (``rebound`` flag and ``lint`` diagnostics).
 
         Raises :class:`RegistrationRejected` when the server (or its
         ``--strict`` linter) refuses the hypothesis.

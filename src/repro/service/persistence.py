@@ -56,7 +56,11 @@ __all__ = [
 ]
 
 #: Version stamped into every snapshot; bump on incompatible changes.
-SNAPSHOT_SCHEMA_VERSION = 1
+#: Schema 2 holds one registration table; schema 1 held one per shard.
+SNAPSHOT_SCHEMA_VERSION = 2
+#: Snapshot schemas a daemon restores (:meth:`Fleet.restore` merges a
+#: schema-1 capture's shards).
+_READABLE_SCHEMAS = (1, SNAPSHOT_SCHEMA_VERSION)
 
 #: Journal record kinds (the state-changing control-plane frames).
 JOURNAL_REGISTER = "journal.register"
@@ -127,7 +131,7 @@ class StateStore:
             with open(self.snapshot_path, "r", encoding="utf-8") as handle:
                 snapshot = json.load(handle)
             schema = snapshot.get("schema")
-            if schema != SNAPSHOT_SCHEMA_VERSION:
+            if schema not in _READABLE_SCHEMAS:
                 raise ValueError(
                     f"unsupported snapshot schema {schema!r} in "
                     f"{self.snapshot_path}"
@@ -363,9 +367,9 @@ class StateStore:
         self.close()
 
 
-#: Where :func:`_snapshot_fragments` splits the payload: down to each
-#: shard's registration list, whose items are encoded whole.
-_FRAGMENT_PATH = ("fleet", "shards", None, "registrations", None)
+#: Where :func:`_snapshot_fragments` splits the payload: down to the
+#: registration list, whose items are encoded whole.
+_FRAGMENT_PATH = ("fleet", "registrations", None)
 
 
 def _snapshot_fragments(value: Any, path: Tuple = _FRAGMENT_PATH):
@@ -458,7 +462,7 @@ class JournalFollower:
             # counter blocks the journal never does), and the signature
             # guard already prevents re-reading an unchanged file.
             if (candidate is not None
-                    and candidate.get("schema") == SNAPSHOT_SCHEMA_VERSION
+                    and candidate.get("schema") in _READABLE_SCHEMAS
                     and int(candidate.get("seq", 0)) >= self.applied_seq):
                 snapshot = candidate
                 self.applied_seq = int(candidate.get("seq", 0))

@@ -33,8 +33,8 @@ Server → client frames
 ============= =======================================================
 ``ACK``        response to HELLO/REGISTER/BYE and to malformed frames
                (``ok`` plus ``re`` naming the acked type; failures
-               carry ``error``, REGISTER acks carry ``shard`` and the
-               ``lint`` diagnostics)
+               carry ``error``, REGISTER acks carry ``rebound`` and
+               the ``lint`` diagnostics)
 ``DETECTION``  one watchdog detection pushed to the owning client
 ``STATE``      a state-machine transition (``scope`` of ``task``,
                ``ecu`` or ``fleet``)

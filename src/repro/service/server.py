@@ -12,11 +12,11 @@ dependability service rather than a liability:
   heartbeats — the service degrades into exactly the detection it
   exists to produce;
 * **overload is pushed back, not queued** — indications are applied
-  to their shard as their frame is read, and a connection's next chunk
-  is read only after the previous one has been applied, so TCP flow
-  control stalls a sender that outruns the daemon; the only place that
-  drops indications is the SDK's bounded buffer, oldest first and
-  counted in ``client.dropped``;
+  to the supervision table as their frame is read, and a connection's
+  next chunk is read only after the previous one has been applied, so
+  TCP flow control stalls a sender that outruns the daemon; the only
+  place that drops indications is the SDK's bounded buffer, oldest
+  first and counted in ``client.dropped``;
 * **the check cycle is real time** — a ticker task drives
   ``fleet.tick()`` on a fixed wall-clock period, accounting every
   overrun in ``missed_ticks``; tests pass ``tick_interval=None`` and
@@ -103,7 +103,6 @@ class SupervisionServer:
         port: Optional[int] = None,
         unix_path: Optional[str] = None,
         http_port: Optional[int] = None,
-        shards: int = 1,
         strict: bool = False,
         tick_interval: Optional[float] = 0.01,
         telemetry: Optional[MetricsRegistry] = None,
@@ -138,7 +137,6 @@ class SupervisionServer:
         self.event_sink = event_sink if event_sink is not None else NULL_SINK
         self._strict = strict
         self.fleet = Fleet(
-            shards,
             strict=strict,
             telemetry=self.telemetry,
             event_sink=self.event_sink,
@@ -181,7 +179,8 @@ class SupervisionServer:
             "requests with an oversized line")
         self._tm_indications = tm.counter(
             "service_indications_total",
-            "Heartbeat and flow indications applied to shards")
+            "Heartbeat and flow indications applied to the supervision "
+            "table")
         self._tm_unknown = tm.counter(
             "service_unknown_registration_total",
             "Indications naming a registration the fleet does not know")
@@ -207,8 +206,8 @@ class SupervisionServer:
             "DETECTION/STATE pushes dropped because no client was bound")
         self._tm_handler_errors = tm.counter(
             "service_handler_errors_total",
-            "Indications whose shard handler raised (isolated, the rest "
-            "of the frame is still applied)")
+            "Indications whose supervision-table handler raised "
+            "(isolated, the rest of the frame is still applied)")
         self._tm_journal_records = tm.counter(
             "service_journal_records_total",
             "State-changing frames appended to the durable journal")
@@ -329,11 +328,6 @@ class SupervisionServer:
                 self.store.clear_lock()
             self.store.close()
 
-    async def drain(self) -> None:
-        """Wait until every indication received so far is applied, which
-        it already is: indications are applied as their frame is
-        dispatched, so this returns at once."""
-
     def now(self) -> int:
         """Server time in integer microseconds since start (the same
         integer-tick axis every simulated component uses)."""
@@ -383,10 +377,8 @@ class SupervisionServer:
     def _apply_journal_entry(self, event: TelemetryEvent) -> None:
         """Re-apply one journaled control-plane frame.
 
-        Replay is deterministic because the snapshot restores the
-        round-robin cursor: a replayed REGISTER lands on the same shard
-        it did live.  Unknown kinds are ignored (forward compatibility,
-        like telemetry consumers)."""
+        Unknown kinds are ignored (forward compatibility, like telemetry
+        consumers)."""
         if event.kind == JOURNAL_REGISTER:
             try:
                 self.fleet.register(
@@ -398,7 +390,7 @@ class SupervisionServer:
                 # conflict means the record is already covered.
                 pass
         elif event.kind == JOURNAL_BYE:
-            if self.fleet.shard_for(event.subject) is not None:
+            if event.subject in self.fleet.registrations:
                 self.fleet.deregister(event.subject)
         elif event.kind == JOURNAL_ACTIVATION:
             registration = self.fleet.registration(event.subject)
@@ -414,7 +406,7 @@ class SupervisionServer:
         the restore bookkeeping."""
         for name, registration in self.fleet.registrations.items():
             self._hook_registration(name, registration)
-        self.restored_registrations = self.fleet.registration_count
+        self.restored_registrations = len(self.fleet.registrations)
         self._tm_registrations.set(self.restored_registrations)
 
     def _journal(self, kind: str, subject: str, **data: Any) -> None:
@@ -490,7 +482,6 @@ class SupervisionServer:
         standby adopting a newer snapshot: counter state in the snapshot
         supersedes everything, so incremental patching is wrong)."""
         self.fleet = Fleet(
-            len(self.fleet.shards),
             strict=self._strict,
             telemetry=self.telemetry,
             event_sink=self.event_sink,
@@ -681,14 +672,14 @@ class SupervisionServer:
         if bound is not None and bound is not conn:
             # A reconnecting client replays REGISTER before the server
             # has noticed the old connection die (half-open TCP).  The
-            # shard already vetted the hypothesis as identical, so this
+            # table already vetted the hypothesis as identical, so this
             # is the same client back — the new connection takes over
             # and the stale binding is dropped, not an error.
             bound.registrations.discard(name)
         registration.connected = True
         conn.registrations.add(name)
         self._conn_of[name] = conn
-        self._tm_registrations.set(self.fleet.registration_count)
+        self._tm_registrations.set(len(self.fleet.registrations))
         self._hook_registration(name, registration)
         if rebound:
             self._tm_rebinds.inc()
@@ -702,8 +693,7 @@ class SupervisionServer:
                 ),
             )
         self._send(
-            conn, T_ACK, ok=True, re=T_REGISTER, name=name,
-            shard=registration.shard_index, rebound=rebound,
+            conn, T_ACK, ok=True, re=T_REGISTER, name=name, rebound=rebound,
             lint=list(registration.lint_diagnostics),
         )
 
@@ -721,10 +711,10 @@ class SupervisionServer:
         self, conn: _Connection, frame: Frame, *, kind: str
     ) -> None:
         name = frame.get("name")
-        shard = self.fleet.shard_for(name) if isinstance(name, str) else None
-        if shard is None:
+        if not isinstance(name, str) or name not in self.fleet.registrations:
             self._tm_unknown.inc()
             return
+        table = self.fleet.table
         batch = frame.get("batch")
         if not isinstance(batch, list):
             self._tm_malformed.inc()
@@ -754,9 +744,9 @@ class SupervisionServer:
                 continue
             try:
                 if kind == "hb":
-                    shard.heartbeat(name, runnable, at, task)
+                    table.heartbeat(name, runnable, at, task)
                 else:
-                    shard.task_start(name, entry[0])
+                    table.task_start(name, entry[0])
             except Exception:
                 # One poisoned indication must not abort the rest of
                 # its frame or the connection.  Count and continue.

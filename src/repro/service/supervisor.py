@@ -6,7 +6,8 @@ code, so the differential test can drive the exact same objects without
 an event loop and pin the service path bit-for-bit to the in-process
 path.
 
-A :class:`SupervisorShard` owns the registrations assigned to it.  Each
+A :class:`SupervisorShard` is the daemon's one supervision table: it
+owns every registration and drives their check cycles.  Each
 registration wraps one wheel-strategy
 :class:`~repro.core.watchdog.SoftwareWatchdog` built from the
 client-submitted fault hypothesis — the same construction an embedded
@@ -93,15 +94,14 @@ class Registration:
     """
 
     __slots__ = (
-        "name", "shard_index", "hypothesis", "hypothesis_dict", "watchdog",
+        "name", "hypothesis", "hypothesis_dict", "watchdog",
         "app_of_task", "lint_diagnostics", "active", "connected",
-        "indications", "task_starts", "detections", "_shard",
+        "indications", "task_starts", "detections", "_table",
     )
 
     def __init__(
         self,
         name: str,
-        shard_index: int,
         hypothesis: FaultHypothesis,
         hypothesis_dict: Dict[str, Any],
         watchdog: SoftwareWatchdog,
@@ -109,7 +109,6 @@ class Registration:
         lint_diagnostics: Optional[List[str]] = None,
     ) -> None:
         self.name = name
-        self.shard_index = shard_index
         self.hypothesis = hypothesis
         self.hypothesis_dict = hypothesis_dict
         self.watchdog = watchdog
@@ -125,12 +124,11 @@ class Registration:
         self.indications = 0
         self.task_starts = 0
         self.detections = 0
-        #: The hosting shard, set when it admits the registration.
-        self._shard: Optional["SupervisorShard"] = None
+        #: The hosting table, set when it admits the registration.
+        self._table: Optional["SupervisorShard"] = None
 
     def __repr__(self) -> str:
-        return (f"Registration(name={self.name!r}, "
-                f"shard_index={self.shard_index}, active={self.active})")
+        return f"Registration(name={self.name!r}, active={self.active})"
 
     def deactivate(self) -> None:
         """Graceful departure: switch every runnable's Activation Status
@@ -150,10 +148,10 @@ class Registration:
     # than a closure over the name.
     def _on_detection(self, error: RunnableError) -> None:
         self.detections += 1
-        self._shard._notify_detection(self.name, error)
+        self._table._notify_detection(self.name, error)
 
     def _on_task_fault(self, event: TaskFaultEvent) -> None:
-        self._shard._notify_task_fault(self.name, event)
+        self._table._notify_task_fault(self.name, event)
 
 
 class CompiledHypothesis:
@@ -247,7 +245,8 @@ def _compile(name: str, submitted: Dict[str, Any]) -> CompiledHypothesis:
 
 
 class SupervisorShard:
-    """The registrations of one shard plus their check-cycle driver.
+    """The supervision table: every registration plus their check-cycle
+    driver.
 
     ``tick()`` iterates registrations in registration order — the
     deterministic order the differential test replays.
@@ -255,21 +254,17 @@ class SupervisorShard:
 
     def __init__(
         self,
-        index: int = 0,
         *,
         strict: bool = False,
         telemetry=None,
         event_sink=None,
     ) -> None:
-        self.index = index
         self.strict = strict
         self.telemetry = telemetry
         self.event_sink = event_sink
         self.registrations: Dict[str, Registration] = {}
-        #: Compiled hypotheses; a :class:`~repro.service.fleet.Fleet`
-        #: replaces this with one cache shared by all of its shards.
+        #: Compiled hypotheses, one per distinct submitted hypothesis.
         self.hypotheses = HypothesisCache()
-        self.processed = 0
         self.tick_count = 0
         self._detection_listeners: List[DetectionListener] = []
         self._task_fault_listeners: List[TaskFaultListener] = []
@@ -306,7 +301,6 @@ class SupervisorShard:
             name, hypothesis_dict, strict=self.strict)
         registration = Registration(
             name=name,
-            shard_index=self.index,
             hypothesis=compiled.hypothesis,
             hypothesis_dict=compiled.hypothesis_dict,
             watchdog=build_watchdog(
@@ -319,7 +313,7 @@ class SupervisorShard:
             app_of_task=dict(app_of_task) if app_of_task is not None else None,
             lint_diagnostics=compiled.diagnostics,
         )
-        registration._shard = self
+        registration._table = self
         registration.watchdog.add_fault_listener(registration._on_detection)
         registration.watchdog.add_task_fault_listener(
             registration._on_task_fault)
@@ -344,7 +338,6 @@ class SupervisorShard:
         if entry is None:
             return
         entry.indications += 1
-        self.processed += 1
         entry.watchdog.heartbeat_indication(runnable, time, task)
 
     def task_start(self, registration: str, task: str) -> None:
@@ -352,11 +345,10 @@ class SupervisorShard:
         if entry is None:
             return
         entry.task_starts += 1
-        self.processed += 1
         entry.watchdog.notify_task_start(task)
 
     def tick(self, time: int) -> List[Tuple[str, RunnableError]]:
-        """One check cycle over every registration of this shard."""
+        """One check cycle over every registration."""
         self.tick_count += 1
         errors: List[Tuple[str, RunnableError]] = []
         for entry in self.registrations.values():
@@ -368,7 +360,7 @@ class SupervisorShard:
     # persistence (the restartable daemon's snapshot/restore pair)
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Full JSON-compatible shard state: every registration's
+        """Full JSON-compatible table state: every registration's
         hypothesis, bookkeeping counters, and its watchdog's complete
         monitoring state (:meth:`SoftwareWatchdog.snapshot_state`).
 
@@ -377,8 +369,6 @@ class SupervisorShard:
         holds it by reference and stays a consistent cut while another
         thread encodes it."""
         return {
-            "index": self.index,
-            "processed": self.processed,
             "tick_count": self.tick_count,
             "registrations": [
                 {
@@ -406,11 +396,10 @@ class SupervisorShard:
         its watchdog state is overwritten with the captured one —
         including counters mid-window, declared-faulty tasks and the
         wheel deadlines — so supervision resumes where the dead daemon
-        left off.  The shard must be empty.
+        left off.  The table must be empty.
         """
         if self.registrations:
-            raise ValueError("restore() needs an empty shard")
-        self.processed = int(state["processed"])
+            raise ValueError("restore() needs an empty table")
         self.tick_count = int(state["tick_count"])
         for record in state["registrations"]:
             entry = self.register(
@@ -446,7 +435,7 @@ class SupervisorShard:
             listener(registration, event)
 
     def task_states(self) -> Dict[str, Dict[str, Any]]:
-        """Per-registration task-state map (the shard's rollup input)."""
+        """Per-registration task-state map (the fleet's rollup input)."""
         return {
             name: {
                 task: entry.watchdog.task_state(task)

@@ -29,7 +29,6 @@ class TestParser:
 
     @pytest.mark.parametrize("flag, value", [
         ("--tick-ms", "0"), ("--tick-ms", "-5"),
-        ("--shards", "0"), ("--shards", "-1"),
     ])
     def test_serve_rejects_non_positive_sizes(self, flag, value, capsys):
         # `--tick-ms 0` used to start a daemon whose ticker died on a
@@ -42,9 +41,17 @@ class TestParser:
         assert f"argument {flag}: must be" in capsys.readouterr().err
 
     def test_serve_accepts_fractional_tick(self):
-        args = build_parser().parse_args(
-            ["serve", "--tick-ms", "0.5", "--shards", "2"])
-        assert (args.tick_ms, args.shards) == (0.5, 2)
+        args = build_parser().parse_args(["serve", "--tick-ms", "0.5"])
+        assert args.tick_ms == 0.5
+
+    def test_serve_shards_flag_removed(self, capsys):
+        # The daemon holds one supervision table; the flag that spread
+        # registrations over several is a usage error now.
+        with pytest.raises(SystemExit) as stop:
+            main(["serve", "--port", "0", "--http-port", "0",
+                  "--run-seconds", "0.1", "--shards", "2"])
+        assert stop.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
 
 class TestExecution:

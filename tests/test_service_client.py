@@ -98,7 +98,7 @@ class FakeDaemon:
                     error="rejected by strict mode", lint=["WD202 vacuous"]))
             else:
                 conn.sendall(encode_frame(
-                    T_ACK, ok=True, re=T_REGISTER, shard=0, lint=[]))
+                    T_ACK, ok=True, re=T_REGISTER, rebound=False, lint=[]))
         elif frame.type == T_BYE:
             conn.sendall(encode_frame(T_ACK, ok=True, re=T_BYE))
 
@@ -123,7 +123,7 @@ class TestHandshake:
         client = WatchdogClient(daemon.address, client_name="it")
         client.connect()
         ack = client.register("p", make_hyp_dict())
-        assert ack["shard"] == 0
+        assert ack["rebound"] is False
         client.close()
         types = [f.type for f in daemon.frames]
         assert types == [T_HELLO, T_REGISTER, T_BYE]

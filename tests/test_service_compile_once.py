@@ -97,7 +97,7 @@ def drive_reference(watchdogs):
 
 class TestSharedCompilation:
     def shared_fleet(self):
-        fleet = Fleet(2)
+        fleet = Fleet()
         names = [f"app{i}" for i in range(N)]
         seen = {name: [] for name in names}
         fleet.add_detection_listener(
@@ -196,8 +196,8 @@ class TestAdmissionRules:
         assert fleet.hypotheses.compiles == 2
 
     def test_warning_cache_hit_still_rejected_by_strict_shard(self):
-        lenient = SupervisorShard(0)
-        strict = SupervisorShard(1, strict=True)
+        lenient = SupervisorShard()
+        strict = SupervisorShard(strict=True)
         strict.hypotheses = lenient.hypotheses
         registration = lenient.register("p", wire(self.warning_dict()))
         assert any("WD202" in d for d in registration.lint_diagnostics)
@@ -215,7 +215,7 @@ class TestAdmissionRules:
                 fleet.register(f"p{attempt}", wire(self.error_dict()))
         assert fleet.hypotheses.compiles == 3
         assert len(fleet.hypotheses) == 0
-        assert fleet.registration_count == 0
+        assert len(fleet.registrations) == 0
 
     def test_equal_json_but_unequal_dicts_are_not_merged(self):
         fleet = Fleet()
@@ -239,7 +239,7 @@ class TestAdmissionRules:
 class TestFleetGauges:
     def test_active_runnables_and_faulty_tasks_sum_over_the_fleet(self):
         registry = MetricsRegistry()
-        fleet = Fleet(2, telemetry=registry)
+        fleet = Fleet(telemetry=registry)
         hyp = FaultHypothesis()
         for index in range(4):
             hyp.add_runnable(RunnableHypothesis(f"r{index}", task="T"))
@@ -260,7 +260,7 @@ class TestFleetGauges:
         assert registry.value("wd_tsi_faulty_tasks") == 2
 
         restored_registry = MetricsRegistry()
-        restored = Fleet(2, telemetry=restored_registry)
+        restored = Fleet(telemetry=restored_registry)
         restored.restore(json.loads(json.dumps(fleet.snapshot())))
         assert restored_registry.value("wd_hbm_active_runnables") == 8
         assert restored_registry.value("wd_tsi_faulty_tasks") == 2

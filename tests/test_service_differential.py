@@ -6,7 +6,7 @@ recovery — is applied twice:
 * **direct**: straight into a :func:`repro.service.build_watchdog`
   instance (the same constructor the daemon uses),
 * **service**: through the SDK, over a real loopback socket, into the
-  daemon (manual-tick mode: ``await server.drain()`` before every
+  daemon (manual-tick mode: every client's ``sync()`` before every
   ``server.tick``).
 
 The detection sequences and final task/ECU states must be
@@ -87,9 +87,9 @@ def run_direct(prefix=""):
     return {"detections": detections, **snapshot(watchdog, hypothesis)}
 
 
-async def run_service(names, shards):
+async def run_service(names):
     """Apply the same script(s) through SDK + loopback + daemon."""
-    server = SupervisionServer(port=0, shards=shards, tick_interval=None)
+    server = SupervisionServer(port=0, tick_interval=None)
     await server.start()
     loop = asyncio.get_running_loop()
     detections = {name: [] for name in names}
@@ -128,7 +128,6 @@ async def run_service(names, shards):
             if tick_at is not None:
                 for client in clients.values():
                     assert await loop.run_in_executor(None, client.sync)
-                await server.drain()
                 server.tick(tick_at)
 
         results = {}
@@ -158,22 +157,22 @@ def assert_identical(direct, service):
 class TestDifferential:
     def test_single_registration_serial_shard(self):
         direct = run_direct("p.")
-        service = asyncio.run(run_service(["p."], shards=1))
+        service = asyncio.run(run_service(["p."]))
         assert_identical(direct, service["p."])
 
-    def test_three_registrations_multi_shard(self):
-        # Three independent processes across two shards: each must
-        # still equal its own direct run — sharding must not leak
-        # state across registrations.
+    def test_three_registrations_one_table(self):
+        # Three independent processes in one table: each must still
+        # equal its own direct run — registrations must not leak state
+        # into each other.
         names = ["alpha.", "beta.", "gamma."]
-        service = asyncio.run(run_service(names, shards=2))
+        service = asyncio.run(run_service(names))
         for name in names:
             direct = run_direct(name)
             assert_identical(direct, service[name])
 
     def test_detection_details_carry_counters(self):
         direct = run_direct("d.")
-        service = asyncio.run(run_service(["d."], shards=1))
+        service = asyncio.run(run_service(["d."]))
         assert direct["detections"]
         for direct_error, service_error in zip(
                 direct["detections"], service["d."]["detections"]):
@@ -190,7 +189,7 @@ async def run_service_crash(name, state_dir, crash_after_ticks):
 
     def make_server():
         return SupervisionServer(
-            port=0, shards=1, tick_interval=None,
+            port=0, tick_interval=None,
             state_dir=state_dir, snapshot_interval=None)
 
     server = make_server()
@@ -216,7 +215,6 @@ async def run_service_crash(name, state_dir, crash_after_ticks):
                     None, client.task_start, step[1], step[2])
             else:
                 assert await loop.run_in_executor(None, client.sync)
-                await server.drain()
                 server.tick(step[1])
                 ticks += 1
                 if ticks == crash_after_ticks:

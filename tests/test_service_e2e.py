@@ -22,6 +22,7 @@ import pytest
 
 from repro.core import FaultHypothesis, RunnableHypothesis
 from repro.service import WatchdogClient
+from testutil import wait_for
 
 pytestmark = pytest.mark.serve_smoke
 
@@ -88,16 +89,16 @@ def test_two_clients_one_crash_one_detection(daemon):
     # The survivor keeps heartbeating and polls for pushes.  The
     # victim's aliveness window (10 check cycles ~= 50 ms of daemon
     # wall-clock) lapses, so a DETECTION about victim.step must arrive.
-    deadline = time.monotonic() + 15.0
-    detected = None
-    while time.monotonic() < deadline and detected is None:
+    def victim_detected():
         survivor.heartbeat("survivor.step", task="survivor.T")
         survivor.flush()
         survivor.poll()
-        detected = next(
+        return next(
             (d for d in survivor.detections
              if d.get("runnable") == "victim.step"), None)
-        time.sleep(0.02)
+
+    detected = wait_for(victim_detected, timeout=15.0,
+                        message="the victim's DETECTION")
     assert detected is not None, "victim crash never surfaced as DETECTION"
     assert detected["error_type"] == "aliveness"
     assert detected["name"] == "victim"

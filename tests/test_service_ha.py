@@ -124,9 +124,7 @@ def test_kill_dash_nine_recovery_round_trip(tmp_path):
             except (OSError, ValueError):
                 return None
             names = {
-                record["name"]
-                for shard in payload["fleet"]["shards"]
-                for record in shard["registrations"]
+                record["name"] for record in payload["fleet"]["registrations"]
             }
             return payload if names == {"steady", "victim"} else None
 
@@ -161,8 +159,7 @@ def test_kill_dash_nine_recovery_round_trip(tmp_path):
             # per-registration bookkeeping the dead daemon snapshotted.
             snapshotted = {
                 record["name"]: record
-                for shard in pre_kill["fleet"]["shards"]
-                for record in shard["registrations"]
+                for record in pre_kill["fleet"]["registrations"]
             }
             assert health["indications"] == sum(
                 r["indications"] for r in snapshotted.values())

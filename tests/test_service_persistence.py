@@ -18,6 +18,7 @@ from repro.service.persistence import (
 )
 from repro.service.protocol import T_BYE, T_HEARTBEAT, T_REGISTER
 from test_service_server import _WireClient, barrier, make_hyp_dict
+from testutil import until
 
 
 def make_store(tmp_path, sub="state"):
@@ -217,27 +218,23 @@ class TestJournalFollower:
 class TestServerRestore:
     def test_journal_only_restore_reproduces_registrations(self, tmp_path):
         """No snapshot ever written: replaying REGISTER journal records
-        alone rebuilds every registration on its original shard."""
+        alone rebuilds every registration, in its original order."""
         async def scenario():
-            server = await start_server(tmp_path, shards=2)
+            server = await start_server(tmp_path)
             peers = []
-            shards = {}
-            for name in ("a", "b", "c"):
+            for name in ("c", "a", "b"):
                 peer = await _WireClient.connect(server)
                 await peer.send(T_REGISTER, name=name,
                                 hypothesis=make_hyp_dict())
                 ack = await peer.recv_frame()
                 assert ack.get("ok")
-                shards[name] = ack.get("shard")
                 peers.append(peer)
             await server.stop(save=False)  # crash: no snapshot
             for peer in peers:
                 await peer.close()
 
-            revived = await start_server(tmp_path, shards=2)
-            assert set(revived.fleet.registrations) == {"a", "b", "c"}
-            for name, shard_index in shards.items():
-                assert revived.fleet.shard_for(name).index == shard_index
+            revived = await start_server(tmp_path)
+            assert list(revived.fleet.registrations) == ["c", "a", "b"]
             assert revived.restored_registrations == 3
             assert revived.health()["restored_registrations"] == 3
             await revived.stop()
@@ -292,7 +289,6 @@ class TestServerRestore:
             await peer.send(T_HEARTBEAT, name="p",
                             batch=[["sense", 5, "T"], ["act", 6, "T"]])
             await barrier(peer)
-            await server.drain()
             server.tick(7)
             captured = server.fleet.snapshot()
             await server.stop()  # clean stop → final snapshot
@@ -304,18 +300,6 @@ class TestServerRestore:
             await revived.stop()
         asyncio.run(scenario())
 
-    def test_shard_count_mismatch_refused(self, tmp_path):
-        async def scenario():
-            server = await start_server(tmp_path, shards=2)
-            peer = await _WireClient.connect(server)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            await server.stop()
-            await peer.close()
-            with pytest.raises(ValueError, match="--shards"):
-                await start_server(tmp_path, shards=3)
-        asyncio.run(scenario())
-
     def test_periodic_snapshot_loop_writes(self, tmp_path):
         async def scenario():
             server = await start_server(
@@ -323,10 +307,8 @@ class TestServerRestore:
             peer = await _WireClient.connect(server)
             await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
             assert (await peer.recv_frame()).get("ok")
-            for _ in range(200):
-                await asyncio.sleep(0.01)
-                if server.store.snapshots_written >= 2:
-                    break
+            await until(lambda: server.store.snapshots_written >= 2,
+                        message="two periodic snapshots")
             assert server.store.snapshots_written >= 2
             assert os.path.exists(server.store.snapshot_path)
             await peer.close()
@@ -351,10 +333,8 @@ class TestServerRestore:
                 original(payload)
 
             server.store.write_snapshot_payload = flaky
-            for _ in range(500):
-                await asyncio.sleep(0.01)
-                if server.store.snapshots_written >= 1:
-                    break
+            await until(lambda: server.store.snapshots_written >= 1,
+                        message="a snapshot after the failures")
             assert server.snapshot_failures == 2
             assert server.store.snapshots_written >= 1
             assert server.health()["snapshot_failures"] == 2
@@ -406,10 +386,8 @@ class TestStandby:
             # journal reaches it without any snapshot.
             await peer.send(T_REGISTER, name="q", hypothesis=make_hyp_dict())
             assert (await peer.recv_frame()).get("ok")
-            for _ in range(500):
-                await asyncio.sleep(0.01)
-                if "q" in standby.fleet.registrations:
-                    break
+            await until(lambda: "q" in standby.fleet.registrations,
+                        message="the standby to tail the REGISTER")
             assert set(standby.fleet.registrations) == {"p", "q"}
 
             # Kill the primary without ceremony and fake its lock as a
@@ -463,10 +441,8 @@ class TestStandby:
             await peer.send(T_REGISTER, name="q", hypothesis=make_hyp_dict())
             assert (await peer.recv_frame()).get("ok")
             primary.write_snapshot()
-            for _ in range(500):
-                await asyncio.sleep(0.01)
-                if standby._follower.applied_seq >= 2:
-                    break
+            await until(lambda: standby._follower.applied_seq >= 2,
+                        message="the standby to adopt the snapshot")
             assert standby._follower.applied_seq >= 2
 
             await peer.close()
@@ -498,15 +474,11 @@ class TestStandby:
                 snapshot_interval=None, standby_poll=0.01)
             await standby.start()
             # Let the standby observe the live primary at least once.
-            for _ in range(500):
-                await asyncio.sleep(0.01)
-                if standby.store.primary_alive() is True:
-                    break
+            await until(lambda: standby.store.primary_alive() is True,
+                        message="the standby to see the primary alive")
             await primary.stop()  # clean: clears the lock
-            for _ in range(500):
-                await asyncio.sleep(0.01)
-                if standby.promoted:
-                    break
+            await until(lambda: standby.promoted,
+                        message="the standby to promote")
             assert standby.promoted
             await standby.stop()
         asyncio.run(scenario())

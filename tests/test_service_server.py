@@ -24,6 +24,7 @@ from repro.service.protocol import (
     T_REGISTER,
     encode_frame,
 )
+from testutil import until
 
 
 def make_hyp_dict(prefix: str = "", task: str = "T"):
@@ -112,7 +113,8 @@ class TestWireServer:
             ack = await peer.recv_frame()
             assert ack.get("ok") and ack.get("re") == T_BYE
             await peer.close()
-            await asyncio.sleep(0.02)
+            await until(lambda: not server._connections,
+                        message="the server to notice the EOF")
             assert not server.fleet.registration("p").active
             await server.stop()
 
@@ -146,18 +148,18 @@ class TestWireServer:
             assert ack.get("server") == server.name
             await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
             ack = await peer.recv_frame()
-            assert ack.get("ok") and ack.get("shard") == 0
+            assert ack.get("ok") and ack.get("rebound") is False
             await peer.send(T_HEARTBEAT, name="p",
                             batch=[["sense", 5, "T"], ["act", 6, "T"]])
             await barrier(peer)
-            await server.drain()
             registration = server.fleet.registration("p")
             assert registration.indications == 2
             await peer.send(T_BYE)
             ack = await peer.recv_frame()
             assert ack.get("ok") and ack.get("re") == T_BYE
             await peer.close()
-            await asyncio.sleep(0.02)
+            await until(lambda: not server._connections,
+                        message="the server to notice the EOF")
             assert not registration.active
             await server.stop()
         asyncio.run(scenario())
@@ -227,7 +229,6 @@ class TestWireServer:
             ack = await new.recv_frame()
             assert ack.get("ok")
             assert ack.get("rebound") is True
-            assert ack.get("shard") == first.get("shard")
             # Exactly one registration — the REGISTER was idempotent.
             assert len(server.fleet.registrations) == 1
             # The push channel follows the newest connection; the stale
@@ -277,7 +278,6 @@ class TestWireServer:
             await peer.recv_frame()
             await peer.send(T_HEARTBEAT, name="p", batch=[["sense", None, "T"]])
             await barrier(peer)
-            await server.drain()
             assert server.fleet.registration("p").indications == 1
             await peer.close()
             await server.stop()
@@ -285,7 +285,7 @@ class TestWireServer:
 
     def test_non_string_task_is_malformed_not_a_handler_error(self):
         """Regression: the HEARTBEAT ``task`` field reached the watchdog
-        unchecked.  A list there raised inside the shard after the
+        unchecked.  A list there raised inside the table after the
         indication had been counted, and surfaced as a handler error
         instead of a malformed entry."""
         async def scenario():
@@ -324,10 +324,10 @@ class TestDegradation:
             await peer.send(T_HEARTBEAT, name="p",
                             batch=[["sense", 1, "T"], ["act", 2, "T"]])
             await barrier(peer)
-            await server.drain()
             await peer.close()  # vanish without BYE
-            await asyncio.sleep(0.02)
             registration = server.fleet.registration("p")
+            await until(lambda: not registration.connected,
+                        message="the server to notice the EOF")
             assert registration.active  # NOT deactivated: crash suspected
             assert not registration.connected
             detections = []
@@ -346,7 +346,7 @@ class TestDegradation:
 class TestSdkAgainstServer:
     def test_sdk_register_heartbeat_detection_push(self):
         async def scenario():
-            server = await start_server(shards=2)
+            server = await start_server()
             address = (server.host, server.port)
 
             def client_setup():
@@ -354,7 +354,7 @@ class TestSdkAgainstServer:
                                         batch_size=4)
                 client.connect()
                 ack = client.register("p", make_hyp_dict())
-                assert ack["shard"] == 0
+                assert ack["rebound"] is False
                 for t in (10, 20, 30):
                     client.task_start("T", t)
                     client.heartbeat("sense", t, "T")
@@ -363,18 +363,23 @@ class TestSdkAgainstServer:
                 return client
 
             client = await in_thread(client_setup)
-            await server.drain()
             assert server.tick(100) == []
             for t in (200, 300, 400, 500):
                 server.tick(t)
-            await asyncio.sleep(0.02)
-            await in_thread(client.poll)
+
+            def pushed():
+                client.poll()
+                return client.detections and any(
+                    state["scope"] == "fleet" for state in client.states)
+
+            await until(pushed, message="the DETECTION and STATE pushes")
             assert client.detections
             assert {d["error_type"] for d in client.detections} == {"aliveness"}
             scopes = {s["scope"] for s in client.states}
             assert "fleet" in scopes
             await in_thread(client.close)
-            await asyncio.sleep(0.02)
+            await until(lambda: not server._connections,
+                        message="the server to notice the EOF")
             assert not server.fleet.registration("p").active
             await server.stop()
         asyncio.run(scenario())
@@ -396,7 +401,7 @@ class TestSdkAgainstServer:
                 return client
 
             client = await in_thread(client_work)
-            # No drain(): sync() returning is itself the guarantee.
+            # sync() returning is itself the guarantee.
             assert server.fleet.registration("p").indications == sent
             await in_thread(client.close)
             await server.stop()
@@ -416,7 +421,6 @@ class TestSdkAgainstServer:
                 return True
 
             assert await in_thread(client_work)
-            await server.drain()
             assert server.fleet.registration("p").indications == 1
             await server.stop()
             import os
@@ -475,7 +479,6 @@ class TestHttp:
             await peer.recv_frame()
             await peer.send(T_HEARTBEAT, name="p", batch=[["sense", 1, "T"]])
             await barrier(peer)
-            await server.drain()
             server.tick(10)
 
             async def http_get(path):
@@ -500,7 +503,6 @@ class TestHttp:
             health = json.loads(body)
             assert health["status"] == "ok"
             assert health["registrations"] == 1
-            assert health["shards"] == 1
 
             head, _ = await http_get("/nope")
             assert "404" in head
@@ -555,7 +557,8 @@ class TestTicker:
     def test_real_time_ticker_drives_check_cycles(self):
         async def scenario():
             server = await start_server(tick_interval=0.005)
-            await asyncio.sleep(0.06)
+            await until(lambda: server.fleet.stats()["ticks"] >= 5,
+                        message="five check cycles")
             await server.stop()
             assert server.fleet.stats()["ticks"] >= 5
         asyncio.run(scenario())
@@ -581,29 +584,28 @@ class TestQueueAccounting:
     """Failure accounting on the ingest path: nothing a handler does may
     stop the indications behind it from being applied."""
 
-    def test_poisoned_indication_does_not_kill_drain(self):
-        """Regression: a handler exception used to kill the shard's
-        drain task, leaving the queue unconsumed and drain() hanging
-        forever; now the failure is counted and draining continues."""
+    def test_poisoned_indication_spares_the_rest_of_its_frame(self):
+        """A handler exception on one indication is counted as a handler
+        error, and the indications after it in the same frame are still
+        applied."""
         async def scenario():
             server = await start_server()
             peer = await _WireClient.connect(server)
             await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
             assert (await peer.recv_frame()).get("ok")
-            shard = server.fleet.shard_for("p")
-            original = shard.heartbeat
+            table = server.fleet.table
+            original = table.heartbeat
 
             def exploding(registration, runnable, time, task=None):
                 if runnable == "poison":
                     raise RuntimeError("boom")
                 original(registration, runnable, time, task)
 
-            shard.heartbeat = exploding
+            table.heartbeat = exploding
             await peer.send(T_HEARTBEAT, name="p", batch=[
                 ["sense", 1, "T"], ["poison", 2, "T"], ["act", 3, "T"],
             ])
             await barrier(peer)
-            await asyncio.wait_for(server.drain(), timeout=5)
             assert server.handler_errors == 1
             assert server.telemetry.counter(
                 "service_handler_errors_total").value == 1

@@ -54,7 +54,7 @@ def written_text(store):
 
 class TestFragments:
     def test_fleet_payload_byte_identical(self, tmp_path):
-        fleet = Fleet(shards=3)
+        fleet = Fleet()
         for index in range(7):
             fleet.register(f"appé{index}", silent_hypothesis(2, 2))
         run_cycles(fleet, 1, 12, beating=("r1",))
@@ -65,7 +65,7 @@ class TestFragments:
 
     def test_empty_fleet_byte_identical(self, tmp_path):
         store = StateStore(str(tmp_path / "state"))
-        payload = store.write_snapshot(Fleet(shards=2).snapshot())
+        payload = store.write_snapshot(Fleet().snapshot())
         assert written_text(store) == json.dumps(payload, sort_keys=True)
 
     @settings(max_examples=60, deadline=None)
@@ -77,8 +77,8 @@ class TestFragments:
         max_leaves=8), max_size=4), st.text(), st.integers())
     def test_any_json_tree_byte_identical(self, registrations, extra, seq):
         payload = {
-            "fleet": {"shards": [{"registrations": registrations,
-                                  extra: seq}], "state": extra},
+            "fleet": {"registrations": registrations, extra: seq,
+                      "state": extra},
             "seq": seq,
         }
         assert "".join(_snapshot_fragments(payload)) == json.dumps(
@@ -89,7 +89,7 @@ class TestConsistentCut:
     def test_capture_unchanged_by_later_cycles_register_and_bye(
             self, tmp_path):
         hyp = silent_hypothesis(4, 3)
-        fleet = Fleet(shards=2)
+        fleet = Fleet()
         for index in range(6):
             fleet.register(f"app{index}", hyp)
         run_cycles(fleet, 1, 20, beating=("r2", "r3"))
@@ -141,7 +141,7 @@ class TestOlderSnapshots:
         run_cycles(fleet, 9, 14, beating=("r0", "r1"))
         assert stream and stream[-1].time < 13
         state = json.loads(json.dumps(fleet.snapshot()))
-        tsi = state["shards"][0]["registrations"][0]["watchdog"]["tsi"]
+        tsi = state["registrations"][0]["watchdog"]["tsi"]
         del tsi["last_error_time"]
         tsi["error_log"] = [error.to_dict() for error in stream]
         store = StateStore(str(tmp_path / "state"))

@@ -1,4 +1,4 @@
-"""The synchronous supervision core: shards, registration, fleet rollup."""
+"""The synchronous supervision core: the table, registration, fleet rollup."""
 
 import pytest
 
@@ -26,16 +26,15 @@ def hyp_dict(prefix: str = "", task: str = "T"):
 
 class TestRegistration:
     def test_register_builds_wheel_watchdog(self):
-        shard = SupervisorShard()
-        registration = shard.register("p", hyp_dict())
+        table = SupervisorShard()
+        registration = table.register("p", hyp_dict())
         assert registration.watchdog.hbm.strategy == "wheel"
-        assert registration.shard_index == 0
         assert registration.lint_diagnostics == []
 
     def test_invalid_hypothesis_rejected(self):
-        shard = SupervisorShard()
+        table = SupervisorShard()
         with pytest.raises(RegistrationError, match="invalid hypothesis"):
-            shard.register("p", {"version": 99})
+            table.register("p", {"version": 99})
 
     def test_lint_error_rejected(self):
         # WD201: aliveness demands more heartbeats than arrival
@@ -44,9 +43,9 @@ class TestRegistration:
         hyp.add_runnable(RunnableHypothesis(
             "a", task="T", aliveness_period=2, min_heartbeats=10,
             arrival_period=2, max_heartbeats=1))
-        shard = SupervisorShard(strict=False)
+        table = SupervisorShard(strict=False)
         with pytest.raises(RegistrationError, match="WD201"):
-            shard.register("p", hypothesis_to_dict(hyp))
+            table.register("p", hypothesis_to_dict(hyp))
 
     def test_strict_rejects_warnings(self):
         # WD202: min_heartbeats=0 is a vacuous aliveness check (warning).
@@ -60,24 +59,24 @@ class TestRegistration:
             strict.register("p", hypothesis_to_dict(hyp))
 
     def test_duplicate_name_same_hypothesis_rebinds(self):
-        shard = SupervisorShard()
-        first = shard.register("p", hyp_dict())
+        table = SupervisorShard()
+        first = table.register("p", hyp_dict())
         first.deactivate()
-        again = shard.register("p", hyp_dict())
+        again = table.register("p", hyp_dict())
         assert again is first
         assert again.active
 
     def test_duplicate_name_different_hypothesis_rejected(self):
-        shard = SupervisorShard()
-        shard.register("p", hyp_dict())
+        table = SupervisorShard()
+        table.register("p", hyp_dict())
         with pytest.raises(RegistrationError, match="already in use"):
-            shard.register("p", hyp_dict(prefix="other."))
+            table.register("p", hyp_dict(prefix="other."))
 
     def test_deactivate_reactivate_respects_configured_as(self):
         hyp = make_hypothesis()
         hyp.runnables["act"].active = False
-        shard = SupervisorShard()
-        registration = shard.register("p", hypothesis_to_dict(hyp))
+        table = SupervisorShard()
+        registration = table.register("p", hypothesis_to_dict(hyp))
         registration.deactivate()
         assert not registration.watchdog.hbm.slot_active(
             registration.watchdog.hbm.slot_of["sense"])
@@ -89,64 +88,53 @@ class TestRegistration:
 
 class TestSupervision:
     def test_heartbeats_prevent_detections(self):
-        shard = SupervisorShard()
-        shard.register("p", hyp_dict())
+        table = SupervisorShard()
+        table.register("p", hyp_dict())
         for cycle in range(1, 7):
-            shard.task_start("p", "T")
-            shard.heartbeat("p", "sense", cycle * 10, "T")
-            shard.heartbeat("p", "act", cycle * 10 + 1, "T")
-            assert shard.tick(cycle * 10 + 5) == []
+            table.task_start("p", "T")
+            table.heartbeat("p", "sense", cycle * 10, "T")
+            table.heartbeat("p", "act", cycle * 10 + 1, "T")
+            assert table.tick(cycle * 10 + 5) == []
 
     def test_silence_detected(self):
-        shard = SupervisorShard()
-        shard.register("p", hyp_dict())
+        table = SupervisorShard()
+        table.register("p", hyp_dict())
         detections = []
-        shard.add_detection_listener(lambda name, e: detections.append((name, e)))
+        table.add_detection_listener(lambda name, e: detections.append((name, e)))
         for cycle in range(1, 5):
-            shard.tick(cycle * 10)
+            table.tick(cycle * 10)
         assert detections
         assert {name for name, _ in detections} == {"p"}
         assert {e.error_type for _, e in detections} == {ErrorType.ALIVENESS}
-        assert shard.registrations["p"].detections == len(detections)
+        assert table.registrations["p"].detections == len(detections)
 
     def test_unknown_registration_ignored(self):
-        shard = SupervisorShard()
-        shard.heartbeat("ghost", "sense", 1, "T")
-        shard.task_start("ghost", "T")
-        assert shard.processed == 0
+        table = SupervisorShard()
+        table.heartbeat("ghost", "sense", 1, "T")
+        table.task_start("ghost", "T")
+        assert table.registrations == {}
 
     def test_deactivated_registration_stays_silent(self):
-        shard = SupervisorShard()
-        shard.register("p", hyp_dict())
-        shard.deregister("p")
+        table = SupervisorShard()
+        table.register("p", hyp_dict())
+        table.deregister("p")
         for cycle in range(1, 6):
-            assert shard.tick(cycle * 10) == []
+            assert table.tick(cycle * 10) == []
 
 
 class TestFleet:
-    def test_round_robin_assignment(self):
-        fleet = Fleet(shards=2)
-        a = fleet.register("a", hyp_dict(prefix="a."))
-        b = fleet.register("b", hyp_dict(prefix="b."))
-        c = fleet.register("c", hyp_dict(prefix="c."))
-        assert [a.shard_index, b.shard_index, c.shard_index] == [0, 1, 0]
-
-    def test_rejected_register_does_not_advance_round_robin(self):
-        fleet = Fleet(shards=2)
+    def test_one_table_in_registration_order(self):
+        fleet = Fleet()
         with pytest.raises(RegistrationError):
             fleet.register("bad", {"version": 99})
-        ok = fleet.register("ok", hyp_dict())
-        assert ok.shard_index == 0
-
-    def test_rebind_routes_to_owning_shard(self):
-        fleet = Fleet(shards=2)
-        fleet.register("a", hyp_dict(prefix="a."))
-        fleet.register("b", hyp_dict(prefix="b."))
-        again = fleet.register("b", hyp_dict(prefix="b."))
-        assert again.shard_index == 1
+        for name in ("b", "a", "c"):
+            fleet.register(name, hyp_dict(prefix=f"{name}."))
+        assert fleet.registrations is fleet.table.registrations
+        assert fleet.hypotheses is fleet.table.hypotheses
+        assert list(fleet.registrations) == ["b", "a", "c"]
 
     def test_state_rollup_worst_of(self):
-        fleet = Fleet(shards=2)
+        fleet = Fleet()
         fleet.register("healthy", hyp_dict(prefix="h.", task="HT"))
         fleet.register("crashed", hyp_dict(prefix="c.", task="CT"))
         assert fleet.fleet_state() is MonitorState.OK
@@ -176,7 +164,7 @@ class TestFleet:
         assert fleet.state_changes == changes
 
     def test_detections_forwarded_with_registration_name(self):
-        fleet = Fleet(shards=3)
+        fleet = Fleet()
         seen = []
         fleet.add_detection_listener(lambda name, e: seen.append(name))
         fleet.register("a", hyp_dict(prefix="a."))
@@ -200,18 +188,13 @@ class TestFleet:
         assert "task_faulty" in categories
 
     def test_stats(self):
-        fleet = Fleet(shards=2)
+        fleet = Fleet()
         fleet.register("p", hyp_dict())
         fleet.heartbeat("p", "sense", 1, "T")
         fleet.task_start("p", "T")
         fleet.tick(10)
         stats = fleet.stats()
-        assert stats["shards"] == 2
         assert stats["registrations"] == 1
         assert stats["indications"] == 1
         assert stats["task_starts"] == 1
         assert stats["ticks"] == 1
-
-    def test_needs_at_least_one_shard(self):
-        with pytest.raises(ValueError):
-            Fleet(shards=0)

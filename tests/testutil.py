@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 from repro.kernel import AlarmTable, Kernel, Runnable, Task, ms, runnable_sequence_body
@@ -58,4 +59,18 @@ def wait_for(predicate, *, timeout=15.0, interval=0.02, message="condition"):
         if value:
             return value
         time.sleep(interval)
+    raise AssertionError(f"timed out waiting for {message}")
+
+
+async def until(predicate, *, timeout=15.0, interval=0.01,
+                message="condition"):
+    """The asyncio twin of :func:`wait_for`, with the same contract: the
+    event loop keeps running between polls, so a test can wait on a
+    server that lives on the same loop."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        value = predicate()
+        if value:
+            return value
+        await asyncio.sleep(interval)
     raise AssertionError(f"timed out waiting for {message}")
