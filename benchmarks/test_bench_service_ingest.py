@@ -38,6 +38,8 @@ from repro.service.protocol import (
 )
 
 FRAMES = 5_000
+#: Frames of the smoke pass: a short run of the same path.
+SMOKE_FRAMES = 500
 BATCH = 8  # indications per frame
 FLOOR_FRAMES_PER_S = 10_000
 #: Paced send rate: 25 % above the floor.
@@ -56,8 +58,8 @@ def make_hyp_dict():
     return hypothesis_to_dict(hyp)
 
 
-def _drive_loopback(host, port):
-    """Blocking (executor-thread) writer: register, then fire FRAMES
+def _drive_loopback(host, port, count):
+    """Blocking (executor-thread) writer: register, then fire ``count``
     pre-encoded heartbeat frames; returns the send-side wall time."""
     sock = socket.create_connection((host, port), timeout=10)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -75,8 +77,8 @@ def _drive_loopback(host, port):
         batch=[["hot", None, "T"]] * BATCH)
     begin = time.perf_counter()
     sent = 0
-    while sent < FRAMES:
-        for _ in range(min(SLICE, FRAMES - sent)):
+    while sent < count:
+        for _ in range(min(SLICE, count - sent)):
             sock.sendall(payload)
             sent += 1
         # Pace to the target rate (sendall returning early just means
@@ -100,13 +102,13 @@ def _drive_loopback(host, port):
     return elapsed
 
 
-async def _ingest_run():
+async def _ingest_run(count=FRAMES):
     server = SupervisionServer(port=0, tick_interval=TICK_S)
     await server.start()
     loop = asyncio.get_running_loop()
     begin = time.perf_counter()
     send_seconds = await loop.run_in_executor(
-        None, _drive_loopback, server.host, server.port)
+        None, _drive_loopback, server.host, server.port, count)
     ingest_seconds = time.perf_counter() - begin
     applied = server.fleet.stats()["indications"]
     missed = server.missed_ticks
@@ -119,6 +121,15 @@ async def _ingest_run():
         "missed_ticks": missed,
         "ticks": ticks,
     }
+
+
+def test_service_ingest_smoke(benchmark):
+    """One short pass of the measured path (the ``bench_smoke`` rot
+    check); records nothing."""
+    result = benchmark.pedantic(
+        lambda: asyncio.run(_ingest_run(SMOKE_FRAMES)), rounds=1,
+        iterations=1)
+    assert result["applied"] == SMOKE_FRAMES * BATCH
 
 
 def test_bench_service_ingest_floor(benchmark):

@@ -32,6 +32,8 @@ N_REGISTRATIONS = 200
 JOURNAL_TAIL = 50          # registrations journaled after the last snapshot
 TICK_S = 0.005             # 5 ms check cycle, same as the serve smoke tests
 ALIVENESS_CYCLES = 20      # silence budget before a DETECTION (~100 ms)
+#: Fleet of the smoke pass: a short run of the same path.
+SMOKE_REGISTRATIONS, SMOKE_TAIL = 20, 5
 
 
 def make_hypothesis(name):
@@ -55,10 +57,11 @@ def _register_many(host, port, names):
     client.close(say_bye=False)
 
 
-async def _recovery_run(state_dir):
+async def _recovery_run(state_dir, registrations=N_REGISTRATIONS,
+                        journal_tail=JOURNAL_TAIL):
     loop = asyncio.get_running_loop()
-    names = [f"app{i:04d}" for i in range(N_REGISTRATIONS)]
-    snapshotted, tail = names[:-JOURNAL_TAIL], names[-JOURNAL_TAIL:]
+    names = [f"app{i:04d}" for i in range(registrations)]
+    snapshotted, tail = names[:-journal_tail], names[-journal_tail:]
 
     # Act 1 — populate a daemon, snapshot, leave a journal tail, crash.
     server = SupervisionServer(port=0, tick_interval=None,
@@ -85,11 +88,11 @@ async def _recovery_run(state_dir):
     # registration must surface as an aliveness DETECTION.
     detect_begin = time.perf_counter()
     deadline = detect_begin + 30.0
-    while server.fleet.stats()["detections"] < N_REGISTRATIONS:
+    while server.fleet.stats()["detections"] < registrations:
         if time.perf_counter() > deadline:
             raise AssertionError(
                 f"only {server.fleet.stats()['detections']} of "
-                f"{N_REGISTRATIONS} restored registrations detected")
+                f"{registrations} restored registrations detected")
         await asyncio.sleep(TICK_S)
     detection_wait_seconds = time.perf_counter() - detect_begin
     await server.stop(save=False)
@@ -99,6 +102,16 @@ async def _recovery_run(state_dir):
         "detection_wait_seconds": detection_wait_seconds,
         "detection_gap_seconds": restore_seconds + detection_wait_seconds,
     }
+
+
+def test_service_recovery_smoke(benchmark, tmp_path):
+    """One short pass of the measured path (the ``bench_smoke`` rot
+    check); records nothing."""
+    result = benchmark.pedantic(
+        lambda: asyncio.run(_recovery_run(
+            str(tmp_path / "state"), SMOKE_REGISTRATIONS, SMOKE_TAIL)),
+        rounds=1, iterations=1)
+    assert result["restored"] == SMOKE_REGISTRATIONS
 
 
 def test_bench_service_recovery(benchmark, tmp_path):

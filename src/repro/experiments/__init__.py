@@ -10,7 +10,6 @@ them with pytest-benchmark; EXPERIMENTS.md records their outputs.
 from .coverage import (
     build_coverage_system,
     run_coverage_campaign,
-    standard_fault_factories,
     standard_fault_specs,
 )
 from .distributed_exp import (
@@ -77,7 +76,6 @@ __all__ = [
     "run_supervision_latency_sweep",
     "run_threshold_sweep",
     "run_toolchain",
-    "standard_fault_factories",
     "standard_fault_specs",
     "treatment_summary_rows",
     "watchdog_cpu_rows",

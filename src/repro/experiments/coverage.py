@@ -16,7 +16,7 @@ runnable-level blocking, arrival-rate and flow faults.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..baselines.deadline_monitor import DeadlineMonitor
 from ..baselines.exec_time_monitor import ExecutionTimeMonitor
@@ -26,7 +26,6 @@ from ..faults.campaigns import (
     CampaignResult,
     CampaignSystem,
     DetectionRecorder,
-    FaultFactory,
     ProgressCallback,
     watchdog_detector,
 )
@@ -147,9 +146,8 @@ register_fault("runaway", lambda system: _RunawayFault())
 def standard_fault_specs(repetitions: int = 1) -> List[FaultSpec]:
     """The campaign's fault list: one picklable spec per (class, variant).
 
-    Specs are callable with the ``FaultFactory`` signature, so the list
-    works on the serial path unchanged — and is what lets
-    ``workers=N`` ship the very same campaign to worker processes.
+    Specs are picklable, which is what lets ``workers=N`` ship the
+    very same campaign to worker processes.
     """
     base = [
         FaultSpec.of("blocked", runnable="SAFE_CC_process"),
@@ -166,17 +164,11 @@ def standard_fault_specs(repetitions: int = 1) -> List[FaultSpec]:
     return base * repetitions
 
 
-def standard_fault_factories(repetitions: int = 1) -> List[FaultFactory]:
-    """Backwards-compatible alias for :func:`standard_fault_specs`."""
-    return list(standard_fault_specs(repetitions))
-
-
 def run_coverage_campaign(
     *,
     warmup: int = ms(300),
     observation: int = seconds(2),
     repetitions: int = 1,
-    system_factory: Optional[Callable[[], CampaignSystem]] = None,
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
     telemetry=None,
@@ -185,12 +177,10 @@ def run_coverage_campaign(
 
     ``workers=N`` fans the injections out over N processes (``0`` =
     ``os.cpu_count()``); results are bit-for-bit identical to the
-    serial run.  A custom ``system_factory`` callable forces the serial
-    path — pass a registered :class:`SystemSpec` name instead to keep
-    parallel execution available.
+    serial run.
     """
     campaign = Campaign(
-        system_factory if system_factory is not None else "coverage",
+        "coverage",
         warmup=warmup,
         observation=observation,
         telemetry=telemetry,

@@ -23,9 +23,8 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..telemetry import DEFAULT_DURATION_BUCKETS, NULL_REGISTRY
-from .injector import ErrorInjector
 from .models import FaultModel, FaultTarget
-from .registry import FaultSpec, RunSpec, SystemSpec, execute_chunk, execute_chunk_timed
+from .registry import FaultSpec, RunSpec, SystemSpec, execute_chunk
 
 
 class DetectionRecorder:
@@ -213,7 +212,7 @@ ProgressCallback = Callable[[int, int], None]
 class Campaign:
     """Runs one injection experiment per fault factory.
 
-    ``system_factory`` may be a plain callable (the historical API), a
+    ``system_factory`` may be a plain callable, a
     :class:`~repro.faults.registry.SystemSpec`, or a registered system
     name (shorthand for a parameterless spec).  Spec-based campaigns can
     additionally fan out across worker processes — see :meth:`execute`.
@@ -232,18 +231,13 @@ class Campaign:
             raise ValueError("warmup must be >= 0 and observation > 0")
         if isinstance(system_factory, str):
             system_factory = SystemSpec.of(system_factory)
-        self.system_spec = (
-            system_factory if isinstance(system_factory, SystemSpec) else None
-        )
         self.system_factory = system_factory
         self.warmup = warmup
         self.observation = observation
         self.transient_duration = transient_duration
-        # Campaign instruments.  With the null registry (the default) the
-        # timed dispatch path is never taken, so untelemetered campaigns
-        # run the historical code byte-for-byte.
+        # Campaign instruments; the null registry's (the default) are
+        # no-ops.  Runs are timed either way, outside the run itself.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
-        self._tm_enabled = self.telemetry.enabled
         tm = self.telemetry
         self._tm_runs = tm.counter(
             "campaign_runs_total", "Injection experiments completed")
@@ -254,7 +248,7 @@ class Campaign:
         )
         self._tm_utilization = tm.gauge(
             "campaign_worker_utilization",
-            "Busy fraction of the worker pool over the last parallel execute "
+            "Busy fraction of the workers over the last execute "
             "(sum of per-run wall time / (elapsed time x workers))",
         )
 
@@ -276,71 +270,36 @@ class Campaign:
         built from a :class:`SystemSpec` (or registered name) and every
         entry of ``fault_factories`` must be a :class:`FaultSpec`.
 
-        The merged result is **order-stable and bit-for-bit identical**
-        to the serial run: runs appear in ``fault_factories`` order
-        regardless of which worker finished first, and serial and
-        parallel paths share one run implementation
-        (:func:`~repro.faults.registry.execute_run`).
+        Either way each fault becomes one
+        :class:`~repro.faults.registry.RunSpec`, seeded with ``seed``
+        plus its index, and every run goes through
+        :func:`~repro.faults.registry.execute_chunk`.  The merged result
+        is therefore **order-stable and bit-for-bit identical** to the
+        serial run: runs appear in ``fault_factories`` order regardless
+        of which worker finished first.
 
         ``chunksize`` batches runs per worker dispatch (default: spread
         over ~4 chunks per worker) so interpreter and pickling overhead
-        amortizes across many short simulations.  ``seed`` offsets the
-        per-run seeds recorded in the specs.
+        amortizes across many short simulations; the serial path runs
+        one spec per chunk so ``progress`` is called after every run.
         """
         factories = list(fault_factories)
         if workers == 0:
             workers = os.cpu_count() or 1
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        specs = self._run_specs(factories, seed, require=workers > 1)
-        total = len(factories)
-        result = CampaignResult()
-        if workers == 1 or total == 0:
-            if specs is not None:
-                # Same code path a worker runs — the equivalence anchor.
-                for index, spec in enumerate(specs):
-                    if self._tm_enabled:
-                        runs, durations = execute_chunk_timed([spec])
-                        result.runs.extend(runs)
-                        self._tm_record_runs(durations)
-                    else:
-                        result.runs.extend(execute_chunk([spec]))
-                    if progress is not None:
-                        progress(index + 1, total)
-            else:
-                for index, factory in enumerate(factories):
-                    begin = perf_counter() if self._tm_enabled else 0.0
-                    result.runs.append(self._run_one(factory))
-                    if self._tm_enabled:
-                        self._tm_record_runs([perf_counter() - begin])
-                    if progress is not None:
-                        progress(index + 1, total)
-            return result
-        result.runs.extend(
-            self._execute_parallel(specs, workers, progress, chunksize)
-        )
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_specs(
-        self, factories: Sequence[FaultFactory], seed: int, *, require: bool
-    ) -> Optional[List[RunSpec]]:
-        """Describe the runs as picklable specs, or ``None`` when the
-        campaign uses closures (legacy serial-only mode)."""
-        speccable = self.system_spec is not None and all(
-            isinstance(f, FaultSpec) for f in factories
-        )
-        if not speccable:
-            if require:
-                raise ValueError(
-                    "parallel execution needs picklable run specs: build the "
-                    "Campaign from a SystemSpec (or registered system name) "
-                    "and pass FaultSpec entries, not closures"
-                )
-            return None
-        return [
+        if workers > 1 and not (
+            isinstance(self.system_factory, SystemSpec)
+            and all(isinstance(f, FaultSpec) for f in factories)
+        ):
+            raise ValueError(
+                "parallel execution needs picklable run specs: build the "
+                "Campaign from a SystemSpec (or registered system name) "
+                "and pass FaultSpec entries, not closures"
+            )
+        specs = [
             RunSpec(
-                system=self.system_spec,
+                system=self.system_factory,
                 fault=factory,
                 warmup=self.warmup,
                 observation=self.observation,
@@ -349,78 +308,43 @@ class Campaign:
             )
             for index, factory in enumerate(factories)
         ]
-
-    def _execute_parallel(
-        self,
-        specs: List[RunSpec],
-        workers: int,
-        progress: Optional[ProgressCallback],
-        chunksize: Optional[int],
-    ) -> List[RunResult]:
         total = len(specs)
-        if chunksize is None:
+        if workers == 1:
+            chunksize = 1
+        elif chunksize is None:
             chunksize = max(1, -(-total // (workers * 4)))
         if chunksize < 1:
             raise ValueError("chunksize must be >= 1")
         chunks = [specs[i:i + chunksize] for i in range(0, total, chunksize)]
-        collected: List[Optional[List[RunResult]]] = [None] * len(chunks)
+        collected: List[List[RunResult]] = [[] for _ in chunks]
         done = 0
-        timed = self._tm_enabled
-        worker_fn = execute_chunk_timed if timed else execute_chunk
         busy_seconds = 0.0
-        begin = perf_counter() if timed else 0.0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(worker_fn, chunk): index
-                for index, chunk in enumerate(chunks)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                outcome = future.result()
-                if timed:
-                    collected[index], durations = outcome
-                    busy_seconds += sum(durations)
-                    self._tm_record_runs(durations)
-                else:
-                    collected[index] = outcome
-                done += len(collected[index])
-                if progress is not None:
-                    progress(done, total)
-        if timed:
-            elapsed = perf_counter() - begin
-            if elapsed > 0.0:
-                self._tm_utilization.set(busy_seconds / (elapsed * workers))
-        return [run for chunk in collected for run in chunk]
+        begin = perf_counter()
+        for index, (runs, durations) in _chunk_outcomes(chunks, workers):
+            collected[index] = runs
+            busy_seconds += sum(durations)
+            self._tm_runs.inc(len(durations))
+            for duration in durations:
+                self._tm_run_seconds.observe(duration)
+            done += len(runs)
+            if progress is not None:
+                progress(done, total)
+        elapsed = perf_counter() - begin
+        if elapsed > 0.0:
+            self._tm_utilization.set(busy_seconds / (elapsed * workers))
+        return CampaignResult([run for chunk in collected for run in chunk])
 
-    def _tm_record_runs(self, durations: Sequence[float]) -> None:
-        self._tm_runs.inc(len(durations))
-        for duration in durations:
-            self._tm_run_seconds.observe(duration)
 
-    # ------------------------------------------------------------------
-    def _run_one(self, factory: FaultFactory) -> RunResult:
-        system = self.system_factory()
-        system.run_until(self.warmup)
-        fault = factory(system)
-        injector = ErrorInjector(system.target)
-        inject_time = system.now()
-        injector.inject_now(fault)
-        if self.transient_duration is not None:
-            system.target.kernel.queue.schedule(
-                inject_time + self.transient_duration,
-                lambda: fault.restore(system.target),
-                label=f"restore:{fault.name}",
-                persistent=True,
-            )
-        system.run_until(inject_time + self.observation)
-        detections = {
-            det.name: det.first_detection_after(inject_time)
-            for det in system.detectors
+def _chunk_outcomes(chunks: List[List[RunSpec]], workers: int):
+    """Yield ``(chunk index, execute_chunk(chunk))`` as chunks finish:
+    in order in this process for one worker, else from a process pool."""
+    if workers == 1 or not chunks:
+        yield from enumerate(map(execute_chunk, chunks))
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {
+            pool.submit(execute_chunk, chunk): index
+            for index, chunk in enumerate(chunks)
         }
-        return RunResult(
-            fault_name=fault.name,
-            fault_class=type(fault).__name__,
-            expected_error=fault.expected_error,
-            inject_time=inject_time,
-            detections=detections,
-        )
+        for future in as_completed(futures):
+            yield futures[future], future.result()

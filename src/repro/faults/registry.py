@@ -1,25 +1,31 @@
-"""Picklable run specs for parallel injection campaigns.
+"""Run specs and the one run implementation of injection campaigns.
 
-``Campaign.execute`` historically took closures — a system factory plus
-one fault factory per run.  Closures cannot cross a process boundary,
-so scaling a campaign across workers needs a level of indirection:
-**named** factories.  This module keeps two registries,
+A run is fully described by a :class:`RunSpec`: ``(system, fault,
+warmup, observation, transient_duration, seed)``.  :func:`execute_run`
+is the only code that runs one; :func:`execute_chunk` runs a batch and
+times each run.  ``Campaign.execute`` builds one spec per fault and
+hands chunks of them to :func:`execute_chunk`, in this process or in a
+worker, so serial and parallel campaigns run the same code.  Every run
+seeds ``random`` with its spec's seed (the campaign seed plus the run's
+index) before it builds its system.
+
+The ``system`` and ``fault`` of a spec may be any callables — a
+``SystemFactory`` and a ``FaultFactory`` closure — as long as the run
+stays in this process.  Closures cannot cross a process boundary, so a
+run that goes to a worker needs **named** factories.  This module keeps
+two registries of them,
 
 * **system builders** — ``name -> (**params) -> CampaignSystem`` —
   registered by the experiment modules (``coverage``, ``latency``) and
   by applications that want their systems campaign-able,
 * **fault builders** — ``name -> (system, **params) -> FaultModel`` —
   one per catalogue class in :mod:`repro.faults.models`, registered
-  below.
+  below,
 
-A run is then fully described by the picklable tuple
-``(system_spec, fault_spec, warmup, observation, transient_duration,
-seed)`` — a :class:`RunSpec` — and reconstructed verbatim inside a
-worker process.  :class:`FaultSpec` is itself callable with the
-``FaultFactory`` signature, so spec-based campaigns run unchanged on
-the serial path too: parallel and serial execution share one run
-implementation (:func:`execute_run`), which is what makes the
-bit-for-bit equivalence guarantee testable.
+and :class:`SystemSpec` / :class:`FaultSpec` name one entry with its
+parameters.  Both are picklable and callable with the factory
+signatures, so a spec built from them is reconstructed verbatim inside
+a worker process.
 
 Builtin specs resolve in any worker (the registry lazily imports their
 provider modules).  Custom registrations travel to workers via fork on
@@ -35,6 +41,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import models as _models
+from .injector import ErrorInjector
 
 #: ``(**params) -> CampaignSystem``
 SystemBuilder = Callable[..., Any]
@@ -133,7 +140,7 @@ class FaultSpec:
 
     Callable with the ``FaultFactory`` signature (``system ->
     FaultModel``), so a list of specs drops into ``Campaign.execute``
-    wherever closures were accepted before.
+    wherever a list of closures does.
     """
 
     name: str
@@ -160,10 +167,16 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One injection experiment, fully described by picklable values."""
+    """One injection experiment.
 
-    system: SystemSpec
-    fault: FaultSpec
+    ``system`` is a ``SystemFactory`` and ``fault`` a ``FaultFactory``.
+    With a :class:`SystemSpec` and a :class:`FaultSpec` the spec is
+    picklable and may run in a worker process; with closures it runs
+    in this process only.
+    """
+
+    system: Callable[[], Any]
+    fault: Callable[[Any], Any]
     warmup: int
     observation: int
     transient_duration: Optional[int] = None
@@ -171,52 +184,56 @@ class RunSpec:
 
 
 def execute_run(spec: RunSpec):
-    """Run one experiment from its spec — the worker entry point.
+    """Run one experiment: build, warm up, inject, observe, collect.
 
-    Used identically by the serial path, so ``workers=1`` and
-    ``workers=N`` execute the same code and the merged results compare
-    bit-for-bit.  The seed pins ``random`` before the system is built;
-    today's builders are deterministic, but a stochastic builder (e.g.
-    a CAN bus with corruption probability) stays reproducible per run.
+    The seed pins ``random`` before the system is built; today's
+    builders are deterministic, but a stochastic builder (e.g. a CAN
+    bus with corruption probability) stays reproducible per run.
     """
-    from .campaigns import Campaign
+    from .campaigns import RunResult
 
     random.seed(spec.seed)
-    campaign = Campaign(
-        spec.system,
-        warmup=spec.warmup,
-        observation=spec.observation,
-        transient_duration=spec.transient_duration,
+    system = spec.system()
+    system.run_until(spec.warmup)
+    fault = spec.fault(system)
+    inject_time = system.now()
+    ErrorInjector(system.target).inject_now(fault)
+    if spec.transient_duration is not None:
+        system.target.kernel.queue.schedule(
+            inject_time + spec.transient_duration,
+            lambda: fault.restore(system.target),
+            label=f"restore:{fault.name}",
+            persistent=True,
+        )
+    system.run_until(inject_time + spec.observation)
+    return RunResult(
+        fault_name=fault.name,
+        fault_class=type(fault).__name__,
+        expected_error=fault.expected_error,
+        inject_time=inject_time,
+        detections={
+            det.name: det.first_detection_after(inject_time)
+            for det in system.detectors
+        },
     )
-    return campaign._run_one(spec.fault)
 
 
 def execute_chunk(specs: Sequence[RunSpec]):
-    """Run a batch of specs in one worker call.
+    """Run a batch of specs; the worker entry point.
 
-    Chunking amortizes pickling and interpreter scheduling over many
-    runs; a campaign of hundreds of 10 ms-scale simulations would
-    otherwise spend a visible fraction of its wall clock on dispatch.
+    Returns ``(runs, durations)`` with ``durations[i]`` the wall-clock
+    seconds of ``specs[i]``.  Chunking amortizes pickling and
+    interpreter scheduling over many runs; a campaign of hundreds of
+    10 ms-scale simulations would otherwise spend a visible fraction of
+    its wall clock on dispatch.
     """
-    return [execute_run(spec) for spec in specs]
-
-
-def execute_chunk_timed(specs: Sequence[RunSpec]):
-    """Like :func:`execute_chunk`, plus per-run wall-clock seconds.
-
-    Returns ``(results, durations)`` with ``durations[i]`` the wall time
-    of ``specs[i]``.  Dispatched by telemetry-enabled campaigns only —
-    the untimed path stays byte-identical for everyone else — and the
-    timing wraps :func:`execute_run` from the outside, so the run itself
-    is the same code either way.
-    """
-    results = []
+    runs = []
     durations = []
     for spec in specs:
         begin = perf_counter()
-        results.append(execute_run(spec))
+        runs.append(execute_run(spec))
         durations.append(perf_counter() - begin)
-    return results, durations
+    return runs, durations
 
 
 # ---------------------------------------------------------------------------

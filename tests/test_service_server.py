@@ -12,6 +12,7 @@ from repro.core import FaultHypothesis, RunnableHypothesis
 from repro.core.config_io import hypothesis_to_dict
 from repro.core.reports import ErrorType, MonitorState
 from repro.service import SupervisionServer, WatchdogClient
+from repro.service.server import _MAX_PENDING_BYTES
 from repro.service.protocol import (
     FrameDecoder,
     MAX_FRAME_BYTES,
@@ -467,6 +468,155 @@ class TestShutdown:
                                            snapshot_interval=None)
             assert set(restarted.fleet.registrations) == {"p", "q"}
             await restarted.stop()
+        asyncio.run(scenario())
+
+
+def wide_hyp_dict(runnables: int = 64):
+    # One-cycle windows and no heartbeats: every runnable detects every
+    # check cycle, so each tick pushes one DETECTION per runnable.
+    hyp = FaultHypothesis()
+    names = [f"r{index}" for index in range(runnables)]
+    for name in names:
+        hyp.add_runnable(RunnableHypothesis(
+            name, task="T", aliveness_period=1, min_heartbeats=1))
+    hyp.allow_sequence(names)
+    return hypothesis_to_dict(hyp)
+
+
+async def connect_stalled(server, client):
+    """A ``watch=true`` peer that reads its HELLO ACK and nothing after,
+    with its server-side connection."""
+    peer = await _WireClient.connect(server)
+    await peer.send(T_HELLO, client=client, watch=True)
+    assert (await peer.recv_frame()).get("ok")
+    conn = next(c for c in server._connections if c.client_name == client)
+    return peer, conn
+
+
+async def count_detections_until_hello_ack(peer):
+    detections = 0
+    while True:
+        frame = await peer.recv_frame()
+        if frame.type == T_DETECTION:
+            detections += 1
+        elif frame.type == T_ACK and frame.get("re") == T_HELLO:
+            return detections
+
+
+class TestSlowConsumers:
+    REGISTRATIONS = 20
+
+    def test_peer_that_stops_reading_is_aborted_at_the_cap(self):
+        """A ``watch=true`` peer that never reads is aborted once the
+        daemon holds more than ``_MAX_PENDING_BYTES`` for it, and the
+        buffer never grows past the cap plus one frame.  A reading
+        watcher on the same daemon still receives every DETECTION."""
+        async def scenario():
+            server = await start_server()
+            reader = await _WireClient.connect(server)
+            await reader.send(T_HELLO, client="reader", watch=True)
+            assert (await reader.recv_frame()).get("ok")
+            for index in range(self.REGISTRATIONS):
+                await reader.send(T_REGISTER, name=f"app{index}",
+                                  hypothesis=wide_hyp_dict())
+                assert (await reader.recv_frame()).get("ok")
+            reader_output = next(iter(server._connections)).writer.transport
+            stalled, conn = await connect_stalled(server, "stalled")
+            transport = conn.writer.transport
+            write = transport.write
+            peak = largest = 0
+
+            def recording_write(data):
+                nonlocal peak, largest
+                write(data)
+                peak = max(peak, transport.get_write_buffer_size())
+                largest = max(largest, len(data))
+
+            transport.write = recording_write
+            raised = []
+            server.fleet.add_detection_listener(
+                lambda name, error: raised.append(name))
+            consumer = asyncio.ensure_future(
+                count_detections_until_hello_ack(reader))
+
+            async def tick():
+                nonlocal cycle
+                cycle += 1
+                server.tick(cycle * 10)
+                # The reader shares this loop: let it keep up.
+                await until(lambda: not reader_output.get_write_buffer_size(),
+                            interval=0.001, message="the reader to keep up")
+
+            cycle = 0
+            while not conn.closed and cycle < 500:
+                await tick()
+            assert conn.closed, "the stalled peer was never aborted"
+            assert peak <= _MAX_PENDING_BYTES + largest
+            assert server.telemetry.value(
+                "service_overflow_aborts_total") == 1
+            await until(lambda: conn not in server._connections,
+                        message="the server to drop the aborted peer")
+            assert server.telemetry.counter(
+                "service_disconnects_total", graceful="false").value == 1
+            for _ in range(3):
+                await tick()
+            await reader.send(T_HELLO, client="reader", watch=True)
+            assert await consumer == len(raised)
+            assert len(raised) == cycle * self.REGISTRATIONS * 64
+            await reader.close()
+            await stalled.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_aborted_owner_leaves_its_registrations_active(self):
+        async def scenario():
+            server = await start_server()
+            owner = await _WireClient.connect(server)
+            await owner.send(T_REGISTER, name="p", hypothesis=wide_hyp_dict())
+            assert (await owner.recv_frame()).get("ok")
+            registration = server.fleet.registration("p")
+            conn = next(iter(server._connections))
+            cycle = 0
+            while not conn.closed and cycle < 5000:
+                cycle += 1
+                server.tick(cycle * 10)
+                await asyncio.sleep(0)
+            assert conn.closed, "the owner was never aborted"
+            await until(lambda: not registration.connected,
+                        message="the server to drop the aborted owner")
+            assert registration.active
+            await owner.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_stop_does_not_hang_on_a_peer_that_does_not_read(self, tmp_path):
+        """Regression: closing a connection waited for its unsent bytes
+        to flush, so stop() never returned while a peer held a backlog,
+        and the final snapshot and the lock release never happened."""
+        state_dir = tmp_path / "state"
+
+        async def scenario():
+            server = await start_server(state_dir=str(state_dir),
+                                        snapshot_interval=None)
+            owner = await _WireClient.connect(server)
+            await owner.send(T_REGISTER, name="p", hypothesis=wide_hyp_dict())
+            assert (await owner.recv_frame()).get("ok")
+            await owner.close()
+            await until(lambda: not server._connections,
+                        message="the server to notice the EOF")
+            stalled, conn = await connect_stalled(server, "stalled")
+            transport = conn.writer.transport
+            cycle = 0
+            while transport.get_write_buffer_size() == 0 and cycle < 5000:
+                cycle += 1
+                server.tick(cycle * 10)
+                await asyncio.sleep(0)
+            assert not conn.closed and transport.get_write_buffer_size()
+            assert (state_dir / "primary.json").exists()
+            await asyncio.wait_for(server.stop(), timeout=5.0)
+            assert (state_dir / "snapshot.json").exists()
+            assert not (state_dir / "primary.json").exists()
+            await stalled.close()
         asyncio.run(scenario())
 
 
