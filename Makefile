@@ -24,7 +24,8 @@ REPRO = PYTHONPATH=src python -m repro
 # Benchmarks that append to a BENCH_<name>.json trajectory.
 BENCH_RECORD = benchmarks/test_bench_service_recovery.py \
 	benchmarks/test_bench_snapshot.py benchmarks/test_bench_footprint.py \
-	benchmarks/test_bench_service_ingest.py benchmarks/test_bench_fleet_tick.py
+	benchmarks/test_bench_service_ingest.py benchmarks/test_bench_fleet_tick.py \
+	benchmarks/test_bench_admission.py
 
 .PHONY: test lint bench-smoke bench wdbench bench-record metrics-smoke \
 	serve-smoke ha-smoke all

@@ -21,15 +21,19 @@ The record is appended to ``BENCH_footprint.json``
 (:func:`benchutil.record`).
 """
 
-import os
-import selectors
-import signal
 import statistics
 import subprocess
 import sys
 import time
 
-from benchutil import REPO_ROOT, record, run_once
+from benchutil import (
+    REPO_ROOT,
+    daemon_env,
+    record,
+    run_once,
+    spawn_daemon,
+    stop_daemon,
+)
 
 REPEATS = 5
 TIMEOUT_S = 10.0
@@ -40,37 +44,12 @@ _PARSER_PROBE = ("import time; began = time.perf_counter(); "
                  "print(time.perf_counter() - began)")
 
 
-def _env(pycache):
-    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"),
-               PYTHONPYCACHEPREFIX=pycache)
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    return env
-
-
-def _read_banner(proc):
-    deadline = time.monotonic() + TIMEOUT_S
-    with selectors.DefaultSelector() as sel:
-        sel.register(proc.stdout, selectors.EVENT_READ)
-        while sel.select(max(0.0, deadline - time.monotonic())):
-            line = proc.stdout.readline().decode()
-            if " listening " in line:
-                return line
-            if not line:
-                break
-    raise RuntimeError("daemon printed no banner")
-
-
 def spawn_idle_daemon(pycache):
     """Spawn one daemon, wait for its banner, read its ``/proc`` figures
     and stop it; returns one sample."""
     began = time.perf_counter()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--http-port", "0"],
-        cwd=REPO_ROOT, env=_env(pycache), stdin=subprocess.DEVNULL,
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    proc, _ = spawn_daemon(pycache, timeout=TIMEOUT_S)
     try:
-        _read_banner(proc)
         sample = {"banner_ms": (time.perf_counter() - began) * 1000}
         with open(f"/proc/{proc.pid}/status") as handle:
             for line in handle:
@@ -81,20 +60,14 @@ def spawn_idle_daemon(pycache):
             maps = handle.read()
         sample["openssl_mapped"] = "libssl" in maps or "libcrypto" in maps
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
+        stop_daemon(proc, timeout=TIMEOUT_S)
     return sample
 
 
 def parser_seconds(pycache):
     result = subprocess.run(
         [sys.executable, "-c", _PARSER_PROBE], cwd=REPO_ROOT,
-        env=_env(pycache), capture_output=True, text=True, check=True,
+        env=daemon_env(pycache), capture_output=True, text=True, check=True,
         timeout=TIMEOUT_S)
     return float(result.stdout)
 

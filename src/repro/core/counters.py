@@ -21,7 +21,7 @@ fault hypothesis expire or an error is detected in the last cycle."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -84,22 +84,14 @@ class SlotCounterArrays:
 
     __slots__ = ("ac", "arc", "cca", "ccar", "active")
 
-    def __init__(self) -> None:
-        self.ac: List[int] = []
-        self.arc: List[int] = []
-        self.cca: List[int] = []
-        self.ccar: List[int] = []
-        self.active: List[bool] = []
-
-    def add_slot(self, active: bool = True) -> int:
-        """Append one zeroed slot; returns its index."""
-        slot = len(self.ac)
-        self.ac.append(0)
-        self.arc.append(0)
-        self.cca.append(0)
-        self.ccar.append(0)
-        self.active.append(active)
-        return slot
+    def __init__(self, active: Sequence[bool] = ()) -> None:
+        """One zeroed slot per entry of ``active`` (its initial AS)."""
+        slots = len(active)
+        self.ac: List[int] = [0] * slots
+        self.arc: List[int] = [0] * slots
+        self.cca: List[int] = [0] * slots
+        self.ccar: List[int] = [0] * slots
+        self.active: List[bool] = list(active)
 
     def __len__(self) -> int:
         return len(self.ac)

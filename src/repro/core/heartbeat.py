@@ -118,21 +118,13 @@ class HeartbeatMonitoringUnit:
         #: Slot index → runnable name / hypothesis (flat, slot-ordered).
         self.names: List[str] = tables.names
         self._hyps: List[RunnableHypothesis] = tables.hyps
-        self.counters = SlotCounterArrays()
-        for hyp in self._hyps:
-            self.counters.add_slot(active=hyp.active)
+        self.counters = SlotCounterArrays([hyp.active for hyp in self._hyps])
         # Wheel bookkeeping (maintained even under the scan strategy so
         # the strategy could be flipped between cycles if ever needed;
-        # the cost is two ints per slot).
-        self._alive_base: List[int] = [0] * len(self.names)
-        self._arr_base: List[int] = [0] * len(self.names)
-        self._alive_due: List[int] = [_DISARMED] * len(self.names)
-        self._arr_due: List[int] = [_DISARMED] * len(self.names)
-        #: Due cycle → wheel entries (``slot << 1 | kind``) expiring then.
-        self._wheel: Dict[int, List[int]] = {}
-        for slot in range(len(self.names)):
-            if self.counters.active[slot]:
-                self._arm_slot(slot)
+        # the cost is two ints per slot): each slot's period bases and
+        # deadlines, and ``_wheel``, due cycle → wheel entries
+        # (``slot << 1 | kind``) expiring then.
+        self._arm_all()
         # Telemetry: high-frequency tallies stay plain ints on the hot
         # path and are folded into registry counters once per check
         # cycle (sync_telemetry); only the cycle-duration histogram is
@@ -163,7 +155,7 @@ class HeartbeatMonitoringUnit:
         self._tm_monitored = tm.gauge(
             "wd_hbm_active_runnables",
             "Runnables with Activation Status true")
-        self._tm_monitored.inc(sum(1 for a in self.counters.active if a))
+        self._tm_monitored.inc(self.counters.active.count(True))
         #: Last-synced values of (cycles, heartbeats, unknown, slots, resets).
         self._tm_synced = (0, 0, 0, 0, 0)
         self._tm_cycles_unsynced = 0
@@ -440,14 +432,7 @@ class HeartbeatMonitoringUnit:
         self._arr_base = [int(v) for v in state["arr_base"]]
         self._alive_due = [int(v) for v in state["alive_due"]]
         self._arr_due = [int(v) for v in state["arr_due"]]
-        # Rebuild the wheel from the deadline arrays; bucket-internal
-        # order is irrelevant (due slots are judged in sorted slot
-        # order), so this reconstruction is behavior-identical.
-        self._wheel.clear()
-        for kind, dues in ((_ALIVE, self._alive_due), (_ARRIVAL, self._arr_due)):
-            for slot, deadline in enumerate(dues):
-                if deadline != _DISARMED:
-                    self._wheel.setdefault(deadline, []).append(slot << 1 | kind)
+        self._rebuild_wheel()
         # Telemetry: the gauge moves by this unit's change in restored AS
         # flags; the sync marks move to the restored tallies so registry
         # counters only grow by post-restore activity (a restarted
@@ -479,14 +464,36 @@ class HeartbeatMonitoringUnit:
         self.counter_resets = 0
         self._tm_synced = (0, 0, 0, 0, 0)
         self.counters.reset_all()
-        self._wheel.clear()
-        for slot in range(len(self.names)):
-            if self.counters.active[slot]:
-                self._arm_slot(slot)
-            else:
-                self._disarm_slot(slot)
+        self._arm_all()
 
     # ------------------------------------------------------------------
+    def _arm_all(self) -> None:
+        """Schedule every active slot's deadlines one period from now,
+        disarm the inactive ones, and rebuild the wheel."""
+        now = self.cycle_count
+        slots = len(self._hyps)
+        active = self.counters.active
+        self._alive_base: List[int] = [now] * slots
+        self._arr_base: List[int] = [now] * slots
+        self._alive_due: List[int] = [
+            now + hyp.aliveness_period if on else _DISARMED
+            for hyp, on in zip(self._hyps, active)]
+        self._arr_due: List[int] = [
+            now + hyp.arrival_period if on else _DISARMED
+            for hyp, on in zip(self._hyps, active)]
+        self._rebuild_wheel()
+
+    def _rebuild_wheel(self) -> None:
+        """Derive the bucket map from the deadline arrays.  Order within
+        a bucket is irrelevant (due slots are judged in sorted slot
+        order), so a rebuilt wheel behaves exactly like the original."""
+        wheel: Dict[int, List[int]] = {}
+        for kind, dues in ((_ALIVE, self._alive_due), (_ARRIVAL, self._arr_due)):
+            for slot, deadline in enumerate(dues):
+                if deadline != _DISARMED:
+                    wheel.setdefault(deadline, []).append(slot << 1 | kind)
+        self._wheel: Dict[int, List[int]] = wheel
+
     def _arm_slot(self, slot: int) -> None:
         """Schedule both of a slot's deadlines one period from now."""
         now = self.cycle_count

@@ -23,6 +23,12 @@ class HypothesisError(ValueError):
     """Raised for an inconsistent fault hypothesis."""
 
 
+def _require_int(what: str, value: object) -> None:
+    """Reject anything but a plain integer (``bool`` included)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise HypothesisError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass
 class RunnableHypothesis:
     """Monitoring parameters for one runnable.
@@ -62,6 +68,25 @@ class RunnableHypothesis:
     active: bool = True
 
     def __post_init__(self) -> None:
+        # Types first: a hypothesis also arrives as JSON from a client.
+        # A float period never matches the wheel's integer cycle index
+        # (the runnable would never be checked), ``true`` would pass as
+        # 1, and a non-string name or task cannot key the units' tables.
+        if not isinstance(self.runnable, str) or not self.runnable:
+            raise HypothesisError(
+                f"runnable must be a non-empty string, got {self.runnable!r}")
+        if self.task is not None and not isinstance(self.task, str):
+            raise HypothesisError(
+                f"{self.runnable}: task must be a string or None, "
+                f"got {self.task!r}")
+        for field_name in ("aliveness_period", "min_heartbeats",
+                           "arrival_period", "max_heartbeats"):
+            _require_int(f"{self.runnable}: {field_name}",
+                         getattr(self, field_name))
+        if not isinstance(self.active, bool):
+            raise HypothesisError(
+                f"{self.runnable}: active must be true or false, "
+                f"got {self.active!r}")
         if self.aliveness_period < 1:
             raise HypothesisError(
                 f"{self.runnable}: aliveness_period must be >= 1"
@@ -95,6 +120,9 @@ class ThresholdPolicy:
         starts — :meth:`threshold_for` sits in the per-error hot path and
         must stay a plain lookup.
         """
+        _require_int("default threshold", self.default)
+        for error_type, value in self.per_type.items():
+            _require_int(f"threshold for {error_type}", value)
         if self.default < 1:
             raise HypothesisError(
                 f"default threshold must be >= 1, got {self.default}"

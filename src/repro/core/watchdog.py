@@ -42,6 +42,8 @@ from .taskstate import TaskStateIndicationUnit
 
 FaultListener = Callable[[RunnableError], None]
 
+_ERROR_TYPES = tuple(ErrorType)
+
 
 class SoftwareWatchdog:
     """The complete dependability software service of the paper.
@@ -109,7 +111,7 @@ class SoftwareWatchdog:
         self.pfc.add_listener(self._on_runnable_error)
         #: Cumulative detections per error type (the y-values of the
         #: "AM Result" / "PFC Result" plots).
-        self.detected: Dict[ErrorType, int] = {et: 0 for et in ErrorType}
+        self.detected: Dict[ErrorType, int] = dict.fromkeys(_ERROR_TYPES, 0)
         #: Cumulative detections per (runnable, error type).
         self.detected_per_runnable: Dict[str, Dict[ErrorType, int]] = {}
         self.check_cycle_count = 0
@@ -117,7 +119,7 @@ class SoftwareWatchdog:
         self._fault_listeners: List[FaultListener] = []
         if self._tm_enabled:
             # Create every series up front so exports show zeros.
-            for et in ErrorType:
+            for et in _ERROR_TYPES:
                 self._detection_counter(et)
         if self.event_sink.enabled:
             self.tsi.add_task_fault_listener(self._emit_task_fault_event)
@@ -331,7 +333,7 @@ class SoftwareWatchdog:
         self.hbm.reset()
         self.pfc.reset_all()
         self.tsi.reset()
-        self.detected = {et: 0 for et in ErrorType}
+        self.detected = dict.fromkeys(_ERROR_TYPES, 0)
         self.detected_per_runnable.clear()
         self.check_cycle_count = 0
 
@@ -363,7 +365,7 @@ class SoftwareWatchdog:
         return self.telemetry.counter(
             "wd_detections_total",
             "Detected runnable errors by error type",
-            error_type=error_type.value,
+            error_type=error_type._value_,
         )
 
     def _emit_task_fault_event(self, event: TaskFaultEvent) -> None:

@@ -137,11 +137,14 @@ def encode_payload(type: str, **data: Any) -> Dict[str, Any]:
     return payload
 
 
+#: Compact JSON encoding; built once (``json.dumps`` with non-default
+#: options builds a new encoder on every call).
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def encode_frame(type: str, **data: Any) -> bytes:
     """Serialize one frame: length header plus JSON payload."""
-    body = json.dumps(
-        encode_payload(type, **data), separators=(",", ":")
-    ).encode("utf-8")
+    body = _encode_json(encode_payload(type, **data)).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload of {len(body)} bytes exceeds the "

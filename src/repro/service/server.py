@@ -13,9 +13,12 @@ dependability service rather than a liability:
   exists to produce; a peer that stops reading is aborted once its
   unsent output passes ``_MAX_PENDING_BYTES``, and counts as such a
   disconnect;
-* **overload is pushed back, not queued** — indications are applied
-  to the supervision table as their frame is read, and a connection's
-  next chunk is read only after the previous one has been applied, so
+* **overload is pushed back, not queued** — each wire connection is
+  an :class:`asyncio.BufferedProtocol`: the transport reads at most
+  ``_READ_SIZE`` bytes into one reused buffer, and the callback that
+  reports them decodes the frames and applies their indications to the
+  supervision table before it returns.  A connection's next chunk is
+  therefore read only after the previous one has been applied, and
   TCP flow control stalls a sender that outruns the daemon; the only
   place that drops indications is the SDK's bounded buffer, oldest
   first and counted in ``client.dropped``;
@@ -33,6 +36,7 @@ responder — no web framework, no dependency.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import time as _time
@@ -90,20 +94,51 @@ _MAX_PENDING_BYTES = 4 * 1024 * 1024
 _CLOSE_FLUSH_S = 1.0
 
 
-class _Connection:
-    """Per-connection state: the writer, the bound registrations."""
+class _Connection(asyncio.BufferedProtocol):
+    """One wire connection: the protocol its transport feeds, and its
+    state (the bound registrations, the watch flag).
+
+    The transport reads into the server's one ``_READ_SIZE`` buffer and
+    calls :meth:`buffer_updated`, which decodes and dispatches the chunk
+    before it returns: one loop callback per chunk, and the socket is
+    not read again until the chunk has been applied (design rule 2).
+    """
 
     _ids = 0
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
+    def __init__(self, server: "SupervisionServer") -> None:
         _Connection._ids += 1
         self.id = _Connection._ids
-        self.writer = writer
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.decoder = FrameDecoder()
         self.client_name: Optional[str] = None
         self.registrations: Set[str] = set()
         self.watching = False
         self.said_bye = False
         self.closed = False
+        #: Resolved when the transport is gone (flushed or aborted).
+        self.lost = server._loop.create_future()
+        self._abort_timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.server._connection_made(self)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.server._read_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.server._receive(self, self.server._read_buffer[:nbytes])
+
+    def eof_received(self) -> None:
+        self.server._close(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self._abort_timer is not None:
+            self._abort_timer.cancel()
+        self.lost.set_result(None)
+        self.server._connection_lost(self)
 
 
 class SupervisionServer:
@@ -156,7 +191,14 @@ class SupervisionServer:
         )
         self._conn_of: Dict[str, _Connection] = {}
         self._state_hooked: Set[str] = set()
+        #: Live connections (pushes go to these).
         self._connections: Set[_Connection] = set()
+        #: Released connections whose transport is still flushing.
+        self._closing: Set[_Connection] = set()
+        #: The one receive buffer every connection reads into: a chunk
+        #: is applied before its ``buffer_updated`` returns, so no two
+        #: reads ever hold it at once.
+        self._read_buffer = memoryview(bytearray(_READ_SIZE))
         self._tasks: List[asyncio.Task] = []
         self._servers: List[asyncio.AbstractServer] = []
         self._started = False
@@ -219,8 +261,9 @@ class SupervisionServer:
             "DETECTION/STATE pushes dropped because no client was bound")
         self._tm_handler_errors = tm.counter(
             "service_handler_errors_total",
-            "Indications whose supervision-table handler raised "
-            "(isolated, the rest of the frame is still applied)")
+            "Indications and registration check cycles whose handler "
+            "raised (isolated: the rest of the frame, and the other "
+            "registrations' cycles, still run)")
         self._tm_journal_records = tm.counter(
             "service_journal_records_total",
             "State-changing frames appended to the durable journal")
@@ -281,16 +324,15 @@ class SupervisionServer:
         """Bind listeners, start the ticker and snapshots (the
         active-server half of startup, deferred in standby mode)."""
         loop = asyncio.get_running_loop()
+        protocol = functools.partial(_Connection, self)
         if self.port is not None:
-            server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port
-            )
+            server = await loop.create_server(
+                protocol, host=self.host, port=self.port)
             self.port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
         if self.unix_path is not None:
-            server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.unix_path
-            )
+            server = await loop.create_unix_server(
+                protocol, path=self.unix_path)
             self._servers.append(server)
         if self.http_port is not None:
             server = await asyncio.start_server(
@@ -326,10 +368,10 @@ class SupervisionServer:
             # race it for the temp file, nor be replaced by its older
             # payload after the journal has been truncated.
             await asyncio.gather(self._snapshot_write, return_exceptions=True)
-        await asyncio.gather(*(
-            self._close_connection(conn, graceful=conn.said_bye)
-            for conn in list(self._connections)
-        ))
+        for conn in list(self._connections):
+            self._close(conn)
+        # Each close flushes for at most _CLOSE_FLUSH_S, then aborts.
+        await asyncio.gather(*(conn.lost for conn in list(self._closing)))
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
@@ -358,7 +400,13 @@ class SupervisionServer:
         """One fleet check cycle (the ticker's body; tests call it
         directly when ``tick_interval=None``)."""
         started = _time.perf_counter()
+        table = self.fleet.table
+        failed = table.cycle_errors
         errors = self.fleet.tick(self.now() if time is None else time)
+        failed = table.cycle_errors - failed
+        if failed:
+            self.handler_errors += failed
+            self._tm_handler_errors.inc(failed)
         self._tm_tick_duration.observe(_time.perf_counter() - started)
         return errors
 
@@ -581,54 +629,36 @@ class SupervisionServer:
     # ------------------------------------------------------------------
     # wire protocol connections
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Connection(writer)
+    def _connection_made(self, conn: _Connection) -> None:
         self._connections.add(conn)
         self._tm_connections.inc()
-        decoder = FrameDecoder()
+
+    def _connection_lost(self, conn: _Connection) -> None:
+        self._closing.discard(conn)
+        self._release(conn)
+
+    def _receive(self, conn: _Connection, chunk: memoryview) -> None:
+        """Decode and apply one chunk of a connection's byte stream."""
+        fatal: Optional[FatalProtocolError] = None
         try:
-            while not conn.closed:
-                chunk = await reader.read(_READ_SIZE)
-                if not chunk:
-                    break
-                fatal: Optional[FatalProtocolError] = None
-                try:
-                    items = decoder.feed(chunk)
-                except FatalProtocolError as exc:
-                    # Frames ahead of the corrupt header were framed
-                    # correctly: act on them, then close.
-                    items, fatal = exc.frames, exc
-                for item in items:
-                    if isinstance(item, ProtocolError):
-                        self._tm_malformed.inc()
-                        self._send(
-                            conn, T_ACK, ok=False, re=None, error=str(item)
-                        )
-                        continue
-                    self._dispatch(conn, item)
-                    if conn.said_bye:
-                        break
-                if conn.said_bye:
-                    break
-                if fatal is not None:
-                    self._tm_malformed.inc()
-                    self._send(conn, T_ACK, ok=False, re=None, error=str(fatal))
-                    break
-                # read() returns already-buffered bytes without
-                # suspending, so a backlogged connection would otherwise
-                # hold the loop chunk after chunk and starve the ticker.
-                await asyncio.sleep(0)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Only stop() cancels connection readers; exiting quietly
-            # keeps shutdown free of "exception was never retrieved"
-            # noise from the streams machinery.
-            pass
-        finally:
-            await self._close_connection(conn, graceful=conn.said_bye)
+            items = conn.decoder.feed(chunk)
+        except FatalProtocolError as exc:
+            # Frames ahead of the corrupt header were framed correctly:
+            # act on them, then close.
+            items, fatal = exc.frames, exc
+        for item in items:
+            if isinstance(item, ProtocolError):
+                self._tm_malformed.inc()
+                self._send(conn, T_ACK, ok=False, re=None, error=str(item))
+                continue
+            self._dispatch(conn, item)
+            if conn.said_bye:
+                self._close(conn)
+                return
+        if fatal is not None:
+            self._tm_malformed.inc()
+            self._send(conn, T_ACK, ok=False, re=None, error=str(fatal))
+            self._close(conn)
 
     def _dispatch(self, conn: _Connection, frame: Frame) -> None:
         counter = self._tm_frames.get(frame.type)
@@ -674,9 +704,15 @@ class SupervisionServer:
                        error="REGISTER needs a 'hypothesis' object")
             return
         app_of_task = frame.get("app_of_task")
-        if app_of_task is not None and not isinstance(app_of_task, dict):
+        if app_of_task is not None and not (
+                isinstance(app_of_task, dict) and all(
+                    isinstance(value, str) for value in app_of_task.values())):
+            # The TSI unit keys application states by these values: a
+            # list there raised inside the check cycle and stopped the
+            # ticker for every registration.
             self._send(conn, T_ACK, ok=False, re=T_REGISTER, name=name,
-                       error="'app_of_task' must be an object")
+                       error="'app_of_task' must map task names to "
+                             "application names (strings)")
             return
         rebound = self.fleet.registration(name) is not None
         try:
@@ -707,9 +743,7 @@ class SupervisionServer:
             self._journal(
                 JOURNAL_REGISTER, name,
                 hypothesis=registration.hypothesis_dict,
-                app_of_task=(
-                    dict(app_of_task) if app_of_task is not None else None
-                ),
+                app_of_task=registration.app_of_task,
             )
         self._send(
             conn, T_ACK, ok=True, re=T_REGISTER, name=name, rebound=rebound,
@@ -827,29 +861,39 @@ class SupervisionServer:
     def _send(self, conn: _Connection, type: str, **data: Any) -> bool:
         if conn.closed:
             return False
-        try:
-            conn.writer.write(encode_frame(type, **data))
-        except (ConnectionError, RuntimeError):
-            conn.closed = True
-            return False
-        transport = conn.writer.transport
+        transport = conn.transport
+        transport.write(encode_frame(type, **data))
         if transport.get_write_buffer_size() > _MAX_PENDING_BYTES:
-            # The peer stopped reading.  Aborting discards its backlog;
-            # its reader then sees EOF and closes the connection as a
-            # crash, so registrations it owns stay active and their
-            # silence is detected (design rule 1).
+            # The peer stopped reading.  Aborting discards its backlog
+            # and drops the connection as a crash, so registrations it
+            # owns stay active and their silence is detected (design
+            # rule 1).
             conn.closed = True
             transport.abort()
             self._tm_overflow_aborts.inc()
             return False
         return True
 
-    async def _close_connection(self, conn: _Connection, *, graceful: bool) -> None:
+    def _close(self, conn: _Connection) -> None:
+        """Release ``conn`` and close its transport, which flushes the
+        unsent bytes for at most ``_CLOSE_FLUSH_S`` before it is
+        aborted (a peer that does not read never lets them flush)."""
+        self._release(conn)
+        if conn.lost.done() or conn.transport.is_closing():
+            return
+        self._closing.add(conn)
+        conn.transport.close()
+        conn._abort_timer = self._loop.call_later(
+            _CLOSE_FLUSH_S, conn.transport.abort)
+
+    def _release(self, conn: _Connection) -> None:
+        """Unbind a connection that said BYE, hit EOF, broke or was
+        aborted; its transport may still be flushing."""
         if conn not in self._connections:
             return
         self._connections.discard(conn)
         self._tm_connections.dec()
-        self._tm_disconnects[graceful].inc()
+        self._tm_disconnects[conn.said_bye].inc()
         for name in conn.registrations:
             registration = self.fleet.registration(name)
             if registration is not None:
@@ -860,14 +904,6 @@ class SupervisionServer:
             # silent runnables accumulate missed heartbeats and the
             # watchdog derives the fault — the required degradation.
         conn.closed = True
-        try:
-            conn.writer.close()
-            await asyncio.wait_for(conn.writer.wait_closed(), _CLOSE_FLUSH_S)
-        except asyncio.TimeoutError:
-            # A peer that does not read never lets the buffer flush.
-            conn.writer.transport.abort()
-        except (ConnectionError, OSError):
-            pass
 
     # ------------------------------------------------------------------
     # HTTP: /metrics and /healthz

@@ -28,6 +28,7 @@ REGISTER.
 from __future__ import annotations
 
 import json
+import marshal
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.config_io import hypothesis_from_dict
@@ -182,10 +183,17 @@ class HypothesisCache:
     so two hypotheses the rebind rule tells apart are never merged.  Only
     admitted hypotheses are cached: a parse failure, a lint error or a
     ``strict`` rejection recompiles on every attempt.
+
+    Encoding that key costs more than admitting a hit, so a cached entry
+    is also found by the :mod:`marshal` bytes of each submission it
+    admitted.  Those bytes record every value's type, so a submission
+    they match has the same canonical JSON too.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[str, CompiledHypothesis] = {}
+        #: marshal bytes of an admitted submission → its entry.
+        self._seen: Dict[bytes, CompiledHypothesis] = {}
         #: Parse-and-lint runs (cache misses, rejected attempts included).
         self.compiles = 0
         #: Admissions served from an already compiled hypothesis.
@@ -199,10 +207,18 @@ class HypothesisCache:
         """The compiled form of ``submitted``; raises
         :class:`RegistrationError` when the hypothesis is rejected."""
         try:
-            key: Optional[str] = json.dumps(submitted, sort_keys=True)
-        except (TypeError, ValueError, RecursionError):
-            key = None  # not plain JSON: admitted, never cached
-        entry = self._entries.get(key) if key is not None else None
+            seen: Optional[bytes] = marshal.dumps(submitted)
+        except ValueError:  # an object marshal cannot encode
+            seen = None
+        entry = self._seen.get(seen) if seen is not None else None
+        key: Optional[str] = None
+        if entry is None:
+            try:
+                key = json.dumps(submitted, sort_keys=True)
+            except (TypeError, ValueError, RecursionError):
+                pass  # not plain JSON: admitted, never cached
+            else:
+                entry = self._entries.get(key)
         cached = entry is not None and entry.hypothesis_dict == submitted
         if not cached:
             self.compiles += 1
@@ -215,6 +231,8 @@ class HypothesisCache:
             self.hits += 1
         elif key is not None:
             self._entries[key] = entry
+        if key is not None and seen is not None:
+            self._seen[seen] = entry
         return entry
 
 
@@ -229,7 +247,8 @@ def _compile(name: str, submitted: Dict[str, Any]) -> CompiledHypothesis:
 
     try:
         hypothesis = hypothesis_from_dict(dict(submitted))
-    except (HypothesisError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, HypothesisError, KeyError, TypeError,
+            ValueError) as exc:
         raise RegistrationError([f"invalid hypothesis: {exc}"]) from None
     report = lint_hypothesis(hypothesis, source=name)
     errors = [
@@ -266,6 +285,9 @@ class SupervisorShard:
         #: Compiled hypotheses, one per distinct submitted hypothesis.
         self.hypotheses = HypothesisCache()
         self.tick_count = 0
+        #: Registration check cycles that raised.  Each is isolated: the
+        #: other registrations' cycles still run.
+        self.cycle_errors = 0
         self._detection_listeners: List[DetectionListener] = []
         self._task_fault_listeners: List[TaskFaultListener] = []
 
@@ -348,11 +370,18 @@ class SupervisorShard:
         entry.watchdog.notify_task_start(task)
 
     def tick(self, time: int) -> List[Tuple[str, RunnableError]]:
-        """One check cycle over every registration."""
+        """One check cycle over every registration.  A registration whose
+        cycle raises loses only that cycle (counted in ``cycle_errors``);
+        the others are still checked."""
         self.tick_count += 1
         errors: List[Tuple[str, RunnableError]] = []
         for entry in self.registrations.values():
-            for error in entry.watchdog.check_cycle(time):
+            try:
+                found = entry.watchdog.check_cycle(time)
+            except Exception:
+                self.cycle_errors += 1
+                continue
+            for error in found:
                 errors.append((entry.name, error))
         return errors
 

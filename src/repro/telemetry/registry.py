@@ -251,6 +251,13 @@ class MetricsRegistry:
         self._families: Dict[str, Tuple[str, str]] = {}
         #: (name, labels) → instrument.
         self._instruments: Dict[Tuple[str, LabelsKey], Any] = {}
+        #: (kind, name, labels as passed) → instrument: the factories'
+        #: fast path for an instrument they already created, which skips
+        #: the name check and the label sort.  Only string label values
+        #: are keyed here (``True`` and ``1`` hash alike but label
+        #: differently), and only once the family has its help text, so
+        #: a hit has nothing left to update.
+        self._created: Dict[Tuple[Any, ...], Any] = {}
         #: Family creation order, for stable exposition output.
         self._order: List[str] = []
 
@@ -282,6 +289,14 @@ class MetricsRegistry:
         labels: Dict[str, str],
         **extra: Any,
     ) -> Any:
+        try:
+            created_key: Optional[Tuple[Any, ...]] = (
+                kind, name, *labels.items())
+            instrument = self._created.get(created_key)
+        except TypeError:  # an unhashable label value: no fast path
+            created_key = instrument = None
+        if instrument is not None:
+            return instrument
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         family = self._families.get(name)
@@ -300,6 +315,9 @@ class MetricsRegistry:
         if instrument is None:
             instrument = self._KINDS[kind](name, key[1], **extra)
             self._instruments[key] = instrument
+        if (created_key is not None and self._families[name][1]
+                and all(type(value) is str for value in labels.values())):
+            self._created[created_key] = instrument
         return instrument
 
     # ------------------------------------------------------------------

@@ -33,6 +33,20 @@ class TestRunnableHypothesis:
         with pytest.raises(HypothesisError):
             RunnableHypothesis("R", max_heartbeats=-1)
 
+    @pytest.mark.parametrize("fields", [
+        {"runnable": 7}, {"runnable": ""}, {"task": ["T"]},
+        {"aliveness_period": 2.5}, {"aliveness_period": True},
+        {"arrival_period": 50.0}, {"min_heartbeats": "1"},
+        {"max_heartbeats": None}, {"active": 1},
+    ], ids=repr)
+    def test_ill_typed_field_rejected(self, fields):
+        """A float period never matches the wheel's integer cycle index,
+        so such a runnable would never be checked; ``True`` would pass
+        as 1."""
+        fields = {"runnable": "R", **fields}
+        with pytest.raises(HypothesisError):
+            RunnableHypothesis(**fields)
+
 
 class TestThresholdPolicy:
     def test_default(self):
@@ -52,6 +66,14 @@ class TestThresholdPolicy:
             ThresholdPolicy(per_type={ErrorType.ALIVENESS: 0}).validate()
         # threshold_for is a pure hot-path lookup: no validation there.
         assert policy.threshold_for(ErrorType.ALIVENESS) == 0
+
+    @pytest.mark.parametrize("policy", [
+        ThresholdPolicy(default=2.5), ThresholdPolicy(default=True),
+        ThresholdPolicy(per_type={ErrorType.ALIVENESS: 1.0}),
+    ], ids=repr)
+    def test_ill_typed_threshold_rejected_at_validation(self, policy):
+        with pytest.raises(HypothesisError):
+            policy.validate()
 
     def test_hypothesis_validate_checks_thresholds(self):
         hyp = FaultHypothesis(thresholds=ThresholdPolicy(default=0))

@@ -12,7 +12,7 @@ from repro.core import FaultHypothesis, RunnableHypothesis
 from repro.core.config_io import hypothesis_to_dict
 from repro.core.reports import ErrorType, MonitorState
 from repro.service import SupervisionServer, WatchdogClient
-from repro.service.server import _MAX_PENDING_BYTES
+from repro.service.server import _MAX_PENDING_BYTES, _READ_SIZE
 from repro.service.protocol import (
     FrameDecoder,
     MAX_FRAME_BYTES,
@@ -520,9 +520,9 @@ class TestSlowConsumers:
                 await reader.send(T_REGISTER, name=f"app{index}",
                                   hypothesis=wide_hyp_dict())
                 assert (await reader.recv_frame()).get("ok")
-            reader_output = next(iter(server._connections)).writer.transport
+            reader_output = next(iter(server._connections)).transport
             stalled, conn = await connect_stalled(server, "stalled")
-            transport = conn.writer.transport
+            transport = conn.transport
             write = transport.write
             peak = largest = 0
 
@@ -605,7 +605,7 @@ class TestSlowConsumers:
             await until(lambda: not server._connections,
                         message="the server to notice the EOF")
             stalled, conn = await connect_stalled(server, "stalled")
-            transport = conn.writer.transport
+            transport = conn.transport
             cycle = 0
             while transport.get_write_buffer_size() == 0 and cycle < 5000:
                 cycle += 1
@@ -822,5 +822,248 @@ class TestOverload:
             assert (health["dropped"], health["queued"]) == (0, 0)
             assert server.missed_ticks <= 1
             await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+
+async def assert_still_ticking(server, cycles=20):
+    """The real-time ticker is alive: ``cycles`` more check cycles run."""
+    target = server.fleet.stats()["ticks"] + cycles
+    await until(lambda: server.fleet.stats()["ticks"] >= target, timeout=5,
+                message=f"{cycles} more check cycles")
+
+
+def bad_hypotheses():
+    """``(case, hypothesis dict)`` for every ill-typed field the parser
+    must reject."""
+    def with_runnable(**fields):
+        hyp = make_hyp_dict()
+        hyp["runnables"][0].update(fields)
+        return hyp
+
+    def with_thresholds(**fields):
+        hyp = make_hyp_dict()
+        hyp["thresholds"].update(fields)
+        return hyp
+
+    return [
+        ("float period", with_runnable(aliveness_period=2.5)),
+        ("bool period", with_runnable(arrival_period=True)),
+        ("string bound", with_runnable(min_heartbeats="1")),
+        ("null bound", with_runnable(max_heartbeats=None)),
+        ("list task", with_runnable(task=["x"])),
+        ("int runnable", with_runnable(runnable=7)),
+        ("empty runnable", with_runnable(runnable="")),
+        ("int active", with_runnable(active=1)),
+        ("float threshold", with_thresholds(default=2.5)),
+        ("bool threshold", with_thresholds(per_type={"aliveness": True})),
+        ("list per_type", with_thresholds(per_type=[])),
+    ]
+
+
+class TestRegisterValidation:
+    """A REGISTER the supervision table cannot use is refused with an
+    error ACK; it must never be admitted and break a later check cycle."""
+
+    def test_non_string_application_is_rejected_and_ticker_survives(self):
+        """Regression: ``app_of_task={"T": ["x"]}`` was ACKed, and the
+        registration's first detection raised inside the check cycle,
+        which killed the ticker: supervision stopped for everyone."""
+        async def scenario():
+            server = await start_server(tick_interval=0.005)
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="bad",
+                            hypothesis=make_hyp_dict(),
+                            app_of_task={"T": ["x"]})
+            nack = await peer.recv_frame()
+            assert not nack.get("ok") and "app_of_task" in nack.get("error")
+            assert server.fleet.registration("bad") is None
+            await peer.send(T_REGISTER, name="good",
+                            hypothesis=make_hyp_dict(),
+                            app_of_task={"T": "App"})
+            assert (await peer.recv_frame()).get("ok")
+            # "good" is silent: it detects, and the ticker keeps going.
+            await until(lambda: server.fleet.registration("good").detections,
+                        timeout=5, message="a detection")
+            await assert_still_ticking(server)
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "hypothesis", [hyp for _, hyp in bad_hypotheses()],
+        ids=[case for case, _ in bad_hypotheses()])
+    def test_ill_typed_hypothesis_is_rejected(self, hypothesis):
+        async def scenario():
+            server = await start_server(tick_interval=0.005)
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="bad", hypothesis=hypothesis)
+            nack = await peer.recv_frame()
+            assert not nack.get("ok")
+            assert "invalid hypothesis" in nack.get("error")
+            assert server.fleet.registration("bad") is None
+            await assert_still_ticking(server)
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+
+class _HbmFailingOnce:
+    """Stands in for a watchdog's HBM unit: the first check cycle raises,
+    everything else is the real unit's."""
+
+    def __init__(self, hbm):
+        self._hbm = hbm
+        self.failed = False
+
+    def cycle(self, time):
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("boom")
+        return self._hbm.cycle(time)
+
+    def __getattr__(self, name):
+        return getattr(self._hbm, name)
+
+
+class TestCheckCycleIsolation:
+    def test_failing_cycle_costs_only_its_own_registration(self):
+        """Three silent registrations; one watchdog's check cycle raises
+        once.  It loses that cycle, the other two detect exactly as
+        usual, and the failure is one handler error."""
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            for name in ("a", "b", "c"):
+                await peer.send(T_REGISTER, name=name,
+                                hypothesis=make_hyp_dict())
+                assert (await peer.recv_frame()).get("ok")
+            watchdog = server.fleet.registration("b").watchdog
+            watchdog.hbm = _HbmFailingOnce(watchdog.hbm)
+            for cycle in range(1, 5):
+                server.tick(cycle * 10)
+            detections = {name: server.fleet.registration(name).detections
+                          for name in ("a", "b", "c")}
+            # Two runnables, aliveness windows of two cycles: two
+            # windows in four cycles, one window in b's remaining three.
+            assert detections == {"a": 4, "b": 2, "c": 4}
+            assert server.handler_errors == 1
+            assert server.telemetry.value(
+                "service_handler_errors_total") == 1
+            assert server.health()["handler_errors"] == 1
+            assert server.fleet.table.cycle_errors == 1
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+
+class TestFraming:
+    """The wire reader against byte streams cut in every awkward place."""
+
+    def test_frame_sent_one_byte_per_send(self):
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            for byte in encode_frame(T_HELLO, client="slow"):
+                await peer.send_raw(bytes([byte]))
+                await asyncio.sleep(0)
+            ack = await peer.recv_frame()
+            assert ack.get("ok") and ack.get("re") == T_HELLO
+            assert next(iter(server._connections)).client_name == "slow"
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_length_header_split_across_reads(self):
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            frame = encode_frame(T_REGISTER, name="p",
+                                 hypothesis=make_hyp_dict())
+            await peer.send_raw(frame[:2])
+            await until(lambda: next(iter(server._connections))
+                        .decoder.pending_bytes() == 2,
+                        message="the server to read the half header")
+            await peer.send_raw(frame[2:])
+            assert (await peer.recv_frame()).get("ok")
+            assert server.fleet.registration("p") is not None
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_three_frames_in_one_write(self):
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send_raw(
+                encode_frame(T_HELLO, client="batch")
+                + encode_frame(T_REGISTER, name="p",
+                               hypothesis=make_hyp_dict())
+                + encode_frame(T_HEARTBEAT, name="p",
+                               batch=[["sense", 1, "T"], ["act", 2, "T"]]))
+            acks = [await peer.recv_frame() for _ in range(2)]
+            assert [ack.get("re") for ack in acks] == [T_HELLO, T_REGISTER]
+            assert all(ack.get("ok") for ack in acks)
+            await barrier(peer)
+            assert server.fleet.registration("p").indications == 2
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_frame_straddling_the_read_size(self):
+        """Heartbeat frames fill the first read up to a few bytes short
+        of ``_READ_SIZE``; the HELLO after them is cut by the boundary."""
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=flood_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            heartbeat = encode_frame(T_HEARTBEAT, name="p",
+                                     batch=[["hot", None, "T"]])
+            count = (_READ_SIZE - 3) // len(heartbeat)
+            payload = heartbeat * count
+            payload += encode_frame(
+                T_HELLO, client="x" * (_READ_SIZE - len(payload)))
+            assert len(payload) > _READ_SIZE > len(heartbeat) * count + 4
+            await peer.send_raw(payload)
+            ack = await peer.recv_frame()
+            assert ack.get("ok") and ack.get("re") == T_HELLO
+            assert server.fleet.registration("p").indications == count
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_eof_without_bye_leaves_registrations_active(self):
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            registration = server.fleet.registration("p")
+            assert registration.connected
+            peer.writer.write_eof()
+            await until(lambda: not server._connections,
+                        message="the server to notice the EOF")
+            assert registration.active and not registration.connected
+            assert server.telemetry.counter(
+                "service_disconnects_total", graceful="false").value == 1
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_bye_followed_by_immediate_close(self):
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            await peer.send(T_BYE)
+            await peer.close()  # without reading the BYE ACK
+            await until(lambda: not server._connections,
+                        message="the server to drop the connection")
+            registration = server.fleet.registration("p")
+            assert not registration.active and not registration.connected
+            assert server.telemetry.counter(
+                "service_disconnects_total", graceful="true").value == 1
             await server.stop()
         asyncio.run(scenario())

@@ -136,6 +136,30 @@ class TestRegistryFactories:
         with pytest.raises(ValueError):
             registry.gauge("metric")
 
+    def test_kind_conflict_rejected_after_repeat_lookups(self):
+        registry = MetricsRegistry()
+        for _ in range(3):
+            registry.counter("metric", "help", unit="x")
+        with pytest.raises(ValueError):
+            registry.gauge("metric", "help", unit="x")
+
+    def test_equal_but_differently_typed_label_values_stay_distinct(self):
+        """``True == 1``, but the label values render as "True" and "1"."""
+        registry = MetricsRegistry()
+        flagged = [registry.counter("c", "help", v=True) for _ in range(2)]
+        numbered = [registry.counter("c", "help", v=1) for _ in range(2)]
+        assert flagged[0] is flagged[1]
+        assert numbered[0] is numbered[1]
+        assert flagged[0] is not numbered[0]
+        assert numbered[0].labels == (("v", "1"),)
+
+    def test_help_given_later_fills_the_family(self):
+        registry = MetricsRegistry()
+        a = registry.counter("c_total")
+        b = registry.counter("c_total", "what it counts")
+        assert a is b
+        assert "# HELP c_total what it counts" in registry.render_prometheus()
+
     def test_invalid_metric_name_rejected(self):
         with pytest.raises(ValueError):
             MetricsRegistry().counter("bad-name")
