@@ -1,36 +1,44 @@
-"""Snapshot stage cost of the supervision daemon (build, write, size).
+"""Snapshot stage cost of the supervision daemon (event loop, commit, heap).
 
-Every ``--snapshot-interval`` the daemon captures its fleet on the event
-loop (``Fleet.snapshot`` plus ``StateStore.build_snapshot_payload``) and
-hands the capture to a worker thread that encodes and writes it
-(``StateStore.write_snapshot_payload``).  The capture holds the event
-loop outright; the write holds the GIL for as long as the JSON encoder
-runs in Python.  Both, and the file they produce, should scale with the
+Every ``--snapshot-interval`` the daemon writes its fleet to disk
+(``SupervisionServer._write_snapshot_async``).  What the event loop runs
+of that snapshot delays heartbeat ingest and the check-cycle ticker;
+what runs in the worker thread (``StateStore.write_snapshot_payload``)
+competes for the GIL; and whatever the snapshot holds in memory at once
+raises the daemon's peak footprint.  All of it should scale with the
 *live* state — the registrations — not with how many detections the
 daemon has raised since it started.
 
 The fleet is driven in-process through a detection-heavy script: every
 registration has four runnables, two of which stay silent, so each of
-those raises one aliveness error per window for the whole script.  At
-200 and 2000 registrations the benchmark reports
+those raises one aliveness error per window for the whole script.  The
+benchmark installs that fleet in an unstarted server and runs one
+periodic snapshot on a fresh event loop, timing every loop callback
+(``asyncio.events.Handle._run``).  At 200 and 2000 registrations it
+reports
 
-* ``capture_ms`` — ``Fleet.snapshot`` plus ``build_snapshot_payload``;
-* ``write_ms`` — ``write_snapshot_payload`` (encode, write, fsync,
-  rename);
+* ``loop_ms`` — the snapshot's on-loop time, every callback summed;
+* ``loop_slice_ms_max`` — the longest single callback: how long the
+  ticker can wait behind the snapshot;
+* ``commit_ms`` — the worker thread's ``write_snapshot_payload``;
+* ``peak_kib`` — the tracemalloc peak over one snapshot (a separate,
+  traced run);
 * ``file_bytes`` — the size of ``snapshot.json``;
 
-each timing the median of :data:`REPEATS` runs.  The record is appended
-to ``BENCH_snapshot.json`` (:func:`benchutil.record`).
+each timing the median of :data:`REPEATS` snapshots.  The record is
+appended to ``BENCH_snapshot.json`` (:func:`benchutil.record`).
 """
 
+import asyncio
 import os
 import statistics
 import time
+import tracemalloc
 
 from benchutil import record, run_once
 from repro.core import FaultHypothesis, RunnableHypothesis
 from repro.core.config_io import hypothesis_to_dict
-from repro.service import StateStore
+from repro.service import SupervisionServer
 from repro.service.fleet import Fleet
 
 SIZES = (200, 2000)
@@ -69,25 +77,69 @@ def detection_heavy_fleet(registrations):
     return fleet
 
 
+def one_snapshot(server):
+    """Run one periodic snapshot on a fresh event loop; returns the
+    duration of every loop callback and of the worker thread's commit,
+    in seconds."""
+    callbacks, commits = [], []
+    handle_class = asyncio.events.Handle
+    run = handle_class._run
+    commit = server.store.write_snapshot_payload
+
+    def timed_run(handle):
+        begin = time.perf_counter()
+        try:
+            run(handle)
+        finally:
+            callbacks.append(time.perf_counter() - begin)
+
+    def timed_commit(*args):
+        begin = time.perf_counter()
+        try:
+            return commit(*args)
+        finally:
+            commits.append(time.perf_counter() - begin)
+
+    server.store.write_snapshot_payload = timed_commit
+    handle_class._run = timed_run
+    try:
+        asyncio.run(server._write_snapshot_async())
+    finally:
+        handle_class._run = run
+        server.store.write_snapshot_payload = commit
+    return callbacks, sum(commits)
+
+
 def measure(registrations, state_dir, repeats=REPEATS):
     fleet = detection_heavy_fleet(registrations)
     detections = fleet.stats()["detections"]
     assert detections == registrations * SILENT * (CYCLES // WINDOW_CYCLES)
-    store = StateStore(state_dir)
-    capture, write = [], []
+    server = SupervisionServer(port=0, tick_interval=None,
+                               state_dir=state_dir, snapshot_interval=None,
+                               name="bench")
+    server.fleet = fleet
+    loop, slice_max, commit = [], [], []
     for _ in range(repeats):
-        begin = time.perf_counter()
-        payload = store.build_snapshot_payload(fleet.snapshot(), name="bench")
-        capture.append(time.perf_counter() - begin)
-        begin = time.perf_counter()
-        store.write_snapshot_payload(payload)
-        write.append(time.perf_counter() - begin)
-    store.close()
+        callbacks, committed = one_snapshot(server)
+        loop.append(sum(callbacks))
+        slice_max.append(max(callbacks))
+        commit.append(committed)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        one_snapshot(server)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    server.store.close()
+    assert server.store.snapshots_written == repeats + 1
     return {
         "detections": detections,
-        "capture_ms": round(statistics.median(capture) * 1000, 3),
-        "write_ms": round(statistics.median(write) * 1000, 3),
-        "file_bytes": os.path.getsize(store.snapshot_path),
+        "loop_ms": round(statistics.median(loop) * 1000, 3),
+        "loop_slice_ms_max": round(statistics.median(slice_max) * 1000, 3),
+        "commit_ms": round(statistics.median(commit) * 1000, 3),
+        "peak_kib": round(peak / 1024, 1),
+        "file_bytes": os.path.getsize(server.store.snapshot_path),
     }
 
 
@@ -114,9 +166,11 @@ def test_bench_snapshot(benchmark, tmp_path):
     for size, result in results.items():
         for key, value in result.items():
             metrics[f"{key}@{size}"] = value
-        print(f"\nsnapshot @ {size} registrations: capture "
-              f"{result['capture_ms']:.1f} ms, write "
-              f"{result['write_ms']:.1f} ms, "
+        print(f"\nsnapshot @ {size} registrations: on-loop "
+              f"{result['loop_ms']:.1f} ms (longest callback "
+              f"{result['loop_slice_ms_max']:.2f} ms), commit "
+              f"{result['commit_ms']:.1f} ms, peak "
+              f"{result['peak_kib']:.0f} KiB, "
               f"{result['file_bytes']} bytes "
               f"({result['detections']} detections)")
     record("snapshot", metrics)

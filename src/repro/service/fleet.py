@@ -14,7 +14,7 @@ channel, telemetry) see the service exactly like a very large ECU.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.reports import EcuStateChange, MonitorState, RunnableError
 from .supervisor import HypothesisCache, Registration, SupervisorShard
@@ -140,14 +140,27 @@ class Fleet:
     # persistence
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """Full JSON-compatible fleet state: the table's snapshot plus
-        the rollup history."""
-        state = self.table.snapshot()
-        state["state"] = self.state.value
-        state["state_changes"] = [
-            change.to_dict() for change in self.state_changes
-        ]
+        """Full JSON-compatible fleet state: :meth:`snapshot_stream`
+        with its registration records collected into the list."""
+        state, records = self.snapshot_stream()
+        state["registrations"] = list(records)
         return state
+
+    def snapshot_stream(
+            self) -> Tuple[Dict[str, Any], Iterator[Dict[str, Any]]]:
+        """The fleet state without its registration list, fixed now,
+        and an iterator over that list's records
+        (:meth:`SupervisorShard.snapshot_records`), each built when it
+        is reached.  The rollup history is copied here, so the state
+        stays the cut's while the records are streamed."""
+        state = {
+            "tick_count": self.table.tick_count,
+            "state": self.state.value,
+            "state_changes": [
+                change.to_dict() for change in self.state_changes
+            ],
+        }
+        return state, self.table.snapshot_records()
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Rebuild the fleet from a :meth:`snapshot` capture.

@@ -28,6 +28,34 @@ each successful snapshot the journal is truncated (records the snapshot
 already covers are dead weight); sequence numbers stay monotonic across
 truncations so a record is never applied twice.
 
+**Streaming snapshots and their cut.**  A snapshot is never built as
+one tree.  :meth:`StateStore.open_snapshot` fixes the journal ``seq``,
+the registration list, the tick count and the fleet's rollup state, and
+writes everything but the registrations to the temp file; the
+:class:`SnapshotWriter` then encodes one registration record at a time,
+each whole, and the daemon yields to its event loop between slices of
+records.  Only ``fsync``, close and the rename
+(:meth:`StateStore.write_snapshot_payload`) run in a worker thread.  A
+record may therefore reflect control frames applied after the snapshot
+started, but every such frame was journaled with a ``seq`` beyond the
+snapshot's, survives the truncation and is replayed on restore, and
+replaying it onto a record that already shows it changes nothing:
+
+* a REGISTER journaled after the start names a registration that was
+  not in the fixed list, so the file lacks it and the replay adds it;
+* a BYE or a rebind sets each runnable's Activation Status, and
+  :meth:`~repro.core.watchdog.SoftwareWatchdog.set_activation_status`
+  is a no-op when the status does not change.
+
+The synchronous :meth:`StateStore.write_snapshot` (a clean shutdown,
+tests) runs the same writer without yielding.  A snapshot that fails or
+is cancelled before its rename closes and unlinks the temp file and
+leaves the journal alone.
+
+Every file-system call behind a snapshot and a journal truncation goes
+through one seam, :attr:`StateStore.io` (a :class:`FileIO`), so tests
+can fail any one of them.
+
 :class:`JournalFollower` is the warm-standby side of the same files: a
 second daemon points it at the primary's state directory, adopts new
 snapshots and tails new journal records as they appear, and uses the
@@ -37,21 +65,24 @@ primary died and promotion is due.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import IO, Any, Dict, Iterable, List, Optional, Tuple
 
 from ..telemetry import JsonlFileSink, TelemetryEvent, read_jsonl
 
 __all__ = [
+    "FileIO",
     "JOURNAL_ACTIVATION",
     "JOURNAL_BYE",
     "JOURNAL_REGISTER",
     "JournalFollower",
     "RestoredState",
     "SNAPSHOT_SCHEMA_VERSION",
+    "SnapshotWriter",
     "StateStore",
 ]
 
@@ -70,6 +101,7 @@ JOURNAL_ACTIVATION = "journal.activation"
 _SNAPSHOT_FILE = "snapshot.json"
 _SNAPSHOT_TMP = "snapshot.json.tmp"
 _JOURNAL_FILE = "journal.jsonl"
+_JOURNAL_TMP = "journal.jsonl.tmp"
 _LOCK_FILE = "primary.json"
 _LOCK_TMP = "primary.json.tmp"
 
@@ -77,6 +109,43 @@ _LOCK_TMP = "primary.json.tmp"
 #: for this many intervals is stale regardless of PID liveness — the OS
 #: may have recycled the dead primary's PID for an unrelated process.
 _LOCK_STALE_REFRESHES = 4.0
+
+
+class FileIO:
+    """The file-system calls behind a snapshot and a journal truncation.
+
+    One seam: a test swaps :attr:`StateStore.io` for a subclass that
+    fails any call, and checks what the state directory looks like
+    after each one.
+    """
+
+    def open(self, path: str, mode: str) -> IO[str]:
+        return open(path, mode, encoding="utf-8")
+
+    def write(self, handle: IO[str], text: str) -> None:
+        handle.write(text)
+
+    def fsync(self, handle: IO[str]) -> None:
+        handle.flush()
+        os.fsync(handle.fileno())
+
+    def close(self, handle: IO[str]) -> None:
+        handle.close()
+
+    def replace(self, source: str, target: str) -> None:
+        os.replace(source, target)
+
+    def unlink(self, path: str) -> None:
+        os.unlink(path)
+
+    def fsync_dir(self, path: str) -> None:
+        """Force a directory's entries (a rename) to stable storage; a
+        file fsync alone does not."""
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 @dataclass
@@ -108,6 +177,8 @@ class StateStore:
         self.snapshot_path = os.path.join(self.state_dir, _SNAPSHOT_FILE)
         self.journal_path = os.path.join(self.state_dir, _JOURNAL_FILE)
         self.lock_path = os.path.join(self.state_dir, _LOCK_FILE)
+        #: The file-system seam for snapshots and journal truncation.
+        self.io = FileIO()
         #: Last journal sequence number written (monotonic across
         #: snapshots and daemon restarts).
         self.seq = 0
@@ -178,96 +249,113 @@ class StateStore:
     def write_snapshot(self, fleet_state: Dict[str, Any],
                        **extra: Any) -> Dict[str, Any]:
         """Atomically write a point-in-time snapshot, then truncate the
-        journal (records the snapshot covers are dead weight).
+        journal (records the snapshot covers are dead weight); returns
+        the payload written.
 
         A crash between the two steps is safe: the snapshot carries the
         sequence number it covers, and recovery skips journal records at
         or below it.
 
-        This is the synchronous composition of the three phases below;
-        an event-loop caller captures the payload on-loop with
-        :meth:`build_snapshot_payload`, offloads the blocking
-        :meth:`write_snapshot_payload` to a thread, then truncates with
+        This is the synchronous composition of the three steps below;
+        the daemon's periodic snapshot streams the records in slices
+        on its event loop (:meth:`open_snapshot`), commits in a worker
+        thread (:meth:`write_snapshot_payload`), then truncates with
         :meth:`truncate_journal_through` back on-loop.
         """
-        payload = self.build_snapshot_payload(fleet_state, **extra)
-        self.write_snapshot_payload(payload)
-        self.truncate_journal_through(int(payload["seq"]))
-        return payload
+        state = dict(fleet_state)
+        records = state.pop("registrations", None)
+        snapshot = self.open_snapshot(state, records, **extra)
+        snapshot.write()
+        self.write_snapshot_payload(snapshot)
+        self.truncate_journal_through(snapshot.seq)
+        return dict(snapshot.header, fleet=fleet_state)
 
-    def build_snapshot_payload(self, fleet_state: Dict[str, Any],
-                               **extra: Any) -> Dict[str, Any]:
-        """Capture the snapshot payload (cheap, in-memory): the fleet
-        state plus the sequence number this snapshot covers."""
-        payload: Dict[str, Any] = {
+    def open_snapshot(self, fleet_state: Dict[str, Any],
+                      records: Optional[Iterable[Dict[str, Any]]] = None,
+                      /, **extra: Any) -> "SnapshotWriter":
+        """Start a snapshot covering the journal up to :attr:`seq`.
+
+        ``fleet_state`` is the fleet state without its registration
+        list; ``records`` yields that list's items, which the returned
+        writer encodes as they are asked for (``None``: the fleet state
+        has no such list).  Everything else is encoded now."""
+        header: Dict[str, Any] = {
             "schema": SNAPSHOT_SCHEMA_VERSION,
             "seq": self.seq,
             "written_unix": _time.time(),
-            "fleet": fleet_state,
         }
-        payload.update(extra)
-        return payload
+        header.update(extra)
+        if records is None:
+            head = json.dumps(dict(header, fleet=fleet_state),
+                              sort_keys=True)
+            return SnapshotWriter(self, header, head, (), "")
+        outer_head, outer_tail = _split_around(header, "fleet")
+        fleet_head, fleet_tail = _split_around(fleet_state, "registrations")
+        return SnapshotWriter(
+            self, header, outer_head + fleet_head + "[", records,
+            "]" + fleet_tail + outer_tail)
 
-    def write_snapshot_payload(self, payload: Dict[str, Any]) -> None:
-        """The blocking half: serialize to a temp file, fsync, and
-        atomically rename over the previous snapshot (a crash mid-write
-        can never corrupt the last good one); with ``fsync=True`` the
-        directory is fsynced too, so the rename itself is durable.
-        Thread-safe with respect to concurrent :meth:`append` calls — it
-        touches only the snapshot files.
+    def write_snapshot_payload(self, snapshot: "SnapshotWriter") -> None:
+        """The blocking half: fsync and close a fully written snapshot's
+        temp file, then atomically rename it over the previous snapshot
+        (a crash mid-write can never corrupt the last good one); with
+        ``fsync=True`` the directory is fsynced too, so the rename
+        itself is durable.  Thread-safe with respect to concurrent
+        :meth:`append` calls — it touches only the snapshot files.
 
-        The file is byte-identical to ``json.dumps(payload,
-        sort_keys=True)``, written as one C-encoded fragment per
-        registration (:func:`_snapshot_fragments`): ``json.dump`` would
-        run the pure-Python encoder, several times slower, holding the
-        GIL against the event loop the whole time."""
-        tmp_path = os.path.join(self.state_dir, _SNAPSHOT_TMP)
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            handle.writelines(_snapshot_fragments(payload))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.snapshot_path)
+        A failure before the rename unlinks the temp file."""
+        if not snapshot.done:
+            raise ValueError("the snapshot has records left to write")
+        io = self.io
+        try:
+            io.fsync(snapshot.handle)
+            io.close(snapshot.handle)
+            io.replace(snapshot.path, self.snapshot_path)
+        except BaseException:
+            snapshot.abort()
+            raise
         if self.fsync:
-            self._fsync_dir()
+            io.fsync_dir(self.state_dir)
         self.snapshots_written += 1
 
     def truncate_journal_through(self, covered_seq: int) -> None:
         """Drop journal records at or below ``covered_seq``, keeping any
-        appended after the snapshot payload was captured (they happened
-        while an off-loop write was in flight and are NOT covered).
+        appended after the snapshot started (it does NOT cover them).
 
-        An empty journal file (rather than an absent one) keeps the
-        follower's bookkeeping simple: the path always exists once the
-        store has been written to.
+        The survivors go to a temp journal that replaces the old one
+        atomically, so a crash or a failed write at any point leaves
+        either the old journal or the new one, never a journal missing
+        a record the snapshot lacks.  An empty journal file (rather
+        than an absent one) keeps the follower's bookkeeping simple: the
+        path always exists once the store has been written to.
         """
-        survivors: List[TelemetryEvent] = []
-        if os.path.exists(self.journal_path):
-            with open(self.journal_path, "r", encoding="utf-8") as handle:
-                events = read_jsonl(handle)
-            survivors = [e for e in events if e.time > covered_seq]
+        io = self.io
         if self._journal is not None:
+            # The next append reopens the journal: this one is replaced.
             self._journal.close()
             self._journal = None
-        with open(self.journal_path, "w", encoding="utf-8"):
-            pass
-        if survivors:
-            self._journal = JsonlFileSink(
-                self.journal_path, mode="a", fsync=self.fsync
-            )
-            for event in survivors:
-                self._journal.emit(event)
-            self._journal.flush()
-        if self.fsync:
-            self._fsync_dir()
-
-    def _fsync_dir(self) -> None:
-        """Force the state directory's entries (a rename, a re-created
-        file) to stable storage; a file fsync alone does not."""
-        fd = os.open(self.state_dir, os.O_RDONLY)
+        survivors: List[TelemetryEvent] = []
+        if os.path.exists(self.journal_path):
+            handle = io.open(self.journal_path, "r")
+            try:
+                events = read_jsonl(handle)
+            finally:
+                io.close(handle)
+            survivors = [e for e in events if e.time > covered_seq]
+        tmp_path = os.path.join(self.state_dir, _JOURNAL_TMP)
+        handle = io.open(tmp_path, "w")
         try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+            for event in survivors:
+                io.write(handle, event.to_jsonl() + "\n")
+            if self.fsync:
+                io.fsync(handle)
+            io.close(handle)
+            io.replace(tmp_path, self.journal_path)
+        except BaseException:
+            _discard(io, handle, tmp_path)
+            raise
+        if self.fsync:
+            io.fsync_dir(self.state_dir)
 
     # ------------------------------------------------------------------
     # primary liveness lock
@@ -367,39 +455,90 @@ class StateStore:
         self.close()
 
 
-#: Where :func:`_snapshot_fragments` splits the payload: down to the
-#: registration list, whose items are encoded whole.
-_FRAGMENT_PATH = ("fleet", "registrations", None)
+class SnapshotWriter:
+    """One snapshot streaming into the state directory's temp file.
 
-
-def _snapshot_fragments(value: Any, path: Tuple = _FRAGMENT_PATH):
-    """Yield ``json.dumps(value, sort_keys=True)`` in pieces.
-
-    Containers on ``path`` (a key, or ``None`` for every list item) are
-    opened and closed here; everything else — each registration, and the
-    small siblings along the way — goes through one ``json.dumps`` call,
-    the C encoder.  Joined, the pieces equal the one-shot encoding byte
-    for byte, while only one registration's text is in memory at a time.
+    :meth:`StateStore.open_snapshot` writes the head; each
+    :meth:`write` encodes the next registration records, each with one
+    ``json.dumps`` call (the C encoder), and the last one writes the
+    tail.  The file is byte-identical to ``json.dumps(payload,
+    sort_keys=True)`` of the whole payload, while only one record is in
+    memory at a time.  :meth:`StateStore.write_snapshot_payload`
+    commits it; :meth:`abort` discards it.
     """
-    if not path or not isinstance(value, (dict, list)):
-        yield json.dumps(value, sort_keys=True)
-        return
-    step, rest = path[0], path[1:]
-    if isinstance(value, list):
-        yield "["
-        for index, item in enumerate(value):
-            if index:
-                yield ", "
-            yield from _snapshot_fragments(
-                item, rest if step is None else ())
-        yield "]"
-        return
-    yield "{"
-    for index, key in enumerate(sorted(value)):
-        yield (", " if index else "") + json.dumps(key) + ": "
-        yield from _snapshot_fragments(
-            value[key], rest if key == step else ())
-    yield "}"
+
+    def __init__(self, store: StateStore, header: Dict[str, Any],
+                 head: str, records: Iterable[Dict[str, Any]],
+                 tail: str) -> None:
+        self.store = store
+        #: The payload's top-level fields besides ``fleet``.
+        self.header = header
+        #: The journal sequence number this snapshot covers.
+        self.seq: int = header["seq"]
+        self.path = os.path.join(store.state_dir, _SNAPSHOT_TMP)
+        #: True once every record and the tail are written.
+        self.done = False
+        self._records = iter(records)
+        self._tail = tail
+        self._separator = ""
+        self.handle = store.io.open(self.path, "w")
+        try:
+            store.io.write(self.handle, head)
+        except BaseException:
+            self.abort()
+            raise
+
+    def write(self, limit: Optional[int] = None) -> bool:
+        """Encode and write up to ``limit`` more records (every one
+        left when ``None``); returns :attr:`done`.  A record that fails
+        to build or write discards the snapshot."""
+        io, handle, dumps = self.store.io, self.handle, json.dumps
+        written = 0
+        try:
+            for record in itertools.islice(self._records, limit):
+                io.write(handle,
+                         self._separator + dumps(record, sort_keys=True))
+                self._separator = ", "
+                written += 1
+            if limit is None or written < limit:
+                io.write(handle, self._tail)
+                self.done = True
+        except BaseException:
+            self.abort()
+            raise
+        return self.done
+
+    def abort(self) -> None:
+        """Close and unlink the temp file; never renamed.  Idempotent."""
+        _discard(self.store.io, self.handle, self.path)
+
+
+def _discard(io: FileIO, handle: IO[str], path: str) -> None:
+    """Close ``handle`` and unlink ``path``, ignoring failures: the
+    caller is already unwinding from an error or a cancellation."""
+    try:
+        io.close(handle)
+    except OSError:
+        pass
+    try:
+        io.unlink(path)
+    except OSError:
+        pass
+
+
+def _split_around(mapping: Dict[str, Any], key: str) -> Tuple[str, str]:
+    """The text of ``json.dumps({**mapping, key: VALUE},
+    sort_keys=True)`` before and after ``VALUE``.  ``mapping`` must not
+    hold ``key``."""
+    before = {k: v for k, v in mapping.items() if k < key}
+    after = {k: v for k, v in mapping.items() if k > key}
+    head = "{"
+    if before:
+        head += json.dumps(before, sort_keys=True)[1:-1] + ", "
+    tail = "}"
+    if after:
+        tail = ", " + json.dumps(after, sort_keys=True)[1:-1] + "}"
+    return head + json.dumps(key) + ": ", tail
 
 
 class JournalFollower:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import marshal
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.config_io import hypothesis_from_dict
 from ..core.hypothesis import FaultHypothesis, HypothesisError
@@ -263,6 +263,22 @@ def _compile(name: str, submitted: Dict[str, Any]) -> CompiledHypothesis:
     )
 
 
+def _snapshot_record(entry: Registration) -> Dict[str, Any]:
+    return {
+        "name": entry.name,
+        "hypothesis": entry.hypothesis_dict,
+        "app_of_task": (
+            dict(entry.app_of_task) if entry.app_of_task is not None
+            else None
+        ),
+        "active": entry.active,
+        "indications": entry.indications,
+        "task_starts": entry.task_starts,
+        "detections": entry.detections,
+        "watchdog": entry.watchdog.snapshot_state(),
+    }
+
+
 class SupervisorShard:
     """The supervision table: every registration plus their check-cycle
     driver.
@@ -388,37 +404,26 @@ class SupervisorShard:
     # ------------------------------------------------------------------
     # persistence (the restartable daemon's snapshot/restore pair)
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """Full JSON-compatible table state: every registration's
-        hypothesis, bookkeeping counters, and its watchdog's complete
-        monitoring state (:meth:`SoftwareWatchdog.snapshot_state`).
+    def snapshot_records(self) -> Iterator[Dict[str, Any]]:
+        """Each registration's snapshot record, in registration order:
+        its hypothesis, bookkeeping counters, and its watchdog's
+        complete monitoring state
+        (:meth:`SoftwareWatchdog.snapshot_state`).
 
-        The hypothesis dict is the compiled one every registration of
-        that hypothesis shares; it is never mutated, so the capture
-        holds it by reference and stays a consistent cut while another
-        thread encodes it."""
-        return {
-            "tick_count": self.tick_count,
-            "registrations": [
-                {
-                    "name": entry.name,
-                    "hypothesis": entry.hypothesis_dict,
-                    "app_of_task": (
-                        dict(entry.app_of_task)
-                        if entry.app_of_task is not None else None
-                    ),
-                    "active": entry.active,
-                    "indications": entry.indications,
-                    "task_starts": entry.task_starts,
-                    "detections": entry.detections,
-                    "watchdog": entry.watchdog.snapshot_state(),
-                }
-                for entry in self.registrations.values()
-            ],
-        }
+        The list of registrations is fixed by this call; each record is
+        built only when the iterator reaches it, so a streamed snapshot
+        holds one record at a time and a record reflects its
+        registration when it is encoded (the cut
+        :mod:`repro.service.persistence` describes).  The hypothesis
+        dict is the compiled one every registration of that hypothesis
+        shares; it is never mutated, so a record holds it by
+        reference."""
+        return (_snapshot_record(entry)
+                for entry in list(self.registrations.values()))
 
     def restore(self, state: Dict[str, Any]) -> None:
-        """Rebuild every registration from a :meth:`snapshot` capture.
+        """Rebuild every registration from a table state: the tick
+        count and a list of :meth:`snapshot_records`.
 
         Each registration is re-admitted through :meth:`register` (so
         listeners are wired exactly like a live REGISTER would) and then

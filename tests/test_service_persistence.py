@@ -1,6 +1,7 @@
 """Durable daemon state: snapshots, journal replay, warm standby."""
 
 import asyncio
+import errno
 import json
 import os
 import subprocess
@@ -15,8 +16,10 @@ from repro.service.persistence import (
     JOURNAL_BYE,
     JOURNAL_REGISTER,
     SNAPSHOT_SCHEMA_VERSION,
+    FileIO,
 )
 from repro.service.protocol import T_BYE, T_HEARTBEAT, T_REGISTER
+from repro.telemetry import TelemetryEvent
 from test_service_server import _WireClient, barrier, make_hyp_dict
 from testutil import until
 
@@ -159,21 +162,47 @@ class TestStateStore:
         assert store.read_lock()["pid"] == os.getpid()
 
     def test_truncation_keeps_records_beyond_snapshot_seq(self, tmp_path):
-        """The off-loop snapshot path: a record appended while the
-        snapshot file write was in flight has a seq beyond the payload's
-        and must survive the truncation."""
+        """The streamed snapshot path: a record appended while the
+        snapshot was being written has a seq beyond the snapshot's and
+        must survive the truncation."""
         store = make_store(tmp_path)
         store.append(JOURNAL_REGISTER, "a", hypothesis={})
-        payload = store.build_snapshot_payload({"fake": "fleet"})
-        assert payload["seq"] == 1
-        # Concurrent append while the "thread" writes the snapshot.
+        snapshot = store.open_snapshot({"fake": "fleet"})
+        assert snapshot.seq == 1
+        # A REGISTER applied between two slices of the snapshot.
         store.append(JOURNAL_REGISTER, "b", hypothesis={})
-        store.write_snapshot_payload(payload)
-        store.truncate_journal_through(payload["seq"])
+        assert snapshot.write()
+        store.write_snapshot_payload(snapshot)
+        store.truncate_journal_through(snapshot.seq)
         store.close()
         restored = make_store(tmp_path).load()
         assert restored.snapshot["fleet"] == {"fake": "fleet"}
         assert [(e.subject, e.time) for e in restored.entries] == [("b", 2)]
+
+
+    def test_failed_truncation_keeps_uncovered_records(
+            self, tmp_path, monkeypatch):
+        """Regression: truncation emptied the journal before re-writing
+        the records the snapshot does not cover, so a failure (or a
+        kill -9) in between lost an ACKed REGISTER from both files."""
+        store = make_store(tmp_path)
+        store.append(JOURNAL_REGISTER, "a", hypothesis={})
+        store.write_snapshot({"fake": "fleet"})
+        store.append(JOURNAL_REGISTER, "b", hypothesis={})
+
+        def unencodable(event):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TelemetryEvent, "to_jsonl", unencodable)
+            with pytest.raises(OSError):
+                store.truncate_journal_through(1)
+        restored = make_store(tmp_path).load()
+        assert [(e.subject, e.time) for e in restored.entries] == [("b", 2)]
+        store.append(JOURNAL_BYE, "b")
+        store.close()
+        restored = make_store(tmp_path).load()
+        assert [e.time for e in restored.entries] == [2, 3]
 
 
 class TestJournalFollower:
@@ -319,27 +348,28 @@ class TestServerRestore:
         """Regression: one failed snapshot write (ENOSPC, transient I/O
         error) used to kill the periodic loop silently, degrading
         durability to journal-only forever.  Now the failure is counted
-        and the loop keeps snapshotting."""
+        and the loop keeps snapshotting.  Here the commit step's fsync
+        fails; it discards the temp file instead of renaming it."""
+        failures_left = [2]
+
+        class FlakyFsync(FileIO):
+            def fsync(self, handle):
+                if failures_left[0] > 0:
+                    failures_left[0] -= 1
+                    raise OSError(errno.ENOSPC, "disk full")
+                super().fsync(handle)
+
         async def scenario():
             server = await start_server(
                 tmp_path, snapshot_interval=0.02, tick_interval=None)
-            original = server.store.write_snapshot_payload
-            failures_left = [2]
-
-            def flaky(payload):
-                if failures_left[0] > 0:
-                    failures_left[0] -= 1
-                    raise OSError("disk full")
-                original(payload)
-
-            server.store.write_snapshot_payload = flaky
+            server.store.io = FlakyFsync()
             await until(lambda: server.store.snapshots_written >= 1,
                         message="a snapshot after the failures")
             assert server.snapshot_failures == 2
             assert server.store.snapshots_written >= 1
             assert server.health()["snapshot_failures"] == 2
-            server.store.write_snapshot_payload = original
             await server.stop()
+            assert not os.path.exists(server.store.snapshot_path + ".tmp")
         asyncio.run(scenario())
 
 

@@ -431,29 +431,29 @@ class TestSdkAgainstServer:
 
 class TestShutdown:
     def test_stop_waits_for_an_in_flight_periodic_snapshot(self, tmp_path):
-        """Regression: stop() cancelled the snapshot loop while its write
-        was still running in a worker thread, then wrote the final
-        snapshot itself.  The older payload could land last, after the
-        final snapshot had truncated the journal, and every REGISTER in
-        between was lost on restart."""
+        """Regression: stop() cancelled the snapshot loop while its
+        commit (fsync and rename) was still running in a worker thread,
+        then wrote the final snapshot itself.  The older file could land
+        last, after the final snapshot had truncated the journal, and
+        every REGISTER in between was lost on restart."""
         state_dir = str(tmp_path / "state")
 
         async def scenario():
             server = await start_server(state_dir=state_dir,
                                         snapshot_interval=0.01)
-            write = server.store.write_snapshot_payload
+            commit = server.store.write_snapshot_payload
             started, finished = threading.Event(), threading.Event()
 
-            def slow_off_loop_write(payload):
+            def slow_off_loop_commit(snapshot):
                 if threading.current_thread() is threading.main_thread():
-                    write(payload)
+                    commit(snapshot)
                     return
                 started.set()
                 time.sleep(0.2)
-                write(payload)
+                commit(snapshot)
                 finished.set()
 
-            server.store.write_snapshot_payload = slow_off_loop_write
+            server.store.write_snapshot_payload = slow_off_loop_commit
             peer = await _WireClient.connect(server)
             await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
             assert (await peer.recv_frame()).get("ok")
