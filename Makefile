@@ -8,6 +8,9 @@
 #   make bench        regenerate every table & figure (slow)
 #   make wdbench      the repo benchmark (BENCHMARK.json's command);
 #                     pass run.py flags as ARGS="--workload wide_fleet"
+#   make wdbench-test every unit test of the benchmark's tracer and
+#                     workload definitions (bench-smoke runs only the
+#                     first test of each file)
 #   make bench-record run the benchmarks that append a record to their
 #                     BENCH_<name>.json trajectory (benchutil.record)
 #   make metrics-smoke  exercise the telemetry CLI: both exporters must
@@ -27,8 +30,8 @@ BENCH_RECORD = benchmarks/test_bench_service_recovery.py \
 	benchmarks/test_bench_service_ingest.py benchmarks/test_bench_fleet_tick.py \
 	benchmarks/test_bench_admission.py
 
-.PHONY: test lint bench-smoke bench wdbench bench-record metrics-smoke \
-	serve-smoke ha-smoke all
+.PHONY: test lint bench-smoke bench wdbench wdbench-test bench-record \
+	metrics-smoke serve-smoke ha-smoke all
 
 test:
 	$(PYTEST) -x -q
@@ -45,6 +48,10 @@ bench:
 wdbench:
 	python3 benchmarks/wdbench/run.py $(ARGS)
 
+wdbench-test:
+	$(PYTEST) benchmarks/wdbench/test_spans.py \
+		benchmarks/wdbench/test_workloads.py -q
+
 bench-record:
 	$(PYTEST) $(BENCH_RECORD) --benchmark-disable -q
 
@@ -58,4 +65,4 @@ serve-smoke:
 ha-smoke:
 	$(PYTEST) tests/test_service_ha.py -m ha_smoke -q
 
-all: test lint bench-smoke metrics-smoke serve-smoke ha-smoke
+all: test lint bench-smoke wdbench-test metrics-smoke serve-smoke ha-smoke

@@ -446,6 +446,11 @@ class HeartbeatMonitoringUnit:
         )
         self._tm_cycles_unsynced = 0
 
+    def withdraw_telemetry(self) -> None:
+        """Remove this unit's runnables from the shared active-runnables
+        gauge (the unit is being discarded)."""
+        self._tm_monitored.inc(-self.counters.active.count(True))
+
     def reset(self) -> None:
         """Reset every counter and the cycle count (watchdog restart).
 

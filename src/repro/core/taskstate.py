@@ -332,6 +332,12 @@ class TaskStateIndicationUnit:
             self._tm_sync_faulty_count()
             self._tm_ecu_state.set(0)
 
+    def withdraw_telemetry(self) -> None:
+        """Remove this unit's tasks from the shared faulty-tasks gauge
+        (the unit is being discarded)."""
+        self._tm_faulty_tasks.inc(-self._tm_faulty_count)
+        self._tm_faulty_count = 0
+
     # ------------------------------------------------------------------
     def _counts_for(self, runnable: str) -> Dict[ErrorType, int]:
         for vector in self.error_vectors.values():

@@ -219,6 +219,13 @@ class SoftwareWatchdog:
         self.hbm.sync_telemetry()
         self.pfc.sync_telemetry()
 
+    def withdraw_telemetry(self) -> None:
+        """Take this watchdog's share back out of the gauges every unit
+        on its registry sums into; for a watchdog being discarded while
+        the registry lives on (a daemon replacing its fleet)."""
+        self.hbm.withdraw_telemetry()
+        self.tsi.withdraw_telemetry()
+
     def notify_task_start(self, task: str) -> None:
         """Inform the PFC unit that a task activation began (the stream
         restarts at a legal entry point)."""

@@ -10,11 +10,13 @@ with and heartbeat into over a socket.
   protocol (HELLO/REGISTER/HEARTBEAT/FLOW/BYE requests, ACK/DETECTION/
   STATE server frames),
 * :mod:`repro.service.supervisor` — the synchronous supervision core:
-  :class:`SupervisorShard`, the one supervision table, wraps one
+  :class:`SupervisorShard`, the supervision table, wraps one
   wheel-strategy :class:`~repro.core.watchdog.SoftwareWatchdog` per
-  registration and lints hypotheses on REGISTER,
-* :mod:`repro.service.fleet` — holds that table and rolls its
-  registrations' states up into the existing ECU/FMF state machine,
+  registration, lints hypotheses on REGISTER and fans detections,
+  task faults and ECU-state changes out to table-level listeners,
+* :mod:`repro.service.fleet` — :class:`Fleet`, the daemon's one table:
+  a :class:`SupervisorShard` that also rolls its registrations' states
+  up into the existing ECU/FMF state machine,
 * :mod:`repro.service.server` — the asyncio TCP + UNIX-socket daemon
   with TCP flow control as its backpressure, a real-time check-cycle
   ticker and an HTTP ``/metrics`` + ``/healthz`` endpoint,

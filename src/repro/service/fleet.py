@@ -10,6 +10,13 @@ rolls the worst registration state up into a fleet verdict, emitting
 the existing :class:`~repro.core.reports.EcuStateChange` record on
 every transition so downstream consumers (the FMF, the DETECTION push
 channel, telemetry) see the service exactly like a very large ECU.
+
+:class:`Fleet` *is* the supervision table: a
+:class:`~repro.service.supervisor.SupervisorShard` subclass that adds
+only the rollup, the rollup's share of :meth:`Fleet.tick`, the fleet
+fields of a snapshot and the schema-1 merge on restore.  Registration,
+the supervised interfaces and the per-registration listeners are the
+table's own.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.reports import EcuStateChange, MonitorState, RunnableError
-from .supervisor import HypothesisCache, Registration, SupervisorShard
+from .supervisor import Registration, SupervisorShard
 
 __all__ = ["Fleet"]
 
@@ -36,64 +43,21 @@ def _worst(states) -> MonitorState:
     return worst
 
 
-class Fleet:
+class Fleet(SupervisorShard):
     """The supervision table plus the fleet-level state rollup."""
 
-    def __init__(
-        self,
-        *,
-        strict: bool = False,
-        telemetry=None,
-        event_sink=None,
-    ) -> None:
-        self.table = SupervisorShard(
-            strict=strict,
-            telemetry=telemetry,
-            event_sink=event_sink,
-        )
-        #: Every registration, in registration order (the table's dict).
-        self.registrations: Dict[str, Registration] = self.table.registrations
-        #: The compile-once cache: a hypothesis is parsed and linted once.
-        self.hypotheses: HypothesisCache = self.table.hypotheses
+    def __init__(self, **table_options: Any) -> None:
+        super().__init__(**table_options)
         self.state = MonitorState.OK
         self.state_changes: List[EcuStateChange] = []
         self._fleet_state_listeners: List[Callable[[EcuStateChange], None]] = []
 
-    # ------------------------------------------------------------------
-    # registrations
-    # ------------------------------------------------------------------
-    def register(
-        self,
-        name: str,
-        hypothesis_dict: Dict[str, Any],
-        *,
-        app_of_task: Optional[Dict[str, str]] = None,
-    ) -> Registration:
-        """Admit (or rebind) one registration."""
-        return self.table.register(
-            name, hypothesis_dict, app_of_task=app_of_task)
-
     def registration(self, name: str) -> Optional[Registration]:
         return self.registrations.get(name)
 
-    def deregister(self, name: str) -> None:
-        self.table.deregister(name)
-
-    # ------------------------------------------------------------------
-    # supervised interfaces
-    # ------------------------------------------------------------------
-    def heartbeat(
-        self, registration: str, runnable: str, time: int,
-        task: Optional[str] = None,
-    ) -> None:
-        self.table.heartbeat(registration, runnable, time, task)
-
-    def task_start(self, registration: str, task: str) -> None:
-        self.table.task_start(registration, task)
-
     def tick(self, time: int) -> List[Tuple[str, RunnableError]]:
         """One check cycle over the table, then the state rollup."""
-        errors = self.table.tick(time)
+        errors = super().tick(time)
         self._roll_up(time)
         return errors
 
@@ -106,10 +70,6 @@ class Fleet:
             name: entry.watchdog.ecu_state()
             for name, entry in self.registrations.items()
         }
-
-    def task_states(self) -> Dict[str, Dict[str, MonitorState]]:
-        """Task states of every registration, keyed by registration."""
-        return self.table.task_states()
 
     def fleet_state(self) -> MonitorState:
         """Worst state over every registration (the service verdict)."""
@@ -154,13 +114,13 @@ class Fleet:
         is reached.  The rollup history is copied here, so the state
         stays the cut's while the records are streamed."""
         state = {
-            "tick_count": self.table.tick_count,
+            "tick_count": self.tick_count,
             "state": self.state.value,
             "state_changes": [
                 change.to_dict() for change in self.state_changes
             ],
         }
-        return state, self.table.snapshot_records()
+        return state, self.snapshot_records()
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Rebuild the fleet from a :meth:`snapshot` capture.
@@ -170,8 +130,6 @@ class Fleet:
         order the sharded fleet ticked them in, so detections within a
         cycle keep their order.  The fleet must be empty.
         """
-        if self.registrations:
-            raise ValueError("restore() needs an empty fleet")
         table_state = state
         if "shards" in state:
             shards = state["shards"]
@@ -184,7 +142,7 @@ class Fleet:
                     for record in shard["registrations"]
                 ],
             }
-        self.table.restore(table_state)
+        super().restore(table_state)
         self.state = MonitorState(state["state"])
         self.state_changes = [
             EcuStateChange.from_dict(change)
@@ -194,17 +152,6 @@ class Fleet:
     # ------------------------------------------------------------------
     # push channels
     # ------------------------------------------------------------------
-    def add_detection_listener(
-        self, listener: Callable[[str, RunnableError], None]
-    ) -> None:
-        """Subscribe to every detection: ``(registration name, error)``."""
-        self.table.add_detection_listener(listener)
-
-    def add_task_fault_listener(
-        self, listener: Callable[[str, Any], None]
-    ) -> None:
-        self.table.add_task_fault_listener(listener)
-
     def add_fleet_state_listener(
         self, listener: Callable[[EcuStateChange], None]
     ) -> None:
@@ -229,7 +176,7 @@ class Fleet:
             "indications": sum(r.indications for r in regs.values()),
             "task_starts": sum(r.task_starts for r in regs.values()),
             "detections": sum(r.detections for r in regs.values()),
-            "ticks": self.table.tick_count,
+            "ticks": self.tick_count,
             "fleet_state": self.state.value,
             "hypotheses_compiled": self.hypotheses.compiles,
             "register_cache_hits": self.hypotheses.hits,

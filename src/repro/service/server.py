@@ -2,7 +2,10 @@
 
 Transport only: every supervision decision is made by the synchronous
 core (:mod:`repro.service.supervisor` / :mod:`repro.service.fleet`);
-this module moves frames.  Three design rules keep the daemon a
+this module moves frames.  Its push channels subscribe once to the
+fleet's table-level events (:meth:`SupervisionServer._new_fleet`), and
+a warm standby catches up with the primary through one path
+(:meth:`SupervisionServer._catch_up`).  Three design rules keep the daemon a
 dependability service rather than a liability:
 
 * **misbehaving clients cannot hurt the server** — a malformed payload
@@ -50,7 +53,6 @@ from .persistence import (
     JOURNAL_BYE,
     JOURNAL_REGISTER,
     JournalFollower,
-    RestoredState,
     StateStore,
 )
 from .protocol import (
@@ -191,13 +193,8 @@ class SupervisionServer:
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.event_sink = event_sink if event_sink is not None else NULL_SINK
         self._strict = strict
-        self.fleet = Fleet(
-            strict=strict,
-            telemetry=self.telemetry,
-            event_sink=self.event_sink,
-        )
+        self.fleet = self._new_fleet()
         self._conn_of: Dict[str, _Connection] = {}
-        self._state_hooked: Set[str] = set()
         #: Live connections (pushes go to these).
         self._connections: Set[_Connection] = set()
         #: Released connections whose transport is still flushing.
@@ -290,9 +287,15 @@ class SupervisionServer:
             "REGISTERs that rebound an existing registration (reconnect "
             "replay) instead of creating one")
 
-        self.fleet.add_detection_listener(self._push_detection)
-        self.fleet.add_task_fault_listener(self._push_task_fault)
-        self.fleet.add_fleet_state_listener(self._push_fleet_state)
+    def _new_fleet(self) -> Fleet:
+        """An empty fleet with every push channel subscribed."""
+        fleet = Fleet(strict=self._strict, telemetry=self.telemetry,
+                      event_sink=self.event_sink)
+        fleet.add_detection_listener(self._push_detection)
+        fleet.add_task_fault_listener(self._push_task_fault)
+        fleet.add_ecu_state_listener(self._push_ecu_state)
+        fleet.add_fleet_state_listener(self._push_fleet_state)
+        return fleet
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -312,7 +315,7 @@ class SupervisionServer:
         self._t0 = loop.time()
         if self.store is not None:
             restored = self.store.load()
-            self._apply_restored(restored)
+            self._apply_restored(restored.snapshot, restored.entries)
             if self.standby:
                 self._follower = JournalFollower(self.store)
                 self._follower.prime(restored.seq)
@@ -408,10 +411,10 @@ class SupervisionServer:
         """One fleet check cycle (the ticker's body; tests call it
         directly when ``tick_interval=None``)."""
         started = _time.perf_counter()
-        table = self.fleet.table
-        failed = table.cycle_errors
-        errors = self.fleet.tick(self.now() if time is None else time)
-        failed = table.cycle_errors - failed
+        fleet = self.fleet
+        failed = fleet.cycle_errors
+        errors = fleet.tick(self.now() if time is None else time)
+        failed = fleet.cycle_errors - failed
         if failed:
             self.handler_errors += failed
             self._tm_handler_errors.inc(failed)
@@ -438,16 +441,17 @@ class SupervisionServer:
     # ------------------------------------------------------------------
     # durable state: restore, journal, snapshots, warm standby
     # ------------------------------------------------------------------
-    def _apply_restored(self, restored: RestoredState) -> None:
-        """Rebuild the fleet from disk: snapshot first, then every
-        journal record beyond it, in sequence order."""
-        if restored.empty:
-            return
-        if restored.snapshot is not None:
-            self.fleet.restore(restored.snapshot["fleet"])
-        for event in restored.entries:
+    def _apply_restored(self, snapshot: Optional[Dict[str, Any]],
+                        entries: List[TelemetryEvent]) -> None:
+        """Bring the fleet up to date from disk: a snapshot first (the
+        fleet must be empty), then every journal record beyond it, in
+        sequence order."""
+        if snapshot is not None:
+            self.fleet.restore(snapshot["fleet"])
+        for event in entries:
             self._apply_journal_entry(event)
-        self._hook_restored()
+        self.restored_registrations = len(self.fleet.registrations)
+        self._tm_registrations.set(self.restored_registrations)
 
     def _apply_journal_entry(self, event: TelemetryEvent) -> None:
         """Re-apply one journaled control-plane frame.
@@ -474,15 +478,6 @@ class SupervisionServer:
                     registration.reactivate()
                 else:
                     registration.deactivate()
-
-    def _hook_restored(self) -> None:
-        """Wire push-channel listeners for every restored registration
-        (what :meth:`_handle_register` does for live ones) and refresh
-        the restore bookkeeping."""
-        for name, registration in self.fleet.registrations.items():
-            self._hook_registration(name, registration)
-        self.restored_registrations = len(self.fleet.registrations)
-        self._tm_registrations.set(self.restored_registrations)
 
     def _journal(self, kind: str, subject: str, **data: Any) -> None:
         if self.store is None:
@@ -559,19 +554,27 @@ class SupervisionServer:
                 # the staleness threshold tolerates several misses.
                 pass
 
-    def _rebuild_fleet(self) -> None:
-        """Replace the fleet with an empty, fully re-wired one (the
-        standby adopting a newer snapshot: counter state in the snapshot
-        supersedes everything, so incremental patching is wrong)."""
-        self.fleet = Fleet(
-            strict=self._strict,
-            telemetry=self.telemetry,
-            event_sink=self.event_sink,
-        )
-        self.fleet.add_detection_listener(self._push_detection)
-        self.fleet.add_task_fault_listener(self._push_task_fault)
-        self.fleet.add_fleet_state_listener(self._push_fleet_state)
-        self._state_hooked.clear()
+    def _catch_up(self) -> None:
+        """Apply what the primary wrote since the last catch-up.
+
+        A newer snapshot replaces the fleet with an empty one first:
+        counter state in the snapshot supersedes everything, so
+        incremental patching is wrong.  The replaced fleet's watchdogs
+        take their share back out of the fleet-summed gauges on the
+        registry, which the new fleet reuses.  Then the append cursor
+        adopts the follower's position: ``store.seq`` was last set by
+        ``load()`` at startup, and every record applied since came
+        through the follower.  Without this, appends after promotion
+        would reuse sequence numbers the dead primary already journaled
+        (or fall at-or-below the adopted snapshot's seq), and the next
+        recovery would silently drop them."""
+        snapshot, entries = self._follower.poll()
+        if snapshot is not None:
+            for registration in self.fleet.registrations.values():
+                registration.watchdog.withdraw_telemetry()
+            self.fleet = self._new_fleet()
+        self._apply_restored(snapshot, entries)
+        self.store.seq = max(self.store.seq, self._follower.applied_seq)
 
     async def _standby_loop(self) -> None:
         """Tail the primary's state dir; promote when the primary dies.
@@ -585,23 +588,7 @@ class SupervisionServer:
         while True:
             if self.promoted:
                 return
-            snapshot, entries = self._follower.poll()
-            if snapshot is not None:
-                self._rebuild_fleet()
-                self.fleet.restore(snapshot["fleet"])
-                self._hook_restored()
-            for event in entries:
-                self._apply_journal_entry(event)
-            if entries:
-                self._hook_restored()
-            # Keep the append cursor in lockstep with the follower:
-            # store.seq was last set by load() at startup, and every
-            # record applied since came through the follower.  Without
-            # this, post-promotion appends would reuse sequence numbers
-            # the dead primary already journaled (or fall at-or-below
-            # the adopted snapshot's seq), and the next recovery would
-            # silently drop them.
-            self.store.seq = max(self.store.seq, self._follower.applied_seq)
+            self._catch_up()
             alive = self.store.primary_alive()
             if alive is True:
                 seen_alive = True
@@ -617,19 +604,7 @@ class SupervisionServer:
         if self.promoted or not self.standby:
             return
         if self._follower is not None:
-            snapshot, entries = self._follower.poll()
-            if snapshot is not None:
-                self._rebuild_fleet()
-                self.fleet.restore(snapshot["fleet"])
-            for event in entries:
-                self._apply_journal_entry(event)
-            self._hook_restored()
-            # Adopt the follower's position as the append cursor, so
-            # records journaled after promotion continue the primary's
-            # sequence instead of reusing it (a reused seq sorts
-            # at-or-below the on-disk snapshot and is dropped by the
-            # next recovery).
-            self.store.seq = max(self.store.seq, self._follower.applied_seq)
+            self._catch_up()
         self.promoted = True
         self.standby = False
         self.store.write_lock(
@@ -742,15 +717,15 @@ class SupervisionServer:
         if bound is not None and bound is not conn:
             # A reconnecting client replays REGISTER before the server
             # has noticed the old connection die (half-open TCP).  The
-            # table already vetted the hypothesis as identical, so this
-            # is the same client back — the new connection takes over
-            # and the stale binding is dropped, not an error.
+            # table already vetted the hypothesis and application map
+            # as identical, so this is the same client back — the new
+            # connection takes over and the stale binding is dropped,
+            # not an error.
             bound.registrations.discard(name)
         registration.connected = True
         conn.registrations.add(name)
         self._conn_of[name] = conn
         self._tm_registrations.set(len(self.fleet.registrations))
-        self._hook_registration(name, registration)
         if rebound:
             self._tm_rebinds.inc()
             self._journal(JOURNAL_ACTIVATION, name, active=True)
@@ -765,24 +740,14 @@ class SupervisionServer:
             lint=list(registration.lint_diagnostics),
         )
 
-    def _hook_registration(self, name: str, registration) -> None:
-        """Subscribe the push channel to one registration's ECU state
-        transitions (once per registration, survives rebinds)."""
-        if name in self._state_hooked:
-            return
-        self._state_hooked.add(name)
-        registration.watchdog.tsi.add_ecu_state_listener(
-            lambda change, _name=name: self._push_ecu_state(_name, change)
-        )
-
     def _handle_indications(
         self, conn: _Connection, frame: Frame, *, kind: str
     ) -> None:
         name = frame.get("name")
-        if not isinstance(name, str) or name not in self.fleet.registrations:
+        fleet = self.fleet
+        if not isinstance(name, str) or name not in fleet.registrations:
             self._tm_unknown.inc()
             return
-        table = self.fleet.table
         batch = frame.get("batch")
         if not isinstance(batch, list):
             self._tm_malformed.inc()
@@ -812,9 +777,9 @@ class SupervisionServer:
                 continue
             try:
                 if kind == "hb":
-                    table.heartbeat(name, runnable, at, task)
+                    fleet.heartbeat(name, runnable, at, task)
                 else:
-                    table.task_start(name, entry[0])
+                    fleet.task_start(name, entry[0])
             except Exception:
                 # One poisoned indication must not abort the rest of
                 # its frame or the connection.  Count and continue.

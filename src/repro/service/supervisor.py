@@ -6,8 +6,12 @@ code, so the differential test can drive the exact same objects without
 an event loop and pin the service path bit-for-bit to the in-process
 path.
 
-A :class:`SupervisorShard` is the daemon's one supervision table: it
-owns every registration and drives their check cycles.  Each
+A :class:`SupervisorShard` is the supervision table: it owns every
+registration, drives their check cycles, and fans each registration's
+detections, task faults and ECU-state changes out to table-level
+listeners (``(registration name, event)``), so a subscriber is wired
+once, not per registration.  The daemon's table is a
+:class:`~repro.service.fleet.Fleet`, which adds the fleet rollup.  Each
 registration wraps one wheel-strategy
 :class:`~repro.core.watchdog.SoftwareWatchdog` built from the
 client-submitted fault hypothesis — the same construction an embedded
@@ -33,7 +37,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.config_io import hypothesis_from_dict
 from ..core.hypothesis import FaultHypothesis, HypothesisError
-from ..core.reports import RunnableError, TaskFaultEvent
+from ..core.reports import EcuStateChange, RunnableError, TaskFaultEvent
 from ..core.watchdog import SoftwareWatchdog
 
 __all__ = [
@@ -48,6 +52,7 @@ __all__ = [
 #: Detection callback: ``(registration name, error)``.
 DetectionListener = Callable[[str, RunnableError], None]
 TaskFaultListener = Callable[[str, TaskFaultEvent], None]
+EcuStateListener = Callable[[str, EcuStateChange], None]
 
 
 class RegistrationError(ValueError):
@@ -153,6 +158,9 @@ class Registration:
 
     def _on_task_fault(self, event: TaskFaultEvent) -> None:
         self._table._notify_task_fault(self.name, event)
+
+    def _on_ecu_state(self, change: EcuStateChange) -> None:
+        self._table._notify_ecu_state(self.name, change)
 
 
 class CompiledHypothesis:
@@ -306,6 +314,7 @@ class SupervisorShard:
         self.cycle_errors = 0
         self._detection_listeners: List[DetectionListener] = []
         self._task_fault_listeners: List[TaskFaultListener] = []
+        self._ecu_state_listeners: List[EcuStateListener] = []
 
     # ------------------------------------------------------------------
     # registration
@@ -321,19 +330,26 @@ class SupervisorShard:
 
         A hypothesis equal to one already admitted reuses its compiled
         form (:class:`HypothesisCache`) instead of being parsed and
-        linted again.  Re-registering an existing name with a byte-identical hypothesis
-        is a *rebind* (the reconnect path): the existing watchdog and its
-        counters survive, monitoring is reactivated.  A different
-        hypothesis under a taken name is rejected.
+        linted again.  Re-registering an existing name with an equal
+        hypothesis and application map is a *rebind* (the reconnect
+        path): the existing watchdog and its counters survive,
+        monitoring is reactivated.  A different hypothesis or
+        ``app_of_task`` under a taken name is rejected; the maps are
+        compared the way the TSI reads them, so no map and an empty one
+        are the same.
         """
         existing = self.registrations.get(name)
         if existing is not None:
-            if existing.hypothesis_dict == hypothesis_dict:
+            if existing.hypothesis_dict != hypothesis_dict:
+                different = "hypothesis"
+            elif (existing.app_of_task or {}) != (app_of_task or {}):
+                different = "app_of_task"
+            else:
                 existing.reactivate()
                 return existing
             raise RegistrationError(
                 [f"registration name {name!r} is already in use "
-                 "with a different hypothesis"]
+                 f"with a different {different}"]
             )
         compiled = self.hypotheses.admit(
             name, hypothesis_dict, strict=self.strict)
@@ -355,6 +371,8 @@ class SupervisorShard:
         registration.watchdog.add_fault_listener(registration._on_detection)
         registration.watchdog.add_task_fault_listener(
             registration._on_task_fault)
+        registration.watchdog.tsi.add_ecu_state_listener(
+            registration._on_ecu_state)
         self.registrations[name] = registration
         return registration
 
@@ -460,6 +478,11 @@ class SupervisorShard:
     def add_task_fault_listener(self, listener: TaskFaultListener) -> None:
         self._task_fault_listeners.append(listener)
 
+    def add_ecu_state_listener(self, listener: EcuStateListener) -> None:
+        """Subscribe to every registration's ECU-state transitions:
+        ``(registration name, change)``."""
+        self._ecu_state_listeners.append(listener)
+
     def _notify_detection(self, registration: str, error: RunnableError) -> None:
         for listener in self._detection_listeners:
             listener(registration, error)
@@ -467,6 +490,11 @@ class SupervisorShard:
     def _notify_task_fault(self, registration: str, event: TaskFaultEvent) -> None:
         for listener in self._task_fault_listeners:
             listener(registration, event)
+
+    def _notify_ecu_state(self, registration: str,
+                          change: EcuStateChange) -> None:
+        for listener in self._ecu_state_listeners:
+            listener(registration, change)
 
     def task_states(self) -> Dict[str, Dict[str, Any]]:
         """Per-registration task-state map (the fleet's rollup input)."""

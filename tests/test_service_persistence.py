@@ -494,6 +494,53 @@ class TestStandby:
             await revived.stop()
         asyncio.run(scenario())
 
+    def test_adopted_snapshots_do_not_inflate_fleet_gauges(self, tmp_path):
+        """Regression: each adopted snapshot built new watchdogs on the
+        standby's registry, and every one added its share to the
+        fleet-summed gauges while the replaced fleet never took its
+        share back, so the gauges grew with every snapshot (and a
+        promoted standby exported the inflated values)."""
+        gauges = ("wd_hbm_active_runnables", "wd_tsi_faulty_tasks")
+
+        def read(server):
+            return {name: server.telemetry.value(name) for name in gauges}
+
+        def standby_server():
+            return SupervisionServer(
+                port=0, tick_interval=None, standby=True,
+                state_dir=str(tmp_path / "state"),
+                snapshot_interval=None, standby_poll=0.01)
+
+        async def scenario():
+            primary = await start_server(tmp_path)
+            peer = await _WireClient.connect(primary)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            for cycle in range(1, 13):  # silent: task T turns faulty
+                primary.tick(cycle * 10)
+            assert read(primary) == {"wd_hbm_active_runnables": 2,
+                                     "wd_tsi_faulty_tasks": 1}
+
+            standby = standby_server()
+            await standby.start()
+            for _ in range(3):
+                adopted = standby.fleet
+                primary.write_snapshot()
+                await until(lambda: standby.fleet is not adopted,
+                            message="the standby to adopt the snapshot")
+            restored_once = standby_server()
+            await restored_once.start()
+            assert read(restored_once) == read(primary)
+            assert read(standby) == read(restored_once)
+            await restored_once.stop()
+
+            await peer.close()
+            await primary.stop(save=False)
+            await standby.promote()
+            assert read(standby) == read(restored_once)
+            await standby.stop()
+        asyncio.run(scenario())
+
     def test_standby_promotes_when_clean_shutdown_lock_vanishes(
             self, tmp_path):
         async def scenario():

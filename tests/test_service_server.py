@@ -23,6 +23,7 @@ from repro.service.protocol import (
     T_HEARTBEAT,
     T_HELLO,
     T_REGISTER,
+    T_STATE,
     encode_frame,
 )
 from testutil import until
@@ -259,6 +260,28 @@ class TestWireServer:
             await server.stop()
         asyncio.run(scenario())
 
+    def test_duplicate_register_different_app_map_rejected(self):
+        async def scenario():
+            server = await start_server()
+            owner = await _WireClient.connect(server)
+            await owner.send(T_REGISTER, name="p", hypothesis=make_hyp_dict(),
+                             app_of_task={"T": "appA"})
+            assert (await owner.recv_frame()).get("ok")
+            other = await _WireClient.connect(server)
+            await other.send(T_REGISTER, name="p", hypothesis=make_hyp_dict(),
+                             app_of_task={"T": "appB"})
+            nack = await other.recv_frame()
+            assert not nack.get("ok")
+            assert "app_of_task" in nack.get("error")
+            assert not server.telemetry.value(
+                "service_register_rebinds_total")
+            tsi = server.fleet.registration("p").watchdog.tsi
+            assert tsi.app_of_task == {"T": "appA"}
+            await owner.close()
+            await other.close()
+            await server.stop()
+        asyncio.run(scenario())
+
     def test_server_only_frame_from_client_nacked(self):
         async def scenario():
             server = await start_server()
@@ -385,6 +408,32 @@ class TestSdkAgainstServer:
             await server.stop()
         asyncio.run(scenario())
 
+    def test_sdk_reconnect_replay_rebinds_with_its_app_map(self):
+        async def scenario():
+            server = await start_server()
+            address = (server.host, server.port)
+
+            def reconnect():
+                client = WatchdogClient(
+                    address, client_name="sdk", backoff_initial=0.001,
+                    backoff_max=0.002, backoff_jitter=0.0)
+                client.connect()
+                client.register("p", make_hyp_dict(),
+                                app_of_task={"T": "appA"})
+                client._drop_connection()  # a broken pipe
+                assert client._reconnect()
+                return client
+
+            client = await in_thread(reconnect)
+            assert server.telemetry.value(
+                "service_register_rebinds_total") == 1
+            registration = server.fleet.registration("p")
+            assert registration.connected
+            assert registration.watchdog.tsi.app_of_task == {"T": "appA"}
+            await in_thread(client.close)
+            await server.stop()
+        asyncio.run(scenario())
+
     def test_sync_means_applied(self):
         async def scenario():
             server = await start_server()
@@ -426,6 +475,140 @@ class TestSdkAgainstServer:
             await server.stop()
             import os
             assert not os.path.exists(path)  # unlinked on stop
+        asyncio.run(scenario())
+
+
+async def frames_until_hello_ack(peer):
+    """Every frame the server sent ``peer`` ahead of a HELLO ACK: the
+    pushes of every check cycle run before the HELLO was sent."""
+    await peer.send(T_HELLO, client="barrier")
+    frames = []
+    while True:
+        frame = await peer.recv_frame()
+        if frame.type == T_ACK and frame.get("re") == T_HELLO:
+            return frames
+        frames.append(frame)
+
+
+def ecu_pushes(frames, name):
+    return [(frame.get("old_state"), frame.get("state")) for frame in frames
+            if frame.type == T_STATE and frame.get("scope") == "ecu"
+            and frame.get("subject") == name]
+
+
+def tick_silent(server, names, first_cycle=1, cycles=12):
+    """Run check cycles over silent registrations; each one's ECU
+    transitions as its TSI reported them."""
+    transitions = {name: [] for name in names}
+    for name in names:
+        server.fleet.registration(name).watchdog.tsi.add_ecu_state_listener(
+            lambda change, seen=transitions[name]: seen.append(
+                (change.old_state.value, change.new_state.value)))
+    for cycle in range(first_cycle, first_cycle + cycles):
+        server.tick(cycle * 10)
+    for seen in transitions.values():
+        assert seen, "a silent registration must change ECU state"
+    return transitions
+
+
+class TestEcuStatePush:
+    """The owner of a registration gets exactly one ``scope="ecu"``
+    STATE frame per ECU-state transition of that registration's TSI,
+    however the registration came to be on the table."""
+
+    def test_live_registration(self):
+        async def scenario():
+            server = await start_server()
+            owner = await _WireClient.connect(server)
+            await owner.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await owner.recv_frame()).get("ok")
+            transitions = tick_silent(server, ["p"])
+            frames = await frames_until_hello_ack(owner)
+            assert ecu_pushes(frames, "p") == transitions["p"]
+            await owner.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_rebind_from_a_second_connection_pushes_once(self):
+        async def scenario():
+            server = await start_server()
+            old = await _WireClient.connect(server)
+            await old.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await old.recv_frame()).get("ok")
+            new = await _WireClient.connect(server)
+            await new.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await new.recv_frame()).get("rebound") is True
+            transitions = tick_silent(server, ["p"])
+            assert ecu_pushes(await frames_until_hello_ack(new), "p") == \
+                transitions["p"]
+            assert ecu_pushes(await frames_until_hello_ack(old), "p") == []
+            await old.close()
+            await new.close()
+            await server.stop()
+        asyncio.run(scenario())
+
+    def test_after_restart_from_snapshot_and_journal(self, tmp_path):
+        state_dir = str(tmp_path / "state")
+
+        async def scenario():
+            server = await start_server(state_dir=state_dir,
+                                        snapshot_interval=None)
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            server.write_snapshot()
+            # q reaches the restarted daemon through the journal only.
+            await peer.send(T_REGISTER, name="q",
+                            hypothesis=make_hyp_dict("q."))
+            assert (await peer.recv_frame()).get("ok")
+            await peer.close()
+            await server.stop(save=False)
+
+            revived = await start_server(state_dir=state_dir,
+                                         snapshot_interval=None)
+            owner = await _WireClient.connect(revived)
+            for name, prefix in (("p", ""), ("q", "q.")):
+                await owner.send(T_REGISTER, name=name,
+                                 hypothesis=make_hyp_dict(prefix))
+                assert (await owner.recv_frame()).get("rebound") is True
+            transitions = tick_silent(revived, ["p", "q"])
+            frames = await frames_until_hello_ack(owner)
+            for name in ("p", "q"):
+                assert ecu_pushes(frames, name) == transitions[name]
+            await owner.close()
+            await revived.stop()
+        asyncio.run(scenario())
+
+    def test_after_standby_adopts_a_snapshot_and_promotes(self, tmp_path):
+        state_dir = str(tmp_path / "state")
+
+        async def scenario():
+            primary = await start_server(state_dir=state_dir,
+                                         snapshot_interval=None)
+            peer = await _WireClient.connect(primary)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            standby = SupervisionServer(
+                port=0, tick_interval=None, standby=True, state_dir=state_dir,
+                snapshot_interval=None, standby_poll=0.01)
+            await standby.start()
+            assert "p" in standby.fleet.registrations
+            adopted = standby.fleet
+            primary.write_snapshot()
+            await until(lambda: standby.fleet is not adopted,
+                        message="the standby to adopt the snapshot")
+            await peer.close()
+            await primary.stop(save=False)
+            await standby.promote()
+
+            owner = await _WireClient.connect(standby)
+            await owner.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await owner.recv_frame()).get("rebound") is True
+            transitions = tick_silent(standby, ["p"])
+            frames = await frames_until_hello_ack(owner)
+            assert ecu_pushes(frames, "p") == transitions["p"]
+            await owner.close()
+            await standby.stop()
         asyncio.run(scenario())
 
 
@@ -743,7 +926,7 @@ class TestQueueAccounting:
             peer = await _WireClient.connect(server)
             await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
             assert (await peer.recv_frame()).get("ok")
-            table = server.fleet.table
+            table = server.fleet
             original = table.heartbeat
 
             def exploding(registration, runnable, time, task=None):
@@ -951,7 +1134,7 @@ class TestCheckCycleIsolation:
             assert server.telemetry.value(
                 "service_handler_errors_total") == 1
             assert server.health()["handler_errors"] == 1
-            assert server.fleet.table.cycle_errors == 1
+            assert server.fleet.cycle_errors == 1
             await peer.close()
             await server.stop()
         asyncio.run(scenario())

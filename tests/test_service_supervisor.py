@@ -72,6 +72,30 @@ class TestRegistration:
         with pytest.raises(RegistrationError, match="already in use"):
             table.register("p", hyp_dict(prefix="other."))
 
+    def test_duplicate_name_different_app_map_rejected(self):
+        """Regression: the rebind compared only the hypothesis, so a
+        REGISTER with a changed ``app_of_task`` was acknowledged as a
+        rebind while the TSI kept the old application map."""
+        table = SupervisorShard()
+        first = table.register("p", hyp_dict(), app_of_task={"T": "appA"})
+        first.deactivate()
+        with pytest.raises(RegistrationError, match="app_of_task"):
+            table.register("p", hyp_dict(), app_of_task={"T": "appB"})
+        with pytest.raises(RegistrationError, match="app_of_task"):
+            table.register("p", hyp_dict())
+        assert not first.active
+        assert first.watchdog.tsi.app_of_task == {"T": "appA"}
+        assert table.register(
+            "p", hyp_dict(), app_of_task={"T": "appA"}) is first
+        assert first.active
+
+    def test_rebind_reads_no_app_map_as_an_empty_one(self):
+        table = SupervisorShard()
+        first = table.register("p", hyp_dict())
+        assert table.register("p", hyp_dict(), app_of_task={}) is first
+        second = table.register("q", hyp_dict(), app_of_task={})
+        assert table.register("q", hyp_dict()) is second
+
     def test_deactivate_reactivate_respects_configured_as(self):
         hyp = make_hypothesis()
         hyp.runnables["act"].active = False
@@ -129,8 +153,7 @@ class TestFleet:
             fleet.register("bad", {"version": 99})
         for name in ("b", "a", "c"):
             fleet.register(name, hyp_dict(prefix=f"{name}."))
-        assert fleet.registrations is fleet.table.registrations
-        assert fleet.hypotheses is fleet.table.hypotheses
+        assert isinstance(fleet, SupervisorShard)
         assert list(fleet.registrations) == ["b", "a", "c"]
 
     def test_state_rollup_worst_of(self):

@@ -64,7 +64,7 @@ def test_restore_merges_shards_in_shard_order_with_counters():
         assert registration.task_starts == record["task_starts"] > 0
         assert registration.detections == record["detections"]
         assert registration.active is record["active"]
-    assert fleet.table.tick_count == 6
+    assert fleet.tick_count == 6
     # The watchdog state comes back exactly: a schema-2 capture of the
     # restored fleet carries the schema-1 records verbatim, in one table.
     state = fleet.snapshot()
