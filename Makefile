@@ -28,7 +28,7 @@ REPRO = PYTHONPATH=src python -m repro
 BENCH_RECORD = benchmarks/test_bench_service_recovery.py \
 	benchmarks/test_bench_snapshot.py benchmarks/test_bench_footprint.py \
 	benchmarks/test_bench_service_ingest.py benchmarks/test_bench_fleet_tick.py \
-	benchmarks/test_bench_admission.py
+	benchmarks/test_bench_admission.py benchmarks/test_bench_check_cycle.py
 
 .PHONY: test lint bench-smoke bench wdbench wdbench-test bench-record \
 	metrics-smoke serve-smoke ha-smoke all

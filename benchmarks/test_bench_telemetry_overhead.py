@@ -46,9 +46,9 @@ def _best_of(unit, repeats: int = REPEATS) -> float:
 
 def test_bench_telemetry_overhead_within_bound(benchmark):
     """Acceptance: instrumented hot path ≤ 1.15× the null-registry path."""
-    null_unit = _staggered_unit(RUNNABLES, PERIOD, "wheel",
+    null_unit = _staggered_unit(RUNNABLES, PERIOD,
                                 telemetry=NullRegistry())
-    live_unit = _staggered_unit(RUNNABLES, PERIOD, "wheel",
+    live_unit = _staggered_unit(RUNNABLES, PERIOD,
                                 telemetry=MetricsRegistry())
     null_cost = _best_of(null_unit)
     live_cost = benchmark.pedantic(
@@ -72,8 +72,8 @@ def test_bench_telemetry_overhead_within_bound(benchmark):
 def test_bench_null_registry_is_free(benchmark):
     """The default (no telemetry= at all) must cost the same as an
     explicit NullRegistry — the knob's absence is not a tax."""
-    default_unit = _staggered_unit(RUNNABLES, PERIOD, "wheel")
-    null_unit = _staggered_unit(RUNNABLES, PERIOD, "wheel",
+    default_unit = _staggered_unit(RUNNABLES, PERIOD)
+    null_unit = _staggered_unit(RUNNABLES, PERIOD,
                                 telemetry=NullRegistry())
     default_cost = _best_of(default_unit)
     null_cost = benchmark.pedantic(

@@ -145,8 +145,7 @@ def cmd_overhead(args: argparse.Namespace) -> None:
         ("E2 — flow checking: look-up table vs CFCSS", flow_checking_rows),
         ("E2 — watchdog CPU share", watchdog_cpu_rows),
         ("E2 — passive heartbeats vs active polling", passive_vs_polling_rows),
-        ("E2 — check-cycle scaling: full scan vs expiry wheel",
-         check_cycle_scaling_rows),
+        ("E2 — check-cycle scaling: expiry wheel", check_cycle_scaling_rows),
         ("E2 — campaign scaling: serial vs worker processes",
          campaign_scaling_rows),
         ("E2b — projection onto target MCUs (outlook: S12XF)",

@@ -21,7 +21,7 @@ fault hypothesis expire or an error is detected in the last cycle."
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 @dataclass
@@ -77,34 +77,29 @@ class SlotCounterArrays:
     heartbeat dict lookups from the hot path — ingress touches
     ``ac[slot]`` / ``arc[slot]`` directly.
 
-    ``cca``/``ccar`` are only maintained by the legacy ``scan`` check
-    strategy; the ``wheel`` strategy derives them from its re-arm
-    bookkeeping (see :mod:`repro.core.heartbeat`).
+    CCA and CCAR are not stored: the check cycle's expiry wheel derives
+    them from its re-arm bookkeeping (see :mod:`repro.core.heartbeat`).
     """
 
-    __slots__ = ("ac", "arc", "cca", "ccar", "active")
+    __slots__ = ("ac", "arc", "active")
 
     def __init__(self, active: Sequence[bool] = ()) -> None:
         """One zeroed slot per entry of ``active`` (its initial AS)."""
         slots = len(active)
         self.ac: List[int] = [0] * slots
         self.arc: List[int] = [0] * slots
-        self.cca: List[int] = [0] * slots
-        self.ccar: List[int] = [0] * slots
         self.active: List[bool] = list(active)
 
     def __len__(self) -> int:
         return len(self.ac)
 
     def reset_slot(self, slot: int) -> None:
-        """Zero every period counter of one slot (AS change, restart)."""
+        """Zero both heartbeat counters of one slot (AS change, restart)."""
         self.ac[slot] = 0
         self.arc[slot] = 0
-        self.cca[slot] = 0
-        self.ccar[slot] = 0
 
     def reset_all(self) -> None:
-        """Zero every period counter of every slot (watchdog restart)."""
+        """Zero the heartbeat counters of every slot (watchdog restart)."""
         for slot in range(len(self.ac)):
             self.reset_slot(slot)
 
@@ -113,13 +108,15 @@ class SlotCounterArrays:
 
         The inverse of :meth:`load_state`; together they make the counter
         block persistable, so a restarted supervision daemon resumes the
-        exact monitoring windows a killed one was in.
+        exact monitoring windows a killed one was in.  ``cca`` and
+        ``ccar`` are always zero lists: they keep the snapshot format of
+        the counter block that stored them.
         """
         return {
             "ac": list(self.ac),
             "arc": list(self.arc),
-            "cca": list(self.cca),
-            "ccar": list(self.ccar),
+            "cca": [0] * len(self.ac),
+            "ccar": [0] * len(self.ac),
             "active": [bool(a) for a in self.active],
         }
 
@@ -129,7 +126,7 @@ class SlotCounterArrays:
         The slot layout (count and order) must match — restoring is only
         defined onto a counter block built from the same hypothesis.
         """
-        for key in ("ac", "arc", "cca", "ccar", "active"):
+        for key in ("ac", "arc", "active"):
             if len(state[key]) != len(self.ac):
                 raise ValueError(
                     f"counter state has {len(state[key])} {key!r} slots, "
@@ -137,22 +134,7 @@ class SlotCounterArrays:
                 )
         self.ac[:] = [int(v) for v in state["ac"]]
         self.arc[:] = [int(v) for v in state["arc"]]
-        self.cca[:] = [int(v) for v in state["cca"]]
-        self.ccar[:] = [int(v) for v in state["ccar"]]
         self.active[:] = [bool(v) for v in state["active"]]
-
-    def snapshot(self, slot: int, *, cca: Optional[int] = None,
-                 ccar: Optional[int] = None) -> Dict[str, int]:
-        """Counter values of one slot in the classic AC/ARC/CCA/CCAR/AS
-        shape; callers that derive the cycle counters (the wheel
-        strategy) pass them explicitly."""
-        return {
-            "AC": self.ac[slot],
-            "ARC": self.arc[slot],
-            "CCA": self.cca[slot] if cca is None else cca,
-            "CCAR": self.ccar[slot] if ccar is None else ccar,
-            "AS": int(self.active[slot]),
-        }
 
 
 @dataclass

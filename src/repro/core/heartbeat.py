@@ -20,25 +20,17 @@ An eager detection resets only the Arrival Rate Counter — the period
 boundary (CCAR / the wheel deadline) is left untouched, so the arrival
 windows stay aligned to ``arrival_period`` exactly as configured.
 
-Check strategies
-----------------
-
 Runnable names are interned to integer slots at configuration time and
 the counters live in flat slot-indexed arrays
-(:class:`~repro.core.counters.SlotCounterArrays`).  Two strategies
-decide which slots a check cycle visits:
-
-* ``"wheel"`` (default) — an *expiry wheel*: each runnable's aliveness
-  and arrival-rate deadlines are bucketed by the absolute cycle index
-  at which they next expire.  A check cycle pops only the buckets that
-  are due, judges those slots, and re-arms them one period ahead.
-  Per-cycle cost is proportional to the number of *due* checks, not to
-  the number of monitored runnables.
-* ``"scan"`` — the original implementation: visit every active slot on
-  every cycle, increment CCA/CCAR, and check whichever period expired.
-  O(runnables) per cycle; kept as the behavioral reference (the two
-  strategies are differential-tested for bit-for-bit equal error
-  streams).
+(:class:`~repro.core.counters.SlotCounterArrays`).  A check cycle does
+not visit every runnable: an *expiry wheel* buckets each runnable's
+aliveness and arrival-rate deadlines by the absolute cycle index at
+which they next expire, and a cycle pops only the bucket that is due,
+judges those slots and re-arms them one period ahead.  Per-cycle cost
+is proportional to the number of *due* checks, not to the number of
+monitored runnables.  CCA and CCAR are derived from the cycle index at
+which each period was last armed.  ``tests/reference_model.py`` states
+the per-cycle semantics the wheel must reproduce.
 """
 
 from __future__ import annotations
@@ -70,7 +62,7 @@ class HeartbeatMonitoringUnit:
     """Aliveness and arrival-rate monitoring of independent runnables."""
 
     __slots__ = (
-        "hypothesis", "eager_arrival_detection", "strategy", "_listeners",
+        "hypothesis", "eager_arrival_detection", "_listeners",
         "cycle_count", "heartbeat_count", "unknown_heartbeats",
         "slots_visited", "counter_resets", "slot_of", "names", "_hyps",
         "counters", "_alive_base", "_arr_base", "_alive_due", "_arr_due",
@@ -85,30 +77,23 @@ class HeartbeatMonitoringUnit:
         hypothesis: FaultHypothesis,
         *,
         eager_arrival_detection: bool = False,
-        strategy: str = "wheel",
         telemetry=None,
     ) -> None:
-        if strategy not in ("wheel", "scan"):
-            raise ValueError(f"unknown check strategy {strategy!r} "
-                             "(expected 'wheel' or 'scan')")
         self.hypothesis = hypothesis
         self.eager_arrival_detection = eager_arrival_detection
-        self.strategy = strategy
         self._listeners: List[ErrorListener] = []
         self.cycle_count = 0
         self.heartbeat_count = 0
         self.unknown_heartbeats = 0
         #: Cumulative number of slots examined by check cycles — the
-        #: instrumentation hook for the cycle-cost experiments: with the
-        #: scan strategy this grows by the number of active runnables
-        #: every cycle, with the wheel strategy only by the number of
-        #: *due* ones.
+        #: instrumentation hook for the cycle-cost experiments: it grows
+        #: by the number of *due* runnables per cycle, not by the number
+        #: of monitored ones.
         self.slots_visited = 0
         #: Cumulative number of window-counter resets (an AC reset at
         #: each aliveness-period expiry, an ARC reset at each
         #: arrival-period expiry or eager detection).  A plain int like
-        #: ``slots_visited`` so the tally is strategy-independent and
-        #: free even without telemetry.
+        #: ``slots_visited`` so the tally is free even without telemetry.
         self.counter_resets = 0
         # Slot interning is configuration, shared read-only by every
         # unit built from this hypothesis; only the counters are ours.
@@ -119,11 +104,9 @@ class HeartbeatMonitoringUnit:
         self.names: List[str] = tables.names
         self._hyps: List[RunnableHypothesis] = tables.hyps
         self.counters = SlotCounterArrays([hyp.active for hyp in self._hyps])
-        # Wheel bookkeeping (maintained even under the scan strategy so
-        # the strategy could be flipped between cycles if ever needed;
-        # the cost is two ints per slot): each slot's period bases and
-        # deadlines, and ``_wheel``, due cycle → wheel entries
-        # (``slot << 1 | kind``) expiring then.
+        # Wheel bookkeeping: each slot's period bases and deadlines, and
+        # ``_wheel``, due cycle → wheel entries (``slot << 1 | kind``)
+        # expiring then.
         self._arm_all()
         # Telemetry: high-frequency tallies stay plain ints on the hot
         # path and are folded into registry counters once per check
@@ -135,7 +118,6 @@ class HeartbeatMonitoringUnit:
         self._tm_cycle_seconds = tm.histogram(
             "wd_hbm_cycle_duration_seconds",
             "Wall-clock cost of one HBM check cycle",
-            strategy=strategy,
         )
         self._tm_cycles = tm.counter(
             "wd_hbm_check_cycles_total", "HBM check cycles executed")
@@ -263,10 +245,9 @@ class HeartbeatMonitoringUnit:
         per the paper).  Returns the errors detected in this cycle.
         """
         self.cycle_count += 1
-        impl = self._cycle_scan if self.strategy == "scan" else self._cycle_wheel
         if self._tm_enabled:
             begin = perf_counter()
-            errors = impl(time)
+            errors = self._cycle_wheel(time)
             self._tm_cycle_seconds.observe(perf_counter() - begin)
             # Folding the plain-int tallies into the registry costs a
             # few instrument updates, so it is amortized over a batch of
@@ -276,7 +257,7 @@ class HeartbeatMonitoringUnit:
             if self._tm_cycles_unsynced >= _TM_SYNC_INTERVAL:
                 self.sync_telemetry()
         else:
-            errors = impl(time)
+            errors = self._cycle_wheel(time)
         for error in errors:
             self._emit(error)
         return errors
@@ -301,30 +282,6 @@ class HeartbeatMonitoringUnit:
             self.slots_visited, self.counter_resets,
         )
 
-    def _cycle_scan(self, time: int) -> List[RunnableError]:
-        """Reference implementation: visit every active slot."""
-        counters = self.counters
-        errors: List[RunnableError] = []
-        for slot, hyp in enumerate(self._hyps):
-            if not counters.active[slot]:
-                continue
-            self.slots_visited += 1
-            counters.cca[slot] += 1
-            counters.ccar[slot] += 1
-            if counters.cca[slot] >= hyp.aliveness_period:
-                if counters.ac[slot] < hyp.min_heartbeats:
-                    errors.append(self._aliveness_error(slot, hyp, time))
-                counters.ac[slot] = 0
-                counters.cca[slot] = 0
-                self.counter_resets += 1
-            if counters.ccar[slot] >= hyp.arrival_period:
-                if counters.arc[slot] > hyp.max_heartbeats:
-                    errors.append(self._arrival_error(slot, hyp, time))
-                counters.arc[slot] = 0
-                counters.ccar[slot] = 0
-                self.counter_resets += 1
-        return errors
-
     def _cycle_wheel(self, time: int) -> List[RunnableError]:
         """Expiry-wheel implementation: visit only the due buckets."""
         now = self.cycle_count
@@ -336,7 +293,7 @@ class HeartbeatMonitoringUnit:
         # re-armed since it was pushed; the deadline arrays are the
         # authority.  ``due`` maps slot → [aliveness_due, arrival_due]
         # so a slot due for both is visited once, aliveness judged
-        # first — the same per-runnable order the scan produces.
+        # first; due slots are judged in slot (registration) order.
         due: Dict[int, List[bool]] = {}
         deadlines = (self._alive_due, self._arr_due)  # indexed by kind
         for entry in bucket:
@@ -370,19 +327,19 @@ class HeartbeatMonitoringUnit:
 
     # ------------------------------------------------------------------
     def snapshot(self, runnable: str) -> Dict[str, int]:
-        """Current counter values of one runnable (for capture/plots)."""
+        """Current AC/ARC/CCA/CCAR/AS of one runnable (capture/plots).
+        CCA and CCAR are not ticked: they are the cycles since the
+        period was last (re-)armed, and 0 while AS is off."""
         slot = self._slot_for(runnable)
-        if self.strategy == "scan":
-            return self.counters.snapshot(slot)
-        if not self.counters.active[slot]:
-            return self.counters.snapshot(slot, cca=0, ccar=0)
-        # The wheel does not tick CCA/CCAR; derive them from the cycle
-        # index at which the period was last (re-)armed.
-        return self.counters.snapshot(
-            slot,
-            cca=self.cycle_count - self._alive_base[slot],
-            ccar=self.cycle_count - self._arr_base[slot],
-        )
+        counters = self.counters
+        active = counters.active[slot]
+        return {
+            "AC": counters.ac[slot],
+            "ARC": counters.arc[slot],
+            "CCA": self.cycle_count - self._alive_base[slot] if active else 0,
+            "CCAR": self.cycle_count - self._arr_base[slot] if active else 0,
+            "AS": int(active),
+        }
 
     def snapshot_state(self) -> Dict[str, object]:
         """Full JSON-compatible monitoring state (daemon persistence).

@@ -68,7 +68,6 @@ class SoftwareWatchdog:
         name: str = "SoftwareWatchdog",
         eager_arrival_detection: bool = False,
         app_of_task: Optional[Dict[str, str]] = None,
-        check_strategy: str = "wheel",
         lint: str = "warn",
         telemetry=None,
         event_sink=None,
@@ -92,7 +91,6 @@ class SoftwareWatchdog:
         self.hbm = HeartbeatMonitoringUnit(
             hypothesis,
             eager_arrival_detection=eager_arrival_detection,
-            strategy=check_strategy,
             telemetry=telemetry,
         )
         self.pfc = ProgramFlowCheckingUnit(

@@ -49,9 +49,7 @@ def _mapping() -> TaskMapping:
 
 
 @register_system("latency")
-def build_latency_system(
-    eager: bool = False, check_strategy: str = "wheel"
-) -> CampaignSystem:
+def build_latency_system(eager: bool = False) -> CampaignSystem:
     """One fresh system with per-error-type detection channels."""
     ecu = Ecu(
         "central",
@@ -61,7 +59,6 @@ def build_latency_system(
                              max_app_restarts=10**6),
         fmf_auto_treatment=False,
         eager_arrival_detection=eager,
-        check_strategy=check_strategy,
     )
     return CampaignSystem(
         target=FaultTarget.from_ecu(ecu),
@@ -98,16 +95,10 @@ def run_latency_study(
     repetitions: int = 3,
     warmup: int = ms(300),
     observation: int = seconds(1),
-    check_strategy: str = "wheel",
     workers: int = 1,
     telemetry=None,
 ) -> List[Dict[str, object]]:
     """Latency per fault class × check-mode; one table row each.
-
-    ``check_strategy`` selects the HBM cycle implementation ("wheel" or
-    "scan"); the two are differential-tested to emit identical errors,
-    so latency figures must not depend on it — running the study under
-    both is the end-to-end cross-check of that property.
 
     ``workers=N`` parallelizes each fault's repetitions across worker
     processes (``0`` = ``os.cpu_count()``); rows are identical to the
@@ -116,8 +107,7 @@ def run_latency_study(
     rows: List[Dict[str, object]] = []
     for eager in (False, True):
         campaign = Campaign(
-            SystemSpec.of("latency", eager=eager,
-                          check_strategy=check_strategy),
+            SystemSpec.of("latency", eager=eager),
             warmup=warmup, observation=observation,
             telemetry=telemetry,
         )
@@ -131,7 +121,6 @@ def run_latency_study(
             rows.append(
                 {
                     "fault": label,
-                    "strategy": check_strategy,
                     "check_mode": "eager-arrival" if eager else "period-end",
                     "detected": result.coverage(channel),
                     "mean_latency_ms": (

@@ -10,9 +10,8 @@ Quantifies the two design arguments of §3.2:
    a function of its period and per-cycle cost
    (:func:`watchdog_cpu_rows`), plus the passive-heartbeat vs
    active-polling bookkeeping comparison (:func:`passive_vs_polling_rows`).
-3. **Check-cycle scaling**: per-cycle cost of the HBM check itself —
-   the legacy full scan against the expiry-wheel strategy — as the
-   number of monitored-but-undue runnables grows
+3. **Check-cycle scaling**: per-cycle cost of the HBM check itself, an
+   expiry wheel, as the number of monitored-but-undue runnables grows
    (:func:`check_cycle_scaling_rows`).
 4. **Campaign scaling**: wall-clock throughput of the E1 injection
    campaign as worker processes are added
@@ -106,7 +105,7 @@ def watchdog_cpu_rows(
 
 
 def _staggered_unit(
-    runnables: int, period: int, strategy: str, telemetry=None
+    runnables: int, period: int, telemetry=None
 ) -> HeartbeatMonitoringUnit:
     """An HBM unit with ``runnables`` healthy runnables whose monitoring
     periods are phase-staggered so roughly ``runnables / period`` checks
@@ -124,7 +123,7 @@ def _staggered_unit(
                 max_heartbeats=1 << 30,
             )
         )
-    unit = HeartbeatMonitoringUnit(hyp, strategy=strategy, telemetry=telemetry)
+    unit = HeartbeatMonitoringUnit(hyp, telemetry=telemetry)
     # Spread the deadline phases: re-arming slot i at warm-up cycle
     # i % period staggers expiries uniformly across the period.
     for c in range(period):
@@ -141,38 +140,36 @@ def check_cycle_scaling_rows(
     period: int = 100,
     cycles: int = 200,
 ) -> List[Dict[str, object]]:
-    """Per-cycle HBM check cost: full scan vs expiry wheel.
+    """Per-cycle HBM check cost as the monitored population grows.
 
     Every configuration monitors ``n`` healthy runnables whose periods
     expire phase-staggered, so about ``n / period`` checks are due per
-    cycle (1 % at the default ``period=100``).  The scan strategy visits
-    all ``n`` slots every cycle regardless; the wheel visits only the
-    due ones, so its per-cycle cost is independent of the undue
-    population.  ``visits_per_cycle`` is the deterministic operation
-    count, ``us_per_cycle`` the measured wall-clock cost.
+    cycle (1 % at the default ``period=100``).  The expiry wheel visits
+    only the due slots, so ``visits_per_cycle`` (the deterministic
+    operation count) equals ``due_per_cycle`` and the cost does not
+    depend on the undue population; ``us_per_cycle`` is the measured
+    wall-clock cost.
     """
     runnable_counts = runnable_counts or [100, 1000]
     rows: List[Dict[str, object]] = []
     for n in runnable_counts:
-        for strategy in ("scan", "wheel"):
-            unit = _staggered_unit(n, period, strategy)
-            visits_before = unit.slots_visited
-            cycles_before = unit.cycle_count
-            start = _time.perf_counter()
-            for c in range(cycles):
-                unit.cycle(time=cycles_before + c)
-            elapsed = _time.perf_counter() - start
-            rows.append(
-                {
-                    "runnables": n,
-                    "strategy": strategy,
-                    "due_per_cycle": round(n / period, 2),
-                    "visits_per_cycle": round(
-                        (unit.slots_visited - visits_before) / cycles, 2
-                    ),
-                    "us_per_cycle": round(1e6 * elapsed / cycles, 2),
-                }
-            )
+        unit = _staggered_unit(n, period)
+        visits_before = unit.slots_visited
+        cycles_before = unit.cycle_count
+        start = _time.perf_counter()
+        for c in range(cycles):
+            unit.cycle(time=cycles_before + c)
+        elapsed = _time.perf_counter() - start
+        rows.append(
+            {
+                "runnables": n,
+                "due_per_cycle": round(n / period, 2),
+                "visits_per_cycle": round(
+                    (unit.slots_visited - visits_before) / cycles, 2
+                ),
+                "us_per_cycle": round(1e6 * elapsed / cycles, 2),
+            }
+        )
     return rows
 
 

@@ -65,7 +65,6 @@ class Ecu:
         fmf_auto_treatment: bool = True,
         watchdog_name: str = "SoftwareWatchdog",
         eager_arrival_detection: bool = False,
-        check_strategy: str = "wheel",
         lint: str = "warn",
         trace_capacity: Optional[int] = None,
         kernel: Optional[Kernel] = None,
@@ -100,7 +99,6 @@ class Ecu:
             name=watchdog_name,
             eager_arrival_detection=eager_arrival_detection,
             app_of_task=app_of_task,
-            check_strategy=check_strategy,
             lint=lint,
             telemetry=telemetry,
             event_sink=event_sink,

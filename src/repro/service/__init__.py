@@ -11,7 +11,7 @@ with and heartbeat into over a socket.
   STATE server frames),
 * :mod:`repro.service.supervisor` — the synchronous supervision core:
   :class:`SupervisorShard`, the supervision table, wraps one
-  wheel-strategy :class:`~repro.core.watchdog.SoftwareWatchdog` per
+  :class:`~repro.core.watchdog.SoftwareWatchdog` per
   registration, lints hypotheses on REGISTER and fans detections,
   task faults and ECU-state changes out to table-level listeners,
 * :mod:`repro.service.fleet` — :class:`Fleet`, the daemon's one table:

@@ -20,7 +20,7 @@ memory built from two complementary pieces:
   carries the monotonic journal sequence number), so replay reuses the
   crash-truncation-tolerant :func:`repro.telemetry.read_jsonl` — a
   daemon killed mid-append leaves at most one partial trailing line,
-  which is silently discarded.
+  which is silently discarded, and cut off before the next append.
 
 Recovery is ``snapshot + journal``: load the newest snapshot, then
 re-apply every journal record with a sequence number beyond it.  After
@@ -52,9 +52,9 @@ tests) runs the same writer without yielding.  A snapshot that fails or
 is cancelled before its rename closes and unlinks the temp file and
 leaves the journal alone.
 
-Every file-system call behind a snapshot and a journal truncation goes
-through one seam, :attr:`StateStore.io` (a :class:`FileIO`), so tests
-can fail any one of them.
+Every file-system call behind a journal append, a snapshot and a
+journal truncation goes through one seam, :attr:`StateStore.io` (a
+:class:`FileIO`), so tests can fail any one of them.
 
 :class:`JournalFollower` is the warm-standby side of the same files: a
 second daemon points it at the primary's state directory, adopts new
@@ -72,7 +72,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterable, List, Optional, Tuple
 
-from ..telemetry import JsonlFileSink, TelemetryEvent, read_jsonl
+from ..telemetry import TelemetryEvent, read_jsonl
 
 __all__ = [
     "FileIO",
@@ -112,7 +112,8 @@ _LOCK_STALE_REFRESHES = 4.0
 
 
 class FileIO:
-    """The file-system calls behind a snapshot and a journal truncation.
+    """The file-system calls behind a journal append, a snapshot and a
+    journal truncation.
 
     One seam: a test swaps :attr:`StateStore.io` for a subclass that
     fails any call, and checks what the state directory looks like
@@ -124,6 +125,13 @@ class FileIO:
 
     def write(self, handle: IO[str], text: str) -> None:
         handle.write(text)
+
+    def flush(self, handle: IO[str]) -> None:
+        """Hand buffered text to the OS (survives a process crash)."""
+        handle.flush()
+
+    def truncate(self, path: str, size: int) -> None:
+        os.truncate(path, size)
 
     def fsync(self, handle: IO[str]) -> None:
         handle.flush()
@@ -177,14 +185,15 @@ class StateStore:
         self.snapshot_path = os.path.join(self.state_dir, _SNAPSHOT_FILE)
         self.journal_path = os.path.join(self.state_dir, _JOURNAL_FILE)
         self.lock_path = os.path.join(self.state_dir, _LOCK_FILE)
-        #: The file-system seam for snapshots and journal truncation.
+        #: The file-system seam for the journal and the snapshots.
         self.io = FileIO()
         #: Last journal sequence number written (monotonic across
         #: snapshots and daemon restarts).
         self.seq = 0
         self.snapshots_written = 0
         self.entries_appended = 0
-        self._journal: Optional[JsonlFileSink] = None
+        #: The journal opened for appending.
+        self._journal: Optional[IO[str]] = None
         self._lock_payload: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
@@ -228,20 +237,58 @@ class StateStore:
 
         Every append is flushed immediately (the journal is the crash
         memory — a buffered record is a forgotten registration); with
-        ``fsync=True`` it is also forced to stable storage.
+        ``fsync=True`` it is also forced to stable storage.  A failed
+        call raises its ``OSError`` (the caller must not acknowledge the
+        frame) and cuts the journal back to its length before the record.
         """
         self.seq += 1
         event = TelemetryEvent(
             time=self.seq, kind=kind, subject=subject, data=dict(data)
         )
-        if self._journal is None:
-            self._journal = JsonlFileSink(
-                self.journal_path, mode="a", fsync=self.fsync
-            )
-        self._journal.emit(event)
-        self._journal.flush()
+        io = self.io
+        length: Optional[int] = None
+        try:
+            if self._journal is None:
+                self._cut_torn_line()
+                self._journal = io.open(self.journal_path, "a")
+            length = os.fstat(self._journal.fileno()).st_size
+            io.write(self._journal, event.to_jsonl() + "\n")
+            if self.fsync:
+                io.fsync(self._journal)
+            else:
+                io.flush(self._journal)
+        except BaseException:
+            self._close_journal()
+            if length is not None:
+                try:
+                    io.truncate(self.journal_path, length)
+                except OSError:
+                    pass
+            raise
         self.entries_appended += 1
         return event
+
+    def _cut_torn_line(self) -> None:
+        """Cut off the partial last line a crash mid-append leaves (and
+        :meth:`load` skips): the next record would extend it into one
+        malformed line."""
+        try:
+            with open(self.journal_path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            return
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            self.io.truncate(self.journal_path, whole)
+
+    def _close_journal(self) -> None:
+        """Close the append handle, if open, ignoring a failing close."""
+        handle, self._journal = self._journal, None
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass
 
     # ------------------------------------------------------------------
     # snapshot side
@@ -330,10 +377,8 @@ class StateStore:
         path always exists once the store has been written to.
         """
         io = self.io
-        if self._journal is not None:
-            # The next append reopens the journal: this one is replaced.
-            self._journal.close()
-            self._journal = None
+        # The next append reopens the journal: this one is replaced.
+        self._close_journal()
         survivors: List[TelemetryEvent] = []
         if os.path.exists(self.journal_path):
             handle = io.open(self.journal_path, "r")
@@ -444,9 +489,7 @@ class StateStore:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
+        self._close_journal()
 
     def __enter__(self) -> "StateStore":
         return self

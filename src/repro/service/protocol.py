@@ -163,15 +163,19 @@ def _decode_body(body: bytes) -> Frame:
         payload = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from None
+    except RecursionError:
+        # Under MAX_FRAME_BYTES, tens of thousands of nested brackets
+        # exhaust the parser's recursion limit.
+        raise ProtocolError("frame payload is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ProtocolError(
             f"frame payload must be a JSON object, got {type(payload).__name__}"
         )
     version = payload.pop("v", None)
-    if version != PROTOCOL_VERSION:
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported protocol version: {version!r}")
     frame_type = payload.pop("type", None)
-    if frame_type not in _KNOWN_TYPES:
+    if not isinstance(frame_type, str) or frame_type not in _KNOWN_TYPES:
         raise ProtocolError(f"unknown frame type: {frame_type!r}")
     return Frame(type=frame_type, data=payload, version=version)
 

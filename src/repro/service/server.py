@@ -479,11 +479,22 @@ class SupervisionServer:
                 else:
                     registration.deactivate()
 
-    def _journal(self, kind: str, subject: str, **data: Any) -> None:
+    def _journal(self, conn: _Connection, re: str, kind: str,
+                 subject: str, **data: Any) -> bool:
+        """Journal a control frame before its ok ACK.  A failed append
+        (ENOSPC, EIO) sends a counted error ACK instead; returns False."""
         if self.store is None:
-            return
-        self.store.append(kind, subject, **data)
+            return True
+        try:
+            self.store.append(kind, subject, **data)
+        except OSError as exc:
+            self.handler_errors += 1
+            self._tm_handler_errors.inc()
+            self._send(conn, T_ACK, ok=False, re=re, name=subject,
+                       error=f"journal append failed: {exc}")
+            return False
         self._tm_journal_records.inc()
+        return True
 
     def write_snapshot(self) -> Optional[Dict[str, Any]]:
         """Write a point-in-time snapshot now, synchronously (the final
@@ -672,8 +683,9 @@ class SupervisionServer:
             self._handle_indications(conn, frame, kind="flow")
         elif frame.type == T_BYE:
             for name in sorted(conn.registrations):
+                if not self._journal(conn, T_BYE, JOURNAL_BYE, name):
+                    return  # the connection stays up for a retry
                 self.fleet.deregister(name)
-                self._journal(JOURNAL_BYE, name)
             conn.said_bye = True
             self._send(conn, T_ACK, ok=True, re=T_BYE)
         else:  # a server-only type sent by a client
@@ -704,7 +716,9 @@ class SupervisionServer:
                        error="'app_of_task' must map task names to "
                              "application names (strings)")
             return
-        rebound = self.fleet.registration(name) is not None
+        previous = self.fleet.registration(name)
+        rebound = previous is not None
+        was_active = rebound and previous.active
         try:
             registration = self.fleet.register(
                 name, hypothesis, app_of_task=app_of_task
@@ -712,6 +726,23 @@ class SupervisionServer:
         except RegistrationError as exc:
             self._send(conn, T_ACK, ok=False, re=T_REGISTER, name=name,
                        error=str(exc), lint=exc.reasons)
+            return
+        if rebound:
+            journaled = self._journal(conn, T_REGISTER, JOURNAL_ACTIVATION,
+                                      name, active=True)
+        else:
+            journaled = self._journal(
+                conn, T_REGISTER, JOURNAL_REGISTER, name,
+                hypothesis=registration.hypothesis_dict,
+                app_of_task=registration.app_of_task,
+            )
+        if not journaled:
+            # A refused frame changes nothing: a new name is dropped (the
+            # retry is admitted and journaled afresh), a rebind undone.
+            if not rebound:
+                self.fleet.discard(name)
+            elif not was_active:
+                registration.deactivate()
             return
         bound = self._conn_of.get(name)
         if bound is not None and bound is not conn:
@@ -728,13 +759,6 @@ class SupervisionServer:
         self._tm_registrations.set(len(self.fleet.registrations))
         if rebound:
             self._tm_rebinds.inc()
-            self._journal(JOURNAL_ACTIVATION, name, active=True)
-        else:
-            self._journal(
-                JOURNAL_REGISTER, name,
-                hypothesis=registration.hypothesis_dict,
-                app_of_task=registration.app_of_task,
-            )
         self._send(
             conn, T_ACK, ok=True, re=T_REGISTER, name=name, rebound=rebound,
             lint=list(registration.lint_diagnostics),

@@ -12,7 +12,7 @@ detections, task faults and ECU-state changes out to table-level
 listeners (``(registration name, event)``), so a subscriber is wired
 once, not per registration.  The daemon's table is a
 :class:`~repro.service.fleet.Fleet`, which adds the fleet rollup.  Each
-registration wraps one wheel-strategy
+registration wraps one
 :class:`~repro.core.watchdog.SoftwareWatchdog` built from the
 client-submitted fault hypothesis — the same construction an embedded
 integrator would use in-process, so detections, thresholds and
@@ -74,8 +74,8 @@ def build_watchdog(
     """The one watchdog construction both supervision paths share.
 
     The differential test builds its in-process reference watchdog
-    through this same function, so a knob added here (strategy, eager
-    mode, ...) can never silently diverge the two paths.  ``lint="off"``
+    through this same function, so a knob added here (eager mode, ...)
+    can never silently diverge the two paths.  ``lint="off"``
     because the service lints explicitly on REGISTER — it needs the
     structured report for the ACK, not a warning on the server's stderr.
     """
@@ -83,7 +83,6 @@ def build_watchdog(
         hypothesis,
         name=name,
         app_of_task=app_of_task,
-        check_strategy="wheel",
         lint="off",
         telemetry=telemetry,
         event_sink=event_sink,
@@ -379,6 +378,11 @@ class SupervisorShard:
     def deregister(self, name: str) -> None:
         """Graceful BYE: deactivate, keep counters for a later rebind."""
         self.registrations[name].deactivate()
+
+    def discard(self, name: str) -> None:
+        """Undo the admission of ``name``, whose REGISTER could not be
+        journaled, gauges included."""
+        self.registrations.pop(name).watchdog.withdraw_telemetry()
 
     # ------------------------------------------------------------------
     # the supervised interfaces

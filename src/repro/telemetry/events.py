@@ -21,7 +21,6 @@ method).  Three are provided:
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, IO, Iterable, List, Optional
 
@@ -163,17 +162,13 @@ class JsonlFileSink:
     file).  ``flush_every=N`` flushes the underlying file every N
     emitted events so a long-running daemon's stream is durable without
     reopening the file; the default (``None``) keeps the historical
-    close-time flushing.  ``fsync=True`` additionally forces the OS to
-    commit each flush to stable storage — the durability level the
-    supervision daemon's state journal needs to survive a host crash,
-    not just a process crash.
+    close-time flushing.
     """
 
     enabled = True
 
     def __init__(
         self, path: str, mode: str = "w", *, flush_every: Optional[int] = None,
-        fsync: bool = False,
     ) -> None:
         if mode not in ("w", "a"):
             raise ValueError(f"mode must be 'w' or 'a', not {mode!r}")
@@ -181,7 +176,6 @@ class JsonlFileSink:
             raise ValueError(f"flush_every must be >= 1, not {flush_every!r}")
         self.path = str(path)
         self.flush_every = flush_every
-        self.fsync = fsync
         self._handle: Optional[IO[str]] = open(self.path, mode,
                                                encoding="utf-8")
         self.emitted = 0
@@ -196,12 +190,9 @@ class JsonlFileSink:
             self.flush()
 
     def flush(self) -> None:
-        """Push buffered lines to the OS now (no-op once closed); with
-        ``fsync=True`` also force them onto stable storage."""
+        """Push buffered lines to the OS now (no-op once closed)."""
         if self._handle is not None:
             self._handle.flush()
-            if self.fsync:
-                os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:

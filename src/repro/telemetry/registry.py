@@ -23,8 +23,9 @@ the instruments that close that gap:
 Instruments are get-or-create: asking twice for the same
 ``(name, labels)`` returns the same object, so independently
 instrumented units aggregate into one time series.  Label values are
-part of the identity (``wd_hbm_cycle_duration_seconds{strategy="wheel"}``
-and ``...{strategy="scan"}`` are distinct series of one metric family).
+part of the identity (``wd_detections_total{error_type="aliveness"}``
+and ``...{error_type="program_flow"}`` are distinct series of one
+metric family).
 """
 
 from __future__ import annotations

@@ -72,7 +72,6 @@ class HilValidator:
         initial_speed_kph: float = 0.0,
         driver_profile: Optional[Callable[[float], float]] = None,
         eager_arrival_detection: bool = False,
-        check_strategy: str = "wheel",
         lint: str = "warn",
         telemetry=None,
         event_sink=None,
@@ -234,7 +233,6 @@ class HilValidator:
             fmf_policy=fmf_policy,
             fmf_auto_treatment=fmf_auto_treatment,
             eager_arrival_detection=eager_arrival_detection,
-            check_strategy=check_strategy,
             lint=lint,
             telemetry=telemetry,
             event_sink=event_sink,

@@ -48,7 +48,7 @@ class TestDeterminism:
 
     def test_latency_system_parallel_equals_serial(self):
         campaign = Campaign(
-            SystemSpec.of("latency", eager=True, check_strategy="wheel"),
+            SystemSpec.of("latency", eager=True),
             warmup=ms(300), observation=ms(500),
         )
         faults = [FaultSpec.of("loop_count", runnable="GetSensorValue",

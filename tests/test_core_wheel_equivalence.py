@@ -1,19 +1,24 @@
-"""Differential equivalence: expiry-wheel vs full-scan check cycles.
+"""Differential equivalence: expiry-wheel check cycles vs the reference
+model.
 
-The wheel strategy is an optimization, not a behavior change: over any
-heartbeat schedule — including activation-status flips, eager arrival
-detection, resets and initially-inactive runnables — it must emit a
-bit-for-bit identical error stream (type, runnable, interned id, time,
-details, order) and identical counter snapshots to the reference scan.
+The wheel is an optimisation of the paper's per-cycle HBM semantics, not
+a change to them: over any heartbeat schedule — including
+activation-status flips, eager arrival detection, resets, unknown names
+and initially-inactive runnables — it must emit a bit-for-bit identical
+error stream (type, runnable, interned id, time, details, order) and
+identical AC/ARC/CCA/CCAR/AS after every cycle to
+``reference_model.ReferenceWatchdog``, and visit exactly the runnables
+the model finds due.
 
-The schedules here are randomized hypothesis-style loops with fixed
-seeds, so failures reproduce deterministically.
+The schedules here are randomized loops with fixed seeds, so failures
+reproduce deterministically.
 """
 
 import random
 
 import pytest
 
+from reference_model import ReferenceWatchdog
 from repro.core import ErrorType, FaultHypothesis, RunnableHypothesis
 from repro.core.heartbeat import HeartbeatMonitoringUnit
 
@@ -36,49 +41,48 @@ def _random_hypothesis(rng):
 
 
 def _make_pair(hyp, eager):
-    scan = HeartbeatMonitoringUnit(hyp, strategy="scan",
-                                   eager_arrival_detection=eager)
-    wheel = HeartbeatMonitoringUnit(hyp, strategy="wheel",
-                                    eager_arrival_detection=eager)
-    scan_errors, wheel_errors = [], []
-    scan.add_listener(scan_errors.append)
+    """The wheel and the model over one hypothesis (no flow pairs, so
+    the model's PFC never fires), and the wheel's emitted errors."""
+    wheel = HeartbeatMonitoringUnit(hyp, eager_arrival_detection=eager)
+    model = ReferenceWatchdog(hyp, eager=eager)
+    wheel_errors = []
     wheel.add_listener(wheel_errors.append)
-    return scan, wheel, scan_errors, wheel_errors
+    return wheel, model, wheel_errors
 
 
 def _drive_both(seed, *, eager, cycles=120, with_resets=False):
-    """Feed one random schedule into both strategies, comparing
-    snapshots after every cycle and error streams at the end."""
+    """Feed one random schedule into the wheel and the model, comparing
+    counters and visits after every cycle and error streams at the end."""
     rng = random.Random(seed)
     hyp = _random_hypothesis(rng)
-    scan, wheel, scan_errors, wheel_errors = _make_pair(hyp, eager)
+    wheel, model, wheel_errors = _make_pair(hyp, eager)
     names = list(hyp.runnables)
     for t in range(cycles):
         for _ in range(rng.randint(0, 4)):
             name = rng.choice(names)
-            scan.heartbeat(name, time=t)
             wheel.heartbeat(name, time=t)
+            model.heartbeat(name, time=t)
         if rng.random() < 0.15:
             name = rng.choice(names)
             active = rng.random() < 0.5
-            scan.set_activation_status(name, active)
             wheel.set_activation_status(name, active)
+            model.set_active(name, active)
         if rng.random() < 0.02:
             ghost = f"ghost{rng.randint(0, 3)}"
-            scan.heartbeat(ghost, time=t)
             wheel.heartbeat(ghost, time=t)
+            model.heartbeat(ghost, time=t)
         if with_resets and rng.random() < 0.03:
-            scan.reset()
             wheel.reset()
-        scan_cycle_errors = scan.cycle(time=t)
-        wheel_cycle_errors = wheel.cycle(time=t)
-        assert wheel_cycle_errors == scan_cycle_errors, (seed, t)
+            model.reset()
+        visited = wheel.slots_visited
+        assert wheel.cycle(time=t) == model.cycle(time=t), (seed, t)
+        assert wheel.slots_visited - visited == model.due_last_cycle
         for name in names:
-            assert wheel.snapshot(name) == scan.snapshot(name), (seed, t, name)
-    assert wheel_errors == scan_errors, seed
-    assert wheel.heartbeat_count == scan.heartbeat_count
-    assert wheel.unknown_heartbeats == scan.unknown_heartbeats
-    return scan, wheel, scan_errors
+            assert wheel.snapshot(name) == model.counter_values(name), (
+                seed, t, name)
+    assert wheel_errors == model.detections, seed
+    assert wheel.unknown_heartbeats == model.unknown_heartbeats
+    return wheel, wheel_errors
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -97,9 +101,9 @@ def test_randomized_schedules_with_resets(seed):
 
 
 def test_errors_carry_matching_interned_ids():
-    """Both strategies assign the same configuration-time slot ids and
-    attach them to every error they emit."""
-    _, wheel, errors = _drive_both(424242, eager=True)
+    """The wheel attaches each runnable's configuration-time slot id to
+    every error it emits."""
+    wheel, errors = _drive_both(424242, eager=True)
     assert errors, "schedule produced no errors; pick a different seed"
     for error in errors:
         assert error.runnable_id == wheel.slot_of[error.runnable]
@@ -114,34 +118,35 @@ def test_wheel_visits_only_due_slots():
             RunnableHypothesis(f"R{i}", aliveness_period=10, min_heartbeats=0,
                                arrival_period=10, max_heartbeats=100)
         )
-    wheel = HeartbeatMonitoringUnit(hyp, strategy="wheel")
-    scan = HeartbeatMonitoringUnit(hyp, strategy="scan")
+    wheel = HeartbeatMonitoringUnit(hyp)
     for t in range(100):
         wheel.cycle(t)
-        scan.cycle(t)
-    assert scan.slots_visited == 50 * 100
     assert wheel.slots_visited == 50 * 10  # one visit per slot per period
 
 
-def test_error_order_matches_scan_slot_order():
+def test_error_order_matches_slot_order():
     """When several runnables fail in the same cycle the wheel reports
-    them in slot order, aliveness before arrival — the scan's order."""
+    them in slot order, aliveness before arrival — the model's order."""
     hyp = FaultHypothesis()
     for name in ("B_second", "A_first"):  # registration order != sorted
         hyp.add_runnable(
             RunnableHypothesis(name, aliveness_period=2, min_heartbeats=1,
                                arrival_period=2, max_heartbeats=0)
         )
-    scan, wheel, scan_errors, wheel_errors = _make_pair(hyp, eager=False)
-    for unit in (scan, wheel):
+    hyp.add_runnable(RunnableHypothesis("C_silent", aliveness_period=2,
+                                        min_heartbeats=1, arrival_period=2,
+                                        max_heartbeats=0))
+    wheel, model, wheel_errors = _make_pair(hyp, eager=False)
+    for unit in (wheel, model):
         unit.heartbeat("B_second", 0)
         unit.heartbeat("A_first", 0)
         unit.cycle(1)
         unit.cycle(2)
     assert [
-        (e.runnable, e.error_type) for e in scan_errors
+        (e.runnable, e.error_type) for e in wheel_errors
     ] == [
         ("B_second", ErrorType.ARRIVAL_RATE),
         ("A_first", ErrorType.ARRIVAL_RATE),
+        ("C_silent", ErrorType.ALIVENESS),
     ]
-    assert wheel_errors == scan_errors
+    assert wheel_errors == model.detections

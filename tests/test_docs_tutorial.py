@@ -143,8 +143,8 @@ class TestTutorialSections:
         assert hw.kick_count >= 195
 
     def test_section_9_check_cycle_scaling(self):
-        """Both strategy spellings from the tutorial construct, and a
-        healthy run behaves identically under either."""
+        """The tutorial's one-line construction runs a healthy stream
+        without detections, and the wheel visits only due checks."""
         from repro.core import SoftwareWatchdog
 
         hyp = FaultHypothesis()
@@ -155,15 +155,12 @@ class TestTutorialSections:
         ))
         hyp.allow_sequence(["ComputeForce"])
         wd = SoftwareWatchdog(hyp)
-        ref = SoftwareWatchdog(hyp, check_strategy="scan")
-        assert wd.hbm.strategy == "wheel"
-        assert ref.hbm.strategy == "scan"
         for t in range(20):
-            for unit in (wd, ref):
-                unit.notify_task_start("BrakeTask")
-                unit.heartbeat_indication("ComputeForce", t, task="BrakeTask")
-                unit.check_cycle(t)
-        assert wd.detection_count() == ref.detection_count() == 0
+            wd.notify_task_start("BrakeTask")
+            wd.heartbeat_indication("ComputeForce", t, task="BrakeTask")
+            wd.check_cycle(t)
+        assert wd.detection_count() == 0
+        assert wd.hbm.slots_visited == 10  # one visit per 2-cycle period
 
     def test_section_9_sharp_edges(self):
         ecu = Ecu("brake-node", brake_mapping(), watchdog_period=ms(5))

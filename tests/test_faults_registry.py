@@ -72,7 +72,7 @@ class TestSpecs:
 
     def test_specs_pickle_round_trip(self):
         run = RunSpec(
-            system=SystemSpec.of("latency", eager=True, check_strategy="scan"),
+            system=SystemSpec.of("latency", eager=True),
             fault=FaultSpec.of("loop_count", runnable="R", repeat=4),
             warmup=ms(300),
             observation=ms(500),

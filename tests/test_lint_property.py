@@ -28,22 +28,42 @@ task_shapes = st.lists(
 )
 
 
-def build_hypothesis(shapes):
+#: Per-runnable overrides for :func:`build_hypothesis`: aliveness
+#: period, min heartbeats, arrival period, max heartbeats, initial AS.
+runnable_bounds = st.tuples(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([True, True, True, False]),
+)
+
+
+def build_hypothesis(shapes, bounds=None):
     """One linear runnable sequence per task, bounds sized so that
-    ``n`` in-order activations per ``K``-cycle window conform."""
+    ``n`` in-order activations per ``K``-cycle window conform.
+
+    ``bounds``, a list of :data:`runnable_bounds` tuples, replaces the
+    runnables' bounds and initial AS in registration order (cycling);
+    the plan's activations then need not conform."""
     hyp = FaultHypothesis()
     plan = []  # (task, [runnable names], window K, activations n)
     for t, (count, window, activations) in enumerate(shapes):
         task = f"T{t}"
         names = [f"T{t}R{i}" for i in range(count)]
         for name in names:
+            fields = (window, activations, window, activations, True)
+            if bounds:
+                fields = bounds[len(hyp.runnables) % len(bounds)]
+            alive, least, arrival, most, active = fields
             hyp.add_runnable(RunnableHypothesis(
                 name,
                 task=task,
-                aliveness_period=window,
-                min_heartbeats=activations,
-                arrival_period=window,
-                max_heartbeats=activations,
+                aliveness_period=alive,
+                min_heartbeats=least,
+                arrival_period=arrival,
+                max_heartbeats=most,
+                active=active,
             ))
         hyp.allow_sequence(names)
         plan.append((task, names, window, activations))

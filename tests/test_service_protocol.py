@@ -4,6 +4,7 @@ import json
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.service.protocol import (
     FatalProtocolError,
@@ -12,6 +13,8 @@ from repro.service.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
+    REQUEST_TYPES,
+    SERVER_TYPES,
     T_ACK,
     T_BYE,
     T_HEARTBEAT,
@@ -144,3 +147,98 @@ class TestDecoder:
         raw = encode_frame(T_HELLO, client="prüfstand-β")
         (frame,) = decode_all(raw)
         assert frame.data["client"] == "prüfstand-β"
+
+
+# --- decoder fuzz ------------------------------------------------------
+
+HEADER = struct.Struct("!I")
+
+#: JSON values a frame field may carry.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+frames = st.builds(
+    Frame,
+    type=st.sampled_from(REQUEST_TYPES + SERVER_TYPES),
+    data=st.dictionaries(
+        st.text(max_size=6).filter(lambda key: key not in ("v", "type")),
+        json_values, max_size=4))
+
+
+def framed(body: bytes) -> bytes:
+    return HEADER.pack(len(body)) + body
+
+
+def body_of(payload) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
+#: The body of one frame the decoder must reject, recoverably.
+malformed_bodies = st.one_of(
+    # corrupt: not UTF-8, not JSON, a JSON text cut short
+    st.binary(min_size=1, max_size=16).map(lambda raw: b"\xff" + raw),
+    st.text(max_size=16).map(lambda text: b"{" + text.encode("utf-8")),
+    frames.map(lambda f: encode_frame(f.type, **f.data)[4:-1]),
+    # ill-typed: not an object, or a bad version or type field
+    json_values.filter(lambda value: not isinstance(value, dict))
+    .map(body_of),
+    st.sampled_from([None, True, 1.0, "1", 2, [1], {"v": 1}]).map(
+        lambda v: body_of({"v": v, "type": T_HELLO})),
+    st.sampled_from([None, 1, "PING", [T_HELLO], {"t": 1}]).map(
+        lambda t: body_of({"v": PROTOCOL_VERSION, "type": t})),
+    # nested past the parser's recursion limit, under MAX_FRAME_BYTES
+    st.integers(2_000, 60_000).flatmap(lambda depth: st.sampled_from(
+        [b"[" * depth, b'{"a":' * depth,
+         b'{"v":1,"type":"HELLO","x":' + b"[" * depth])),
+)
+
+
+def feed_split(decoder, stream, cuts):
+    """Feed ``stream`` in chunks cut at ``cuts``; every item, in order.
+    The buffer never holds more than one header and one frame."""
+    items = []
+    bounds = sorted({0, len(stream), *(c % (len(stream) + 1) for c in cuts)})
+    for start, end in zip(bounds, bounds[1:]):
+        items.extend(decoder.feed(stream[start:end]))
+        assert decoder.pending_bytes() <= HEADER.size + MAX_FRAME_BYTES
+    return items
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(frames, max_size=6),
+           st.lists(st.integers(0, 1 << 16), max_size=12))
+    def test_any_chunk_split_decodes_the_same_frames(self, sent, cuts):
+        stream = b"".join(encode_frame(f.type, **f.data) for f in sent)
+        decoder = FrameDecoder()
+        assert feed_split(decoder, stream, cuts) == sent
+        assert decoder.pending_bytes() == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(malformed_bodies, min_size=1, max_size=3), frames,
+           st.lists(st.integers(0, 1 << 18), max_size=8))
+    @example([b"[" * 50_000], Frame(T_HELLO, {"client": "after"}), [])
+    def test_each_malformed_body_is_one_recoverable_error(self, bodies,
+                                                          after, cuts):
+        stream = b"".join(framed(body) for body in bodies)
+        stream += encode_frame(after.type, **after.data)
+        decoder = FrameDecoder()
+        items = feed_split(decoder, stream, cuts)
+        assert len(items) == len(bodies) + 1
+        assert all(type(item) is ProtocolError for item in items[:-1])
+        assert items[-1] == after
+        assert decoder.frames_rejected == len(bodies)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(frames, max_size=3),
+           st.integers(MAX_FRAME_BYTES + 1, (1 << 32) - 1),
+           st.binary(max_size=8))
+    def test_only_an_oversized_header_is_fatal(self, before, length, tail):
+        stream = b"".join(encode_frame(f.type, **f.data) for f in before)
+        with pytest.raises(FatalProtocolError) as raised:
+            FrameDecoder().feed(stream + HEADER.pack(length) + tail)
+        assert raised.value.frames == before

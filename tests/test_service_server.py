@@ -1216,6 +1216,29 @@ class TestFraming:
             await server.stop()
         asyncio.run(scenario())
 
+    def test_deeply_nested_frame_is_one_malformed_frame(self):
+        """50 000 nested brackets, under MAX_FRAME_BYTES, exhaust the
+        JSON parser's recursion: the frame earns an error ACK and the
+        HELLO behind it is still served on the same connection."""
+        async def scenario():
+            server = await start_server()
+            peer = await _WireClient.connect(server)
+            body = b"[" * 50_000
+            assert len(body) < MAX_FRAME_BYTES
+            await peer.send_raw(struct.pack("!I", len(body)) + body
+                                + encode_frame(T_HELLO, client="after"))
+            error = await peer.recv_frame()
+            assert not error.get("ok") and error.get("re") is None
+            assert "nested" in error.get("error")
+            ack = await peer.recv_frame()
+            assert ack.get("ok") and ack.get("re") == T_HELLO
+            assert server.telemetry.counter(
+                "service_malformed_frames_total").value == 1
+            assert server.handler_errors == 0
+            await peer.close()
+            await server.stop()
+        asyncio.run(scenario())
+
     def test_eof_without_bye_leaves_registrations_active(self):
         async def scenario():
             server = await start_server()

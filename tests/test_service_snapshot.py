@@ -247,6 +247,14 @@ class FailingIO(FileIO):
         self._call("write")
         super().write(handle, text)
 
+    def flush(self, handle):
+        self._call("flush")
+        super().flush(handle)
+
+    def truncate(self, path, size):
+        self._call("truncate")
+        super().truncate(path, size)
+
     def fsync(self, handle):
         self._call("fsync")
         super().fsync(handle)
@@ -277,8 +285,10 @@ def snapshot_cycle(store, fleet, concurrent=()):
     state, records = fleet.snapshot_stream()
     snapshot = store.open_snapshot(state, records, name="d")
     snapshot.write(1)
+    io, store.io = store.io, FileIO()  # the appends are not the snapshot's
     for name in concurrent:
         store.append(JOURNAL_REGISTER, name, hypothesis={})
+    store.io = io
     snapshot.write()
     store.write_snapshot_payload(snapshot)
     store.truncate_journal_through(snapshot.seq)
@@ -538,5 +548,174 @@ class TestStreamedCut:
                         message="the next interval's snapshot")
             await peer.close()
             await server.stop(save=False)
+
+        asyncio.run(scenario())
+
+
+class TestJournalFaults:
+    """An ``OSError`` at any file call of a journal append: the append
+    raises, the journal on disk never holds the record, and the next
+    append lands.  On a live daemon the frame gets a counted error ACK,
+    and an ok ACK always means a record or a snapshot holds the change."""
+
+    @pytest.mark.parametrize("fsync", [False, True])
+    def test_every_append_call_fails_safely(self, tmp_path, fsync):
+        clean = FailingIO()
+        store = StateStore(str(tmp_path / "clean"), fsync=fsync)
+        store.io = clean
+        store.append(JOURNAL_REGISTER, "a", hypothesis={})
+        assert clean.calls == ["open", "write",
+                               "fsync" if fsync else "flush"]
+        store.close()
+        for fail_at in range(len(clean.calls)):
+            store = StateStore(str(tmp_path / f"fail{fail_at}"),
+                               fsync=fsync)
+            store.append(JOURNAL_REGISTER, "a", hypothesis={})
+            store.close()  # the next append reopens through the seam
+            store.io = FailingIO(fail_at)
+            with pytest.raises(OSError):
+                store.append(JOURNAL_REGISTER, "b", hypothesis={})
+            assert [e.subject for e in StateStore(store.state_dir).load()
+                    .entries] == ["a"]
+            store.io = FileIO()
+            store.append(JOURNAL_BYE, "a")
+            restored = StateStore(store.state_dir).load()
+            assert [(e.time, e.subject) for e in restored.entries] == [
+                (1, "a"), (3, "a")]
+            store.close()
+
+    def test_a_torn_append_is_cut_back(self, tmp_path):
+        """Half a record reaches the file before ENOSPC: the journal is
+        cut back to its last whole record, so the next record does not
+        follow a corrupt line (which would fail every later restore)."""
+
+        class TornWrite(FileIO):
+            def write(self, handle, text):
+                handle.write(text[:len(text) // 2])
+                handle.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        store = StateStore(str(tmp_path / "state"))
+        store.append(JOURNAL_REGISTER, "a", hypothesis={})
+        store.io = TornWrite()
+        with pytest.raises(OSError):
+            store.append(JOURNAL_REGISTER, "b", hypothesis={})
+        store.io = FileIO()
+        store.append(JOURNAL_BYE, "a")
+        store.close()
+        assert [(e.time, e.subject) for e in StateStore(store.state_dir)
+                .load().entries] == [(1, "a"), (3, "a")]
+
+    def test_a_line_torn_by_a_crash_is_cut_before_appending(self, tmp_path):
+        """A kill -9 mid-append leaves a partial last line.  The restart
+        skips it, and its appends must not extend it: that lost the next
+        record on the following restore, and made the journal unreadable
+        once a second record followed."""
+        store = StateStore(str(tmp_path / "state"))
+        store.append(JOURNAL_REGISTER, "a", hypothesis={})
+        store.close()
+        with open(store.journal_path, "a", encoding="utf-8") as handle:
+            handle.write('{"v": 1, "time": 2, "kind": "jour')
+        restarted = StateStore(store.state_dir)
+        assert [e.subject for e in restarted.load().entries] == ["a"]
+        restarted.append(JOURNAL_REGISTER, "b", hypothesis={})
+        restarted.append(JOURNAL_REGISTER, "c", hypothesis={})
+        restarted.close()
+        assert [(e.time, e.subject) for e in StateStore(store.state_dir)
+                .load().entries] == [(1, "a"), (2, "b"), (3, "c")]
+
+    @pytest.mark.parametrize("fail_at", [0, 1, 2])
+    def test_failed_register_append_gets_an_error_ack(self, tmp_path,
+                                                      fail_at):
+        """The REGISTER is refused and undone, the connection stays up,
+        and the retry is journaled as a REGISTER that survives a
+        restart (it used to rebind, journaling only an activation)."""
+        state_dir = str(tmp_path / "state")
+
+        async def scenario():
+            server = serve(state_dir)
+            await server.start()
+            server.store.io = FailingIO(fail_at)
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="app", hypothesis=make_hyp_dict())
+            ack = await peer.recv_frame()
+            assert not ack.get("ok") and ack.get("re") == T_REGISTER
+            assert "journal append failed" in ack.get("error")
+            assert server.handler_errors == 1
+            assert server.fleet.registration("app") is None
+            await peer.send(T_REGISTER, name="app", hypothesis=make_hyp_dict())
+            ack = await peer.recv_frame()
+            assert ack.get("ok") and ack.get("rebound") is False
+            await peer.close()
+            await server.stop(save=False)
+
+            revived = serve(state_dir)
+            await revived.start()
+            assert revived.fleet.registration("app") is not None
+            await revived.stop(save=False)
+
+        asyncio.run(scenario())
+
+    def test_failed_rebind_append_leaves_the_registration_inactive(
+            self, tmp_path):
+        """A rebind after BYE whose activation record cannot be
+        journaled is refused and undone; the retried rebind is the one
+        a restart sees."""
+        state_dir = str(tmp_path / "state")
+
+        async def scenario():
+            server = serve(state_dir)
+            await server.start()
+            first = await register(server, "app")
+            await bye(first)
+            await first.close()
+            registration = server.fleet.registration("app")
+            server.store.io = FailingIO(fail_at=0)  # the record's write
+            peer = await _WireClient.connect(server)
+            await peer.send(T_REGISTER, name="app", hypothesis=make_hyp_dict())
+            ack = await peer.recv_frame()
+            assert not ack.get("ok") and ack.get("re") == T_REGISTER
+            assert server.handler_errors == 1
+            assert not registration.active and not registration.connected
+            await peer.send(T_REGISTER, name="app", hypothesis=make_hyp_dict())
+            ack = await peer.recv_frame()
+            assert ack.get("ok") and ack.get("rebound") is True
+            assert registration.active
+            await peer.close()
+            await server.stop(save=False)
+
+            revived = serve(state_dir)
+            await revived.start()
+            assert revived.fleet.registration("app").active is True
+            await revived.stop(save=False)
+
+        asyncio.run(scenario())
+
+    def test_failed_bye_append_keeps_the_registration(self, tmp_path):
+        """A BYE that cannot be journaled is refused: the registration
+        stays active and bound, the connection stays up, and the retried
+        BYE is the one a restart sees."""
+        state_dir = str(tmp_path / "state")
+
+        async def scenario():
+            server = serve(state_dir)
+            await server.start()
+            peer = await register(server, "app")
+            server.store.io = FailingIO(fail_at=0)  # the BYE's write
+            await peer.send(T_BYE)
+            ack = await peer.recv_frame()
+            assert not ack.get("ok") and ack.get("re") == T_BYE
+            assert server.handler_errors == 1
+            registration = server.fleet.registration("app")
+            assert registration.active and registration.connected
+            await bye(peer)
+            assert not registration.active
+            await peer.close()
+            await server.stop(save=False)
+
+            revived = serve(state_dir)
+            await revived.start()
+            assert revived.fleet.registration("app").active is False
+            await revived.stop(save=False)
 
         asyncio.run(scenario())

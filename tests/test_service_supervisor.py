@@ -28,7 +28,9 @@ class TestRegistration:
     def test_register_builds_wheel_watchdog(self):
         table = SupervisorShard()
         registration = table.register("p", hyp_dict())
-        assert registration.watchdog.hbm.strategy == "wheel"
+        watchdog = registration.watchdog
+        assert list(watchdog.hbm.slot_of) == ["sense", "act"]
+        assert not watchdog.hbm.eager_arrival_detection
         assert registration.lint_diagnostics == []
 
     def test_invalid_hypothesis_rejected(self):
