@@ -27,7 +27,7 @@ from .config_io import (
     hypothesis_to_dict,
     is_deployable,
 )
-from .counters import CounterHistory, RunnableCounters, SlotCounterArrays
+from .counters import CounterHistory
 from .flowcheck import FlowTable, ProgramFlowCheckingUnit
 from .heartbeat import HeartbeatMonitoringUnit
 from .hypothesis import (
@@ -63,10 +63,8 @@ __all__ = [
     "RemoteSupervisor",
     "SupervisionPublisher",
     "ProgramFlowCheckingUnit",
-    "RunnableCounters",
     "RunnableError",
     "RunnableHypothesis",
-    "SlotCounterArrays",
     "SoftwareWatchdog",
     "SupervisionReport",
     "TaskFaultEvent",

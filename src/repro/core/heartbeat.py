@@ -21,16 +21,18 @@ boundary (CCAR / the wheel deadline) is left untouched, so the arrival
 windows stay aligned to ``arrival_period`` exactly as configured.
 
 Runnable names are interned to integer slots at configuration time and
-the counters live in flat slot-indexed arrays
-(:class:`~repro.core.counters.SlotCounterArrays`).  A check cycle does
-not visit every runnable: an *expiry wheel* buckets each runnable's
-aliveness and arrival-rate deadlines by the absolute cycle index at
-which they next expire, and a cycle pops only the bucket that is due,
-judges those slots and re-arms them one period ahead.  Per-cycle cost
-is proportional to the number of *due* checks, not to the number of
-monitored runnables.  CCA and CCAR are derived from the cycle index at
-which each period was last armed.  ``tests/reference_model.py`` states
-the per-cycle semantics the wheel must reproduce.
+the unit holds each runnable's window state once, in flat slot-indexed
+lists: AC (``ac``), ARC (``arc``), AS (``active``) and the two period
+deadlines.  A check cycle does not visit every runnable: an *expiry
+wheel* buckets each runnable's aliveness and arrival-rate deadlines by
+the absolute cycle index at which they next expire, and a cycle pops
+only the bucket that is due, judges those slots and re-arms them one
+period ahead.  Per-cycle cost is proportional to the number of *due*
+checks, not to the number of monitored runnables.  CCA and CCAR are not
+stored: a period began one period length before its deadline, so
+``CCA = cycle_count - (alive_due - aliveness_period)`` (likewise CCAR).
+``tests/reference_model.py`` states the per-cycle semantics the wheel
+must reproduce.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
 from ..telemetry import NULL_REGISTRY
-from .counters import SlotCounterArrays
 from .hypothesis import FaultHypothesis, RunnableHypothesis
 from .reports import ErrorType, RunnableError
 
@@ -65,7 +66,7 @@ class HeartbeatMonitoringUnit:
         "hypothesis", "eager_arrival_detection", "_listeners",
         "cycle_count", "heartbeat_count", "unknown_heartbeats",
         "slots_visited", "counter_resets", "slot_of", "names", "_hyps",
-        "counters", "_alive_base", "_arr_base", "_alive_due", "_arr_due",
+        "ac", "arc", "active", "_alive_due", "_arr_due",
         "_wheel", "telemetry", "_tm_enabled",
         "_tm_cycle_seconds", "_tm_cycles", "_tm_heartbeats", "_tm_unknown",
         "_tm_slots", "_tm_resets", "_tm_monitored", "_tm_synced",
@@ -103,8 +104,13 @@ class HeartbeatMonitoringUnit:
         #: Slot index → runnable name / hypothesis (flat, slot-ordered).
         self.names: List[str] = tables.names
         self._hyps: List[RunnableHypothesis] = tables.hyps
-        self.counters = SlotCounterArrays([hyp.active for hyp in self._hyps])
-        # Wheel bookkeeping: each slot's period bases and deadlines, and
+        slots = len(self._hyps)
+        #: Per slot: AC, ARC (heartbeats in the current aliveness /
+        #: arrival-rate period) and AS (monitoring enabled).
+        self.ac: List[int] = [0] * slots
+        self.arc: List[int] = [0] * slots
+        self.active: List[bool] = [hyp.active for hyp in self._hyps]
+        # Wheel bookkeeping: each slot's period deadlines, and
         # ``_wheel``, due cycle → wheel entries (``slot << 1 | kind``)
         # expiring then.
         self._arm_all()
@@ -137,7 +143,7 @@ class HeartbeatMonitoringUnit:
         self._tm_monitored = tm.gauge(
             "wd_hbm_active_runnables",
             "Runnables with Activation Status true")
-        self._tm_monitored.inc(self.counters.active.count(True))
+        self._tm_monitored.inc(self.active.count(True))
         #: Last-synced values of (cycles, heartbeats, unknown, slots, resets).
         self._tm_synced = (0, 0, 0, 0, 0)
         self._tm_cycles_unsynced = 0
@@ -169,9 +175,10 @@ class HeartbeatMonitoringUnit:
                 f"cannot set activation status of unknown runnable "
                 f"{runnable!r}; known runnables: {known or '<none>'}"
             )
-        if self.counters.active[slot] != active:
-            self.counters.active[slot] = active
-            self.counters.reset_slot(slot)
+        if self.active[slot] != active:
+            self.active[slot] = bool(active)
+            self.ac[slot] = 0
+            self.arc[slot] = 0
             self._tm_monitored.inc(1 if active else -1)
             if active:
                 self._arm_slot(slot)
@@ -180,11 +187,11 @@ class HeartbeatMonitoringUnit:
 
     def activation_status(self, runnable: str) -> bool:
         """Current AS value."""
-        return self.counters.active[self._slot_for(runnable)]
+        return self.active[self._slot_for(runnable)]
 
     def slot_active(self, slot: int) -> bool:
         """AS value of an interned slot (hot-path accessor)."""
-        return self.counters.active[slot]
+        return self.active[slot]
 
     # ------------------------------------------------------------------
     def heartbeat(self, runnable: str, time: int, task: Optional[str] = None) -> None:
@@ -205,24 +212,23 @@ class HeartbeatMonitoringUnit:
 
         Callers that already resolved the slot (the watchdog facade does
         one dict lookup per indication) go straight to the flat counter
-        arrays.
+        lists.
         """
-        counters = self.counters
-        if not counters.active[slot]:
+        if not self.active[slot]:
             return
         self.heartbeat_count += 1
-        counters.ac[slot] += 1
-        counters.arc[slot] += 1
+        self.ac[slot] += 1
+        self.arc[slot] += 1
         if self.eager_arrival_detection:
             hyp = self._hyps[slot]
-            if counters.arc[slot] > hyp.max_heartbeats:
+            if self.arc[slot] > hyp.max_heartbeats:
                 self._emit(
                     RunnableError(
                         time=time,
                         runnable=self.names[slot],
                         task=task if task is not None else hyp.task,
                         error_type=ErrorType.ARRIVAL_RATE,
-                        details={"arc": counters.arc[slot],
+                        details={"arc": self.arc[slot],
                                  "max": hyp.max_heartbeats,
                                  "eager": True},
                         runnable_id=slot,
@@ -232,7 +238,7 @@ class HeartbeatMonitoringUnit:
                 # wheel deadline) keeps its configured boundary, so an
                 # eager detection does not silently lengthen subsequent
                 # windows.
-                counters.arc[slot] = 0
+                self.arc[slot] = 0
                 self.counter_resets += 1
 
     # ------------------------------------------------------------------
@@ -288,7 +294,7 @@ class HeartbeatMonitoringUnit:
         bucket = self._wheel.pop(now, None)
         if not bucket:
             return []
-        counters = self.counters
+        active, ac, arc = self.active, self.ac, self.arc
         # A bucket entry is *stale* when the slot was deactivated or
         # re-armed since it was pushed; the deadline arrays are the
         # authority.  ``due`` maps slot → [aliveness_due, arrival_due]
@@ -298,7 +304,7 @@ class HeartbeatMonitoringUnit:
         deadlines = (self._alive_due, self._arr_due)  # indexed by kind
         for entry in bucket:
             slot, kind = entry >> 1, entry & 1
-            if counters.active[slot] and deadlines[kind][slot] == now:
+            if active[slot] and deadlines[kind][slot] == now:
                 due.setdefault(slot, [False, False])[kind] = True
         errors: List[RunnableError] = []
         for slot in sorted(due):
@@ -306,20 +312,18 @@ class HeartbeatMonitoringUnit:
             hyp = self._hyps[slot]
             self.slots_visited += 1
             if aliveness_due:
-                if counters.ac[slot] < hyp.min_heartbeats:
+                if ac[slot] < hyp.min_heartbeats:
                     errors.append(self._aliveness_error(slot, hyp, time))
-                counters.ac[slot] = 0
+                ac[slot] = 0
                 self.counter_resets += 1
-                self._alive_base[slot] = now
                 deadline = now + hyp.aliveness_period
                 self._alive_due[slot] = deadline
                 self._wheel.setdefault(deadline, []).append(slot << 1 | _ALIVE)
             if arrival_due:
-                if counters.arc[slot] > hyp.max_heartbeats:
+                if arc[slot] > hyp.max_heartbeats:
                     errors.append(self._arrival_error(slot, hyp, time))
-                counters.arc[slot] = 0
+                arc[slot] = 0
                 self.counter_resets += 1
-                self._arr_base[slot] = now
                 deadline = now + hyp.arrival_period
                 self._arr_due[slot] = deadline
                 self._wheel.setdefault(deadline, []).append(slot << 1 | _ARRIVAL)
@@ -329,15 +333,22 @@ class HeartbeatMonitoringUnit:
     def snapshot(self, runnable: str) -> Dict[str, int]:
         """Current AC/ARC/CCA/CCAR/AS of one runnable (capture/plots).
         CCA and CCAR are not ticked: they are the cycles since the
-        period was last (re-)armed, and 0 while AS is off."""
+        period began, one period length before its deadline, and 0
+        while AS is off."""
         slot = self._slot_for(runnable)
-        counters = self.counters
-        active = counters.active[slot]
+        active = self.active[slot]
+        if active:
+            hyp = self._hyps[slot]
+            now = self.cycle_count
+            cca = now - (self._alive_due[slot] - hyp.aliveness_period)
+            ccar = now - (self._arr_due[slot] - hyp.arrival_period)
+        else:
+            cca = ccar = 0
         return {
-            "AC": counters.ac[slot],
-            "ARC": counters.arc[slot],
-            "CCA": self.cycle_count - self._alive_base[slot] if active else 0,
-            "CCAR": self.cycle_count - self._arr_base[slot] if active else 0,
+            "AC": self.ac[slot],
+            "ARC": self.arc[slot],
+            "CCA": cca,
+            "CCAR": ccar,
             "AS": int(active),
         }
 
@@ -346,11 +357,11 @@ class HeartbeatMonitoringUnit:
 
         Captures everything :meth:`restore_state` needs to resume
         monitoring bit-identically on a unit built from the same
-        hypothesis: cycle index, tallies, the counter block, and the
-        wheel's per-slot period bases and deadlines.  The wheel's bucket
-        map is *not* captured — it is derived state, rebuilt from the
-        deadline arrays on restore.  ``names`` is the hypothesis's
-        shared, never-mutated slot table, returned by reference.
+        hypothesis: cycle index, tallies, AC/ARC/AS under ``counters``
+        and the wheel's per-slot deadlines.  The wheel's bucket map is
+        *not* captured — it is derived state, rebuilt from the deadline
+        lists on restore.  ``names`` is the hypothesis's shared,
+        never-mutated slot table, returned by reference.
         """
         return {
             "names": self.names,
@@ -359,9 +370,11 @@ class HeartbeatMonitoringUnit:
             "unknown_heartbeats": self.unknown_heartbeats,
             "slots_visited": self.slots_visited,
             "counter_resets": self.counter_resets,
-            "counters": self.counters.dump_state(),
-            "alive_base": list(self._alive_base),
-            "arr_base": list(self._arr_base),
+            "counters": {
+                "ac": list(self.ac),
+                "arc": list(self.arc),
+                "active": list(self.active),
+            },
             "alive_due": list(self._alive_due),
             "arr_due": list(self._arr_due),
         }
@@ -371,32 +384,52 @@ class HeartbeatMonitoringUnit:
 
         The unit must have been built from the same hypothesis (same
         slot interning); future check cycles then behave exactly as they
-        would have on the captured instance.
+        would have on the captured instance.  Captures that also carry
+        period bases or CCA/CCAR lists (schemas 1 and 2) restore the
+        same way: those keys are derivable and ignored.
+
+        Raises
+        ------
+        ValueError
+            If the slot layout differs, or a per-slot list does not have
+            one entry per slot (a runnable without a deadline would
+            never be checked again).
         """
         if list(state["names"]) != self.names:
             raise ValueError(
                 "snapshot slot layout does not match this unit's "
                 "hypothesis (runnable set or order differs)"
             )
+        counters = state["counters"]
+        per_slot = {
+            "ac": counters["ac"], "arc": counters["arc"],
+            "active": counters["active"],
+            "alive_due": state["alive_due"], "arr_due": state["arr_due"],
+        }
+        for key, values in per_slot.items():
+            if len(values) != len(self.names):
+                raise ValueError(
+                    f"snapshot has {len(values)} {key!r} entries, this "
+                    f"unit has {len(self.names)} slots"
+                )
         self.cycle_count = int(state["cycle_count"])
         self.heartbeat_count = int(state["heartbeat_count"])
         self.unknown_heartbeats = int(state["unknown_heartbeats"])
         self.slots_visited = int(state["slots_visited"])
         self.counter_resets = int(state["counter_resets"])
-        active_before = sum(1 for a in self.counters.active if a)
-        self.counters.load_state(state["counters"])
-        self._alive_base = [int(v) for v in state["alive_base"]]
-        self._arr_base = [int(v) for v in state["arr_base"]]
-        self._alive_due = [int(v) for v in state["alive_due"]]
-        self._arr_due = [int(v) for v in state["arr_due"]]
+        active_before = self.active.count(True)
+        self.ac = [int(v) for v in per_slot["ac"]]
+        self.arc = [int(v) for v in per_slot["arc"]]
+        self.active = [bool(v) for v in per_slot["active"]]
+        self._alive_due = [int(v) for v in per_slot["alive_due"]]
+        self._arr_due = [int(v) for v in per_slot["arr_due"]]
         self._rebuild_wheel()
         # Telemetry: the gauge moves by this unit's change in restored AS
         # flags; the sync marks move to the restored tallies so registry
         # counters only grow by post-restore activity (a restarted
         # daemon's exporters start fresh, they do not re-count the
         # previous process's history).
-        self._tm_monitored.inc(
-            sum(1 for a in self.counters.active if a) - active_before)
+        self._tm_monitored.inc(self.active.count(True) - active_before)
         self._tm_synced = (
             self.cycle_count, self.heartbeat_count, self.unknown_heartbeats,
             self.slots_visited, self.counter_resets,
@@ -406,7 +439,7 @@ class HeartbeatMonitoringUnit:
     def withdraw_telemetry(self) -> None:
         """Remove this unit's runnables from the shared active-runnables
         gauge (the unit is being discarded)."""
-        self._tm_monitored.inc(-self.counters.active.count(True))
+        self._tm_monitored.inc(-self.active.count(True))
 
     def reset(self) -> None:
         """Reset every counter and the cycle count (watchdog restart).
@@ -425,7 +458,9 @@ class HeartbeatMonitoringUnit:
         self.slots_visited = 0
         self.counter_resets = 0
         self._tm_synced = (0, 0, 0, 0, 0)
-        self.counters.reset_all()
+        slots = len(self._hyps)
+        self.ac = [0] * slots
+        self.arc = [0] * slots
         self._arm_all()
 
     # ------------------------------------------------------------------
@@ -433,10 +468,7 @@ class HeartbeatMonitoringUnit:
         """Schedule every active slot's deadlines one period from now,
         disarm the inactive ones, and rebuild the wheel."""
         now = self.cycle_count
-        slots = len(self._hyps)
-        active = self.counters.active
-        self._alive_base: List[int] = [now] * slots
-        self._arr_base: List[int] = [now] * slots
+        active = self.active
         self._alive_due: List[int] = [
             now + hyp.aliveness_period if on else _DISARMED
             for hyp, on in zip(self._hyps, active)]
@@ -460,8 +492,6 @@ class HeartbeatMonitoringUnit:
         """Schedule both of a slot's deadlines one period from now."""
         now = self.cycle_count
         hyp = self._hyps[slot]
-        self._alive_base[slot] = now
-        self._arr_base[slot] = now
         alive_deadline = now + hyp.aliveness_period
         arr_deadline = now + hyp.arrival_period
         self._alive_due[slot] = alive_deadline
@@ -483,7 +513,7 @@ class HeartbeatMonitoringUnit:
             runnable=self.names[slot],
             task=hyp.task,
             error_type=ErrorType.ALIVENESS,
-            details={"ac": self.counters.ac[slot], "min": hyp.min_heartbeats},
+            details={"ac": self.ac[slot], "min": hyp.min_heartbeats},
             runnable_id=slot,
         )
 
@@ -495,7 +525,7 @@ class HeartbeatMonitoringUnit:
             runnable=self.names[slot],
             task=hyp.task,
             error_type=ErrorType.ARRIVAL_RATE,
-            details={"arc": self.counters.arc[slot], "max": hyp.max_heartbeats},
+            details={"arc": self.arc[slot], "max": hyp.max_heartbeats},
             runnable_id=slot,
         )
 

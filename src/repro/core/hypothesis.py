@@ -5,7 +5,7 @@ runnable, the monitoring periods of the aliveness and arrival-rate
 checks (counted in watchdog check cycles, the Cycle Counters CCA and
 CCAR) and the expected heartbeat bounds within those periods.  This
 module is the declarative side of that hypothesis; the counters
-themselves live in :mod:`repro.core.counters`.
+themselves live in :mod:`repro.core.heartbeat`.
 """
 
 from __future__ import annotations

@@ -483,15 +483,27 @@ class WatchdogClient:
     def close(self, *, say_bye: bool = True) -> None:
         """Flush, say goodbye, close.  After ``close()`` the client is
         unusable; a BYE tells the daemon the silence to come is
-        deliberate (monitoring deactivates instead of detecting)."""
+        deliberate (monitoring deactivates instead of detecting).
+
+        Raises
+        ------
+        ClientError
+            If the daemon refuses the BYE (it could not journal it).
+            The client stays open and connected, and the registration
+            active, so calling ``close()`` again retries the BYE.
+        """
         if self.closed:
             return
         self.flush()
         if say_bye and self._sock is not None:
             try:
-                self._request(T_BYE)
+                ack = self._request(T_BYE)
             except ClientError:
                 pass
+            else:
+                if not ack.get("ok"):
+                    raise ClientError(
+                        f"BYE refused: {ack.get('error', 'unknown error')}")
         self.closed = True
         self._drop_connection()
 

@@ -87,11 +87,13 @@ __all__ = [
 ]
 
 #: Version stamped into every snapshot; bump on incompatible changes.
-#: Schema 2 holds one registration table; schema 1 held one per shard.
-SNAPSHOT_SCHEMA_VERSION = 2
+#: Schema 3 drops the HBM's period bases and CCA/CCAR lists (derived
+#: from the deadlines); schema 2 holds one registration table; schema 1
+#: held one per shard.
+SNAPSHOT_SCHEMA_VERSION = 3
 #: Snapshot schemas a daemon restores (:meth:`Fleet.restore` merges a
-#: schema-1 capture's shards).
-_READABLE_SCHEMAS = (1, SNAPSHOT_SCHEMA_VERSION)
+#: schema-1 capture's shards; the HBM ignores the keys schema 3 drops).
+_READABLE_SCHEMAS = (1, 2, SNAPSHOT_SCHEMA_VERSION)
 
 #: Journal record kinds (the state-changing control-plane frames).
 JOURNAL_REGISTER = "journal.register"

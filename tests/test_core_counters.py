@@ -1,54 +1,6 @@
-"""Tests for the AC/ARC/CCA/CCAR/AS counter set."""
+"""Tests for the AC/ARC/CCA/CCAR/AS sample history."""
 
-from repro.core import CounterHistory, RunnableCounters
-
-
-class TestRunnableCounters:
-    def test_initial_state(self):
-        c = RunnableCounters()
-        assert (c.ac, c.arc, c.cca, c.ccar) == (0, 0, 0, 0)
-        assert c.active
-
-    def test_heartbeat_increments_both(self):
-        c = RunnableCounters()
-        c.record_heartbeat()
-        c.record_heartbeat()
-        assert c.ac == 2 and c.arc == 2
-
-    def test_inactive_ignores_heartbeats(self):
-        c = RunnableCounters(active=False)
-        c.record_heartbeat()
-        assert c.ac == 0 and c.arc == 0
-
-    def test_reset_aliveness_leaves_arrival(self):
-        c = RunnableCounters()
-        c.record_heartbeat()
-        c.cca = 3
-        c.ccar = 3
-        c.reset_aliveness()
-        assert c.ac == 0 and c.cca == 0
-        assert c.arc == 1 and c.ccar == 3
-
-    def test_reset_arrival_leaves_aliveness(self):
-        c = RunnableCounters()
-        c.record_heartbeat()
-        c.cca = 2
-        c.ccar = 2
-        c.reset_arrival()
-        assert c.arc == 0 and c.ccar == 0
-        assert c.ac == 1 and c.cca == 2
-
-    def test_reset_all(self):
-        c = RunnableCounters()
-        c.record_heartbeat()
-        c.cca = c.ccar = 5
-        c.reset_all()
-        assert (c.ac, c.arc, c.cca, c.ccar) == (0, 0, 0, 0)
-
-    def test_snapshot_keys(self):
-        snap = RunnableCounters().snapshot()
-        assert set(snap) == {"AC", "ARC", "CCA", "CCAR", "AS"}
-        assert snap["AS"] == 1
+from repro.core import CounterHistory
 
 
 class TestCounterHistory:

@@ -1,5 +1,7 @@
 """Tests for the heartbeat monitoring unit (aliveness + arrival rate)."""
 
+import json
+
 import pytest
 
 from repro.core import ErrorType, FaultHypothesis, RunnableHypothesis
@@ -244,3 +246,47 @@ class TestMisc:
         assert errors[0].error_type is ErrorType.ARRIVAL_RATE
         unit.cycle(30)  # CCA=3 -> AC=2 >= 1 -> ok
         assert len(errors) == 1
+
+
+def two_runnable_unit():
+    hyp = FaultHypothesis()
+    for name in ("r0", "r1"):
+        hyp.add_runnable(RunnableHypothesis(
+            name, task="T", aliveness_period=1, min_heartbeats=1,
+            arrival_period=1, max_heartbeats=5))
+    unit = HeartbeatMonitoringUnit(hyp)
+    errors = []
+    unit.add_listener(errors.append)
+    return unit, errors
+
+
+def silent_detections(unit, errors, cycles=10):
+    for time in range(cycles):
+        unit.cycle(time)
+    return sorted({error.runnable for error in errors})
+
+
+class TestRestoreState:
+    def test_json_round_trip_monitors_every_slot(self):
+        unit, _ = two_runnable_unit()
+        unit.heartbeat("r0", 0)
+        unit.cycle(0)
+        fresh, errors = two_runnable_unit()
+        fresh.restore_state(json.loads(json.dumps(unit.snapshot_state())))
+        assert fresh.snapshot_state() == unit.snapshot_state()
+        assert silent_detections(fresh, errors) == ["r0", "r1"]
+
+    @pytest.mark.parametrize(
+        "key", ["ac", "arc", "active", "alive_due", "arr_due"])
+    def test_short_per_slot_list_is_refused(self, key):
+        """A capture whose per-slot list misses a slot is refused and
+        leaves the unit as it was: short deadline lists used to restore,
+        and the slot without a deadline was never checked again."""
+        unit, _ = two_runnable_unit()
+        state = json.loads(json.dumps(unit.snapshot_state()))
+        lists = state["counters"] if key in state["counters"] else state
+        lists[key] = lists[key][:1]
+        fresh, errors = two_runnable_unit()
+        with pytest.raises(ValueError, match=repr(key)):
+            fresh.restore_state(state)
+        assert silent_detections(fresh, errors) == ["r0", "r1"]

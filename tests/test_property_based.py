@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import percentile
 from repro.core import FaultHypothesis, RunnableHypothesis
-from repro.core.counters import RunnableCounters
 from repro.core.flowcheck import FlowTable, ProgramFlowCheckingUnit
 from repro.core.heartbeat import HeartbeatMonitoringUnit
 from repro.core.reports import ErrorType
@@ -52,15 +51,6 @@ def test_event_queue_cancellation_preserves_rest(times, data):
 # ----------------------------------------------------------------------
 # watchdog counters
 # ----------------------------------------------------------------------
-@given(st.integers(min_value=0, max_value=500))
-def test_counters_match_heartbeat_count(n):
-    counters = RunnableCounters()
-    for _ in range(n):
-        counters.record_heartbeat()
-    assert counters.ac == n
-    assert counters.arc == n
-
-
 @given(
     heartbeats_per_cycle=st.lists(
         st.integers(min_value=0, max_value=6), min_size=1, max_size=60

@@ -116,7 +116,7 @@ class TestSharedCompilation:
             assert reg.hypothesis_dict is first.hypothesis_dict
             assert reg.watchdog.pfc.table is first.watchdog.pfc.table
             assert reg.watchdog.hbm.slot_of is first.watchdog.hbm.slot_of
-            assert reg.watchdog.hbm.counters is not first.watchdog.hbm.counters
+            assert reg.watchdog.hbm.ac is not first.watchdog.hbm.ac
         stats = fleet.stats()
         assert stats["hypotheses_compiled"] == 1
         assert stats["register_cache_hits"] == N - 1

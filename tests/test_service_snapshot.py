@@ -26,8 +26,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import FaultHypothesis, RunnableHypothesis
 from repro.core.config_io import hypothesis_to_dict
-from repro.service import StateStore, SupervisionServer
+from repro.service import StateStore, SupervisionServer, WatchdogClient
 from repro.service import server as server_module
+from repro.service.client import ClientError
 from repro.service.fleet import Fleet
 from repro.service.persistence import (
     JOURNAL_BYE,
@@ -36,7 +37,7 @@ from repro.service.persistence import (
     SnapshotWriter,
 )
 from repro.service.protocol import T_BYE, T_REGISTER
-from test_service_server import _WireClient, make_hyp_dict
+from test_service_server import _WireClient, in_thread, make_hyp_dict
 from testutil import until
 
 
@@ -385,7 +386,7 @@ def fleet_view(fleet):
     """Registrations and their Activation Status, per runnable."""
     return {
         name: (entry.active, {
-            runnable: entry.watchdog.hbm.counters.active[
+            runnable: entry.watchdog.hbm.active[
                 entry.watchdog.hbm.slot_of[runnable]]
             for runnable in entry.hypothesis.runnables
         })
@@ -719,3 +720,93 @@ class TestJournalFaults:
             await revived.stop(save=False)
 
         asyncio.run(scenario())
+
+    def test_refused_bye_raises_and_close_retries(self, tmp_path):
+        """``WatchdogClient.close()`` on a refused BYE raises the
+        daemon's error and stays connected, so the next ``close()``
+        retries the BYE.  It used to disconnect anyway, leaving the
+        registration active and its silence read as a crash."""
+        state_dir = str(tmp_path / "state")
+
+        async def scenario():
+            server = serve(state_dir)
+            await server.start()
+            client = WatchdogClient((server.host, server.port),
+                                    client_name="sdk")
+            await in_thread(client.connect)
+            await in_thread(client.register, "app", make_hyp_dict())
+            registration = server.fleet.registration("app")
+            server.store.io = FailingIO(fail_at=0)  # the BYE's write
+            with pytest.raises(ClientError, match="journal append failed"):
+                await in_thread(client.close)
+            assert not client.closed and client.connected
+            assert registration.active and registration.connected
+            server.store.io = FileIO()
+            await in_thread(client.close)
+            assert client.closed and not client.connected
+            assert not registration.active
+            await server.stop(save=False)
+
+            revived = serve(state_dir)
+            await revived.start()
+            assert revived.fleet.registration("app").active is False
+            await revived.stop(save=False)
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("fsync", [False, True])
+    def test_a_crash_before_any_append_call_restores(self, tmp_path, fsync):
+        """``kill -9`` just before each file call of each journal append
+        on a live daemon: the state dir, as the crash leaves it,
+        restores the fleet of an uninterrupted run up to the last
+        acknowledged control frame."""
+        state_dir = str(tmp_path / "state")
+        images = []
+        acked = [{}]  # the fleet after each acknowledged control frame
+
+        def crash_image(_name):
+            image = str(tmp_path / f"crash{len(images)}")
+            shutil.copytree(state_dir, image)
+            images.append((image, len(acked) - 1))
+
+        async def scenario():
+            server = serve(state_dir, fsync=fsync)
+            await server.start()
+            server.store.io = FailingIO(before=crash_image)
+
+            def acknowledged():
+                acked.append(fleet_view(server.fleet))
+
+            peers = {}
+            for name in ("app0", "app1"):
+                peers[name] = await register(server, name)
+                acknowledged()
+            await bye(peers["app0"])
+            acknowledged()
+            await peers.pop("app0").close()
+            peers["app0"] = await register(server, "app0")  # a rebind
+            acknowledged()
+            await bye(peers["app1"])
+            acknowledged()
+            server.write_snapshot()
+            peers["app2"] = await register(server, "app2")
+            acknowledged()
+            await bye(peers["app0"])
+            acknowledged()
+            for peer in peers.values():
+                await peer.close()
+            await server.stop(save=False)
+
+        async def recover(image):
+            revived = serve(image)
+            await revived.start()
+            view = fleet_view(revived.fleet)
+            await revived.stop(save=False)
+            return view
+
+        asyncio.run(scenario())
+        assert len(acked) == 8
+        assert {index for _, index in images} == set(range(7))
+        assert len(images) > 2 * 7
+        for image, index in images:
+            assert asyncio.run(recover(image)) == acked[index], image

@@ -13,9 +13,22 @@ detections ``(registration, runnable, error_type, time)`` it raised.
 The one-table daemon must restore the fixture with the registrations in
 shard-index-then-registration order — the order the sharded daemon
 ticked them in — and raise the identical detection sequence.
+
+``tests/data/schema2_one_table/`` was written by the one-table daemon
+whose HBM records still stored each period's base next to its deadline
+(``alive_base``/``arr_base``) and zero ``cca``/``ccar`` lists: a
+schema-2 ``snapshot.json`` of alpha (aliveness and arrival periods
+differ, ``act`` silent), bravo (``sense`` over its arrival bound, ``act``
+configured with AS off) and charlie (said BYE, so every AS is off),
+plus a ``journal.jsonl`` holding charlie's rebind and delta's REGISTER
+beyond the snapshot.  ``schema2_one_table.detections.json`` records the
+detections the same release raised restoring it.  Schema 3 derives the
+bases from the deadlines, so the restore must read the file without
+them and raise the identical sequence.
 """
 
 import asyncio
+import copy
 import json
 import os
 import shutil
@@ -27,24 +40,62 @@ from testutil import until
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 FIXTURE = os.path.join(DATA, "schema1_two_shards")
 SNAPSHOTTED = ["alpha", "charlie", "bravo"]
+SCHEMA2 = "schema2_one_table"
 
 
-def copy_fixture(tmp_path):
+def copy_fixture(tmp_path, fixture=FIXTURE):
     state_dir = str(tmp_path / "state")
-    shutil.copytree(FIXTURE, state_dir)
+    shutil.copytree(fixture, state_dir)
     return state_dir
 
 
-def fixture_snapshot():
-    with open(os.path.join(FIXTURE, "snapshot.json"),
+def fixture_snapshot(fixture=FIXTURE):
+    with open(os.path.join(fixture, "snapshot.json"),
               encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def recorded():
-    with open(os.path.join(DATA, "schema1_two_shards.detections.json"),
+def recorded(name="schema1_two_shards"):
+    with open(os.path.join(DATA, f"{name}.detections.json"),
               encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def without_derived(record):
+    """A schema-1/2 registration record less the HBM keys schema 3
+    derives from the deadlines instead of storing."""
+    record = copy.deepcopy(record)
+    hbm = record["watchdog"]["hbm"]
+    del hbm["alive_base"], hbm["arr_base"]
+    del hbm["counters"]["cca"], hbm["counters"]["ccar"]
+    return record
+
+
+def restore_and_tick(state_dir, ticks):
+    """Restore a daemon from ``state_dir``, tick it at ``ticks`` and
+    snapshot it; returns its registration order, the detections it
+    raised and the snapshot it rewrote."""
+
+    async def scenario():
+        server = SupervisionServer(port=0, tick_interval=None,
+                                   state_dir=state_dir,
+                                   snapshot_interval=None)
+        await server.start()
+        order = list(server.fleet.registrations)
+        assert server.restored_registrations == len(order)
+        seen = []
+        server.fleet.add_detection_listener(lambda name, error: seen.append(
+            [name, error.runnable, error.error_type.value, error.time]))
+        for at in ticks:
+            server.tick(at)
+        server.write_snapshot()
+        await server.stop(save=False)
+        return order, seen
+
+    order, seen = asyncio.run(scenario())
+    with open(os.path.join(state_dir, "snapshot.json"),
+              encoding="utf-8") as handle:
+        return order, seen, json.load(handle)
 
 
 def test_restore_merges_shards_in_shard_order_with_counters():
@@ -65,11 +116,12 @@ def test_restore_merges_shards_in_shard_order_with_counters():
         assert registration.detections == record["detections"]
         assert registration.active is record["active"]
     assert fleet.tick_count == 6
-    # The watchdog state comes back exactly: a schema-2 capture of the
-    # restored fleet carries the schema-1 records verbatim, in one table.
+    # The watchdog state comes back exactly: a schema-3 capture of the
+    # restored fleet carries the schema-1 records in one table, less the
+    # keys schema 3 derives.
     state = fleet.snapshot()
     assert "shards" not in state
-    assert state["registrations"] == records
+    assert state["registrations"] == [without_derived(r) for r in records]
     assert state["tick_count"] == 6
     assert state["state"] == payload["fleet"]["state"]
 
@@ -77,30 +129,11 @@ def test_restore_merges_shards_in_shard_order_with_counters():
 def test_restored_daemon_raises_the_recorded_detections(tmp_path):
     state_dir = copy_fixture(tmp_path)
     expected = recorded()
-
-    async def scenario():
-        server = SupervisionServer(port=0, tick_interval=None,
-                                   state_dir=state_dir,
-                                   snapshot_interval=None)
-        await server.start()
-        # The journal-replayed REGISTER joins after the snapshotted ones.
-        assert list(server.fleet.registrations) == SNAPSHOTTED + ["delta"]
-        assert server.restored_registrations == 4
-        seen = []
-        server.fleet.add_detection_listener(lambda name, error: seen.append(
-            [name, error.runnable, error.error_type.value, error.time]))
-        for at in expected["ticks"]:
-            server.tick(at)
-        server.write_snapshot()
-        await server.stop(save=False)
-        return seen
-
-    seen = asyncio.run(scenario())
+    order, seen, rewritten = restore_and_tick(state_dir, expected["ticks"])
+    # The journal-replayed REGISTER joins after the snapshotted ones.
+    assert order == SNAPSHOTTED + ["delta"]
     assert seen == expected["detections"]
-    with open(os.path.join(state_dir, "snapshot.json"),
-              encoding="utf-8") as handle:
-        rewritten = json.load(handle)
-    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 2
+    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 3
     assert [r["name"] for r in rewritten["fleet"]["registrations"]] == (
         SNAPSHOTTED + ["delta"])
 
@@ -131,3 +164,50 @@ def test_standby_adopts_a_schema_one_primary(tmp_path):
         await standby.stop()
 
     asyncio.run(scenario())
+
+
+def test_schema_two_derived_windows_equal_the_stored_ones():
+    """Every stored base is its deadline less one period, so CCA/CCAR
+    derived on restore are the ones the schema-2 daemon reported, and
+    the capture is the schema-2 record less the derived keys."""
+    payload = fixture_snapshot(os.path.join(DATA, SCHEMA2))
+    assert payload["schema"] == 2
+    records = payload["fleet"]["registrations"]
+    fleet = Fleet()
+    fleet.restore(payload["fleet"])
+    assert list(fleet.registrations) == ["alpha", "bravo", "charlie"]
+    checked = 0
+    for record in records:
+        hbm = record["watchdog"]["hbm"]
+        unit = fleet.registration(record["name"]).watchdog.hbm
+        for slot, name in enumerate(hbm["names"]):
+            active = hbm["counters"]["active"][slot]
+            window = unit.snapshot(name)
+            assert window["AS"] == int(active)
+            assert window["AC"] == hbm["counters"]["ac"][slot]
+            assert window["ARC"] == hbm["counters"]["arc"][slot]
+            if active:
+                checked += 1
+                assert window["CCA"] == (
+                    hbm["cycle_count"] - hbm["alive_base"][slot]) > 0
+                assert window["CCAR"] == (
+                    hbm["cycle_count"] - hbm["arr_base"][slot]) > 0
+            else:
+                assert window["CCA"] == window["CCAR"] == 0
+    assert checked == 3
+    assert fleet.snapshot()["registrations"] == [
+        without_derived(record) for record in records]
+
+
+def test_schema_two_daemon_raises_the_recorded_detections(tmp_path):
+    state_dir = copy_fixture(tmp_path, os.path.join(DATA, SCHEMA2))
+    expected = recorded(SCHEMA2)
+    order, seen, rewritten = restore_and_tick(state_dir, expected["ticks"])
+    assert order == ["alpha", "bravo", "charlie", "delta"]
+    assert seen == expected["detections"]
+    assert {kind for _, _, kind, _ in seen} == {"aliveness", "arrival_rate"}
+    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 3
+    for record in rewritten["fleet"]["registrations"]:
+        hbm = record["watchdog"]["hbm"]
+        assert not {"alive_base", "arr_base"} & set(hbm)
+        assert sorted(hbm["counters"]) == ["ac", "active", "arc"]
