@@ -9,8 +9,14 @@ cycle must stay within 1.15× of the null-registry cycle.
 
 Both paths also drive a heartbeat per due runnable per cycle so the
 comparison covers the heartbeat hot path, not just the check loop.
+
+The two sides are measured in interleaved pairs, the order alternating
+each round, and the tests assert on the median of the per-pair ratios:
+both halves of a ratio share whatever load the host had at that moment,
+where the minimum of each side, taken at different times, does not.
 """
 
+import statistics
 import time
 
 from repro.experiments.overhead import _staggered_unit
@@ -20,7 +26,7 @@ RUNNABLES = 1000
 #: Monitoring period in check cycles → 1 % of the deadlines due per cycle.
 PERIOD = 100
 CYCLES = 400
-REPEATS = 5
+PAIRS = 9
 
 
 def _per_cycle_seconds(unit, cycles: int = CYCLES) -> float:
@@ -38,10 +44,23 @@ def _per_cycle_seconds(unit, cycles: int = CYCLES) -> float:
     return (time.perf_counter() - begin) / cycles
 
 
-def _best_of(unit, repeats: int = REPEATS) -> float:
-    """Minimum per-cycle cost over several measurement rounds (the
-    standard noise filter for microbenchmarks)."""
-    return min(_per_cycle_seconds(unit) for _ in range(repeats))
+def _paired(base_unit, unit, pairs: int = PAIRS):
+    """``(median ratio, median base cost, median cost)`` over ``pairs``
+    rounds, each measuring ``base_unit`` and ``unit`` back to back,
+    base first in even rounds and second in odd ones."""
+    ratios, base_costs, costs = [], [], []
+    for index in range(pairs):
+        if index % 2:
+            cost = _per_cycle_seconds(unit)
+            base_cost = _per_cycle_seconds(base_unit)
+        else:
+            base_cost = _per_cycle_seconds(base_unit)
+            cost = _per_cycle_seconds(unit)
+        ratios.append(cost / base_cost)
+        base_costs.append(base_cost)
+        costs.append(cost)
+    return (statistics.median(ratios), statistics.median(base_costs),
+            statistics.median(costs))
 
 
 def test_bench_telemetry_overhead_within_bound(benchmark):
@@ -50,13 +69,11 @@ def test_bench_telemetry_overhead_within_bound(benchmark):
                                 telemetry=NullRegistry())
     live_unit = _staggered_unit(RUNNABLES, PERIOD,
                                 telemetry=MetricsRegistry())
-    null_cost = _best_of(null_unit)
-    live_cost = benchmark.pedantic(
-        _best_of, args=(live_unit,), rounds=1, iterations=1
+    ratio, null_cost, live_cost = benchmark.pedantic(
+        _paired, args=(null_unit, live_unit), rounds=1, iterations=1
     )
-    ratio = live_cost / null_cost
-    print(f"\nper-cycle: null {null_cost * 1e6:.2f} us, "
-          f"live {live_cost * 1e6:.2f} us, ratio {ratio:.3f}x")
+    print(f"\nper-cycle medians: null {null_cost * 1e6:.2f} us, "
+          f"live {live_cost * 1e6:.2f} us, median ratio {ratio:.3f}x")
     assert ratio <= 1.15, (
         f"instrumented cycle {ratio:.3f}x the null-registry cycle "
         f"(null {null_cost * 1e6:.2f} us, live {live_cost * 1e6:.2f} us)"
@@ -65,7 +82,7 @@ def test_bench_telemetry_overhead_within_bound(benchmark):
     # every heartbeat and slot visit folded into the counters.
     live_unit.sync_telemetry()
     registry = live_unit.telemetry
-    assert registry.value("wd_hbm_check_cycles_total") >= CYCLES * REPEATS
+    assert registry.value("wd_hbm_check_cycles_total") >= CYCLES * PAIRS
     assert registry.value("wd_hbm_heartbeats_total") > 0
 
 
@@ -75,11 +92,10 @@ def test_bench_null_registry_is_free(benchmark):
     default_unit = _staggered_unit(RUNNABLES, PERIOD)
     null_unit = _staggered_unit(RUNNABLES, PERIOD,
                                 telemetry=NullRegistry())
-    default_cost = _best_of(default_unit)
-    null_cost = benchmark.pedantic(
-        _best_of, args=(null_unit,), rounds=1, iterations=1
+    ratio, default_cost, null_cost = benchmark.pedantic(
+        _paired, args=(default_unit, null_unit), rounds=1, iterations=1
     )
-    ratio = null_cost / default_cost
-    print(f"\nper-cycle: default {default_cost * 1e6:.2f} us, "
-          f"explicit-null {null_cost * 1e6:.2f} us, ratio {ratio:.3f}x")
+    print(f"\nper-cycle medians: default {default_cost * 1e6:.2f} us, "
+          f"explicit-null {null_cost * 1e6:.2f} us, "
+          f"median ratio {ratio:.3f}x")
     assert 0.8 <= ratio <= 1.25

@@ -102,7 +102,7 @@ def measure_lookup_table(
     The application executes the same number of basic blocks, but the
     table is only consulted once per runnable heartbeat.
     """
-    pfc.lookup_operations = 0
+    before = pfc.observation_count
     time = 0
     for _ in range(executions):
         pfc.reset_stream(None)
@@ -115,7 +115,7 @@ def measure_lookup_table(
     static_sites = len(runnables) + pfc.table.pair_count()
     return FlowCheckOverhead(
         technique="lookup-table",
-        runtime_ops=pfc.lookup_operations,
+        runtime_ops=pfc.observation_count - before,
         static_sites=static_sites,
         blocks_executed=blocks,
     )

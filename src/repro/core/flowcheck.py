@@ -186,7 +186,7 @@ class ProgramFlowCheckingUnit:
 
     __slots__ = (
         "table", "task_attribution", "_last", "_listeners",
-        "observation_count", "violation_count", "lookup_operations",
+        "observation_count", "violation_count",
         "telemetry", "_tm_enabled", "_tm_observations", "_tm_lookups",
         "_tm_violations", "_tm_table_pairs", "_tm_synced",
     )
@@ -207,9 +207,6 @@ class ProgramFlowCheckingUnit:
         self._listeners: List[ErrorListener] = []
         self.observation_count = 0
         self.violation_count = 0
-        #: Counted look-up operations, for the overhead comparison with
-        #: signature-based checking (experiment E2).
-        self.lookup_operations = 0
         # Telemetry mirrors of the plain-int tallies above, folded in by
         # :meth:`sync_telemetry` (the facade calls it once per check
         # cycle) so the per-observation hot path stays untouched.
@@ -226,7 +223,13 @@ class ProgramFlowCheckingUnit:
             "wd_pfc_table_pairs",
             "Whitelisted (predecessor, successor) pairs in the flow table")
         self._tm_table_pairs.set(table.pair_count())
-        self._tm_synced = (0, 0, 0)
+        self._tm_synced = (0, 0)
+
+    @property
+    def lookup_operations(self) -> int:
+        """Table look-ups (one per monitored observation), for the
+        overhead comparison with signature-based checking (E2)."""
+        return self.observation_count
 
     def sync_telemetry(self) -> None:
         """Fold the plain-int tallies into the registry counters and
@@ -234,13 +237,11 @@ class ProgramFlowCheckingUnit:
         if not self._tm_enabled:
             return
         last = self._tm_synced
-        self._tm_observations.inc(self.observation_count - last[0])
-        self._tm_lookups.inc(self.lookup_operations - last[1])
-        self._tm_violations.inc(self.violation_count - last[2])
-        self._tm_synced = (
-            self.observation_count, self.lookup_operations,
-            self.violation_count,
-        )
+        observed = self.observation_count - last[0]
+        self._tm_observations.inc(observed)
+        self._tm_lookups.inc(observed)
+        self._tm_violations.inc(self.violation_count - last[1])
+        self._tm_synced = (self.observation_count, self.violation_count)
         self._tm_table_pairs.set(self.table.pair_count())
 
     # ------------------------------------------------------------------
@@ -263,7 +264,6 @@ class ProgramFlowCheckingUnit:
             "last": dict(self._last),
             "observation_count": self.observation_count,
             "violation_count": self.violation_count,
-            "lookup_operations": self.lookup_operations,
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
@@ -272,12 +272,8 @@ class ProgramFlowCheckingUnit:
         self._last = dict(state["last"])
         self.observation_count = int(state["observation_count"])
         self.violation_count = int(state["violation_count"])
-        self.lookup_operations = int(state["lookup_operations"])
         # Post-restore telemetry deltas count from the restored tallies.
-        self._tm_synced = (
-            self.observation_count, self.lookup_operations,
-            self.violation_count,
-        )
+        self._tm_synced = (self.observation_count, self.violation_count)
 
     # ------------------------------------------------------------------
     def observe(
@@ -296,7 +292,6 @@ class ProgramFlowCheckingUnit:
         self.observation_count += 1
         stream = stream_key(task, runnable, self.task_attribution)
         previous = self._last.get(stream)
-        self.lookup_operations += 1
         error: Optional[RunnableError] = None
         if not self.table.is_allowed(previous, runnable):
             self.violation_count += 1

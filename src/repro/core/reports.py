@@ -59,7 +59,7 @@ class RunnableError:
         )
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible rendering (daemon state snapshots)."""
+        """JSON-compatible rendering (snapshots hold counts, not errors)."""
         return {
             "time": self.time,
             "runnable": self.runnable,
@@ -69,16 +69,25 @@ class RunnableError:
             "runnable_id": self.runnable_id,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunnableError":
-        return cls(
-            time=data["time"],
-            runnable=data["runnable"],
-            task=data["task"],
-            error_type=ErrorType(data["error_type"]),
-            details=dict(data.get("details", {})),
-            runnable_id=data.get("runnable_id"),
-        )
+
+#: Counts per runnable and error type (error vectors, detection tallies).
+ErrorCounts = Dict[str, Dict[ErrorType, int]]
+
+
+def error_counts_to_json(counts: ErrorCounts) -> Dict[str, Dict[str, int]]:
+    """JSON-compatible :data:`ErrorCounts` (error types by value)."""
+    return {
+        runnable: {et.value: n for et, n in per_type.items()}
+        for runnable, per_type in counts.items()
+    }
+
+
+def error_counts_from_json(data: Dict[str, Dict[str, int]]) -> ErrorCounts:
+    """The :data:`ErrorCounts` map :func:`error_counts_to_json` rendered."""
+    return {
+        runnable: {ErrorType(et): n for et, n in per_type.items()}
+        for runnable, per_type in data.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,7 @@ class TaskFaultEvent:
     task: str
     trigger_runnable: str
     trigger_error_type: ErrorType
-    error_vector: Dict[str, Dict[ErrorType, int]]
+    error_vector: ErrorCounts
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible rendering (daemon state snapshots)."""
@@ -113,10 +122,7 @@ class TaskFaultEvent:
             "task": self.task,
             "trigger_runnable": self.trigger_runnable,
             "trigger_error_type": self.trigger_error_type.value,
-            "error_vector": {
-                runnable: {et.value: count for et, count in per_type.items()}
-                for runnable, per_type in self.error_vector.items()
-            },
+            "error_vector": error_counts_to_json(self.error_vector),
         }
 
     @classmethod
@@ -126,10 +132,7 @@ class TaskFaultEvent:
             task=data["task"],
             trigger_runnable=data["trigger_runnable"],
             trigger_error_type=ErrorType(data["trigger_error_type"]),
-            error_vector={
-                runnable: {ErrorType(et): count for et, count in per_type.items()}
-                for runnable, per_type in data.get("error_vector", {}).items()
-            },
+            error_vector=error_counts_from_json(data.get("error_vector", {})),
         )
 
 

@@ -25,6 +25,8 @@ from .reports import (
     RunnableError,
     SupervisionReport,
     TaskFaultEvent,
+    error_counts_from_json,
+    error_counts_to_json,
 )
 
 TaskFaultListener = Callable[[TaskFaultEvent], None]
@@ -262,17 +264,14 @@ class TaskStateIndicationUnit:
         error indication vectors, declared-faulty tasks, the last error
         time, lazily-learned attribution, and the last derived ECU state.
 
-        The runnable-to-task map is returned by reference while it is
-        still the configured one shared with the hypothesis: that map is
-        never mutated (:meth:`record_error` copies it before learning an
-        entry), so a capture handed to another thread stays consistent.
+        The runnable-to-task map is ``{}`` while it is still the
+        configured one shared with the hypothesis (the record's
+        hypothesis holds that); once an entry is learned it is the
+        unit's own map, copied.
         """
         return {
             "error_vectors": {
-                task: {
-                    runnable: {et.value: count for et, count in per_type.items()}
-                    for runnable, per_type in vector.items()
-                }
+                task: error_counts_to_json(vector)
                 for task, vector in self.error_vectors.items()
             },
             "faulty_tasks": {
@@ -282,9 +281,7 @@ class TaskStateIndicationUnit:
             "errors_recorded": self.errors_recorded,
             "last_error_time": self.last_error_time,
             "task_of_runnable": (
-                dict(self.task_of_runnable) if self._owns_task_map
-                else self.task_of_runnable
-            ),
+                dict(self.task_of_runnable) if self._owns_task_map else {}),
             "last_ecu_state": self._last_ecu_state.value,
         }
 
@@ -293,12 +290,12 @@ class TaskStateIndicationUnit:
 
         Captures written before ``last_error_time`` existed carry the
         full ``error_log`` instead; its last entry supplies the time.
+        Learned attributions are added to a copy of the configured map;
+        older captures' full maps read the same, because
+        :meth:`record_error` never overwrites a configured entry.
         """
         self.error_vectors = {
-            task: {
-                runnable: {ErrorType(et): count for et, count in per_type.items()}
-                for runnable, per_type in vector.items()
-            }
+            task: error_counts_from_json(vector)
             for task, vector in state["error_vectors"].items()
         }
         self.faulty_tasks = {
@@ -311,8 +308,12 @@ class TaskStateIndicationUnit:
         else:
             log = state["error_log"]
             self.last_error_time = int(log[-1]["time"]) if log else 0
-        self.task_of_runnable = dict(state["task_of_runnable"])
-        self._owns_task_map = True
+        learned = {runnable: task for runnable, task
+                   in state["task_of_runnable"].items()
+                   if runnable not in self.task_of_runnable}
+        if learned:
+            self.task_of_runnable = {**self.task_of_runnable, **learned}
+            self._owns_task_map = True
         self._last_ecu_state = MonitorState(state["last_ecu_state"])
         if self._tm_enabled:
             for task in self._known_tasks():

@@ -37,7 +37,14 @@ from .counters import CounterHistory
 from .flowcheck import ProgramFlowCheckingUnit
 from .heartbeat import HeartbeatMonitoringUnit, _TM_SYNC_INTERVAL
 from .hypothesis import FaultHypothesis
-from .reports import ErrorType, MonitorState, RunnableError, TaskFaultEvent
+from .reports import (
+    ErrorType,
+    MonitorState,
+    RunnableError,
+    TaskFaultEvent,
+    error_counts_from_json,
+    error_counts_to_json,
+)
 from .taskstate import TaskStateIndicationUnit
 
 FaultListener = Callable[[RunnableError], None]
@@ -58,7 +65,7 @@ class SoftwareWatchdog:
     __slots__ = (
         "telemetry", "event_sink", "_tm_enabled", "name", "hypothesis",
         "hbm", "pfc", "tsi", "detected", "detected_per_runnable",
-        "check_cycle_count", "history", "_fault_listeners",
+        "history", "_fault_listeners",
     )
 
     def __init__(
@@ -108,11 +115,11 @@ class SoftwareWatchdog:
         self.hbm.add_listener(self._on_runnable_error)
         self.pfc.add_listener(self._on_runnable_error)
         #: Cumulative detections per error type (the y-values of the
-        #: "AM Result" / "PFC Result" plots).
+        #: "AM Result" / "PFC Result" plots): :attr:`detected_per_runnable`
+        #: summed per type, kept for the readers that poll it per cycle.
         self.detected: Dict[ErrorType, int] = dict.fromkeys(_ERROR_TYPES, 0)
         #: Cumulative detections per (runnable, error type).
         self.detected_per_runnable: Dict[str, Dict[ErrorType, int]] = {}
-        self.check_cycle_count = 0
         self.history: Optional[CounterHistory] = None
         self._fault_listeners: List[FaultListener] = []
         if self._tm_enabled:
@@ -197,13 +204,17 @@ class SoftwareWatchdog:
     # ------------------------------------------------------------------
     # periodic check
     # ------------------------------------------------------------------
+    @property
+    def check_cycle_count(self) -> int:
+        """Check cycles since construction or reset (the HBM's count)."""
+        return self.hbm.cycle_count
+
     def check_cycle(self, time: int) -> List[RunnableError]:
         """One watchdog check cycle ("shortly before the next period
         begins"): advance all cycle counters, evaluate bounds, emit
         errors, and capture history if enabled."""
-        self.check_cycle_count += 1
         errors = self.hbm.cycle(time)
-        if self._tm_enabled and self.check_cycle_count % _TM_SYNC_INTERVAL == 0:
+        if self._tm_enabled and self.hbm.cycle_count % _TM_SYNC_INTERVAL == 0:
             self.pfc.sync_telemetry()
         if self.history is not None:
             self._capture(time)
@@ -299,35 +310,30 @@ class SoftwareWatchdog:
     # ------------------------------------------------------------------
     def snapshot_state(self) -> Dict[str, object]:
         """Full JSON-compatible service state: every unit's monitoring
-        state plus the cumulative detection counters.
+        state plus the cumulative detections per runnable.
 
         Restoring this capture onto a watchdog built from the same
         hypothesis (same construction knobs) resumes supervision
         bit-identically — the contract the restartable daemon's
-        differential tests pin.
+        differential tests pin.  What derives from it is not stored:
+        the per-type totals and the check-cycle count (the HBM's).
         """
         return {
-            "check_cycle_count": self.check_cycle_count,
-            "detected": {et.value: n for et, n in self.detected.items()},
-            "detected_per_runnable": {
-                runnable: {et.value: n for et, n in per_type.items()}
-                for runnable, per_type in self.detected_per_runnable.items()
-            },
+            "detected_per_runnable": error_counts_to_json(
+                self.detected_per_runnable),
             "hbm": self.hbm.snapshot_state(),
             "pfc": self.pfc.snapshot_state(),
             "tsi": self.tsi.snapshot_state(),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
-        """Resume from a :meth:`snapshot_state` capture."""
-        self.check_cycle_count = int(state["check_cycle_count"])
+        """Resume from a :meth:`snapshot_state` capture (older captures'
+        derived ``detected`` and ``check_cycle_count`` are ignored)."""
+        per_runnable = error_counts_from_json(state["detected_per_runnable"])
+        self.detected_per_runnable = per_runnable
         self.detected = {
-            et: int(state["detected"].get(et.value, 0)) for et in ErrorType
-        }
-        self.detected_per_runnable = {
-            runnable: {ErrorType(et): n for et, n in per_type.items()}
-            for runnable, per_type in state["detected_per_runnable"].items()
-        }
+            et: sum(counts.get(et, 0) for counts in per_runnable.values())
+            for et in _ERROR_TYPES}
         self.hbm.restore_state(state["hbm"])
         self.pfc.restore_state(state["pfc"])
         self.tsi.restore_state(state["tsi"])
@@ -340,7 +346,6 @@ class SoftwareWatchdog:
         self.tsi.reset()
         self.detected = dict.fromkeys(_ERROR_TYPES, 0)
         self.detected_per_runnable.clear()
-        self.check_cycle_count = 0
 
     # ------------------------------------------------------------------
     def _on_runnable_error(self, error: RunnableError) -> None:
@@ -381,10 +386,7 @@ class SoftwareWatchdog:
             data={
                 "trigger_runnable": event.trigger_runnable,
                 "trigger_error_type": event.trigger_error_type.value,
-                "error_vector": {
-                    runnable: {et.value: count for et, count in per_type.items()}
-                    for runnable, per_type in event.error_vector.items()
-                },
+                "error_vector": error_counts_to_json(event.error_vector),
             },
         ))
 

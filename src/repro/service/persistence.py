@@ -87,13 +87,14 @@ __all__ = [
 ]
 
 #: Version stamped into every snapshot; bump on incompatible changes.
-#: Schema 3 drops the HBM's period bases and CCA/CCAR lists (derived
-#: from the deadlines); schema 2 holds one registration table; schema 1
-#: held one per shard.
-SNAPSHOT_SCHEMA_VERSION = 3
+#: Schema 4 drops four derived tallies and the configured runnable-to-
+#: task map from each record; schema 3 drops the HBM's period bases
+#: and CCA/CCAR lists (derived from the deadlines); schema 2 holds one
+#: registration table; schema 1 held one per shard.
+SNAPSHOT_SCHEMA_VERSION = 4
 #: Snapshot schemas a daemon restores (:meth:`Fleet.restore` merges a
-#: schema-1 capture's shards; the HBM ignores the keys schema 3 drops).
-_READABLE_SCHEMAS = (1, 2, SNAPSHOT_SCHEMA_VERSION)
+#: schema-1 capture's shards; restore reads only keys all of them hold).
+_READABLE_SCHEMAS = (1, 2, 3, SNAPSHOT_SCHEMA_VERSION)
 
 #: Journal record kinds (the state-changing control-plane frames).
 JOURNAL_REGISTER = "journal.register"
@@ -312,7 +313,7 @@ class StateStore:
         :meth:`truncate_journal_through` back on-loop.
         """
         state = dict(fleet_state)
-        records = state.pop("registrations", None)
+        records = state.pop("registrations")
         snapshot = self.open_snapshot(state, records, **extra)
         snapshot.write()
         self.write_snapshot_payload(snapshot)
@@ -320,24 +321,20 @@ class StateStore:
         return dict(snapshot.header, fleet=fleet_state)
 
     def open_snapshot(self, fleet_state: Dict[str, Any],
-                      records: Optional[Iterable[Dict[str, Any]]] = None,
+                      records: Iterable[Dict[str, Any]],
                       /, **extra: Any) -> "SnapshotWriter":
         """Start a snapshot covering the journal up to :attr:`seq`.
 
         ``fleet_state`` is the fleet state without its registration
         list; ``records`` yields that list's items, which the returned
-        writer encodes as they are asked for (``None``: the fleet state
-        has no such list).  Everything else is encoded now."""
+        writer encodes as they are asked for.  Everything else is
+        encoded now."""
         header: Dict[str, Any] = {
             "schema": SNAPSHOT_SCHEMA_VERSION,
             "seq": self.seq,
             "written_unix": _time.time(),
         }
         header.update(extra)
-        if records is None:
-            head = json.dumps(dict(header, fleet=fleet_state),
-                              sort_keys=True)
-            return SnapshotWriter(self, header, head, (), "")
         outer_head, outer_tail = _split_around(header, "fleet")
         fleet_head, fleet_tail = _split_around(fleet_state, "registrations")
         return SnapshotWriter(

@@ -101,7 +101,7 @@ class Registration:
     __slots__ = (
         "name", "hypothesis", "hypothesis_dict", "watchdog",
         "app_of_task", "lint_diagnostics", "active", "connected",
-        "indications", "task_starts", "detections", "_table",
+        "indications", "task_starts", "_table",
     )
 
     def __init__(
@@ -128,12 +128,16 @@ class Registration:
         self.connected = False
         self.indications = 0
         self.task_starts = 0
-        self.detections = 0
         #: The hosting table, set when it admits the registration.
         self._table: Optional["SupervisorShard"] = None
 
     def __repr__(self) -> str:
         return f"Registration(name={self.name!r}, active={self.active})"
+
+    @property
+    def detections(self) -> int:
+        """Detections its watchdog has raised."""
+        return sum(self.watchdog.detected.values())
 
     def deactivate(self) -> None:
         """Graceful departure: switch every runnable's Activation Status
@@ -152,7 +156,6 @@ class Registration:
     # Watchdog listeners: bound methods, which cost less per registration
     # than a closure over the name.
     def _on_detection(self, error: RunnableError) -> None:
-        self.detections += 1
         self._table._notify_detection(self.name, error)
 
     def _on_task_fault(self, event: TaskFaultEvent) -> None:
@@ -281,7 +284,6 @@ def _snapshot_record(entry: Registration) -> Dict[str, Any]:
         "active": entry.active,
         "indications": entry.indications,
         "task_starts": entry.task_starts,
-        "detections": entry.detections,
         "watchdog": entry.watchdog.snapshot_state(),
     }
 
@@ -468,10 +470,8 @@ class SupervisorShard:
             # block; only the bookkeeping flag needs setting (calling
             # deactivate() here would wrongly re-zero the counters).
             entry.active = bool(record["active"])
-            entry.connected = False
             entry.indications = int(record["indications"])
             entry.task_starts = int(record["task_starts"])
-            entry.detections = int(record["detections"])
 
     # ------------------------------------------------------------------
     # rollups and listeners

@@ -169,6 +169,29 @@ class TestSharedCompilation:
         for name in names:
             assert fleet.registration(name).hypothesis_dict == original
 
+    def test_restore_keeps_the_configured_task_map_shared(self):
+        """Regression: every restored TSI unit copied the configured
+        runnable-to-task map.  A restored registration that learned no
+        attribution shares it; one that learned a ghost keeps the entry
+        in a map of its own."""
+        fleet, names, _ = self.shared_fleet()
+        drive_fleet(fleet, names)
+        fleet.registration(names[0]).watchdog.tsi.record_error(RunnableError(
+            time=0, runnable="ghost", task="TX",
+            error_type=ErrorType.PROGRAM_FLOW))
+        state = json.loads(json.dumps(fleet.snapshot()))
+        revived = Fleet()
+        revived.restore(state)
+        tables = revived.registration(names[0]).hypothesis.static_tables()
+        learned = revived.registration(names[0]).watchdog.tsi
+        assert learned.task_of_runnable == {
+            **tables.task_of_runnable, "ghost": "TX"}
+        assert "ghost" not in tables.task_of_runnable
+        for name in names[1:]:
+            tsi = revived.registration(name).watchdog.tsi
+            assert tsi.task_of_runnable is tables.task_of_runnable
+        assert revived.snapshot() == state
+
 
 class TestAdmissionRules:
     @staticmethod

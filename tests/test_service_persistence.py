@@ -68,13 +68,14 @@ class TestStateStore:
         store = make_store(tmp_path)
         store.append(JOURNAL_REGISTER, "a", hypothesis={})
         store.append(JOURNAL_REGISTER, "b", hypothesis={})
-        payload = store.write_snapshot({"fake": "fleet"})
+        payload = store.write_snapshot({"fake": "fleet", "registrations": []})
         assert payload["schema"] == SNAPSHOT_SCHEMA_VERSION
         assert payload["seq"] == 2
         store.append(JOURNAL_BYE, "a")  # seq 3, after the snapshot
         store.close()
         restored = make_store(tmp_path).load()
-        assert restored.snapshot["fleet"] == {"fake": "fleet"}
+        assert restored.snapshot["fleet"] == {
+            "fake": "fleet", "registrations": []}
         # Only the post-snapshot record replays.
         assert [(e.kind, e.time) for e in restored.entries] == [
             (JOURNAL_BYE, 3)]
@@ -92,13 +93,14 @@ class TestStateStore:
 
     def test_snapshot_write_is_atomic(self, tmp_path):
         store = make_store(tmp_path)
-        store.write_snapshot({"generation": 1})
+        store.write_snapshot({"generation": 1, "registrations": []})
         # A crash mid-write leaves only the tmp file touched; the real
         # snapshot is replaced atomically, so no torn state exists.
         assert not os.path.exists(store.snapshot_path + ".tmp")
-        store.write_snapshot({"generation": 2})
+        store.write_snapshot({"generation": 2, "registrations": []})
         with open(store.snapshot_path, encoding="utf-8") as handle:
-            assert json.load(handle)["fleet"] == {"generation": 2}
+            assert json.load(handle)["fleet"] == {
+                "generation": 2, "registrations": []}
 
     def test_unsupported_snapshot_schema_rejected(self, tmp_path):
         store = make_store(tmp_path)
@@ -167,7 +169,7 @@ class TestStateStore:
         must survive the truncation."""
         store = make_store(tmp_path)
         store.append(JOURNAL_REGISTER, "a", hypothesis={})
-        snapshot = store.open_snapshot({"fake": "fleet"})
+        snapshot = store.open_snapshot({"fake": "fleet"}, [])
         assert snapshot.seq == 1
         # A REGISTER applied between two slices of the snapshot.
         store.append(JOURNAL_REGISTER, "b", hypothesis={})
@@ -176,7 +178,8 @@ class TestStateStore:
         store.truncate_journal_through(snapshot.seq)
         store.close()
         restored = make_store(tmp_path).load()
-        assert restored.snapshot["fleet"] == {"fake": "fleet"}
+        assert restored.snapshot["fleet"] == {
+            "fake": "fleet", "registrations": []}
         assert [(e.subject, e.time) for e in restored.entries] == [("b", 2)]
 
 
@@ -187,7 +190,7 @@ class TestStateStore:
         kill -9) in between lost an ACKed REGISTER from both files."""
         store = make_store(tmp_path)
         store.append(JOURNAL_REGISTER, "a", hypothesis={})
-        store.write_snapshot({"fake": "fleet"})
+        store.write_snapshot({"fake": "fleet", "registrations": []})
         store.append(JOURNAL_REGISTER, "b", hypothesis={})
 
         def unencodable(event):
@@ -225,9 +228,10 @@ class TestJournalFollower:
         follower = JournalFollower(StateStore(store.state_dir))
         store.append(JOURNAL_REGISTER, "a", hypothesis={})
         store.append(JOURNAL_REGISTER, "b", hypothesis={})
-        store.write_snapshot({"fake": 1})  # truncates the journal
+        # The snapshot truncates the journal.
+        store.write_snapshot({"fake": 1, "registrations": []})
         snapshot, entries = follower.poll()
-        assert snapshot["fleet"] == {"fake": 1}
+        assert snapshot["fleet"] == {"fake": 1, "registrations": []}
         assert entries == []  # covered by the snapshot, never replayed
         store.append(JOURNAL_BYE, "a")  # seq 3
         snapshot, entries = follower.poll()
@@ -236,7 +240,7 @@ class TestJournalFollower:
 
     def test_snapshot_not_readopted(self, tmp_path):
         store = make_store(tmp_path)
-        store.write_snapshot({"fake": 1})
+        store.write_snapshot({"fake": 1, "registrations": []})
         follower = JournalFollower(StateStore(store.state_dir))
         snapshot, _ = follower.poll()
         assert snapshot is not None

@@ -25,6 +25,18 @@ beyond the snapshot.  ``schema2_one_table.detections.json`` records the
 detections the same release raised restoring it.  Schema 3 derives the
 bases from the deadlines, so the restore must read the file without
 them and raise the identical sequence.
+
+``tests/data/schema3_one_table/`` was written by the daemon whose
+records still stored four tallies that schema 4 derives (the
+registration's ``detections``, the watchdog's ``check_cycle_count`` and
+``detected``, the PFC's ``lookup_operations``) and each TSI unit's
+configured runnable-to-task map: alpha (program-flow errors make
+``alpha.T`` faulty; the task-less ``alpha.ghost`` erred under task
+``alpha.G``, a learned attribution, also faulty), bravo (``sense`` over
+its arrival bound, ``act`` silent) and charlie (said BYE), plus a
+``journal.jsonl`` holding charlie's rebind and delta's REGISTER beyond
+the snapshot.  ``schema3_one_table.detections.json`` records the
+detections the same release raised restoring it.
 """
 
 import asyncio
@@ -32,6 +44,8 @@ import copy
 import json
 import os
 import shutil
+
+import pytest
 
 from repro.service import Fleet, JournalFollower, StateStore, SupervisionServer
 from repro.service.persistence import JOURNAL_REGISTER, SNAPSHOT_SCHEMA_VERSION
@@ -41,6 +55,10 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 FIXTURE = os.path.join(DATA, "schema1_two_shards")
 SNAPSHOTTED = ["alpha", "charlie", "bravo"]
 SCHEMA2 = "schema2_one_table"
+SCHEMA3 = "schema3_one_table"
+#: Record keys schema 4 derives on restore instead of storing.
+DERIVED_TALLIES = ("detections", "check_cycle_count", "detected",
+                   "lookup_operations")
 
 
 def copy_fixture(tmp_path, fixture=FIXTURE):
@@ -62,19 +80,48 @@ def recorded(name="schema1_two_shards"):
 
 
 def without_derived(record):
-    """A schema-1/2 registration record less the HBM keys schema 3
-    derives from the deadlines instead of storing."""
+    """An older registration record as schema 4 writes it: less the HBM
+    keys schema 3 derives from the deadlines (schemas 1 and 2), less
+    the four tallies schema 4 derives, and with the TSI's runnable-to-
+    task map ``{}`` unless it holds a learned entry."""
     record = copy.deepcopy(record)
-    hbm = record["watchdog"]["hbm"]
-    del hbm["alive_base"], hbm["arr_base"]
-    del hbm["counters"]["cca"], hbm["counters"]["ccar"]
+    watchdog = record["watchdog"]
+    hbm = watchdog["hbm"]
+    if "alive_base" in hbm:
+        del hbm["alive_base"], hbm["arr_base"]
+        del hbm["counters"]["cca"], hbm["counters"]["ccar"]
+    del record["detections"]
+    del watchdog["check_cycle_count"], watchdog["detected"]
+    del watchdog["pfc"]["lookup_operations"]
+    configured = {hyp["runnable"]: hyp["task"]
+                  for hyp in record["hypothesis"]["runnables"]
+                  if hyp["task"] is not None}
+    tsi = watchdog["tsi"]
+    if tsi["task_of_runnable"].items() <= configured.items():
+        tsi["task_of_runnable"] = {}
     return record
+
+
+def fixture_records(payload):
+    """A fixture snapshot's registration records, in tick order."""
+    fleet = payload["fleet"]
+    if "shards" in fleet:
+        return [record for shard in fleet["shards"]
+                for record in shard["registrations"]]
+    return fleet["registrations"]
+
+
+def assert_no_derived_keys(record):
+    watchdog = record["watchdog"]
+    assert not set(DERIVED_TALLIES) & (
+        set(record) | set(watchdog) | set(watchdog["pfc"]))
 
 
 def restore_and_tick(state_dir, ticks):
     """Restore a daemon from ``state_dir``, tick it at ``ticks`` and
     snapshot it; returns its registration order, the detections it
-    raised and the snapshot it rewrote."""
+    raised and the snapshot it rewrote (which stores no derived
+    tally)."""
 
     async def scenario():
         server = SupervisionServer(port=0, tick_interval=None,
@@ -95,7 +142,10 @@ def restore_and_tick(state_dir, ticks):
     order, seen = asyncio.run(scenario())
     with open(os.path.join(state_dir, "snapshot.json"),
               encoding="utf-8") as handle:
-        return order, seen, json.load(handle)
+        rewritten = json.load(handle)
+    for record in rewritten["fleet"]["registrations"]:
+        assert_no_derived_keys(record)
+    return order, seen, rewritten
 
 
 def test_restore_merges_shards_in_shard_order_with_counters():
@@ -104,8 +154,7 @@ def test_restore_merges_shards_in_shard_order_with_counters():
     assert [[r["name"] for r in shard["registrations"]]
             for shard in payload["fleet"]["shards"]] == [
         ["alpha", "charlie"], ["bravo"]]
-    records = [record for shard in payload["fleet"]["shards"]
-               for record in shard["registrations"]]
+    records = fixture_records(payload)
     fleet = Fleet()
     fleet.restore(payload["fleet"])
     assert list(fleet.registrations) == SNAPSHOTTED
@@ -116,9 +165,9 @@ def test_restore_merges_shards_in_shard_order_with_counters():
         assert registration.detections == record["detections"]
         assert registration.active is record["active"]
     assert fleet.tick_count == 6
-    # The watchdog state comes back exactly: a schema-3 capture of the
+    # The watchdog state comes back exactly: a schema-4 capture of the
     # restored fleet carries the schema-1 records in one table, less the
-    # keys schema 3 derives.
+    # keys schemas 3 and 4 derive.
     state = fleet.snapshot()
     assert "shards" not in state
     assert state["registrations"] == [without_derived(r) for r in records]
@@ -133,7 +182,7 @@ def test_restored_daemon_raises_the_recorded_detections(tmp_path):
     # The journal-replayed REGISTER joins after the snapshotted ones.
     assert order == SNAPSHOTTED + ["delta"]
     assert seen == expected["detections"]
-    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 3
+    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 4
     assert [r["name"] for r in rewritten["fleet"]["registrations"]] == (
         SNAPSHOTTED + ["delta"])
 
@@ -206,8 +255,54 @@ def test_schema_two_daemon_raises_the_recorded_detections(tmp_path):
     assert order == ["alpha", "bravo", "charlie", "delta"]
     assert seen == expected["detections"]
     assert {kind for _, _, kind, _ in seen} == {"aliveness", "arrival_rate"}
-    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 3
+    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 4
     for record in rewritten["fleet"]["registrations"]:
         hbm = record["watchdog"]["hbm"]
         assert not {"alive_base", "arr_base"} & set(hbm)
         assert sorted(hbm["counters"]) == ["ac", "active", "arc"]
+
+
+@pytest.mark.parametrize("fixture", [
+    "schema1_two_shards", SCHEMA2, SCHEMA3])
+def test_stored_tallies_equal_the_derived_ones(fixture):
+    """Each tally an older record stores is the value schema 4 derives
+    on restore, and the capture is the record less what it derives."""
+    payload = fixture_snapshot(os.path.join(DATA, fixture))
+    records = fixture_records(payload)
+    fleet = Fleet()
+    fleet.restore(payload["fleet"])
+    for record in records:
+        stored = record["watchdog"]
+        registration = fleet.registration(record["name"])
+        watchdog = registration.watchdog
+        assert registration.detections == record["detections"]
+        assert watchdog.check_cycle_count == stored["check_cycle_count"]
+        assert {et.value: n for et, n in watchdog.detected.items()} == (
+            stored["detected"])
+        assert watchdog.pfc.lookup_operations == (
+            stored["pfc"]["lookup_operations"])
+    assert fleet.snapshot()["registrations"] == [
+        without_derived(record) for record in records]
+
+
+def test_schema_three_daemon_raises_the_recorded_detections(tmp_path):
+    state_dir = copy_fixture(tmp_path, os.path.join(DATA, SCHEMA3))
+    stored = fixture_records(fixture_snapshot(os.path.join(DATA, SCHEMA3)))
+    # The fixture covers a program-flow error, faulty tasks and a
+    # learned attribution.
+    assert stored[0]["watchdog"]["detected"]["program_flow"] > 0
+    assert all(record["watchdog"]["tsi"]["faulty_tasks"]
+               for record in stored)
+    assert stored[0]["watchdog"]["tsi"]["task_of_runnable"][
+        "alpha.ghost"] == "alpha.G"
+    expected = recorded(SCHEMA3)
+    order, seen, rewritten = restore_and_tick(state_dir, expected["ticks"])
+    assert order == ["alpha", "bravo", "charlie", "delta"]
+    assert seen == expected["detections"]
+    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 4
+    records = rewritten["fleet"]["registrations"]
+    assert records[0]["watchdog"]["tsi"]["task_of_runnable"] == {
+        "alpha.sense": "alpha.T", "alpha.act": "alpha.T",
+        "alpha.ghost": "alpha.G"}
+    assert [record["watchdog"]["tsi"]["task_of_runnable"]
+            for record in records[1:]] == [{}, {}, {}]
