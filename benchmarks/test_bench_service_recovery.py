@@ -46,15 +46,16 @@ def make_hypothesis(name):
 
 
 def _register_many(host, port, names):
-    """Blocking SDK client run from an executor thread (the asyncio
-    daemon owns the main thread, exactly like the ingest benchmark)."""
-    client = WatchdogClient((host, port), client_name="bench")
-    client.connect()
+    """Blocking SDK clients, one per registration, run from an executor
+    thread (the asyncio daemon owns the main thread, exactly like the
+    ingest benchmark)."""
     for name in names:
+        client = WatchdogClient((host, port), client_name="bench")
+        client.connect()
         client.register(name, make_hypothesis(name))
-    # No farewell BYE: these applications "die with the daemon", so the
-    # restored registrations stay ACTIVE and must be detected.
-    client.close(say_bye=False)
+        # No farewell BYE: these applications "die with the daemon", so
+        # the restored registrations stay ACTIVE and must be detected.
+        client.close(say_bye=False)
 
 
 async def _recovery_run(state_dir, registrations=N_REGISTRATIONS,

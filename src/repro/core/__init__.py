@@ -19,14 +19,7 @@ daemon — never loads :mod:`repro.kernel` or :mod:`repro.network`.
 
 import importlib
 
-from .config_io import (
-    FindingSeverity,
-    HypothesisFinding,
-    analyze_hypothesis,
-    hypothesis_from_dict,
-    hypothesis_to_dict,
-    is_deployable,
-)
+from .config_io import hypothesis_from_dict, hypothesis_to_dict
 from .counters import CounterHistory
 from .flowcheck import FlowTable, ProgramFlowCheckingUnit
 from .heartbeat import HeartbeatMonitoringUnit
@@ -52,8 +45,6 @@ __all__ = [
     "EcuStateChange",
     "ErrorType",
     "FaultHypothesis",
-    "FindingSeverity",
-    "HypothesisFinding",
     "FlowTable",
     "HeartbeatMonitoringUnit",
     "HypothesisError",
@@ -71,12 +62,10 @@ __all__ = [
     "TaskStateIndicationUnit",
     "ThresholdPolicy",
     "WatchdogTaskBinding",
-    "analyze_hypothesis",
     "attach_hardware_watchdog_kick",
     "hypothesis_from_dict",
     "hypothesis_to_dict",
     "install_glue_on_all",
-    "is_deployable",
     "install_heartbeat_glue",
     "make_supervision_frame_spec",
 ]

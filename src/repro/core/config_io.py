@@ -1,40 +1,24 @@
-"""Fault-hypothesis serialization and design-time consistency analysis.
+"""Fault-hypothesis serialization.
 
 The fault hypothesis is a *design artefact*: it is authored with the
 system configuration (EASIS deliverable style), reviewed, and only then
-deployed.  This module provides both halves of that workflow:
-
-* :func:`hypothesis_to_dict` / :func:`hypothesis_from_dict` — lossless
-  (de)serialization to plain dicts (JSON/YAML-ready) so hypotheses can
-  live in version-controlled configuration files,
-* :func:`analyze_hypothesis` — static consistency checks of a
-  hypothesis against the task mapping and its timing analysis.  A
-  mis-specified hypothesis is worse than none: too-tight bounds turn
-  legal worst-case schedules into false alarms, too-loose bounds turn
-  the watchdog blind.  Each finding names the runnable, the problem and
-  the severity.
+deployed.  :func:`hypothesis_to_dict` / :func:`hypothesis_from_dict`
+(de)serialize it losslessly to plain dicts (JSON/YAML-ready), so
+hypotheses can live in version-controlled configuration files.  Checking
+one against its task mapping and schedule is wdlint's job
+(:func:`repro.lint.lint_hypothesis`, codes ``WD3xx``).
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import Any, Dict
 
 from .hypothesis import FaultHypothesis, RunnableHypothesis, ThresholdPolicy
 from .reports import ErrorType
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a cycle:
-    # platform.application itself builds FaultHypothesis objects).
-    from ..platform.application import TaskMapping
-
 _FORMAT_VERSION = 1
 
 
-# ----------------------------------------------------------------------
-# serialization
-# ----------------------------------------------------------------------
 def hypothesis_to_dict(hypothesis: FaultHypothesis) -> Dict[str, Any]:
     """Serialise a hypothesis to a plain dict (JSON-compatible)."""
     return {
@@ -91,151 +75,3 @@ def hypothesis_from_dict(data: Dict[str, Any], *, validate: bool = True) -> Faul
     if validate:
         hypothesis.validate()
     return hypothesis
-
-
-# ----------------------------------------------------------------------
-# design-time analysis
-# ----------------------------------------------------------------------
-class FindingSeverity(enum.Enum):
-    """How bad a hypothesis inconsistency is."""
-
-    ERROR = "error"  # will false-positive or can never fire
-    WARNING = "warning"  # fragile: margins too thin or too loose
-
-
-@dataclass(frozen=True)
-class HypothesisFinding:
-    """One consistency problem."""
-
-    severity: FindingSeverity
-    runnable: Optional[str]
-    message: str
-
-    def __str__(self) -> str:
-        subject = self.runnable or "<global>"
-        return f"[{self.severity.value}] {subject}: {self.message}"
-
-
-def analyze_hypothesis(
-    hypothesis: FaultHypothesis,
-    mapping: "TaskMapping",
-    *,
-    watchdog_period: int,
-    loose_factor: float = 4.0,
-) -> List[HypothesisFinding]:
-    """Check a hypothesis against the mapping's timing reality.
-
-    Checks, per monitored runnable:
-
-    * the hosting task exists in the mapping and actually hosts it,
-    * **false-positive risk**: in the worst case (response-time analysis)
-      the task delivers ``floor(window / period)`` completions per
-      aliveness window minus the one activation that may straddle it;
-      ``min_heartbeats`` above that bound *will* alarm on a healthy
-      system,
-    * **blindness risk**: an aliveness window more than ``loose_factor``
-      times the task period detects only near-total starvation,
-    * **arrival bound sanity**: ``max_heartbeats`` below the nominal
-      executions per arrival window false-positives; far above detects
-      nothing short of a runaway loop,
-    * flow pairs referencing unmonitored runnables (also caught by
-      ``validate``, reported here with context).
-    """
-    from ..platform.schedulability import response_time_analysis
-
-    findings: List[HypothesisFinding] = []
-    rta = response_time_analysis(mapping.task_timings())
-
-    for name, hyp in hypothesis.runnables.items():
-        try:
-            task = mapping.task_of(name)
-        except Exception:
-            findings.append(
-                HypothesisFinding(
-                    FindingSeverity.ERROR, name,
-                    "runnable is not placed in the mapping",
-                )
-            )
-            continue
-        if hyp.task is not None and hyp.task != task:
-            findings.append(
-                HypothesisFinding(
-                    FindingSeverity.ERROR, name,
-                    f"hypothesis names task {hyp.task!r} but the mapping "
-                    f"places it on {task!r}",
-                )
-            )
-        spec = mapping.task_specs[task]
-        response = rta.get(task)
-        if response is None:
-            findings.append(
-                HypothesisFinding(
-                    FindingSeverity.ERROR, name,
-                    f"hosting task {task!r} is not schedulable — no "
-                    "hypothesis can be met",
-                )
-            )
-            continue
-
-        # --- aliveness: guaranteed completions per window --------------
-        window = hyp.aliveness_period * watchdog_period
-        guaranteed = max(0, math.floor(window / spec.period) - 1)
-        if hyp.min_heartbeats > guaranteed:
-            findings.append(
-                HypothesisFinding(
-                    FindingSeverity.ERROR, name,
-                    f"min_heartbeats={hyp.min_heartbeats} exceeds the "
-                    f"{guaranteed} completions guaranteed per "
-                    f"{window // 1000} ms window (period "
-                    f"{spec.period // 1000} ms): false positives on a "
-                    "healthy system",
-                )
-            )
-        if window > loose_factor * spec.period and hyp.min_heartbeats <= 1:
-            findings.append(
-                HypothesisFinding(
-                    FindingSeverity.WARNING, name,
-                    f"aliveness window {window // 1000} ms is more than "
-                    f"{loose_factor:g}x the task period — detects only "
-                    "near-total starvation",
-                )
-            )
-
-        # --- arrival rate ----------------------------------------------
-        arrival_window = hyp.arrival_period * watchdog_period
-        nominal = math.ceil(arrival_window / spec.period)
-        if hyp.max_heartbeats < nominal:
-            findings.append(
-                HypothesisFinding(
-                    FindingSeverity.ERROR, name,
-                    f"max_heartbeats={hyp.max_heartbeats} is below the "
-                    f"{nominal} nominal executions per "
-                    f"{arrival_window // 1000} ms window: false positives",
-                )
-            )
-        elif hyp.max_heartbeats > loose_factor * nominal:
-            findings.append(
-                HypothesisFinding(
-                    FindingSeverity.WARNING, name,
-                    f"max_heartbeats={hyp.max_heartbeats} is more than "
-                    f"{loose_factor:g}x the nominal rate — excessive "
-                    "dispatch goes undetected",
-                )
-            )
-
-    monitored = set(hypothesis.runnables)
-    for pred, succ in hypothesis.flow_pairs:
-        for endpoint in (pred, succ):
-            if endpoint is not None and endpoint not in monitored:
-                findings.append(
-                    HypothesisFinding(
-                        FindingSeverity.ERROR, endpoint,
-                        "flow pair references an unmonitored runnable",
-                    )
-                )
-    return findings
-
-
-def is_deployable(findings: List[HypothesisFinding]) -> bool:
-    """A hypothesis may be deployed when it has no ERROR findings."""
-    return all(f.severity is not FindingSeverity.ERROR for f in findings)

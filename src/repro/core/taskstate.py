@@ -129,6 +129,8 @@ class TaskStateIndicationUnit:
 
         Fires a :class:`TaskFaultEvent` the moment an element reaches its
         threshold; re-crossing while already faulty does not re-fire.
+        Fires an :class:`EcuStateChange` whenever the derived ECU state
+        moves (ok → suspicious → faulty).
         """
         when = error.time if time is None else time
         task = error.task
@@ -163,6 +165,9 @@ class TaskStateIndicationUnit:
             self._tm_task_faults.inc()
             for listener in self._task_fault_listeners:
                 listener(event)
+        # Any error can move the ECU state (ok → suspicious on the first
+        # one); only clear_task/reset can lower it from faulty.
+        if self._last_ecu_state is not MonitorState.FAULTY:
             self._update_ecu_state(when)
         if self._tm_enabled:
             self._tm_refresh_states(task)

@@ -15,10 +15,11 @@ before deployment:
   reject (a guaranteed false positive), vacuous checks, and TSI
   thresholds validated at configuration time instead of deep in the
   monitoring hot path,
-* **system cross-checks** (``WD3xx``) — per-runnable activation rates
-  derived from the task mapping / schedule periods (tool-chain step 2)
-  bracketed against the hypothesis windows, and task-attribution
-  consistency.
+* **system cross-checks** (``WD3xx``) — per-runnable completion rates
+  derived from the task mapping (tool-chain step 2) and its
+  response-time analysis, bracketed against the hypothesis windows;
+  task placement, attribution and schedulability.  A report without
+  errors is the deploy verdict.
 
 The analyzer never mutates the hypothesis and never raises on a broken
 one — defects come back as structured :class:`~.diagnostics.Diagnostic`
@@ -257,6 +258,11 @@ def _threshold_diagnostics(hypothesis: FaultHypothesis) -> List[Diagnostic]:
 # ----------------------------------------------------------------------
 # system cross-checks (WD3xx)
 # ----------------------------------------------------------------------
+#: A window or bound this many times wider than the schedule needs only
+#: catches near-total starvation or a runaway loop (WD305/WD306).
+_LOOSE_FACTOR = 4
+
+
 def _system_diagnostics(
     hypothesis: FaultHypothesis,
     mapping,
@@ -265,10 +271,16 @@ def _system_diagnostics(
     """Bracket the hypothesis windows against the mapping's schedule.
 
     ``mapping`` is a :class:`~repro.platform.application.TaskMapping`
-    (duck-typed: ``task_of`` and ``task_specs`` suffice) — the output of
-    tool-chain step 2, which fixes every task's activation period and
-    therefore every runnable's nominal heartbeat rate.
+    (duck-typed: ``task_of``, ``task_specs`` and ``task_timings``
+    suffice) — the output of tool-chain step 2, which fixes every task's
+    activation period and, through response-time analysis, the latest
+    point after each release at which its runnables complete.
     """
+    # Imported here: a daemon REGISTER lints without a mapping and must
+    # not load the simulated platform.
+    from ..platform.schedulability import response_time_analysis
+
+    response_times = response_time_analysis(mapping.task_timings())
     diagnostics: List[Diagnostic] = []
     for name, hyp in hypothesis.runnables.items():
         try:
@@ -291,28 +303,50 @@ def _system_diagnostics(
                 hypothesis_task=hyp.task,
                 mapped_task=placed_task,
             ))
-        period = mapping.task_specs[placed_task].period
+        response = response_times.get(placed_task)
+        if response is None:
+            diagnostics.append(make_diagnostic(
+                "WD304",
+                f"hosting task {placed_task!r} of {name!r} misses its "
+                "deadline under response-time analysis: no hypothesis "
+                "window can be met",
+                subject=name,
+                task=placed_task,
+            ))
+            continue
         if not hyp.active:
             continue
-        # Aliveness side: a worst-phased window of length W over an
-        # exactly P-periodic heartbeat stream contains floor(W/P)
-        # heartbeats — demanding more than that alarms even on a
-        # perfectly healthy, jitter-free schedule.  (The RTA-aware
-        # ``analyze_hypothesis`` additionally warns about thin jitter
-        # margins; lint errors only on the impossible.)
+        period = mapping.task_specs[placed_task].period
+        # Aliveness side: jobs are released every P ticks and each
+        # completes within R of its release, so any window of length W
+        # holds at least floor((W - R) / P) completions (none if W < R).
+        # Demanding more alarms on a healthy schedule.
         window = hyp.aliveness_period * watchdog_period
-        guaranteed = window // period
+        guaranteed = max(0, (window - response) // period)
         if hyp.min_heartbeats > guaranteed:
             diagnostics.append(make_diagnostic(
                 "WD301",
                 f"min_heartbeats={hyp.min_heartbeats} exceeds the "
                 f"{guaranteed} completions the {period}-tick task period "
-                f"can deliver in a worst-phased {window}-tick aliveness "
-                "window: guaranteed false positives on a healthy schedule",
+                f"guarantees in a {window}-tick aliveness window with a "
+                f"{response}-tick worst-case response: false positives "
+                "on a healthy schedule",
                 subject=name,
                 bound="min_heartbeats",
                 min_heartbeats=hyp.min_heartbeats,
                 guaranteed=guaranteed,
+                window=window,
+                task_period=period,
+                response_time=response,
+            ))
+        if window > _LOOSE_FACTOR * period and hyp.min_heartbeats <= 1:
+            diagnostics.append(make_diagnostic(
+                "WD305",
+                f"aliveness window of {window} ticks is more than "
+                f"{_LOOSE_FACTOR}x the {period}-tick task period: it "
+                "detects only near-total starvation",
+                subject=name,
+                min_heartbeats=hyp.min_heartbeats,
                 window=window,
                 task_period=period,
             ))
@@ -329,6 +363,19 @@ def _system_diagnostics(
                 "window: guaranteed false positives on a healthy schedule",
                 subject=name,
                 bound="max_heartbeats",
+                max_heartbeats=hyp.max_heartbeats,
+                nominal=nominal,
+                window=arrival_window,
+                task_period=period,
+            ))
+        elif hyp.max_heartbeats > _LOOSE_FACTOR * nominal:
+            diagnostics.append(make_diagnostic(
+                "WD306",
+                f"max_heartbeats={hyp.max_heartbeats} is more than "
+                f"{_LOOSE_FACTOR}x the {nominal} activations nominally "
+                f"delivered per {arrival_window}-tick arrival window: "
+                "excessive dispatch goes undetected",
+                subject=name,
                 max_heartbeats=hyp.max_heartbeats,
                 nominal=nominal,
                 window=arrival_window,
@@ -358,8 +405,9 @@ def lint_hypothesis(
         raising on the first one.
     mapping:
         Optional :class:`~repro.platform.application.TaskMapping` to
-        cross-check activation rates and task attribution against
-        (requires ``watchdog_period``).
+        cross-check placement, schedulability and completion rates
+        against (requires ``watchdog_period``).  With a mapping,
+        ``report.ok`` is the deploy verdict.
     watchdog_period:
         Check-cycle period in kernel ticks; converts the hypothesis'
         cycle-denominated windows into time for the WD3xx rate checks.

@@ -7,7 +7,8 @@ family:
 
 * ``WD1xx`` — flow-graph analysis of the program-flow look-up table,
 * ``WD2xx`` — counter-bound feasibility of the heartbeat hypothesis,
-* ``WD3xx`` — cross-checks against the system mapping / schedule table.
+* ``WD3xx`` — cross-checks against the system mapping and its
+  response-time analysis.
 
 Codes are part of the public contract: tooling (CI gates, editors,
 ``--format json`` consumers) keys on them, so existing codes never change
@@ -65,6 +66,12 @@ CODES: Dict[str, tuple] = {
               "hypothesis names a different task than the system mapping"),
     "WD303": ("unplaced-runnable", Severity.ERROR,
               "monitored runnable is not placed anywhere in the mapping"),
+    "WD304": ("unschedulable-task", Severity.ERROR,
+              "the runnable's hosting task misses its deadline under RTA"),
+    "WD305": ("loose-aliveness-window", Severity.WARNING,
+              "aliveness window over 4 task periods detects only starvation"),
+    "WD306": ("loose-arrival-bound", Severity.WARNING,
+              "max_heartbeats over 4x the nominal rate misses runaway dispatch"),
 }
 
 

@@ -76,13 +76,17 @@ class RegistrationRejected(ClientError):
 class WatchdogClient:
     """Synchronous SDK for one supervised process.
 
+    A client holds at most one registration: every indication it sends
+    is attributed to that name.  A process with two hypotheses opens two
+    clients.
+
     ``address`` is ``(host, port)`` for TCP or a filesystem path string
     for a UNIX socket.  ``failover`` lists further addresses (typically
     the warm standby's) tried in order whenever the current one refuses;
     the client sticks with whichever address last worked, and the
-    ordinary reconnect path — replay HELLO, re-REGISTER everything —
-    runs identically after a failover, so a promoted standby receives
-    the same rebind a restarted primary would.
+    ordinary reconnect path — replay HELLO, re-REGISTER — runs
+    identically after a failover, so a promoted standby receives the
+    same rebind a restarted primary would.
     """
 
     def __init__(
@@ -129,7 +133,8 @@ class WatchdogClient:
         self._sock: Optional[socket.socket] = None
         self._decoder = FrameDecoder()
         self._buffer: Deque[Tuple[Any, ...]] = collections.deque()
-        self._registrations: Dict[str, Dict[str, Any]] = {}
+        #: ``(name, spec)`` of the one registration, once registered.
+        self._registration: Optional[Tuple[str, Dict[str, Any]]] = None
         self.closed = False
         #: Counters a supervised process can export for its own health.
         self.dropped = 0
@@ -157,8 +162,8 @@ class WatchdogClient:
                 raise ClientError(
                     f"HELLO rejected: {ack.get('error', 'unknown error')}"
                 )
-            for name, spec in self._registrations.items():
-                self._register_on_wire(name, spec)
+            if self._registration is not None:
+                self._register_on_wire(*self._registration)
         except Exception:
             self._drop_connection()
             raise
@@ -256,9 +261,16 @@ class WatchdogClient:
         """Submit a fault hypothesis; returns the server's ACK payload
         (``rebound`` flag and ``lint`` diagnostics).
 
-        Raises :class:`RegistrationRejected` when the server (or its
-        ``--strict`` linter) refuses the hypothesis.
+        Registering the client's name again rebinds it with the new
+        hypothesis.  Raises :class:`RegistrationRejected` when the server
+        (or its ``--strict`` linter) refuses the hypothesis, and
+        :class:`ClientError`, before sending anything, for a second,
+        different name.
         """
+        if self._registration is not None and self._registration[0] != name:
+            raise ClientError(
+                f"client is registered as {self._registration[0]!r}; "
+                f"open another client to register {name!r}")
         if isinstance(hypothesis, FaultHypothesis):
             hypothesis = hypothesis_to_dict(hypothesis)
         spec: Dict[str, Any] = {"hypothesis": hypothesis}
@@ -268,7 +280,7 @@ class WatchdogClient:
             raise ClientError(f"cannot reach the supervision daemon at "
                               f"{self.address!r}")
         ack = self._register_on_wire(name, spec)
-        self._registrations[name] = spec
+        self._registration = (name, spec)
         return ack
 
     def _register_on_wire(self, name: str, spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -308,15 +320,16 @@ class WatchdogClient:
         unreachable (indications remain buffered, bounded)."""
         if not self._buffer:
             return True
-        if not self._registrations:
+        if self._registration is None:
             # Nothing to attribute the indications to yet; keep them
             # buffered until register() names a registration.
             return False
         if not self._ensure_connection():
             return False
+        name = self._registration[0]
         while self._buffer:
             run = self._pop_run()
-            frame = self._encode_run(run)
+            frame = self._encode_run(name, run)
             try:
                 self._sock.sendall(frame)
             except OSError:
@@ -358,22 +371,13 @@ class WatchdogClient:
             run.append(self._buffer.popleft())
         return run
 
-    def _encode_run(self, run: List[Tuple[Any, ...]]) -> bytes:
-        # A client talks about one registration per connection batch;
-        # multi-registration clients interleave frames, which the
-        # server applies in arrival order anyway.
+    @staticmethod
+    def _encode_run(name: str, run: List[Tuple[Any, ...]]) -> bytes:
         if run[0][0] == "hb":
             batch = [[r, t, task] for _, r, t, task in run]
-            return encode_frame(
-                T_HEARTBEAT, name=self._primary_name(), batch=batch
-            )
+            return encode_frame(T_HEARTBEAT, name=name, batch=batch)
         batch = [[task, t] for _, task, t in run]
-        return encode_frame(T_FLOW, name=self._primary_name(), batch=batch)
-
-    def _primary_name(self) -> str:
-        if not self._registrations:
-            raise ClientError("no registration — call register() first")
-        return next(iter(self._registrations))
+        return encode_frame(T_FLOW, name=name, batch=batch)
 
     # ------------------------------------------------------------------
     # server pushes

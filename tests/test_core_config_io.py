@@ -1,4 +1,5 @@
-"""Tests for hypothesis serialization and design-time analysis."""
+"""Tests for hypothesis serialization and the deploy verdict of a
+loaded hypothesis."""
 
 import json
 
@@ -7,19 +8,15 @@ import pytest
 from repro.core import (
     ErrorType,
     FaultHypothesis,
-    FindingSeverity,
     RunnableHypothesis,
     ThresholdPolicy,
-    analyze_hypothesis,
     hypothesis_from_dict,
     hypothesis_to_dict,
-    is_deployable,
 )
 from repro.kernel import ms
 from repro.platform import SystemBuilder
 from repro.kernel import Kernel
-
-from testutil import make_safespeed_mapping
+from repro.lint import Diagnostic, Severity, lint_hypothesis
 
 
 def sample_hypothesis():
@@ -102,15 +99,21 @@ class TestSerialization:
         assert loaded.thresholds.default == 0
 
 
+def lint_loaded(hyp, mapping):
+    """Lint ``hyp`` as a deployment would see it: saved to JSON, loaded
+    back without validation, then checked against its task mapping."""
+    data = json.loads(json.dumps(hypothesis_to_dict(hyp)))
+    loaded = hypothesis_from_dict(data, validate=False)
+    return lint_hypothesis(loaded, mapping=mapping, watchdog_period=ms(10))
+
+
 class TestAnalysis:
     def test_generated_hypothesis_is_deployable(self, safespeed_mapping):
         system = SystemBuilder(safespeed_mapping, watchdog_period=ms(10)).build(
             Kernel()
         )
-        findings = analyze_hypothesis(
-            system.hypothesis, safespeed_mapping, watchdog_period=ms(10)
-        )
-        assert is_deployable(findings), [str(f) for f in findings]
+        report = lint_loaded(system.hypothesis, safespeed_mapping)
+        assert report.ok, report.render_text()
 
     def test_impossible_min_heartbeats_flagged(self, safespeed_mapping):
         hyp = FaultHypothesis()
@@ -120,11 +123,9 @@ class TestAnalysis:
                                aliveness_period=1, min_heartbeats=2,
                                arrival_period=2, max_heartbeats=5)
         )
-        findings = analyze_hypothesis(hyp, safespeed_mapping,
-                                      watchdog_period=ms(10))
-        errors = [f for f in findings if f.severity is FindingSeverity.ERROR]
-        assert any("min_heartbeats" in f.message for f in errors)
-        assert not is_deployable(findings)
+        report = lint_loaded(hyp, safespeed_mapping)
+        assert any("min_heartbeats" in d.message for d in report.errors)
+        assert not report.ok
 
     def test_too_tight_arrival_bound_flagged(self, safespeed_mapping):
         hyp = FaultHypothesis()
@@ -134,30 +135,15 @@ class TestAnalysis:
                                aliveness_period=8, min_heartbeats=1,
                                arrival_period=4, max_heartbeats=2)
         )
-        findings = analyze_hypothesis(hyp, safespeed_mapping,
-                                      watchdog_period=ms(10))
-        assert any("max_heartbeats" in f.message and
-                   f.severity is FindingSeverity.ERROR for f in findings)
-
-    def test_loose_window_warned(self, safespeed_mapping):
-        hyp = FaultHypothesis()
-        hyp.add_runnable(
-            RunnableHypothesis("GetSensorValue", task="SafeSpeedTask",
-                               aliveness_period=50, min_heartbeats=1,
-                               arrival_period=2, max_heartbeats=3)
-        )
-        findings = analyze_hypothesis(hyp, safespeed_mapping,
-                                      watchdog_period=ms(10))
-        warnings = [f for f in findings if f.severity is FindingSeverity.WARNING]
-        assert any("near-total starvation" in f.message for f in warnings)
-        assert is_deployable(findings)  # warnings do not block deployment
+        report = lint_loaded(hyp, safespeed_mapping)
+        assert any("max_heartbeats" in d.message for d in report.errors)
+        assert not report.ok
 
     def test_unplaced_runnable_flagged(self, safespeed_mapping):
         hyp = FaultHypothesis()
         hyp.add_runnable(RunnableHypothesis("ghost", task="SafeSpeedTask"))
-        findings = analyze_hypothesis(hyp, safespeed_mapping,
-                                      watchdog_period=ms(10))
-        assert any("not placed" in f.message for f in findings)
+        report = lint_loaded(hyp, safespeed_mapping)
+        assert any("not placed" in d.message for d in report.errors)
 
     def test_wrong_task_attribution_flagged(self, safespeed_mapping):
         hyp = FaultHypothesis()
@@ -166,23 +152,9 @@ class TestAnalysis:
                                aliveness_period=2, arrival_period=2,
                                max_heartbeats=3)
         )
-        findings = analyze_hypothesis(hyp, safespeed_mapping,
-                                      watchdog_period=ms(10))
-        assert any("places it on" in f.message for f in findings)
-
-    def test_unschedulable_task_flagged(self):
-        mapping = make_safespeed_mapping(period=ms(3))  # 4 ms work / 3 ms
-        hyp = FaultHypothesis()
-        hyp.add_runnable(
-            RunnableHypothesis("GetSensorValue", task="SafeSpeedTask",
-                               aliveness_period=2, arrival_period=2,
-                               max_heartbeats=5)
-        )
-        findings = analyze_hypothesis(hyp, mapping, watchdog_period=ms(10))
-        assert any("not schedulable" in f.message for f in findings)
+        report = lint_loaded(hyp, safespeed_mapping)
+        assert any("places it on" in d.message for d in report.errors)
 
     def test_finding_str(self):
-        from repro.core import HypothesisFinding
-
-        finding = HypothesisFinding(FindingSeverity.ERROR, "R", "broken")
-        assert "[error] R: broken" == str(finding)
+        finding = Diagnostic("WD303", Severity.ERROR, "broken", subject="R")
+        assert "error WD303 [R]: broken" == str(finding)

@@ -119,6 +119,26 @@ class TestStateDerivation:
         assert changes[0].new_state is MonitorState.FAULTY
         assert changes[0].faulty_tasks == ("T",)
 
+    def test_ecu_state_listener_sees_suspicious_before_faulty(self):
+        unit, _ = make_unit(default=3)
+        changes = []
+        unit.add_ecu_state_listener(changes.append)
+        unit.record_error(error(5))
+        assert unit.ecu_state() is MonitorState.SUSPICIOUS
+        assert [(c.old_state, c.new_state) for c in changes] == [
+            (MonitorState.OK, MonitorState.SUSPICIOUS)]
+        assert changes[0].time == 5 and changes[0].faulty_tasks == ()
+        unit.record_error(error(6))  # below threshold: no transition
+        assert len(changes) == 1
+        unit.record_error(error(7))
+        assert [(c.old_state, c.new_state) for c in changes] == [
+            (MonitorState.OK, MonitorState.SUSPICIOUS),
+            (MonitorState.SUSPICIOUS, MonitorState.FAULTY),
+        ]
+        assert changes[1].faulty_tasks == ("T",)
+        unit.record_error(error(8))  # already faulty: no transition
+        assert len(changes) == 2
+
 
 class TestSupervisionReports:
     def test_report_for_erroring_runnable(self):

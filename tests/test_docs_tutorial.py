@@ -5,6 +5,8 @@ if the API drifts, these fail before the documentation rots.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,9 @@ from repro.baselines import HardwareWatchdog
 from repro.core import (
     FaultHypothesis,
     RunnableHypothesis,
-    analyze_hypothesis,
     attach_hardware_watchdog_kick,
     hypothesis_from_dict,
     hypothesis_to_dict,
-    is_deployable,
 )
 from repro.faults import (
     BlockedRunnableFault,
@@ -37,6 +37,10 @@ from repro.platform import (
     is_schedulable,
 )
 from repro.analysis import S12XF, project_cpu_load
+from repro.lint import CODES, lint_hypothesis
+
+TUTORIAL = (Path(__file__).resolve().parent.parent
+            / "docs" / "supervising_your_application.md")
 
 
 def brake_mapping():
@@ -70,19 +74,29 @@ class TestTutorialSections:
             arrival_period=2, max_heartbeats=3,
         ))
         hyp.allow_sequence(["ComputeForce"])
-        findings = analyze_hypothesis(hyp, mapping, watchdog_period=ms(5))
-        assert is_deployable(findings)
+        report = lint_hypothesis(hyp, mapping=mapping, watchdog_period=ms(5))
+        assert report.render_text() == "<hypothesis>: ok"
+        assert report.ok
 
         path = tmp_path / "brake_hypothesis.json"
         path.write_text(json.dumps(hypothesis_to_dict(hyp)))
         restored = hypothesis_from_dict(json.loads(path.read_text()))
         assert "ComputeForce" in restored.runnables
 
+    def test_section_4_code_table_mirrors_registry(self):
+        """The tutorial's WD table lists exactly the registry's codes,
+        each with its registry severity."""
+        rows = re.findall(r"^\| (WD\d{3}) \| (\w+) +\|",
+                          TUTORIAL.read_text(), flags=re.MULTILINE)
+        assert dict(rows) == {
+            code: severity.value for code, (_, severity, _) in CODES.items()
+        }
+        assert len(rows) == len(CODES)
+
     def test_section_5_linting(self):
         from repro.core import SoftwareWatchdog
-        from repro.lint import LintError, lint_hypothesis
+        from repro.lint import LintError
 
-        mapping = brake_mapping()
         hyp = FaultHypothesis()
         hyp.add_runnable(RunnableHypothesis(
             "ComputeForce", task="BrakeTask",
@@ -90,10 +104,6 @@ class TestTutorialSections:
             arrival_period=2, max_heartbeats=3,
         ))
         hyp.allow_sequence(["ComputeForce"])
-
-        report = lint_hypothesis(hyp, mapping=mapping, watchdog_period=ms(5))
-        assert report.ok
-        assert report.render_text().endswith(": ok")
 
         wd = SoftwareWatchdog(hyp, lint="error")    # clean: constructs
         assert wd.hypothesis is hyp

@@ -225,6 +225,78 @@ class TestSystemCrossChecks:
             "WD303")[0]
         assert diag.severity is Severity.ERROR
 
+    @pytest.mark.parametrize("wcet, clean", [(2000, True), (2001, False)])
+    def test_wd301_aliveness_bound_boundary(self, wcet, clean):
+        """A 12 ms window over a 10 ms task holds ⌊(W − R)/P⌋
+        completions: with R = 2 ms that is W − R = P, one completion,
+        clean; one tick more response leaves W − R = P − 1, none."""
+        from repro.platform import Application, RunnableSpec, SoftwareComponent
+
+        swc = SoftwareComponent("Swc")
+        swc.add(RunnableSpec("R", wcet=wcet))
+        app = Application("App")
+        app.add_component(swc)
+        mapping = TaskMapping([app])
+        mapping.add_task(TaskSpec("T", priority=1, period=ms(10)))
+        mapping.map_sequence("T", ["R"])
+        hyp = FaultHypothesis()
+        hyp.add_runnable(RunnableHypothesis(
+            "R", task="T", aliveness_period=2, min_heartbeats=1,
+            arrival_period=2, max_heartbeats=3))
+        report = lint_hypothesis(hyp, mapping=mapping, watchdog_period=ms(6))
+        if clean:
+            assert report.clean, report.render_text()
+        else:
+            diag = only(report, "WD301")[0]
+            assert diag.context["guaranteed"] == 0
+            assert diag.context["response_time"] == wcet
+
+    def test_wd304_unschedulable_task(self):
+        mapping = make_safespeed_mapping(period=ms(3))  # 4 ms work / 3 ms
+        hyp = FaultHypothesis()
+        hyp.add_runnable(RunnableHypothesis(
+            "GetSensorValue", task="SafeSpeedTask", aliveness_period=2,
+            arrival_period=2, max_heartbeats=5))
+        report = lint_hypothesis(hyp, mapping=mapping, watchdog_period=ms(10))
+        diag = only(report, "WD304")[0]
+        assert diag.context["task"] == "SafeSpeedTask"
+        # No response-time bound: the rate checks are skipped.
+        assert report.codes() == ["WD304"]
+
+    def test_wd305_loose_aliveness_window(self, safespeed_mapping):
+        hyp = FaultHypothesis()
+        # 500 ms window over a 10 ms task: only starvation is detected.
+        hyp.add_runnable(RunnableHypothesis(
+            "GetSensorValue", task="SafeSpeedTask", aliveness_period=50,
+            min_heartbeats=1, arrival_period=2, max_heartbeats=3))
+        report = lint_hypothesis(
+            hyp, mapping=safespeed_mapping, watchdog_period=ms(10))
+        assert report.codes() == ["WD305"]
+        assert report.ok  # warnings do not block deployment
+
+    def test_wd306_loose_arrival_bound(self, safespeed_mapping):
+        hyp = FaultHypothesis()
+        # 20 ms arrival window nominally delivers 2 runs; 9 tolerated.
+        hyp.add_runnable(RunnableHypothesis(
+            "GetSensorValue", task="SafeSpeedTask", aliveness_period=2,
+            min_heartbeats=1, arrival_period=2, max_heartbeats=9))
+        report = lint_hypothesis(
+            hyp, mapping=safespeed_mapping, watchdog_period=ms(10))
+        diag = only(report, "WD306")[0]
+        assert diag.context["nominal"] == 2
+        assert report.codes() == ["WD306"]
+        assert report.ok
+
+    def test_inactive_runnables_skip_rate_checks(self, safespeed_mapping):
+        hyp = FaultHypothesis()
+        hyp.add_runnable(RunnableHypothesis(
+            "GetSensorValue", task="SafeSpeedTask", aliveness_period=1,
+            min_heartbeats=2, arrival_period=50, max_heartbeats=1,
+            active=False))
+        report = lint_hypothesis(
+            hyp, mapping=safespeed_mapping, watchdog_period=ms(10))
+        assert report.clean, report.render_text()
+
     def test_generated_hypothesis_cross_checks_clean(self, safespeed_mapping):
         from repro.platform import SystemBuilder
 

@@ -152,6 +152,25 @@ class TestHandshake:
         finally:
             daemon.close()
 
+    def test_second_registration_name_refused_before_sending(self, daemon):
+        """One client, one registration: every batch names it, so a
+        second name would have its indications sent under the first."""
+        client = WatchdogClient(daemon.address)
+        client.connect()
+        client.register("p", make_hyp_dict())
+        with pytest.raises(ClientError, match="'p'.*'q'"):
+            client.register("q", make_hyp_dict())
+        assert client.sync() is True
+        assert [f.get("name") for f in daemon.frames_of(T_REGISTER)] == ["p"]
+        # The same name again rebinds, as after a reconnect.
+        assert client.register("p", make_hyp_dict())["rebound"] is False
+        client.heartbeat("sense", 1, "T")
+        assert client.sync() is True
+        assert [f.get("name") for f in daemon.frames_of(T_REGISTER)] == [
+            "p", "p"]
+        assert daemon.frames_of(T_HEARTBEAT)[0].get("name") == "p"
+        client.close(say_bye=False)
+
     def test_connect_on_closed_client_raises(self, daemon):
         client = WatchdogClient(daemon.address)
         client.connect()

@@ -56,6 +56,41 @@ print(json.dumps({"code": code, "ssl": getattr(ssl, "__name__", None)}))
 """
 
 
+#: Serves one REGISTER (linted without a mapping) over a raw socket, so
+#: only the daemon's own imports are listed.
+_REGISTER_PROBE = r"""
+import asyncio, json, socket, sys
+from repro.core import FaultHypothesis, RunnableHypothesis, hypothesis_to_dict
+from repro.service.protocol import FrameDecoder, T_REGISTER, encode_frame
+from repro.service.server import SupervisionServer
+
+hyp = FaultHypothesis()
+hyp.add_runnable(RunnableHypothesis("sense", task="T", min_heartbeats=1))
+
+def register(address):
+    with socket.create_connection(address) as sock:
+        sock.sendall(encode_frame(T_REGISTER, name="p",
+                                  hypothesis=hypothesis_to_dict(hyp)))
+        decoder = FrameDecoder()
+        while True:
+            frames = decoder.feed(sock.recv(65536))
+            if frames:
+                return frames[0].get("ok")
+
+async def serve():
+    server = SupervisionServer(port=0, tick_interval=None)
+    await server.start()
+    ok = await asyncio.get_running_loop().run_in_executor(
+        None, register, (server.host, server.port))
+    await server.stop()
+    return ok
+
+ok = asyncio.run(serve())
+print(json.dumps({"ok": ok, "modules": sorted(
+    n for n, m in sys.modules.items() if m is not None)}))
+"""
+
+
 def _probe(source, *args):
     result = subprocess.run(
         [sys.executable, "-c", source, *args],
@@ -70,6 +105,18 @@ def test_serve_entry_point_loads_neither_tls_nor_simulator():
     assert loaded.isdisjoint({
         "ssl", "_ssl", "_hashlib", "repro.service.client", "repro.kernel",
         "repro.platform", "repro.apps", "repro.network"})
+
+
+def test_register_loads_no_simulator():
+    """A REGISTER lints without a mapping, so the schedule checks'
+    response-time analysis (in ``repro.platform``) stays unloaded."""
+    report = _probe(_REGISTER_PROBE)
+    assert report["ok"] is True
+    loaded = set(report["modules"])
+    assert "repro.lint.analyzer" in loaded
+    assert loaded.isdisjoint({
+        "repro.kernel", "repro.platform", "repro.platform.schedulability",
+        "repro.apps", "repro.network"})
 
 
 def test_parsing_arguments_does_not_load_the_daemon():

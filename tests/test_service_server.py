@@ -529,6 +529,23 @@ class TestEcuStatePush:
             await server.stop()
         asyncio.run(scenario())
 
+    def test_first_error_pushes_suspicious_then_faulty(self):
+        """The first detection makes the ECU suspicious and the push
+        says so; the threshold crossing then moves it on from there."""
+        async def scenario():
+            server = await start_server()
+            owner = await _WireClient.connect(server)
+            await owner.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await owner.recv_frame()).get("ok")
+            for cycle in range(1, 13):
+                server.tick(cycle * 10)
+            frames = await frames_until_hello_ack(owner)
+            assert ecu_pushes(frames, "p") == [
+                ("ok", "suspicious"), ("suspicious", "faulty")]
+            await owner.close()
+            await server.stop()
+        asyncio.run(scenario())
+
     def test_rebind_from_a_second_connection_pushes_once(self):
         async def scenario():
             server = await start_server()
