@@ -16,7 +16,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .vehicle import VehicleState
 
@@ -65,12 +65,6 @@ class Road:
         index = max(0, bisect.bisect_right(starts, distance_m) - 1)
         return self.speed_zones[index].limit_kph
 
-    def curvature_at(self, distance_m: float) -> float:
-        """Road curvature (1/m) at the given arc length."""
-        starts = [s.start_m for s in self.curvature_segments]
-        index = max(0, bisect.bisect_right(starts, distance_m) - 1)
-        return self.curvature_segments[index].curvature
-
     def heading_at(self, distance_m: float) -> float:
         """Road tangent heading at the given arc length (integrated
         piecewise-constant curvature)."""
@@ -83,13 +77,6 @@ class Road:
             previous = segment
         heading += previous.curvature * (distance_m - previous.start_m)
         return heading
-
-    def next_limit_change(self, distance_m: float) -> Optional[Tuple[float, float]]:
-        """(position, new limit) of the next zone boundary ahead."""
-        for zone in self.speed_zones:
-            if zone.start_m > distance_m:
-                return (zone.start_m, zone.limit_kph)
-        return None
 
 
 @dataclass
@@ -122,9 +109,3 @@ class EnvironmentSimulation:
         dx = state.x_m - ref_x
         dy = state.y_m - ref_y
         return -dx * math.sin(road_heading) + dy * math.cos(road_heading)
-
-    def lane_departure(self, state: VehicleState) -> float:
-        """How far beyond the lane boundary the vehicle is (m); <= 0
-        while inside the lane."""
-        offset = abs(self.lateral_offset(state))
-        return offset - self.road.lane_width_m / 2.0

@@ -116,12 +116,6 @@ class VotedSensor:
         """Indices of channels removed from the vote."""
         return [s.index for s in self.states if s.locked_out]
 
-    def reinstate(self, index: int) -> None:
-        """Maintenance action: bring a locked-out channel back."""
-        state = self.states[index]
-        state.locked_out = False
-        state.consecutive_miscompares = 0
-
     def as_channel(self) -> Channel:
         """Adapter: use the voter wherever a plain channel is expected
         (e.g. as a SafeSpeed sensor port component)."""

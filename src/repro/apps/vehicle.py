@@ -123,17 +123,3 @@ class Vehicle:
         s.speed_mps = new_speed
         self.step_count += 1
         return s
-
-    def coasting_distance(self, from_speed_mps: float, dt_s: float = 0.01) -> float:
-        """Distance covered rolling out from a speed to standstill
-        (used by validation scenarios to size braking margins)."""
-        saved_state, saved_cmds = self.state, self.commands
-        self.state = VehicleState(speed_mps=from_speed_mps)
-        self.commands = ActuatorCommands()
-        steps = 0
-        while self.state.speed_mps > 0.05 and steps < 100_000:
-            self.step(dt_s)
-            steps += 1
-        distance = self.state.distance_m
-        self.state, self.commands = saved_state, saved_cmds
-        return distance

@@ -1,10 +1,11 @@
 """Discrete-event OSEK-conforming kernel simulation.
 
 This package is the operating-system substrate the paper's Software
-Watchdog is integrated with: an OSEK/VDX-style fixed-priority preemptive
-kernel with tasks, runnables, counters/alarms, resources (priority
-ceiling), OSEK events, ISRs, hooks, and full execution tracing — all
-driven by a deterministic discrete-event simulation of CPU time.
+Watchdog is integrated with.  It models the OSEK/VDX subset the watchdog
+observes: basic tasks under fixed-priority mixed preemption, runnables,
+counters/alarms, schedule tables, ISRs, hooks, and full execution
+tracing — all driven by a deterministic discrete-event simulation of
+CPU time.
 """
 
 from .alarms import Alarm, AlarmTable, OsCounter
@@ -14,15 +15,14 @@ from .errors import (
     KernelError,
     SchedulingError,
     ServiceError,
-    SimulationEnded,
     StatusType,
 )
 from .events import EventQueue, ScheduledEvent
 from .isr import InterruptController, Isr
 from .runnable import Runnable, SequenceChart, runnable_sequence_body
 from .schedtable import ExpiryPoint, ScheduleTable
-from .scheduler import Hooks, Kernel, Resource
-from .task import Segment, Task, TaskState, Wait, sequence_body
+from .scheduler import Hooks, Kernel
+from .task import Segment, Task, TaskState, sequence_body
 from .tracing import Trace, TraceKind, TraceRecord
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "KernelConfigError",
     "KernelError",
     "OsCounter",
-    "Resource",
     "ExpiryPoint",
     "Runnable",
     "ScheduledEvent",
@@ -46,14 +45,12 @@ __all__ = [
     "SequenceChart",
     "ServiceError",
     "SimClock",
-    "SimulationEnded",
     "StatusType",
     "Task",
     "TaskState",
     "Trace",
     "TraceKind",
     "TraceRecord",
-    "Wait",
     "ms",
     "runnable_sequence_body",
     "seconds",

@@ -1,12 +1,12 @@
 """OSEK counters and alarms.
 
 An OSEK *counter* is a tick source (here derived from simulated time);
-an *alarm* is attached to a counter and, on expiry, performs one of the
-OSEK alarm actions: activate a task, set an event, or invoke a callback.
-Alarms may be one-shot or cyclic; cyclic alarms are the canonical way to
-release periodic tasks, which is how every periodic runnable in the
-reproduced system (application runnables, the Software Watchdog check
-task, bus communication tasks) is driven.
+an *alarm* is attached to a counter and, on expiry, performs the OSEK
+alarm action the simulated systems use: activate a task.  Alarms may be
+one-shot or cyclic; cyclic alarms are the canonical way to release
+periodic tasks, which is how every periodic runnable in the reproduced
+system (application runnables, the Software Watchdog check task, bus
+communication tasks) is driven.
 
 Rather than simulating discrete counter-hardware ticks (which would
 flood the event queue), expiries are computed arithmetically and placed
@@ -27,18 +27,13 @@ from .tracing import TraceKind
 class OsCounter:
     """An OSEK counter: converts simulated ticks to counter increments."""
 
-    def __init__(self, name: str, ticks_per_increment: int = 1, max_allowed_value: int = 2**31) -> None:
+    def __init__(self, name: str, ticks_per_increment: int = 1) -> None:
         if ticks_per_increment < 1:
             raise KernelConfigError(
                 f"counter {name!r}: ticks_per_increment must be >= 1"
             )
         self.name = name
         self.ticks_per_increment = ticks_per_increment
-        self.max_allowed_value = max_allowed_value
-
-    def value_at(self, time: int) -> int:
-        """Counter value at simulated tick ``time`` (wrapping)."""
-        return (time // self.ticks_per_increment) % (self.max_allowed_value + 1)
 
     def to_ticks(self, increments: int) -> int:
         """Convert counter increments to simulated ticks."""
@@ -79,25 +74,6 @@ class Alarm:
         self._arm(self.kernel.clock.now + self.counter.to_ticks(offset))
         return StatusType.E_OK
 
-    def set_abs(self, start: int, cycle: int = 0) -> StatusType:
-        """OSEK SetAbsAlarm: expire at absolute counter value ``start``.
-
-        For simplicity ``start`` is interpreted as an absolute simulated
-        tick (the simulation starts at counter value zero, so absolute
-        counter values and absolute ticks are related by
-        ``ticks_per_increment``).
-        """
-        if self.armed:
-            return self._error(StatusType.E_OS_STATE, "alarm already armed")
-        when = self.counter.to_ticks(start)
-        if when <= self.kernel.clock.now:
-            return self._error(StatusType.E_OS_VALUE, f"start {start} in the past")
-        if cycle < 0:
-            return self._error(StatusType.E_OS_VALUE, f"bad cycle {cycle}")
-        self.cycle = cycle
-        self._arm(when)
-        return StatusType.E_OK
-
     def cancel(self) -> StatusType:
         """OSEK CancelAlarm."""
         if not self.armed:
@@ -107,12 +83,6 @@ class Alarm:
             self._event = None
         self.armed = False
         return StatusType.E_OK
-
-    def time_to_expiry(self) -> Optional[int]:
-        """Ticks until the next expiry (OSEK GetAlarm), or None if idle."""
-        if not self.armed or self._event is None:
-            return None
-        return max(0, self._event.when - self.kernel.clock.now)
 
     # ------------------------------------------------------------------
     def _arm(self, when: int) -> None:
@@ -158,44 +128,23 @@ class AlarmTable:
         self, name: str, task_name: str, counter: Optional[OsCounter] = None
     ) -> Alarm:
         """Create an alarm whose action is ActivateTask(task_name)."""
-        return self._add(
+        if name in self.alarms:
+            raise KernelConfigError(f"duplicate alarm name {name!r}")
+        alarm = Alarm(
             name,
-            counter,
+            self.kernel,
+            counter or self.system_counter,
             lambda: self.kernel.activate_task(task_name),
             f"ActivateTask({task_name})",
         )
-
-    def alarm_set_event(
-        self, name: str, task_name: str, mask: int, counter: Optional[OsCounter] = None
-    ) -> Alarm:
-        """Create an alarm whose action is SetEvent(task_name, mask)."""
-        return self._add(
-            name,
-            counter,
-            lambda: self.kernel.set_event(task_name, mask),
-            f"SetEvent({task_name}, {mask:#x})",
-        )
-
-    def alarm_callback(
-        self,
-        name: str,
-        callback: Callable[[], None],
-        counter: Optional[OsCounter] = None,
-    ) -> Alarm:
-        """Create an alarm whose action is an alarm-callback routine."""
-        return self._add(name, counter, callback, "callback")
+        self.alarms[name] = alarm
+        return alarm
 
     def get(self, name: str) -> Alarm:
         alarm = self.alarms.get(name)
         if alarm is None:
             raise ServiceError(StatusType.E_OS_ID, f"alarm {name!r}")
         return alarm
-
-    def cancel_all(self) -> None:
-        """Cancel every armed alarm (used on ECU software reset)."""
-        for alarm in self.alarms.values():
-            if alarm.armed:
-                alarm.cancel()
 
     def rearm_after_reset(self) -> None:
         """Re-arm every cyclic alarm after an ECU software reset.
@@ -211,12 +160,3 @@ class AlarmTable:
             alarm._event = None
             if alarm.cycle > 0:
                 alarm.set_rel(alarm.cycle, alarm.cycle)
-
-    def _add(
-        self, name: str, counter: Optional[OsCounter], action: Callable[[], None], label: str
-    ) -> Alarm:
-        if name in self.alarms:
-            raise KernelConfigError(f"duplicate alarm name {name!r}")
-        alarm = Alarm(name, self.kernel, counter or self.system_counter, action, label)
-        self.alarms[name] = alarm
-        return alarm

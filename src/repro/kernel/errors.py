@@ -48,7 +48,3 @@ class ServiceError(KernelError):
 
 class SchedulingError(KernelError):
     """Raised when the dispatcher reaches an inconsistent state (kernel bug)."""
-
-
-class SimulationEnded(KernelError):
-    """Raised internally to stop the simulation loop (e.g. ECU shutdown)."""

@@ -117,21 +117,6 @@ class EventQueue:
             return event
         return None
 
-    def pop_due(self, now: int) -> List[ScheduledEvent]:
-        """Remove and return every pending event with ``when <= now``."""
-        due: List[ScheduledEvent] = []
-        while self._heap:
-            when, _seq, event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if when > now:
-                break
-            heapq.heappop(self._heap)
-            self._live -= 1
-            due.append(event)
-        return due
-
     def clear(self) -> None:
         """Drop every pending event (simulation teardown)."""
         for _when, _seq, event in self._heap:

@@ -2,16 +2,16 @@
 
 ISRs model category-2 OSEK interrupts: they run above every task
 priority, may call a restricted set of system services (ActivateTask,
-SetEvent, alarm manipulation) and — when given a nonzero duration —
-steal CPU time from whichever task was running, pushing that task's
-segment completion out.  This "time theft" model is how interrupt load
+alarm manipulation) and — when given a nonzero duration — steal CPU
+time from whichever task was running, pushing that task's segment
+completion out.  This "time theft" model is how interrupt load
 perturbs application timing in the simulation, which matters for
 arrival-rate and aliveness experiments under bus load.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from .errors import KernelConfigError
 from .events import ScheduledEvent
@@ -56,21 +56,6 @@ class Isr:
     def schedule_at(self, when: int) -> ScheduledEvent:
         """Raise the interrupt at absolute tick ``when``."""
         return self.kernel.queue.schedule(when, self.fire, label=f"isr:{self.name}")
-
-    def schedule_periodic(self, period: int, start: Optional[int] = None) -> None:
-        """Raise the interrupt every ``period`` ticks, forever."""
-        if period <= 0:
-            raise KernelConfigError(f"isr {self.name!r}: period must be > 0")
-        first = self.kernel.clock.now + period if start is None else start
-
-        def fire_and_rearm() -> None:
-            self.fire()
-            self.kernel.queue.schedule(
-                self.kernel.clock.now + period, fire_and_rearm, label=f"isr:{self.name}"
-            )
-
-        self.kernel.queue.schedule(first, fire_and_rearm, label=f"isr:{self.name}")
-
 
 class InterruptController:
     """Registry of the ISRs of one simulated ECU."""

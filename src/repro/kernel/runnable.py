@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, List, Optional
 
 from .errors import KernelConfigError
 from .scheduler import Kernel
-from .task import Segment, Task, TaskBody, WorkItem
+from .task import Segment, Task, TaskBody
 from .tracing import TraceKind
 
 #: Glue hook signature: ``hook(runnable, task)``.
@@ -64,7 +64,6 @@ class Runnable:
         self.behaviour = behaviour
         self.wcet = wcet
         self.execution_time_fn = execution_time_fn
-        self.entry_glue: List[GlueHook] = []
         self.exit_glue: List[GlueHook] = []
         self.execution_count = 0
         #: Fault-injection switch: when False the runnable's execution is
@@ -75,10 +74,6 @@ class Runnable:
         self.repeat = 1
 
     # ------------------------------------------------------------------
-    def add_entry_glue(self, hook: GlueHook) -> None:
-        """Attach glue code fired when an execution begins."""
-        self.entry_glue.append(hook)
-
     def add_exit_glue(self, hook: GlueHook) -> None:
         """Attach glue code fired when an execution completes.
 
@@ -101,7 +96,7 @@ class Runnable:
             return duration
         return self.wcet
 
-    def segments(self, task: Task) -> Iterator[WorkItem]:
+    def segments(self, task: Task) -> Iterator[Segment]:
         """Compile this runnable into kernel work items for one execution."""
         if not self.enabled:
             return
@@ -115,7 +110,7 @@ class Runnable:
                 label=self.name,
             )
 
-    def as_factory(self) -> Callable[[Task], Iterable[WorkItem]]:
+    def as_factory(self) -> Callable[[Task], Iterable[Segment]]:
         """Adapter for :func:`repro.kernel.task.sequence_body`."""
         return self.segments
 
@@ -128,8 +123,6 @@ class Runnable:
                 self.name,
                 task=task.name,
             )
-            for hook in self.entry_glue:
-                hook(self, task)
 
         return on_start
 
@@ -204,11 +197,6 @@ class SequenceChart:
     def reset_decision(self) -> None:
         """Restore the nominal execution order."""
         self.decide = self._nominal_decide
-
-    def nominal_pairs(self) -> List[tuple]:
-        """(predecessor, successor) name pairs of the nominal order."""
-        names = [r.name for r in self.runnables]
-        return list(zip(names, names[1:]))
 
     def body(self) -> TaskBody:
         """Task body driven by this chart."""

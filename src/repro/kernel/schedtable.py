@@ -3,12 +3,11 @@
 OSEK alarms activate one task per expiry; AUTOSAR OS (which the paper's
 related work cites for execution-time monitoring) generalises this to
 *schedule tables*: a cyclic series of expiry points, each with a fixed
-offset within the table period and a list of actions (task activations /
-event settings).  Offsets stagger task releases deterministically, which
-eliminates the simultaneous-release contention of same-period alarms —
-the classic jitter-reduction mechanism for runnable pipelines like
-SafeSpeed's (sample at +0, compute at +2 ms, actuate at +4 ms on
-*separate* tasks).
+offset within the table period and a list of task activations.  Offsets
+stagger task releases deterministically, which eliminates the
+simultaneous-release contention of same-period alarms — the classic
+jitter-reduction mechanism for runnable pipelines like SafeSpeed's
+(sample at +0, compute at +2 ms, actuate at +4 ms on *separate* tasks).
 
 The table schedules its expiry points arithmetically on the kernel's
 event queue (no counter-tick flood), mirroring the alarm implementation.
@@ -17,7 +16,7 @@ event queue (no counter-tick flood), mirroring the alarm implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from .errors import KernelConfigError, StatusType
 from .events import ScheduledEvent
@@ -71,21 +70,6 @@ class ScheduleTable:
         point.labels.append(f"ActivateTask({task_name})")
         return self
 
-    def add_event_setting(self, offset: int, task_name: str, mask: int) -> "ScheduleTable":
-        """Set an event for ``task_name`` at ``offset`` within every period."""
-        point = self._point_at(offset)
-        point.actions.append(lambda: self.kernel.set_event(task_name, mask))
-        point.labels.append(f"SetEvent({task_name}, {mask:#x})")
-        return self
-
-    def add_callback(self, offset: int, callback: Callable[[], None],
-                     label: str = "callback") -> "ScheduleTable":
-        """Run an arbitrary callback at ``offset`` within every period."""
-        point = self._point_at(offset)
-        point.actions.append(callback)
-        point.labels.append(label)
-        return self
-
     # ------------------------------------------------------------------
     # control (AUTOSAR StartScheduleTableRel / StopScheduleTable)
     # ------------------------------------------------------------------
@@ -111,11 +95,6 @@ class ScheduleTable:
             event.cancel()
         self._events.clear()
         return StatusType.E_OK
-
-    def next_expiry(self) -> Optional[int]:
-        """Time of the earliest pending expiry point, or None."""
-        pending = [e.when for e in self._events if not e.cancelled]
-        return min(pending) if pending else None
 
     # ------------------------------------------------------------------
     def _schedule_iteration(self, table_start: int) -> None:

@@ -1,19 +1,18 @@
 """Fixed-priority preemptive scheduler and kernel event loop.
 
-The :class:`Kernel` is a discrete-event simulation of an OSEK-conforming
-operating system.  It owns the clock, the timed event queue, the task
-set, resources, alarms and hooks, and exposes the OSEK system services
-(``ActivateTask``, ``TerminateTask`` via generator return, ``ChainTask``,
-``SetEvent``/``WaitEvent``, ``GetResource``/``ReleaseResource``,
-``ShutdownOS``).
+The :class:`Kernel` is a discrete-event simulation of the subset of an
+OSEK-conforming operating system that the Software Watchdog observes:
+basic tasks under fixed-priority mixed preemption, activated by alarms,
+schedule tables and ISRs.  It owns the clock, the timed event queue,
+the task set and the hooks, and exposes ``ActivateTask`` and
+``TerminateTask`` (via generator return), plus the forced termination
+the Fault Management Framework uses.
 
 Scheduling follows the OSEK rules:
 
-* highest dynamic priority runs; FIFO among equal priorities,
+* highest priority runs; FIFO among equal priorities,
 * a preempted task stays at the head of its priority's ready queue,
-* non-preemptable tasks run to completion once dispatched,
-* resources raise the holder to the resource ceiling (OSEK priority
-  ceiling protocol, deadlock and priority-inversion free on one core).
+* non-preemptable tasks run to completion once dispatched.
 
 CPU time is simulated: a task's work is a sequence of
 :class:`~repro.kernel.task.Segment` items, each consuming a fixed number
@@ -33,7 +32,7 @@ from .errors import (
     StatusType,
 )
 from .events import EventQueue, ScheduledEvent
-from .task import Segment, Task, TaskState, Wait
+from .task import Segment, Task, TaskState
 from .tracing import Trace, TraceKind
 
 #: Safety valve: maximum consecutive zero-duration work items pulled from a
@@ -47,23 +46,9 @@ class Hooks:
 
     def __init__(self) -> None:
         self.startup: List[Callable[["Kernel"], None]] = []
-        self.shutdown: List[Callable[["Kernel"], None]] = []
         self.pre_task: List[Callable[["Kernel", Task], None]] = []
         self.post_task: List[Callable[["Kernel", Task], None]] = []
         self.error: List[Callable[["Kernel", StatusType, str], None]] = []
-
-
-class Resource:
-    """OSEK resource with priority-ceiling semantics."""
-
-    def __init__(self, name: str, ceiling: int) -> None:
-        self.name = name
-        self.ceiling = ceiling
-        self.holder: Optional[Task] = None
-        self.saved_priority = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Resource {self.name!r} ceiling={self.ceiling}>"
 
 
 class Kernel:
@@ -75,16 +60,13 @@ class Kernel:
         self.trace = Trace(trace_capacity)
         self.hooks = Hooks()
         self.tasks: Dict[str, Task] = {}
-        self.resources: Dict[str, Resource] = {}
         self.running: Optional[Task] = None
         self.started = False
-        self.shutdown_requested = False
         self.cpu_busy_ticks = 0
         self.task_cpu_ticks: Dict[str, int] = {}
         self.reset_count = 0
         self._seq = itertools.count(1)
         self._ready: List[Task] = []
-        self._chain_target: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # static configuration
@@ -98,24 +80,6 @@ class Kernel:
         self.tasks[task.name] = task
         self.task_cpu_ticks[task.name] = 0
         return task
-
-    def add_resource(self, name: str, ceiling: Optional[int] = None) -> Resource:
-        """Register a resource.
-
-        If ``ceiling`` is omitted it defaults to the highest priority of
-        any registered task (a conservative, always-safe ceiling).
-        """
-        if name in self.resources:
-            raise KernelConfigError(f"duplicate resource name {name!r}")
-        if ceiling is None:
-            if not self.tasks:
-                raise KernelConfigError(
-                    f"resource {name!r}: cannot infer ceiling with no tasks"
-                )
-            ceiling = max(t.priority for t in self.tasks.values())
-        resource = Resource(name, ceiling)
-        self.resources[name] = resource
-        return resource
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -132,15 +96,6 @@ class Kernel:
             if task.autostart:
                 self.activate_task(task.name)
 
-    def shutdown_os(self, status: StatusType = StatusType.E_OK) -> None:
-        """OSEK ShutdownOS: stop dispatching after the current instant."""
-        self.shutdown_requested = True
-        for hook in self.hooks.shutdown:
-            hook(self)
-        self.trace.record(
-            self.clock.now, TraceKind.HOOK, "ShutdownHook", status=status.name
-        )
-
     def soft_reset(self) -> None:
         """ECU software reset: drop all state and restart the OS.
 
@@ -152,10 +107,6 @@ class Kernel:
         self.queue.clear_transient()
         self.running = None
         self._ready.clear()
-        self._chain_target.clear()
-        self.shutdown_requested = False
-        for resource in self.resources.values():
-            resource.holder = None
         for task in self.tasks.values():
             task.reset_runtime_state()
         self.reset_count += 1
@@ -181,88 +132,6 @@ class Kernel:
             self._make_ready(task)
         return StatusType.E_OK
 
-    def chain_task(self, current: Task, target: str) -> StatusType:
-        """OSEK ChainTask: activate ``target`` when ``current`` terminates.
-
-        Must be invoked from within ``current``'s body (e.g. from a
-        segment callback of its final segment).
-        """
-        if target not in self.tasks:
-            return self._service_error(StatusType.E_OS_ID, f"ChainTask({target!r})")
-        self._chain_target[current.name] = target
-        return StatusType.E_OK
-
-    def set_event(self, name: str, mask: int) -> StatusType:
-        """OSEK SetEvent: set events for an extended task, releasing it."""
-        task = self.tasks.get(name)
-        if task is None:
-            return self._service_error(StatusType.E_OS_ID, f"SetEvent({name!r})")
-        if not task.extended:
-            return self._service_error(
-                StatusType.E_OS_ACCESS, f"SetEvent({name!r}): not an extended task"
-            )
-        if task.state is TaskState.SUSPENDED:
-            return self._service_error(
-                StatusType.E_OS_STATE, f"SetEvent({name!r}): task suspended"
-            )
-        task.set_events |= mask
-        if task.state is TaskState.WAITING and task.set_events & task.waiting_mask:
-            task.waiting_mask = 0
-            self.trace.record(self.clock.now, TraceKind.TASK_RELEASE, name)
-            self._make_ready(task)
-        return StatusType.E_OK
-
-    def clear_event(self, task: Task, mask: int) -> StatusType:
-        """OSEK ClearEvent (a task may only clear its own events)."""
-        task.set_events &= ~mask
-        return StatusType.E_OK
-
-    def get_event(self, name: str) -> int:
-        """OSEK GetEvent: current event mask of a task."""
-        task = self.tasks.get(name)
-        if task is None:
-            raise ServiceError(StatusType.E_OS_ID, f"GetEvent({name!r})")
-        return task.set_events
-
-    def get_resource(self, task: Task, name: str) -> StatusType:
-        """OSEK GetResource: occupy a resource, raising to its ceiling."""
-        resource = self.resources.get(name)
-        if resource is None:
-            return self._service_error(StatusType.E_OS_ID, f"GetResource({name!r})")
-        if resource.holder is not None:
-            return self._service_error(
-                StatusType.E_OS_ACCESS,
-                f"GetResource({name!r}): already held by {resource.holder.name!r}",
-            )
-        if task.dynamic_priority > resource.ceiling:
-            return self._service_error(
-                StatusType.E_OS_ACCESS,
-                f"GetResource({name!r}): task priority above ceiling",
-            )
-        resource.holder = task
-        resource.saved_priority = task.dynamic_priority
-        task.dynamic_priority = max(task.dynamic_priority, resource.ceiling)
-        self.trace.record(
-            self.clock.now, TraceKind.RESOURCE_GET, name, task=task.name
-        )
-        return StatusType.E_OK
-
-    def release_resource(self, task: Task, name: str) -> StatusType:
-        """OSEK ReleaseResource: free a resource, restoring priority."""
-        resource = self.resources.get(name)
-        if resource is None:
-            return self._service_error(StatusType.E_OS_ID, f"ReleaseResource({name!r})")
-        if resource.holder is not task:
-            return self._service_error(
-                StatusType.E_OS_NOFUNC, f"ReleaseResource({name!r}): not the holder"
-            )
-        resource.holder = None
-        task.dynamic_priority = resource.saved_priority
-        self.trace.record(
-            self.clock.now, TraceKind.RESOURCE_RELEASE, name, task=task.name
-        )
-        return StatusType.E_OK
-
     def force_terminate(self, name: str) -> StatusType:
         """Forcibly return a task to SUSPENDED (fault-treatment primitive).
 
@@ -279,12 +148,8 @@ class Kernel:
             return self._service_error(
                 StatusType.E_OS_STATE, f"force_terminate({name!r}): task is running"
             )
-        for resource in self.resources.values():
-            if resource.holder is task:
-                resource.holder = None
         if task in self._ready:
             self._ready.remove(task)
-        self._chain_target.pop(name, None)
         task.reset_runtime_state()
         self.trace.record(
             self.clock.now, TraceKind.TASK_TERMINATE, name, forced=True
@@ -302,12 +167,12 @@ class Kernel:
     # ------------------------------------------------------------------
     def run_until(self, end_time: int) -> None:
         """Advance the simulation until ``end_time`` (inclusive of events
-        at ``end_time`` itself) or until ShutdownOS."""
+        at ``end_time`` itself)."""
         self.start()
-        while self.clock.now <= end_time and not self.shutdown_requested:
+        while self.clock.now <= end_time:
             if not self._step(end_time):
                 break
-        if not self.shutdown_requested and self.clock.now < end_time:
+        if self.clock.now < end_time:
             self.clock.advance_to(end_time)
 
     def run_for(self, duration: int) -> None:
@@ -328,7 +193,7 @@ class Kernel:
             return True
 
         if not self._ensure_segment(task):
-            # Task terminated or blocked while pulling work; loop again.
+            # Task terminated or was preempted while pulling work; loop again.
             return True
 
         segment = task.current_segment
@@ -394,10 +259,10 @@ class Kernel:
         for task in self._ready:
             if best is None:
                 best = task
-            elif task.dynamic_priority > best.dynamic_priority:
+            elif task.priority > best.priority:
                 best = task
             elif (
-                task.dynamic_priority == best.dynamic_priority
+                task.priority == best.priority
                 and task.ready_since < best.ready_since
             ):
                 best = task
@@ -414,7 +279,7 @@ class Kernel:
             return
         if not current.preemptable:
             return
-        if best.dynamic_priority > current.dynamic_priority:
+        if best.priority > current.priority:
             self._preempt(current)
             self._switch_to(best)
 
@@ -441,8 +306,8 @@ class Kernel:
             self.trace.record(self.clock.now, TraceKind.TASK_RESUME, task.name)
 
     def _ensure_segment(self, task: Task) -> bool:
-        """Pull work items until the task has a nonzero segment, blocks,
-        or terminates.  Returns True when a segment (possibly zero-length,
+        """Pull work items until the task has a nonzero segment or
+        terminates.  Returns True when a segment (possibly zero-length,
         already handled) is pending for execution."""
         zero_items = 0
         while task.current_segment is None:
@@ -470,28 +335,10 @@ class Kernel:
                     if item.on_end is not None:
                         item.on_end()
                     if self.running is not task:
-                        # A callback caused preemption or blocking.
+                        # A callback preempted the task or reset the kernel.
                         return False
                     continue
                 return True
-            if isinstance(item, Wait):
-                if not task.extended:
-                    self._service_error(
-                        StatusType.E_OS_ACCESS,
-                        f"WaitEvent in basic task {task.name!r}",
-                    )
-                    self._terminate(task)
-                    return False
-                if task.set_events & item.mask:
-                    # Event already pending: WaitEvent returns immediately.
-                    continue
-                task.waiting_mask = item.mask
-                task.state = TaskState.WAITING
-                self.running = None
-                self.trace.record(
-                    self.clock.now, TraceKind.TASK_WAIT, task.name, mask=item.mask
-                )
-                return False
             raise SchedulingError(
                 f"task {task.name!r} yielded unsupported item {item!r}"
             )
@@ -501,32 +348,16 @@ class Kernel:
         for hook in self.hooks.post_task:
             hook(self, task)
         self.trace.record(self.clock.now, TraceKind.TASK_TERMINATE, task.name)
-        # Release any resources the task still holds (OSEK would raise
-        # E_OS_RESOURCE; we release and report, which keeps the simulated
-        # system alive for fault-injection experiments).
-        for resource in self.resources.values():
-            if resource.holder is task:
-                self._service_error(
-                    StatusType.E_OS_RESOURCE,
-                    f"task {task.name!r} terminated holding {resource.name!r}",
-                )
-                resource.holder = None
-                task.dynamic_priority = resource.saved_priority
         task.generator = None
         task.current_segment = None
         task.segment_remaining = 0
         task.segment_started = False
-        task.set_events = 0
-        task.dynamic_priority = task.priority
         task.pending_activations -= 1
         self.running = None
-        chain = self._chain_target.pop(task.name, None)
         if task.pending_activations > 0:
             self._make_ready(task)
         else:
             task.state = TaskState.SUSPENDED
-        if chain is not None:
-            self.activate_task(chain)
 
     def _service_error(self, status: StatusType, message: str) -> StatusType:
         self.trace.record(

@@ -1,13 +1,11 @@
 """OSEK task model for the simulated kernel.
 
-Tasks follow the OSEK/VDX state model: ``SUSPENDED`` → ``READY`` →
-``RUNNING`` (→ ``WAITING`` for extended tasks).  A task's behaviour is a
-generator that yields work items:
-
-* :class:`Segment` — consume a fixed amount of CPU time, with optional
-  callbacks at the start and end of the segment.  Runnables compile to
-  segments (see :mod:`repro.kernel.runnable`).
-* :class:`Wait` — block on an OSEK event mask (extended tasks only).
+Tasks are OSEK/VDX *basic* tasks: ``SUSPENDED`` → ``READY`` →
+``RUNNING``, with no waiting state.  A task's behaviour is a generator
+that yields :class:`Segment` work items, each consuming a fixed amount
+of CPU time, with optional callbacks at the start and end of the
+segment.  Runnables compile to segments (see
+:mod:`repro.kernel.runnable`).
 
 Using a generator keeps the task's control flow in ordinary Python while
 letting the kernel interleave tasks deterministically: the kernel pulls
@@ -18,18 +16,17 @@ preemption can split a segment at any tick boundary.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Generator, Iterable, Optional, Union
+from typing import Callable, Generator, Iterable, Optional
 
 from .errors import KernelConfigError
 
 
 class TaskState(enum.Enum):
-    """OSEK task states (OSEK OS 2.2.3, ch. 4.2)."""
+    """OSEK basic-task states (OSEK OS 2.2.3, ch. 4.2)."""
 
     SUSPENDED = "suspended"
     READY = "ready"
     RUNNING = "running"
-    WAITING = "waiting"
 
 
 class Segment:
@@ -60,29 +57,14 @@ class Segment:
         return f"<Segment {self.label!r} dur={self.duration}>"
 
 
-class Wait:
-    """Work item: block until any event in ``mask`` is set for the task."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: int) -> None:
-        if mask == 0:
-            raise ValueError("cannot wait on an empty event mask")
-        self.mask = mask
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Wait mask={self.mask:#x}>"
-
-
-WorkItem = Union[Segment, Wait]
-TaskBody = Callable[["Task"], Generator[WorkItem, None, None]]
+TaskBody = Callable[["Task"], Generator[Segment, None, None]]
 
 
 class Task:
-    """A configured OSEK task.
+    """A configured OSEK basic task.
 
     Static configuration (name, priority, preemptability, activation
-    limit, extended/basic) is fixed at construction; runtime state is
+    limit) is fixed at construction; runtime state is
     managed exclusively by the kernel.
     """
 
@@ -93,7 +75,6 @@ class Task:
         body: TaskBody,
         *,
         preemptable: bool = True,
-        extended: bool = False,
         max_activations: int = 1,
         autostart: bool = False,
     ) -> None:
@@ -101,29 +82,20 @@ class Task:
             raise KernelConfigError(f"task {name!r}: priority must be >= 0")
         if max_activations < 1:
             raise KernelConfigError(f"task {name!r}: max_activations must be >= 1")
-        if extended and max_activations != 1:
-            # OSEK: extended tasks permit exactly one activation.
-            raise KernelConfigError(
-                f"task {name!r}: extended tasks allow only one activation"
-            )
         self.name = name
         self.priority = priority
         self.body = body
         self.preemptable = preemptable
-        self.extended = extended
         self.max_activations = max_activations
         self.autostart = autostart
 
         # --- runtime state (kernel-owned) ---
         self.state = TaskState.SUSPENDED
         self.pending_activations = 0
-        self.dynamic_priority = priority
-        self.generator: Optional[Generator[WorkItem, None, None]] = None
+        self.generator: Optional[Generator[Segment, None, None]] = None
         self.current_segment: Optional[Segment] = None
         self.segment_remaining = 0
         self.segment_started = False
-        self.waiting_mask = 0
-        self.set_events = 0
         self.ready_since = 0  # activation order tiebreaker (seq number)
         self.activation_count = 0  # lifetime statistics
         self.preemption_count = 0
@@ -137,13 +109,10 @@ class Task:
         """
         self.state = TaskState.SUSPENDED
         self.pending_activations = 0
-        self.dynamic_priority = self.priority
         self.generator = None
         self.current_segment = None
         self.segment_remaining = 0
         self.segment_started = False
-        self.waiting_mask = 0
-        self.set_events = 0
         self.ready_since = 0
         self.activation_count = 0
         self.preemption_count = 0
@@ -152,7 +121,7 @@ class Task:
         return f"<Task {self.name!r} prio={self.priority} state={self.state.value}>"
 
 
-def sequence_body(items: Iterable[Callable[["Task"], Iterable[WorkItem]]]) -> TaskBody:
+def sequence_body(items: Iterable[Callable[["Task"], Iterable[Segment]]]) -> TaskBody:
     """Build a task body that runs a fixed sequence of work-item factories.
 
     Each factory receives the task and returns an iterable of work items;
@@ -161,7 +130,7 @@ def sequence_body(items: Iterable[Callable[["Task"], Iterable[WorkItem]]]) -> Ta
     """
     factories = list(items)
 
-    def body(task: "Task") -> Generator[WorkItem, None, None]:
+    def body(task: "Task") -> Generator[Segment, None, None]:
         for factory in factories:
             for item in factory(task):
                 yield item

@@ -22,8 +22,6 @@ class TraceKind(enum.Enum):
     TASK_START = "task_start"
     TASK_PREEMPT = "task_preempt"
     TASK_RESUME = "task_resume"
-    TASK_WAIT = "task_wait"
-    TASK_RELEASE = "task_release"
     TASK_TERMINATE = "task_terminate"
     RUNNABLE_START = "runnable_start"
     RUNNABLE_END = "runnable_end"
@@ -33,8 +31,6 @@ class TraceKind(enum.Enum):
     ISR_EXIT = "isr_exit"
     HOOK = "hook"
     SERVICE_ERROR = "service_error"
-    RESOURCE_GET = "resource_get"
-    RESOURCE_RELEASE = "resource_release"
     ECU_RESET = "ecu_reset"
     WATCHDOG_CHECK = "watchdog_check"
     FAULT_INJECTED = "fault_injected"
@@ -82,9 +78,6 @@ class Trace:
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Register a live listener invoked for every new record."""
         self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        self._listeners.remove(listener)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -89,11 +89,6 @@ class CanController:
         self.bus.queue_transmission(self, message)
         return message
 
-    def recover_bus_off(self) -> None:
-        """Reset the controller after bus-off (driver-level recovery)."""
-        self.bus_off = False
-        self.tx_error_counter = 0
-
     # ------------------------------------------------------------------
     def deliver(self, message: Message) -> None:
         if self.acceptance and message.frame_id not in self.acceptance:
@@ -209,9 +204,3 @@ class CanBus:
             for receiver in self.controllers:
                 receiver.deliver(message)
         self._start_next()
-
-    # ------------------------------------------------------------------
-    def utilization_estimate(self, messages_per_second: Dict[int, float], length_bytes: int = 8) -> float:
-        """Offered-load estimate: Σ rate·frame_time (for design checks)."""
-        frame_seconds = can_frame_bits(length_bytes) / self.bitrate_bps
-        return sum(rate * frame_seconds for rate in messages_per_second.values())

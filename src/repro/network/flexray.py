@@ -1,4 +1,4 @@
-"""FlexRay bus simulation: TDMA static segment plus dynamic segment.
+"""FlexRay bus simulation: the TDMA static segment.
 
 FlexRay divides time into fixed-length *communication cycles*; each
 cycle begins with a **static segment** of equally sized slots assigned
@@ -9,10 +9,11 @@ by the segment length.
 
 The simulation schedules slot boundaries on the kernel's event queue.
 Senders publish into transmit buffers; at a sender's static slot the
-buffered frame (if any) is broadcast to every receiver.  Dynamic frames
-queue per slot id and drain in priority order while the dynamic segment
-has minislots left.  A cycle counter is exposed — the validator uses it
-for the FlexRay schedule of the steer-by-wire path (§4.1).
+buffered frame (if any) is broadcast to every receiver.  The dynamic
+segment is part of the validated cycle layout but carries no traffic:
+every frame of the reproduced system is static.  A cycle counter is
+exposed — the validator uses it for the FlexRay schedule of the
+steer-by-wire path (§4.1).
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ class FlexRaySchedule:
         """Offset of a static slot's start within the cycle."""
         return (slot - 1) * self.static_slot_length
 
-    def dynamic_segment_offset(self) -> int:
-        """Offset of the dynamic segment within the cycle."""
-        return self.static_slots * self.static_slot_length
-
 
 class FlexRayController:
     """One node's attachment to a FlexRay cluster."""
@@ -114,17 +111,6 @@ class FlexRayController:
         self._tx_buffers[slot] = message
         return message
 
-    def send_dynamic(self, slot: int, spec: FrameSpec, values: Dict[str, float]) -> Message:
-        """Queue a frame for the dynamic segment under the given slot id."""
-        message = Message(
-            spec=spec,
-            payload=spec.pack(values),
-            timestamp=self.bus.kernel.clock.now,
-            source=self.name,
-        )
-        self.bus._dynamic_queue.setdefault(slot, []).append((self, message))
-        return message
-
     # ------------------------------------------------------------------
     def _take(self, slot: int) -> Optional[Message]:
         return self._tx_buffers.pop(slot, None)
@@ -147,8 +133,6 @@ class FlexRayBus:
         self.controllers: Dict[str, FlexRayController] = {}
         self.cycle_count = 0
         self.static_frames_sent = 0
-        self.dynamic_frames_sent = 0
-        self._dynamic_queue: Dict[int, List[tuple]] = {}
         self._started = False
 
     # ------------------------------------------------------------------
@@ -183,13 +167,6 @@ class FlexRayBus:
                 label=f"fr:{self.name}:slot{slot}",
                 persistent=True,
             )
-        if self.schedule.dynamic_minislots > 0:
-            self.kernel.queue.schedule(
-                cycle_start + self.schedule.dynamic_segment_offset(),
-                self._run_dynamic_segment,
-                label=f"fr:{self.name}:dyn",
-                persistent=True,
-            )
         self.kernel.queue.schedule(
             cycle_start + self.schedule.cycle_length,
             self._run_cycle,
@@ -209,31 +186,6 @@ class FlexRayBus:
             self._broadcast(message, f"slot{slot}")
 
         return fire
-
-    def _run_dynamic_segment(self) -> None:
-        """Drain dynamic frames in slot-id priority order while minislots
-        remain (simplified minislot accounting: one frame consumes the
-        minislots covering its wire time, minimum one)."""
-        remaining = self.schedule.dynamic_minislots
-        for slot in sorted(self._dynamic_queue):
-            queue = self._dynamic_queue[slot]
-            while queue and remaining > 0:
-                controller, message = queue.pop(0)
-                cost = max(
-                    1,
-                    (message.spec.length_bytes * 8)
-                    // max(1, self.schedule.minislot_length),
-                )
-                if cost > remaining:
-                    remaining = 0
-                    queue.insert(0, (controller, message))
-                    break
-                remaining -= cost
-                controller.tx_count += 1
-                self.dynamic_frames_sent += 1
-                self._broadcast(message, f"dyn{slot}")
-            if remaining == 0:
-                break
 
     def _broadcast(self, message: Message, where: str) -> None:
         self.kernel.trace.record(

@@ -11,7 +11,7 @@ degrees, ...) rather than opaque blobs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 
 class FrameError(ValueError):
@@ -156,15 +156,15 @@ class FrameCatalog:
 
     def __init__(self) -> None:
         self._by_name: Dict[str, FrameSpec] = {}
-        self._by_id: Dict[int, FrameSpec] = {}
+        self._ids: Set[int] = set()
 
     def add(self, spec: FrameSpec) -> FrameSpec:
         if spec.name in self._by_name:
             raise FrameError(f"duplicate frame name {spec.name!r}")
-        if spec.frame_id in self._by_id:
+        if spec.frame_id in self._ids:
             raise FrameError(f"duplicate frame id {spec.frame_id:#x}")
         self._by_name[spec.name] = spec
-        self._by_id[spec.frame_id] = spec
+        self._ids.add(spec.frame_id)
         return spec
 
     def define(
@@ -185,12 +185,6 @@ class FrameCatalog:
         spec = self._by_name.get(name)
         if spec is None:
             raise FrameError(f"unknown frame {name!r}")
-        return spec
-
-    def by_id(self, frame_id: int) -> FrameSpec:
-        spec = self._by_id.get(frame_id)
-        if spec is None:
-            raise FrameError(f"unknown frame id {frame_id:#x}")
         return spec
 
     def frames(self) -> List[FrameSpec]:

@@ -8,10 +8,11 @@ inter-domain communication services".  This module provides both:
 * :class:`TcpLink` — a simple reliable ordered message channel standing
   in for the TCP/IP telematics domain (fixed latency, in-order
   delivery),
-* :class:`Gateway` — a routing table mapping (source port, frame id) to
-  destination ports, with optional per-route signal translation and an
-  authorization whitelist (the "secured" aspect: only whitelisted frame
-  ids cross domain borders; everything else is dropped and counted).
+* :class:`Gateway` — a routing table over CAN and TCP ports mapping
+  (source port, frame id) to destination ports, with optional
+  per-route signal translation and an authorization whitelist (the
+  "secured" aspect: only whitelisted frame ids cross domain borders;
+  everything else is dropped and counted).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..kernel.scheduler import Kernel
 from ..kernel.tracing import TraceKind
 from .can import CanController
-from .flexray import FlexRayController
 from .frames import FrameSpec, Message
 
 Receiver = Callable[[Message], None]
@@ -111,22 +111,6 @@ class Gateway:
             send=lambda msg: controller.send(msg.spec, msg.values()),
             description=f"CAN via {controller.name}",
         )
-        controller.on_receive(lambda msg: self.on_message(name, msg))
-        self.ports[name] = port
-        return port
-
-    def add_flexray_port(
-        self, name: str, controller: FlexRayController, *, tx_slot: Optional[int] = None
-    ) -> GatewayPort:
-        """Attach a FlexRay controller; outbound frames stage into
-        ``tx_slot`` (required if the gateway transmits on this port)."""
-
-        def send(msg: Message) -> None:
-            if tx_slot is None:
-                raise ValueError(f"port {name!r} has no transmit slot")
-            controller.stage(tx_slot, msg.spec, msg.values())
-
-        port = GatewayPort(name=name, send=send, description=f"FlexRay via {controller.name}")
         controller.on_receive(lambda msg: self.on_message(name, msg))
         self.ports[name] = port
         return port

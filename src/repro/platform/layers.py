@@ -150,14 +150,6 @@ class SoftwareTopology:
             raise TopologyError(f"interface {interface!r} is not provided")
         return self.modules[name]
 
-    def consumers_of(self, interface: str) -> List[PlatformModule]:
-        """Modules consuming an interface."""
-        return [
-            self.modules[consumer]
-            for consumer, iface in self.connections
-            if iface == interface
-        ]
-
     def validate(self) -> None:
         """Re-check every connection against the layering rule."""
         for consumer_name, interface in self.connections:

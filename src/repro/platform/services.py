@@ -119,10 +119,5 @@ class ServiceRegistry:
         for service in self._services.values():
             service.start()
 
-    def stop_all(self) -> None:
-        """Stop every registered service."""
-        for service in self._services.values():
-            service.stop()
-
     def services(self) -> List[DependabilityService]:
         return list(self._services.values())

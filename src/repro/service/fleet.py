@@ -8,8 +8,8 @@ Each registration's watchdog already derives its own ECU state; the
 :class:`Fleet` mirrors :meth:`RemoteSupervisor.network_state` and
 rolls the worst registration state up into a fleet verdict, emitting
 the existing :class:`~repro.core.reports.EcuStateChange` record on
-every transition so downstream consumers (the FMF, the DETECTION push
-channel, telemetry) see the service exactly like a very large ECU.
+every transition so downstream consumers (the DETECTION push channel,
+telemetry) see the service exactly like a very large ECU.
 
 :class:`Fleet` *is* the supervision table: a
 :class:`~repro.service.supervisor.SupervisorShard` subclass that adds
@@ -156,16 +156,6 @@ class Fleet(SupervisorShard):
         self, listener: Callable[[EcuStateChange], None]
     ) -> None:
         self._fleet_state_listeners.append(listener)
-
-    def attach_fmf(self, fmf) -> None:
-        """Feed detections and task faults into a Fault Management
-        Framework instance (observe-only unless it has ECU actions)."""
-        self.add_detection_listener(
-            lambda _name, error: fmf.on_runnable_error(error)
-        )
-        self.add_task_fault_listener(
-            lambda _name, event: fmf.on_task_fault(event)
-        )
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -9,8 +9,8 @@ results as well." (§4.5)
 
 This module reproduces those two capabilities against the simulation:
 
-* :class:`ParameterStore` — named runtime parameters with sliders
-  (set-at-time), bound to arbitrary getter/setter pairs,
+* :class:`ParameterStore` — named runtime parameters (sliders) bound to
+  arbitrary getter/setter pairs,
 * :class:`Capture` — periodic sampling of named probes into time series
   (the paper's plots sample with "a scalar of 10 ms"), rendered by
   :mod:`repro.analysis.plots`.
@@ -19,7 +19,7 @@ This module reproduces those two capabilities against the simulation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..kernel.clock import ms
 from ..kernel.scheduler import Kernel
@@ -47,7 +47,7 @@ class Parameter:
 
 
 class ParameterStore:
-    """Registry of runtime parameters with scheduled slider moves."""
+    """Registry of runtime parameters and a log of every slider move."""
 
     def __init__(self, kernel: Kernel) -> None:
         self.kernel = kernel
@@ -65,15 +65,6 @@ class ParameterStore:
         self._parameters[name] = parameter
         return parameter
 
-    def register_attribute(self, name: str, obj: Any, attribute: str, description: str = "") -> Parameter:
-        """Expose ``obj.attribute`` as a parameter."""
-        return self.register(
-            name,
-            getter=lambda: getattr(obj, attribute),
-            setter=lambda v: setattr(obj, attribute, v),
-            description=description,
-        )
-
     def get(self, name: str) -> Parameter:
         parameter = self._parameters.get(name)
         if parameter is None:
@@ -85,13 +76,6 @@ class ParameterStore:
         """Move a slider immediately."""
         self.get(name).value = value
         self.change_log.append((self.kernel.clock.now, name, value))
-
-    def set_at(self, when: int, name: str, value: float) -> None:
-        """Schedule a slider move at an absolute simulation time."""
-        self.get(name)  # fail fast on unknown names
-        self.kernel.queue.schedule(
-            when, lambda: self.set_now(name, value), label=f"slider:{name}", persistent=True
-        )
 
     def parameters(self) -> List[Parameter]:
         return list(self._parameters.values())
@@ -141,10 +125,6 @@ class Capture:
         self._probes[name] = getter
         self.series[name] = CapturedSeries(name)
 
-    def add_attribute_probe(self, name: str, obj: Any, attribute: str) -> None:
-        """Probe ``obj.attribute``."""
-        self.add_probe(name, lambda: getattr(obj, attribute))
-
     def start(self) -> None:
         """Begin sampling at the configured period."""
         if self._running:
@@ -178,7 +158,3 @@ class Capture:
         if series is None:
             raise KeyError(f"unknown probe {name!r}")
         return series
-
-    def as_dict(self) -> Dict[str, List[float]]:
-        """{probe: values} for analysis/plotting."""
-        return {name: list(s.values) for name, s in self.series.items()}

@@ -17,7 +17,7 @@ class TestRoad:
     def test_default_road(self):
         road = Road()
         assert road.speed_limit_at(0) == 130.0
-        assert road.curvature_at(0) == 0.0
+        assert road.heading_at(500) == 0.0
 
     def test_speed_zones(self):
         road = Road(speed_zones=[
@@ -37,11 +37,6 @@ class TestRoad:
         road = Road(speed_zones=[SpeedLimitZone(1000, 60)])
         assert road.speed_limit_at(0) == 130.0
 
-    def test_next_limit_change(self):
-        road = Road(speed_zones=[SpeedLimitZone(0, 100), SpeedLimitZone(2000, 60)])
-        assert road.next_limit_change(500) == (2000, 60)
-        assert road.next_limit_change(3000) is None
-
     def test_heading_integrates_curvature(self):
         road = Road(curvature_segments=[
             CurvatureSegment(0, 0.0), CurvatureSegment(100, 0.01),
@@ -49,13 +44,6 @@ class TestRoad:
         assert road.heading_at(100) == pytest.approx(0.0)
         # 50 m into the curve of radius 100 m: heading = 0.01 * 50.
         assert road.heading_at(150) == pytest.approx(0.5)
-
-    def test_curvature_lookup(self):
-        road = Road(curvature_segments=[
-            CurvatureSegment(0, 0.0), CurvatureSegment(100, 0.02),
-        ])
-        assert road.curvature_at(50) == 0.0
-        assert road.curvature_at(150) == 0.02
 
 
 class TestEnvironment:
@@ -82,13 +70,3 @@ class TestEnvironment:
         env = EnvironmentSimulation()
         state = VehicleState(x_m=50.0, y_m=-0.8, distance_m=50.0)
         assert env.lateral_offset(state) == pytest.approx(-0.8)
-
-    def test_lane_departure_inside_lane_negative(self):
-        env = EnvironmentSimulation(road=Road(lane_width_m=3.5))
-        state = VehicleState(x_m=10, y_m=0.5, distance_m=10)
-        assert env.lane_departure(state) < 0
-
-    def test_lane_departure_outside_lane_positive(self):
-        env = EnvironmentSimulation(road=Road(lane_width_m=3.5))
-        state = VehicleState(x_m=10, y_m=2.5, distance_m=10)
-        assert env.lane_departure(state) == pytest.approx(2.5 - 1.75)

@@ -89,16 +89,6 @@ class TestVoting:
         assert result.healthy_channels == 0
         assert result.degraded
 
-    def test_reinstate(self):
-        voter, channels = make_voter(lockout_after=1)
-        channels[0].value = 99.0
-        voter.read()
-        assert voter.locked_out_channels() == [0]
-        channels[0].value = 10.0
-        voter.reinstate(0)
-        result = voter.read()
-        assert result.healthy_channels == 3
-
     def test_as_channel_adapter(self):
         voter, channels = make_voter()
         port = voter.as_channel()

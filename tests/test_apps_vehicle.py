@@ -112,16 +112,3 @@ class TestCommands:
         assert commands.throttle == 1.0
         assert commands.brake == 0.0
         assert commands.steering_rad == 0.5
-
-
-class TestCoasting:
-    def test_coasting_distance_positive_and_state_restored(self):
-        vehicle = Vehicle()
-        vehicle.state.speed_mps = 7.0
-        distance = vehicle.coasting_distance(20.0)
-        assert distance > 50.0
-        assert vehicle.state.speed_mps == 7.0  # state restored
-
-    def test_faster_coasts_further(self):
-        vehicle = Vehicle()
-        assert vehicle.coasting_distance(30.0) > vehicle.coasting_distance(15.0)

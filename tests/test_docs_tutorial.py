@@ -202,3 +202,42 @@ class TestObservability:
         assert registry.value("wd_hbm_check_cycles_total") > 0
         # A healthy drive produces no detection narrative.
         assert sink.filter(kind="detection") == []
+
+    def test_section_11_instrument_table_mirrors_registry(self):
+        """The tutorial's instrument table names exactly the metric
+        families an ECU, its FMF and a campaign register; a cell such
+        as `a` / `b` names several families."""
+        from repro.kernel import seconds
+        from repro.telemetry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        ecu = Ecu("brake-node", brake_mapping(), watchdog_period=ms(5),
+                  telemetry=registry)
+        # A fault makes the labelled detection and FMF families appear.
+        BlockedRunnableFault("ComputeForce").inject(FaultTarget.from_ecu(ecu))
+        ecu.run_until(seconds(1))
+        ecu.watchdog.sync_telemetry()
+
+        def system_factory():
+            fresh = Ecu("brake-node", brake_mapping(), watchdog_period=ms(5))
+            return CampaignSystem(
+                target=FaultTarget.from_ecu(fresh),
+                detectors=[watchdog_detector(fresh.watchdog)],
+                run_until=fresh.run_until,
+                now=lambda: fresh.now,
+            )
+
+        Campaign(system_factory, warmup=ms(100), observation=ms(500),
+                 telemetry=registry).execute(
+            [lambda s: BlockedRunnableFault("ComputeForce")])
+
+        text = TUTORIAL.read_text()
+        table = text[text.index("### The instruments"):
+                     text.index("### The event stream")]
+        names = {
+            re.match(r"`(\w+)", cell.strip()).group(1)
+            for row in re.findall(r"^\| (`.+?) \| \w", table,
+                                  flags=re.MULTILINE)
+            for cell in row.split(" / ")
+        }
+        assert names == set(registry.families())

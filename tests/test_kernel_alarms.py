@@ -15,19 +15,22 @@ from repro.kernel import (
 )
 
 
-class TestOsCounter:
-    def test_value_at(self):
-        counter = OsCounter("C", ticks_per_increment=100)
-        assert counter.value_at(0) == 0
-        assert counter.value_at(250) == 2
+def recorder(kernel, name="T"):
+    """Add a zero-work task; returns the list of its activation times."""
+    times = []
 
+    def body(task):
+        times.append(kernel.clock.now)
+        yield from ()
+
+    kernel.add_task(Task(name, 1, body))
+    return times
+
+
+class TestOsCounter:
     def test_to_ticks(self):
         counter = OsCounter("C", ticks_per_increment=100)
         assert counter.to_ticks(5) == 500
-
-    def test_wrapping(self):
-        counter = OsCounter("C", ticks_per_increment=1, max_allowed_value=9)
-        assert counter.value_at(25) == 5
 
     def test_bad_ticks_per_increment(self):
         with pytest.raises(KernelConfigError):
@@ -36,16 +39,16 @@ class TestOsCounter:
 
 class TestAlarmOneShot:
     def test_one_shot_fires_once(self, kernel, alarms):
-        fired = []
-        alarm = alarms.alarm_callback("A", lambda: fired.append(kernel.clock.now))
+        fired = recorder(kernel)
+        alarm = alarms.alarm_activate_task("A", "T")
         alarm.set_rel(ms(5))
         kernel.run_until(ms(50))
         assert fired == [ms(5)]
         assert not alarm.armed
 
     def test_rearm_after_expiry(self, kernel, alarms):
-        fired = []
-        alarm = alarms.alarm_callback("A", lambda: fired.append(kernel.clock.now))
+        fired = recorder(kernel)
+        alarm = alarms.alarm_activate_task("A", "T")
         alarm.set_rel(ms(5))
         kernel.run_until(ms(10))
         alarm.set_rel(ms(5))
@@ -53,32 +56,19 @@ class TestAlarmOneShot:
         assert fired == [ms(5), ms(15)]
 
     def test_set_while_armed_rejected(self, kernel, alarms):
-        alarm = alarms.alarm_callback("A", lambda: None)
+        alarm = alarms.alarm_activate_task("A", "T")
         assert alarm.set_rel(ms(5)) is StatusType.E_OK
         assert alarm.set_rel(ms(5)) is StatusType.E_OS_STATE
 
     def test_bad_offset(self, kernel, alarms):
-        alarm = alarms.alarm_callback("A", lambda: None)
+        alarm = alarms.alarm_activate_task("A", "T")
         assert alarm.set_rel(0) is StatusType.E_OS_VALUE
         assert alarm.set_rel(-5) is StatusType.E_OS_VALUE
 
-    def test_set_abs(self, kernel, alarms):
-        fired = []
-        alarm = alarms.alarm_callback("A", lambda: fired.append(kernel.clock.now))
-        alarm.set_abs(ms(7))
-        kernel.run_until(ms(20))
-        assert fired == [ms(7)]
-
-    def test_set_abs_in_past_rejected(self, kernel, alarms):
-        kernel.run_until(ms(10))
-        alarm = alarms.alarm_callback("A", lambda: None)
-        assert alarm.set_abs(ms(5)) is StatusType.E_OS_VALUE
-
-
 class TestAlarmCyclic:
     def test_cyclic_fires_repeatedly(self, kernel, alarms):
-        fired = []
-        alarm = alarms.alarm_callback("A", lambda: fired.append(kernel.clock.now))
+        fired = recorder(kernel)
+        alarm = alarms.alarm_activate_task("A", "T")
         alarm.set_rel(ms(10), ms(10))
         kernel.run_until(ms(45))
         assert fired == [ms(10), ms(20), ms(30), ms(40)]
@@ -86,8 +76,8 @@ class TestAlarmCyclic:
         assert alarm.armed
 
     def test_cancel_stops_cycle(self, kernel, alarms):
-        fired = []
-        alarm = alarms.alarm_callback("A", lambda: fired.append(1))
+        fired = recorder(kernel)
+        alarm = alarms.alarm_activate_task("A", "T")
         alarm.set_rel(ms(10), ms(10))
         kernel.run_until(ms(25))
         assert alarm.cancel() is StatusType.E_OK
@@ -95,17 +85,8 @@ class TestAlarmCyclic:
         assert len(fired) == 2
 
     def test_cancel_unarmed_rejected(self, kernel, alarms):
-        alarm = alarms.alarm_callback("A", lambda: None)
+        alarm = alarms.alarm_activate_task("A", "T")
         assert alarm.cancel() is StatusType.E_OS_NOFUNC
-
-    def test_time_to_expiry(self, kernel, alarms):
-        alarm = alarms.alarm_callback("A", lambda: None)
-        assert alarm.time_to_expiry() is None
-        alarm.set_rel(ms(10))
-        assert alarm.time_to_expiry() == ms(10)
-        kernel.run_until(ms(4))
-        assert alarm.time_to_expiry() == ms(6)
-
 
 class TestAlarmActions:
     def test_activate_task_action(self, kernel, alarms):
@@ -117,59 +98,36 @@ class TestAlarmActions:
         kernel.run_until(ms(22))
         assert kernel.trace.count(TraceKind.TASK_TERMINATE, "T") == 4
 
-    def test_set_event_action(self, kernel, alarms):
-        from repro.kernel import Wait
-
-        hits = []
-
-        def body(task):
-            while True:
-                yield Wait(0x1)
-                kernel.clear_event(task, 0x1)
-                yield Segment(10, on_end=lambda: hits.append(kernel.clock.now))
-
-        kernel.add_task(Task("Ext", 2, body, extended=True, autostart=True))
-        alarms.alarm_set_event("A", "Ext", 0x1).set_rel(ms(10), ms(10))
-        kernel.run_until(ms(35))
-        assert len(hits) == 3
-
     def test_counter_scaling(self, kernel):
         """Alarms on a slow counter expire at scaled times."""
         slow = OsCounter("slow", ticks_per_increment=ms(1))
         table = AlarmTable(kernel, system_counter=slow)
-        fired = []
-        table.alarm_callback("A", lambda: fired.append(kernel.clock.now)).set_rel(5, 5)
+        fired = recorder(kernel)
+        table.alarm_activate_task("A", "T").set_rel(5, 5)
         kernel.run_until(ms(12))
         assert fired == [ms(5), ms(10)]
 
 
 class TestAlarmTable:
     def test_duplicate_alarm_rejected(self, kernel, alarms):
-        alarms.alarm_callback("A", lambda: None)
+        alarms.alarm_activate_task("A", "T")
         with pytest.raises(KernelConfigError):
-            alarms.alarm_callback("A", lambda: None)
+            alarms.alarm_activate_task("A", "T")
 
     def test_get_unknown_raises(self, kernel, alarms):
         with pytest.raises(ServiceError):
             alarms.get("ghost")
 
-    def test_cancel_all(self, kernel, alarms):
-        a = alarms.alarm_callback("A", lambda: None)
-        b = alarms.alarm_callback("B", lambda: None)
-        a.set_rel(ms(5), ms(5))
-        b.set_rel(ms(7))
-        alarms.cancel_all()
-        assert not a.armed and not b.armed
-
     def test_rearm_after_reset_restores_cyclic_only(self, kernel, alarms):
-        fired = {"cyclic": 0, "oneshot": 0}
-        cyc = alarms.alarm_callback("C", lambda: fired.__setitem__("cyclic", fired["cyclic"] + 1))
-        one = alarms.alarm_callback("O", lambda: fired.__setitem__("oneshot", fired["oneshot"] + 1))
+        cyclic = recorder(kernel, "Cyclic")
+        oneshot = recorder(kernel, "OneShot")
+        cyc = alarms.alarm_activate_task("C", "Cyclic")
+        one = alarms.alarm_activate_task("O", "OneShot")
         cyc.set_rel(ms(10), ms(10))
         one.set_rel(ms(15))
         kernel.run_until(ms(1))
         kernel.soft_reset()  # queue cleared
         alarms.rearm_after_reset()
         kernel.run_until(ms(40))
-        assert fired["cyclic"] == 3  # 11, 21, 31 (re-armed at reset time 1)
-        assert fired["oneshot"] == 0  # one-shots stay lost
+        assert cyclic == [ms(11), ms(21), ms(31)]  # re-armed at reset time 1
+        assert oneshot == []  # one-shots stay lost

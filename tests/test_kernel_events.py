@@ -5,19 +5,27 @@ import pytest
 from repro.kernel import EventQueue
 
 
+def due_events(queue, now):
+    """Every event due at ``now``, popped one at a time as the kernel does."""
+    due = []
+    while (event := queue.pop_next(now)) is not None:
+        due.append(event)
+    return due
+
+
 class TestScheduling:
     def test_empty_queue(self):
         queue = EventQueue()
         assert len(queue) == 0
         assert queue.next_time() is None
-        assert queue.pop_due(1_000_000) == []
+        assert due_events(queue, 1_000_000) == []
 
     def test_schedule_and_pop(self):
         queue = EventQueue()
         fired = []
         queue.schedule(10, lambda: fired.append("a"))
         assert queue.next_time() == 10
-        due = queue.pop_due(10)
+        due = due_events(queue, 10)
         assert len(due) == 1
         due[0].callback()
         assert fired == ["a"]
@@ -31,7 +39,7 @@ class TestScheduling:
         queue = EventQueue()
         queue.schedule(10, lambda: None)
         queue.schedule(20, lambda: None)
-        assert len(queue.pop_due(15)) == 1
+        assert len(due_events(queue, 15)) == 1
         assert queue.next_time() == 20
 
     def test_fifo_order_at_same_instant(self):
@@ -39,7 +47,7 @@ class TestScheduling:
         order = []
         for tag in ("first", "second", "third"):
             queue.schedule(5, lambda tag=tag: order.append(tag))
-        for event in queue.pop_due(5):
+        for event in due_events(queue, 5):
             event.callback()
         assert order == ["first", "second", "third"]
 
@@ -47,7 +55,7 @@ class TestScheduling:
         queue = EventQueue()
         queue.schedule(30, lambda: None, label="late")
         queue.schedule(10, lambda: None, label="early")
-        due = queue.pop_due(100)
+        due = due_events(queue, 100)
         assert [e.label for e in due] == ["early", "late"]
 
     def test_len_tracks_live_events(self):
@@ -64,7 +72,7 @@ class TestCancellation:
         queue = EventQueue()
         event = queue.schedule(10, lambda: None)
         event.cancel()
-        assert queue.pop_due(100) == []
+        assert due_events(queue, 100) == []
 
     def test_cancel_is_idempotent(self):
         queue = EventQueue()
@@ -86,7 +94,7 @@ class TestCancellation:
         queue.clear()
         assert len(queue) == 0
         assert all(e.cancelled for e in events)
-        assert queue.pop_due(100) == []
+        assert due_events(queue, 100) == []
 
 
 class TestPopNext:

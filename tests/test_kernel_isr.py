@@ -76,19 +76,14 @@ class TestTimeTheft:
         kernel.add_task(Task("T", 1, body))
         controller = InterruptController(kernel)
         isr = controller.register("storm", lambda: None, duration=ms(1))
-        isr.schedule_periodic(ms(2))
+        for when in range(ms(2), ms(60), ms(2)):
+            isr.schedule_at(when)
         kernel.activate_task("T")
         kernel.run_until(ms(60))
         assert isr.fire_count >= 10
         # Massive slowdown: 10ms of work under ~50% theft takes ~19ms.
         end = kernel.trace.last(TraceKind.TASK_TERMINATE, "T").time
         assert end >= ms(18)
-
-    def test_periodic_isr_bad_period(self, kernel):
-        controller = InterruptController(kernel)
-        isr = controller.register("rx", lambda: None)
-        with pytest.raises(KernelConfigError):
-            isr.schedule_periodic(0)
 
     def test_isr_can_activate_task(self, kernel):
         def body(task):

@@ -29,16 +29,15 @@ class TestRunnableBasics:
         assert calls == [ms(11), ms(21), ms(31)]
         assert r.execution_count == 3
 
-    def test_entry_and_exit_glue_order(self, kernel):
+    def test_exit_glue_runs_after_behaviour(self, kernel):
         events = []
         r = Runnable("R", kernel, wcet=ms(1),
                      behaviour=lambda rn, t: events.append("behaviour"))
-        r.add_entry_glue(lambda rn, t: events.append("entry"))
         r.add_exit_glue(lambda rn, t: events.append("exit"))
         kernel.add_task(Task("T", 1, runnable_sequence_body([r])))
         kernel.activate_task("T")
         kernel.run_until(ms(10))
-        assert events == ["entry", "behaviour", "exit"]
+        assert events == ["behaviour", "exit"]
 
     def test_disabled_runnable_skipped(self, kernel):
         r1 = Runnable("R1", kernel, wcet=ms(1))
@@ -111,10 +110,6 @@ class TestSequenceChart:
         kernel.run_until(ms(10))
         starts = [r.subject for r in kernel.trace.filter(kind=TraceKind.RUNNABLE_START)]
         assert starts == ["A", "B", "C"]
-
-    def test_nominal_pairs(self, kernel):
-        chart, _ = self.make_chart(kernel)
-        assert chart.nominal_pairs() == [("A", "B"), ("B", "C")]
 
     def test_custom_decision_function(self, kernel):
         chart, runnables = self.make_chart(kernel)

@@ -20,6 +20,18 @@ def add_task(kernel, name, priority=5, duration=ms(1)):
     return kernel.add_task(Task(name, priority, body))
 
 
+def recorder(kernel, name="R"):
+    """Add a zero-work task; returns the list of its activation times."""
+    times = []
+
+    def body(task):
+        times.append(kernel.clock.now)
+        yield from ()
+
+    kernel.add_task(Task(name, 1, body))
+    return times
+
+
 class TestConfiguration:
     def test_bad_period(self, kernel):
         with pytest.raises(KernelConfigError):
@@ -74,35 +86,18 @@ class TestExecution:
         assert a.preemption_count == 0
         assert b.preemption_count == 0
 
-    def test_event_setting_action(self, kernel):
-        from repro.kernel import Wait
-
-        hits = []
-
-        def body(task):
-            while True:
-                yield Wait(0x1)
-                kernel.clear_event(task, 0x1)
-                yield Segment(ms(1), on_end=lambda: hits.append(kernel.clock.now))
-
-        kernel.add_task(Task("Ext", 5, body, extended=True, autostart=True))
+    def test_offset_repeats_every_period(self, kernel):
+        hits = recorder(kernel)
         table = ScheduleTable("T", kernel, period=ms(10))
-        table.add_event_setting(ms(2), "Ext", 0x1)
-        table.start_rel(0)
-        kernel.run_until(ms(35))
-        assert hits == [ms(3), ms(13), ms(23), ms(33)]
-
-    def test_callback_action(self, kernel):
-        hits = []
-        table = ScheduleTable("T", kernel, period=ms(10))
-        table.add_callback(ms(7), lambda: hits.append(kernel.clock.now))
+        table.add_task_activation(ms(7), "R")
         table.start_rel(0)
         kernel.run_until(ms(30))
         assert hits == [ms(7), ms(17), ms(27)]
 
     def test_iteration_count(self, kernel):
+        recorder(kernel)
         table = ScheduleTable("T", kernel, period=ms(10))
-        table.add_callback(0, lambda: None)
+        table.add_task_activation(0, "R")
         table.start_rel(0)
         kernel.run_until(ms(45))
         assert table.iteration_count == 4
@@ -111,7 +106,7 @@ class TestExecution:
 class TestControl:
     def test_start_twice_rejected(self, kernel):
         table = ScheduleTable("T", kernel, period=ms(10))
-        table.add_callback(0, lambda: None)
+        table.add_task_activation(0, "R")
         table.start_rel(0)
         assert table.start_rel(0) is StatusType.E_OS_STATE
 
@@ -120,9 +115,9 @@ class TestControl:
         assert table.start_rel(0) is StatusType.E_OS_NOFUNC
 
     def test_stop_halts_expiries(self, kernel):
-        hits = []
+        hits = recorder(kernel)
         table = ScheduleTable("T", kernel, period=ms(10))
-        table.add_callback(ms(5), lambda: hits.append(1))
+        table.add_task_activation(ms(5), "R")
         table.start_rel(0)
         kernel.run_until(ms(12))
         assert table.stop() is StatusType.E_OK
@@ -132,10 +127,3 @@ class TestControl:
     def test_stop_idle_rejected(self, kernel):
         table = ScheduleTable("T", kernel, period=ms(10))
         assert table.stop() is StatusType.E_OS_NOFUNC
-
-    def test_next_expiry(self, kernel):
-        table = ScheduleTable("T", kernel, period=ms(10))
-        table.add_callback(ms(5), lambda: None)
-        assert table.next_expiry() is None
-        table.start_rel(0)
-        assert table.next_expiry() == ms(5)

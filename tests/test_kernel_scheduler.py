@@ -12,7 +12,6 @@ from repro.kernel import (
     Task,
     TaskState,
     TraceKind,
-    Wait,
     ms,
     runnable_sequence_body,
 )
@@ -36,10 +35,6 @@ class TestConfiguration:
     def test_negative_priority_rejected(self, kernel):
         with pytest.raises(KernelConfigError):
             Task("bad", -1, lambda t: iter(()))
-
-    def test_extended_task_single_activation(self):
-        with pytest.raises(KernelConfigError):
-            Task("bad", 1, lambda t: iter(()), extended=True, max_activations=2)
 
     def test_no_tasks_after_start(self, kernel):
         kernel.start()
@@ -152,169 +147,6 @@ class TestPreemption:
         assert order == ["Hi", "P1", "P2"]
 
 
-class TestEventsAndWaiting:
-    def test_wait_and_set_event(self, kernel):
-        progress = []
-
-        def body(task):
-            progress.append("before")
-            yield Wait(0x1)
-            progress.append("after")
-            yield Segment(10)
-
-        kernel.add_task(Task("Ext", 2, body, extended=True))
-        kernel.activate_task("Ext")
-        kernel.run_until(100)
-        assert progress == ["before"]
-        assert kernel.task_state("Ext") is TaskState.WAITING
-        kernel.set_event("Ext", 0x1)
-        kernel.run_until(300)
-        assert progress == ["before", "after"]
-        assert kernel.task_state("Ext") is TaskState.SUSPENDED
-
-    def test_wait_returns_immediately_if_event_set(self, kernel):
-        def body(task):
-            yield Segment(10)
-            yield Wait(0x2)
-            yield Segment(10)
-
-        kernel.add_task(Task("Ext", 2, body, extended=True))
-        kernel.activate_task("Ext")
-        kernel.run_until(5)
-        kernel.set_event("Ext", 0x2)
-        kernel.run_until(100)
-        assert kernel.task_state("Ext") is TaskState.SUSPENDED
-
-    def test_set_event_on_suspended_task_errors(self, kernel):
-        kernel.add_task(Task("Ext", 2, lambda t: iter(()), extended=True))
-        kernel.start()
-        assert kernel.set_event("Ext", 1) is StatusType.E_OS_STATE
-
-    def test_set_event_on_basic_task_errors(self, kernel):
-        simple_task(kernel, "Basic", 1, 10)
-        kernel.activate_task("Basic")
-        assert kernel.set_event("Basic", 1) is StatusType.E_OS_ACCESS
-
-    def test_wait_in_basic_task_errors(self, kernel):
-        def body(task):
-            yield Wait(0x1)
-
-        kernel.add_task(Task("Basic", 1, body))
-        kernel.activate_task("Basic")
-        kernel.run_until(100)
-        assert kernel.trace.count(TraceKind.SERVICE_ERROR) >= 1
-
-    def test_clear_event(self, kernel):
-        task = Task("Ext", 2, lambda t: iter(()), extended=True)
-        kernel.add_task(task)
-        kernel.start()
-        kernel.activate_task("Ext")
-        kernel.set_event("Ext", 0x5)
-        kernel.clear_event(task, 0x1)
-        assert kernel.get_event("Ext") == 0x4
-
-
-class TestResources:
-    def test_priority_ceiling_raises_priority(self, kernel):
-        holder = {}
-
-        def body(task):
-            def grab():
-                kernel.get_resource(task, "R")
-                holder["prio"] = task.dynamic_priority
-
-            def release():
-                kernel.release_resource(task, "R")
-
-            yield Segment(10, on_start=grab)
-            yield Segment(10, on_end=release)
-
-        task = kernel.add_task(Task("A", 1, body))
-        simple_task(kernel, "B", 5, 10)
-        kernel.add_resource("R", ceiling=7)
-        kernel.activate_task("A")
-        kernel.run_until(100)
-        assert holder["prio"] == 7
-        assert task.dynamic_priority == 1
-
-    def test_ceiling_blocks_preemption(self, kernel, alarms):
-        """A task holding a resource with high ceiling is not preempted
-        by a medium-priority task."""
-
-        def body(task):
-            def grab():
-                kernel.get_resource(task, "R")
-
-            def release():
-                kernel.release_resource(task, "R")
-
-            yield Segment(ms(1), on_start=grab)
-            yield Segment(ms(8))
-            yield Segment(ms(1), on_end=release)
-
-        low = kernel.add_task(Task("Low", 1, body))
-        simple_task(kernel, "Mid", 5, ms(2))
-        kernel.add_resource("R", ceiling=6)
-        alarms.alarm_activate_task("L", "Low").set_rel(ms(1))
-        alarms.alarm_activate_task("M", "Mid").set_rel(ms(3))
-        kernel.run_until(ms(30))
-        # Mid (prio 5) was held off for the whole critical section: it
-        # only starts once Low releases R at ms(11).
-        assert kernel.trace.first(TraceKind.TASK_START, "Mid").time >= ms(11)
-        # Low's actual work (its last segment) completed before Mid ran.
-        low_segments_done = kernel.trace.last(TraceKind.RESOURCE_RELEASE, "R")
-        assert low_segments_done.time == ms(11)
-
-    def test_double_get_rejected(self, kernel):
-        task = simple_task(kernel, "A", 1, 10)
-        kernel.add_resource("R")
-        kernel.start()
-        assert kernel.get_resource(task, "R") is StatusType.E_OK
-        assert kernel.get_resource(task, "R") is StatusType.E_OS_ACCESS
-
-    def test_release_by_non_holder_rejected(self, kernel):
-        a = simple_task(kernel, "A", 1, 10)
-        b = simple_task(kernel, "B", 1, 10)
-        kernel.add_resource("R")
-        kernel.start()
-        kernel.get_resource(a, "R")
-        assert kernel.release_resource(b, "R") is StatusType.E_OS_NOFUNC
-
-    def test_default_ceiling_is_max_priority(self, kernel):
-        simple_task(kernel, "A", 3, 10)
-        simple_task(kernel, "B", 8, 10)
-        resource = kernel.add_resource("R")
-        assert resource.ceiling == 8
-
-    def test_terminate_holding_resource_reports_and_releases(self, kernel):
-        def body(task):
-            yield Segment(10, on_end=lambda: kernel.get_resource(task, "R"))
-
-        kernel.add_task(Task("Leaky", 1, body))
-        kernel.add_resource("R", ceiling=5)
-        kernel.activate_task("Leaky")
-        kernel.run_until(100)
-        assert kernel.resources["R"].holder is None
-        errors = kernel.trace.filter(kind=TraceKind.SERVICE_ERROR)
-        assert any("E_OS_RESOURCE" in str(r.info.get("status")) for r in errors)
-
-
-class TestChainTask:
-    def test_chain_activates_target_on_termination(self, kernel):
-        def body(task):
-            yield Segment(10, on_end=lambda: kernel.chain_task(task, "Next"))
-
-        kernel.add_task(Task("First", 2, body))
-        simple_task(kernel, "Next", 2, 10)
-        kernel.activate_task("First")
-        kernel.run_until(100)
-        assert kernel.trace.count(TraceKind.TASK_TERMINATE, "Next") == 1
-
-    def test_chain_unknown_target(self, kernel):
-        task = simple_task(kernel, "A", 1, 10)
-        assert kernel.chain_task(task, "ghost") is StatusType.E_OS_ID
-
-
 class TestForceTerminate:
     def test_force_terminate_ready_task(self, kernel, alarms):
         simple_task(kernel, "Low", 1, ms(50))
@@ -349,13 +181,6 @@ class TestForceTerminate:
 
 
 class TestShutdownAndReset:
-    def test_shutdown_stops_dispatching(self, kernel, alarms):
-        simple_task(kernel, "A", 1, ms(1))
-        alarms.alarm_activate_task("AA", "A").set_rel(ms(1), ms(1))
-        kernel.queue.schedule(ms(5), kernel.shutdown_os)
-        kernel.run_until(ms(100))
-        assert kernel.clock.now <= ms(6)
-
     def test_soft_reset_restores_pristine_state(self, kernel, alarms):
         task = simple_task(kernel, "A", 1, ms(2), autostart=True)
         kernel.run_until(ms(1))

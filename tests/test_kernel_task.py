@@ -1,8 +1,8 @@
-"""Tests for the task work-item model (Segment, Wait, sequence_body)."""
+"""Tests for the task work-item model (Segment, sequence_body)."""
 
 import pytest
 
-from repro.kernel import Kernel, Segment, Task, Wait, ms, sequence_body
+from repro.kernel import Kernel, Segment, Task, ms, sequence_body
 
 
 class TestSegment:
@@ -16,15 +16,6 @@ class TestSegment:
     def test_callbacks_optional(self):
         segment = Segment(10)
         assert segment.on_start is None and segment.on_end is None
-
-
-class TestWait:
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            Wait(0)
-
-    def test_mask_stored(self):
-        assert Wait(0x5).mask == 0x5
 
 
 class TestSequenceBody:
@@ -68,15 +59,11 @@ class TestSequenceBody:
 
 class TestTaskRuntimeReset:
     def test_reset_runtime_state_clears_everything(self):
-        task = Task("T", 3, lambda t: iter(()), extended=True)
+        task = Task("T", 3, lambda t: iter(()))
         task.pending_activations = 1
-        task.set_events = 0x7
-        task.dynamic_priority = 9
         task.activation_count = 5
         task.preemption_count = 2
         task.reset_runtime_state()
         assert task.pending_activations == 0
-        assert task.set_events == 0
-        assert task.dynamic_priority == task.priority
         assert task.activation_count == 0
         assert task.preemption_count == 0

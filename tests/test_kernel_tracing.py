@@ -95,11 +95,3 @@ class TestListeners:
         trace.subscribe(seen.append)
         trace.emit(rec(1))
         assert len(seen) == 1
-
-    def test_unsubscribe(self):
-        trace = Trace()
-        seen = []
-        trace.subscribe(seen.append)
-        trace.unsubscribe(seen.append)
-        trace.emit(rec(1))
-        assert seen == []

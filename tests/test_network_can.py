@@ -142,17 +142,6 @@ class TestFaults:
         # A bus-off controller silently drops new frames.
         assert tx.send(frame(), {"v": 0}) is None
 
-    def test_bus_off_recovery(self, kernel):
-        bus = make_bus(kernel, corruption_probability=0.95, rng=random.Random(1))
-        tx = bus.attach("tx")
-        for v in range(40):
-            tx.send(frame(), {"v": v})
-        kernel.run_until(ms(500))
-        assert tx.bus_off
-        tx.recover_bus_off()
-        assert not tx.bus_off
-        assert tx.tx_error_counter == 0
-
     def test_tec_decrements_on_success(self, kernel):
         bus = make_bus(kernel)
         tx = bus.attach("tx")
@@ -166,11 +155,3 @@ class TestFaults:
             CanBus("x", kernel, bitrate_bps=0)
         with pytest.raises(ValueError):
             CanBus("x", kernel, corruption_probability=1.5)
-
-
-class TestUtilization:
-    def test_offered_load_estimate(self, kernel):
-        bus = make_bus(kernel, bitrate_bps=500_000)
-        load = bus.utilization_estimate({0x100: 100.0, 0x200: 100.0})
-        expected = 2 * 100.0 * can_frame_bits(8) / 500_000
-        assert load == pytest.approx(expected)

@@ -53,7 +53,6 @@ class TestSchedule:
         s = schedule()
         assert s.slot_start_offset(1) == 0
         assert s.slot_start_offset(2) == ms(1)
-        assert s.dynamic_segment_offset() == 3 * ms(1)
 
 
 class TestStaticSegment:
@@ -129,42 +128,3 @@ class TestStaticSegment:
         bus, a, b, rx = self.build(kernel)
         with pytest.raises(FlexRayConfigError):
             bus.attach("a")
-
-
-class TestDynamicSegment:
-    def build(self, kernel, minislots=10):
-        s = schedule(dynamic_minislots=minislots)
-        bus = FlexRayBus("fr", kernel, s)
-        a = bus.attach("a")
-        rx = bus.attach("rx")
-        return bus, a, rx
-
-    def test_dynamic_frame_delivered_in_segment(self, kernel):
-        bus, a, rx = self.build(kernel)
-        got = []
-        rx.on_receive(lambda m: got.append(kernel.clock.now))
-        bus.start()
-        a.send_dynamic(5, frame("D"), {"v": 1.0})
-        kernel.run_until(ms(6))
-        assert got == [ms(3)]  # dynamic segment starts after 3 static slots
-
-    def test_priority_by_slot_id(self, kernel):
-        bus, a, rx = self.build(kernel)
-        order = []
-        rx.on_receive(lambda m: order.append(m.spec.name))
-        bus.start()
-        a.send_dynamic(9, frame("low", 2), {"v": 0})
-        a.send_dynamic(3, frame("high", 1), {"v": 0})
-        kernel.run_until(ms(6))
-        assert order == ["high", "low"]
-
-    def test_minislot_exhaustion_defers_frames(self, kernel):
-        bus, a, rx = self.build(kernel, minislots=1)
-        got = []
-        rx.on_receive(lambda m: got.append((bus.cycle_count, m.spec.name)))
-        bus.start()
-        a.send_dynamic(1, frame("one", 1), {"v": 0})
-        a.send_dynamic(2, frame("two", 2), {"v": 0})
-        kernel.run_until(ms(11))
-        # One minislot per cycle: the second frame rides the next cycle.
-        assert got == [(1, "one"), (2, "two")]

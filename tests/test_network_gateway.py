@@ -5,8 +5,6 @@ import pytest
 from repro.kernel import Kernel, ms
 from repro.network import (
     CanBus,
-    FlexRayBus,
-    FlexRaySchedule,
     FrameSpec,
     Gateway,
     Route,
@@ -122,37 +120,3 @@ class TestGatewayRouting:
         kernel.run_until(ms(10))
         # tcp latency (1 ms) + gateway forwarding (1 ms) + CAN wire time.
         assert arrival[0] >= ms(2)
-
-
-class TestGatewayFlexRayPort:
-    def test_flexray_port_stages_into_slot(self, kernel):
-        s = FlexRaySchedule(cycle_length=ms(4), static_slots=2,
-                            static_slot_length=ms(1))
-        s.assign_slot(1, "gw")
-        fr = FlexRayBus("fr", kernel, s)
-        gw_fr = fr.attach("gw")
-        rx = fr.attach("rx")
-        tcp = TcpLink("tcp", kernel, latency=ms(1))
-        gw = Gateway("gw", kernel, forwarding_latency=100)
-        gw.add_tcp_port("tcp", tcp)
-        gw.add_flexray_port("fr", gw_fr, tx_slot=1)
-        gw.add_route(Route(source_port="tcp", frame_id=0x100, destination_port="fr"))
-        got = []
-        rx.on_receive(lambda m: got.append(m.value("v")))
-        fr.start()
-        tcp.send(frame(), {"v": 3.0})
-        kernel.run_until(ms(10))
-        assert got and got[0] == pytest.approx(3.0, abs=0.01)
-
-    def test_flexray_port_without_slot_cannot_send(self, kernel):
-        s = FlexRaySchedule(cycle_length=ms(4), static_slots=2,
-                            static_slot_length=ms(1))
-        fr = FlexRayBus("fr", kernel, s)
-        gw_fr = fr.attach("gw")
-        gw = Gateway("gw", kernel)
-        port = gw.add_flexray_port("fr", gw_fr)
-        from repro.network.frames import Message
-
-        msg = Message(spec=frame(), payload=frame().pack({}), timestamp=0)
-        with pytest.raises(ValueError):
-            port.send(msg)

@@ -70,7 +70,7 @@ class TestInterfaces:
         topo.add_module("B", Layer.L3_ISS_SERVICES, ModuleKind.DEPENDABILITY_SERVICE)
         topo.provide("A", "api")
         topo.connect("B", "api")
-        assert [m.name for m in topo.consumers_of("api")] == ["B"]
+        assert topo.connections == [("B", "api")]
 
     def test_connect_layer_above_provider(self):
         topo = SoftwareTopology()
@@ -120,8 +120,7 @@ class TestReferenceTopology:
         topo = build_easis_topology()
         assert topo.provider_of("watchdog.heartbeat_indication").name == "SoftwareWatchdog"
         assert topo.provider_of("fmf.fault_report").name == "FaultManagementFramework"
-        consumers = [m.name for m in topo.consumers_of("fmf.fault_report")]
-        assert "SoftwareWatchdog" in consumers
+        assert ("SoftwareWatchdog", "fmf.fault_report") in topo.connections
 
     def test_five_layers_populated(self):
         topo = build_easis_topology()

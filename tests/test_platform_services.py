@@ -99,15 +99,13 @@ class TestRegistry:
         with pytest.raises(ServiceError):
             registry.register(clone)
 
-    def test_start_all_stop_all(self):
+    def test_start_all(self):
         registry = ServiceRegistry()
         a = registry.register(Probe("A"))
         b = registry.register(Probe("B"))
         registry.start_all()
         assert a.state is ServiceState.STARTED
         assert b.state is ServiceState.STARTED
-        registry.stop_all()
-        assert a.state is ServiceState.STOPPED
 
     def test_services_listing(self):
         registry = ServiceRegistry()

@@ -5,6 +5,7 @@ import json
 import struct
 import threading
 import time
+from typing import Tuple
 
 import pytest
 
@@ -976,18 +977,24 @@ def flood_hyp_dict():
     return hypothesis_to_dict(hyp)
 
 
-async def longest_loop_stall(stop: asyncio.Event) -> float:
+async def longest_loop_stall(stop: asyncio.Event) -> Tuple[float, float]:
     """Longest time the event loop went without running this task, in
     seconds: an upper bound on any one synchronous step of the daemon,
-    such as applying one socket chunk."""
-    longest = 0.0
-    last = time.perf_counter()
+    such as applying one socket chunk.
+
+    Also returns the process CPU time spent over that longest stall.
+    A stall that held about as much CPU as wall time was the daemon's
+    own work; one that held far less was the host descheduling the
+    process."""
+    longest = cpu_during_longest = 0.0
+    last, last_cpu = time.perf_counter(), time.process_time()
     while not stop.is_set():
         await asyncio.sleep(0)
-        now = time.perf_counter()
-        longest = max(longest, now - last)
-        last = now
-    return longest
+        now, now_cpu = time.perf_counter(), time.process_time()
+        if now - last > longest:
+            longest, cpu_during_longest = now - last, now_cpu - last_cpu
+        last, last_cpu = now, now_cpu
+    return longest, cpu_during_longest
 
 
 class TestOverload:
@@ -1013,9 +1020,10 @@ class TestOverload:
             peer.writer.write(frame * self.FRAMES)  # no drain, no ACK wait
             await barrier(peer)
             stop.set()
-            stall = await probe
+            stall, stall_cpu = await probe
             print(f"\nflood: {total} indications, longest loop stall "
-                  f"{stall * 1e3:.2f} ms, {server.missed_ticks} missed ticks")
+                  f"{stall * 1e3:.2f} ms ({stall_cpu * 1e3:.2f} ms CPU), "
+                  f"{server.missed_ticks} missed ticks")
             assert server.fleet.registration("p").indications == total
             assert server.telemetry.value("service_indications_total") == total
             health = server.health()

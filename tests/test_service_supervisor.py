@@ -198,20 +198,6 @@ class TestFleet:
             fleet.tick(cycle * 10)
         assert set(seen) == {"a", "b"}
 
-    def test_attach_fmf_records_faults(self):
-        from repro.platform.fmf import FaultManagementFramework
-
-        fleet = Fleet()
-        fmf = FaultManagementFramework()  # observe-only: no ECU actions
-        fleet.attach_fmf(fmf)
-        fleet.register("p", hyp_dict())
-        for cycle in range(1, 10):
-            fleet.tick(cycle * 10)
-        assert fmf.fault_log
-        categories = {record.category for record in fmf.fault_log}
-        assert "aliveness" in categories
-        assert "task_faulty" in categories
-
     def test_stats(self):
         fleet = Fleet()
         fleet.register("p", hyp_dict())

@@ -103,7 +103,7 @@ class TestTransientFaultSoak:
         # No phantom runtime state: every task is in a legal OSEK state.
         for task in ecu.kernel.tasks.values():
             assert task.state in (TaskState.SUSPENDED, TaskState.READY,
-                                  TaskState.RUNNING, TaskState.WAITING)
+                                  TaskState.RUNNING)
 
     def test_repeated_resets_keep_the_ecu_functional(self):
         """Hammer the escalation path: after dozens of resets the ECU

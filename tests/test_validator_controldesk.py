@@ -12,11 +12,20 @@ class Holder:
         self.other = 5.0
 
 
+def expose(store, name, obj, attribute):
+    """Register ``obj.attribute`` as a parameter."""
+    return store.register(
+        name,
+        getter=lambda: getattr(obj, attribute),
+        setter=lambda v: setattr(obj, attribute, v),
+    )
+
+
 class TestParameterStore:
     def test_register_and_set(self, kernel):
         store = ParameterStore(kernel)
         holder = Holder()
-        store.register_attribute("p", holder, "value")
+        expose(store, "p", holder, "value")
         store.set_now("p", 3.5)
         assert holder.value == 3.5
         assert store.get("p").value == 3.5
@@ -24,36 +33,21 @@ class TestParameterStore:
     def test_duplicate_rejected(self, kernel):
         store = ParameterStore(kernel)
         holder = Holder()
-        store.register_attribute("p", holder, "value")
+        expose(store, "p", holder, "value")
         with pytest.raises(ValueError):
-            store.register_attribute("p", holder, "other")
+            expose(store, "p", holder, "other")
 
     def test_unknown_parameter(self, kernel):
         store = ParameterStore(kernel)
         with pytest.raises(KeyError):
             store.get("ghost")
 
-    def test_set_at_scheduled_change(self, kernel):
-        store = ParameterStore(kernel)
-        holder = Holder()
-        store.register_attribute("p", holder, "value")
-        store.set_at(ms(10), "p", 9.0)
-        kernel.run_until(ms(5))
-        assert holder.value == 1.0
-        kernel.run_until(ms(15))
-        assert holder.value == 9.0
-
-    def test_set_at_unknown_fails_fast(self, kernel):
-        store = ParameterStore(kernel)
-        with pytest.raises(KeyError):
-            store.set_at(ms(10), "ghost", 1.0)
-
     def test_change_log(self, kernel):
         store = ParameterStore(kernel)
         holder = Holder()
-        store.register_attribute("p", holder, "value")
+        expose(store, "p", holder, "value")
         store.set_now("p", 2.0)
-        store.set_at(ms(5), "p", 3.0)
+        kernel.queue.schedule(ms(5), lambda: store.set_now("p", 3.0))
         kernel.run_until(ms(10))
         assert store.change_log == [(0, "p", 2.0), (ms(5), "p", 3.0)]
 
@@ -67,8 +61,8 @@ class TestParameterStore:
     def test_parameters_listing(self, kernel):
         store = ParameterStore(kernel)
         holder = Holder()
-        store.register_attribute("a", holder, "value")
-        store.register_attribute("b", holder, "other")
+        expose(store, "a", holder, "value")
+        expose(store, "b", holder, "other")
         assert [p.name for p in store.parameters()] == ["a", "b"]
 
 
@@ -76,7 +70,7 @@ class TestCapture:
     def test_periodic_sampling(self, kernel):
         capture = Capture(kernel, sample_period=ms(10))
         holder = Holder()
-        capture.add_attribute_probe("v", holder, "value")
+        capture.add_probe("v", lambda: holder.value)
         capture.start()
         kernel.run_until(ms(45))
         series = capture.get("v")
@@ -86,7 +80,7 @@ class TestCapture:
     def test_samples_track_changes(self, kernel):
         capture = Capture(kernel, sample_period=ms(10))
         holder = Holder()
-        capture.add_attribute_probe("v", holder, "value")
+        capture.add_probe("v", lambda: holder.value)
         capture.start()
         kernel.queue.schedule(ms(15), lambda: setattr(holder, "value", 8.0))
         kernel.run_until(ms(30))
@@ -95,7 +89,7 @@ class TestCapture:
     def test_stop_halts_sampling(self, kernel):
         capture = Capture(kernel, sample_period=ms(10))
         holder = Holder()
-        capture.add_attribute_probe("v", holder, "value")
+        capture.add_probe("v", lambda: holder.value)
         capture.start()
         kernel.run_until(ms(25))
         capture.stop()
@@ -105,9 +99,9 @@ class TestCapture:
     def test_duplicate_probe_rejected(self, kernel):
         capture = Capture(kernel)
         holder = Holder()
-        capture.add_attribute_probe("v", holder, "value")
+        capture.add_probe("v", lambda: holder.value)
         with pytest.raises(ValueError):
-            capture.add_attribute_probe("v", holder, "other")
+            capture.add_probe("v", lambda: holder.other)
 
     def test_bad_sample_period(self, kernel):
         with pytest.raises(ValueError):
@@ -116,7 +110,7 @@ class TestCapture:
     def test_series_helpers(self, kernel):
         capture = Capture(kernel, sample_period=ms(10))
         holder = Holder()
-        capture.add_attribute_probe("v", holder, "value")
+        capture.add_probe("v", lambda: holder.value)
         capture.start()
         kernel.queue.schedule(ms(15), lambda: setattr(holder, "value", 4.0))
         kernel.run_until(ms(35))
@@ -126,14 +120,6 @@ class TestCapture:
         assert series.at(ms(12)) == 1.0
         assert series.at(ms(22)) == 4.0
         assert series.at(0) is None
-
-    def test_as_dict(self, kernel):
-        capture = Capture(kernel, sample_period=ms(10))
-        holder = Holder()
-        capture.add_attribute_probe("v", holder, "value")
-        capture.start()
-        kernel.run_until(ms(20))
-        assert capture.as_dict() == {"v": [1.0, 1.0]}
 
     def test_unknown_probe(self, kernel):
         capture = Capture(kernel)

@@ -63,8 +63,10 @@ class TestSliderInstruments:
 
     def test_slider_changes_logged(self):
         rig = observation_rig()
-        rig.parameters.set_at(ms(100), "safespeed.time_scalar", 2.0)
-        rig.run(ms(200))
+        Scenario("slider", duration=ms(200)).at(
+            ms(100),
+            lambda: rig.parameters.set_now("safespeed.time_scalar", 2.0),
+        ).run(rig)
         assert (ms(100), "safespeed.time_scalar", 2.0) in rig.parameters.change_log
 
 
