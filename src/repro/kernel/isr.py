@@ -57,6 +57,7 @@ class Isr:
         """Raise the interrupt at absolute tick ``when``."""
         return self.kernel.queue.schedule(when, self.fire, label=f"isr:{self.name}")
 
+
 class InterruptController:
     """Registry of the ISRs of one simulated ECU."""
 

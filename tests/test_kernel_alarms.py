@@ -14,17 +14,7 @@ from repro.kernel import (
     ms,
 )
 
-
-def recorder(kernel, name="T"):
-    """Add a zero-work task; returns the list of its activation times."""
-    times = []
-
-    def body(task):
-        times.append(kernel.clock.now)
-        yield from ()
-
-    kernel.add_task(Task(name, 1, body))
-    return times
+from testutil import activation_recorder
 
 
 class TestOsCounter:
@@ -39,7 +29,7 @@ class TestOsCounter:
 
 class TestAlarmOneShot:
     def test_one_shot_fires_once(self, kernel, alarms):
-        fired = recorder(kernel)
+        fired = activation_recorder(kernel, "T")
         alarm = alarms.alarm_activate_task("A", "T")
         alarm.set_rel(ms(5))
         kernel.run_until(ms(50))
@@ -47,7 +37,7 @@ class TestAlarmOneShot:
         assert not alarm.armed
 
     def test_rearm_after_expiry(self, kernel, alarms):
-        fired = recorder(kernel)
+        fired = activation_recorder(kernel, "T")
         alarm = alarms.alarm_activate_task("A", "T")
         alarm.set_rel(ms(5))
         kernel.run_until(ms(10))
@@ -65,9 +55,10 @@ class TestAlarmOneShot:
         assert alarm.set_rel(0) is StatusType.E_OS_VALUE
         assert alarm.set_rel(-5) is StatusType.E_OS_VALUE
 
+
 class TestAlarmCyclic:
     def test_cyclic_fires_repeatedly(self, kernel, alarms):
-        fired = recorder(kernel)
+        fired = activation_recorder(kernel, "T")
         alarm = alarms.alarm_activate_task("A", "T")
         alarm.set_rel(ms(10), ms(10))
         kernel.run_until(ms(45))
@@ -76,7 +67,7 @@ class TestAlarmCyclic:
         assert alarm.armed
 
     def test_cancel_stops_cycle(self, kernel, alarms):
-        fired = recorder(kernel)
+        fired = activation_recorder(kernel, "T")
         alarm = alarms.alarm_activate_task("A", "T")
         alarm.set_rel(ms(10), ms(10))
         kernel.run_until(ms(25))
@@ -87,6 +78,7 @@ class TestAlarmCyclic:
     def test_cancel_unarmed_rejected(self, kernel, alarms):
         alarm = alarms.alarm_activate_task("A", "T")
         assert alarm.cancel() is StatusType.E_OS_NOFUNC
+
 
 class TestAlarmActions:
     def test_activate_task_action(self, kernel, alarms):
@@ -102,7 +94,7 @@ class TestAlarmActions:
         """Alarms on a slow counter expire at scaled times."""
         slow = OsCounter("slow", ticks_per_increment=ms(1))
         table = AlarmTable(kernel, system_counter=slow)
-        fired = recorder(kernel)
+        fired = activation_recorder(kernel, "T")
         table.alarm_activate_task("A", "T").set_rel(5, 5)
         kernel.run_until(ms(12))
         assert fired == [ms(5), ms(10)]
@@ -119,8 +111,8 @@ class TestAlarmTable:
             alarms.get("ghost")
 
     def test_rearm_after_reset_restores_cyclic_only(self, kernel, alarms):
-        cyclic = recorder(kernel, "Cyclic")
-        oneshot = recorder(kernel, "OneShot")
+        cyclic = activation_recorder(kernel, "Cyclic")
+        oneshot = activation_recorder(kernel, "OneShot")
         cyc = alarms.alarm_activate_task("C", "Cyclic")
         one = alarms.alarm_activate_task("O", "OneShot")
         cyc.set_rel(ms(10), ms(10))

@@ -12,24 +12,14 @@ from repro.kernel import (
     ms,
 )
 
+from testutil import activation_recorder
+
 
 def add_task(kernel, name, priority=5, duration=ms(1)):
     def body(task):
         yield Segment(duration, label=name)
 
     return kernel.add_task(Task(name, priority, body))
-
-
-def recorder(kernel, name="R"):
-    """Add a zero-work task; returns the list of its activation times."""
-    times = []
-
-    def body(task):
-        times.append(kernel.clock.now)
-        yield from ()
-
-    kernel.add_task(Task(name, 1, body))
-    return times
 
 
 class TestConfiguration:
@@ -87,7 +77,7 @@ class TestExecution:
         assert b.preemption_count == 0
 
     def test_offset_repeats_every_period(self, kernel):
-        hits = recorder(kernel)
+        hits = activation_recorder(kernel, "R")
         table = ScheduleTable("T", kernel, period=ms(10))
         table.add_task_activation(ms(7), "R")
         table.start_rel(0)
@@ -95,7 +85,7 @@ class TestExecution:
         assert hits == [ms(7), ms(17), ms(27)]
 
     def test_iteration_count(self, kernel):
-        recorder(kernel)
+        activation_recorder(kernel, "R")
         table = ScheduleTable("T", kernel, period=ms(10))
         table.add_task_activation(0, "R")
         table.start_rel(0)
@@ -115,7 +105,7 @@ class TestControl:
         assert table.start_rel(0) is StatusType.E_OS_NOFUNC
 
     def test_stop_halts_expiries(self, kernel):
-        hits = recorder(kernel)
+        hits = activation_recorder(kernel, "R")
         table = ScheduleTable("T", kernel, period=ms(10))
         table.add_task_activation(ms(5), "R")
         table.start_rel(0)

@@ -49,6 +49,19 @@ def periodic_task(kernel: Kernel, alarms: AlarmTable, name: str, priority: int,
     return runnables
 
 
+def activation_recorder(kernel: Kernel, name: str) -> list:
+    """Add a zero-work task; returns the list of its activation times
+    (a probe for alarms and schedule tables, which only activate tasks)."""
+    times = []
+
+    def body(task):
+        times.append(kernel.clock.now)
+        yield from ()
+
+    kernel.add_task(Task(name, 1, body))
+    return times
+
+
 def wait_for(predicate, *, timeout=15.0, interval=0.02, message="condition"):
     """Poll *predicate* until it returns something truthy and return
     that; fail the test after *timeout* seconds.  For tests that wait
