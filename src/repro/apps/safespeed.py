@@ -19,7 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..platform.application import Application, RunnableSpec, SoftwareComponent
+from ..kernel.clock import ms
+from ..platform.application import (
+    Application,
+    RunnableSpec,
+    SoftwareComponent,
+    TaskMapping,
+    TaskSpec,
+)
 
 #: Sensor port: returns (vehicle speed kph, commanded limit kph).
 SensorPort = Callable[[], Tuple[float, float]]
@@ -31,6 +38,20 @@ RUNNABLE_GET_SENSOR = "GetSensorValue"
 RUNNABLE_CONTROL = "SAFE_CC_process"
 RUNNABLE_ACTUATE = "Speed_process"
 RUNNABLE_SEQUENCE = (RUNNABLE_GET_SENSOR, RUNNABLE_CONTROL, RUNNABLE_ACTUATE)
+
+
+def safespeed_mapping() -> TaskMapping:
+    """The experiments' SafeSpeed system: the three runnables (1/2/1 ms
+    WCET, no behaviours) in sequence in one 10 ms task."""
+    component = SoftwareComponent("SpeedControl")
+    for name, wcet in zip(RUNNABLE_SEQUENCE, (ms(1), ms(2), ms(1))):
+        component.add(RunnableSpec(name, wcet=wcet))
+    app = Application("SafeSpeed")
+    app.add_component(component)
+    mapping = TaskMapping([app])
+    mapping.add_task(TaskSpec("SafeSpeedTask", priority=5, period=ms(10)))
+    mapping.map_sequence("SafeSpeedTask", list(RUNNABLE_SEQUENCE))
+    return mapping
 
 
 @dataclass

@@ -49,7 +49,7 @@ class TaskStateIndicationUnit:
         "_task_fault_listeners", "_ecu_state_listeners", "_last_ecu_state",
         "last_error_time", "telemetry", "_tm_enabled", "_tm_errors",
         "_tm_task_faults", "_tm_faulty_tasks", "_tm_faulty_count",
-        "_tm_ecu_state", "_tm_task_gauges", "_tm_app_gauges",
+        "_tm_ecu_state", "_tm_task_gauges", "_tm_app_gauges", "_tm_watchdog",
     )
 
     def __init__(
@@ -60,6 +60,7 @@ class TaskStateIndicationUnit:
         app_of_task: Optional[Dict[str, str]] = None,
         task_of_slot: Optional[List[Optional[str]]] = None,
         telemetry=None,
+        watchdog: str = "SoftwareWatchdog",
     ) -> None:
         self.thresholds = thresholds or ThresholdPolicy()
         #: runnable → hosting task (completed lazily from incoming errors).
@@ -93,7 +94,9 @@ class TaskStateIndicationUnit:
         # Telemetry: errors and threshold crossings are rare, so the
         # instruments are updated live (a no-op under the null
         # registry).  State gauges encode OK/SUSPICIOUS/FAULTY as 0/1/2
-        # (MONITOR_STATE_VALUE).
+        # (MONITOR_STATE_VALUE) and carry the owning watchdog's name, so
+        # units sharing a registry (a daemon's fleet) keep one series
+        # each instead of overwriting one another's.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self._tm_enabled = self.telemetry.enabled
         tm = self.telemetry
@@ -108,9 +111,11 @@ class TaskStateIndicationUnit:
         self._tm_faulty_tasks = tm.gauge(
             "wd_tsi_faulty_tasks", "Tasks currently declared faulty")
         self._tm_faulty_count = 0
+        self._tm_watchdog = watchdog
         self._tm_ecu_state = tm.gauge(
             "wd_tsi_ecu_state",
-            "Derived global ECU state (0=ok 1=suspicious 2=faulty)")
+            "Derived global ECU state (0=ok 1=suspicious 2=faulty)",
+            watchdog=watchdog)
         self._tm_task_gauges: Dict[str, object] = {}
         self._tm_app_gauges: Dict[str, object] = {}
 
@@ -373,7 +378,7 @@ class TaskStateIndicationUnit:
             gauge = self.telemetry.gauge(
                 "wd_tsi_task_state",
                 "Derived task state (0=ok 1=suspicious 2=faulty)",
-                task=task,
+                task=task, watchdog=self._tm_watchdog,
             )
             self._tm_task_gauges[task] = gauge
         gauge.set(MONITOR_STATE_VALUE[self.task_state(task)])
@@ -384,7 +389,7 @@ class TaskStateIndicationUnit:
                 app_gauge = self.telemetry.gauge(
                     "wd_tsi_application_state",
                     "Derived application state (0=ok 1=suspicious 2=faulty)",
-                    application=app,
+                    application=app, watchdog=self._tm_watchdog,
                 )
                 self._tm_app_gauges[app] = app_gauge
             app_gauge.set(MONITOR_STATE_VALUE[self.application_state(app)])

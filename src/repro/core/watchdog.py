@@ -111,6 +111,7 @@ class SoftwareWatchdog:
             app_of_task=app_of_task,
             task_of_slot=tables.task_of_slot,
             telemetry=telemetry,
+            watchdog=name,
         )
         self.hbm.add_listener(self._on_runnable_error)
         self.pfc.add_listener(self._on_runnable_error)

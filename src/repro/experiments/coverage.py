@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..apps.safespeed import safespeed_mapping
 from ..baselines.deadline_monitor import DeadlineMonitor
 from ..baselines.exec_time_monitor import ExecutionTimeMonitor
 from ..baselines.hw_watchdog import HardwareWatchdog, attach_kick_task
@@ -42,13 +43,6 @@ from ..faults.models import (
 )
 from ..kernel.clock import ms, seconds
 from ..kernel.task import Segment, Task
-from ..platform.application import (
-    Application,
-    RunnableSpec,
-    SoftwareComponent,
-    TaskMapping,
-    TaskSpec,
-)
 from ..platform.ecu import Ecu
 from ..platform.fmf import FmfPolicy
 
@@ -64,27 +58,12 @@ class _BaselineAdapter(DetectionRecorder):
         return self._monitor.first_detection_after(time)
 
 
-def _safespeed_mapping() -> TaskMapping:
-    app = Application("SafeSpeed")
-    swc = SoftwareComponent("SpeedControl")
-    swc.add(RunnableSpec("GetSensorValue", wcet=ms(1)))
-    swc.add(RunnableSpec("SAFE_CC_process", wcet=ms(2)))
-    swc.add(RunnableSpec("Speed_process", wcet=ms(1)))
-    app.add_component(swc)
-    mapping = TaskMapping([app])
-    mapping.add_task(TaskSpec("SafeSpeedTask", priority=5, period=ms(10)))
-    mapping.map_sequence(
-        "SafeSpeedTask", ["GetSensorValue", "SAFE_CC_process", "Speed_process"]
-    )
-    return mapping
-
-
 @register_system("coverage")
 def build_coverage_system() -> CampaignSystem:
     """One fresh system with all four monitors attached."""
     ecu = Ecu(
         "central",
-        _safespeed_mapping(),
+        safespeed_mapping(),
         watchdog_period=ms(10),
         fmf_policy=FmfPolicy(ecu_faulty_task_threshold=10**6,
                              max_app_restarts=10**6),

@@ -17,35 +17,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..analysis.metrics import LatencyStats
+from ..apps.safespeed import safespeed_mapping
 from ..core.reports import ErrorType
 from ..faults.campaigns import Campaign, CampaignResult, CampaignSystem, watchdog_detector
 from ..faults.models import FaultTarget
 from ..faults.registry import FaultSpec, SystemSpec, register_system
 from ..kernel.clock import ms, seconds
-from ..platform.application import (
-    Application,
-    RunnableSpec,
-    SoftwareComponent,
-    TaskMapping,
-    TaskSpec,
-)
 from ..platform.ecu import Ecu
 from ..platform.fmf import FmfPolicy
-
-
-def _mapping() -> TaskMapping:
-    app = Application("SafeSpeed")
-    swc = SoftwareComponent("SpeedControl")
-    swc.add(RunnableSpec("GetSensorValue", wcet=ms(1)))
-    swc.add(RunnableSpec("SAFE_CC_process", wcet=ms(2)))
-    swc.add(RunnableSpec("Speed_process", wcet=ms(1)))
-    app.add_component(swc)
-    mapping = TaskMapping([app])
-    mapping.add_task(TaskSpec("SafeSpeedTask", priority=5, period=ms(10)))
-    mapping.map_sequence(
-        "SafeSpeedTask", ["GetSensorValue", "SAFE_CC_process", "Speed_process"]
-    )
-    return mapping
 
 
 @register_system("latency")
@@ -53,7 +32,7 @@ def build_latency_system(eager: bool = False) -> CampaignSystem:
     """One fresh system with per-error-type detection channels."""
     ecu = Ecu(
         "central",
-        _mapping(),
+        safespeed_mapping(),
         watchdog_period=ms(10),
         fmf_policy=FmfPolicy(ecu_faulty_task_threshold=10**6,
                              max_app_restarts=10**6),

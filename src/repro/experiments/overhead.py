@@ -24,20 +24,11 @@ import time as _time
 from typing import Dict, List
 
 from ..analysis.overhead import compare_flow_checking, watchdog_cpu_share
+from ..apps.safespeed import RUNNABLE_SEQUENCE, safespeed_mapping
 from ..core.heartbeat import HeartbeatMonitoringUnit
 from ..core.hypothesis import FaultHypothesis, RunnableHypothesis
 from ..kernel.clock import ms, seconds
-from ..platform.application import (
-    Application,
-    RunnableSpec,
-    SoftwareComponent,
-    TaskMapping,
-    TaskSpec,
-)
 from ..platform.ecu import Ecu
-
-#: The SafeSpeed runnable sequence used throughout the study.
-_SEQUENCE = ["GetSensorValue", "SAFE_CC_process", "Speed_process"]
 
 
 def flow_checking_rows(
@@ -47,22 +38,10 @@ def flow_checking_rows(
 ) -> List[Dict[str, object]]:
     """CFCSS vs look-up table on the SafeSpeed-shaped workload."""
     return compare_flow_checking(
-        _SEQUENCE,
+        list(RUNNABLE_SEQUENCE),
         blocks_per_runnable=blocks_per_runnable,
         executions=executions,
     )
-
-
-def _mapping() -> TaskMapping:
-    app = Application("SafeSpeed")
-    swc = SoftwareComponent("SpeedControl")
-    for name, wcet in zip(_SEQUENCE, (ms(1), ms(2), ms(1))):
-        swc.add(RunnableSpec(name, wcet=wcet))
-    app.add_component(swc)
-    mapping = TaskMapping([app])
-    mapping.add_task(TaskSpec("SafeSpeedTask", priority=5, period=ms(10)))
-    mapping.map_sequence("SafeSpeedTask", _SEQUENCE)
-    return mapping
 
 
 def watchdog_cpu_rows(
@@ -85,7 +64,7 @@ def watchdog_cpu_rows(
         for cost in check_costs:
             ecu = Ecu(
                 "central",
-                _mapping(),
+                safespeed_mapping(),
                 watchdog_period=period,
                 watchdog_check_cost=cost,
             )

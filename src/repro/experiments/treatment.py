@@ -20,32 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from ..apps.safespeed import safespeed_mapping
 from ..faults.models import BlockedRunnableFault, FaultTarget
 from ..kernel.clock import ms, seconds
-from ..platform.application import (
-    Application,
-    RunnableSpec,
-    SoftwareComponent,
-    TaskMapping,
-    TaskSpec,
-)
 from ..platform.ecu import Ecu
 from ..platform.fmf import FmfPolicy, TreatmentAction
-
-
-def _mapping() -> TaskMapping:
-    app = Application("SafeSpeed")
-    swc = SoftwareComponent("SpeedControl")
-    swc.add(RunnableSpec("GetSensorValue", wcet=ms(1)))
-    swc.add(RunnableSpec("SAFE_CC_process", wcet=ms(2)))
-    swc.add(RunnableSpec("Speed_process", wcet=ms(1)))
-    app.add_component(swc)
-    mapping = TaskMapping([app])
-    mapping.add_task(TaskSpec("SafeSpeedTask", priority=5, period=ms(10)))
-    mapping.map_sequence(
-        "SafeSpeedTask", ["GetSensorValue", "SAFE_CC_process", "Speed_process"]
-    )
-    return mapping
 
 
 @dataclass
@@ -68,7 +47,7 @@ def run_threshold_sweep(
     for threshold in thresholds:
         ecu = Ecu(
             "central",
-            _mapping(),
+            safespeed_mapping(),
             watchdog_period=ms(10),
             fmf_policy=FmfPolicy(ecu_faulty_task_threshold=10**6,
                                  max_app_restarts=10**6),
@@ -124,7 +103,7 @@ def run_escalation_sweep(
     for budget in budgets:
         ecu = Ecu(
             "central",
-            _mapping(),
+            safespeed_mapping(),
             watchdog_period=ms(10),
             fmf_policy=FmfPolicy(ecu_faulty_task_threshold=10**6,
                                  max_app_restarts=budget),

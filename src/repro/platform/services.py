@@ -2,10 +2,10 @@
 
 EASIS standardises services with "defined interfaces to other software
 modules".  This module provides the small service framework the platform
-uses: a common service base class with a lifecycle, and a registry that
-components use to discover one another by interface name rather than by
-concrete object — mirroring the standard-interface philosophy of the
-platform (and of AUTOSAR).
+uses: a common service base class with a start-only lifecycle, and a
+registry that components use to discover one another by interface name
+rather than by concrete object — mirroring the standard-interface
+philosophy of the platform (and of AUTOSAR).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ class ServiceState(enum.Enum):
 
     REGISTERED = "registered"
     STARTED = "started"
-    STOPPED = "stopped"
 
 
 class ServiceError(RuntimeError):
@@ -29,8 +28,7 @@ class ServiceError(RuntimeError):
 class DependabilityService:
     """Base class for L3 dependability services.
 
-    Subclasses override :meth:`on_start` / :meth:`on_stop` and declare
-    the interfaces they provide via :meth:`provide_interface`.
+    Subclasses override :meth:`on_start` and declare the interfaces they provide via :meth:`provide_interface`.
     """
 
     def __init__(self, name: str) -> None:
@@ -64,17 +62,7 @@ class DependabilityService:
         self.on_start()
         self.state = ServiceState.STARTED
 
-    def stop(self) -> None:
-        """Stop the service (idempotent)."""
-        if self.state is not ServiceState.STARTED:
-            return
-        self.on_stop()
-        self.state = ServiceState.STOPPED
-
     def on_start(self) -> None:  # pragma: no cover - default no-op
-        """Subclass hook."""
-
-    def on_stop(self) -> None:  # pragma: no cover - default no-op
         """Subclass hook."""
 
 

@@ -58,13 +58,18 @@ journal truncation goes through one seam, :attr:`StateStore.io` (a
 
 :class:`JournalFollower` is the warm-standby side of the same files: a
 second daemon points it at the primary's state directory, adopts new
-snapshots and tails new journal records as they appear, and uses the
-:meth:`StateStore.primary_alive` lock-file check to decide when the
-primary died and promotion is due.
+snapshots and tails new journal records as they appear.
+
+**One server per state directory**: the one that writes it holds an
+exclusive ``flock`` on ``primary.lock`` (:meth:`StateStore.take_primary`).
+The kernel frees it when the holder exits, ``kill -9`` included, after
+its last write, and never while it is only paused, so a standby cannot
+promote past a live primary.  A ``flock`` is local to one host.
 """
 
 from __future__ import annotations
 
+import fcntl
 import itertools
 import json
 import os
@@ -83,6 +88,7 @@ __all__ = [
     "RestoredState",
     "SNAPSHOT_SCHEMA_VERSION",
     "SnapshotWriter",
+    "StateDirHeld",
     "StateStore",
 ]
 
@@ -105,13 +111,11 @@ _SNAPSHOT_FILE = "snapshot.json"
 _SNAPSHOT_TMP = "snapshot.json.tmp"
 _JOURNAL_FILE = "journal.jsonl"
 _JOURNAL_TMP = "journal.jsonl.tmp"
-_LOCK_FILE = "primary.json"
-_LOCK_TMP = "primary.json.tmp"
+_LOCK_FILE = "primary.lock"
 
-#: A lock advertising a refresh cadence that has not been re-stamped
-#: for this many intervals is stale regardless of PID liveness — the OS
-#: may have recycled the dead primary's PID for an unrelated process.
-_LOCK_STALE_REFRESHES = 4.0
+
+class StateDirHeld(RuntimeError):
+    """Another server holds the state directory's primary lock."""
 
 
 class FileIO:
@@ -194,10 +198,10 @@ class StateStore:
         #: snapshots and daemon restarts).
         self.seq = 0
         self.snapshots_written = 0
-        self.entries_appended = 0
         #: The journal opened for appending.
         self._journal: Optional[IO[str]] = None
-        self._lock_payload: Optional[Dict[str, Any]] = None
+        #: The descriptor holding the primary lock, once taken.
+        self._lock_fd: Optional[int] = None
 
     # ------------------------------------------------------------------
     # recovery side
@@ -268,7 +272,6 @@ class StateStore:
                 except OSError:
                     pass
             raise
-        self.entries_appended += 1
         return event
 
     def _cut_torn_line(self) -> None:
@@ -402,93 +405,33 @@ class StateStore:
             io.fsync_dir(self.state_dir)
 
     # ------------------------------------------------------------------
-    # primary liveness lock
+    # the primary lock
     # ------------------------------------------------------------------
-    def write_lock(self, **info: Any) -> None:
-        """Advertise this process as the live primary of the state dir.
-
-        Pass ``refresh_interval=<seconds>`` and call :meth:`refresh_lock`
-        on that cadence to let a standby distinguish a live primary from
-        a dead one whose PID the OS recycled for an unrelated process.
-        """
-        payload = {"pid": os.getpid(), "written_unix": _time.time()}
-        payload.update(info)
-        self._lock_payload = payload
-        self._write_lock_payload()
-
-    def refresh_lock(self) -> None:
-        """Re-stamp the advertisement's timestamp (the primary's
-        periodic heartbeat on its own lock).  A no-op before
-        :meth:`write_lock`."""
-        if self._lock_payload is None:
-            return
-        self._lock_payload["written_unix"] = _time.time()
-        self._write_lock_payload()
-
-    def _write_lock_payload(self) -> None:
-        # Temp file + rename: a standby polling the lock concurrently
-        # must never catch a torn write — a transiently unreadable lock
-        # reads as "no primary", which after seen_alive would promote a
-        # standby against a perfectly healthy primary (split brain).
-        tmp_path = os.path.join(self.state_dir, _LOCK_TMP)
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(self._lock_payload, handle)
-        os.replace(tmp_path, self.lock_path)
-
-    def read_lock(self) -> Optional[Dict[str, Any]]:
-        """The current lock payload, or ``None`` (absent / unreadable —
-        a half-written lock reads as "no primary", which is safe: the
-        standby also requires the liveness probe to fail)."""
-        try:
-            with open(self.lock_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
-
-    def clear_lock(self) -> None:
-        """Remove the primary advertisement (clean shutdown)."""
-        try:
-            os.unlink(self.lock_path)
-        except OSError:
-            pass
-
-    def primary_alive(self) -> Optional[bool]:
-        """Probe the advertised primary: ``True`` if it is alive,
-        ``False`` if it is provably dead (stale lock after a kill -9),
-        ``None`` when no primary is advertised at all.
-
-        A lock advertising a ``refresh_interval`` that has not been
-        re-stamped for :data:`_LOCK_STALE_REFRESHES` intervals is dead
-        regardless of PID liveness: PID recycling can hand the dead
-        primary's number to an unrelated process, and without the
-        timestamp check the standby would wait on that impostor forever.
-        """
-        lock = self.read_lock()
-        if lock is None:
-            return None
-        refresh = lock.get("refresh_interval")
-        if isinstance(refresh, (int, float)) and refresh > 0:
-            written = lock.get("written_unix")
-            if (not isinstance(written, (int, float))
-                    or _time.time() - written
-                    > refresh * _LOCK_STALE_REFRESHES):
-                return False
-        pid = lock.get("pid")
-        if not isinstance(pid, int) or pid <= 0:
-            return False
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except PermissionError:  # pragma: no cover - alive, other user
+    def take_primary(self) -> bool:
+        """Take the exclusive ``flock`` on ``primary.lock`` until
+        :meth:`close`; False while another open file description holds
+        it.  The file is never unlinked: a waiter would lock an inode
+        the next server no longer sees."""
+        if self._lock_fd is not None:
             return True
-        except OSError:
+        fd = os.open(self.lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            self._lock_fd, fd = fd, None
+        except BlockingIOError:
             return False
+        finally:
+            if fd is not None:
+                os.close(fd)
         return True
 
     # ------------------------------------------------------------------
     def close(self) -> None:
+        """Close the journal and release the primary lock, if held."""
         self._close_journal()
+        fd, self._lock_fd = self._lock_fd, None
+        if fd is not None:
+            os.close(fd)
 
     def __enter__(self) -> "StateStore":
         return self
@@ -603,7 +546,6 @@ class JournalFollower:
         self.store = store
         self.applied_seq = 0
         self.snapshots_adopted = 0
-        self.entries_returned = 0
         self._snap_sig: Optional[Tuple[int, int]] = None
         self._journal_sig: Optional[Tuple[int, int]] = None
 
@@ -662,5 +604,4 @@ class JournalFollower:
             entries.sort(key=lambda event: event.time)
             if entries:
                 self.applied_seq = entries[-1].time
-                self.entries_returned += len(entries)
         return snapshot, entries

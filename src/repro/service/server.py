@@ -53,6 +53,7 @@ from .persistence import (
     JOURNAL_BYE,
     JOURNAL_REGISTER,
     JournalFollower,
+    StateDirHeld,
     StateStore,
 )
 from .protocol import (
@@ -170,7 +171,6 @@ class SupervisionServer:
         fsync: bool = False,
         standby: bool = False,
         standby_poll: float = 0.25,
-        lock_refresh_interval: float = 1.0,
         on_promote=None,
     ) -> None:
         if port is None and unix_path is None:
@@ -218,7 +218,6 @@ class SupervisionServer:
         self.snapshot_interval = snapshot_interval
         self.standby = standby
         self.standby_poll = standby_poll
-        self.lock_refresh_interval = lock_refresh_interval
         self.store: Optional[StateStore] = (
             StateStore(state_dir, fsync=fsync) if state_dir is not None
             else None
@@ -227,7 +226,6 @@ class SupervisionServer:
         self.promoted = False
         self._on_promote = on_promote
         self._follower: Optional[JournalFollower] = None
-        self._lock_owned = False
         self._snapshot_write: Optional[asyncio.Future] = None
 
         tm = self.telemetry
@@ -303,17 +301,21 @@ class SupervisionServer:
     async def start(self) -> None:
         """Restore durable state if any, then bind listeners and run.
 
-        With ``standby=True`` no listener is bound: the daemon adopts
-        whatever is already in the state directory, then tails the
-        primary's snapshot/journal until the primary dies and
-        :meth:`promote` turns it into a full server.  A connecting
-        client sees connection-refused until promotion — exactly the
-        signal that drives its failover address rotation.
+        A primary first takes the state directory's lock
+        (:meth:`_take_primary`).  With ``standby=True`` no listener is
+        bound: the daemon adopts whatever is already in the state
+        directory, then tails the primary's snapshot/journal until it
+        can take the lock and :meth:`promote` turns it into a full
+        server.  A connecting client sees connection-refused until
+        promotion — exactly the signal that drives its failover address
+        rotation.
         """
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._t0 = loop.time()
         if self.store is not None:
+            if not self.standby:
+                self._take_primary()
             restored = self.store.load()
             self._apply_restored(restored.snapshot, restored.entries)
             if self.standby:
@@ -322,11 +324,6 @@ class SupervisionServer:
                 self._tasks.append(loop.create_task(self._standby_loop()))
                 self._started = True
                 return
-            self.store.write_lock(
-                name=self.name, role="primary",
-                refresh_interval=self.lock_refresh_interval,
-            )
-            self._lock_owned = True
         await self._bind_and_run()
         self._started = True
 
@@ -354,16 +351,15 @@ class SupervisionServer:
             self._tasks.append(loop.create_task(self._ticker()))
         if self.store is not None and self.snapshot_interval is not None:
             self._tasks.append(loop.create_task(self._snapshot_loop()))
-        if self.store is not None and self._lock_owned:
-            self._tasks.append(loop.create_task(self._lock_refresh_loop()))
 
     async def stop(self, *, save: Optional[bool] = None) -> None:
         """Shut down cleanly: no task left pending, sockets unlinked.
 
-        With a state directory, a final snapshot is written by default
-        (``save=False`` suppresses it — the crash-simulation path tests
-        use) and the primary lock is cleared so a standby can tell a
-        clean shutdown from a crash.
+        With a state directory, a server that started serving writes a
+        final snapshot by default (``save=False`` suppresses it — the
+        crash-simulation path tests use; a refused :meth:`start` never
+        writes into a directory another server holds), then the store
+        is closed, which releases the primary lock to a waiting standby.
         """
         self._stopping = True
         for server in self._servers:
@@ -393,11 +389,9 @@ class SupervisionServer:
                 pass
         if self.store is not None:
             if save is None:
-                save = not (self.standby and not self.promoted)
+                save = self._started and not self.standby
             if save:
                 self.write_snapshot()
-            if self._lock_owned:
-                self.store.clear_lock()
             self.store.close()
 
     def now(self) -> int:
@@ -553,18 +547,6 @@ class SupervisionServer:
                 self.snapshot_failures += 1
                 self._tm_snapshot_failures.inc()
 
-    async def _lock_refresh_loop(self) -> None:
-        """Periodically re-stamp the primary lock so a standby can tell
-        a live primary from a dead one whose PID the OS recycled."""
-        while True:
-            await asyncio.sleep(self.lock_refresh_interval)
-            try:
-                self.store.refresh_lock()
-            except OSError:
-                # A transient I/O failure must not kill the heartbeat;
-                # the staleness threshold tolerates several misses.
-                pass
-
     def _catch_up(self) -> None:
         """Apply what the primary wrote since the last catch-up.
 
@@ -588,41 +570,37 @@ class SupervisionServer:
         self.store.seq = max(self.store.seq, self._follower.applied_seq)
 
     async def _standby_loop(self) -> None:
-        """Tail the primary's state dir; promote when the primary dies.
+        """Tail the primary's state dir; promote once its lock is free.
 
-        Death is either a provably-dead advertised PID (stale lock after
-        kill -9) or a lock that vanished after we saw the primary alive
-        (clean shutdown without a restart).  A standby started against a
-        state dir that never had a primary keeps waiting — promotion on
-        an empty dir would split-brain a slow-starting primary."""
-        seen_alive = False
-        while True:
-            if self.promoted:
-                return
+        The kernel frees the lock when the primary exits (``kill -9``
+        included), never while it is merely paused.  A state dir that
+        nobody holds promotes the standby at once."""
+        while not self.promoted:
             self._catch_up()
-            alive = self.store.primary_alive()
-            if alive is True:
-                seen_alive = True
-            elif alive is False or seen_alive:
+            if self.store.take_primary():
                 await self.promote()
-                return
-            await asyncio.sleep(self.standby_poll)
+            else:
+                await asyncio.sleep(self.standby_poll)
+
+    def _take_primary(self) -> None:
+        """Take the state dir's lock, or raise :class:`StateDirHeld`."""
+        if not self.store.take_primary():
+            raise StateDirHeld(
+                f"state dir {self.store.state_dir} is held by another "
+                f"server")
 
     async def promote(self) -> None:
-        """Turn a standby into the live server: final journal catch-up,
-        take the primary lock, bind listeners, start the ticker and
-        snapshots.  Idempotent; a no-op on a non-standby server."""
+        """Turn a standby into the live server: take the primary lock
+        (the kernel frees it after the dead primary's last write), a
+        final journal catch-up, then bind listeners, start the ticker
+        and snapshots.  Idempotent; a no-op on a non-standby server."""
         if self.promoted or not self.standby:
             return
+        self._take_primary()
         if self._follower is not None:
             self._catch_up()
         self.promoted = True
         self.standby = False
-        self.store.write_lock(
-            name=self.name, role="promoted-standby",
-            refresh_interval=self.lock_refresh_interval,
-        )
-        self._lock_owned = True
         await self._bind_and_run()
         if self._on_promote is not None:
             self._on_promote(self)

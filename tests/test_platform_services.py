@@ -10,14 +10,10 @@ class Probe(DependabilityService):
     def __init__(self, name="Probe"):
         super().__init__(name)
         self.started = 0
-        self.stopped = 0
         self.provide_interface(f"{name.lower()}.ping", lambda: "pong")
 
     def on_start(self):
         self.started += 1
-
-    def on_stop(self):
-        self.stopped += 1
 
 
 class TestService:
@@ -25,24 +21,19 @@ class TestService:
         svc = Probe()
         assert svc.state is ServiceState.REGISTERED
 
-    def test_start_stop_lifecycle(self):
+    def test_start_lifecycle(self):
         svc = Probe()
         svc.start()
         assert svc.state is ServiceState.STARTED
-        svc.stop()
-        assert svc.state is ServiceState.STOPPED
-        assert (svc.started, svc.stopped) == (1, 1)
+        svc.start()
+        assert svc.state is ServiceState.STARTED
+        assert svc.started == 1
 
     def test_start_idempotent(self):
         svc = Probe()
         svc.start()
         svc.start()
         assert svc.started == 1
-
-    def test_stop_before_start_noop(self):
-        svc = Probe()
-        svc.stop()
-        assert svc.stopped == 0
 
     def test_interface_resolution(self):
         svc = Probe()

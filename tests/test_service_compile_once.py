@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import repro
-from repro.core import FaultHypothesis, RunnableHypothesis
+from repro.core import FaultHypothesis, MonitorState, RunnableHypothesis
 from repro.core.config_io import hypothesis_from_dict, hypothesis_to_dict
 from repro.core.reports import ErrorType, RunnableError
 from repro.service import Fleet, RegistrationError, SupervisorShard
@@ -287,6 +287,32 @@ class TestFleetGauges:
         restored.restore(json.loads(json.dumps(fleet.snapshot())))
         assert restored_registry.value("wd_hbm_active_runnables") == 8
         assert restored_registry.value("wd_tsi_faulty_tasks") == 2
+
+    def test_state_gauges_keep_one_series_per_watchdog(self):
+        """Regression: every registration's TSI wrote the same unlabelled
+        ``wd_tsi_ecu_state`` and ``wd_tsi_task_state{task=}`` series, so
+        the gauge read whichever watchdog wrote last (SUSPICIOUS on a
+        FAULTY fleet)."""
+        registry = MetricsRegistry()
+        fleet = Fleet(telemetry=registry)
+        hyp = FaultHypothesis()
+        hyp.add_runnable(RunnableHypothesis(
+            "r", task="T", aliveness_period=2, min_heartbeats=1,
+            arrival_period=2, max_heartbeats=3))
+        data = hypothesis_to_dict(hyp)
+        fleet.register("a", wire(data))  # silent throughout
+        fleet.register("b", wire(data))  # misses only the last window
+        for cycle in range(1, 9):
+            if cycle < 7:
+                fleet.heartbeat("b", "r", cycle, task="T")
+            fleet.tick(cycle)
+        assert fleet.fleet_state() is MonitorState.FAULTY
+        for name, state in (("a", 2), ("b", 1)):
+            assert registry.value("wd_tsi_ecu_state", watchdog=name) == state
+            assert registry.value("wd_tsi_task_state", task="T",
+                                  watchdog=name) == state
+        assert registry.value("wd_tsi_ecu_state") is None
+        assert registry.value("wd_tsi_faulty_tasks") == 1
 
 
 def test_identical_registration_memory_budget():

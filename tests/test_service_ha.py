@@ -1,7 +1,7 @@
 """HA smoke: the daemon survives kill -9, and a warm standby takes over.
 
 Marked ``ha_smoke`` (tier-2, like ``serve_smoke``): real ``python -m
-repro serve`` subprocesses with ``--state-dir``.  Two scenarios:
+repro serve`` subprocesses with ``--state-dir``.  Scenarios:
 
 * **kill -9 recovery** — registrations and traffic, SIGKILL mid-stream,
   restart from the same state directory: zero lost registrations, the
@@ -11,7 +11,10 @@ repro serve`` subprocesses with ``--state-dir``.  Two scenarios:
 * **warm-standby failover** — a ``--standby`` daemon tails the primary's
   journal, promotes itself when the primary is SIGKILLed, and the
   client's failover address list lands its reconnect/re-register replay
-  on the standby.
+  on the standby;
+* **one server per state directory** — a primary paused with SIGSTOP
+  keeps its directory (the standby does not promote), and a second
+  primary on a held directory exits non-zero.
 
 Run: ``make ha-smoke`` or ``pytest tests/test_service_ha.py -m ha_smoke``.
 """
@@ -233,7 +236,8 @@ def test_warm_standby_promotes_and_client_fails_over(tmp_path):
         primary.send_signal(signal.SIGKILL)
         primary.wait(timeout=10)
 
-        # The standby notices the stale lock (dead pid) and promotes.
+        # The kernel released the dead primary's lock; the standby
+        # takes it and promotes.
         promoted_banner = wait_for(
             lambda: standby.stdout.readline(),
             timeout=20, message="standby promotion banner")
@@ -257,4 +261,65 @@ def test_warm_standby_promotes_and_client_fails_over(tmp_path):
     finally:
         if standby is not None:
             reap(standby)
+        reap(primary)
+
+
+def journal_subjects(state_dir):
+    """The journal's ``(seq, registration)`` pairs, in file order."""
+    with open(os.path.join(state_dir, "journal.jsonl"),
+              encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
+    return [(record["time"], record["subject"]) for record in records]
+
+
+def test_paused_primary_keeps_its_state_dir(tmp_path):
+    """A primary paused past several standby polls keeps the kernel
+    lock, so the standby never promotes and only one server journals
+    into the directory when the primary resumes."""
+    state_dir = str(tmp_path / "state")
+    standby_port = free_port()
+    # No periodic snapshot: the journal keeps every record to inspect.
+    primary = spawn("--port", "0", "--http-port", "0",
+                    "--state-dir", state_dir, "--snapshot-interval", "0")
+    standby = None
+    try:
+        primary_address = tcp_address(read_banner(primary))
+        standby = spawn("--port", str(standby_port), "--http-port", "0",
+                        "--standby", "--state-dir", state_dir)
+        read_banner(standby, expect="standby")
+
+        primary.send_signal(signal.SIGSTOP)
+        time.sleep(6.0)
+        primary.send_signal(signal.SIGCONT)
+        assert standby.poll() is None
+
+        alpha = WatchdogClient(primary_address, client_name="alpha")
+        alpha.connect()
+        alpha.register("alpha", make_hypothesis("alpha"))
+        alpha.close()
+        bravo = WatchdogClient(("127.0.0.1", standby_port),
+                               client_name="bravo", reconnect=False)
+        with pytest.raises(ConnectionRefusedError):
+            bravo.connect()
+        assert journal_subjects(state_dir) == [(1, "alpha"), (2, "alpha")]
+    finally:
+        if standby is not None:
+            reap(standby)
+        reap(primary)
+
+
+def test_second_primary_on_held_state_dir_exits(tmp_path):
+    state_dir = str(tmp_path / "state")
+    primary = spawn("--port", "0", "--http-port", "0",
+                    "--state-dir", state_dir)
+    try:
+        read_banner(primary)
+        second = spawn("--port", "0", "--http-port", "0",
+                       "--state-dir", state_dir, "--run-seconds", "5")
+        out, _ = second.communicate(timeout=30)
+        assert second.returncode != 0
+        assert "listening" not in out
+        assert state_dir in out
+        assert primary.poll() is None
+    finally:
         reap(primary)

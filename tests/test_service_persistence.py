@@ -4,7 +4,11 @@ import asyncio
 import errno
 import json
 import os
+import re
+import signal
 import subprocess
+import sys
+import time
 
 import pytest
 
@@ -17,11 +21,12 @@ from repro.service.persistence import (
     JOURNAL_REGISTER,
     SNAPSHOT_SCHEMA_VERSION,
     FileIO,
+    StateDirHeld,
 )
 from repro.service.protocol import T_BYE, T_HEARTBEAT, T_REGISTER
 from repro.telemetry import TelemetryEvent
 from test_service_server import _WireClient, barrier, make_hyp_dict
-from testutil import until
+from testutil import lock_is_free, until
 
 
 def make_store(tmp_path, sub="state"):
@@ -110,58 +115,61 @@ class TestStateStore:
             make_store(tmp_path).load()
 
     def test_primary_lock_lifecycle(self, tmp_path):
-        store = make_store(tmp_path)
-        assert store.primary_alive() is None
-        store.write_lock(name="me")
-        assert store.read_lock()["pid"] == os.getpid()
-        assert store.primary_alive() is True  # our own pid
-        store.clear_lock()
-        assert store.primary_alive() is None
-
-    def test_dead_pid_lock_detected(self, tmp_path):
-        store = make_store(tmp_path)
-        child = subprocess.Popen(["true"])
-        child.wait()  # reaped: the pid is provably gone
-        with open(store.lock_path, "w", encoding="utf-8") as handle:
-            json.dump({"pid": child.pid}, handle)
-        assert store.primary_alive() is False
+        """Two stores on one directory: only one holds the lock, the
+        holder may take it again, and ``close()`` hands it over."""
+        first, second = make_store(tmp_path), make_store(tmp_path)
+        assert first.take_primary()
+        assert first.take_primary()  # idempotent for the holder
+        assert not second.take_primary()
+        first.close()
+        assert os.path.exists(first.lock_path)  # released, never unlinked
+        assert second.take_primary()
+        assert not first.take_primary()
+        second.close()
+        assert first.take_primary()
+        first.close()
 
     def test_garbage_lock_reads_as_no_primary(self, tmp_path):
+        """Only the kernel lock counts: a lock file with any content,
+        and the PID file of older daemons naming a live process, leave
+        the directory free."""
         store = make_store(tmp_path)
         with open(store.lock_path, "w", encoding="utf-8") as handle:
             handle.write("{half a lo")
-        assert store.read_lock() is None
-        assert store.primary_alive() is None
+        with open(os.path.join(store.state_dir, "primary.json"), "w",
+                  encoding="utf-8") as handle:
+            json.dump({"pid": os.getpid()}, handle)
+        assert store.take_primary()
+        store.close()
 
-    def test_stale_refreshed_lock_is_dead_despite_live_pid(self, tmp_path):
-        """Regression (PID recycling): a lock advertising a refresh
-        cadence that stopped being re-stamped reads as dead even when
-        its PID belongs to a live — possibly unrelated — process."""
+    def test_lock_held_through_sigstop_freed_by_sigkill(self, tmp_path):
+        """A paused holder keeps the directory; a killed one frees it
+        (the kernel closes its descriptors, ``kill -9`` included)."""
         store = make_store(tmp_path)
-        store.write_lock(name="me", refresh_interval=0.01)
-        assert store.primary_alive() is True  # freshly stamped
-        lock = store.read_lock()
-        lock["written_unix"] -= 60.0  # our own (live) pid, stale stamp
-        with open(store.lock_path, "w", encoding="utf-8") as handle:
-            json.dump(lock, handle)
-        assert store.primary_alive() is False
-        # A refresh re-stamps the timestamp and revives the lock.
-        store.refresh_lock()
-        assert store.primary_alive() is True
-        # Locks without a cadence (legacy) stay PID-only.
-        store.write_lock(name="me")
-        assert store.primary_alive() is True
-
-    def test_lock_write_is_atomic(self, tmp_path):
-        """The standby polls the lock concurrently: writes must go
-        through temp-file + rename so it can never catch a torn write
-        (which would read as "no primary" and promote a standby against
-        a healthy primary)."""
-        store = make_store(tmp_path)
-        store.write_lock(name="me", refresh_interval=1.0)
-        store.refresh_lock()
-        assert not os.path.exists(store.lock_path + ".tmp")
-        assert store.read_lock()["pid"] == os.getpid()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys, time\n"
+             "from repro.service import StateStore\n"
+             "assert StateStore(sys.argv[1]).take_primary()\n"
+             "print('held', flush=True)\n"
+             "time.sleep(60)\n",
+             store.state_dir],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            assert child.stdout.readline().strip() == "held"
+            assert not store.take_primary()
+            child.send_signal(signal.SIGSTOP)
+            time.sleep(0.2)
+            assert not store.take_primary()
+            child.send_signal(signal.SIGKILL)
+            child.wait(timeout=10)
+            assert store.take_primary()
+        finally:
+            if child.poll() is None:
+                child.kill()
+            child.communicate(timeout=10)
+            store.close()
 
     def test_truncation_keeps_records_beyond_snapshot_seq(self, tmp_path):
         """The streamed snapshot path: a record appended while the
@@ -424,15 +432,10 @@ class TestStandby:
                         message="the standby to tail the REGISTER")
             assert set(standby.fleet.registrations) == {"p", "q"}
 
-            # Kill the primary without ceremony and fake its lock as a
-            # provably dead pid (same-process tests share a live pid).
+            # Stop the primary without a final snapshot: closing its
+            # store frees the lock, as the kernel does on a kill -9.
             await peer.close()
             await primary.stop(save=False)
-            child = subprocess.Popen(["true"])
-            child.wait()
-            with open(standby.store.lock_path, "w",
-                      encoding="utf-8") as handle:
-                json.dump({"pid": child.pid}, handle)
 
             await asyncio.wait_for(promoted.wait(), timeout=10)
             assert standby.promoted and not standby.standby
@@ -554,14 +557,55 @@ class TestStandby:
                 state_dir=str(tmp_path / "state"),
                 snapshot_interval=None, standby_poll=0.01)
             await standby.start()
-            # Let the standby observe the live primary at least once.
-            await until(lambda: standby.store.primary_alive() is True,
-                        message="the standby to see the primary alive")
-            await primary.stop()  # clean: clears the lock
+            # A dozen polls: the standby waits while the primary runs.
+            await asyncio.sleep(12 * standby.standby_poll)
+            assert not standby.promoted
+            assert not lock_is_free(tmp_path / "state")
+            await primary.stop()  # clean: releases the lock
             await until(lambda: standby.promoted,
                         message="the standby to promote")
             assert standby.promoted
             await standby.stop()
+        asyncio.run(scenario())
+
+    def test_one_server_per_state_dir(self, tmp_path):
+        """A second primary on a held directory is refused before it
+        reads or binds anything, and a standby cannot promote past the
+        live primary; once the primary stops, the directory is free."""
+        async def scenario():
+            primary = await start_server(tmp_path)
+            second = SupervisionServer(
+                port=0, tick_interval=None, snapshot_interval=None,
+                state_dir=str(tmp_path / "state"))
+            with pytest.raises(StateDirHeld,
+                               match=re.escape(str(tmp_path / "state"))):
+                await second.start()
+            assert not second._servers and second.port == 0
+            await second.stop()  # writes nothing into the held dir
+            assert not os.path.exists(primary.store.snapshot_path)
+            standby = SupervisionServer(
+                port=0, tick_interval=None, standby=True,
+                state_dir=str(tmp_path / "state"),
+                snapshot_interval=None, standby_poll=60.0)
+            await standby.start()
+            with pytest.raises(StateDirHeld):
+                await standby.promote()
+            assert standby.standby and not standby.promoted
+            await primary.stop()
+            await standby.promote()
+            assert standby.promoted and standby.port
+            await standby.stop()
+        asyncio.run(scenario())
+
+    def test_standby_on_a_free_state_dir_promotes_at_once(self, tmp_path):
+        async def scenario():
+            standby = await start_server(tmp_path, standby=True,
+                                         standby_poll=60.0)
+            await until(lambda: standby.promoted,
+                        message="the standby to promote")
+            assert not lock_is_free(tmp_path / "state")
+            await standby.stop()
+            assert lock_is_free(tmp_path / "state")
         asyncio.run(scenario())
 
     def test_standby_requires_state_dir(self):

@@ -27,7 +27,7 @@ from repro.service.protocol import (
     T_STATE,
     encode_frame,
 )
-from testutil import until
+from testutil import lock_is_free, until
 
 
 def make_hyp_dict(prefix: str = "", task: str = "T"):
@@ -813,10 +813,10 @@ class TestSlowConsumers:
                 server.tick(cycle * 10)
                 await asyncio.sleep(0)
             assert not conn.closed and transport.get_write_buffer_size()
-            assert (state_dir / "primary.json").exists()
+            assert not lock_is_free(state_dir)
             await asyncio.wait_for(server.stop(), timeout=5.0)
             assert (state_dir / "snapshot.json").exists()
-            assert not (state_dir / "primary.json").exists()
+            assert lock_is_free(state_dir)
             await stalled.close()
         asyncio.run(scenario())
 

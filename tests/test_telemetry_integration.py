@@ -108,9 +108,11 @@ class TestWatchdogInstruments:
         assert changes[-1].data["new_state"] == "faulty"
         assert "T" in changes[-1].data["faulty_tasks"]
         # The TSI gauges agree with the derived states.
-        assert registry.value("wd_tsi_task_state", task="T") == 2
-        assert registry.value("wd_tsi_application_state", application="App") == 2
-        assert registry.value("wd_tsi_ecu_state") == 2
+        wd_label = {"watchdog": wd.name}
+        assert registry.value("wd_tsi_task_state", task="T", **wd_label) == 2
+        assert registry.value("wd_tsi_application_state", application="App",
+                              **wd_label) == 2
+        assert registry.value("wd_tsi_ecu_state", **wd_label) == 2
         assert registry.value("wd_tsi_faulty_tasks") == 1
 
     def test_reset_syncs_then_zeroes(self):
@@ -122,7 +124,7 @@ class TestWatchdogInstruments:
         # (reset may land mid sync interval).
         assert registry.value("wd_hbm_check_cycles_total") == 1
         assert registry.value("wd_hbm_heartbeats_total") == 1
-        assert registry.value("wd_tsi_ecu_state") == 0
+        assert registry.value("wd_tsi_ecu_state", watchdog=wd.name) == 0
         wd.check_cycle(10)
         wd.sync_telemetry()
         assert registry.value("wd_hbm_check_cycles_total") == 2

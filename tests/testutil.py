@@ -13,6 +13,7 @@ from repro.platform import (
     TaskMapping,
     TaskSpec,
 )
+from repro.service import StateStore
 
 
 def make_safespeed_mapping(
@@ -73,6 +74,13 @@ def wait_for(predicate, *, timeout=15.0, interval=0.02, message="condition"):
             return value
         time.sleep(interval)
     raise AssertionError(f"timed out waiting for {message}")
+
+
+def lock_is_free(state_dir) -> bool:
+    """Whether no server holds ``state_dir``'s primary lock (probed
+    through a fresh :class:`StateStore`, released again at once)."""
+    with StateStore(str(state_dir)) as probe:
+        return probe.take_primary()
 
 
 async def until(predicate, *, timeout=15.0, interval=0.01,
