@@ -25,17 +25,19 @@ them over time, the raw material of the ControlDesk plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 
-@dataclass
 class CounterHistory:
     """Time series of counter snapshots, the raw material of the paper's
     ControlDesk plots (Figures 5 and 6)."""
 
-    times: List[int] = field(default_factory=list)
-    series: Dict[str, List[int]] = field(default_factory=dict)
+    __slots__ = ("times", "series")
+
+    def __init__(self, times: Optional[List[int]] = None,
+                 series: Optional[Dict[str, List[int]]] = None) -> None:
+        self.times = [] if times is None else times
+        self.series = {} if series is None else series
 
     def capture(self, time: int, values: Dict[str, int]) -> None:
         """Append one sample; keys may vary between calls, gaps are padded."""

@@ -10,7 +10,6 @@ themselves live in :mod:`repro.core.heartbeat`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .reports import ErrorType
@@ -29,7 +28,6 @@ def _require_int(what: str, value: object) -> None:
         raise HypothesisError(f"{what} must be an integer, got {value!r}")
 
 
-@dataclass
 class RunnableHypothesis:
     """Monitoring parameters for one runnable.
 
@@ -57,17 +55,24 @@ class RunnableHypothesis:
         dispatched for execution".
     active:
         Initial Activation Status (AS) of the runnable's monitoring.
+
+    Two hypotheses are equal when every parameter is.
     """
 
-    runnable: str
-    task: Optional[str] = None
-    aliveness_period: int = 1
-    min_heartbeats: int = 1
-    arrival_period: int = 1
-    max_heartbeats: int = 1
-    active: bool = True
+    __slots__ = ("runnable", "task", "aliveness_period", "min_heartbeats",
+                 "arrival_period", "max_heartbeats", "active")
 
-    def __post_init__(self) -> None:
+    def __init__(self, runnable: str, task: Optional[str] = None,
+                 aliveness_period: int = 1, min_heartbeats: int = 1,
+                 arrival_period: int = 1, max_heartbeats: int = 1,
+                 active: bool = True) -> None:
+        self.runnable = runnable
+        self.task = task
+        self.aliveness_period = aliveness_period
+        self.min_heartbeats = min_heartbeats
+        self.arrival_period = arrival_period
+        self.max_heartbeats = max_heartbeats
+        self.active = active
         # Types first: a hypothesis also arrives as JSON from a client.
         # A float period never matches the wheel's integer cycle index
         # (the runnable would never be checked), ``true`` would pass as
@@ -98,19 +103,39 @@ class RunnableHypothesis:
         if self.max_heartbeats < 0:
             raise HypothesisError(f"{self.runnable}: max_heartbeats must be >= 0")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.runnable == other.runnable and self.task == other.task
+                and self.aliveness_period == other.aliveness_period
+                and self.min_heartbeats == other.min_heartbeats
+                and self.arrival_period == other.arrival_period
+                and self.max_heartbeats == other.max_heartbeats
+                and self.active == other.active)
 
-@dataclass
+
 class ThresholdPolicy:
     """TSI thresholds: errors tolerated before a task is declared faulty.
 
     A threshold of ``n`` means the *n*-th recorded error of that type for
     a runnable flips the hosting task to FAULTY (the paper's Figure 6
     uses a program-flow threshold of 3).  ``per_type`` overrides the
-    default for individual error types.
+    default for individual error types.  Two policies are equal when
+    both thresholds are.
     """
 
-    default: int = 3
-    per_type: Dict[ErrorType, int] = field(default_factory=dict)
+    __slots__ = ("default", "per_type")
+
+    def __init__(self, default: int = 3,
+                 per_type: Optional[Dict[ErrorType, int]] = None) -> None:
+        self.default = default
+        self.per_type = {} if per_type is None else per_type
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.default == other.default
+                and self.per_type == other.per_type)
 
     def validate(self) -> None:
         """Reject non-positive thresholds at configuration time.
@@ -181,21 +206,36 @@ class StaticTables:
                 and n_pairs == len(flow_pairs))
 
 
-@dataclass
 class FaultHypothesis:
     """The complete static configuration of one Software Watchdog.
 
     Collects the per-runnable hypotheses, the allowed program-flow
     transitions (predecessor → successors look-up table, §3.2.2) and the
-    TSI threshold policy (§3.2.3).
+    TSI threshold policy (§3.2.3).  Two hypotheses are equal when these
+    three are.
     """
 
-    runnables: Dict[str, RunnableHypothesis] = field(default_factory=dict)
-    flow_pairs: List[Tuple[Optional[str], str]] = field(default_factory=list)
-    thresholds: ThresholdPolicy = field(default_factory=ThresholdPolicy)
-    #: Memo of :meth:`static_tables` (not part of the configuration).
-    _tables: Optional[StaticTables] = field(
-        default=None, init=False, repr=False, compare=False)
+    __slots__ = ("runnables", "flow_pairs", "thresholds", "_tables")
+
+    def __init__(
+        self,
+        runnables: Optional[Dict[str, RunnableHypothesis]] = None,
+        flow_pairs: Optional[List[Tuple[Optional[str], str]]] = None,
+        thresholds: Optional[ThresholdPolicy] = None,
+    ) -> None:
+        self.runnables = {} if runnables is None else runnables
+        self.flow_pairs = [] if flow_pairs is None else flow_pairs
+        self.thresholds = (ThresholdPolicy() if thresholds is None
+                           else thresholds)
+        #: Memo of :meth:`static_tables` (not part of the configuration).
+        self._tables: Optional[StaticTables] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.runnables == other.runnables
+                and self.flow_pairs == other.flow_pairs
+                and self.thresholds == other.thresholds)
 
     def add_runnable(self, hypothesis: RunnableHypothesis) -> RunnableHypothesis:
         """Register monitoring parameters for a runnable (unique name)."""

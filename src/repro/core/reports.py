@@ -14,7 +14,6 @@ Terminology follows the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 
@@ -34,7 +33,6 @@ class MonitorState(enum.Enum):
     FAULTY = "faulty"  # threshold reached
 
 
-@dataclass(frozen=True)
 class RunnableError:
     """One detection event for one runnable.
 
@@ -42,14 +40,31 @@ class RunnableError:
     unit assigned to the runnable at configuration time; downstream
     units (TSI) use it to resolve attribution without re-hashing the
     name.  Errors from units that do not intern (PFC) leave it ``None``.
+    Two errors are equal when every field is.
     """
 
-    time: int
-    runnable: str
-    task: Optional[str]
-    error_type: ErrorType
-    details: Dict[str, Any] = field(default_factory=dict)
-    runnable_id: Optional[int] = None
+    __slots__ = ("time", "runnable", "task", "error_type", "details",
+                 "runnable_id")
+
+    def __init__(self, time: int, runnable: str, task: Optional[str],
+                 error_type: ErrorType,
+                 details: Optional[Dict[str, Any]] = None,
+                 runnable_id: Optional[int] = None) -> None:
+        self.time = time
+        self.runnable = runnable
+        self.task = task
+        self.error_type = error_type
+        self.details = {} if details is None else details
+        self.runnable_id = runnable_id
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time == other.time and self.runnable == other.runnable
+                and self.task == other.task
+                and self.error_type is other.error_type
+                and self.details == other.details
+                and self.runnable_id == other.runnable_id)
 
     def __str__(self) -> str:
         extra = " ".join(f"{k}={v}" for k, v in self.details.items())
@@ -90,30 +105,49 @@ def error_counts_from_json(data: Dict[str, Dict[str, int]]) -> ErrorCounts:
     }
 
 
-@dataclass(frozen=True)
 class SupervisionReport:
-    """Per-runnable summary generated by the TSI unit each cycle (§3.2.3)."""
+    """Per-runnable summary generated by the TSI unit each cycle (§3.2.3).
 
-    time: int
-    runnable: str
-    task: Optional[str]
-    state: MonitorState
-    error_counts: Dict[ErrorType, int]
+    Two reports are equal when every field is.
+    """
+
+    __slots__ = ("time", "runnable", "task", "state", "error_counts")
+
+    def __init__(self, time: int, runnable: str, task: Optional[str],
+                 state: MonitorState,
+                 error_counts: Dict[ErrorType, int]) -> None:
+        self.time = time
+        self.runnable = runnable
+        self.task = task
+        self.state = state
+        self.error_counts = error_counts
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time == other.time and self.runnable == other.runnable
+                and self.task == other.task and self.state is other.state
+                and self.error_counts == other.error_counts)
 
     @property
     def total_errors(self) -> int:
         return sum(self.error_counts.values())
 
 
-@dataclass(frozen=True)
 class TaskFaultEvent:
     """Emitted when a task's error indication vector crosses a threshold."""
 
-    time: int
-    task: str
-    trigger_runnable: str
-    trigger_error_type: ErrorType
-    error_vector: ErrorCounts
+    __slots__ = ("time", "task", "trigger_runnable", "trigger_error_type",
+                 "error_vector")
+
+    def __init__(self, time: int, task: str, trigger_runnable: str,
+                 trigger_error_type: ErrorType,
+                 error_vector: ErrorCounts) -> None:
+        self.time = time
+        self.task = task
+        self.trigger_runnable = trigger_runnable
+        self.trigger_error_type = trigger_error_type
+        self.error_vector = error_vector
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible rendering (daemon state snapshots)."""
@@ -136,14 +170,17 @@ class TaskFaultEvent:
         )
 
 
-@dataclass(frozen=True)
 class EcuStateChange:
     """Emitted when the derived global ECU state changes."""
 
-    time: int
-    old_state: MonitorState
-    new_state: MonitorState
-    faulty_tasks: tuple
+    __slots__ = ("time", "old_state", "new_state", "faulty_tasks")
+
+    def __init__(self, time: int, old_state: MonitorState,
+                 new_state: MonitorState, faulty_tasks: tuple) -> None:
+        self.time = time
+        self.old_state = old_state
+        self.new_state = new_state
+        self.faulty_tasks = faulty_tasks
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-compatible rendering (daemon state snapshots)."""

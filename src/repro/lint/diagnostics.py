@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..core.hypothesis import HypothesisError
@@ -81,20 +80,29 @@ class LintWarning(UserWarning):
     separately from other warnings."""
 
 
-@dataclass(frozen=True)
 class Diagnostic:
-    """One finding of the analyzer."""
+    """One finding of the analyzer.
 
-    code: str
-    severity: Severity
-    message: str
-    #: The runnable / task / threshold the finding is about, if any.
-    subject: Optional[str] = None
-    #: Where the linted hypothesis came from (file path, builtin name,
-    #: watchdog name); filled in by the lint driver.
-    source: Optional[str] = None
-    #: Machine-readable details (the offending pair, bounds, rates, ...).
-    context: Dict[str, Any] = field(default_factory=dict)
+    ``subject`` is the runnable / task / threshold the finding is about,
+    if any; ``source`` where the linted hypothesis came from (file path,
+    builtin name, watchdog name), filled in by the lint driver;
+    ``context`` the machine-readable details (the offending pair,
+    bounds, rates, ...).
+    """
+
+    __slots__ = ("code", "severity", "message", "subject", "source",
+                 "context")
+
+    def __init__(self, code: str, severity: Severity, message: str,
+                 subject: Optional[str] = None,
+                 source: Optional[str] = None,
+                 context: Optional[Dict[str, Any]] = None) -> None:
+        self.code = code
+        self.severity = severity
+        self.message = message
+        self.subject = subject
+        self.source = source
+        self.context = {} if context is None else context
 
     @property
     def slug(self) -> str:
@@ -117,12 +125,15 @@ class Diagnostic:
         return f"{self.severity.value} {self.code}{subject}: {self.message}"
 
 
-@dataclass
 class LintReport:
     """All diagnostics of one lint run over one hypothesis."""
 
-    diagnostics: List[Diagnostic] = field(default_factory=list)
-    source: Optional[str] = None
+    __slots__ = ("diagnostics", "source")
+
+    def __init__(self, diagnostics: Optional[List[Diagnostic]] = None,
+                 source: Optional[str] = None) -> None:
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.source = source
 
     # ------------------------------------------------------------------
     @property

@@ -96,8 +96,19 @@ def _banner(server, args: argparse.Namespace, *, verb: str) -> str:
     return line
 
 
+def _usage_error(message: str) -> int:
+    """One argparse-style line on stderr; the usage-error exit code."""
+    print(f"repro serve: error: {message}", file=sys.stderr)
+    return 2
+
+
 def run_serve(args: argparse.Namespace) -> int:
+    if args.standby and args.state_dir is None:
+        return _usage_error("--standby needs --state-dir (the journal it "
+                            "tails is the primary's state directory)")
     import asyncio
+
+    from .persistence import StateDirHeld
 
     port: Optional[int] = args.port
     if port is None and args.socket is None:
@@ -109,6 +120,8 @@ def run_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve(args, port=port, http_port=http_port))
     except KeyboardInterrupt:
         pass
+    except StateDirHeld as held:
+        return _usage_error(str(held))
     return 0
 
 
@@ -124,8 +137,8 @@ async def _serve(
     sink = None
     if args.telemetry:
         sink = JsonlFileSink(args.telemetry, flush_every=64)
-    state_dir = getattr(args, "state_dir", None)
-    snapshot_interval = getattr(args, "snapshot_interval", 5.0)
+    state_dir = args.state_dir
+    snapshot_interval = args.snapshot_interval
     server = SupervisionServer(
         host=args.host,
         port=port,
@@ -137,8 +150,8 @@ async def _serve(
         state_dir=state_dir,
         snapshot_interval=(snapshot_interval if state_dir
                            and snapshot_interval > 0 else None),
-        fsync=getattr(args, "fsync", False),
-        standby=getattr(args, "standby", False),
+        fsync=args.fsync,
+        standby=args.standby,
         on_promote=lambda srv: print(
             _banner(srv, args, verb="promoted listening"), flush=True),
     )

@@ -74,7 +74,6 @@ import itertools
 import json
 import os
 import time as _time
-from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterable, List, Optional, Tuple
 
 from ..telemetry import TelemetryEvent, read_jsonl
@@ -163,19 +162,24 @@ class FileIO:
             os.close(fd)
 
 
-@dataclass
 class RestoredState:
     """What :meth:`StateStore.load` found on disk.
 
     ``snapshot`` is the newest snapshot payload (``None`` when the
     daemon never snapshotted), ``entries`` the journal records *beyond*
-    it, in sequence order — apply the snapshot first, then the entries.
+    it, in sequence order — apply the snapshot first, then the entries;
+    ``seq`` the highest sequence number seen on disk (snapshot or
+    journal).
     """
 
-    snapshot: Optional[Dict[str, Any]] = None
-    entries: List[TelemetryEvent] = field(default_factory=list)
-    #: Highest sequence number seen on disk (snapshot or journal).
-    seq: int = 0
+    __slots__ = ("snapshot", "entries", "seq")
+
+    def __init__(self, snapshot: Optional[Dict[str, Any]] = None,
+                 entries: Optional[List[TelemetryEvent]] = None,
+                 seq: int = 0) -> None:
+        self.snapshot = snapshot
+        self.entries = [] if entries is None else entries
+        self.seq = seq
 
     @property
     def empty(self) -> bool:

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
 __all__ = [
@@ -117,13 +116,23 @@ class FatalProtocolError(ProtocolError):
         self.frames = frames if frames is not None else []
 
 
-@dataclass(frozen=True)
 class Frame:
-    """One decoded protocol frame."""
+    """One decoded protocol frame (equal to another with the same
+    fields)."""
 
-    type: str
-    data: Dict[str, Any] = field(default_factory=dict)
-    version: int = PROTOCOL_VERSION
+    __slots__ = ("type", "data", "version")
+
+    def __init__(self, type: str, data: Optional[Dict[str, Any]] = None,
+                 version: int = PROTOCOL_VERSION) -> None:
+        self.type = type
+        self.data = {} if data is None else data
+        self.version = version
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.type == other.type and self.data == other.data
+                and self.version == other.version)
 
     def get(self, key: str, default: Any = None) -> Any:
         return self.data.get(key, default)

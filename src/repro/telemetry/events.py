@@ -21,7 +21,6 @@ method).  Three are provided:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Dict, IO, Iterable, List, Optional
 
 try:  # pragma: no cover - Protocol exists on every supported Python
@@ -54,7 +53,6 @@ KIND_METRICS_SNAPSHOT = "metrics_snapshot"
 KIND_RESULT_ROW = "result_row"
 
 
-@dataclass(frozen=True)
 class TelemetryEvent:
     """One versioned telemetry record.
 
@@ -62,13 +60,35 @@ class TelemetryEvent:
     changes, treatments) — the same axis as the kernel trace — and 0
     for configuration-time or CLI-level events (lint warnings,
     snapshots).
+
+    An event records what happened, so its fields are read-only.  Two
+    events are equal when every field is.
     """
 
-    time: int
-    kind: str
-    subject: str
-    data: Dict[str, Any] = field(default_factory=dict)
-    schema: int = EVENT_SCHEMA_VERSION
+    __slots__ = ("time", "kind", "subject", "data", "schema")
+
+    def __init__(self, time: int, kind: str, subject: str,
+                 data: Optional[Dict[str, Any]] = None,
+                 schema: int = EVENT_SCHEMA_VERSION) -> None:
+        init = object.__setattr__
+        init(self, "time", time)
+        init(self, "kind", kind)
+        init(self, "subject", subject)
+        init(self, "data", {} if data is None else data)
+        init(self, "schema", schema)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"TelemetryEvent.{name} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"TelemetryEvent.{name} is read-only")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time == other.time and self.kind == other.kind
+                and self.subject == other.subject and self.data == other.data
+                and self.schema == other.schema)
 
     def to_dict(self) -> Dict[str, Any]:
         return {

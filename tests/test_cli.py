@@ -1,10 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import asyncio
 import json
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.service import StateStore
 
 
 class TestParser:
@@ -52,6 +54,34 @@ class TestParser:
                   "--run-seconds", "0.1", "--shards", "2"])
         assert stop.value.code == 2
         assert "--shards" in capsys.readouterr().err
+
+    def test_serve_standby_without_state_dir_is_a_usage_error(
+            self, capsys, monkeypatch):
+        def no_event_loop(coro):
+            coro.close()
+            raise AssertionError("the event loop started")
+
+        monkeypatch.setattr(asyncio, "run", no_event_loop)
+        assert main(["serve", "--port", "0", "--http-port", "0",
+                     "--run-seconds", "0.1", "--standby"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("repro serve: error: --standby needs "
+                                "--state-dir (the journal it tails is the "
+                                "primary's state directory)\n")
+
+    def test_serve_on_held_state_dir_is_a_usage_error(self, capsys,
+                                                      tmp_path):
+        state_dir = str(tmp_path / "state")
+        with StateStore(state_dir) as holder:
+            assert holder.take_primary()
+            assert main(["serve", "--port", "0", "--http-port", "0",
+                         "--run-seconds", "0.1",
+                         "--state-dir", state_dir]) == 2
+        captured = capsys.readouterr()
+        assert "listening" not in captured.out
+        assert captured.err == (f"repro serve: error: state dir {state_dir} "
+                                "is held by another server\n")
 
 
 class TestExecution:

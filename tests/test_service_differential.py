@@ -145,9 +145,8 @@ async def run_service(names):
 
 
 def assert_identical(direct, service):
-    # Bit-identical detection sequence: RunnableError is a frozen
-    # dataclass, so == compares every field (runnable, task, time,
-    # error type, details).
+    # Bit-identical detection sequence: RunnableError's == compares
+    # every field (time, runnable, task, error type, details, runnable_id).
     assert service["detections"] == direct["detections"]
     assert len(service["detections"]) > 0  # the crash window must show
     assert service["task_states"] == direct["task_states"]

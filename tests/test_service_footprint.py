@@ -1,8 +1,8 @@
 """Import footprint of the daemon and of the ``repro`` argument parser.
 
 ``python -m repro serve`` keeps OpenSSL out of its process (it never
-speaks TLS; asyncio would otherwise map libssl and libcrypto) and never
-loads the client SDK or the simulator.  Argument parsing, which every
+speaks TLS; asyncio would otherwise map libssl and libcrypto), defines
+no dataclass, and never loads the client SDK or the simulator.  Argument parsing, which every
 subcommand does, must not load the daemon at all.  In-process callers
 of :func:`repro.__main__.main` keep ``ssl``.
 
@@ -19,6 +19,21 @@ import pytest
 
 import repro
 import repro.service
+from repro.core import (
+    CounterHistory,
+    ErrorType,
+    FaultHypothesis,
+    HypothesisError,
+    MonitorState,
+    RunnableError,
+    RunnableHypothesis,
+    SupervisionReport,
+    ThresholdPolicy,
+)
+from repro.lint import Diagnostic, LintReport, Severity
+from repro.service.persistence import RestoredState
+from repro.service.protocol import T_HELLO, Frame
+from repro.telemetry import TelemetryEvent
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -91,6 +106,12 @@ print(json.dumps({"ok": ok, "modules": sorted(
 """
 
 
+#: Defining a dataclass execs generated methods, a fixed cost on every
+#: spawn and restart; the daemon's records are plain classes instead
+#: (``copy`` comes only with ``dataclasses``).
+_GENERATED_CODE = {"dataclasses", "copy"}
+
+
 def _probe(source, *args):
     result = subprocess.run(
         [sys.executable, "-c", source, *args],
@@ -104,7 +125,7 @@ def test_serve_entry_point_loads_neither_tls_nor_simulator():
     assert {"asyncio", "repro.service.server"} <= loaded
     assert loaded.isdisjoint({
         "ssl", "_ssl", "_hashlib", "repro.service.client", "repro.kernel",
-        "repro.platform", "repro.apps", "repro.network"})
+        "repro.platform", "repro.apps", "repro.network", *_GENERATED_CODE})
 
 
 def test_register_loads_no_simulator():
@@ -116,7 +137,7 @@ def test_register_loads_no_simulator():
     assert "repro.lint.analyzer" in loaded
     assert loaded.isdisjoint({
         "repro.kernel", "repro.platform", "repro.platform.schedulability",
-        "repro.apps", "repro.network"})
+        "repro.apps", "repro.network", *_GENERATED_CODE})
 
 
 def test_parsing_arguments_does_not_load_the_daemon():
@@ -144,3 +165,77 @@ def test_lazy_service_names_still_resolve():
     assert "encode_frame" in dir(repro.service)
     with pytest.raises(AttributeError):
         repro.service.NoSuchName  # noqa: B018
+
+
+# ----------------------------------------------------------------------
+# The records on the serve path are plain classes; they keep the
+# contract their dataclass versions had.
+
+#: A record built with only its required arguments, and each container
+#: field that must be fresh per instance.
+_FRESH_DEFAULTS = [
+    (lambda: RunnableError(0, "r", None, ErrorType.ALIVENESS), "details"),
+    (lambda: TelemetryEvent(0, "kind", "subject"), "data"),
+    (lambda: Diagnostic("WD101", Severity.ERROR, "message"), "context"),
+    (lambda: Frame(T_HELLO), "data"),
+    (ThresholdPolicy, "per_type"),
+    (FaultHypothesis, "runnables"),
+    (FaultHypothesis, "flow_pairs"),
+    (FaultHypothesis, "thresholds"),
+    (LintReport, "diagnostics"),
+    (RestoredState, "entries"),
+    (CounterHistory, "times"),
+    (CounterHistory, "series"),
+]
+
+
+@pytest.mark.parametrize("build, name", _FRESH_DEFAULTS,
+                         ids=[name for _, name in _FRESH_DEFAULTS])
+def test_default_containers_are_fresh_per_instance(build, name):
+    first, second = build(), build()
+    assert getattr(first, name) is not getattr(second, name)
+    assert getattr(first, name) == getattr(second, name)
+
+
+def _hypothesis(max_heartbeats=1):
+    hyp = FaultHypothesis(thresholds=ThresholdPolicy(
+        default=2, per_type={ErrorType.PROGRAM_FLOW: 3}))
+    hyp.add_runnable(RunnableHypothesis("a", task="T",
+                                        max_heartbeats=max_heartbeats))
+    hyp.allow_sequence(["a"])
+    return hyp
+
+
+#: Records compared by value: a builder taking one varied field.
+_VALUE_EQUALITY = {
+    "RunnableError": lambda n: RunnableError(
+        5, "r", "T", ErrorType.ALIVENESS, {"count": n}, runnable_id=0),
+    "SupervisionReport": lambda n: SupervisionReport(
+        5, "r", "T", MonitorState.SUSPICIOUS, {ErrorType.ALIVENESS: n}),
+    "RunnableHypothesis": lambda n: RunnableHypothesis(
+        "r", task="T", aliveness_period=n),
+    "ThresholdPolicy": lambda n: ThresholdPolicy(
+        default=2, per_type={ErrorType.ALIVENESS: n}),
+    "FaultHypothesis": _hypothesis,
+    "TelemetryEvent": lambda n: TelemetryEvent(5, "kind", "s", {"n": n}),
+    "Frame": lambda n: Frame(T_HELLO, {"n": n}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUE_EQUALITY))
+def test_equal_fields_compare_equal(name):
+    build = _VALUE_EQUALITY[name]
+    assert build(1) == build(1)
+    assert build(1) != build(2)
+    assert build(1) != object()
+
+
+def test_hypothesis_equality_ignores_its_table_memo():
+    derived, fresh = _hypothesis(), _hypothesis()
+    derived.static_tables()
+    assert derived == fresh
+
+
+def test_runnable_hypothesis_validates_on_construction():
+    with pytest.raises(HypothesisError, match="aliveness_period"):
+        RunnableHypothesis("r", aliveness_period=0)

@@ -57,17 +57,17 @@ class TestStateStore:
             store.append(JOURNAL_REGISTER, "p", hypothesis={"version": 1})
             store.append(JOURNAL_BYE, "p")
             store.append(JOURNAL_ACTIVATION, "p", active=True)
-        fresh = make_store(tmp_path)
-        restored = fresh.load()
-        assert restored.snapshot is None
-        assert [e.kind for e in restored.entries] == [
-            JOURNAL_REGISTER, JOURNAL_BYE, JOURNAL_ACTIVATION]
-        assert [e.time for e in restored.entries] == [1, 2, 3]
-        assert restored.entries[0].data["hypothesis"] == {"version": 1}
-        # seq resumes past everything on disk.
-        assert fresh.seq == 3
-        fresh.append(JOURNAL_BYE, "q")
-        assert fresh.seq == 4
+        with make_store(tmp_path) as fresh:
+            restored = fresh.load()
+            assert restored.snapshot is None
+            assert [e.kind for e in restored.entries] == [
+                JOURNAL_REGISTER, JOURNAL_BYE, JOURNAL_ACTIVATION]
+            assert [e.time for e in restored.entries] == [1, 2, 3]
+            assert restored.entries[0].data["hypothesis"] == {"version": 1}
+            # seq resumes past everything on disk.
+            assert fresh.seq == 3
+            fresh.append(JOURNAL_BYE, "q")
+            assert fresh.seq == 4
 
     def test_snapshot_truncates_journal_and_filters_replay(self, tmp_path):
         store = make_store(tmp_path)
@@ -218,33 +218,33 @@ class TestStateStore:
 
 class TestJournalFollower:
     def test_tails_journal_incrementally(self, tmp_path):
-        store = make_store(tmp_path)
-        follower = JournalFollower(StateStore(store.state_dir))
-        assert follower.poll() == (None, [])
-        store.append(JOURNAL_REGISTER, "a", hypothesis={})
-        snapshot, entries = follower.poll()
-        assert snapshot is None
-        assert [e.subject for e in entries] == ["a"]
-        # Nothing new → nothing returned.
-        assert follower.poll() == (None, [])
-        store.append(JOURNAL_BYE, "a")
-        _, entries = follower.poll()
-        assert [(e.kind, e.time) for e in entries] == [(JOURNAL_BYE, 2)]
+        with make_store(tmp_path) as store:
+            follower = JournalFollower(StateStore(store.state_dir))
+            assert follower.poll() == (None, [])
+            store.append(JOURNAL_REGISTER, "a", hypothesis={})
+            snapshot, entries = follower.poll()
+            assert snapshot is None
+            assert [e.subject for e in entries] == ["a"]
+            # Nothing new → nothing returned.
+            assert follower.poll() == (None, [])
+            store.append(JOURNAL_BYE, "a")
+            _, entries = follower.poll()
+            assert [(e.kind, e.time) for e in entries] == [(JOURNAL_BYE, 2)]
 
     def test_adopts_snapshot_and_skips_covered_records(self, tmp_path):
-        store = make_store(tmp_path)
-        follower = JournalFollower(StateStore(store.state_dir))
-        store.append(JOURNAL_REGISTER, "a", hypothesis={})
-        store.append(JOURNAL_REGISTER, "b", hypothesis={})
-        # The snapshot truncates the journal.
-        store.write_snapshot({"fake": 1, "registrations": []})
-        snapshot, entries = follower.poll()
-        assert snapshot["fleet"] == {"fake": 1, "registrations": []}
-        assert entries == []  # covered by the snapshot, never replayed
-        store.append(JOURNAL_BYE, "a")  # seq 3
-        snapshot, entries = follower.poll()
-        assert snapshot is None
-        assert [e.time for e in entries] == [3]
+        with make_store(tmp_path) as store:
+            follower = JournalFollower(StateStore(store.state_dir))
+            store.append(JOURNAL_REGISTER, "a", hypothesis={})
+            store.append(JOURNAL_REGISTER, "b", hypothesis={})
+            # The snapshot truncates the journal.
+            store.write_snapshot({"fake": 1, "registrations": []})
+            snapshot, entries = follower.poll()
+            assert snapshot["fleet"] == {"fake": 1, "registrations": []}
+            assert entries == []  # covered by the snapshot, never replayed
+            store.append(JOURNAL_BYE, "a")  # seq 3
+            snapshot, entries = follower.poll()
+            assert snapshot is None
+            assert [e.time for e in entries] == [3]
 
     def test_snapshot_not_readopted(self, tmp_path):
         store = make_store(tmp_path)
