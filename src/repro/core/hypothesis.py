@@ -137,6 +137,12 @@ class ThresholdPolicy:
         return (self.default == other.default
                 and self.per_type == other.per_type)
 
+    def __repr__(self) -> str:
+        # Shows the values: a bad policy is named by them in error
+        # messages and in parametrised test ids.
+        return (f"ThresholdPolicy(default={self.default!r}, "
+                f"per_type={self.per_type!r})")
+
     def validate(self) -> None:
         """Reject non-positive thresholds at configuration time.
 
