@@ -18,7 +18,7 @@
 #   make serve-smoke  tier-2: real `repro serve` daemon + two SDK
 #                     clients + one induced crash -> detection
 #   make ha-smoke     tier-2: kill -9 the daemon and restart it from its
-#                     --state-dir; warm standby promotion + client
+#                     --state-dir; standby promotion + client
 #                     failover
 
 PYTEST = PYTHONPATH=src python -m pytest

@@ -92,17 +92,34 @@ def spawn_daemon(env, state_dir, port):
 
 
 def main() -> None:
+    # The state directory goes when the example ends, also on an error;
+    # any process still running then is killed first, so none outlives
+    # the example or writes into the removed directory.
+    processes = []
+    with tempfile.TemporaryDirectory(prefix="repro-state-") as state_dir:
+        try:
+            run(state_dir, processes)
+        finally:
+            for process in processes:
+                if process.poll() is None:
+                    process.kill()
+                    process.communicate()
+
+
+def run(state_dir, processes) -> None:
     env = dict(os.environ, PYTHONPATH=SRC)
-    state_dir = tempfile.mkdtemp(prefix="repro-state-")
     daemon, port, http = spawn_daemon(env, state_dir, 0)
+    processes.append(daemon)
 
     print("== act 1: spawn two real child processes ==")
     steady = subprocess.Popen(
         [sys.executable, "-c", CHILD.format(src=SRC),
          "steady", str(port), "250", "watch"], text=True, env=env)
+    processes.append(steady)
     doomed = subprocess.Popen(
         [sys.executable, "-c", CHILD.format(src=SRC),
          "doomed", str(port), "40", "plain"], text=True, env=env)
+    processes.append(doomed)
 
     doomed.wait()
     print("== 'doomed' stopped heartbeating (no BYE) ==")
@@ -116,6 +133,7 @@ def main() -> None:
     # restored ACTIVE, stays silent, and gets re-detected by a daemon
     # that was dead when the process crashed.
     daemon, port, http = spawn_daemon(env, state_dir, port)
+    processes.append(daemon)
     steady.wait()
 
     health = json.loads(urllib.request.urlopen(http + "/healthz",

@@ -29,18 +29,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..network.frames import FrameSpec, Message, SignalSpec
-from .reports import ErrorType, MonitorState
+from .reports import MONITOR_STATE_RANK, ErrorType, MonitorState, worst_state
 from .watchdog import SoftwareWatchdog
 
 #: Default CAN identifier region for supervision frames (one id per node).
 SUPERVISION_BASE_ID = 0x700
 
-_STATE_CODE = {
-    MonitorState.OK: 0,
-    MonitorState.SUSPICIOUS: 1,
-    MonitorState.FAULTY: 2,
-}
-_CODE_STATE = {v: k for k, v in _STATE_CODE.items()}
+_CODE_STATE = {code: state for state, code in MONITOR_STATE_RANK.items()}
 
 
 def make_supervision_frame_spec(node_index: int, node_name: str = "") -> FrameSpec:
@@ -92,7 +87,7 @@ class SupervisionPublisher:
             self.spec,
             {
                 "sequence": float(self.sequence),
-                "ecu_state": float(_STATE_CODE[watchdog.ecu_state()]),
+                "ecu_state": float(MONITOR_STATE_RANK[watchdog.ecu_state()]),
                 "aliveness_errors": float(
                     min(1023, watchdog.detected[ErrorType.ALIVENESS])
                 ),
@@ -243,9 +238,4 @@ class RemoteSupervisor:
 
     def network_state(self) -> MonitorState:
         """Worst state over every watched peer."""
-        states = [self.peer_state(node) for node in self.peers]
-        if MonitorState.FAULTY in states:
-            return MonitorState.FAULTY
-        if MonitorState.SUSPICIOUS in states:
-            return MonitorState.SUSPICIOUS
-        return MonitorState.OK
+        return worst_state([self.peer_state(node) for node in self.peers])

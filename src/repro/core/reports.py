@@ -14,7 +14,7 @@ Terminology follows the paper:
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Optional
+from typing import Any, Collection, Dict, Optional
 
 
 class ErrorType(enum.Enum):
@@ -31,6 +31,26 @@ class MonitorState(enum.Enum):
     OK = "ok"
     SUSPICIOUS = "suspicious"  # errors recorded, below threshold
     FAULTY = "faulty"  # threshold reached
+
+
+#: The severity order of :class:`MonitorState`, OK < SUSPICIOUS < FAULTY,
+#: which is also a state's numeric code in gauges and supervision frames.
+MONITOR_STATE_RANK: Dict[MonitorState, int] = {
+    MonitorState.OK: 0,
+    MonitorState.SUSPICIOUS: 1,
+    MonitorState.FAULTY: 2,
+}
+_MOST_SEVERE_FIRST = tuple(
+    sorted(MONITOR_STATE_RANK, key=MONITOR_STATE_RANK.get, reverse=True))
+
+
+def worst_state(states: Collection[MonitorState]) -> MonitorState:
+    """The most severe of ``states`` (OK when there are none): the
+    roll-up rule of every level, task to application to ECU to fleet."""
+    for state in _MOST_SEVERE_FIRST:
+        if state in states:
+            return state
+    return MonitorState.OK
 
 
 class RunnableError:

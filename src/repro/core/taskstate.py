@@ -19,6 +19,7 @@ from typing import Callable, Dict, List, Optional
 from ..telemetry import NULL_REGISTRY
 from .hypothesis import ThresholdPolicy
 from .reports import (
+    MONITOR_STATE_RANK,
     EcuStateChange,
     ErrorType,
     MonitorState,
@@ -27,17 +28,11 @@ from .reports import (
     TaskFaultEvent,
     error_counts_from_json,
     error_counts_to_json,
+    worst_state,
 )
 
 TaskFaultListener = Callable[[TaskFaultEvent], None]
 EcuStateListener = Callable[[EcuStateChange], None]
-
-#: Numeric encoding of :class:`MonitorState` for state gauges.
-MONITOR_STATE_VALUE: Dict[MonitorState, int] = {
-    MonitorState.OK: 0,
-    MonitorState.SUSPICIOUS: 1,
-    MonitorState.FAULTY: 2,
-}
 
 
 class TaskStateIndicationUnit:
@@ -94,7 +89,7 @@ class TaskStateIndicationUnit:
         # Telemetry: errors and threshold crossings are rare, so the
         # instruments are updated live (a no-op under the null
         # registry).  State gauges encode OK/SUSPICIOUS/FAULTY as 0/1/2
-        # (MONITOR_STATE_VALUE) and carry the owning watchdog's name, so
+        # (MONITOR_STATE_RANK) and carry the owning watchdog's name, so
         # units sharing a registry (a daemon's fleet) keep one series
         # each instead of overwriting one another's.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
@@ -223,12 +218,12 @@ class TaskStateIndicationUnit:
             for task, app in self.app_of_task.items()
             if app == application
         ]
-        return _worst(states)
+        return worst_state(states)
 
     def ecu_state(self) -> MonitorState:
         """Derived global ECU state: worst of all known task states."""
         states = [self.task_state(task) for task in self._known_tasks()]
-        return _worst(states)
+        return worst_state(states)
 
     # ------------------------------------------------------------------
     def supervision_reports(self, time: int) -> List[SupervisionReport]:
@@ -381,7 +376,7 @@ class TaskStateIndicationUnit:
                 task=task, watchdog=self._tm_watchdog,
             )
             self._tm_task_gauges[task] = gauge
-        gauge.set(MONITOR_STATE_VALUE[self.task_state(task)])
+        gauge.set(MONITOR_STATE_RANK[self.task_state(task)])
         app = self.app_of_task.get(task)
         if app is not None:
             app_gauge = self._tm_app_gauges.get(app)
@@ -392,9 +387,9 @@ class TaskStateIndicationUnit:
                     application=app, watchdog=self._tm_watchdog,
                 )
                 self._tm_app_gauges[app] = app_gauge
-            app_gauge.set(MONITOR_STATE_VALUE[self.application_state(app)])
+            app_gauge.set(MONITOR_STATE_RANK[self.application_state(app)])
         self._tm_sync_faulty_count()
-        self._tm_ecu_state.set(MONITOR_STATE_VALUE[self.ecu_state()])
+        self._tm_ecu_state.set(MONITOR_STATE_RANK[self.ecu_state()])
 
     def _tm_sync_faulty_count(self) -> None:
         """Move the shared faulty-task gauge by this unit's change."""
@@ -414,12 +409,3 @@ class TaskStateIndicationUnit:
             self._last_ecu_state = new_state
             for listener in self._ecu_state_listeners:
                 listener(change)
-
-
-def _worst(states: List[MonitorState]) -> MonitorState:
-    """The most severe of a list of states (OK when the list is empty)."""
-    if MonitorState.FAULTY in states:
-        return MonitorState.FAULTY
-    if MonitorState.SUSPICIOUS in states:
-        return MonitorState.SUSPICIOUS
-    return MonitorState.OK

@@ -25,8 +25,9 @@ with and heartbeat into over a socket.
   jitter, bounded offline buffer, failover address rotation),
 * :mod:`repro.service.persistence` — the daemon's crash memory:
   atomic point-in-time snapshots plus an append-only journal of
-  state-changing frames, with crash-truncation-tolerant replay and a
-  :class:`JournalFollower` for warm-standby failover.
+  state-changing frames, with crash-truncation-tolerant replay, and the
+  ``flock`` that lets one server at a time own a state directory: a
+  ``--standby`` daemon waits for it, then recovers like a restart.
 
 The daemon is the ``python -m repro serve`` subcommand; a differential
 test pins the service path to the in-process path: the same indication
@@ -42,7 +43,6 @@ __all__ = [
     "Fleet",
     "Frame",
     "FrameDecoder",
-    "JournalFollower",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",
     "ProtocolError",
@@ -67,7 +67,6 @@ _LAZY = {
     "RegistrationRejected": "client",
     "WatchdogClient": "client",
     "Fleet": "fleet",
-    "JournalFollower": "persistence",
     "RestoredState": "persistence",
     "SNAPSHOT_SCHEMA_VERSION": "persistence",
     "StateStore": "persistence",

@@ -71,10 +71,11 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
                         help="fsync every journal append (survives host "
                              "crashes, not just process crashes)")
     parser.add_argument("--standby", action="store_true",
-                        help="warm standby: tail the primary's --state-dir "
-                             "and bind the listeners only after the primary "
-                             "dies (clients reach it via their failover "
-                             "address list)")
+                        help="standby: wait until the primary holding "
+                             "--state-dir exits, then restore its state and "
+                             "bind the listeners, as a restart would "
+                             "(clients reach it via their failover address "
+                             "list)")
     parser.add_argument("--run-seconds", type=float, default=None,
                         help="exit after this many seconds (smoke tests; "
                              "default: run until SIGTERM/SIGINT)")
@@ -104,8 +105,8 @@ def _usage_error(message: str) -> int:
 
 def run_serve(args: argparse.Namespace) -> int:
     if args.standby and args.state_dir is None:
-        return _usage_error("--standby needs --state-dir (the journal it "
-                            "tails is the primary's state directory)")
+        return _usage_error("--standby needs --state-dir (the state "
+                            "directory it waits to take over)")
     import asyncio
 
     from .persistence import StateDirHeld
@@ -125,18 +126,54 @@ def run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+class _TelemetryFile:
+    """The ``--telemetry`` event sink, whose file is opened (and
+    truncated) only by a server that owns its state: at the first event,
+    or by :meth:`open` once the server listens.  A server refused a held
+    state directory, or a standby still waiting for it, leaves the
+    running primary's file untouched."""
+
+    enabled = True
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._sink = None
+
+    def open(self):
+        if self._sink is None:
+            from ..telemetry import JsonlFileSink
+
+            self._sink = JsonlFileSink(self.path, flush_every=64)
+        return self._sink
+
+    def emit(self, event) -> None:
+        self.open().emit(event)
+
+    def close(self) -> None:
+        if self._sink is not None:
+            self._sink.close()
+
+
+def _failed(task) -> bool:
+    """Whether an asyncio task has ended with an error."""
+    return task.done() and not task.cancelled() and task.exception() is not None
+
+
 async def _serve(
     args: argparse.Namespace, *, port: Optional[int], http_port: Optional[int]
 ) -> None:
     import asyncio
     import signal
 
-    from ..telemetry import JsonlFileSink
     from .server import SupervisionServer
 
-    sink = None
-    if args.telemetry:
-        sink = JsonlFileSink(args.telemetry, flush_every=64)
+    telemetry = _TelemetryFile(args.telemetry) if args.telemetry else None
+
+    def listening(server, verb: str) -> None:
+        if telemetry is not None:
+            telemetry.open()
+        print(_banner(server, args, verb=verb), flush=True)
+
     state_dir = args.state_dir
     snapshot_interval = args.snapshot_interval
     server = SupervisionServer(
@@ -146,14 +183,13 @@ async def _serve(
         http_port=http_port,
         strict=args.strict,
         tick_interval=args.tick_ms / 1000.0,
-        event_sink=sink,
+        event_sink=telemetry,
         state_dir=state_dir,
         snapshot_interval=(snapshot_interval if state_dir
                            and snapshot_interval > 0 else None),
         fsync=args.fsync,
         standby=args.standby,
-        on_promote=lambda srv: print(
-            _banner(srv, args, verb="promoted listening"), flush=True),
+        on_promote=lambda srv: listening(srv, "promoted listening"),
     )
     # Handlers go in before the banner: a supervisor that SIGTERMs the
     # daemon the instant it prints must still get the clean-stop path
@@ -166,28 +202,30 @@ async def _serve(
         except NotImplementedError:  # pragma: no cover - non-POSIX loops
             pass
 
-    await server.start()
-
-    if server.standby:
-        print(f"{server.name} standby state_dir={server.store.state_dir} "
-              f"restored={server.restored_registrations}", flush=True)
-    else:
-        print(_banner(server, args, verb="listening"), flush=True)
-
     try:
-        if args.run_seconds is not None:
-            try:
-                await asyncio.wait_for(stop.wait(), timeout=args.run_seconds)
-            except asyncio.TimeoutError:
-                pass
+        await server.start()
+        if server.standby:
+            print(f"{server.name} standby state_dir={server.store.state_dir}",
+                  flush=True)
+            # A promotion that fails ends the daemon, as a failed start
+            # does, rather than leaving a standby that never serves.
+            server.promotion.add_done_callback(
+                lambda task: _failed(task) and stop.set())
         else:
-            await stop.wait()
+            listening(server, "listening")
+        try:
+            await asyncio.wait_for(stop.wait(), timeout=args.run_seconds)
+        except asyncio.TimeoutError:
+            pass
+        finally:
+            await server.stop()
+            stats = server.fleet.stats()
+            stats["missed_ticks"] = server.missed_ticks
+            print("shutdown " + " ".join(f"{k}={v}" for k, v in stats.items()),
+                  flush=True)
+        if server.promotion is not None and _failed(server.promotion):
+            raise server.promotion.exception()
     finally:
-        await server.stop()
-        stats = server.fleet.stats()
-        stats["missed_ticks"] = server.missed_ticks
-        print("shutdown " + " ".join(f"{k}={v}" for k, v in stats.items()),
-              flush=True)
-        if sink is not None:
-            sink.close()
+        if telemetry is not None:
+            telemetry.close()
         sys.stdout.flush()

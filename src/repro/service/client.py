@@ -82,7 +82,7 @@ class WatchdogClient:
 
     ``address`` is ``(host, port)`` for TCP or a filesystem path string
     for a UNIX socket.  ``failover`` lists further addresses (typically
-    the warm standby's) tried in order whenever the current one refuses;
+    the standby's) tried in order whenever the current one refuses;
     the client sticks with whichever address last worked, and the
     ordinary reconnect path — replay HELLO, re-REGISTER — runs
     identically after a failover, so a promoted standby receives the

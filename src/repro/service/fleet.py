@@ -23,25 +23,15 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..core.reports import EcuStateChange, MonitorState, RunnableError
+from ..core.reports import (
+    EcuStateChange,
+    MonitorState,
+    RunnableError,
+    worst_state,
+)
 from .supervisor import Registration, SupervisorShard
 
 __all__ = ["Fleet"]
-
-_STATE_RANK = {
-    MonitorState.OK: 0,
-    MonitorState.SUSPICIOUS: 1,
-    MonitorState.FAULTY: 2,
-}
-
-
-def _worst(states) -> MonitorState:
-    worst = MonitorState.OK
-    for state in states:
-        if _STATE_RANK[state] > _STATE_RANK[worst]:
-            worst = state
-    return worst
-
 
 class Fleet(SupervisorShard):
     """The supervision table plus the fleet-level state rollup."""
@@ -73,7 +63,7 @@ class Fleet(SupervisorShard):
 
     def fleet_state(self) -> MonitorState:
         """Worst state over every registration (the service verdict)."""
-        return _worst(self.registration_states().values())
+        return worst_state(self.registration_states().values())
 
     def _roll_up(self, time: int) -> None:
         new_state = self.fleet_state()

@@ -56,15 +56,13 @@ Every file-system call behind a journal append, a snapshot and a
 journal truncation goes through one seam, :attr:`StateStore.io` (a
 :class:`FileIO`), so tests can fail any one of them.
 
-:class:`JournalFollower` is the warm-standby side of the same files: a
-second daemon points it at the primary's state directory, adopts new
-snapshots and tails new journal records as they appear.
-
 **One server per state directory**: the one that writes it holds an
 exclusive ``flock`` on ``primary.lock`` (:meth:`StateStore.take_primary`).
 The kernel frees it when the holder exits, ``kill -9`` included, after
 its last write, and never while it is only paused, so a standby cannot
-promote past a live primary.  A ``flock`` is local to one host.
+promote past a live primary.  A ``flock`` is local to one host.  A
+standby reads nothing here until it holds the lock; promoting, it runs
+the same recovery (:meth:`StateStore.load`) a restarting primary runs.
 """
 
 from __future__ import annotations
@@ -83,7 +81,6 @@ __all__ = [
     "JOURNAL_ACTIVATION",
     "JOURNAL_BYE",
     "JOURNAL_REGISTER",
-    "JournalFollower",
     "RestoredState",
     "SNAPSHOT_SCHEMA_VERSION",
     "SnapshotWriter",
@@ -167,19 +164,15 @@ class RestoredState:
 
     ``snapshot`` is the newest snapshot payload (``None`` when the
     daemon never snapshotted), ``entries`` the journal records *beyond*
-    it, in sequence order — apply the snapshot first, then the entries;
-    ``seq`` the highest sequence number seen on disk (snapshot or
-    journal).
+    it, in sequence order — apply the snapshot first, then the entries.
     """
 
-    __slots__ = ("snapshot", "entries", "seq")
+    __slots__ = ("snapshot", "entries")
 
     def __init__(self, snapshot: Optional[Dict[str, Any]] = None,
-                 entries: Optional[List[TelemetryEvent]] = None,
-                 seq: int = 0) -> None:
+                 entries: Optional[List[TelemetryEvent]] = None) -> None:
         self.snapshot = snapshot
         self.entries = [] if entries is None else entries
-        self.seq = seq
 
     @property
     def empty(self) -> bool:
@@ -238,7 +231,7 @@ class StateStore:
             snap_seq, max((event.time for event in entries), default=0),
             self.seq,
         )
-        return RestoredState(snapshot=snapshot, entries=entries, seq=self.seq)
+        return RestoredState(snapshot=snapshot, entries=entries)
 
     # ------------------------------------------------------------------
     # journal side
@@ -378,9 +371,9 @@ class StateStore:
         The survivors go to a temp journal that replaces the old one
         atomically, so a crash or a failed write at any point leaves
         either the old journal or the new one, never a journal missing
-        a record the snapshot lacks.  An empty journal file (rather
-        than an absent one) keeps the follower's bookkeeping simple: the
-        path always exists once the store has been written to.
+        a record the snapshot lacks.  The journal file is left empty
+        rather than absent, so the path exists once the store has been
+        written to.
         """
         io = self.io
         # The next append reopens the journal: this one is replaced.
@@ -528,84 +521,3 @@ def _split_around(mapping: Dict[str, Any], key: str) -> Tuple[str, str]:
     if after:
         tail = ", " + json.dumps(after, sort_keys=True)[1:-1] + "}"
     return head + json.dumps(key) + ": ", tail
-
-
-class JournalFollower:
-    """Incrementally track a primary's state directory (warm standby).
-
-    Each :meth:`poll` returns what changed since the last one:
-
-    * a new snapshot payload when the primary wrote one (adopt it —
-      it contains counter state the journal never carries), and
-    * the journal records beyond everything already returned, in
-      sequence order.
-
-    File reads are guarded by ``stat`` signatures, so an idle primary
-    costs the follower two ``stat`` calls per poll.  Journal truncation
-    (the primary snapshotting) is handled by sequence numbers alone:
-    records at or below :attr:`applied_seq` are never returned again.
-    """
-
-    def __init__(self, store: StateStore) -> None:
-        self.store = store
-        self.applied_seq = 0
-        self.snapshots_adopted = 0
-        self._snap_sig: Optional[Tuple[int, int]] = None
-        self._journal_sig: Optional[Tuple[int, int]] = None
-
-    @staticmethod
-    def _signature(path: str) -> Optional[Tuple[int, int]]:
-        try:
-            stat = os.stat(path)
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
-
-    def prime(self, applied_seq: int) -> None:
-        """Mark everything currently on disk as already applied (the
-        caller restored it through :meth:`StateStore.load`), so the
-        first poll only returns genuinely new changes."""
-        self.applied_seq = applied_seq
-        self._snap_sig = self._signature(self.store.snapshot_path)
-        self._journal_sig = self._signature(self.store.journal_path)
-
-    def poll(self) -> Tuple[Optional[Dict[str, Any]], List[TelemetryEvent]]:
-        """One follower step; see the class docstring for the contract."""
-        snapshot: Optional[Dict[str, Any]] = None
-        snap_sig = self._signature(self.store.snapshot_path)
-        if snap_sig is not None and snap_sig != self._snap_sig:
-            self._snap_sig = snap_sig
-            try:
-                with open(self.store.snapshot_path, "r",
-                          encoding="utf-8") as handle:
-                    candidate = json.load(handle)
-            except (OSError, ValueError):
-                # Mid-replace race or torn read; the next poll sees the
-                # settled file (os.replace makes corruption transient).
-                candidate = None
-                self._snap_sig = None
-            # >= rather than >: a snapshot at the already-applied seq
-            # still supersedes journal-derived state (it carries the
-            # counter blocks the journal never does), and the signature
-            # guard already prevents re-reading an unchanged file.
-            if (candidate is not None
-                    and candidate.get("schema") in _READABLE_SCHEMAS
-                    and int(candidate.get("seq", 0)) >= self.applied_seq):
-                snapshot = candidate
-                self.applied_seq = int(candidate.get("seq", 0))
-                self.snapshots_adopted += 1
-        entries: List[TelemetryEvent] = []
-        journal_sig = self._signature(self.store.journal_path)
-        if journal_sig is not None and journal_sig != self._journal_sig:
-            self._journal_sig = journal_sig
-            try:
-                with open(self.store.journal_path, "r",
-                          encoding="utf-8") as handle:
-                    events = read_jsonl(handle)
-            except (OSError, ValueError):
-                events = []
-            entries = [e for e in events if e.time > self.applied_seq]
-            entries.sort(key=lambda event: event.time)
-            if entries:
-                self.applied_seq = entries[-1].time
-        return snapshot, entries

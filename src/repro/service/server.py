@@ -4,9 +4,10 @@ Transport only: every supervision decision is made by the synchronous
 core (:mod:`repro.service.supervisor` / :mod:`repro.service.fleet`);
 this module moves frames.  Its push channels subscribe once to the
 fleet's table-level events (:meth:`SupervisionServer._new_fleet`), and
-a warm standby catches up with the primary through one path
-(:meth:`SupervisionServer._catch_up`).  Three design rules keep the daemon a
-dependability service rather than a liability:
+a server recovers its state directory through one path
+(:meth:`SupervisionServer._recover`), whether it is starting or a
+standby promoting.  Three design rules keep the daemon a dependability
+service rather than a liability:
 
 * **misbehaving clients cannot hurt the server** — a malformed payload
   is rejected with an error ACK and the connection survives (only
@@ -52,7 +53,6 @@ from .persistence import (
     JOURNAL_ACTIVATION,
     JOURNAL_BYE,
     JOURNAL_REGISTER,
-    JournalFollower,
     StateDirHeld,
     StateStore,
 )
@@ -176,8 +176,8 @@ class SupervisionServer:
         if port is None and unix_path is None:
             raise ValueError("need a TCP port and/or a UNIX socket path")
         if standby and state_dir is None:
-            raise ValueError("--standby needs --state-dir (the journal it "
-                             "tails is the primary's state directory)")
+            raise ValueError("--standby needs --state-dir (the state "
+                             "directory it waits to take over)")
         if tick_interval is not None and not tick_interval > 0:
             # The ticker would die on ``late // period`` and leave a
             # daemon that acks heartbeats but never runs a check cycle.
@@ -224,8 +224,11 @@ class SupervisionServer:
         )
         self.restored_registrations = 0
         self.promoted = False
+        #: A started standby's wait-and-promote task; it ends with the
+        #: error of a promotion that failed (listeners that cannot
+        #: bind, a state dir that does not load).
+        self.promotion: Optional[asyncio.Task] = None
         self._on_promote = on_promote
-        self._follower: Optional[JournalFollower] = None
         self._snapshot_write: Optional[asyncio.Future] = None
 
         tm = self.telemetry
@@ -299,32 +302,24 @@ class SupervisionServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Restore durable state if any, then bind listeners and run.
+        """Recover durable state if any, then bind listeners and run.
 
-        A primary first takes the state directory's lock
-        (:meth:`_take_primary`).  With ``standby=True`` no listener is
-        bound: the daemon adopts whatever is already in the state
-        directory, then tails the primary's snapshot/journal until it
-        can take the lock and :meth:`promote` turns it into a full
-        server.  A connecting client sees connection-refused until
-        promotion — exactly the signal that drives its failover address
-        rotation.
+        With ``standby=True`` nothing is read or bound: the daemon only
+        waits until it can take the state directory's lock, then
+        :meth:`promote` runs the same recovery and binding a starting
+        primary runs here.  A connecting client sees connection-refused
+        until promotion — exactly the signal that drives its failover
+        address rotation.
         """
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._t0 = loop.time()
-        if self.store is not None:
-            if not self.standby:
-                self._take_primary()
-            restored = self.store.load()
-            self._apply_restored(restored.snapshot, restored.entries)
-            if self.standby:
-                self._follower = JournalFollower(self.store)
-                self._follower.prime(restored.seq)
-                self._tasks.append(loop.create_task(self._standby_loop()))
-                self._started = True
-                return
-        await self._bind_and_run()
+        if self.standby:
+            self.promotion = loop.create_task(self._standby_loop())
+            self._tasks.append(self.promotion)
+        else:
+            self._recover()
+            await self._bind_and_run()
         self._started = True
 
     async def _bind_and_run(self) -> None:
@@ -433,16 +428,21 @@ class SupervisionServer:
             next_at += period
 
     # ------------------------------------------------------------------
-    # durable state: restore, journal, snapshots, warm standby
+    # durable state: recovery, journal, snapshots, standby
     # ------------------------------------------------------------------
-    def _apply_restored(self, snapshot: Optional[Dict[str, Any]],
-                        entries: List[TelemetryEvent]) -> None:
-        """Bring the fleet up to date from disk: a snapshot first (the
-        fleet must be empty), then every journal record beyond it, in
-        sequence order."""
-        if snapshot is not None:
-            self.fleet.restore(snapshot["fleet"])
-        for event in entries:
+    def _recover(self) -> None:
+        """Take the state directory, then bring the (empty) fleet up to
+        date from it: the snapshot first, then every journal record
+        beyond it, in sequence order.  ``load()`` also moves the append
+        cursor past everything on disk.  A no-op without a state
+        directory."""
+        if self.store is None:
+            return
+        self._take_primary()
+        restored = self.store.load()
+        if restored.snapshot is not None:
+            self.fleet.restore(restored.snapshot["fleet"])
+        for event in restored.entries:
             self._apply_journal_entry(event)
         self.restored_registrations = len(self.fleet.registrations)
         self._tm_registrations.set(self.restored_registrations)
@@ -547,36 +547,13 @@ class SupervisionServer:
                 self.snapshot_failures += 1
                 self._tm_snapshot_failures.inc()
 
-    def _catch_up(self) -> None:
-        """Apply what the primary wrote since the last catch-up.
-
-        A newer snapshot replaces the fleet with an empty one first:
-        counter state in the snapshot supersedes everything, so
-        incremental patching is wrong.  The replaced fleet's watchdogs
-        take their share back out of the fleet-summed gauges on the
-        registry, which the new fleet reuses.  Then the append cursor
-        adopts the follower's position: ``store.seq`` was last set by
-        ``load()`` at startup, and every record applied since came
-        through the follower.  Without this, appends after promotion
-        would reuse sequence numbers the dead primary already journaled
-        (or fall at-or-below the adopted snapshot's seq), and the next
-        recovery would silently drop them."""
-        snapshot, entries = self._follower.poll()
-        if snapshot is not None:
-            for registration in self.fleet.registrations.values():
-                registration.watchdog.withdraw_telemetry()
-            self.fleet = self._new_fleet()
-        self._apply_restored(snapshot, entries)
-        self.store.seq = max(self.store.seq, self._follower.applied_seq)
-
     async def _standby_loop(self) -> None:
-        """Tail the primary's state dir; promote once its lock is free.
+        """Wait until the state dir's lock is free, then promote.
 
         The kernel frees the lock when the primary exits (``kill -9``
         included), never while it is merely paused.  A state dir that
         nobody holds promotes the standby at once."""
         while not self.promoted:
-            self._catch_up()
             if self.store.take_primary():
                 await self.promote()
             else:
@@ -590,18 +567,19 @@ class SupervisionServer:
                 f"server")
 
     async def promote(self) -> None:
-        """Turn a standby into the live server: take the primary lock
-        (the kernel frees it after the dead primary's last write), a
-        final journal catch-up, then bind listeners, start the ticker
-        and snapshots.  Idempotent; a no-op on a non-standby server."""
+        """Turn a standby into the live server: the restart a primary
+        runs in :meth:`start` (take the lock, which the kernel frees
+        after the dead primary's last write, and recover the state
+        directory), then bind listeners, start the ticker and
+        snapshots.  Idempotent; a no-op on a non-standby server."""
         if self.promoted or not self.standby:
             return
-        self._take_primary()
-        if self._follower is not None:
-            self._catch_up()
+        self._recover()
         self.promoted = True
-        self.standby = False
         await self._bind_and_run()
+        # Only now: a promotion whose listeners failed to bind stops
+        # like a primary whose start failed, without a final snapshot.
+        self.standby = False
         if self._on_promote is not None:
             self._on_promote(self)
 

@@ -1,7 +1,11 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import asyncio
+import errno
+import gc
 import json
+import socket
+import warnings
 
 import pytest
 
@@ -67,8 +71,8 @@ class TestParser:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("repro serve: error: --standby needs "
-                                "--state-dir (the journal it tails is the "
-                                "primary's state directory)\n")
+                                "--state-dir (the state directory it waits "
+                                "to take over)\n")
 
     def test_serve_on_held_state_dir_is_a_usage_error(self, capsys,
                                                       tmp_path):
@@ -82,6 +86,49 @@ class TestParser:
         assert "listening" not in captured.out
         assert captured.err == (f"repro serve: error: state dir {state_dir} "
                                 "is held by another server\n")
+
+    @pytest.mark.parametrize("role", [[], ["--standby"]],
+                             ids=["refused", "waiting-standby"])
+    def test_serve_on_held_state_dir_leaves_telemetry_file(
+            self, role, capsys, tmp_path):
+        """The running primary's ``--telemetry`` file is not truncated
+        by a second server refused its state dir, nor by a standby that
+        never promoted, and neither leaves the file open."""
+        state_dir = str(tmp_path / "state")
+        telemetry = tmp_path / "t.jsonl"
+        stream = b'{"kind": "primary.event"}\n'
+        telemetry.write_bytes(stream)
+        with StateStore(state_dir) as holder, \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert holder.take_primary()
+            code = main(["serve", "--port", "0", "--http-port", "0",
+                         "--run-seconds", "0.1", "--state-dir", state_dir,
+                         "--telemetry", str(telemetry), *role])
+            gc.collect()
+        assert code == (0 if role else 2)
+        assert telemetry.read_bytes() == stream
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, ResourceWarning)] == []
+
+
+    def test_serve_standby_whose_promotion_fails_exits(self, capsys,
+                                                        tmp_path):
+        """A standby that takes a free state dir but cannot bind its
+        listeners ends with the bind error, as a primary's failed start
+        does, instead of staying a standby that never serves."""
+        state_dir = tmp_path / "state"
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            with pytest.raises(OSError) as failed:
+                main(["serve", "--port", str(busy.getsockname()[1]),
+                      "--http-port", "0", "--run-seconds", "5",
+                      "--standby", "--state-dir", str(state_dir)])
+        assert failed.value.errno == errno.EADDRINUSE
+        assert "standby" in capsys.readouterr().out
+        # Like a failed start, it wrote nothing into the directory.
+        assert not (state_dir / "snapshot.json").exists()
 
 
 class TestExecution:

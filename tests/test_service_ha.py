@@ -1,4 +1,4 @@
-"""HA smoke: the daemon survives kill -9, and a warm standby takes over.
+"""HA smoke: the daemon survives kill -9, and a standby takes over.
 
 Marked ``ha_smoke`` (tier-2, like ``serve_smoke``): real ``python -m
 repro serve`` subprocesses with ``--state-dir``.  Scenarios:
@@ -8,10 +8,10 @@ repro serve`` subprocesses with ``--state-dir``.  Scenarios:
   restored fleet state equals what the dead daemon had snapshotted, and
   a crashed client's silence still surfaces as a DETECTION within a
   bounded gap after the restart;
-* **warm-standby failover** — a ``--standby`` daemon tails the primary's
-  journal, promotes itself when the primary is SIGKILLed, and the
-  client's failover address list lands its reconnect/re-register replay
-  on the standby;
+* **standby failover** — a ``--standby`` daemon waits for the primary's
+  state-dir lock, restores the directory and promotes itself when the
+  primary is SIGKILLed, and the client's failover address list lands
+  its reconnect/re-register replay on the standby;
 * **one server per state directory** — a primary paused with SIGSTOP
   keeps its directory (the standby does not promote), and a second
   primary on a held directory exits non-zero.
@@ -228,8 +228,7 @@ def test_warm_standby_promotes_and_client_fails_over(tmp_path):
             client.flush()
             time.sleep(0.01)
 
-        # Let a snapshot (or the journal tail) reach the standby, then
-        # SIGKILL the primary.
+        # Let a snapshot reach the state dir, then SIGKILL the primary.
         wait_for(lambda: os.path.exists(
             os.path.join(state_dir, "snapshot.json")),
             message="first snapshot")

@@ -1,10 +1,11 @@
-"""Durable daemon state: snapshots, journal replay, warm standby."""
+"""Durable daemon state: snapshots, journal replay, standby promotion."""
 
 import asyncio
 import errno
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core import FaultHypothesis, RunnableHypothesis
 from repro.core.config_io import hypothesis_to_dict
-from repro.service import SupervisionServer, StateStore, JournalFollower
+from repro.service import SupervisionServer, StateStore
 from repro.service.persistence import (
     JOURNAL_ACTIVATION,
     JOURNAL_BYE,
@@ -23,7 +24,7 @@ from repro.service.persistence import (
     FileIO,
     StateDirHeld,
 )
-from repro.service.protocol import T_BYE, T_HEARTBEAT, T_REGISTER
+from repro.service.protocol import T_ACK, T_BYE, T_HEARTBEAT, T_REGISTER
 from repro.telemetry import TelemetryEvent
 from test_service_server import _WireClient, barrier, make_hyp_dict
 from testutil import lock_is_free, until
@@ -216,46 +217,6 @@ class TestStateStore:
         assert [e.time for e in restored.entries] == [2, 3]
 
 
-class TestJournalFollower:
-    def test_tails_journal_incrementally(self, tmp_path):
-        with make_store(tmp_path) as store:
-            follower = JournalFollower(StateStore(store.state_dir))
-            assert follower.poll() == (None, [])
-            store.append(JOURNAL_REGISTER, "a", hypothesis={})
-            snapshot, entries = follower.poll()
-            assert snapshot is None
-            assert [e.subject for e in entries] == ["a"]
-            # Nothing new → nothing returned.
-            assert follower.poll() == (None, [])
-            store.append(JOURNAL_BYE, "a")
-            _, entries = follower.poll()
-            assert [(e.kind, e.time) for e in entries] == [(JOURNAL_BYE, 2)]
-
-    def test_adopts_snapshot_and_skips_covered_records(self, tmp_path):
-        with make_store(tmp_path) as store:
-            follower = JournalFollower(StateStore(store.state_dir))
-            store.append(JOURNAL_REGISTER, "a", hypothesis={})
-            store.append(JOURNAL_REGISTER, "b", hypothesis={})
-            # The snapshot truncates the journal.
-            store.write_snapshot({"fake": 1, "registrations": []})
-            snapshot, entries = follower.poll()
-            assert snapshot["fleet"] == {"fake": 1, "registrations": []}
-            assert entries == []  # covered by the snapshot, never replayed
-            store.append(JOURNAL_BYE, "a")  # seq 3
-            snapshot, entries = follower.poll()
-            assert snapshot is None
-            assert [e.time for e in entries] == [3]
-
-    def test_snapshot_not_readopted(self, tmp_path):
-        store = make_store(tmp_path)
-        store.write_snapshot({"fake": 1, "registrations": []})
-        follower = JournalFollower(StateStore(store.state_dir))
-        snapshot, _ = follower.poll()
-        assert snapshot is not None
-        assert follower.poll() == (None, [])
-        assert follower.snapshots_adopted == 1
-
-
 class TestServerRestore:
     def test_journal_only_restore_reproduces_registrations(self, tmp_path):
         """No snapshot ever written: replaying REGISTER journal records
@@ -385,6 +346,27 @@ class TestServerRestore:
         asyncio.run(scenario())
 
 
+def standby_server(tmp_path, **kwargs):
+    kwargs.setdefault("standby_poll", 0.01)
+    return SupervisionServer(
+        port=0, tick_interval=None, standby=True,
+        state_dir=str(tmp_path / "state"), snapshot_interval=None, **kwargs)
+
+
+def restarted_copy(tmp_path):
+    """A primary started on a copy of the state dir (the restart a
+    promoting standby must equal)."""
+    copy = tmp_path / "restart"
+    shutil.copytree(tmp_path / "state", copy)
+    return start_server(tmp_path, state_dir=str(copy))
+
+
+def fleet_gauges(server):
+    """The fleet-summed gauges every watchdog adds its share to."""
+    return {name: server.telemetry.value(name)
+            for name in ("wd_hbm_active_runnables", "wd_tsi_faulty_tasks")}
+
+
 class TestStandby:
     def test_standby_binds_nothing_until_promoted(self, tmp_path):
         async def scenario():
@@ -394,22 +376,48 @@ class TestStandby:
             assert (await peer.recv_frame()).get("ok")
             primary.write_snapshot()
 
-            standby = SupervisionServer(
-                port=0, tick_interval=None, standby=True,
-                state_dir=str(tmp_path / "state"),
-                snapshot_interval=None, standby_poll=0.01)
+            standby = standby_server(tmp_path)
             await standby.start()
             assert standby.standby and not standby.promoted
             assert standby._servers == []  # nothing bound yet
             assert standby.health()["role"] == "standby"
-            # It already adopted the primary's snapshot.
-            assert set(standby.fleet.registrations) == {"p"}
+            assert standby.restored_registrations == 0
             await standby.stop()
             await peer.close()
             await primary.stop()
         asyncio.run(scenario())
 
+    def test_waiting_standby_holds_no_state(self, tmp_path):
+        """Until it promotes, a standby reads nothing from the state
+        dir: the primary's snapshots and journal records leave its fleet
+        empty and its append cursor at 0."""
+        async def scenario():
+            primary = await start_server(tmp_path)
+            peer = await _WireClient.connect(primary)
+            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await peer.recv_frame()).get("ok")
+            standby = standby_server(tmp_path)
+            await standby.start()
+            for name in ("q", "r"):
+                primary.write_snapshot()
+                await peer.send(T_REGISTER, name=name,
+                                hypothesis=make_hyp_dict())
+                assert (await peer.recv_frame()).get("ok")
+                await asyncio.sleep(5 * standby.standby_poll)
+            assert primary.store.snapshots_written == 2
+            assert not standby.promoted
+            assert standby.fleet.registrations == {}
+            assert standby.store.seq == 0
+            assert not standby.telemetry.value("wd_hbm_active_runnables")
+            await peer.close()
+            await standby.stop()
+            await primary.stop()
+        asyncio.run(scenario())
+
     def test_standby_tails_journal_and_promotes_on_dead_lock(self, tmp_path):
+        """The standby waits on the lock, not on the files: a REGISTER
+        journaled while it waits reaches it only through the recovery
+        it runs on promotion."""
         async def scenario():
             primary = await start_server(tmp_path)
             peer = await _WireClient.connect(primary)
@@ -417,20 +425,13 @@ class TestStandby:
             assert (await peer.recv_frame()).get("ok")
 
             promoted = asyncio.Event()
-            standby = SupervisionServer(
-                port=0, tick_interval=None, standby=True,
-                state_dir=str(tmp_path / "state"),
-                snapshot_interval=None, standby_poll=0.01,
-                on_promote=lambda _srv: promoted.set())
+            standby = standby_server(
+                tmp_path, on_promote=lambda _srv: promoted.set())
             await standby.start()
-
-            # A registration arriving while the standby tails the
-            # journal reaches it without any snapshot.
             await peer.send(T_REGISTER, name="q", hypothesis=make_hyp_dict())
             assert (await peer.recv_frame()).get("ok")
-            await until(lambda: "q" in standby.fleet.registrations,
-                        message="the standby to tail the REGISTER")
-            assert set(standby.fleet.registrations) == {"p", "q"}
+            await asyncio.sleep(5 * standby.standby_poll)
+            assert standby.fleet.registrations == {}
 
             # Stop the primary without a final snapshot: closing its
             # store frees the lock, as the kernel does on a kill -9.
@@ -441,7 +442,8 @@ class TestStandby:
             assert standby.promoted and not standby.standby
             assert standby.health()["role"] == "promoted"
             assert standby.port  # listeners bound at promotion
-            assert set(standby.fleet.registrations) == {"p", "q"}
+            assert list(standby.fleet.registrations) == ["p", "q"]
+            assert standby.restored_registrations == 2
             # The promoted standby is a full server: a client can rebind.
             client = await _WireClient.connect(standby)
             await client.send(T_REGISTER, name="p",
@@ -453,71 +455,43 @@ class TestStandby:
         asyncio.run(scenario())
 
     def test_promoted_standby_continues_journal_sequence(self, tmp_path):
-        """Regression: the standby's store.seq was only set by load() at
-        startup; journal records and snapshots the follower applied
-        afterwards never advanced it.  A promoted standby then journaled
-        new records with already-used sequence numbers at-or-below the
-        on-disk snapshot's seq — and the next recovery silently dropped
-        them (lost post-failover registrations)."""
+        """A promoted standby journals beyond everything the dead
+        primary wrote, so a registration made after the failover
+        survives the next recovery."""
         async def scenario():
             primary = await start_server(tmp_path)
             peer = await _WireClient.connect(primary)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-
-            # Standby starts now: load() sees only journal seq 1.
-            standby = SupervisionServer(
-                port=0, tick_interval=None, standby=True,
-                state_dir=str(tmp_path / "state"),
-                snapshot_interval=None, standby_poll=0.01)
+            standby = standby_server(tmp_path)
             await standby.start()
-
-            # The primary advances the sequence past the standby's
-            # loaded position, then snapshots (journal truncated,
-            # snapshot seq = 2).
-            await peer.send(T_REGISTER, name="q", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            primary.write_snapshot()
-            await until(lambda: standby._follower.applied_seq >= 2,
-                        message="the standby to adopt the snapshot")
-            assert standby._follower.applied_seq >= 2
+            for name in ("p", "q"):
+                await peer.send(T_REGISTER, name=name,
+                                hypothesis=make_hyp_dict())
+                assert (await peer.recv_frame()).get("ok")
+            primary.write_snapshot()  # journal truncated, snapshot seq 2
 
             await peer.close()
             await primary.stop(save=False)
             await standby.promote()
-            # The append cursor continued the primary's sequence.
-            assert standby.store.seq >= standby._follower.applied_seq
+            assert standby.store.seq == 2
 
             # A post-failover registration journals beyond the snapshot.
             client = await _WireClient.connect(standby)
             await client.send(T_REGISTER, name="r",
                               hypothesis=make_hyp_dict())
             assert (await client.recv_frame()).get("ok")
+            assert standby.store.seq == 3
             await client.close()
             await standby.stop(save=False)  # crash before any snapshot
 
             revived = await start_server(tmp_path)
-            assert set(revived.fleet.registrations) == {"p", "q", "r"}
+            assert list(revived.fleet.registrations) == ["p", "q", "r"]
             await revived.stop()
         asyncio.run(scenario())
 
     def test_adopted_snapshots_do_not_inflate_fleet_gauges(self, tmp_path):
-        """Regression: each adopted snapshot built new watchdogs on the
-        standby's registry, and every one added its share to the
-        fleet-summed gauges while the replaced fleet never took its
-        share back, so the gauges grew with every snapshot (and a
-        promoted standby exported the inflated values)."""
-        gauges = ("wd_hbm_active_runnables", "wd_tsi_faulty_tasks")
-
-        def read(server):
-            return {name: server.telemetry.value(name) for name in gauges}
-
-        def standby_server():
-            return SupervisionServer(
-                port=0, tick_interval=None, standby=True,
-                state_dir=str(tmp_path / "state"),
-                snapshot_interval=None, standby_poll=0.01)
-
+        """However many snapshots the primary writes while the standby
+        waits, the promoted standby's fleet-summed gauges equal those of
+        a server that restored the directory once."""
         async def scenario():
             primary = await start_server(tmp_path)
             peer = await _WireClient.connect(primary)
@@ -525,26 +499,72 @@ class TestStandby:
             assert (await peer.recv_frame()).get("ok")
             for cycle in range(1, 13):  # silent: task T turns faulty
                 primary.tick(cycle * 10)
-            assert read(primary) == {"wd_hbm_active_runnables": 2,
-                                     "wd_tsi_faulty_tasks": 1}
+            assert fleet_gauges(primary) == {"wd_hbm_active_runnables": 2,
+                                             "wd_tsi_faulty_tasks": 1}
 
-            standby = standby_server()
+            standby = standby_server(tmp_path)
             await standby.start()
             for _ in range(3):
-                adopted = standby.fleet
                 primary.write_snapshot()
-                await until(lambda: standby.fleet is not adopted,
-                            message="the standby to adopt the snapshot")
-            restored_once = standby_server()
-            await restored_once.start()
-            assert read(restored_once) == read(primary)
-            assert read(standby) == read(restored_once)
-            await restored_once.stop()
-
+                await asyncio.sleep(2 * standby.standby_poll)
             await peer.close()
             await primary.stop(save=False)
+            restored_once = await restarted_copy(tmp_path)
+            assert fleet_gauges(restored_once) == fleet_gauges(primary)
             await standby.promote()
-            assert read(standby) == read(restored_once)
+            assert fleet_gauges(standby) == fleet_gauges(restored_once)
+            await restored_once.stop()
+            await standby.stop()
+        asyncio.run(scenario())
+
+    def test_promoted_standby_equals_restarted_primary(self, tmp_path):
+        """Promotion is a restart: a standby promoted on the directory a
+        crashed primary left (a snapshot holding a faulty task, then a
+        REGISTER and a BYE only in the journal) holds the fleet a
+        primary restarted on a copy of that directory holds."""
+        async def scenario():
+            primary = await start_server(tmp_path)
+            owners = {}
+            for name, prefix in (("p", ""), ("q", "q.")):
+                owners[name] = await _WireClient.connect(primary)
+                await owners[name].send(T_REGISTER, name=name,
+                                        hypothesis=make_hyp_dict(prefix))
+                assert (await owners[name].recv_frame()).get("ok")
+            await owners["q"].send(T_HEARTBEAT, name="q",
+                                   batch=[["q.sense", 5, "T"]])
+            await barrier(owners["q"])
+            for cycle in range(1, 13):  # p's and q's tasks turn faulty
+                primary.tick(cycle * 10)
+            primary.write_snapshot()
+            # Journal only: a later REGISTER, and q's BYE.
+            late = await _WireClient.connect(primary)
+            await late.send(T_REGISTER, name="r",
+                            hypothesis=make_hyp_dict("r."))
+            assert (await late.recv_frame()).get("ok")
+            await owners["q"].send(T_BYE)
+            ack = await owners["q"].recv_frame()
+            while ack.type != T_ACK:  # q's DETECTION and STATE pushes
+                ack = await owners["q"].recv_frame()
+            assert ack.get("ok") and ack.get("re") == T_BYE
+
+            standby = standby_server(tmp_path)
+            await standby.start()
+            for peer in (*owners.values(), late):
+                await peer.close()
+            await primary.stop(save=False)  # crash: no final snapshot
+
+            restarted = await restarted_copy(tmp_path)
+            await until(lambda: standby.promoted,
+                        message="the standby to promote")
+            assert list(standby.fleet.registrations) == ["p", "q", "r"]
+            assert list(standby.fleet.registrations) == list(
+                restarted.fleet.registrations)
+            assert not standby.fleet.registration("q").active
+            assert standby.fleet.snapshot() == restarted.fleet.snapshot()
+            assert fleet_gauges(standby) == fleet_gauges(restarted)
+            assert fleet_gauges(standby)["wd_tsi_faulty_tasks"] == 2
+            assert standby.store.seq == restarted.store.seq
+            await restarted.stop()
             await standby.stop()
         asyncio.run(scenario())
 

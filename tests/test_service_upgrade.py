@@ -47,8 +47,8 @@ import shutil
 
 import pytest
 
-from repro.service import Fleet, JournalFollower, StateStore, SupervisionServer
-from repro.service.persistence import JOURNAL_REGISTER, SNAPSHOT_SCHEMA_VERSION
+from repro.service import Fleet, StateStore, SupervisionServer
+from repro.service.persistence import SNAPSHOT_SCHEMA_VERSION
 from testutil import until
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -187,29 +187,27 @@ def test_restored_daemon_raises_the_recorded_detections(tmp_path):
         SNAPSHOTTED + ["delta"])
 
 
-def test_follower_adopts_schema_one_snapshot(tmp_path):
-    follower = JournalFollower(StateStore(copy_fixture(tmp_path)))
-    snapshot, entries = follower.poll()
-    assert snapshot is not None and snapshot["schema"] == 1
-    assert [(e.kind, e.subject) for e in entries] == [
-        (JOURNAL_REGISTER, "delta")]
-    assert follower.snapshots_adopted == 1
-
-
 def test_standby_adopts_a_schema_one_primary(tmp_path):
-    state_dir = str(tmp_path / "state")
+    """A standby waiting on a directory the sharded daemon wrote reads
+    none of it; once the directory is free it promotes by the same
+    recovery a restart runs, so it restores the schema-1 state."""
+    state_dir = copy_fixture(tmp_path)
 
     async def scenario():
-        standby = SupervisionServer(
-            port=0, tick_interval=None, standby=True, state_dir=state_dir,
-            snapshot_interval=None, standby_poll=0.01)
-        await standby.start()
-        assert not standby.fleet.registrations
-        for name in ("snapshot.json", "journal.jsonl"):
-            shutil.copy(os.path.join(FIXTURE, name), state_dir)
-        await until(lambda: len(standby.fleet.registrations) == 4,
-                    message="the standby to adopt the schema-1 state")
+        with StateStore(state_dir) as primary:
+            assert primary.take_primary()
+            standby = SupervisionServer(
+                port=0, tick_interval=None, standby=True,
+                state_dir=state_dir, snapshot_interval=None,
+                standby_poll=0.01)
+            await standby.start()
+            await asyncio.sleep(5 * standby.standby_poll)
+            assert not standby.promoted
+            assert not standby.fleet.registrations
+        await until(lambda: standby.promoted,
+                    message="the standby to promote")
         assert list(standby.fleet.registrations) == SNAPSHOTTED + ["delta"]
+        assert standby.fleet.tick_count == 6
         await standby.stop()
 
     asyncio.run(scenario())
