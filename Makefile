@@ -18,8 +18,8 @@
 #   make serve-smoke  tier-2: real `repro serve` daemon + two SDK
 #                     clients + one induced crash -> detection
 #   make ha-smoke     tier-2: kill -9 the daemon and restart it from its
-#                     --state-dir; standby promotion + client
-#                     failover
+#                     --state-dir; a restart on a client's failover
+#                     address; one server per state dir
 
 PYTEST = PYTHONPATH=src python -m pytest
 REPRO = PYTHONPATH=src python -m repro
@@ -28,7 +28,8 @@ REPRO = PYTHONPATH=src python -m repro
 BENCH_RECORD = benchmarks/test_bench_service_recovery.py \
 	benchmarks/test_bench_snapshot.py benchmarks/test_bench_footprint.py \
 	benchmarks/test_bench_service_ingest.py benchmarks/test_bench_fleet_tick.py \
-	benchmarks/test_bench_admission.py benchmarks/test_bench_check_cycle.py
+	benchmarks/test_bench_admission.py benchmarks/test_bench_check_cycle.py \
+	benchmarks/test_bench_failover.py
 
 .PHONY: test lint bench-smoke bench wdbench wdbench-test bench-record \
 	metrics-smoke serve-smoke ha-smoke all

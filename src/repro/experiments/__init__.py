@@ -34,14 +34,13 @@ from .overhead import (
     passive_vs_polling_rows,
     watchdog_cpu_rows,
 )
-from .reconfig import ReconfigReport, reconfig_rows, run_reconfiguration
+from .reconfig import ReconfigReport, run_reconfiguration
 from .toolchain import ToolchainReport, functional_model, map_onto_architecture, run_toolchain
 from .treatment import (
     EscalationRow,
     ThresholdRow,
     run_escalation_sweep,
     run_threshold_sweep,
-    treatment_summary_rows,
 )
 
 __all__ = [
@@ -60,7 +59,6 @@ __all__ = [
     "functional_model",
     "map_onto_architecture",
     "passive_vs_polling_rows",
-    "reconfig_rows",
     "run_alarm_release",
     "run_coverage_campaign",
     "run_distributed_supervision",
@@ -77,6 +75,5 @@ __all__ = [
     "run_threshold_sweep",
     "run_toolchain",
     "standard_fault_specs",
-    "treatment_summary_rows",
     "watchdog_cpu_rows",
 ]

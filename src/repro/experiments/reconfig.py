@@ -15,7 +15,6 @@ global ECU state recovers to OK from the watchdog's perspective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..faults.models import BlockedRunnableFault, FaultTarget
 from ..kernel.clock import seconds
@@ -81,17 +80,3 @@ def run_reconfiguration(
         safespeed_state=rig.ecu.application_state("SafeSpeed").value,
         safelane_state=rig.ecu.application_state("SafeLane").value,
     )
-
-
-def reconfig_rows() -> Dict[str, object]:
-    """Flat dict for EXPERIMENTS.md."""
-    report = run_reconfiguration()
-    return {
-        "safelane_terminated": report.safelane_terminated,
-        "safelane_restarts": report.safelane_restarts,
-        "ecu_resets": report.ecu_resets,
-        "speed_regulated": report.speed_regulated,
-        "detections_after_termination": report.detections_after_termination,
-        "safespeed_state": report.safespeed_state,
-        "safelane_state": report.safelane_state,
-    }

@@ -18,7 +18,7 @@ Expected shape:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..apps.safespeed import safespeed_mapping
 from ..faults.models import BlockedRunnableFault, FaultTarget
@@ -138,41 +138,5 @@ def run_escalation_sweep(
                 ),
                 recovered=recovered,
             )
-        )
-    return rows
-
-
-def treatment_summary_rows() -> List[Dict[str, object]]:
-    """Combined table for EXPERIMENTS.md."""
-    rows: List[Dict[str, object]] = []
-    for row in run_threshold_sweep():
-        rows.append(
-            {
-                "experiment": "threshold sweep",
-                "parameter": f"threshold={row.threshold}",
-                "time_to_task_fault_ms": row.time_to_task_fault_ms,
-                "resets": None,
-                "recovered": None,
-            }
-        )
-    for row in run_escalation_sweep():
-        rows.append(
-            {
-                "experiment": "escalation (permanent fault)",
-                "parameter": f"restart_budget={row.max_app_restarts}",
-                "time_to_task_fault_ms": None,
-                "resets": row.resets,
-                "recovered": row.recovered,
-            }
-        )
-    for row in run_escalation_sweep(budgets=[3], transient_duration=ms(400)):
-        rows.append(
-            {
-                "experiment": "escalation (transient fault)",
-                "parameter": f"restart_budget={row.max_app_restarts}",
-                "time_to_task_fault_ms": None,
-                "resets": row.resets,
-                "recovered": row.recovered,
-            }
         )
     return rows

@@ -26,8 +26,10 @@ with and heartbeat into over a socket.
 * :mod:`repro.service.persistence` — the daemon's crash memory:
   atomic point-in-time snapshots plus an append-only journal of
   state-changing frames, with crash-truncation-tolerant replay, and the
-  ``flock`` that lets one server at a time own a state directory: a
-  ``--standby`` daemon waits for it, then recovers like a restart.
+  ``flock`` that lets one server at a time own a state directory.
+  Failover is a restart: a service manager starts ``repro serve
+  --state-dir`` again, and it recovers the directory the dead daemon
+  left.
 
 The daemon is the ``python -m repro serve`` subcommand; a differential
 test pins the service path to the in-process path: the same indication

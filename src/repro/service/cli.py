@@ -70,18 +70,12 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fsync", action="store_true",
                         help="fsync every journal append (survives host "
                              "crashes, not just process crashes)")
-    parser.add_argument("--standby", action="store_true",
-                        help="standby: wait until the primary holding "
-                             "--state-dir exits, then restore its state and "
-                             "bind the listeners, as a restart would "
-                             "(clients reach it via their failover address "
-                             "list)")
     parser.add_argument("--run-seconds", type=float, default=None,
                         help="exit after this many seconds (smoke tests; "
                              "default: run until SIGTERM/SIGINT)")
 
 
-def _banner(server, args: argparse.Namespace, *, verb: str) -> str:
+def _banner(server, args: argparse.Namespace) -> str:
     endpoints = []
     if server.port is not None:
         endpoints.append(f"tcp={server.host}:{server.port}")
@@ -89,7 +83,7 @@ def _banner(server, args: argparse.Namespace, *, verb: str) -> str:
         endpoints.append(f"unix={server.unix_path}")
     if server.http_port is not None:
         endpoints.append(f"http={server.host}:{server.http_port}")
-    line = (f"{server.name} {verb} {' '.join(endpoints)} "
+    line = (f"{server.name} listening {' '.join(endpoints)} "
             f"strict={args.strict} tick_ms={args.tick_ms:g}")
     if server.store is not None:
         line += (f" state_dir={server.store.state_dir}"
@@ -97,16 +91,7 @@ def _banner(server, args: argparse.Namespace, *, verb: str) -> str:
     return line
 
 
-def _usage_error(message: str) -> int:
-    """One argparse-style line on stderr; the usage-error exit code."""
-    print(f"repro serve: error: {message}", file=sys.stderr)
-    return 2
-
-
 def run_serve(args: argparse.Namespace) -> int:
-    if args.standby and args.state_dir is None:
-        return _usage_error("--standby needs --state-dir (the state "
-                            "directory it waits to take over)")
     import asyncio
 
     from .persistence import StateDirHeld
@@ -122,7 +107,9 @@ def run_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     except StateDirHeld as held:
-        return _usage_error(str(held))
+        # One argparse-style line on stderr and the usage-error code.
+        print(f"repro serve: error: {held}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -130,8 +117,7 @@ class _TelemetryFile:
     """The ``--telemetry`` event sink, whose file is opened (and
     truncated) only by a server that owns its state: at the first event,
     or by :meth:`open` once the server listens.  A server refused a held
-    state directory, or a standby still waiting for it, leaves the
-    running primary's file untouched."""
+    state directory leaves the running server's file untouched."""
 
     enabled = True
 
@@ -154,11 +140,6 @@ class _TelemetryFile:
             self._sink.close()
 
 
-def _failed(task) -> bool:
-    """Whether an asyncio task has ended with an error."""
-    return task.done() and not task.cancelled() and task.exception() is not None
-
-
 async def _serve(
     args: argparse.Namespace, *, port: Optional[int], http_port: Optional[int]
 ) -> None:
@@ -168,12 +149,6 @@ async def _serve(
     from .server import SupervisionServer
 
     telemetry = _TelemetryFile(args.telemetry) if args.telemetry else None
-
-    def listening(server, verb: str) -> None:
-        if telemetry is not None:
-            telemetry.open()
-        print(_banner(server, args, verb=verb), flush=True)
-
     state_dir = args.state_dir
     snapshot_interval = args.snapshot_interval
     server = SupervisionServer(
@@ -188,8 +163,6 @@ async def _serve(
         snapshot_interval=(snapshot_interval if state_dir
                            and snapshot_interval > 0 else None),
         fsync=args.fsync,
-        standby=args.standby,
-        on_promote=lambda srv: listening(srv, "promoted listening"),
     )
     # Handlers go in before the banner: a supervisor that SIGTERMs the
     # daemon the instant it prints must still get the clean-stop path
@@ -204,15 +177,9 @@ async def _serve(
 
     try:
         await server.start()
-        if server.standby:
-            print(f"{server.name} standby state_dir={server.store.state_dir}",
-                  flush=True)
-            # A promotion that fails ends the daemon, as a failed start
-            # does, rather than leaving a standby that never serves.
-            server.promotion.add_done_callback(
-                lambda task: _failed(task) and stop.set())
-        else:
-            listening(server, "listening")
+        if telemetry is not None:
+            telemetry.open()
+        print(_banner(server, args), flush=True)
         try:
             await asyncio.wait_for(stop.wait(), timeout=args.run_seconds)
         except asyncio.TimeoutError:
@@ -223,8 +190,6 @@ async def _serve(
             stats["missed_ticks"] = server.missed_ticks
             print("shutdown " + " ".join(f"{k}={v}" for k, v in stats.items()),
                   flush=True)
-        if server.promotion is not None and _failed(server.promotion):
-            raise server.promotion.exception()
     finally:
         if telemetry is not None:
             telemetry.close()

@@ -19,7 +19,11 @@ its supervisor):
 * after a reconnect the client re-sends HELLO and re-REGISTERs every
   hypothesis it has registered; the server rebinds an identical
   hypothesis onto its surviving watchdog, so supervision state is
-  preserved across client connection loss.
+  preserved across client connection loss, and across a daemon that
+  was restarted from its state directory,
+* a ``failover`` list names further addresses to try when the current
+  one refuses, such as the address of a daemon that a service manager
+  restarts elsewhere.
 
 Server pushes (DETECTION and STATE frames) are read by :meth:`poll` —
 call it from the application's own loop; the client is deliberately
@@ -81,12 +85,12 @@ class WatchdogClient:
     clients.
 
     ``address`` is ``(host, port)`` for TCP or a filesystem path string
-    for a UNIX socket.  ``failover`` lists further addresses (typically
-    the standby's) tried in order whenever the current one refuses;
-    the client sticks with whichever address last worked, and the
-    ordinary reconnect path — replay HELLO, re-REGISTER — runs
-    identically after a failover, so a promoted standby receives the
-    same rebind a restarted primary would.
+    for a UNIX socket.  ``failover`` lists further addresses tried in
+    order whenever the current one refuses; the client sticks with
+    whichever address last worked, and the ordinary reconnect path —
+    replay HELLO, re-REGISTER — runs identically after a failover, so a
+    daemon restarted on another address receives the same rebind as
+    one restarted on the first.
     """
 
     def __init__(

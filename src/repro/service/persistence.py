@@ -59,10 +59,11 @@ journal truncation goes through one seam, :attr:`StateStore.io` (a
 **One server per state directory**: the one that writes it holds an
 exclusive ``flock`` on ``primary.lock`` (:meth:`StateStore.take_primary`).
 The kernel frees it when the holder exits, ``kill -9`` included, after
-its last write, and never while it is only paused, so a standby cannot
-promote past a live primary.  A ``flock`` is local to one host.  A
-standby reads nothing here until it holds the lock; promoting, it runs
-the same recovery (:meth:`StateStore.load`) a restarting primary runs.
+its last write, and never while it is only paused, so a second server
+cannot start on the directory of a live one, however long it is
+stopped.  A ``flock`` is local to one host.  A server reads nothing
+here until it holds the lock; then it recovers the directory
+(:meth:`StateStore.load`).
 """
 
 from __future__ import annotations

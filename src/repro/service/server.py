@@ -5,9 +5,9 @@ core (:mod:`repro.service.supervisor` / :mod:`repro.service.fleet`);
 this module moves frames.  Its push channels subscribe once to the
 fleet's table-level events (:meth:`SupervisionServer._new_fleet`), and
 a server recovers its state directory through one path
-(:meth:`SupervisionServer._recover`), whether it is starting or a
-standby promoting.  Three design rules keep the daemon a dependability
-service rather than a liability:
+(:meth:`SupervisionServer._recover`) as it starts: failover is a
+restart on the same directory.  Three design rules keep the daemon a
+dependability service rather than a liability:
 
 * **misbehaving clients cannot hurt the server** — a malformed payload
   is rejected with an error ACK and the connection survives (only
@@ -169,15 +169,9 @@ class SupervisionServer:
         state_dir: Optional[str] = None,
         snapshot_interval: Optional[float] = 5.0,
         fsync: bool = False,
-        standby: bool = False,
-        standby_poll: float = 0.25,
-        on_promote=None,
     ) -> None:
         if port is None and unix_path is None:
             raise ValueError("need a TCP port and/or a UNIX socket path")
-        if standby and state_dir is None:
-            raise ValueError("--standby needs --state-dir (the state "
-                             "directory it waits to take over)")
         if tick_interval is not None and not tick_interval > 0:
             # The ticker would die on ``late // period`` and leave a
             # daemon that acks heartbeats but never runs a check cycle.
@@ -216,19 +210,11 @@ class SupervisionServer:
 
         # --- durable state (the restartable daemon) ---
         self.snapshot_interval = snapshot_interval
-        self.standby = standby
-        self.standby_poll = standby_poll
         self.store: Optional[StateStore] = (
             StateStore(state_dir, fsync=fsync) if state_dir is not None
             else None
         )
         self.restored_registrations = 0
-        self.promoted = False
-        #: A started standby's wait-and-promote task; it ends with the
-        #: error of a promotion that failed (listeners that cannot
-        #: bind, a state dir that does not load).
-        self.promotion: Optional[asyncio.Task] = None
-        self._on_promote = on_promote
         self._snapshot_write: Optional[asyncio.Future] = None
 
         tm = self.telemetry
@@ -304,28 +290,13 @@ class SupervisionServer:
     async def start(self) -> None:
         """Recover durable state if any, then bind listeners and run.
 
-        With ``standby=True`` nothing is read or bound: the daemon only
-        waits until it can take the state directory's lock, then
-        :meth:`promote` runs the same recovery and binding a starting
-        primary runs here.  A connecting client sees connection-refused
-        until promotion — exactly the signal that drives its failover
-        address rotation.
+        A state directory another server holds raises
+        :class:`StateDirHeld` before anything is read or bound.
         """
         loop = asyncio.get_running_loop()
         self._loop = loop
         self._t0 = loop.time()
-        if self.standby:
-            self.promotion = loop.create_task(self._standby_loop())
-            self._tasks.append(self.promotion)
-        else:
-            self._recover()
-            await self._bind_and_run()
-        self._started = True
-
-    async def _bind_and_run(self) -> None:
-        """Bind listeners, start the ticker and snapshots (the
-        active-server half of startup, deferred in standby mode)."""
-        loop = asyncio.get_running_loop()
+        self._recover()
         protocol = functools.partial(_Connection, self)
         if self.port is not None:
             server = await loop.create_server(
@@ -346,6 +317,7 @@ class SupervisionServer:
             self._tasks.append(loop.create_task(self._ticker()))
         if self.store is not None and self.snapshot_interval is not None:
             self._tasks.append(loop.create_task(self._snapshot_loop()))
+        self._started = True
 
     async def stop(self, *, save: Optional[bool] = None) -> None:
         """Shut down cleanly: no task left pending, sockets unlinked.
@@ -354,7 +326,7 @@ class SupervisionServer:
         final snapshot by default (``save=False`` suppresses it — the
         crash-simulation path tests use; a refused :meth:`start` never
         writes into a directory another server holds), then the store
-        is closed, which releases the primary lock to a waiting standby.
+        is closed, which releases the state directory's lock.
         """
         self._stopping = True
         for server in self._servers:
@@ -384,7 +356,7 @@ class SupervisionServer:
                 pass
         if self.store is not None:
             if save is None:
-                save = self._started and not self.standby
+                save = self._started
             if save:
                 self.write_snapshot()
             self.store.close()
@@ -428,17 +400,20 @@ class SupervisionServer:
             next_at += period
 
     # ------------------------------------------------------------------
-    # durable state: recovery, journal, snapshots, standby
+    # durable state: recovery, journal, snapshots
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        """Take the state directory, then bring the (empty) fleet up to
-        date from it: the snapshot first, then every journal record
-        beyond it, in sequence order.  ``load()`` also moves the append
-        cursor past everything on disk.  A no-op without a state
-        directory."""
+        """Take the state directory's lock (or raise
+        :class:`StateDirHeld`), then bring the (empty) fleet up to date
+        from it: the snapshot first, then every journal record beyond
+        it, in sequence order.  ``load()`` also moves the append cursor
+        past everything on disk.  A no-op without a state directory."""
         if self.store is None:
             return
-        self._take_primary()
+        if not self.store.take_primary():
+            raise StateDirHeld(
+                f"state dir {self.store.state_dir} is held by another "
+                f"server")
         restored = self.store.load()
         if restored.snapshot is not None:
             self.fleet.restore(restored.snapshot["fleet"])
@@ -546,42 +521,6 @@ class SupervisionServer:
                 # never be truncated again.  Count it; retry next cycle.
                 self.snapshot_failures += 1
                 self._tm_snapshot_failures.inc()
-
-    async def _standby_loop(self) -> None:
-        """Wait until the state dir's lock is free, then promote.
-
-        The kernel frees the lock when the primary exits (``kill -9``
-        included), never while it is merely paused.  A state dir that
-        nobody holds promotes the standby at once."""
-        while not self.promoted:
-            if self.store.take_primary():
-                await self.promote()
-            else:
-                await asyncio.sleep(self.standby_poll)
-
-    def _take_primary(self) -> None:
-        """Take the state dir's lock, or raise :class:`StateDirHeld`."""
-        if not self.store.take_primary():
-            raise StateDirHeld(
-                f"state dir {self.store.state_dir} is held by another "
-                f"server")
-
-    async def promote(self) -> None:
-        """Turn a standby into the live server: the restart a primary
-        runs in :meth:`start` (take the lock, which the kernel frees
-        after the dead primary's last write, and recover the state
-        directory), then bind listeners, start the ticker and
-        snapshots.  Idempotent; a no-op on a non-standby server."""
-        if self.promoted or not self.standby:
-            return
-        self._recover()
-        self.promoted = True
-        await self._bind_and_run()
-        # Only now: a promotion whose listeners failed to bind stops
-        # like a primary whose start failed, without a final snapshot.
-        self.standby = False
-        if self._on_promote is not None:
-            self._on_promote(self)
 
     # ------------------------------------------------------------------
     # wire protocol connections
@@ -881,8 +820,6 @@ class SupervisionServer:
             dropped=0,
             missed_ticks=self.missed_ticks,
             handler_errors=self.handler_errors,
-            role=("standby" if self.standby
-                  else "promoted" if self.promoted else "primary"),
         )
         if self.store is not None:
             stats.update(

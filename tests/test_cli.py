@@ -1,6 +1,5 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
-import asyncio
 import errno
 import gc
 import json
@@ -59,20 +58,15 @@ class TestParser:
         assert stop.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
-    def test_serve_standby_without_state_dir_is_a_usage_error(
-            self, capsys, monkeypatch):
-        def no_event_loop(coro):
-            coro.close()
-            raise AssertionError("the event loop started")
-
-        monkeypatch.setattr(asyncio, "run", no_event_loop)
-        assert main(["serve", "--port", "0", "--http-port", "0",
-                     "--run-seconds", "0.1", "--standby"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("repro serve: error: --standby needs "
-                                "--state-dir (the state directory it waits "
-                                "to take over)\n")
+    def test_serve_standby_flag_removed(self, capsys, tmp_path):
+        # Failover is a restart of `repro serve --state-dir`; the flag
+        # that started a waiting second daemon is a usage error now.
+        with pytest.raises(SystemExit) as stop:
+            main(["serve", "--port", "0", "--http-port", "0",
+                  "--run-seconds", "0.1", "--standby",
+                  "--state-dir", str(tmp_path / "state")])
+        assert stop.value.code == 2
+        assert "--standby" in capsys.readouterr().err
 
     def test_serve_on_held_state_dir_is_a_usage_error(self, capsys,
                                                       tmp_path):
@@ -87,13 +81,11 @@ class TestParser:
         assert captured.err == (f"repro serve: error: state dir {state_dir} "
                                 "is held by another server\n")
 
-    @pytest.mark.parametrize("role", [[], ["--standby"]],
-                             ids=["refused", "waiting-standby"])
     def test_serve_on_held_state_dir_leaves_telemetry_file(
-            self, role, capsys, tmp_path):
+            self, capsys, tmp_path):
         """The running primary's ``--telemetry`` file is not truncated
-        by a second server refused its state dir, nor by a standby that
-        never promoted, and neither leaves the file open."""
+        by a second server refused its state dir, which does not leave
+        the file open either."""
         state_dir = str(tmp_path / "state")
         telemetry = tmp_path / "t.jsonl"
         stream = b'{"kind": "primary.event"}\n'
@@ -104,19 +96,18 @@ class TestParser:
             assert holder.take_primary()
             code = main(["serve", "--port", "0", "--http-port", "0",
                          "--run-seconds", "0.1", "--state-dir", state_dir,
-                         "--telemetry", str(telemetry), *role])
+                         "--telemetry", str(telemetry)])
             gc.collect()
-        assert code == (0 if role else 2)
+        assert code == 2
         assert telemetry.read_bytes() == stream
         assert [str(w.message) for w in caught
                 if issubclass(w.category, ResourceWarning)] == []
 
-
-    def test_serve_standby_whose_promotion_fails_exits(self, capsys,
-                                                        tmp_path):
-        """A standby that takes a free state dir but cannot bind its
-        listeners ends with the bind error, as a primary's failed start
-        does, instead of staying a standby that never serves."""
+    def test_serve_whose_port_is_taken_writes_no_snapshot(self, capsys,
+                                                          tmp_path):
+        """A restart that takes its state dir but cannot bind its
+        listener (the port is still taken) ends with the bind error,
+        prints no banner and writes nothing into the directory."""
         state_dir = tmp_path / "state"
         with socket.socket() as busy:
             busy.bind(("127.0.0.1", 0))
@@ -124,10 +115,9 @@ class TestParser:
             with pytest.raises(OSError) as failed:
                 main(["serve", "--port", str(busy.getsockname()[1]),
                       "--http-port", "0", "--run-seconds", "5",
-                      "--standby", "--state-dir", str(state_dir)])
+                      "--state-dir", str(state_dir)])
         assert failed.value.errno == errno.EADDRINUSE
-        assert "standby" in capsys.readouterr().out
-        # Like a failed start, it wrote nothing into the directory.
+        assert "listening" not in capsys.readouterr().out
         assert not (state_dir / "snapshot.json").exists()
 
 

@@ -1,11 +1,10 @@
-"""Durable daemon state: snapshots, journal replay, standby promotion."""
+"""Durable daemon state: snapshots, journal replay, restart."""
 
 import asyncio
 import errno
 import json
 import os
 import re
-import shutil
 import signal
 import subprocess
 import sys
@@ -346,182 +345,52 @@ class TestServerRestore:
         asyncio.run(scenario())
 
 
-def standby_server(tmp_path, **kwargs):
-    kwargs.setdefault("standby_poll", 0.01)
-    return SupervisionServer(
-        port=0, tick_interval=None, standby=True,
-        state_dir=str(tmp_path / "state"), snapshot_interval=None, **kwargs)
-
-
-def restarted_copy(tmp_path):
-    """A primary started on a copy of the state dir (the restart a
-    promoting standby must equal)."""
-    copy = tmp_path / "restart"
-    shutil.copytree(tmp_path / "state", copy)
-    return start_server(tmp_path, state_dir=str(copy))
-
-
 def fleet_gauges(server):
     """The fleet-summed gauges every watchdog adds its share to."""
     return {name: server.telemetry.value(name)
             for name in ("wd_hbm_active_runnables", "wd_tsi_faulty_tasks")}
 
 
-class TestStandby:
-    def test_standby_binds_nothing_until_promoted(self, tmp_path):
+class TestRestart:
+    """Failover is a restart: a server started on the directory a dead
+    one left takes its lock, restores its fleet and journals on."""
+
+    def test_restart_continues_journal_sequence(self, tmp_path):
+        """A restarted server journals beyond everything the dead one
+        wrote, so a registration made after the restart survives the
+        next recovery."""
         async def scenario():
             primary = await start_server(tmp_path)
             peer = await _WireClient.connect(primary)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            primary.write_snapshot()
-
-            standby = standby_server(tmp_path)
-            await standby.start()
-            assert standby.standby and not standby.promoted
-            assert standby._servers == []  # nothing bound yet
-            assert standby.health()["role"] == "standby"
-            assert standby.restored_registrations == 0
-            await standby.stop()
-            await peer.close()
-            await primary.stop()
-        asyncio.run(scenario())
-
-    def test_waiting_standby_holds_no_state(self, tmp_path):
-        """Until it promotes, a standby reads nothing from the state
-        dir: the primary's snapshots and journal records leave its fleet
-        empty and its append cursor at 0."""
-        async def scenario():
-            primary = await start_server(tmp_path)
-            peer = await _WireClient.connect(primary)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            standby = standby_server(tmp_path)
-            await standby.start()
-            for name in ("q", "r"):
-                primary.write_snapshot()
-                await peer.send(T_REGISTER, name=name,
-                                hypothesis=make_hyp_dict())
-                assert (await peer.recv_frame()).get("ok")
-                await asyncio.sleep(5 * standby.standby_poll)
-            assert primary.store.snapshots_written == 2
-            assert not standby.promoted
-            assert standby.fleet.registrations == {}
-            assert standby.store.seq == 0
-            assert not standby.telemetry.value("wd_hbm_active_runnables")
-            await peer.close()
-            await standby.stop()
-            await primary.stop()
-        asyncio.run(scenario())
-
-    def test_standby_tails_journal_and_promotes_on_dead_lock(self, tmp_path):
-        """The standby waits on the lock, not on the files: a REGISTER
-        journaled while it waits reaches it only through the recovery
-        it runs on promotion."""
-        async def scenario():
-            primary = await start_server(tmp_path)
-            peer = await _WireClient.connect(primary)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-
-            promoted = asyncio.Event()
-            standby = standby_server(
-                tmp_path, on_promote=lambda _srv: promoted.set())
-            await standby.start()
-            await peer.send(T_REGISTER, name="q", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            await asyncio.sleep(5 * standby.standby_poll)
-            assert standby.fleet.registrations == {}
-
-            # Stop the primary without a final snapshot: closing its
-            # store frees the lock, as the kernel does on a kill -9.
-            await peer.close()
-            await primary.stop(save=False)
-
-            await asyncio.wait_for(promoted.wait(), timeout=10)
-            assert standby.promoted and not standby.standby
-            assert standby.health()["role"] == "promoted"
-            assert standby.port  # listeners bound at promotion
-            assert list(standby.fleet.registrations) == ["p", "q"]
-            assert standby.restored_registrations == 2
-            # The promoted standby is a full server: a client can rebind.
-            client = await _WireClient.connect(standby)
-            await client.send(T_REGISTER, name="p",
-                              hypothesis=make_hyp_dict())
-            ack = await client.recv_frame()
-            assert ack.get("ok") and ack.get("rebound") is True
-            await client.close()
-            await standby.stop()
-        asyncio.run(scenario())
-
-    def test_promoted_standby_continues_journal_sequence(self, tmp_path):
-        """A promoted standby journals beyond everything the dead
-        primary wrote, so a registration made after the failover
-        survives the next recovery."""
-        async def scenario():
-            primary = await start_server(tmp_path)
-            peer = await _WireClient.connect(primary)
-            standby = standby_server(tmp_path)
-            await standby.start()
             for name in ("p", "q"):
                 await peer.send(T_REGISTER, name=name,
                                 hypothesis=make_hyp_dict())
                 assert (await peer.recv_frame()).get("ok")
             primary.write_snapshot()  # journal truncated, snapshot seq 2
-
             await peer.close()
             await primary.stop(save=False)
-            await standby.promote()
-            assert standby.store.seq == 2
 
-            # A post-failover registration journals beyond the snapshot.
-            client = await _WireClient.connect(standby)
+            restarted = await start_server(tmp_path)
+            assert restarted.store.seq == 2
+            client = await _WireClient.connect(restarted)
             await client.send(T_REGISTER, name="r",
                               hypothesis=make_hyp_dict())
             assert (await client.recv_frame()).get("ok")
-            assert standby.store.seq == 3
+            assert restarted.store.seq == 3
             await client.close()
-            await standby.stop(save=False)  # crash before any snapshot
+            await restarted.stop(save=False)  # crash before any snapshot
 
             revived = await start_server(tmp_path)
             assert list(revived.fleet.registrations) == ["p", "q", "r"]
             await revived.stop()
         asyncio.run(scenario())
 
-    def test_adopted_snapshots_do_not_inflate_fleet_gauges(self, tmp_path):
-        """However many snapshots the primary writes while the standby
-        waits, the promoted standby's fleet-summed gauges equal those of
-        a server that restored the directory once."""
-        async def scenario():
-            primary = await start_server(tmp_path)
-            peer = await _WireClient.connect(primary)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            for cycle in range(1, 13):  # silent: task T turns faulty
-                primary.tick(cycle * 10)
-            assert fleet_gauges(primary) == {"wd_hbm_active_runnables": 2,
-                                             "wd_tsi_faulty_tasks": 1}
-
-            standby = standby_server(tmp_path)
-            await standby.start()
-            for _ in range(3):
-                primary.write_snapshot()
-                await asyncio.sleep(2 * standby.standby_poll)
-            await peer.close()
-            await primary.stop(save=False)
-            restored_once = await restarted_copy(tmp_path)
-            assert fleet_gauges(restored_once) == fleet_gauges(primary)
-            await standby.promote()
-            assert fleet_gauges(standby) == fleet_gauges(restored_once)
-            await restored_once.stop()
-            await standby.stop()
-        asyncio.run(scenario())
-
-    def test_promoted_standby_equals_restarted_primary(self, tmp_path):
-        """Promotion is a restart: a standby promoted on the directory a
-        crashed primary left (a snapshot holding a faulty task, then a
-        REGISTER and a BYE only in the journal) holds the fleet a
-        primary restarted on a copy of that directory holds."""
+    def test_restart_restores_the_crashed_fleet_and_its_gauges(
+            self, tmp_path):
+        """A server restarted on the directory a crashed one left (three
+        snapshots, the last holding two faulty tasks, then a REGISTER
+        and a BYE only in the journal) holds the crashed server's fleet,
+        and its fleet-summed gauges count each watchdog once."""
         async def scenario():
             primary = await start_server(tmp_path)
             owners = {}
@@ -535,7 +404,8 @@ class TestStandby:
             await barrier(owners["q"])
             for cycle in range(1, 13):  # p's and q's tasks turn faulty
                 primary.tick(cycle * 10)
-            primary.write_snapshot()
+            for _ in range(3):
+                primary.write_snapshot()
             # Journal only: a later REGISTER, and q's BYE.
             late = await _WireClient.connect(primary)
             await late.send(T_REGISTER, name="r",
@@ -546,54 +416,28 @@ class TestStandby:
             while ack.type != T_ACK:  # q's DETECTION and STATE pushes
                 ack = await owners["q"].recv_frame()
             assert ack.get("ok") and ack.get("re") == T_BYE
-
-            standby = standby_server(tmp_path)
-            await standby.start()
             for peer in (*owners.values(), late):
                 await peer.close()
+            crashed = primary.fleet.snapshot()
+            crashed_gauges = fleet_gauges(primary)
             await primary.stop(save=False)  # crash: no final snapshot
 
-            restarted = await restarted_copy(tmp_path)
-            await until(lambda: standby.promoted,
-                        message="the standby to promote")
-            assert list(standby.fleet.registrations) == ["p", "q", "r"]
-            assert list(standby.fleet.registrations) == list(
-                restarted.fleet.registrations)
-            assert not standby.fleet.registration("q").active
-            assert standby.fleet.snapshot() == restarted.fleet.snapshot()
-            assert fleet_gauges(standby) == fleet_gauges(restarted)
-            assert fleet_gauges(standby)["wd_tsi_faulty_tasks"] == 2
-            assert standby.store.seq == restarted.store.seq
+            restarted = await start_server(tmp_path)
+            assert list(restarted.fleet.registrations) == ["p", "q", "r"]
+            assert not restarted.fleet.registration("q").active
+            assert restarted.fleet.snapshot() == crashed
+            assert fleet_gauges(restarted) == crashed_gauges
+            assert crashed_gauges["wd_tsi_faulty_tasks"] == 2
             await restarted.stop()
-            await standby.stop()
-        asyncio.run(scenario())
-
-    def test_standby_promotes_when_clean_shutdown_lock_vanishes(
-            self, tmp_path):
-        async def scenario():
-            primary = await start_server(tmp_path)
-            standby = SupervisionServer(
-                port=0, tick_interval=None, standby=True,
-                state_dir=str(tmp_path / "state"),
-                snapshot_interval=None, standby_poll=0.01)
-            await standby.start()
-            # A dozen polls: the standby waits while the primary runs.
-            await asyncio.sleep(12 * standby.standby_poll)
-            assert not standby.promoted
-            assert not lock_is_free(tmp_path / "state")
-            await primary.stop()  # clean: releases the lock
-            await until(lambda: standby.promoted,
-                        message="the standby to promote")
-            assert standby.promoted
-            await standby.stop()
         asyncio.run(scenario())
 
     def test_one_server_per_state_dir(self, tmp_path):
-        """A second primary on a held directory is refused before it
-        reads or binds anything, and a standby cannot promote past the
-        live primary; once the primary stops, the directory is free."""
+        """A second server on a held directory is refused before it
+        reads or binds anything; once the first stops, the directory is
+        free and a restart takes it."""
         async def scenario():
             primary = await start_server(tmp_path)
+            assert not lock_is_free(tmp_path / "state")
             second = SupervisionServer(
                 port=0, tick_interval=None, snapshot_interval=None,
                 state_dir=str(tmp_path / "state"))
@@ -603,31 +447,9 @@ class TestStandby:
             assert not second._servers and second.port == 0
             await second.stop()  # writes nothing into the held dir
             assert not os.path.exists(primary.store.snapshot_path)
-            standby = SupervisionServer(
-                port=0, tick_interval=None, standby=True,
-                state_dir=str(tmp_path / "state"),
-                snapshot_interval=None, standby_poll=60.0)
-            await standby.start()
-            with pytest.raises(StateDirHeld):
-                await standby.promote()
-            assert standby.standby and not standby.promoted
             await primary.stop()
-            await standby.promote()
-            assert standby.promoted and standby.port
-            await standby.stop()
-        asyncio.run(scenario())
-
-    def test_standby_on_a_free_state_dir_promotes_at_once(self, tmp_path):
-        async def scenario():
-            standby = await start_server(tmp_path, standby=True,
-                                         standby_poll=60.0)
-            await until(lambda: standby.promoted,
-                        message="the standby to promote")
-            assert not lock_is_free(tmp_path / "state")
-            await standby.stop()
             assert lock_is_free(tmp_path / "state")
+            restarted = await start_server(tmp_path)
+            assert restarted.port
+            await restarted.stop()
         asyncio.run(scenario())
-
-    def test_standby_requires_state_dir(self):
-        with pytest.raises(ValueError, match="state-dir"):
-            SupervisionServer(port=0, standby=True)

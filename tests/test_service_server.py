@@ -597,35 +597,6 @@ class TestEcuStatePush:
             await revived.stop()
         asyncio.run(scenario())
 
-    def test_after_standby_adopts_a_snapshot_and_promotes(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-
-        async def scenario():
-            primary = await start_server(state_dir=state_dir,
-                                         snapshot_interval=None)
-            peer = await _WireClient.connect(primary)
-            await peer.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await peer.recv_frame()).get("ok")
-            standby = SupervisionServer(
-                port=0, tick_interval=None, standby=True, state_dir=state_dir,
-                snapshot_interval=None, standby_poll=0.01)
-            await standby.start()
-            primary.write_snapshot()
-            await peer.close()
-            await primary.stop(save=False)
-            await standby.promote()
-            assert "p" in standby.fleet.registrations
-
-            owner = await _WireClient.connect(standby)
-            await owner.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
-            assert (await owner.recv_frame()).get("rebound") is True
-            transitions = tick_silent(standby, ["p"])
-            frames = await frames_until_hello_ack(owner)
-            assert ecu_pushes(frames, "p") == transitions["p"]
-            await owner.close()
-            await standby.stop()
-        asyncio.run(scenario())
-
 
 class TestShutdown:
     def test_stop_waits_for_an_in_flight_periodic_snapshot(self, tmp_path):

@@ -48,8 +48,7 @@ import shutil
 import pytest
 
 from repro.service import Fleet, StateStore, SupervisionServer
-from repro.service.persistence import SNAPSHOT_SCHEMA_VERSION
-from testutil import until
+from repro.service.persistence import SNAPSHOT_SCHEMA_VERSION, StateDirHeld
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 FIXTURE = os.path.join(DATA, "schema1_two_shards")
@@ -187,28 +186,29 @@ def test_restored_daemon_raises_the_recorded_detections(tmp_path):
         SNAPSHOTTED + ["delta"])
 
 
-def test_standby_adopts_a_schema_one_primary(tmp_path):
-    """A standby waiting on a directory the sharded daemon wrote reads
-    none of it; once the directory is free it promotes by the same
-    recovery a restart runs, so it restores the schema-1 state."""
+def test_restart_on_a_held_schema_one_dir_waits_for_the_lock(tmp_path):
+    """A server refused a directory the sharded daemon wrote, because
+    another server holds it, reads none of it; once the directory is
+    free, a plain restart restores the schema-1 state."""
     state_dir = copy_fixture(tmp_path)
 
     async def scenario():
-        with StateStore(state_dir) as primary:
-            assert primary.take_primary()
-            standby = SupervisionServer(
-                port=0, tick_interval=None, standby=True,
-                state_dir=state_dir, snapshot_interval=None,
-                standby_poll=0.01)
-            await standby.start()
-            await asyncio.sleep(5 * standby.standby_poll)
-            assert not standby.promoted
-            assert not standby.fleet.registrations
-        await until(lambda: standby.promoted,
-                    message="the standby to promote")
-        assert list(standby.fleet.registrations) == SNAPSHOTTED + ["delta"]
-        assert standby.fleet.tick_count == 6
-        await standby.stop()
+        server = SupervisionServer(port=0, tick_interval=None,
+                                   state_dir=state_dir,
+                                   snapshot_interval=None)
+        with StateStore(state_dir) as holder:
+            assert holder.take_primary()
+            with pytest.raises(StateDirHeld):
+                await server.start()
+            assert not server.fleet.registrations
+            await server.stop()
+        restarted = SupervisionServer(port=0, tick_interval=None,
+                                      state_dir=state_dir,
+                                      snapshot_interval=None)
+        await restarted.start()
+        assert list(restarted.fleet.registrations) == SNAPSHOTTED + ["delta"]
+        assert restarted.fleet.tick_count == 6
+        await restarted.stop(save=False)
 
     asyncio.run(scenario())
 
