@@ -20,6 +20,9 @@
 #   make ha-smoke     tier-2: kill -9 the daemon and restart it from its
 #                     --state-dir; a restart on a client's failover
 #                     address; one server per state dir
+#   make reach        tier-2: run every product path under a profile
+#                     hook and fail on a src/ function none of them ran
+#                     that tools/reach_allowlist.txt does not list (~1 min)
 
 PYTEST = PYTHONPATH=src python -m pytest
 REPRO = PYTHONPATH=src python -m repro
@@ -32,7 +35,7 @@ BENCH_RECORD = benchmarks/test_bench_service_recovery.py \
 	benchmarks/test_bench_failover.py
 
 .PHONY: test lint bench-smoke bench wdbench wdbench-test bench-record \
-	metrics-smoke serve-smoke ha-smoke all
+	metrics-smoke serve-smoke ha-smoke reach all
 
 test:
 	$(PYTEST) -x -q
@@ -66,4 +69,7 @@ serve-smoke:
 ha-smoke:
 	$(PYTEST) tests/test_service_ha.py -m ha_smoke -q
 
-all: test lint bench-smoke wdbench-test metrics-smoke serve-smoke ha-smoke
+reach:
+	python3 tools/reach.py
+
+all: test lint bench-smoke wdbench-test metrics-smoke serve-smoke ha-smoke reach

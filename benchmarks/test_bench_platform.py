@@ -1,16 +1,10 @@
-"""F1 (Figure 1) — EASIS software topology: construction and lookups.
+"""F1 (Figure 1) — EASIS software topology: construction and validation.
 
-Regenerates the layered-platform structure and benchmarks the service
-framework's hot paths (interface resolution is on the heartbeat path in
-a registry-mediated deployment).
+Regenerates the layered-platform structure and benchmarks building and
+validating it.
 """
 
-from repro.platform import (
-    Layer,
-    ServiceRegistry,
-    build_easis_topology,
-)
-from repro.platform.services import DependabilityService
+from repro.platform import Layer, build_easis_topology
 
 
 def test_bench_topology_construction(benchmark):
@@ -18,21 +12,11 @@ def test_bench_topology_construction(benchmark):
     assert topo.provider_of("watchdog.heartbeat_indication").name == "SoftwareWatchdog"
     # Print the regenerated Figure 1 structure.
     for layer in reversed(list(Layer)):
-        names = ", ".join(m.name for m in topo.modules_on(layer))
+        names = ", ".join(name for name, m in topo.modules.items()
+                          if layer in m.layer_range())
         print(f"L{int(layer)}: {names}")
 
 
 def test_bench_topology_validation(benchmark):
     topo = build_easis_topology()
     benchmark(topo.validate)
-
-
-def test_bench_service_resolution(benchmark):
-    registry = ServiceRegistry()
-    for i in range(20):
-        svc = DependabilityService(f"Svc{i}")
-        svc.provide_interface(f"svc{i}.api", lambda: None)
-        registry.register(svc)
-    resolve = registry.resolve
-    result = benchmark(lambda: resolve("svc10.api"))
-    assert callable(result)

@@ -107,7 +107,8 @@ def main() -> None:
 
 
 def run(state_dir, processes) -> None:
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     daemon, port, http = spawn_daemon(env, state_dir, 0)
     processes.append(daemon)
 

@@ -11,7 +11,6 @@ Run:  python examples/safespeed_hil.py
 """
 
 from repro.analysis import render_panels
-from repro.faults import ErrorInjector, FaultTarget, TimeScalarFault
 from repro.kernel import ms, seconds
 from repro.platform import FmfPolicy
 from repro.validator import HilValidator
@@ -25,7 +24,6 @@ def main() -> None:
         fmf_auto_treatment=False,
     )
     rig.probe_counters("SAFE_CC_process")
-    injector = ErrorInjector(FaultTarget.from_ecu(rig.ecu))
 
     print("== phase 1: drive 3 s healthy ==")
     rig.run(seconds(3))
@@ -35,10 +33,9 @@ def main() -> None:
     print(f"  detections:      {rig.ecu.watchdog.detection_count()}")
 
     print("\n== phase 2: slider slows SafeSpeedTask 4x for 2 s ==")
-    fault = TimeScalarFault("SafeSpeedTask", scalar=4.0)
-    injector.inject_now(fault)
+    rig.parameters.set_now("safespeed.time_scalar", 4.0)
     rig.run(seconds(2))
-    injector.restore_now(fault)
+    rig.parameters.set_now("safespeed.time_scalar", 1.0)
 
     print("\n== phase 3: drive 2 s recovered ==")
     rig.run(seconds(2))

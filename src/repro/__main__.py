@@ -339,6 +339,11 @@ def cmd_all(args: argparse.Namespace) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .service.cli import _checked, _positive_float, add_serve_arguments
+
+    repetitions = _checked(int, lambda value: value >= 1, ">= 1")
+    worker_count = _checked(int, lambda value: value >= 0, ">= 0")
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Software Watchdog (DSN 2007) reproduction experiments",
@@ -355,10 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry_help = "stream structured telemetry events to this JSONL file"
 
     coverage = sub.add_parser("coverage", help="E1 coverage matrix")
-    coverage.add_argument("--observation", type=float, default=2.0,
+    coverage.add_argument("--observation", type=_positive_float, default=2.0,
                           help="observation window per injection (s)")
-    coverage.add_argument("--repetitions", type=int, default=1)
-    coverage.add_argument("--workers", type=int, default=1, help=workers_help)
+    coverage.add_argument("--repetitions", type=repetitions, default=1)
+    coverage.add_argument("--workers", type=worker_count, default=1,
+                          help=workers_help)
     coverage.add_argument("--telemetry", metavar="PATH", default=None,
                           help=telemetry_help)
     coverage.set_defaults(func=cmd_coverage)
@@ -369,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     overhead.set_defaults(func=cmd_overhead)
 
     latency = sub.add_parser("latency", help="E3 latency table")
-    latency.add_argument("--repetitions", type=int, default=3)
-    latency.add_argument("--workers", type=int, default=1, help=workers_help)
+    latency.add_argument("--repetitions", type=repetitions, default=3)
+    latency.add_argument("--workers", type=worker_count, default=1,
+                         help=workers_help)
     latency.add_argument("--telemetry", metavar="PATH", default=None,
                          help=telemetry_help)
     latency.set_defaults(func=cmd_latency)
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_toolchain)
 
     rig = sub.add_parser("rig", help="drive the HIL validator")
-    rig.add_argument("--seconds", type=float, default=5.0)
+    rig.add_argument("--seconds", type=_positive_float, default=5.0)
     rig.set_defaults(func=cmd_rig)
 
     lint = sub.add_parser(
@@ -410,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
              "aliveness fault; coverage: small E1 campaign")
     metrics.add_argument("--format", choices=["prometheus", "json"],
                          default="prometheus")
-    metrics.add_argument("--seconds", type=float, default=2.0,
+    metrics.add_argument("--seconds", type=_positive_float, default=2.0,
                          help="simulated seconds for the rig scenarios")
     metrics.add_argument("--telemetry", metavar="PATH", default=None,
                          help=telemetry_help)
@@ -418,13 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve", help="run the live supervision daemon (asyncio)")
-    from .service.cli import add_serve_arguments
-
     add_serve_arguments(serve)
     serve.set_defaults(func=cmd_serve)
 
     all_cmd = sub.add_parser("all", help="run every experiment")
-    all_cmd.add_argument("--workers", type=int, default=1, help=workers_help)
+    all_cmd.add_argument("--workers", type=worker_count, default=1,
+                         help=workers_help)
     all_cmd.add_argument("--telemetry", metavar="PATH", default=None,
                          help=telemetry_help)
     all_cmd.set_defaults(func=cmd_all)

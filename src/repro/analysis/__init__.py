@@ -11,7 +11,6 @@ from .mcu import (
 )
 from .metrics import (
     LatencyStats,
-    coverage_matrix,
     coverage_report,
     latency_stats,
     percentile,
@@ -24,21 +23,12 @@ from .overhead import (
     measure_lookup_table,
     watchdog_cpu_share,
 )
-from .plots import format_table, panel, render_panels, resample, sparkline
+from .plots import format_table, panel, render_panels, resample
 from .traces import (
-    ResponseTimeStats,
     activation_times,
-    detection_latency,
     heartbeat_gaps,
     heartbeat_times,
-    injection_times,
-    observed_periods,
-    preemption_counts,
-    response_time_stats,
     response_times,
-    trace_from_jsonl,
-    trace_to_jsonl,
-    utilization_by_task,
 )
 
 __all__ = [
@@ -47,35 +37,24 @@ __all__ = [
     "LatencyStats",
     "McuProfile",
     "S12XF",
-    "ResponseTimeStats",
     "activation_times",
     "build_runnable_cfg",
     "check_cycle_cycles",
     "compare_flow_checking",
-    "coverage_matrix",
     "coverage_report",
-    "detection_latency",
     "format_table",
     "heartbeat_cycles",
     "heartbeat_gaps",
     "heartbeat_times",
-    "injection_times",
     "latency_stats",
     "measure_cfcss",
     "measure_lookup_table",
-    "observed_periods",
     "panel",
     "percentile",
     "project_cpu_load",
     "projection_rows",
-    "preemption_counts",
     "render_panels",
     "resample",
-    "response_time_stats",
     "response_times",
-    "sparkline",
-    "trace_from_jsonl",
-    "trace_to_jsonl",
-    "utilization_by_task",
     "watchdog_cpu_share",
 ]

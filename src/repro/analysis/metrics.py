@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..faults.campaigns import CampaignResult
 from .plots import format_table
@@ -41,9 +41,7 @@ def percentile(ordered: Sequence[int], q: float) -> float:
     and last element (``rank = (q/100) * (len-1)`` stays inside the
     index range, so neither endpoint nor a duplicate-heavy input can
     index out of bounds).  ``ordered`` only needs ``__len__`` and
-    non-negative ``__getitem__`` — the telemetry
-    :meth:`~repro.telemetry.Histogram.quantile` estimator passes a lazy
-    bucket view instead of a materialized list.
+    non-negative ``__getitem__``.
     """
     if not len(ordered):
         raise ValueError("empty sequence")
@@ -86,14 +84,3 @@ def latency_stats(
 ) -> Optional[LatencyStats]:
     """Latency distribution of one detector in a campaign."""
     return LatencyStats.from_values(result.latencies(detector, fault_class))
-
-
-def coverage_matrix(result: CampaignResult) -> Dict[str, Dict[str, float]]:
-    """{fault_class: {detector: coverage}} for programmatic assertions."""
-    out: Dict[str, Dict[str, float]] = {}
-    for fault_class in result.fault_classes():
-        out[fault_class] = {
-            detector: result.coverage(detector, fault_class)
-            for detector in result.detectors()
-        }
-    return out

@@ -20,22 +20,6 @@ def _scale_row(value: float, low: float, high: float, height: int) -> int:
     return min(height - 1, max(0, int(round(fraction * (height - 1)))))
 
 
-def sparkline(values: Sequence[float], *, width: int = 60) -> str:
-    """One-line summary of a series using eighth-block characters."""
-    if not values:
-        return ""
-    blocks = " ▁▂▃▄▅▆▇█"
-    resampled = resample(values, width)
-    low, high = min(resampled), max(resampled)
-    if high == low:
-        return blocks[1] * len(resampled)
-    out = []
-    for value in resampled:
-        index = int((value - low) / (high - low) * (len(blocks) - 1))
-        out.append(blocks[index])
-    return "".join(out)
-
-
 def resample(values: Sequence[float], width: int) -> List[float]:
     """Down/ up-sample a series to ``width`` points (nearest sample)."""
     if not values or width <= 0:

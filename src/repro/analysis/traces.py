@@ -2,40 +2,20 @@
 
 The kernel trace records what *actually* happened (activations,
 terminations, heartbeats, injections); these helpers turn it into the
-quantities the experiments report: observed activation periods, task
-response times, heartbeat gaps, and injection-to-detection matching.
+quantities the experiments report: task response times and heartbeat
+gaps.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List
 
-from ..kernel.tracing import Trace, TraceKind, TraceRecord
-
-
-@dataclass
-class ResponseTimeStats:
-    """Response-time summary of one task."""
-
-    task: str
-    count: int
-    mean: float
-    maximum: int
-    minimum: int
+from ..kernel.tracing import Trace, TraceKind
 
 
 def activation_times(trace: Trace, task: str) -> List[int]:
     """Timestamps of every activation of a task."""
     return [r.time for r in trace.filter(kind=TraceKind.TASK_ACTIVATE, subject=task)]
-
-
-def observed_periods(trace: Trace, task: str) -> List[int]:
-    """Inter-activation gaps (the *observed* period including injected
-    timing faults)."""
-    times = activation_times(trace, task)
-    return [b - a for a, b in zip(times, times[1:])]
 
 
 def response_times(trace: Trace, task: str) -> List[int]:
@@ -60,20 +40,6 @@ def response_times(trace: Trace, task: str) -> List[int]:
     return out
 
 
-def response_time_stats(trace: Trace, task: str) -> Optional[ResponseTimeStats]:
-    """Aggregate response-time statistics, or None when never executed."""
-    times = response_times(trace, task)
-    if not times:
-        return None
-    return ResponseTimeStats(
-        task=task,
-        count=len(times),
-        mean=sum(times) / len(times),
-        maximum=max(times),
-        minimum=min(times),
-    )
-
-
 def heartbeat_times(trace: Trace, runnable: str) -> List[int]:
     """Timestamps of a runnable's heartbeats."""
     return [r.time for r in trace.filter(kind=TraceKind.HEARTBEAT, subject=runnable)]
@@ -83,99 +49,3 @@ def heartbeat_gaps(trace: Trace, runnable: str) -> List[int]:
     """Inter-heartbeat gaps of a runnable."""
     times = heartbeat_times(trace, runnable)
     return [b - a for a, b in zip(times, times[1:])]
-
-
-def injection_times(trace: Trace) -> List[Tuple[int, str]]:
-    """(time, fault name) of every injection in the trace."""
-    return [
-        (r.time, r.subject) for r in trace.filter(kind=TraceKind.FAULT_INJECTED)
-    ]
-
-
-def detection_latency(
-    trace: Trace, detection_times: List[int]
-) -> List[Optional[int]]:
-    """Latency of the first detection after each injection (None=missed)."""
-    out: List[Optional[int]] = []
-    for inject_time, _name in injection_times(trace):
-        latency: Optional[int] = None
-        for t in detection_times:
-            if t >= inject_time:
-                latency = t - inject_time
-                break
-        out.append(latency)
-    return out
-
-
-def preemption_counts(trace: Trace) -> Dict[str, int]:
-    """Preemptions per task over the whole trace."""
-    out: Dict[str, int] = {}
-    for record in trace.filter(kind=TraceKind.TASK_PREEMPT):
-        out[record.subject] = out.get(record.subject, 0) + 1
-    return out
-
-
-def trace_to_jsonl(trace: Iterable[TraceRecord]) -> str:
-    """Serialize a kernel trace as JSON Lines, one record per line.
-
-    The :class:`TraceKind` enum is written as its stable string value
-    (``"heartbeat"``, ``"task_activate"``, ...), so the stream stays
-    readable outside this process and shares the ``time``/``kind``/
-    ``subject`` vocabulary of the telemetry event export — kernel
-    ground truth and watchdog narrative line up record-by-record.
-    Round-trips through :func:`trace_from_jsonl`.
-    """
-    return "\n".join(
-        json.dumps(
-            {
-                "time": record.time,
-                "kind": record.kind.value,
-                "subject": record.subject,
-                "info": dict(record.info),
-            },
-            sort_keys=True,
-        )
-        for record in trace
-    )
-
-
-def trace_from_jsonl(text: Iterable[str]) -> List[TraceRecord]:
-    """Parse JSONL back into :class:`TraceRecord` objects.
-
-    Accepts a string (split on newlines) or any iterable of lines;
-    blank lines are skipped.  Unknown ``kind`` values raise
-    ``ValueError`` — the :class:`TraceKind` value space is the schema.
-    """
-    if isinstance(text, str):
-        text = text.splitlines()
-    records: List[TraceRecord] = []
-    for line in text:
-        if not line.strip():
-            continue
-        payload = json.loads(line)
-        records.append(
-            TraceRecord(
-                time=payload["time"],
-                kind=TraceKind(payload["kind"]),
-                subject=payload["subject"],
-                info=dict(payload.get("info", {})),
-            )
-        )
-    return records
-
-
-def utilization_by_task(trace: Trace) -> Dict[str, int]:
-    """Approximate per-task busy ticks from runnable start/end pairs."""
-    starts: Dict[str, int] = {}
-    busy: Dict[str, int] = {}
-    for record in trace:
-        task = record.info.get("task")
-        if task is None:
-            continue
-        if record.kind is TraceKind.RUNNABLE_START:
-            starts[record.subject] = record.time
-        elif record.kind is TraceKind.RUNNABLE_END:
-            start = starts.pop(record.subject, None)
-            if start is not None:
-                busy[task] = busy.get(task, 0) + (record.time - start)
-    return busy

@@ -14,7 +14,6 @@ from .environment import (
     Road,
     SpeedLimitZone,
 )
-from .redundancy import ChannelState, VoteResult, VotedSensor
 from .safelane import SafeLaneApp, SafeLaneConfig, SafeLaneState
 from .safespeed import (
     RUNNABLE_ACTUATE,
@@ -30,7 +29,6 @@ from .vehicle import ActuatorCommands, Vehicle, VehicleParameters, VehicleState
 
 __all__ = [
     "ActuatorCommands",
-    "ChannelState",
     "CurvatureSegment",
     "EnvironmentSimulation",
     "RUNNABLE_ACTUATE",
@@ -49,8 +47,6 @@ __all__ = [
     "SteerByWireConfig",
     "SteerByWireState",
     "Vehicle",
-    "VoteResult",
-    "VotedSensor",
     "VehicleParameters",
     "VehicleState",
 ]

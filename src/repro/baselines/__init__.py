@@ -7,10 +7,10 @@
   (Oh/Shirvani/McCluskey), the overhead comparison target of §3.2.2.
 """
 
-from .cfcss import BasicBlockGraph, CfcssChecker, CfgError, instructions_per_block
+from .cfcss import BasicBlockGraph, CfcssChecker, CfgError
 from .deadline_monitor import DeadlineMonitor
 from .exec_time_monitor import ExecutionTimeMonitor
-from .hw_watchdog import HardwareWatchdog, attach_kick_glue, attach_kick_task
+from .hw_watchdog import HardwareWatchdog, attach_kick_task
 
 __all__ = [
     "BasicBlockGraph",
@@ -19,7 +19,5 @@ __all__ = [
     "DeadlineMonitor",
     "ExecutionTimeMonitor",
     "HardwareWatchdog",
-    "attach_kick_glue",
     "attach_kick_task",
-    "instructions_per_block",
 ]

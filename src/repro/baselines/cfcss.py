@@ -63,9 +63,6 @@ class BasicBlockGraph:
     def blocks(self) -> List[str]:
         return list(self._successors)
 
-    def successors(self, block: str) -> List[str]:
-        return list(self._successors[block])
-
     def predecessors(self, block: str) -> List[str]:
         return list(self._predecessors[block])
 
@@ -183,21 +180,3 @@ class CfcssChecker:
         for block in walk[1:]:
             self.step(block)
         return len(self.detections) - before
-
-
-def instructions_per_block(graph: BasicBlockGraph) -> float:
-    """Average dynamic instrumentation instructions per executed block,
-    assuming uniform block execution (for quick overhead estimates)."""
-    checker = CfcssChecker(graph, graph.blocks()[0])
-    blocks = graph.blocks()
-    total = 0.0
-    for block in blocks:
-        cost = 2.0  # XOR + compare
-        if block in checker.fan_in:
-            cost += 1.0
-        # Branch-out cost amortised over the block's successors.
-        outs = [s for s in graph.successors(block) if (block, s) in checker.d_adjust]
-        if graph.successors(block):
-            cost += len(outs) / len(graph.successors(block))
-        total += cost
-    return total / len(blocks) if blocks else 0.0

@@ -77,10 +77,6 @@ class DeadlineMonitor:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def violation_count(self) -> int:
-        return len(self.violation_times)
-
     def first_detection_after(self, time: int) -> Optional[int]:
         """Campaign detector interface."""
         for t in self.violation_times:

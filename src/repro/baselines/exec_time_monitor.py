@@ -104,10 +104,6 @@ class ExecutionTimeMonitor:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def violation_count(self) -> int:
-        return len(self.violation_times)
-
     def first_detection_after(self, time: int) -> Optional[int]:
         """Campaign detector interface."""
         for t in self.violation_times:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..kernel.runnable import Runnable
 from ..kernel.scheduler import Kernel
 from ..kernel.task import Segment, Task
 from ..kernel.tracing import TraceKind
@@ -136,8 +135,3 @@ def attach_kick_task(
     task = Task(f"{watchdog.name}KickTask", priority, body)
     kernel.add_task(task)
     return task
-
-
-def attach_kick_glue(watchdog: HardwareWatchdog, runnable: Runnable) -> None:
-    """Alternative arrangement: kick from a specific runnable's exit."""
-    runnable.add_exit_glue(lambda r, t: watchdog.kick())

@@ -20,7 +20,6 @@ daemon — never loads :mod:`repro.kernel` or :mod:`repro.network`.
 import importlib
 
 from .config_io import hypothesis_from_dict, hypothesis_to_dict
-from .counters import CounterHistory
 from .flowcheck import FlowTable, ProgramFlowCheckingUnit
 from .heartbeat import HeartbeatMonitoringUnit
 from .hypothesis import (
@@ -34,14 +33,12 @@ from .reports import (
     ErrorType,
     MonitorState,
     RunnableError,
-    SupervisionReport,
     TaskFaultEvent,
 )
 from .taskstate import TaskStateIndicationUnit
 from .watchdog import SoftwareWatchdog
 
 __all__ = [
-    "CounterHistory",
     "EcuStateChange",
     "ErrorType",
     "FaultHypothesis",
@@ -57,7 +54,6 @@ __all__ = [
     "RunnableError",
     "RunnableHypothesis",
     "SoftwareWatchdog",
-    "SupervisionReport",
     "TaskFaultEvent",
     "TaskStateIndicationUnit",
     "ThresholdPolicy",
@@ -91,7 +87,3 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -17,7 +17,7 @@ point).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from ..telemetry import NULL_REGISTRY
 from .hypothesis import FaultHypothesis
@@ -37,11 +37,7 @@ def stream_key(
     """The per-task stream a heartbeat belongs to.
 
     Fallback chain: explicit task context on the heartbeat → configured
-    runnable→task attribution → the global stream.  Both the runtime
-    checker (:meth:`ProgramFlowCheckingUnit.observe`) and table mining
-    (:meth:`FlowTable.mine_from_trace`) MUST use this one function: a
-    table mined with a different stream keying than the checker replays
-    against can flag the very trace it was mined from.
+    runnable→task attribution → the global stream.
     """
     if task:
         return task
@@ -90,30 +86,9 @@ class FlowTable:
         """Table look-up: may ``successor`` follow ``predecessor``?"""
         return successor in self._successors.get(predecessor, ())
 
-    def successors(self, predecessor: Optional[str]) -> Set[str]:
-        """Allowed successors of ``predecessor`` (empty set if none)."""
-        return set(self._successors.get(predecessor, ()))
-
-    def entry_points(self) -> Set[str]:
-        """Runnables allowed to start a sequence."""
-        return set(self._successors.get(None, ()))
-
     def pair_count(self) -> int:
         """Number of whitelisted (predecessor, successor) pairs."""
         return sum(len(s) for s in self._successors.values())
-
-    def pairs(self) -> List[Tuple[Optional[str], str]]:
-        """Every whitelisted pair, entry points as ``(None, successor)``.
-
-        Deterministic order (insertion order of predecessors, successors
-        sorted) so review diffs and lint output are stable; this is the
-        hand-off format to :func:`repro.lint.lint_flow_pairs`.
-        """
-        return [
-            (pred, succ)
-            for pred, succs in self._successors.items()
-            for succ in sorted(succs)
-        ]
 
     @classmethod
     def from_hypothesis(cls, hypothesis: FaultHypothesis) -> "FlowTable":
@@ -121,58 +96,6 @@ class FlowTable:
         table = cls()
         for pred, succ in hypothesis.flow_pairs:
             table.allow(pred, succ)
-        return table
-
-    @classmethod
-    def mine_from_trace(
-        cls,
-        trace,
-        *,
-        runnables: Optional[Set[str]] = None,
-        task_attribution: Optional[Dict[str, str]] = None,
-    ) -> "FlowTable":
-        """Learn the look-up table from an observed *healthy* run.
-
-        The paper's table is authored from design knowledge; in practice
-        the legal predecessor/successor pairs can also be mined from a
-        validated golden execution (the Software-in-the-Loop phase of
-        Figure 3).  Heartbeat records are grouped into per-task streams;
-        each task activation opens a fresh stream (its first monitored
-        runnable becomes an entry point), exactly matching the runtime
-        checker's semantics — a table mined from a healthy trace will
-        never flag a replay of that trace.
-
-        ``runnables`` restricts mining to the safety-critical set; by
-        default every heartbeating runnable is included.
-
-        ``task_attribution`` is the same runnable→task mapping the
-        runtime :class:`ProgramFlowCheckingUnit` will be configured
-        with.  Pass it whenever the checker has one: heartbeats recorded
-        *without* task context are then grouped into the stream the
-        checker will actually use (via :func:`stream_key`) instead of
-        the global stream, which keeps the mined-table-never-flags-its-
-        own-trace guarantee.
-
-        This is a learning aid, not a safety argument: a mined table is
-        only as complete as the scenarios the golden run exercised, so
-        review it (``pair_count``, ``successors``) before deployment.
-        """
-        from ..kernel.tracing import TraceKind
-
-        table = cls()
-        last: Dict[str, Optional[str]] = {}
-        for record in trace:
-            if record.kind is TraceKind.TASK_ACTIVATE:
-                last[record.subject] = None
-            elif record.kind is TraceKind.HEARTBEAT:
-                name = record.subject
-                if runnables is not None and name not in runnables:
-                    continue
-                stream = stream_key(
-                    record.info.get("task"), name, task_attribution
-                )
-                table.allow(last.get(stream), name)
-                last[stream] = name
         return table
 
 
@@ -224,12 +147,6 @@ class ProgramFlowCheckingUnit:
             "Whitelisted (predecessor, successor) pairs in the flow table")
         self._tm_table_pairs.set(table.pair_count())
         self._tm_synced = (0, 0)
-
-    @property
-    def lookup_operations(self) -> int:
-        """Table look-ups (one per monitored observation), for the
-        overhead comparison with signature-based checking (E2)."""
-        return self.observation_count
 
     def sync_telemetry(self) -> None:
         """Fold the plain-int tallies into the registry counters and
@@ -309,10 +226,3 @@ class ProgramFlowCheckingUnit:
         # secondary violations after a single bad branch.
         self._last[stream] = runnable
         return error
-
-    def expected_next(self, task: Optional[str] = None) -> Set[str]:
-        """Successors currently legal for the given task's stream."""
-        previous = self._last.get(task or _GLOBAL_STREAM)
-        return self.table.successors(previous) | (
-            self.table.entry_points() if previous is None else set()
-        )

@@ -185,10 +185,6 @@ class HeartbeatMonitoringUnit:
             else:
                 self._disarm_slot(slot)
 
-    def activation_status(self, runnable: str) -> bool:
-        """Current AS value."""
-        return self.active[self._slot_for(runnable)]
-
     def slot_active(self, slot: int) -> bool:
         """AS value of an interned slot (hot-path accessor)."""
         return self.active[slot]

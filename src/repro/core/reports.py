@@ -1,12 +1,10 @@
-"""Error and supervision report types shared by the watchdog units.
+"""Error and state report types shared by the watchdog units.
 
 Terminology follows the paper:
 
 * a **runnable error** is one detection event produced by the heartbeat
   monitoring unit (aliveness / arrival-rate) or the program flow checking
   unit (program flow),
-* a **supervision report** is the per-runnable summary the TSI unit
-  generates each check cycle,
 * **task / application / ECU states** are the roll-ups the TSI unit
   derives and hands to the Fault Management Framework.
 """
@@ -86,24 +84,6 @@ class RunnableError:
                 and self.details == other.details
                 and self.runnable_id == other.runnable_id)
 
-    def __str__(self) -> str:
-        extra = " ".join(f"{k}={v}" for k, v in self.details.items())
-        return (
-            f"[{self.time}] {self.error_type.value} error in runnable "
-            f"{self.runnable!r} (task={self.task}) {extra}".rstrip()
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible rendering (snapshots hold counts, not errors)."""
-        return {
-            "time": self.time,
-            "runnable": self.runnable,
-            "task": self.task,
-            "error_type": self.error_type.value,
-            "details": dict(self.details),
-            "runnable_id": self.runnable_id,
-        }
-
 
 #: Counts per runnable and error type (error vectors, detection tallies).
 ErrorCounts = Dict[str, Dict[ErrorType, int]]
@@ -123,35 +103,6 @@ def error_counts_from_json(data: Dict[str, Dict[str, int]]) -> ErrorCounts:
         runnable: {ErrorType(et): n for et, n in per_type.items()}
         for runnable, per_type in data.items()
     }
-
-
-class SupervisionReport:
-    """Per-runnable summary generated by the TSI unit each cycle (§3.2.3).
-
-    Two reports are equal when every field is.
-    """
-
-    __slots__ = ("time", "runnable", "task", "state", "error_counts")
-
-    def __init__(self, time: int, runnable: str, task: Optional[str],
-                 state: MonitorState,
-                 error_counts: Dict[ErrorType, int]) -> None:
-        self.time = time
-        self.runnable = runnable
-        self.task = task
-        self.state = state
-        self.error_counts = error_counts
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.time == other.time and self.runnable == other.runnable
-                and self.task == other.task and self.state is other.state
-                and self.error_counts == other.error_counts)
-
-    @property
-    def total_errors(self) -> int:
-        return sum(self.error_counts.values())
 
 
 class TaskFaultEvent:

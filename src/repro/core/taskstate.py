@@ -24,7 +24,6 @@ from .reports import (
     ErrorType,
     MonitorState,
     RunnableError,
-    SupervisionReport,
     TaskFaultEvent,
     error_counts_from_json,
     error_counts_to_json,
@@ -173,36 +172,6 @@ class TaskStateIndicationUnit:
             self._tm_refresh_states(task)
 
     # ------------------------------------------------------------------
-    def error_count(
-        self,
-        task: Optional[str] = None,
-        runnable: Optional[str] = None,
-        error_type: Optional[ErrorType] = None,
-    ) -> int:
-        """Accumulated error count matching the given filters."""
-        total = 0
-        for t, vector in self.error_vectors.items():
-            if task is not None and t != task:
-                continue
-            for r, per_type in vector.items():
-                if runnable is not None and r != runnable:
-                    continue
-                for et, count in per_type.items():
-                    if error_type is not None and et is not error_type:
-                        continue
-                    total += count
-        return total
-
-    def runnable_state(self, runnable: str) -> MonitorState:
-        """Derived health of one runnable."""
-        counts = self._counts_for(runnable)
-        if not counts:
-            return MonitorState.OK
-        for et, count in counts.items():
-            if count >= self.thresholds.threshold_for(et):
-                return MonitorState.FAULTY
-        return MonitorState.SUSPICIOUS
-
     def task_state(self, task: str) -> MonitorState:
         """Derived health of one task."""
         if task in self.faulty_tasks:
@@ -224,37 +193,6 @@ class TaskStateIndicationUnit:
         """Derived global ECU state: worst of all known task states."""
         states = [self.task_state(task) for task in self._known_tasks()]
         return worst_state(states)
-
-    # ------------------------------------------------------------------
-    def supervision_reports(self, time: int) -> List[SupervisionReport]:
-        """Individual supervision reports on runnables (one per monitored
-        runnable that has recorded errors, plus mapped healthy ones)."""
-        reports: List[SupervisionReport] = []
-        seen = set()
-        for task, vector in self.error_vectors.items():
-            for runnable, per_type in vector.items():
-                seen.add(runnable)
-                reports.append(
-                    SupervisionReport(
-                        time=time,
-                        runnable=runnable,
-                        task=task,
-                        state=self.runnable_state(runnable),
-                        error_counts=dict(per_type),
-                    )
-                )
-        for runnable, task in self.task_of_runnable.items():
-            if runnable not in seen:
-                reports.append(
-                    SupervisionReport(
-                        time=time,
-                        runnable=runnable,
-                        task=task,
-                        state=MonitorState.OK,
-                        error_counts={},
-                    )
-                )
-        return reports
 
     def clear_task(self, task: str) -> None:
         """Forget a task's errors (after the FMF restarted it)."""
@@ -345,12 +283,6 @@ class TaskStateIndicationUnit:
         self._tm_faulty_count = 0
 
     # ------------------------------------------------------------------
-    def _counts_for(self, runnable: str) -> Dict[ErrorType, int]:
-        for vector in self.error_vectors.values():
-            if runnable in vector:
-                return vector[runnable]
-        return {}
-
     def _known_tasks(self) -> List[str]:
         seen: Dict[str, None] = {}
         for task in self.app_of_task:

@@ -33,7 +33,6 @@ from ..telemetry import (
     KIND_TASK_FAULT,
     TelemetryEvent,
 )
-from .counters import CounterHistory
 from .flowcheck import ProgramFlowCheckingUnit
 from .heartbeat import HeartbeatMonitoringUnit, _TM_SYNC_INTERVAL
 from .hypothesis import FaultHypothesis
@@ -121,7 +120,6 @@ class SoftwareWatchdog:
         self.detected: Dict[ErrorType, int] = dict.fromkeys(_ERROR_TYPES, 0)
         #: Cumulative detections per (runnable, error type).
         self.detected_per_runnable: Dict[str, Dict[ErrorType, int]] = {}
-        self.history: Optional[CounterHistory] = None
         self._fault_listeners: List[FaultListener] = []
         if self._tm_enabled:
             # Create every series up front so exports show zeros.
@@ -212,13 +210,11 @@ class SoftwareWatchdog:
 
     def check_cycle(self, time: int) -> List[RunnableError]:
         """One watchdog check cycle ("shortly before the next period
-        begins"): advance all cycle counters, evaluate bounds, emit
-        errors, and capture history if enabled."""
+        begins"): advance all cycle counters, evaluate bounds and emit
+        errors."""
         errors = self.hbm.cycle(time)
         if self._tm_enabled and self.hbm.cycle_count % _TM_SYNC_INTERVAL == 0:
             self.pfc.sync_telemetry()
-        if self.history is not None:
-            self._capture(time)
         return errors
 
     def sync_telemetry(self) -> None:
@@ -248,9 +244,6 @@ class SoftwareWatchdog:
     # ------------------------------------------------------------------
     # state queries
     # ------------------------------------------------------------------
-    def runnable_state(self, runnable: str) -> MonitorState:
-        return self.tsi.runnable_state(runnable)
-
     def task_state(self, task: str) -> MonitorState:
         return self.tsi.task_state(task)
 
@@ -259,14 +252,6 @@ class SoftwareWatchdog:
 
     def ecu_state(self) -> MonitorState:
         return self.tsi.ecu_state()
-
-    def supervision_reports(self, time: int):
-        """Individual supervision reports on runnables (§3.2.3): one per
-        monitored runnable, carrying its derived state and error counts.
-        These are what downstream services consume to decide treatments
-        "depending on the source, type and severity of the detected
-        faults"."""
-        return self.tsi.supervision_reports(time)
 
     def detection_count(
         self, error_type: Optional[ErrorType] = None, runnable: Optional[str] = None
@@ -280,31 +265,6 @@ class SoftwareWatchdog:
         if error_type is None:
             return sum(per_type.values())
         return per_type.get(error_type, 0)
-
-    # ------------------------------------------------------------------
-    # capture (ControlDesk-style traces)
-    # ------------------------------------------------------------------
-    def enable_capture(self) -> CounterHistory:
-        """Record, at every check cycle, the counters of every monitored
-        runnable plus the cumulative AM/ARM/PFC result curves."""
-        self.history = CounterHistory()
-        return self.history
-
-    def _capture(self, time: int) -> None:
-        assert self.history is not None
-        sample: Dict[str, int] = {}
-        for name in self.hypothesis.runnables:
-            snapshot = self.hbm.snapshot(name)
-            for key, value in snapshot.items():
-                sample[f"{name}.{key}"] = value
-        sample["AM_Result"] = self.detected[ErrorType.ALIVENESS]
-        sample["ARM_Result"] = self.detected[ErrorType.ARRIVAL_RATE]
-        sample["PFC_Result"] = self.detected[ErrorType.PROGRAM_FLOW]
-        for task in self.hypothesis.tasks():
-            sample[f"TaskState.{task}"] = int(
-                self.tsi.task_state(task) is MonitorState.FAULTY
-            )
-        self.history.capture(time, sample)
 
     # ------------------------------------------------------------------
     # persistence (the daemon's snapshot/restore path)

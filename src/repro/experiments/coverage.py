@@ -115,9 +115,6 @@ class _RunawayFault(FaultModel):
     def _apply(self, target) -> None:
         target.kernel.activate_task("Runaway")
 
-    def _revert(self, target) -> None:
-        target.kernel.force_terminate("Runaway")
-
 
 register_fault("runaway", lambda system: _RunawayFault())
 

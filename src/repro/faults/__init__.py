@@ -23,8 +23,6 @@ from .models import (
     FaultModel,
     FaultTarget,
     HeartbeatCorruptionFault,
-    HeartbeatOmissionFault,
-    InterruptStormFault,
     InvalidBranchFault,
     LoopCountFault,
     SkipRunnableFault,
@@ -42,9 +40,7 @@ __all__ = [
     "FaultSpec",
     "FaultTarget",
     "HeartbeatCorruptionFault",
-    "HeartbeatOmissionFault",
     "InjectionRecord",
-    "InterruptStormFault",
     "InvalidBranchFault",
     "LoopCountFault",
     "RunResult",

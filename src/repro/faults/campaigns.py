@@ -55,10 +55,6 @@ class DetectionRecorder:
         index = bisect_left(self.times, time)
         return self.times[index] if index < len(self.times) else None
 
-    def clear(self) -> None:
-        self.times.clear()
-
-
 def watchdog_detector(
     watchdog, name: str = "SoftwareWatchdog", error_type=None
 ) -> DetectionRecorder:
@@ -115,20 +111,6 @@ class CampaignResult:
 
     runs: List[RunResult] = field(default_factory=list)
 
-    # ------------------------------------------------------------------
-    def fault_classes(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for run in self.runs:
-            seen.setdefault(run.fault_class, None)
-        return list(seen)
-
-    def detectors(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for run in self.runs:
-            for name in run.detections:
-                seen.setdefault(name, None)
-        return list(seen)
-
     def coverage(self, detector: str, fault_class: Optional[str] = None) -> float:
         """Fraction of injections detected (1.0 = all)."""
         relevant = [
@@ -150,15 +132,11 @@ class CampaignResult:
                 out.append(latency)
         return out
 
-    def mean_latency(self, detector: str, fault_class: Optional[str] = None) -> Optional[float]:
-        values = self.latencies(detector, fault_class)
-        return sum(values) / len(values) if values else None
-
     def coverage_table(self) -> List[Dict[str, object]]:
         """One row per (fault class, detector): coverage + mean latency.
 
         Single pass over the runs into per-(class, detector) buckets;
-        the naive formulation (``coverage`` + ``mean_latency`` + a run
+        the naive formulation (``coverage``, mean latency and a run
         count per row) rescans the full run list classes × detectors ×
         3 times, which dominates aggregation cost on large campaigns.
         """

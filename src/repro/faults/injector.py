@@ -81,10 +81,3 @@ class ErrorInjector:
                 self.restore_now(record.fault)
 
     # ------------------------------------------------------------------
-    def active_faults(self) -> List[FaultModel]:
-        """Currently active fault models."""
-        seen = []
-        for record in self.records:
-            if record.fault.active and record.fault not in seen:
-                seen.append(record.fault)
-        return seen

@@ -4,9 +4,9 @@
 runnables by changing the timing parameter of runnables, manipulation of
 loop counters and building invalid execution branches."  Each class here
 is one such manipulation, applied to a :class:`FaultTarget` (the handles
-into a built system).  Faults are reversible: ``inject()`` activates the
-manipulation, ``restore()`` removes it, so campaigns can model both
-permanent and transient faults.
+into a built system).  ``inject()`` activates the manipulation; a
+fault that an experiment also restores (a transient fault) defines
+``_revert``, which ``restore()`` calls to remove it.
 
 Catalogue (paper mechanism → class):
 
@@ -17,8 +17,6 @@ Catalogue (paper mechanism → class):
 * invalid execution branch          → :class:`InvalidBranchFault`,
   :class:`SkipRunnableFault`
 * corrupted program counter         → :class:`HeartbeatCorruptionFault`
-* lost glue code                    → :class:`HeartbeatOmissionFault`
-* CPU theft by interrupt storm      → :class:`InterruptStormFault`
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..kernel.alarms import Alarm, AlarmTable
-from ..kernel.isr import Isr
 from ..kernel.runnable import Runnable, SequenceChart
 from ..kernel.scheduler import Kernel
 from ..kernel.tracing import TraceKind
@@ -54,7 +51,9 @@ class FaultTarget:
 
 
 class FaultModel:
-    """Base class: a reversible manipulation of the target system."""
+    """Base class: a manipulation of the target system.  Subclasses
+    define ``_apply(target)``, and ``_revert(target)`` when the fault
+    can be restored."""
 
     #: Which watchdog error type this fault is *expected* to provoke
     #: (ground truth for coverage accounting); subclasses override.
@@ -91,16 +90,6 @@ class FaultModel:
             self.name,
             event="fault_restored",
         )
-
-    # subclass hooks -----------------------------------------------------
-    def _apply(self, target: FaultTarget) -> None:
-        raise NotImplementedError
-
-    def _revert(self, target: FaultTarget) -> None:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<{type(self).__name__} {self.name!r} active={self.active}>"
 
 
 class BlockedRunnableFault(FaultModel):
@@ -238,8 +227,7 @@ class InvalidBranchFault(FaultModel):
 
         chart.decide = decide
 
-    def _revert(self, target: FaultTarget) -> None:
-        target.charts[self.chart].reset_decision()
+    _revert = SkipRunnableFault._revert
 
 
 class HeartbeatCorruptionFault(FaultModel):
@@ -254,82 +242,6 @@ class HeartbeatCorruptionFault(FaultModel):
         super().__init__(f"hb_corrupt:{runnable}->{reported_as}")
         self.runnable = runnable
         self.reported_as = reported_as
-        self._original_name: Optional[str] = None
 
     def _apply(self, target: FaultTarget) -> None:
-        runnable = target.runnables[self.runnable]
-        self._original_name = runnable.name
-        runnable.name = self.reported_as
-
-    def _revert(self, target: FaultTarget) -> None:
-        if self._original_name is not None:
-            target.runnables[self.runnable].name = self._original_name
-            self._original_name = None
-
-
-class HeartbeatOmissionFault(FaultModel):
-    """The glue code is lost (integration fault): the runnable still
-    executes but no longer reports.  Detected as an aliveness error —
-    a false positive from the application's point of view, which is why
-    glue-code generation must be automatic."""
-
-    expected_error = "aliveness"
-
-    def __init__(self, runnable: str) -> None:
-        super().__init__(f"hb_omit:{runnable}")
-        self.runnable = runnable
-        self._saved_glue = None
-
-    def _apply(self, target: FaultTarget) -> None:
-        runnable = target.runnables[self.runnable]
-        self._saved_glue = list(runnable.exit_glue)
-        runnable.exit_glue.clear()
-
-    def _revert(self, target: FaultTarget) -> None:
-        if self._saved_glue is not None:
-            target.runnables[self.runnable].exit_glue.extend(self._saved_glue)
-            self._saved_glue = None
-
-
-class InterruptStormFault(FaultModel):
-    """An interrupt storm steals CPU from every task: application
-    runnables slip their periods (aliveness errors across the board).
-    This is the classic fault an ECU-level hardware watchdog *also*
-    sees, used to compare detection granularity."""
-
-    expected_error = "aliveness"
-
-    def __init__(self, period: int, isr_duration: int, *, name: str = "storm") -> None:
-        super().__init__(f"isr_storm:{name}")
-        if period <= 0 or isr_duration <= 0:
-            raise ValueError("period and duration must be > 0")
-        self.period = period
-        self.isr_duration = isr_duration
-        self._isr: Optional[Isr] = None
-
-    def _apply(self, target: FaultTarget) -> None:
-        kernel = target.kernel
-        fault = self
-
-        def handler() -> None:
-            if not fault.active:
-                return
-
-        self._isr = Isr(self.name, kernel, handler, duration=self.isr_duration)
-
-        def fire_and_rearm() -> None:
-            if not fault.active or fault._isr is None:
-                return
-            fault._isr.fire()
-            kernel.queue.schedule(
-                kernel.clock.now + fault.period, fire_and_rearm,
-                label=fault.name, persistent=True,
-            )
-
-        kernel.queue.schedule(
-            kernel.clock.now + self.period, fire_and_rearm, label=self.name,
-            persistent=True,
-        )
-
-    def _revert(self, target: FaultTarget) -> None:
-        self._isr = None
+        target.runnables[self.runnable].name = self.reported_as

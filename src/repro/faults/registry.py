@@ -270,13 +270,3 @@ register_fault(
         runnable, reported_as
     ),
 )
-register_fault(
-    "hb_omit",
-    lambda system, runnable: _models.HeartbeatOmissionFault(runnable),
-)
-register_fault(
-    "isr_storm",
-    lambda system, period, isr_duration, name="storm": _models.InterruptStormFault(
-        period, isr_duration, name=name
-    ),
-)

@@ -18,11 +18,10 @@ from .errors import (
     StatusType,
 )
 from .events import EventQueue, ScheduledEvent
-from .isr import InterruptController, Isr
 from .runnable import Runnable, SequenceChart, runnable_sequence_body
 from .schedtable import ExpiryPoint, ScheduleTable
 from .scheduler import Hooks, Kernel
-from .task import Segment, Task, TaskState, sequence_body
+from .task import Segment, Task, TaskState
 from .tracing import Trace, TraceKind, TraceRecord
 
 __all__ = [
@@ -30,8 +29,6 @@ __all__ = [
     "AlarmTable",
     "EventQueue",
     "Hooks",
-    "InterruptController",
-    "Isr",
     "Kernel",
     "KernelConfigError",
     "KernelError",
@@ -54,7 +51,6 @@ __all__ = [
     "ms",
     "runnable_sequence_body",
     "seconds",
-    "sequence_body",
     "to_ms",
     "to_s",
     "us",

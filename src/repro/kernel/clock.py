@@ -65,7 +65,3 @@ class SimClock:
                 f"clock cannot move backwards: now={self.now}, requested={when}"
             )
         self.now = when
-
-    def reset(self) -> None:
-        """Rewind to time zero (used by ECU software reset)."""
-        self.now = 0

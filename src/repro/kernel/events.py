@@ -23,9 +23,7 @@ class ScheduledEvent:
     ECU's own (non-persistent) events; the world keeps running.
     """
 
-    __slots__ = (
-        "when", "seq", "callback", "label", "cancelled", "persistent", "_queue"
-    )
+    __slots__ = ("when", "seq", "callback", "label", "cancelled", "persistent")
 
     def __init__(
         self,
@@ -33,7 +31,6 @@ class ScheduledEvent:
         seq: int,
         callback: Callable[[], Any],
         label: str,
-        queue: "EventQueue",
         persistent: bool = False,
     ):
         self.when = when
@@ -42,17 +39,10 @@ class ScheduledEvent:
         self.label = label
         self.cancelled = False
         self.persistent = persistent
-        self._queue = queue
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
-        if not self.cancelled:
-            self.cancelled = True
-            self._queue._live -= 1
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<ScheduledEvent {self.label!r} @{self.when} ({state})>"
+        self.cancelled = True
 
 
 class EventQueue:
@@ -61,10 +51,6 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: List[Tuple[int, int, ScheduledEvent]] = []
         self._counter = itertools.count()
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
 
     def schedule(
         self,
@@ -83,10 +69,9 @@ class EventQueue:
         if when < 0:
             raise ValueError(f"cannot schedule event in negative time: {when}")
         event = ScheduledEvent(
-            when, next(self._counter), callback, label, self, persistent
+            when, next(self._counter), callback, label, persistent
         )
         heapq.heappush(self._heap, (when, event.seq, event))
-        self._live += 1
         return event
 
     def next_time(self) -> Optional[int]:
@@ -113,16 +98,8 @@ class EventQueue:
             if when > now:
                 return None
             heapq.heappop(self._heap)
-            self._live -= 1
             return event
         return None
-
-    def clear(self) -> None:
-        """Drop every pending event (simulation teardown)."""
-        for _when, _seq, event in self._heap:
-            event.cancelled = True
-        self._heap.clear()
-        self._live = 0
 
     def clear_transient(self) -> None:
         """Drop non-persistent events only (ECU software reset): the

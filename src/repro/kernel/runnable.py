@@ -110,10 +110,6 @@ class Runnable:
                 label=self.name,
             )
 
-    def as_factory(self) -> Callable[[Task], Iterable[Segment]]:
-        """Adapter for :func:`repro.kernel.task.sequence_body`."""
-        return self.segments
-
     # ------------------------------------------------------------------
     def _make_on_start(self, task: Task) -> Callable[[], None]:
         def on_start() -> None:
@@ -142,9 +138,6 @@ class Runnable:
 
         return on_end
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Runnable {self.name!r} wcet={self.wcet}>"
-
 
 def runnable_sequence_body(runnables: Iterable[Runnable]) -> TaskBody:
     """Task body executing the given runnables in order, every activation.
@@ -154,11 +147,11 @@ def runnable_sequence_body(runnables: Iterable[Runnable]) -> TaskBody:
     sequence.  Dynamic sequencing (branches, injected invalid branches)
     is provided by :class:`SequenceChart` instead.
     """
-    items = [r.as_factory() for r in runnables]
+    items = list(runnables)
 
     def body(task: Task):
-        for factory in items:
-            for item in factory(task):
+        for runnable in items:
+            for item in runnable.segments(task):
                 yield item
 
     return body

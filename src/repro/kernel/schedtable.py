@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List
 
 from .errors import KernelConfigError, StatusType
-from .events import ScheduledEvent
 from .scheduler import Kernel
 from .tracing import TraceKind
 
@@ -45,7 +44,6 @@ class ScheduleTable:
         self.points: List[ExpiryPoint] = []
         self.running = False
         self.iteration_count = 0
-        self._events: List[ScheduledEvent] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -71,7 +69,7 @@ class ScheduleTable:
         return self
 
     # ------------------------------------------------------------------
-    # control (AUTOSAR StartScheduleTableRel / StopScheduleTable)
+    # control (AUTOSAR StartScheduleTableRel)
     # ------------------------------------------------------------------
     def start_rel(self, offset: int = 0) -> StatusType:
         """Start the table ``offset`` ticks from now."""
@@ -85,44 +83,25 @@ class ScheduleTable:
         self._schedule_iteration(self.kernel.clock.now + offset)
         return StatusType.E_OK
 
-    def stop(self) -> StatusType:
-        """Stop the table; pending expiry points of the current iteration
-        are cancelled."""
-        if not self.running:
-            return StatusType.E_OS_NOFUNC
-        self.running = False
-        for event in self._events:
-            event.cancel()
-        self._events.clear()
-        return StatusType.E_OK
-
     # ------------------------------------------------------------------
     def _schedule_iteration(self, table_start: int) -> None:
-        self._events = [
+        for point in self.points:
             self.kernel.queue.schedule(
                 table_start + point.offset,
                 lambda p=point: self._expire(p),
                 label=f"schedtable:{self.name}@{point.offset}",
             )
-            for point in self.points
-        ]
-        self._events.append(
-            self.kernel.queue.schedule(
-                table_start + self.period,
-                lambda: self._next_iteration(table_start + self.period),
-                label=f"schedtable:{self.name}:wrap",
-            )
+        self.kernel.queue.schedule(
+            table_start + self.period,
+            lambda: self._next_iteration(table_start + self.period),
+            label=f"schedtable:{self.name}:wrap",
         )
 
     def _next_iteration(self, table_start: int) -> None:
-        if not self.running:
-            return
         self.iteration_count += 1
         self._schedule_iteration(table_start)
 
     def _expire(self, point: ExpiryPoint) -> None:
-        if not self.running:
-            return
         self.kernel.trace.record(
             self.kernel.clock.now,
             TraceKind.ALARM_EXPIRE,

@@ -25,13 +25,8 @@ import itertools
 from typing import Callable, Dict, List, Optional
 
 from .clock import SimClock
-from .errors import (
-    KernelConfigError,
-    SchedulingError,
-    ServiceError,
-    StatusType,
-)
-from .events import EventQueue, ScheduledEvent
+from .errors import KernelConfigError, SchedulingError, StatusType
+from .events import EventQueue
 from .task import Segment, Task, TaskState
 from .tracing import Trace, TraceKind
 
@@ -156,15 +151,6 @@ class Kernel:
         )
         return StatusType.E_OK
 
-    def schedule_at(
-        self, when: int, callback: Callable[[], None], label: str = ""
-    ) -> ScheduledEvent:
-        """Schedule an arbitrary kernel-context callback (ISR-like)."""
-        return self.queue.schedule(when, callback, label)
-
-    # ------------------------------------------------------------------
-    # simulation loop
-    # ------------------------------------------------------------------
     def run_until(self, end_time: int) -> None:
         """Advance the simulation until ``end_time`` (inclusive of events
         at ``end_time`` itself)."""
@@ -375,10 +361,3 @@ class Kernel:
         if self.clock.now == 0:
             return 0.0
         return self.cpu_busy_ticks / self.clock.now
-
-    def task_state(self, name: str) -> TaskState:
-        """Current OSEK state of a task."""
-        task = self.tasks.get(name)
-        if task is None:
-            raise ServiceError(StatusType.E_OS_ID, f"task_state({name!r})")
-        return task.state

@@ -16,7 +16,7 @@ preemption can split a segment at any tick boundary.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Generator, Iterable, Optional
+from typing import Callable, Generator, Optional
 
 from .errors import KernelConfigError
 
@@ -52,10 +52,6 @@ class Segment:
         self.on_start = on_start
         self.on_end = on_end
         self.label = label
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Segment {self.label!r} dur={self.duration}>"
-
 
 TaskBody = Callable[["Task"], Generator[Segment, None, None]]
 
@@ -116,23 +112,3 @@ class Task:
         self.ready_since = 0
         self.activation_count = 0
         self.preemption_count = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Task {self.name!r} prio={self.priority} state={self.state.value}>"
-
-
-def sequence_body(items: Iterable[Callable[["Task"], Iterable[Segment]]]) -> TaskBody:
-    """Build a task body that runs a fixed sequence of work-item factories.
-
-    Each factory receives the task and returns an iterable of work items;
-    the factories run in order on every activation.  This is the basic
-    building block used to map a list of runnables onto a task.
-    """
-    factories = list(items)
-
-    def body(task: "Task") -> Generator[Segment, None, None]:
-        for factory in factories:
-            for item in factory(task):
-                yield item
-
-    return body

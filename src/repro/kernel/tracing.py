@@ -2,7 +2,7 @@
 
 Every observable kernel occurrence (task activation, dispatch, preemption,
 termination, runnable start/end, heartbeat indication, alarm expiry,
-ISR entry, hook invocation, error) is appended to a :class:`Trace`.
+hook invocation, error) is appended to a :class:`Trace`.
 The Software Watchdog never reads the trace — it only sees heartbeats,
 exactly like on the real platform — but the analysis layer and the
 test-suite use traces as ground truth for coverage and latency metrics.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 
 class TraceKind(enum.Enum):
@@ -27,8 +27,6 @@ class TraceKind(enum.Enum):
     RUNNABLE_END = "runnable_end"
     HEARTBEAT = "heartbeat"
     ALARM_EXPIRE = "alarm_expire"
-    ISR_ENTER = "isr_enter"
-    ISR_EXIT = "isr_exit"
     HOOK = "hook"
     SERVICE_ERROR = "service_error"
     ECU_RESET = "ecu_reset"
@@ -46,10 +44,6 @@ class TraceRecord:
     kind: TraceKind
     subject: str
     info: Dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        extra = " ".join(f"{k}={v}" for k, v in self.info.items())
-        return f"[{self.time:>10}] {self.kind.value:<16} {self.subject} {extra}".rstrip()
 
 
 class Trace:
@@ -80,20 +74,6 @@ class Trace:
         self._listeners.append(listener)
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
-
-    def __getitem__(self, index: int) -> TraceRecord:
-        return self._records[index]
-
-    def clear(self) -> None:
-        self._records.clear()
-        self.dropped = 0
-
-    # ------------------------------------------------------------------
     def filter(
         self,
         kind: Optional[TraceKind] = None,
@@ -114,34 +94,3 @@ class Trace:
                 continue
             out.append(rec)
         return out
-
-    def count(self, kind: TraceKind, subject: Optional[str] = None) -> int:
-        """Number of records of ``kind`` (optionally for one subject)."""
-        return len(self.filter(kind=kind, subject=subject))
-
-    def first(self, kind: TraceKind, subject: Optional[str] = None) -> Optional[TraceRecord]:
-        """Earliest record of ``kind`` or ``None``."""
-        for rec in self._records:
-            if rec.kind is kind and (subject is None or rec.subject == subject):
-                return rec
-        return None
-
-    def last(self, kind: TraceKind, subject: Optional[str] = None) -> Optional[TraceRecord]:
-        """Latest record of ``kind`` or ``None``."""
-        for rec in reversed(self._records):
-            if rec.kind is kind and (subject is None or rec.subject == subject):
-                return rec
-        return None
-
-    def subjects(self, kind: Optional[TraceKind] = None) -> List[str]:
-        """Distinct subjects seen (optionally restricted to one kind)."""
-        seen: Dict[str, None] = {}
-        for rec in self._records:
-            if kind is None or rec.kind is kind:
-                seen.setdefault(rec.subject, None)
-        return list(seen)
-
-    def dump(self, limit: Optional[int] = None) -> str:
-        """Human-readable rendering (for debugging and examples)."""
-        records = self._records if limit is None else self._records[-limit:]
-        return "\n".join(str(rec) for rec in records)

@@ -5,8 +5,7 @@ Public surface:
 * :func:`lint_hypothesis` — run every analysis (flow graph, counter
   feasibility, thresholds, optional system cross-checks) over one
   :class:`~repro.core.hypothesis.FaultHypothesis`,
-* :func:`lint_flow_table` / :func:`lint_flow_pairs` — flow-graph-only
-  analysis, usable on mined :class:`~repro.core.flowcheck.FlowTable`\\ s,
+* :func:`lint_flow_pairs` — flow-graph-only analysis of a pair list,
 * :class:`Diagnostic` / :class:`LintReport` / :class:`Severity` — the
   structured result model with text and JSON renderers,
 * :data:`CODES` — the stable diagnostic-code registry,
@@ -16,7 +15,7 @@ Public surface:
 * :func:`run_lint` — the ``python -m repro lint`` driver.
 """
 
-from .analyzer import lint_flow_pairs, lint_flow_table, lint_hypothesis
+from .analyzer import lint_flow_pairs, lint_hypothesis
 from .cli import BUILTIN_TARGETS, lint_builtin, lint_file, run_lint
 from .diagnostics import (
     CODES,
@@ -39,7 +38,6 @@ __all__ = [
     "lint_builtin",
     "lint_file",
     "lint_flow_pairs",
-    "lint_flow_table",
     "lint_hypothesis",
     "make_diagnostic",
     "run_lint",

@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.flowcheck import FlowTable
 from ..core.hypothesis import FaultHypothesis
 from ..core.reports import ErrorType
 from .diagnostics import Diagnostic, LintReport, make_diagnostic
@@ -53,9 +52,7 @@ def lint_flow_pairs(
 
     ``known`` is the universe of hypothesized runnables (pairs that step
     outside it are dead transitions); ``task_of`` attributes runnables to
-    tasks for the stream-keying checks.  Usable both on a hypothesis'
-    ``flow_pairs`` and on a mined :class:`FlowTable` (via
-    :func:`lint_flow_table`).
+    tasks for the stream-keying checks.
     """
     task_of = task_of or {}
     pairs = list(pairs)
@@ -157,23 +154,6 @@ def lint_flow_pairs(
             members=sorted(members),
         ))
     return diagnostics
-
-
-def lint_flow_table(
-    table: FlowTable,
-    *,
-    task_of: Optional[Dict[str, Optional[str]]] = None,
-    source: Optional[str] = None,
-) -> LintReport:
-    """Lint a stand-alone :class:`FlowTable` (e.g. one mined from a
-    golden trace).  The table's own runnable set is the universe, so only
-    graph-shape diagnostics (WD101/WD103/WD104) can fire."""
-    pairs = table.pairs()
-    known = {succ for _, succ in pairs} | {
-        pred for pred, _ in pairs if pred is not None
-    }
-    diagnostics = lint_flow_pairs(pairs, known=known, task_of=task_of)
-    return _stamped(LintReport(diagnostics=diagnostics, source=source))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ meaning and retired codes are never reused.
 from __future__ import annotations
 
 import enum
-import json
 from typing import Any, Dict, List, Optional
 
 from ..core.hypothesis import HypothesisError
@@ -104,15 +103,10 @@ class Diagnostic:
         self.source = source
         self.context = {} if context is None else context
 
-    @property
-    def slug(self) -> str:
-        """Stable kebab-case name of the code (e.g. ``dead-transition``)."""
-        return CODES[self.code][0]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "code": self.code,
-            "slug": self.slug,
+            "slug": CODES[self.code][0],
             "severity": self.severity.value,
             "subject": self.subject,
             "source": self.source,
@@ -154,13 +148,6 @@ class LintReport:
         """No diagnostics at all, not even warnings."""
         return not self.diagnostics
 
-    def codes(self) -> List[str]:
-        """Distinct codes present, sorted."""
-        return sorted({d.code for d in self.diagnostics})
-
-    def by_code(self, code: str) -> List[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -181,9 +168,6 @@ class LintReport:
         head = (f"{name}: {len(self.errors)} error(s), "
                 f"{len(self.warnings)} warning(s)")
         return "\n".join([head] + [f"  {d}" for d in self.diagnostics])
-
-    def render_json(self, *, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 class LintError(HypothesisError):

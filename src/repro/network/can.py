@@ -10,32 +10,21 @@ The model follows CAN 2.0A semantics at message granularity:
   CRC, ACK, EOF, interframe space) plus worst-case bit stuffing,
 * receivers with matching acceptance filters get the message at the end
   of transmission,
-* an optional fault model corrupts frames with a configurable
-  probability; corrupted frames are automatically retransmitted (CAN's
-  error signalling) and the transmit error counter grows; controllers
-  go *bus-off* past the 255 threshold, exactly the failure mode an
-  ECU-level watchdog traditionally guards against.
+* a controller that is *bus-off* sends nothing (a node that dropped off
+  the bus).
 """
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict, List, Optional
 
 from ..kernel.scheduler import Kernel
-from ..kernel.tracing import TraceKind
 from .frames import FrameSpec, Message
 
 Receiver = Callable[[Message], None]
 
 #: Fixed protocol overhead of a standard (11-bit id) CAN data frame, bits.
 _CAN_FRAME_OVERHEAD_BITS = 47
-#: CAN error counter bus-off threshold.
-_BUS_OFF_THRESHOLD = 255
-#: Transmit-error-counter increment per detected transmit error.
-_TEC_INCREMENT = 8
-#: Transmit-error-counter decrement per successful transmission.
-_TEC_DECREMENT = 1
 
 
 def can_frame_bits(length_bytes: int, *, worst_case_stuffing: bool = False) -> int:
@@ -58,7 +47,6 @@ class CanController:
         #: set means receive-all (promiscuous).
         self.acceptance: set = set()
         self._receivers: List[Receiver] = []
-        self.tx_error_counter = 0
         self.rx_count = 0
         self.tx_count = 0
         self.bus_off = False
@@ -101,12 +89,6 @@ class CanController:
 
     def _transmit_succeeded(self) -> None:
         self.tx_count += 1
-        self.tx_error_counter = max(0, self.tx_error_counter - _TEC_DECREMENT)
-
-    def _transmit_failed(self) -> None:
-        self.tx_error_counter += _TEC_INCREMENT
-        if self.tx_error_counter > _BUS_OFF_THRESHOLD:
-            self.bus_off = True
 
 
 class CanBus:
@@ -118,24 +100,17 @@ class CanBus:
         kernel: Kernel,
         *,
         bitrate_bps: int = 500_000,
-        corruption_probability: float = 0.0,
-        rng: Optional[random.Random] = None,
     ) -> None:
         if bitrate_bps <= 0:
             raise ValueError("bitrate must be > 0")
-        if not 0.0 <= corruption_probability < 1.0:
-            raise ValueError("corruption_probability must be in [0, 1)")
         self.name = name
         self.kernel = kernel
         self.bitrate_bps = bitrate_bps
-        self.corruption_probability = corruption_probability
-        self.rng = rng or random.Random(0)
         self.controllers: List[CanController] = []
         self._pending: List[tuple] = []  # (frame_id, seq, controller, message)
         self._seq = 0
         self._busy = False
         self.delivered_count = 0
-        self.corrupted_count = 0
         self.max_pending_seen = 0
 
     # ------------------------------------------------------------------
@@ -168,39 +143,16 @@ class CanBus:
         frame_id, _seq, controller, message = self._pending.pop(0)
         self._busy = True
         duration = self.transmission_ticks(message)
-        corrupted = (
-            self.corruption_probability > 0.0
-            and self.rng.random() < self.corruption_probability
-        )
         self.kernel.queue.schedule(
             self.kernel.clock.now + duration,
-            lambda: self._complete(controller, message, corrupted),
+            lambda: self._complete(controller, message),
             label=f"can:{self.name}:{frame_id:#x}",
             persistent=True,
         )
 
-    def _complete(
-        self, controller: CanController, message: Message, corrupted: bool
-    ) -> None:
-        if corrupted:
-            self.corrupted_count += 1
-            controller._transmit_failed()
-            self.kernel.trace.record(
-                self.kernel.clock.now,
-                TraceKind.CUSTOM,
-                f"can:{self.name}",
-                event="frame_error",
-                frame=message.spec.name,
-            )
-            if not controller.bus_off:
-                # Automatic retransmission re-enters arbitration.
-                self._seq += 1
-                self._pending.append(
-                    (message.frame_id, self._seq, controller, message)
-                )
-        else:
-            controller._transmit_succeeded()
-            self.delivered_count += 1
-            for receiver in self.controllers:
-                receiver.deliver(message)
+    def _complete(self, controller: CanController, message: Message) -> None:
+        controller._transmit_succeeded()
+        self.delivered_count += 1
+        for receiver in self.controllers:
+            receiver.deliver(message)
         self._start_next()

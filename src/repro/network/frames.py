@@ -99,12 +99,6 @@ class FrameSpec:
         self.signals.append(spec)
         return spec
 
-    def signal(self, name: str) -> SignalSpec:
-        for spec in self.signals:
-            if spec.name == name:
-                return spec
-        raise FrameError(f"frame {self.name!r}: no signal {name!r}")
-
     # ------------------------------------------------------------------
     def pack(self, values: Dict[str, float]) -> bytes:
         """Pack physical values into a payload; missing signals are 0."""
@@ -147,9 +141,6 @@ class Message:
         """Decoded signal values."""
         return self.spec.unpack(self.payload)
 
-    def value(self, signal: str) -> float:
-        return self.values()[signal]
-
 
 class FrameCatalog:
     """The signal database of one network (DBC-file equivalent)."""
@@ -186,6 +177,3 @@ class FrameCatalog:
         if spec is None:
             raise FrameError(f"unknown frame {name!r}")
         return spec
-
-    def frames(self) -> List[FrameSpec]:
-        return list(self._by_name.values())

@@ -46,11 +46,9 @@ from .schedulability import (
     TaskTiming,
     assign_rate_monotonic_priorities,
     is_schedulable,
-    liu_layland_bound,
     response_time,
     response_time_analysis,
     total_utilization,
-    utilization_test,
 )
 from .services import (
     DependabilityService,
@@ -89,9 +87,7 @@ __all__ = [
     "assign_rate_monotonic_priorities",
     "build_easis_topology",
     "is_schedulable",
-    "liu_layland_bound",
     "response_time",
     "response_time_analysis",
     "total_utilization",
-    "utilization_test",
 ]

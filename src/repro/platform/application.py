@@ -219,12 +219,6 @@ class BuiltSystem:
     charts: Dict[str, SequenceChart]
     hypothesis: FaultHypothesis
 
-    def chart(self, task: str) -> SequenceChart:
-        return self.charts[task]
-
-    def runnable(self, name: str) -> Runnable:
-        return self.runnables[name]
-
 
 class SystemBuilder:
     """Generates the executable system from a :class:`TaskMapping`.

@@ -26,7 +26,6 @@ from ..core.reports import MonitorState
 from ..core.watchdog import SoftwareWatchdog
 from ..kernel.alarms import AlarmTable
 from ..kernel.clock import ms
-from ..kernel.isr import InterruptController
 from ..kernel.scheduler import Kernel
 from ..kernel.tracing import TraceKind
 from .application import Application, BuiltSystem, SystemBuilder, TaskMapping
@@ -77,7 +76,6 @@ class Ecu:
         # base, so the central ECU can be given an existing kernel.
         self.kernel = kernel or Kernel(trace_capacity=trace_capacity)
         self.alarms = AlarmTable(self.kernel)
-        self.interrupts = InterruptController(self.kernel)
         builder = SystemBuilder(
             mapping,
             watchdog_period=watchdog_period,
@@ -158,10 +156,6 @@ class Ecu:
         """Advance the ECU's simulation to ``end_time``."""
         self.kernel.run_until(end_time)
 
-    def run_for(self, duration: int) -> None:
-        """Advance the ECU's simulation by ``duration`` ticks."""
-        self.kernel.run_for(duration)
-
     @property
     def now(self) -> int:
         return self.kernel.clock.now
@@ -229,10 +223,6 @@ class Ecu:
                 for runnable in self.mapping.placement.get(task, []):
                     self.watchdog.set_activation_status(runnable, False)
 
-    def restart_task(self, task: str) -> None:
-        """Restart a single task via OS services."""
-        self._restart_task_internal(task)
-
     # ------------------------------------------------------------------
     def _restart_task_internal(self, task: str) -> None:
         self.task_restart_counts[task] = self.task_restart_counts.get(task, 0) + 1
@@ -258,15 +248,3 @@ class Ecu:
         if application in self.terminated_applications:
             return MonitorState.FAULTY
         return self.watchdog.application_state(application)
-
-    def describe(self) -> Dict[str, object]:
-        """Summary for reports and examples."""
-        return {
-            "name": self.name,
-            "tasks": list(self.mapping.task_specs),
-            "runnables": list(self.system.runnables),
-            "applications": [a.name for a in self.mapping.applications],
-            "watchdog_period": self.binding.period,
-            "resets": len(self.reset_times),
-            "terminated_applications": sorted(self.terminated_applications),
-        }

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, Optional, Protocol
 
 from ..core.reports import ErrorType, RunnableError, TaskFaultEvent
 from ..telemetry import KIND_TREATMENT, NULL_REGISTRY, NULL_SINK, TelemetryEvent
@@ -80,8 +80,6 @@ class EcuActions(Protocol):
 
     def terminate_application(self, application: Application) -> None: ...
 
-    def restart_task(self, task: str) -> None: ...
-
     def applications_on_task(self, task: str) -> List[Application]: ...
 
     def faulty_task_count(self) -> int: ...
@@ -128,7 +126,6 @@ class FaultManagementFramework(DependabilityService):
         self.fault_log: List[FaultRecord] = []
         self.treatment_log: List[TreatmentRecord] = []
         self.app_restart_counts: Dict[str, int] = {}
-        self._fault_listeners: List[Callable[[FaultRecord], None]] = []
         # Faults and treatments are rare events, so the instruments are
         # updated live; labelled counters are cached per category/action.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
@@ -156,8 +153,6 @@ class FaultManagementFramework(DependabilityService):
                 )
                 self._tm_faults[record.category] = counter
             counter.inc()
-        for listener in self._fault_listeners:
-            listener(record)
 
     def on_runnable_error(self, error: RunnableError) -> None:
         """Adapter for the watchdog's detected-fault interface."""
@@ -172,11 +167,6 @@ class FaultManagementFramework(DependabilityService):
                 details=dict(error.details, task=error.task),
             )
         )
-
-    def add_fault_listener(self, listener: Callable[[FaultRecord], None]) -> None:
-        """Applications subscribe here to be "informed about the fault
-        detection"."""
-        self._fault_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # treatment (§3.4)
@@ -297,10 +287,3 @@ class FaultManagementFramework(DependabilityService):
         for record in self.treatment_log:
             out[record.action] = out.get(record.action, 0) + 1
         return out
-
-    def reset(self) -> None:
-        """Clear all logs (used after an ECU software reset when the
-        framework itself restarts)."""
-        self.fault_log.clear()
-        self.treatment_log.clear()
-        self.app_restart_counts.clear()

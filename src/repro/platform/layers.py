@@ -65,12 +65,6 @@ class PlatformModule:
     provides: Set[str] = field(default_factory=set)
     consumes: Set[str] = field(default_factory=set)
 
-    def occupies(self, layer: Layer) -> bool:
-        """Whether the module occupies the given layer."""
-        if self.layer is layer:
-            return True
-        return self.spans is layer
-
     def layer_range(self) -> Tuple[Layer, Layer]:
         """(lowest, highest) layer occupied."""
         if self.spans is None:
@@ -139,10 +133,6 @@ class SoftwareTopology:
         self.connections.append((consumer_name, interface))
 
     # ------------------------------------------------------------------
-    def modules_on(self, layer: Layer) -> List[PlatformModule]:
-        """Every module occupying the given layer."""
-        return [m for m in self.modules.values() if m.occupies(layer)]
-
     def provider_of(self, interface: str) -> PlatformModule:
         """The module providing an interface."""
         name = self.interface_providers.get(interface)

@@ -62,20 +62,6 @@ def total_utilization(tasks: List[TaskTiming]) -> float:
     return sum(t.utilization for t in tasks)
 
 
-def liu_layland_bound(n: int) -> float:
-    """The Liu & Layland utilisation bound for ``n`` tasks."""
-    if n <= 0:
-        raise AnalysisError("need at least one task")
-    return n * (2 ** (1.0 / n) - 1)
-
-
-def utilization_test(tasks: List[TaskTiming]) -> bool:
-    """Sufficient schedulability test: U <= n(2^(1/n) - 1)."""
-    if not tasks:
-        return True
-    return total_utilization(tasks) <= liu_layland_bound(len(tasks))
-
-
 def response_time(task: TaskTiming, all_tasks: List[TaskTiming], *, max_iterations: int = 1000) -> Optional[int]:
     """Worst-case response time of ``task`` under the given task set.
 

@@ -2,16 +2,16 @@
 
 EASIS standardises services with "defined interfaces to other software
 modules".  This module provides the small service framework the platform
-uses: a common service base class with a start-only lifecycle, and a
-registry that components use to discover one another by interface name
-rather than by concrete object — mirroring the standard-interface
-philosophy of the platform (and of AUTOSAR).
+uses: a common service base class with a start-only lifecycle that
+declares its interfaces by name, and a registry that starts every
+service and rejects two providers of one interface — mirroring the
+standard-interface philosophy of the platform (and of AUTOSAR).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 
 class ServiceState(enum.Enum):
@@ -43,13 +43,6 @@ class DependabilityService:
             raise ServiceError(f"{self.name}: interface {interface!r} already provided")
         self._interfaces[interface] = entry_point
 
-    def interface(self, name: str) -> Callable[..., Any]:
-        """Resolve one of this service's interfaces."""
-        entry = self._interfaces.get(name)
-        if entry is None:
-            raise ServiceError(f"{self.name}: no interface {name!r}")
-        return entry
-
     def interfaces(self) -> List[str]:
         """Names of all provided interfaces."""
         return list(self._interfaces)
@@ -67,7 +60,7 @@ class DependabilityService:
 
 
 class ServiceRegistry:
-    """Discovery of services and their interfaces on one ECU."""
+    """The services of one ECU and the interface names they provide."""
 
     def __init__(self) -> None:
         self._services: Dict[str, DependabilityService] = {}
@@ -84,28 +77,7 @@ class ServiceRegistry:
             self._interface_index[interface] = service
         return service
 
-    def service(self, name: str) -> DependabilityService:
-        """Look up a service by name."""
-        service = self._services.get(name)
-        if service is None:
-            raise ServiceError(f"unknown service {name!r}")
-        return service
-
-    def resolve(self, interface: str) -> Callable[..., Any]:
-        """Resolve an interface name to its entry point."""
-        service = self._interface_index.get(interface)
-        if service is None:
-            raise ServiceError(f"no provider for interface {interface!r}")
-        return service.interface(interface)
-
-    def provider_of(self, interface: str) -> Optional[DependabilityService]:
-        """The service providing an interface, or None."""
-        return self._interface_index.get(interface)
-
     def start_all(self) -> None:
         """Start every registered service."""
         for service in self._services.values():
             service.start()
-
-    def services(self) -> List[DependabilityService]:
-        return list(self._services.values())

@@ -94,7 +94,3 @@ def __getattr__(name):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__) | set(_LAZY))

@@ -206,10 +206,6 @@ class WatchdogClient:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
 
-    @property
-    def connected(self) -> bool:
-        return self._sock is not None
-
     def _drop_connection(self) -> None:
         if self._sock is not None:
             try:

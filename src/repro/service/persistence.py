@@ -175,10 +175,6 @@ class RestoredState:
         self.snapshot = snapshot
         self.entries = [] if entries is None else entries
 
-    @property
-    def empty(self) -> bool:
-        return self.snapshot is None and not self.entries
-
 
 class StateStore:
     """Snapshot + journal management for one state directory."""

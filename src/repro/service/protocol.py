@@ -238,7 +238,3 @@ class FrameDecoder:
                 self.frames_decoded += 1
                 items.append(frame)
         return items
-
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet framing a complete frame."""
-        return len(self._buffer)

@@ -131,9 +131,6 @@ class Registration:
         #: The hosting table, set when it admits the registration.
         self._table: Optional["SupervisorShard"] = None
 
-    def __repr__(self) -> str:
-        return f"Registration(name={self.name!r}, active={self.active})"
-
     @property
     def detections(self) -> int:
         """Detections its watchdog has raised."""
@@ -208,9 +205,6 @@ class HypothesisCache:
         self.compiles = 0
         #: Admissions served from an already compiled hypothesis.
         self.hits = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def admit(self, name: str, submitted: Dict[str, Any], *,
               strict: bool) -> CompiledHypothesis:

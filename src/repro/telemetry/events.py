@@ -4,9 +4,9 @@ Metrics (:mod:`repro.telemetry.registry`) aggregate; events record the
 individual occurrences an integrator replays offline: detections, task
 faults, ECU state changes, treatments, lint warnings.  Every event is a
 versioned, JSON-serializable record so a JSONL stream written today
-stays parseable when the schema grows — and so kernel ground truth
-(:func:`repro.analysis.traces.trace_to_jsonl`) and watchdog telemetry
-can be correlated record-by-record on the shared ``time`` axis.
+stays parseable when the schema grows — and so kernel trace records
+and watchdog telemetry can be correlated record-by-record on the shared
+``time`` axis.
 
 Sinks implement the :class:`TelemetrySink` protocol (one ``emit``
 method).  Three are provided:
@@ -61,8 +61,7 @@ class TelemetryEvent:
     for configuration-time or CLI-level events (lint warnings,
     snapshots).
 
-    An event records what happened, so its fields are read-only.  Two
-    events are equal when every field is.
+    Two events are equal when every field is.
     """
 
     __slots__ = ("time", "kind", "subject", "data", "schema")
@@ -70,18 +69,11 @@ class TelemetryEvent:
     def __init__(self, time: int, kind: str, subject: str,
                  data: Optional[Dict[str, Any]] = None,
                  schema: int = EVENT_SCHEMA_VERSION) -> None:
-        init = object.__setattr__
-        init(self, "time", time)
-        init(self, "kind", kind)
-        init(self, "subject", subject)
-        init(self, "data", {} if data is None else data)
-        init(self, "schema", schema)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"TelemetryEvent.{name} is read-only")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"TelemetryEvent.{name} is read-only")
+        self.time = time
+        self.kind = kind
+        self.subject = subject
+        self.data = {} if data is None else data
+        self.schema = schema
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -150,9 +142,6 @@ class InMemorySink:
     def emit(self, event: TelemetryEvent) -> None:
         self.events.append(event)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def filter(
         self, kind: Optional[str] = None, subject: Optional[str] = None
     ) -> List[TelemetryEvent]:
@@ -163,26 +152,15 @@ class InMemorySink:
             and (subject is None or e.subject == subject)
         ]
 
-    def kinds(self) -> List[str]:
-        """Distinct event kinds seen, in first-seen order."""
-        seen: Dict[str, None] = {}
-        for event in self.events:
-            seen.setdefault(event.kind, None)
-        return list(seen)
-
-    def clear(self) -> None:
-        self.events.clear()
-
 
 class JsonlFileSink:
     """Writes one JSON document per event line (the CLI's export format).
 
-    Usable as a context manager; ``mode="a"`` appends to an existing
-    stream (used when several subcommands share one ``--telemetry``
-    file).  ``flush_every=N`` flushes the underlying file every N
-    emitted events so a long-running daemon's stream is durable without
-    reopening the file; the default (``None``) keeps the historical
-    close-time flushing.
+    ``mode="a"`` appends to an existing stream (used when several
+    subcommands share one ``--telemetry`` file).  ``flush_every=N``
+    flushes the underlying file every N emitted events so a long-running
+    daemon's stream is durable without reopening the file; the default
+    (``None``) keeps the historical close-time flushing.
     """
 
     enabled = True
@@ -218,12 +196,6 @@ class JsonlFileSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def __enter__(self) -> "JsonlFileSink":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 def read_jsonl(

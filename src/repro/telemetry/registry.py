@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -173,10 +173,6 @@ class Histogram:
         if self.maximum is None or value > self.maximum:
             self.maximum = value
 
-    @property
-    def mean(self) -> Optional[float]:
-        return self.sum / self.count if self.count else None
-
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(le, cumulative count)`` pairs, ending with ``+Inf``."""
         out: List[Tuple[float, int]] = []
@@ -186,58 +182,6 @@ class Histogram:
             out.append((bound, running))
         out.append((math.inf, running + self.bucket_counts[-1]))
         return out
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Estimated q-th percentile (``None`` when empty).
-
-        Each observation is represented by its bucket's upper bound
-        (overflow observations by the true maximum, the first bucket
-        floored at the true minimum); the interpolation itself is
-        :func:`repro.analysis.metrics.percentile` over that virtual
-        sorted sample — one percentile implementation, not two.
-        """
-        if self.count == 0:
-            return None
-        from ..analysis.metrics import percentile
-
-        estimate = percentile(_BucketSample(self), q)
-        # Bucket upper bounds over-estimate; the true extremes are
-        # known, so the estimate is clamped into [minimum, maximum].
-        return min(max(estimate, self.minimum), self.maximum)
-
-
-class _BucketSample:
-    """Lazy sorted-sequence view of a histogram for ``percentile``.
-
-    Index ``i`` resolves — via the cumulative bucket counts — to the
-    representative value of the bucket holding the i-th smallest
-    observation, without materializing ``count`` elements.
-    """
-
-    __slots__ = ("_cumulative", "_values")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._cumulative: List[int] = []
-        self._values: List[float] = []
-        running = 0
-        representatives = list(histogram.bounds) + [
-            histogram.maximum if histogram.maximum is not None else math.inf
-        ]
-        for representative, bucket in zip(
-            representatives, histogram.bucket_counts
-        ):
-            if bucket:
-                running += bucket
-                self._cumulative.append(running)
-                self._values.append(representative)
-
-    def __len__(self) -> int:
-        return self._cumulative[-1] if self._cumulative else 0
-
-    def __getitem__(self, index: int) -> float:
-        if index < 0:
-            index += len(self)
-        return self._values[bisect_right(self._cumulative, index)]
 
 
 class MetricsRegistry:
@@ -427,12 +371,8 @@ class _NullInstrument:
     sum = 0.0
     minimum = None
     maximum = None
-    mean = None
 
     def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
         pass
 
     def set(self, value: float) -> None:
@@ -441,18 +381,12 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    def quantile(self, q: float) -> None:
-        return None
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        return []
-
 
 _NULL_INSTRUMENT = _NullInstrument()
 
 
 class NullRegistry:
-    """No-op twin of :class:`MetricsRegistry`.
+    """No-op twin of :class:`MetricsRegistry`'s instrument factories.
 
     ``enabled`` is ``False`` so hot paths can skip whole measurement
     blocks (``perf_counter`` calls, delta syncs) with one attribute
@@ -476,27 +410,6 @@ class NullRegistry:
         **labels: str,
     ) -> Histogram:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def families(self) -> List[str]:
-        return []
-
-    def instruments(self, name: Optional[str] = None) -> List[Any]:
-        return []
-
-    def get(self, name: str, **labels: str) -> None:
-        return None
-
-    def value(self, name: str, **labels: str) -> None:
-        return None
-
-    def render_prometheus(self) -> str:
-        return ""
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"metrics": []}
-
-    def render_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.snapshot(), indent=indent)
 
 
 #: Shared process-wide null registry — the default for every

@@ -1,4 +1,4 @@
-"""EASIS architecture validator: HIL rig, nodes, ControlDesk, scenarios."""
+"""EASIS architecture validator: HIL rig, nodes, ControlDesk."""
 
 from .controldesk import Capture, CapturedSeries, Parameter, ParameterStore
 from .hil import (
@@ -17,7 +17,6 @@ from .nodes import (
     SignalStore,
     build_validator_catalog,
 )
-from .scenario import Scenario, ScenarioResult, ScenarioStep
 
 __all__ = [
     "ActuatorNode",
@@ -34,9 +33,6 @@ __all__ = [
     "SAFELANE_TASK",
     "SAFESPEED_TASK",
     "STEERING_TASK",
-    "Scenario",
-    "ScenarioResult",
-    "ScenarioStep",
     "SignalStore",
     "SupervisedNode",
     "build_validator_catalog",

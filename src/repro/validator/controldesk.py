@@ -10,7 +10,7 @@ results as well." (§4.5)
 This module reproduces those two capabilities against the simulation:
 
 * :class:`ParameterStore` — named runtime parameters (sliders) bound to
-  arbitrary getter/setter pairs,
+  arbitrary setters,
 * :class:`Capture` — periodic sampling of named probes into time series
   (the paper's plots sample with "a scalar of 10 ms"), rendered by
   :mod:`repro.analysis.plots`.
@@ -19,7 +19,7 @@ This module reproduces those two capabilities against the simulation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..kernel.clock import ms
 from ..kernel.scheduler import Kernel
@@ -33,17 +33,8 @@ class Parameter:
     """One runtime-tunable parameter (a ControlDesk instrument)."""
 
     name: str
-    getter: Getter
     setter: Setter
     description: str = ""
-
-    @property
-    def value(self) -> float:
-        return self.getter()
-
-    @value.setter
-    def value(self, new_value: float) -> None:
-        self.setter(new_value)
 
 
 class ParameterStore:
@@ -56,12 +47,12 @@ class ParameterStore:
 
     # ------------------------------------------------------------------
     def register(
-        self, name: str, getter: Getter, setter: Setter, description: str = ""
+        self, name: str, setter: Setter, description: str = ""
     ) -> Parameter:
         """Expose a parameter."""
         if name in self._parameters:
             raise ValueError(f"duplicate parameter {name!r}")
-        parameter = Parameter(name, getter, setter, description)
+        parameter = Parameter(name, setter, description)
         self._parameters[name] = parameter
         return parameter
 
@@ -74,11 +65,8 @@ class ParameterStore:
     # ------------------------------------------------------------------
     def set_now(self, name: str, value: float) -> None:
         """Move a slider immediately."""
-        self.get(name).value = value
+        self.get(name).setter(value)
         self.change_log.append((self.kernel.clock.now, name, value))
-
-    def parameters(self) -> List[Parameter]:
-        return list(self._parameters.values())
 
 
 @dataclass
@@ -88,21 +76,6 @@ class CapturedSeries:
     name: str
     times: List[int] = field(default_factory=list)
     values: List[float] = field(default_factory=list)
-
-    def at(self, time: int) -> Optional[float]:
-        """Last captured value at or before ``time``."""
-        result: Optional[float] = None
-        for t, v in zip(self.times, self.values):
-            if t > time:
-                break
-            result = v
-        return result
-
-    def max(self) -> float:
-        return max(self.values) if self.values else 0.0
-
-    def final(self) -> float:
-        return self.values[-1] if self.values else 0.0
 
 
 class Capture:
@@ -132,9 +105,6 @@ class Capture:
         self._running = True
         self._schedule_next()
 
-    def stop(self) -> None:
-        self._running = False
-
     # ------------------------------------------------------------------
     def _schedule_next(self) -> None:
         self.kernel.queue.schedule(
@@ -143,8 +113,6 @@ class Capture:
         )
 
     def _sample(self) -> None:
-        if not self._running:
-            return
         now = self.kernel.clock.now
         for name, getter in self._probes.items():
             series = self.series[name]

@@ -267,39 +267,21 @@ class HilValidator:
     # ------------------------------------------------------------------
     def _register_default_instruments(self) -> None:
         # --- sliders (the ControlDesk instruments of §4.5) -------------
-        env = self.environment
-
-        def get_commanded() -> float:
-            return env.commanded_limit_kph if env.commanded_limit_kph else 0.0
-
-        def set_commanded(value: float) -> None:
-            env.commanded_limit_kph = value if value > 0 else None
-
-        self.parameters.register(
-            "commanded_limit_kph", get_commanded, set_commanded,
-            description="telematics speed command (0 = none)",
-        )
-
         # The paper's Figure 5 slider: "a time scalar is connected to a
         # slider instrument to change the execution frequency".
-        scalar_state = {"value": 1.0}
         alarm = self.ecu.alarms.alarms[f"{SAFESPEED_TASK}Alarm"]
         nominal_cycle = alarm.cycle
-
-        def get_scalar() -> float:
-            return scalar_state["value"]
 
         def set_scalar(value: float) -> None:
             if value <= 0:
                 raise ValueError("time scalar must be > 0")
-            scalar_state["value"] = value
             new_cycle = max(1, int(round(nominal_cycle * value)))
             if alarm.armed:
                 alarm.cancel()
             alarm.set_rel(new_cycle, new_cycle)
 
         self.parameters.register(
-            "safespeed.time_scalar", get_scalar, set_scalar,
+            "safespeed.time_scalar", set_scalar,
             description="SafeSpeed task period multiplier (Figure 5 slider)",
         )
 

@@ -6,7 +6,6 @@ from repro.analysis import (
     LatencyStats,
     build_runnable_cfg,
     compare_flow_checking,
-    coverage_matrix,
     coverage_report,
     latency_stats,
     measure_cfcss,
@@ -62,8 +61,7 @@ class TestPercentile:
         assert percentile([5, 5, 5, 5], 0) == 5.0
 
     def test_accepts_lazy_sequence_view(self):
-        # Only __len__ and non-negative __getitem__ are required — the
-        # telemetry Histogram.quantile estimator passes a bucket view.
+        # Only __len__ and non-negative __getitem__ are required.
         class View:
             def __len__(self):
                 return 3
@@ -91,12 +89,6 @@ class TestLatencyStats:
 
 
 class TestCoverageViews:
-    def test_matrix(self):
-        matrix = coverage_matrix(make_result())
-        assert matrix["Blocked"]["SW"] == 1.0
-        assert matrix["Blocked"]["HW"] == 0.0
-        assert matrix["Branch"]["HW"] == 1.0
-
     def test_report_renders(self):
         text = coverage_report(make_result())
         assert "Blocked" in text

@@ -1,6 +1,6 @@
 """Tests for the text plotting utilities."""
 
-from repro.analysis import format_table, panel, render_panels, resample, sparkline
+from repro.analysis import format_table, panel, render_panels, resample
 
 
 class TestResample:
@@ -16,20 +16,6 @@ class TestResample:
     def test_empty(self):
         assert resample([], 10) == []
         assert resample([1], 0) == []
-
-
-class TestSparkline:
-    def test_flat_series(self):
-        line = sparkline([5, 5, 5])
-        assert len(line) == 3
-        assert len(set(line)) == 1
-
-    def test_rising_series_uses_higher_blocks(self):
-        line = sparkline([0, 1, 2, 3])
-        assert line[0] != line[-1]
-
-    def test_empty(self):
-        assert sparkline([]) == ""
 
 
 class TestPanel:

@@ -2,23 +2,15 @@
 
 import json
 
-import pytest
-
 from repro.analysis import (
     activation_times,
-    detection_latency,
     heartbeat_gaps,
     heartbeat_times,
-    injection_times,
-    observed_periods,
-    preemption_counts,
-    response_time_stats,
     response_times,
-    trace_from_jsonl,
-    trace_to_jsonl,
-    utilization_by_task,
 )
 from repro.kernel import Trace, TraceKind, TraceRecord
+
+from testutil import observed_periods, trace_to_jsonl
 
 
 def build_trace(records):
@@ -55,23 +47,6 @@ class TestActivationAnalysis:
         ])
         assert response_times(trace, "T") == [4]
 
-    def test_response_time_stats(self):
-        trace = build_trace([
-            (10, TraceKind.TASK_ACTIVATE, "T", {}),
-            (14, TraceKind.TASK_TERMINATE, "T", {}),
-            (20, TraceKind.TASK_ACTIVATE, "T", {}),
-            (30, TraceKind.TASK_TERMINATE, "T", {}),
-        ])
-        stats = response_time_stats(trace, "T")
-        assert stats.count == 2
-        assert stats.mean == 7.0
-        assert stats.maximum == 10
-        assert stats.minimum == 4
-
-    def test_stats_none_when_never_ran(self):
-        assert response_time_stats(build_trace([]), "T") is None
-
-
 class TestHeartbeatAnalysis:
     def test_heartbeat_times_and_gaps(self):
         trace = build_trace([
@@ -83,46 +58,6 @@ class TestHeartbeatAnalysis:
         assert heartbeat_gaps(trace, "R") == [10, 25]
 
 
-class TestInjectionAnalysis:
-    def test_injection_times(self):
-        trace = build_trace([
-            (100, TraceKind.FAULT_INJECTED, "blocked:R", {}),
-            (500, TraceKind.FAULT_INJECTED, "branch:X", {}),
-        ])
-        assert injection_times(trace) == [(100, "blocked:R"), (500, "branch:X")]
-
-    def test_detection_latency_matching(self):
-        trace = build_trace([
-            (100, TraceKind.FAULT_INJECTED, "f1", {}),
-            (600, TraceKind.FAULT_INJECTED, "f2", {}),
-        ])
-        latencies = detection_latency(trace, detection_times=[150, 700])
-        assert latencies == [50, 100]
-
-    def test_missed_detection_is_none(self):
-        trace = build_trace([(100, TraceKind.FAULT_INJECTED, "f1", {})])
-        assert detection_latency(trace, detection_times=[]) == [None]
-
-
-class TestStructuralAnalysis:
-    def test_preemption_counts(self):
-        trace = build_trace([
-            (10, TraceKind.TASK_PREEMPT, "A", {}),
-            (20, TraceKind.TASK_PREEMPT, "A", {}),
-            (30, TraceKind.TASK_PREEMPT, "B", {}),
-        ])
-        assert preemption_counts(trace) == {"A": 2, "B": 1}
-
-    def test_utilization_by_task(self):
-        trace = build_trace([
-            (10, TraceKind.RUNNABLE_START, "r1", {"task": "T"}),
-            (14, TraceKind.RUNNABLE_END, "r1", {"task": "T"}),
-            (20, TraceKind.RUNNABLE_START, "r2", {"task": "T"}),
-            (25, TraceKind.RUNNABLE_END, "r2", {"task": "T"}),
-        ])
-        assert utilization_by_task(trace) == {"T": 9}
-
-
 class TestJsonlRoundTrip:
     def sample_trace(self):
         return build_trace([
@@ -130,11 +65,6 @@ class TestJsonlRoundTrip:
             (20, TraceKind.TASK_ACTIVATE, "T", {}),
             (30, TraceKind.FAULT_INJECTED, "blocked:R", {"kind": "blocked"}),
         ])
-
-    def test_round_trip_preserves_records(self):
-        trace = self.sample_trace()
-        text = trace_to_jsonl(trace)
-        assert trace_from_jsonl(text) == list(trace)
 
     def test_one_sorted_json_document_per_line(self):
         lines = trace_to_jsonl(self.sample_trace()).splitlines()
@@ -148,19 +78,5 @@ class TestJsonlRoundTrip:
         first = json.loads(trace_to_jsonl(self.sample_trace()).splitlines()[0])
         assert first["kind"] == TraceKind.HEARTBEAT.value
 
-    def test_accepts_iterable_and_skips_blank_lines(self):
-        trace = self.sample_trace()
-        lines = trace_to_jsonl(trace).splitlines()
-        records = trace_from_jsonl(["", lines[0], "  ", lines[1], ""])
-        assert records == list(trace)[:2]
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            trace_from_jsonl(
-                ['{"time": 1, "kind": "warp_drive", "subject": "x", '
-                 '"info": {}}']
-            )
-
     def test_empty_trace_round_trips(self):
         assert trace_to_jsonl(Trace()) == ""
-        assert trace_from_jsonl("") == []

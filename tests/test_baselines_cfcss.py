@@ -6,7 +6,6 @@ from repro.baselines import (
     BasicBlockGraph,
     CfcssChecker,
     CfgError,
-    instructions_per_block,
 )
 
 
@@ -49,7 +48,7 @@ class TestGraph:
     def test_duplicate_edge_ignored(self):
         graph = linear_graph()
         graph.add_edge("A", "B")
-        assert graph.successors("A") == ["B"]
+        assert graph.predecessors("B") == ["A"]
 
 
 class TestInstrumentation:
@@ -158,7 +157,3 @@ class TestOverheadAccounting:
         checker.run_walk(["A", "B", "D"])
         # A:2, B:2 (+1 set D), D:3 -> 8
         assert checker.instruction_count == 8
-
-    def test_instructions_per_block_estimate(self):
-        assert instructions_per_block(linear_graph()) == pytest.approx(2.0)
-        assert instructions_per_block(diamond_graph()) > 2.0

@@ -100,9 +100,12 @@ class TestParallelApi:
 
 def _reference_coverage_table(result):
     """The pre-optimization coverage_table: repeated full-list passes."""
+    fault_classes = list(dict.fromkeys(r.fault_class for r in result.runs))
+    detectors = list(dict.fromkeys(
+        name for r in result.runs for name in r.detections))
     rows = []
-    for fault_class in result.fault_classes():
-        for detector in result.detectors():
+    for fault_class in fault_classes:
+        for detector in detectors:
             relevant = [r for r in result.runs if r.fault_class == fault_class]
             hits = sum(1 for r in relevant if r.detected_by(detector))
             latencies = [r.latency(detector) for r in relevant

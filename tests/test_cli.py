@@ -45,6 +45,29 @@ class TestParser:
         assert stop.value.code == 2
         assert f"argument {flag}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["rig", "--seconds", "-1"],
+        ["metrics", "rig", "--seconds", "-1"],
+        ["metrics", "faulty", "--seconds", "0"],
+        ["coverage", "--observation", "-1"],
+        ["coverage", "--repetitions", "0"],
+        ["coverage", "--workers", "-1"],
+        ["latency", "--repetitions", "0"],
+        ["latency", "--repetitions", "-2"],
+        ["latency", "--workers", "-1"],
+        ["all", "--workers", "-1"],
+    ], ids=" ".join)
+    def test_experiment_flags_reject_out_of_range(self, argv, capsys):
+        # These used to run with empty or zero tables, or to end in a
+        # ValueError traceback from deep inside the campaign.
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be" in err
+        assert [line for line in err.splitlines()
+                if "error:" in line] == [err.splitlines()[-1]]
+
     def test_serve_accepts_fractional_tick(self):
         args = build_parser().parse_args(["serve", "--tick-ms", "0.5"])
         assert args.tick_ms == 0.5

@@ -161,7 +161,7 @@ class TestActivationStatus:
         unit.heartbeat("R", 1)
         unit.set_activation_status("R", False)
         assert unit.snapshot("R")["AC"] == 0
-        assert not unit.activation_status("R")
+        assert unit.snapshot("R")["AS"] == 0
 
     def test_reactivation_starts_clean(self):
         unit, errors = make_unit(aliveness_period=2)

@@ -51,12 +51,12 @@ class TestGlue:
         wd, binding, runnables = build_system(kernel, alarms)
         kernel.run_until(ms(100))
         assert wd.hbm.heartbeat_count > 0
-        assert kernel.trace.count(TraceKind.HEARTBEAT, "A") >= 9
+        assert len(kernel.trace.filter(TraceKind.HEARTBEAT, "A")) >= 9
 
     def test_glue_records_trace_with_task(self, kernel, alarms):
         wd, _, _ = build_system(kernel, alarms)
         kernel.run_until(ms(30))
-        record = kernel.trace.first(TraceKind.HEARTBEAT, "A")
+        record = kernel.trace.filter(TraceKind.HEARTBEAT, "A")[0]
         assert record.info["task"] == "AppTask"
 
     def test_install_single(self, kernel):
@@ -76,7 +76,7 @@ class TestBinding:
         wd, binding, _ = build_system(kernel, alarms)
         kernel.run_until(ms(100))
         assert wd.check_cycle_count == 10
-        assert kernel.trace.count(TraceKind.WATCHDOG_CHECK) == 10
+        assert len(kernel.trace.filter(TraceKind.WATCHDOG_CHECK)) == 10
 
     def test_invalid_period_rejected(self, kernel, alarms):
         hyp = FaultHypothesis()

@@ -31,7 +31,7 @@ class TestErrorVectors:
         unit, faults = make_unit()
         unit.record_error(error(1))
         unit.record_error(error(2))
-        assert unit.error_count(task="T", runnable="R") == 2
+        assert unit.error_vectors["T"]["R"] == {ErrorType.ALIVENESS: 2}
         assert faults == []
 
     def test_threshold_fires_task_fault(self):
@@ -65,8 +65,8 @@ class TestErrorVectors:
         unit, _ = make_unit()
         unit.record_error(error(1, etype=ErrorType.ALIVENESS))
         unit.record_error(error(2, etype=ErrorType.ARRIVAL_RATE))
-        assert unit.error_count(error_type=ErrorType.ALIVENESS) == 1
-        assert unit.error_count(error_type=ErrorType.ARRIVAL_RATE) == 1
+        assert unit.error_vectors["T"]["R"] == {
+            ErrorType.ALIVENESS: 1, ErrorType.ARRIVAL_RATE: 1}
 
     def test_unmapped_runnable_bucketed(self):
         unit, _ = make_unit()
@@ -74,28 +74,25 @@ class TestErrorVectors:
             RunnableError(time=1, runnable="X", task=None,
                           error_type=ErrorType.ALIVENESS)
         )
-        assert unit.error_count(task="<unmapped>") == 1
+        assert unit.error_vectors["<unmapped>"]["X"] == {ErrorType.ALIVENESS: 1}
 
 
 class TestStateDerivation:
     def test_ok_initially(self):
         unit, _ = make_unit()
         assert unit.task_state("T") is MonitorState.OK
-        assert unit.runnable_state("R") is MonitorState.OK
         assert unit.ecu_state() is MonitorState.OK
 
     def test_suspicious_below_threshold(self):
         unit, _ = make_unit(default=3)
         unit.record_error(error(1))
         assert unit.task_state("T") is MonitorState.SUSPICIOUS
-        assert unit.runnable_state("R") is MonitorState.SUSPICIOUS
 
     def test_faulty_at_threshold(self):
         unit, _ = make_unit(default=2)
         unit.record_error(error(1))
         unit.record_error(error(2))
         assert unit.task_state("T") is MonitorState.FAULTY
-        assert unit.runnable_state("R") is MonitorState.FAULTY
         assert unit.ecu_state() is MonitorState.FAULTY
 
     def test_application_state_worst_of_tasks(self):
@@ -138,26 +135,6 @@ class TestStateDerivation:
         assert changes[1].faulty_tasks == ("T",)
         unit.record_error(error(8))  # already faulty: no transition
         assert len(changes) == 2
-
-
-class TestSupervisionReports:
-    def test_report_for_erroring_runnable(self):
-        unit, _ = make_unit(default=3)
-        unit.record_error(error(1))
-        reports = unit.supervision_reports(time=10)
-        assert len(reports) == 1
-        report = reports[0]
-        assert report.runnable == "R"
-        assert report.state is MonitorState.SUSPICIOUS
-        assert report.total_errors == 1
-
-    def test_report_includes_healthy_mapped_runnables(self):
-        unit = TaskStateIndicationUnit(
-            ThresholdPolicy(), task_of_runnable={"healthy": "T"}
-        )
-        reports = unit.supervision_reports(time=0)
-        assert len(reports) == 1
-        assert reports[0].state is MonitorState.OK
 
 
 class TestClearAndReset:

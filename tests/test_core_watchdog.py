@@ -149,45 +149,6 @@ class TestCheckCycle:
         assert wd.detection_count() == 0
 
 
-class TestCapture:
-    def test_capture_records_counters_and_results(self):
-        wd = make_watchdog()
-        history = wd.enable_capture()
-        wd.heartbeat_indication("A", 1, task="T")
-        wd.check_cycle(10)
-        wd.check_cycle(20)
-        assert len(history) == 2
-        assert "A.AC" in history.series
-        assert "AM_Result" in history.series
-        assert "TaskState.T" in history.series
-        # B and C missed the period -> AM_Result is 2 at the second cycle.
-        assert history.column("AM_Result") == [0, 2]
-
-    def test_task_state_in_capture_flips(self):
-        wd = make_watchdog(threshold=2)
-        history = wd.enable_capture()
-        wd.check_cycle(10)
-        wd.check_cycle(20)  # 3 aliveness errors (one per runnable)
-        wd.check_cycle(30)
-        wd.check_cycle(40)  # second error for each -> threshold 2 -> faulty
-        column = history.column("TaskState.T")
-        assert column[-1] == 1
-        assert column[0] == 0
-
-
-class TestSupervisionReports:
-    def test_reports_cover_every_monitored_runnable(self):
-        wd = make_watchdog()
-        wd.heartbeat_indication("C", 1, task="T")  # one flow error
-        reports = wd.supervision_reports(time=100)
-        by_name = {r.runnable: r for r in reports}
-        assert set(by_name) == {"A", "B", "C"}
-        assert by_name["C"].state is MonitorState.SUSPICIOUS
-        assert by_name["C"].error_counts[ErrorType.PROGRAM_FLOW] == 1
-        assert by_name["A"].state is MonitorState.OK
-        assert by_name["A"].total_errors == 0
-
-
 class TestReset:
     def test_reset_clears_all_state(self):
         wd = make_watchdog(threshold=1)

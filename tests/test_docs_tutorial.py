@@ -118,11 +118,24 @@ class TestTutorialSections:
         with pytest.raises(LintError, match="WD201"):
             SoftwareWatchdog(defective, lint="error")
 
-    def test_section_5_cli_lint(self, capsys):
+    def test_section_5_cli_lint(self, capsys, tmp_path):
         from repro.__main__ import main
 
         assert main(["lint"]) == 0
         assert "safespeed: ok" in capsys.readouterr().out
+
+        hyp = FaultHypothesis()
+        hyp.add_runnable(RunnableHypothesis(
+            "ComputeForce", task="BrakeTask",
+            aliveness_period=2, min_heartbeats=1,
+            arrival_period=2, max_heartbeats=3,
+        ))
+        hyp.allow_sequence(["ComputeForce"])
+        path = tmp_path / "brake_hypothesis.json"
+        path.write_text(json.dumps(hypothesis_to_dict(hyp)))
+        assert main(["lint", str(path), "--format", "json"]) == 0
+        [report] = json.loads(capsys.readouterr().out)["reports"]
+        assert report["source"] == str(path) and report["ok"]
 
     def test_section_7_fault_injection_proof(self):
         def system_factory():
@@ -200,8 +213,13 @@ class TestObservability:
         text = registry.render_prometheus()
         assert "# TYPE wd_hbm_check_cycles_total counter" in text
         assert registry.value("wd_hbm_check_cycles_total") > 0
-        # A healthy drive produces no detection narrative.
+        # A healthy drive produces no detection narrative; a blocked
+        # runnable does.
         assert sink.filter(kind="detection") == []
+        BlockedRunnableFault("ComputeForce").inject(FaultTarget.from_ecu(ecu))
+        ecu.run_until(seconds(11))
+        assert sink.filter(kind="detection")
+        assert sink.filter(kind="task_fault")
 
     def test_section_11_instrument_table_mirrors_registry(self):
         """The tutorial's instrument table names exactly the metric

@@ -13,7 +13,6 @@ from repro.experiments import (
     run_toolchain,
     watchdog_cpu_rows,
 )
-from repro.analysis import coverage_matrix
 from repro.kernel import ms, seconds
 
 
@@ -24,24 +23,22 @@ def coverage():
 
 class TestCoverageE1:
     def test_software_watchdog_covers_everything(self, coverage):
-        matrix = coverage_matrix(coverage)
-        for fault_class, per_detector in matrix.items():
-            assert per_detector["SoftwareWatchdog"] == 1.0, fault_class
+        for fault_class in {run.fault_class for run in coverage.runs}:
+            assert coverage.coverage("SoftwareWatchdog", fault_class) == 1.0, \
+                fault_class
 
     def test_hw_watchdog_blind_to_runnable_faults(self, coverage):
-        matrix = coverage_matrix(coverage)
         for fault_class in ("BlockedRunnableFault", "SkipRunnableFault",
                             "InvalidBranchFault", "TimeScalarFault"):
-            assert matrix[fault_class]["HardwareWatchdog"] == 0.0, fault_class
+            assert coverage.coverage("HardwareWatchdog", fault_class) == 0.0, \
+                fault_class
 
     def test_hw_watchdog_catches_cpu_starvation(self, coverage):
-        matrix = coverage_matrix(coverage)
-        assert matrix["_RunawayFault"]["HardwareWatchdog"] == 1.0
+        assert coverage.coverage("HardwareWatchdog", "_RunawayFault") == 1.0
 
     def test_deadline_monitor_blind_to_flow_faults(self, coverage):
-        matrix = coverage_matrix(coverage)
         for fault_class in ("SkipRunnableFault", "InvalidBranchFault"):
-            assert matrix[fault_class]["DeadlineMonitor"] == 0.0
+            assert coverage.coverage("DeadlineMonitor", fault_class) == 0.0
 
     def test_software_watchdog_strictly_dominates(self, coverage):
         """Aggregate coverage ordering: SW watchdog > every baseline."""

@@ -28,7 +28,6 @@ class TestImmediateInjection:
         record = injector.inject_now(BlockedRunnableFault("SAFE_CC_process"))
         assert record.fault.active
         assert record.inject_time == ecu.now
-        assert injector.active_faults() == [record.fault]
 
     def test_restore_now(self, rig):
         ecu, injector = rig
@@ -45,7 +44,7 @@ class TestImmediateInjection:
         injector.inject_now(f1)
         injector.inject_now(f2)
         injector.restore_all()
-        assert injector.active_faults() == []
+        assert not f1.active and not f2.active
 
 
 class TestScheduledInjection:
@@ -67,9 +66,9 @@ class TestScheduledInjection:
         # The fault was active long enough to be detected ...
         assert ecu.watchdog.detection_count(ErrorType.ALIVENESS) > 0
         # ... and the runnable is running again afterwards.
-        executions = ecu.system.runnable("SAFE_CC_process").execution_count
+        executions = ecu.system.runnables["SAFE_CC_process"].execution_count
         ecu.run_until(ecu.now + ms(200))
-        assert ecu.system.runnable("SAFE_CC_process").execution_count > executions
+        assert ecu.system.runnables["SAFE_CC_process"].execution_count > executions
 
     def test_restore_must_follow_inject(self, rig):
         _, injector = rig

@@ -8,8 +8,6 @@ from repro.faults import (
     ErrorInjector,
     FaultTarget,
     HeartbeatCorruptionFault,
-    HeartbeatOmissionFault,
-    InterruptStormFault,
     InvalidBranchFault,
     LoopCountFault,
     SkipRunnableFault,
@@ -102,12 +100,12 @@ class TestTimeScalar:
         fault.inject(target)
         ecu.run_until(ecu.now + ms(300))
         fault.restore(target)
-        count_at_restore = ecu.kernel.trace.count(
-            TraceKind.TASK_ACTIVATE, "SafeSpeedTask"
-        )
+        count_at_restore = len(ecu.kernel.trace.filter(
+            TraceKind.TASK_ACTIVATE, "SafeSpeedTask"))
         ecu.run_until(ecu.now + ms(500))
         activations = (
-            ecu.kernel.trace.count(TraceKind.TASK_ACTIVATE, "SafeSpeedTask")
+            len(ecu.kernel.trace.filter(
+                TraceKind.TASK_ACTIVATE, "SafeSpeedTask"))
             - count_at_restore
         )
         assert activations == 50  # back to 10 ms period
@@ -173,50 +171,3 @@ class TestHeartbeatFaults:
         # The real runnable's heartbeats vanish -> aliveness too.
         assert ecu.watchdog.detection_count(ErrorType.ALIVENESS,
                                             runnable="SAFE_CC_process") > 0
-
-    def test_corruption_restore(self, ecu):
-        target = FaultTarget.from_ecu(ecu)
-        fault = HeartbeatCorruptionFault("SAFE_CC_process", reported_as="Speed_process")
-        fault.inject(target)
-        assert target.runnables["SAFE_CC_process"].name == "Speed_process"
-        fault.restore(target)
-        assert target.runnables["SAFE_CC_process"].name == "SAFE_CC_process"
-
-    def test_omission_silent_functional_but_detected(self, ecu):
-        target = run_with(ecu, HeartbeatOmissionFault("SAFE_CC_process"))
-        # Runnable still executes (functionally healthy)...
-        assert target.runnables["SAFE_CC_process"].execution_count > 20
-        # ... but the watchdog flags missing aliveness indications.
-        assert ecu.watchdog.detection_count(ErrorType.ALIVENESS,
-                                            runnable="SAFE_CC_process") > 0
-
-    def test_omission_restore_reinstalls_glue(self, ecu):
-        target = FaultTarget.from_ecu(ecu)
-        fault = HeartbeatOmissionFault("SAFE_CC_process")
-        fault.inject(target)
-        assert target.runnables["SAFE_CC_process"].exit_glue == []
-        fault.restore(target)
-        assert len(target.runnables["SAFE_CC_process"].exit_glue) == 1
-
-
-class TestInterruptStorm:
-    def test_storm_starves_application(self, ecu):
-        # Steal 95 % of the CPU: the 4 ms task takes ~80 ms per run.
-        run_with(ecu, InterruptStormFault(period=ms(2), isr_duration=ms(1.9)))
-        assert ecu.watchdog.detection_count(ErrorType.ALIVENESS) > 0
-
-    def test_storm_stops_on_restore(self, ecu):
-        target = FaultTarget.from_ecu(ecu)
-        fault = InterruptStormFault(period=ms(2), isr_duration=ms(1.6))
-        fault.inject(target)
-        ecu.run_until(ecu.now + ms(300))
-        fires = fault._isr.fire_count if fault._isr else 0
-        fault.restore(target)
-        ecu.run_until(ecu.now + ms(300))
-        # The rearm chain checks `active` and dies after restore.
-        isr_enters = ecu.kernel.trace.count(TraceKind.ISR_ENTER)
-        assert isr_enters <= fires + 1
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            InterruptStormFault(period=0, isr_duration=1)

@@ -32,8 +32,7 @@ class TestRegistries:
     def test_builtin_faults_registered(self):
         names = registered_faults()
         for expected in ("blocked", "time_scalar", "loop_count", "skip",
-                         "invalid_branch", "hb_corrupt", "hb_omit",
-                         "isr_storm", "runaway"):
+                         "invalid_branch", "hb_corrupt", "runaway"):
             assert expected in names
 
     def test_builtin_systems_registered(self):

@@ -6,8 +6,6 @@ under heavy network load, the full detect→treat→recover loop on the HIL
 validator.
 """
 
-import random
-
 import pytest
 
 from repro.core import ErrorType, MonitorState
@@ -20,18 +18,6 @@ OBSERVE = FmfPolicy(ecu_faulty_task_threshold=10**6, max_app_restarts=10**6)
 
 
 class TestBusFaultsVsWatchdog:
-    def test_can_corruption_does_not_fool_the_watchdog(self):
-        """Heavy CAN corruption delays sensor data but heartbeats are
-        local to the ECU: the watchdog must stay silent."""
-        rig = HilValidator(fmf_policy=OBSERVE, fmf_auto_treatment=False)
-        rig.can.corruption_probability = 0.3
-        rig.can.rng = random.Random(7)
-        rig.run(seconds(5))
-        assert rig.ecu.watchdog.detection_count() == 0
-        assert rig.can.corrupted_count > 100
-        # Retransmission kept the data flowing.
-        assert rig.central_store.value("VehicleSpeed", "speed_kph") > 0.0
-
     def test_stale_sensor_data_is_an_application_problem(self):
         """Killing the dynamics node's publications starves the
         *application's data*, not its execution: the watchdog correctly
@@ -99,23 +85,6 @@ class TestFullDetectTreatRecoverLoop:
         # Vehicle control survived the whole episode.
         assert rig.vehicle.state.speed_kph > 20.0
 
-    def test_watchdog_supervises_through_heavy_interrupt_load(self):
-        """CAN receive interrupts steal CPU without breaking supervision:
-        no false positives at realistic bus load."""
-        rig = HilValidator(fmf_policy=OBSERVE, fmf_auto_treatment=False)
-        # Every frame delivery costs the running task 20 µs (rx ISR).
-        isr = rig.ecu.interrupts.register("can_rx", lambda: None, duration=20)
-        original_deliver = rig.can._complete
-
-        def deliver_with_isr(controller, message, corrupted):
-            isr.fire()
-            original_deliver(controller, message, corrupted)
-
-        rig.can._complete = deliver_with_isr
-        rig.run(seconds(4))
-        assert isr.fire_count > 1000
-        assert rig.ecu.watchdog.detection_count() == 0
-
 
 class TestTracingAcrossTheStack:
     def test_trace_tells_the_whole_story(self):
@@ -129,13 +98,15 @@ class TestTracingAcrossTheStack:
         injector.inject_at(seconds(1), BlockedRunnableFault("SAFE_CC_process"))
         rig.run(seconds(2))
         trace = rig.kernel.trace
-        assert trace.count(TraceKind.FAULT_INJECTED) == 1
-        assert trace.count(TraceKind.WATCHDOG_CHECK) >= 195
-        assert trace.count(TraceKind.HEARTBEAT, "GetSensorValue") >= 190
+        assert len(trace.filter(TraceKind.FAULT_INJECTED)) == 1
+        assert len(trace.filter(TraceKind.WATCHDOG_CHECK)) >= 195
+        assert len(trace.filter(TraceKind.HEARTBEAT, "GetSensorValue")) >= 190
 
-        from repro.analysis import detection_latency, heartbeat_gaps
+        from repro.analysis import heartbeat_gaps
 
-        latencies = detection_latency(trace, detections)
-        assert latencies[0] is not None and latencies[0] <= ms(30)
+        [injection] = trace.filter(TraceKind.FAULT_INJECTED)
+        latency = min(t for t in detections if t >= injection.time) \
+            - injection.time
+        assert latency <= ms(30)
         gaps = heartbeat_gaps(trace, "Speed_process")
         assert max(gaps) <= ms(11)  # Speed_process kept its cadence

@@ -88,7 +88,7 @@ class TestAlarmActions:
         kernel.add_task(Task("T", 1, body))
         alarms.alarm_activate_task("A", "T").set_rel(ms(5), ms(5))
         kernel.run_until(ms(22))
-        assert kernel.trace.count(TraceKind.TASK_TERMINATE, "T") == 4
+        assert len(kernel.trace.filter(TraceKind.TASK_TERMINATE, "T")) == 4
 
     def test_counter_scaling(self, kernel):
         """Alarms on a slow counter expire at scaled times."""

@@ -53,9 +53,3 @@ class TestSimClock:
         clock.advance_to(100)
         with pytest.raises(ValueError):
             clock.advance_to(99)
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance_to(500)
-        clock.reset()
-        assert clock.now == 0

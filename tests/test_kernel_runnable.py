@@ -49,7 +49,7 @@ class TestRunnableBasics:
         assert r1.execution_count == 1
         assert r2.execution_count == 0
         # Task still terminates on time without the disabled runnable.
-        assert kernel.trace.last(TraceKind.TASK_TERMINATE, "T").time == ms(1)
+        assert kernel.trace.filter(TraceKind.TASK_TERMINATE, "T")[-1].time == ms(1)
 
     def test_repeat_executes_multiple_times(self, kernel):
         r = Runnable("R", kernel, wcet=ms(1))
@@ -58,7 +58,7 @@ class TestRunnableBasics:
         kernel.activate_task("T")
         kernel.run_until(ms(10))
         assert r.execution_count == 3
-        assert kernel.trace.last(TraceKind.TASK_TERMINATE, "T").time == ms(3)
+        assert kernel.trace.filter(TraceKind.TASK_TERMINATE, "T")[-1].time == ms(3)
 
     def test_execution_time_fn_jitter(self, kernel):
         times = iter([ms(1), ms(3), ms(2)])
@@ -82,8 +82,8 @@ class TestRunnableBasics:
         kernel.add_task(Task("T", 1, runnable_sequence_body([r])))
         kernel.activate_task("T")
         kernel.run_until(ms(10))
-        start = kernel.trace.first(TraceKind.RUNNABLE_START, "R")
-        end = kernel.trace.first(TraceKind.RUNNABLE_END, "R")
+        start = kernel.trace.filter(TraceKind.RUNNABLE_START, "R")[0]
+        end = kernel.trace.filter(TraceKind.RUNNABLE_END, "R")[0]
         assert start.time == 0
         assert end.time == ms(2)
         assert start.info["task"] == "T"
@@ -136,4 +136,4 @@ class TestSequenceChart:
         kernel.add_task(Task("T", 1, chart.body()))
         kernel.activate_task("T")
         kernel.run_until(ms(10))
-        assert kernel.trace.count(TraceKind.RUNNABLE_END) == 3
+        assert len(kernel.trace.filter(TraceKind.RUNNABLE_END)) == 3

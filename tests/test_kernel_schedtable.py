@@ -103,17 +103,3 @@ class TestControl:
     def test_start_empty_rejected(self, kernel):
         table = ScheduleTable("T", kernel, period=ms(10))
         assert table.start_rel(0) is StatusType.E_OS_NOFUNC
-
-    def test_stop_halts_expiries(self, kernel):
-        hits = activation_recorder(kernel, "R")
-        table = ScheduleTable("T", kernel, period=ms(10))
-        table.add_task_activation(ms(5), "R")
-        table.start_rel(0)
-        kernel.run_until(ms(12))
-        assert table.stop() is StatusType.E_OK
-        kernel.run_until(ms(100))
-        assert len(hits) == 1
-
-    def test_stop_idle_rejected(self, kernel):
-        table = ScheduleTable("T", kernel, period=ms(10))
-        assert table.stop() is StatusType.E_OS_NOFUNC

@@ -48,8 +48,8 @@ class TestBasicExecution:
         kernel.activate_task("A")
         kernel.run_until(1_000)
         assert task.state is TaskState.SUSPENDED
-        assert kernel.trace.count(TraceKind.TASK_TERMINATE, "A") == 1
-        assert kernel.trace.last(TraceKind.TASK_TERMINATE, "A").time == 100
+        assert len(kernel.trace.filter(TraceKind.TASK_TERMINATE, "A")) == 1
+        assert kernel.trace.filter(TraceKind.TASK_TERMINATE, "A")[-1].time == 100
 
     def test_unknown_task_activation(self, kernel):
         assert kernel.activate_task("nope") is StatusType.E_OS_ID
@@ -69,12 +69,12 @@ class TestBasicExecution:
         for _ in range(3):
             assert kernel.activate_task("A") is StatusType.E_OK
         kernel.run_until(1_000)
-        assert kernel.trace.count(TraceKind.TASK_TERMINATE, "A") == 3
+        assert len(kernel.trace.filter(TraceKind.TASK_TERMINATE, "A")) == 3
 
     def test_autostart(self, kernel):
         simple_task(kernel, "A", 1, 10, autostart=True)
         kernel.run_until(100)
-        assert kernel.trace.count(TraceKind.TASK_TERMINATE, "A") == 1
+        assert len(kernel.trace.filter(TraceKind.TASK_TERMINATE, "A")) == 1
 
     def test_idle_advances_clock_to_end(self, kernel):
         kernel.run_until(5_000)
@@ -102,8 +102,8 @@ class TestPreemption:
         kernel.run_until(ms(30))
         assert low.preemption_count == 1
         # Low loses 2ms to High: terminates at 1 + 10 + 2 = 13ms.
-        assert kernel.trace.last(TraceKind.TASK_TERMINATE, "Low").time == ms(13)
-        assert kernel.trace.last(TraceKind.TASK_TERMINATE, "High").time == ms(7)
+        assert kernel.trace.filter(TraceKind.TASK_TERMINATE, "Low")[-1].time == ms(13)
+        assert kernel.trace.filter(TraceKind.TASK_TERMINATE, "High")[-1].time == ms(7)
 
     def test_equal_priority_fifo(self, kernel, alarms):
         simple_task(kernel, "A", 3, ms(5))
@@ -112,8 +112,8 @@ class TestPreemption:
         alarms.alarm_activate_task("AB", "B").set_rel(ms(2))
         kernel.run_until(ms(30))
         # B activated while A runs; equal priority does not preempt.
-        assert kernel.trace.last(TraceKind.TASK_TERMINATE, "A").time == ms(6)
-        assert kernel.trace.last(TraceKind.TASK_TERMINATE, "B").time == ms(11)
+        assert kernel.trace.filter(TraceKind.TASK_TERMINATE, "A")[-1].time == ms(6)
+        assert kernel.trace.filter(TraceKind.TASK_TERMINATE, "B")[-1].time == ms(11)
 
     def test_non_preemptable_runs_to_completion(self, kernel, alarms):
         low = simple_task(kernel, "Low", 1, ms(10), preemptable=False)
@@ -122,9 +122,9 @@ class TestPreemption:
         alarms.alarm_activate_task("H", "High").set_rel(ms(5))
         kernel.run_until(ms(30))
         assert low.preemption_count == 0
-        assert kernel.trace.last(TraceKind.TASK_TERMINATE, "Low").time == ms(11)
+        assert kernel.trace.filter(TraceKind.TASK_TERMINATE, "Low")[-1].time == ms(11)
         # High waits for Low to finish.
-        assert kernel.trace.last(TraceKind.TASK_TERMINATE, "High").time == ms(13)
+        assert kernel.trace.filter(TraceKind.TASK_TERMINATE, "High")[-1].time == ms(13)
 
     def test_preempted_task_resumes_before_equal_priority(self, kernel, alarms):
         """A preempted task stays at the head of its priority queue."""
@@ -187,7 +187,7 @@ class TestShutdownAndReset:
         kernel.soft_reset()
         assert task.state in (TaskState.READY, TaskState.RUNNING)  # autostart again
         assert kernel.reset_count == 1
-        assert kernel.trace.count(TraceKind.ECU_RESET) == 1
+        assert len(kernel.trace.filter(TraceKind.ECU_RESET)) == 1
 
     def test_soft_reset_clears_event_queue(self, kernel):
         fired = []
@@ -209,9 +209,3 @@ class TestAccounting:
         alarms.alarm_activate_task("AA", "A").set_rel(ms(10), ms(10))
         kernel.run_until(ms(50))
         assert kernel.task_cpu_ticks["A"] == 4 * ms(3)
-
-    def test_task_state_query_unknown(self, kernel):
-        from repro.kernel import ServiceError
-
-        with pytest.raises(ServiceError):
-            kernel.task_state("ghost")

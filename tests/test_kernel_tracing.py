@@ -12,30 +12,20 @@ class TestTraceBasics:
         trace = Trace()
         trace.emit(rec(1))
         trace.emit(rec(2))
-        assert len(trace) == 2
+        assert len(trace.filter()) == 2
 
     def test_record_convenience(self):
         trace = Trace()
         trace.record(5, TraceKind.HEARTBEAT, "R1", task="T")
-        assert trace[0].time == 5
-        assert trace[0].info["task"] == "T"
+        [record] = trace.filter()
+        assert record.time == 5
+        assert record.info["task"] == "T"
 
     def test_iteration_order(self):
         trace = Trace()
         for t in (1, 2, 3):
             trace.emit(rec(t))
-        assert [r.time for r in trace] == [1, 2, 3]
-
-    def test_clear(self):
-        trace = Trace()
-        trace.emit(rec(1))
-        trace.clear()
-        assert len(trace) == 0
-
-    def test_str_rendering(self):
-        record = rec(42, TraceKind.HEARTBEAT, "R1", task="T")
-        text = str(record)
-        assert "heartbeat" in text and "R1" in text and "task=T" in text
+        assert [r.time for r in trace.filter()] == [1, 2, 3]
 
 
 class TestCapacity:
@@ -43,8 +33,7 @@ class TestCapacity:
         trace = Trace(capacity=3)
         for t in range(5):
             trace.emit(rec(t))
-        assert len(trace) == 3
-        assert [r.time for r in trace] == [2, 3, 4]
+        assert [r.time for r in trace.filter()] == [2, 3, 4]
         assert trace.dropped == 2
 
 
@@ -68,24 +57,6 @@ class TestQueries:
     def test_filter_by_window(self):
         trace = self.build()
         assert len(trace.filter(start=15, end=40)) == 2
-
-    def test_count(self):
-        trace = self.build()
-        assert trace.count(TraceKind.TASK_ACTIVATE, "A") == 2
-
-    def test_first_and_last(self):
-        trace = self.build()
-        assert trace.first(TraceKind.TASK_ACTIVATE, "A").time == 10
-        assert trace.last(TraceKind.TASK_ACTIVATE, "A").time == 40
-        assert trace.first(TraceKind.ECU_RESET) is None
-
-    def test_subjects(self):
-        trace = self.build()
-        assert trace.subjects(TraceKind.TASK_ACTIVATE) == ["A", "B"]
-
-    def test_dump_limit(self):
-        trace = self.build()
-        assert len(trace.dump(limit=2).splitlines()) == 2
 
 
 class TestListeners:

@@ -23,7 +23,6 @@ from repro.lint import (
     LintWarning,
     Severity,
     lint_builtin,
-    lint_flow_table,
     lint_hypothesis,
 )
 from repro.platform import TaskMapping, TaskSpec
@@ -48,10 +47,19 @@ def two_task_hypothesis():
     return hyp
 
 
+def codes(report):
+    """The distinct codes of a report, sorted."""
+    return sorted({d.code for d in report.diagnostics})
+
+
+def by_code(report, code):
+    return [d for d in report.diagnostics if d.code == code]
+
+
 def only(report, code):
     """The diagnostics of one code, asserting the registry severity."""
-    found = report.by_code(code)
-    assert found, f"expected {code} in {report.codes()}"
+    found = by_code(report, code)
+    assert found, f"expected {code} in {codes(report)}"
     for diag in found:
         assert diag.severity is CODES[code][1]
     return found
@@ -60,7 +68,7 @@ def only(report, code):
 class TestCleanBaseline:
     def test_healthy_hypothesis_is_clean(self):
         report = lint_hypothesis(two_task_hypothesis())
-        assert report.clean and report.ok and report.codes() == []
+        assert report.clean and report.ok and codes(report) == []
 
     @pytest.mark.parametrize("name", ["safespeed", "safelane", "steer-by-wire"])
     def test_shipped_app_hypotheses_lint_clean(self, name):
@@ -97,7 +105,7 @@ class TestFlowGraphCodes:
         assert diag.severity is Severity.ERROR
         assert diag.subject == "T1"
         # ... and with no entries at all, everything is also unreachable.
-        assert report.by_code("WD101")
+        assert by_code(report, "WD101")
 
     def test_wd104_cross_task_transition(self):
         hyp = two_task_hypothesis()
@@ -114,8 +122,8 @@ class TestFlowGraphCodes:
         hyp.flow_pairs = [p for p in hyp.flow_pairs if p != (None, "C")]
         hyp.allow_flow("B", "C")
         report = lint_hypothesis(hyp)
-        assert report.by_code("WD104")
-        assert [d.subject for d in report.by_code("WD101")] == ["C"]
+        assert by_code(report, "WD104")
+        assert [d.subject for d in by_code(report, "WD101")] == ["C"]
 
     def test_wd105_unreachable_flow_threshold(self):
         hyp = FaultHypothesis(
@@ -148,7 +156,7 @@ class TestCounterBoundCodes:
         hyp.add_runnable(RunnableHypothesis(
             "A", task="T", aliveness_period=4, min_heartbeats=1,
             arrival_period=2, max_heartbeats=1))
-        assert not lint_hypothesis(hyp).by_code("WD201")
+        assert not by_code(lint_hypothesis(hyp), "WD201")
 
     def test_wd202_vacuous_aliveness(self):
         hyp = FaultHypothesis()
@@ -164,7 +172,7 @@ class TestCounterBoundCodes:
         report = lint_hypothesis(hyp)
         diag = only(report, "WD203")[0]
         assert diag.severity is Severity.WARNING
-        assert report.by_code("WD202")  # both halves are vacuous/defective
+        assert by_code(report, "WD202")  # both halves are vacuous/defective
 
     def test_inactive_runnables_skip_bound_checks(self):
         hyp = FaultHypothesis()
@@ -261,7 +269,7 @@ class TestSystemCrossChecks:
         diag = only(report, "WD304")[0]
         assert diag.context["task"] == "SafeSpeedTask"
         # No response-time bound: the rate checks are skipped.
-        assert report.codes() == ["WD304"]
+        assert codes(report) == ["WD304"]
 
     def test_wd305_loose_aliveness_window(self, safespeed_mapping):
         hyp = FaultHypothesis()
@@ -271,7 +279,7 @@ class TestSystemCrossChecks:
             min_heartbeats=1, arrival_period=2, max_heartbeats=3))
         report = lint_hypothesis(
             hyp, mapping=safespeed_mapping, watchdog_period=ms(10))
-        assert report.codes() == ["WD305"]
+        assert codes(report) == ["WD305"]
         assert report.ok  # warnings do not block deployment
 
     def test_wd306_loose_arrival_bound(self, safespeed_mapping):
@@ -284,7 +292,7 @@ class TestSystemCrossChecks:
             hyp, mapping=safespeed_mapping, watchdog_period=ms(10))
         diag = only(report, "WD306")[0]
         assert diag.context["nominal"] == 2
-        assert report.codes() == ["WD306"]
+        assert codes(report) == ["WD306"]
         assert report.ok
 
     def test_inactive_runnables_skip_rate_checks(self, safespeed_mapping):
@@ -311,25 +319,6 @@ class TestSystemCrossChecks:
             lint_hypothesis(two_task_hypothesis(), mapping=safespeed_mapping)
 
 
-class TestFlowTableLint:
-    def test_mined_style_table_is_clean(self):
-        from repro.core import FlowTable
-
-        table = FlowTable()
-        table.allow_sequence(["A", "B", "C"])
-        report = lint_flow_table(
-            table, task_of={"A": "T", "B": "T", "C": "T"})
-        assert report.clean
-
-    def test_pairs_roundtrip_through_flow_table(self):
-        from repro.core import FlowTable
-
-        hyp = two_task_hypothesis()
-        table = FlowTable.from_hypothesis(hyp)
-        assert sorted(table.pairs(), key=str) == sorted(
-            set(hyp.flow_pairs), key=str)
-
-
 class TestRenderers:
     def test_text_rendering(self):
         hyp = two_task_hypothesis()
@@ -343,7 +332,7 @@ class TestRenderers:
         hyp = two_task_hypothesis()
         hyp.allow_flow("A", "ghost")
         report = lint_hypothesis(hyp, source="unit")
-        data = json.loads(report.render_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["source"] == "unit"
         assert data["ok"] is False
         assert data["summary"]["errors"] >= 1
@@ -378,7 +367,7 @@ class TestConstructionTimeKnob:
         with pytest.raises(LintError) as excinfo:
             SoftwareWatchdog(self.contradictory(), lint="error")
         assert "WD201" in str(excinfo.value)
-        assert excinfo.value.report.by_code("WD201")
+        assert by_code(excinfo.value.report, "WD201")
 
     def test_lint_warn_default_warns_and_builds(self):
         with pytest.warns(LintWarning, match="WD201"):

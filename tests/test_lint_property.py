@@ -3,19 +3,16 @@
 The linter must never cry wolf: a lint-clean hypothesis driven by a
 trace that conforms to it produces **zero** watchdog detections, a
 hypothesis that lints clean against its schedule runs a fault-free
-simulated ECU without a detection, and a flow table mined from any
-healthy trace always lints clean (mining and linting agree about what
-"observable" means).
+simulated ECU without a detection.
 """
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FlowTable, SoftwareWatchdog
+from repro.core import SoftwareWatchdog
 from repro.core.hypothesis import FaultHypothesis, RunnableHypothesis
 from repro.kernel import ms, us
-from repro.kernel.tracing import TraceKind, TraceRecord
-from repro.lint import lint_flow_table, lint_hypothesis
+from repro.lint import lint_hypothesis
 from repro.platform import (
     Application,
     Ecu,
@@ -178,48 +175,3 @@ def test_schedule_clean_hypothesis_runs_without_detection(system):
     assume(report.ok)
     ecu.run_until(ms(1000))
     assert ecu.watchdog.detection_count() == 0, report.render_text()
-
-
-# --- strategy: raw healthy traces for the mining path ------------------
-
-trace_shapes = st.lists(
-    st.tuples(
-        st.integers(min_value=1, max_value=4),   # runnables on this task
-        st.integers(min_value=1, max_value=4),   # task activations
-    ),
-    min_size=1,
-    max_size=3,
-)
-
-
-@settings(max_examples=30, deadline=None)
-@given(trace_shapes, st.randoms(use_true_random=False))
-def test_mined_flow_table_always_lints_clean(shapes, rnd):
-    """Whatever healthy execution we mine — including interleaved tasks
-    and partial final activations — the resulting table lints clean."""
-    task_of = {}
-    episodes = []  # each: (task, runnable names executed in order)
-    for t, (count, activations) in enumerate(shapes):
-        task = f"T{t}"
-        names = [f"T{t}R{i}" for i in range(count)]
-        for name in names:
-            task_of[name] = task
-        for a in range(activations):
-            # Sometimes a final activation is cut short mid-sequence.
-            cut = rnd.randint(1, count)
-            episodes.append((task, names[:cut] if a == activations - 1
-                             else names))
-    rnd.shuffle(episodes)
-
-    records = []
-    time = 0
-    for task, names in episodes:
-        records.append(TraceRecord(time, TraceKind.TASK_ACTIVATE, task))
-        for name in names:
-            time += 1
-            records.append(TraceRecord(
-                time, TraceKind.HEARTBEAT, name, {"task": task}))
-
-    table = FlowTable.mine_from_trace(records, task_attribution=task_of)
-    report = lint_flow_table(table, task_of=task_of, source="mined")
-    assert report.clean, report.render_text()

@@ -1,7 +1,5 @@
 """Tests for the CAN bus simulation."""
 
-import random
-
 import pytest
 
 from repro.kernel import Kernel, ms
@@ -36,7 +34,7 @@ class TestDelivery:
         tx.send(frame(), {"v": 50.0})
         kernel.run_until(ms(10))
         assert len(got) == 1
-        assert got[0].value("v") == pytest.approx(50.0, abs=0.01)
+        assert got[0].values()["v"] == pytest.approx(50.0, abs=0.01)
 
     def test_sender_does_not_receive_own_frame(self, kernel):
         bus = make_bus(kernel)
@@ -102,7 +100,7 @@ class TestArbitration:
         a = bus.attach("a")
         rx = bus.attach("rx")
         values = []
-        rx.on_receive(lambda m: values.append(round(m.value("v"))))
+        rx.on_receive(lambda m: values.append(round(m.values()["v"])))
         for v in (1, 2, 3):
             a.send(frame(), {"v": v})
         kernel.run_until(ms(10))
@@ -117,41 +115,6 @@ class TestArbitration:
 
 
 class TestFaults:
-    def test_corruption_triggers_retransmission(self, kernel):
-        bus = make_bus(kernel, corruption_probability=0.5,
-                       rng=random.Random(42))
-        tx = bus.attach("tx")
-        rx = bus.attach("rx")
-        got = []
-        rx.on_receive(got.append)
-        for v in range(20):
-            tx.send(frame(), {"v": v})
-        kernel.run_until(ms(100))
-        # Every frame eventually delivered despite corruption.
-        assert len(got) == 20
-        assert bus.corrupted_count > 0
-
-    def test_bus_off_after_many_errors(self, kernel):
-        bus = make_bus(kernel, corruption_probability=0.95,
-                       rng=random.Random(1))
-        tx = bus.attach("tx")
-        for v in range(40):
-            tx.send(frame(), {"v": v})
-        kernel.run_until(ms(500))
-        assert tx.bus_off
-        # A bus-off controller silently drops new frames.
-        assert tx.send(frame(), {"v": 0}) is None
-
-    def test_tec_decrements_on_success(self, kernel):
-        bus = make_bus(kernel)
-        tx = bus.attach("tx")
-        tx.tx_error_counter = 5
-        tx.send(frame(), {"v": 1})
-        kernel.run_until(ms(10))
-        assert tx.tx_error_counter == 4
-
     def test_invalid_parameters(self, kernel):
         with pytest.raises(ValueError):
             CanBus("x", kernel, bitrate_bps=0)
-        with pytest.raises(ValueError):
-            CanBus("x", kernel, corruption_probability=1.5)

@@ -93,7 +93,7 @@ class TestStaticSegment:
     def test_latest_value_semantics(self, kernel):
         bus, a, b, rx = self.build(kernel)
         got = []
-        rx.on_receive(lambda m: got.append(round(m.value("v"), 3)))
+        rx.on_receive(lambda m: got.append(round(m.values()["v"], 3)))
         bus.start()
         a.stage(1, frame("A"), {"v": 0.1})
         a.stage(1, frame("A"), {"v": 0.2})  # overwrites before the slot

@@ -76,13 +76,6 @@ class TestFrameSpec:
         with pytest.raises(FrameError):
             frame.unpack(b"\x00")
 
-    def test_signal_lookup(self):
-        frame = FrameSpec("F", 1)
-        frame.add_signal(SignalSpec("a", 0, 8))
-        assert frame.signal("a").bit_length == 8
-        with pytest.raises(FrameError):
-            frame.signal("zzz")
-
     def test_adjacent_signals_do_not_interfere(self):
         frame = FrameSpec("F", 1)
         frame.add_signal(SignalSpec("a", 0, 4))
@@ -96,7 +89,7 @@ class TestMessage:
         frame = FrameSpec("F", 1)
         frame.add_signal(SignalSpec("a", 0, 8))
         msg = Message(spec=frame, payload=frame.pack({"a": 7}), timestamp=5)
-        assert msg.value("a") == 7
+        assert msg.values()["a"] == 7
         assert msg.frame_id == 1
 
 
@@ -122,9 +115,3 @@ class TestCatalog:
         catalog = FrameCatalog()
         with pytest.raises(FrameError):
             catalog.by_name("F")
-
-    def test_frames_listing(self):
-        catalog = FrameCatalog()
-        catalog.define("A", 1, [])
-        catalog.define("B", 2, [])
-        assert [f.name for f in catalog.frames()] == ["A", "B"]

@@ -33,7 +33,7 @@ class TestTcpLink:
     def test_in_order_delivery(self, kernel):
         link = TcpLink("tcp", kernel, latency=ms(1))
         got = []
-        link.on_receive(lambda m: got.append(round(m.value("v"))))
+        link.on_receive(lambda m: got.append(round(m.values()["v"])))
         for v in (1, 2, 3):
             link.send(frame(), {"v": v})
         kernel.run_until(ms(10))
@@ -58,7 +58,7 @@ class TestGatewayRouting:
         can, tcp, gw = self.build(kernel)
         rx = can.attach("rx")
         got = []
-        rx.on_receive(lambda m: got.append(m.value("v")))
+        rx.on_receive(lambda m: got.append(m.values()["v"]))
         gw.add_route(Route(source_port="tcp", frame_id=0x100, destination_port="can"))
         tcp.send(frame(), {"v": 42.0})
         kernel.run_until(ms(10))
@@ -79,11 +79,11 @@ class TestGatewayRouting:
         can, tcp, gw = self.build(kernel)
         rx = can.attach("rx")
         got = []
-        rx.on_receive(lambda m: got.append((m.spec.name, m.value("v"))))
+        rx.on_receive(lambda m: got.append((m.spec.name, m.values()["v"])))
         out_spec = frame("Translated", 0x200)
 
         def translate(message):
-            return out_spec, {"v": message.value("v") * 2}
+            return out_spec, {"v": message.values()["v"] * 2}
 
         gw.add_route(
             Route(source_port="tcp", frame_id=0x100, destination_port="can",
@@ -97,7 +97,7 @@ class TestGatewayRouting:
         can, tcp, gw = self.build(kernel)
         sender = can.attach("sender")
         got = []
-        tcp.on_receive(lambda m: got.append(m.value("v")))
+        tcp.on_receive(lambda m: got.append(m.values()["v"]))
         gw.add_route(Route(source_port="can", frame_id=0x100, destination_port="tcp"))
         sender.send(frame(), {"v": 5.0})
         kernel.run_until(ms(10))

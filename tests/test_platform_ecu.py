@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ErrorType, MonitorState
 from repro.kernel import TraceKind, ms, seconds
-from repro.platform import Ecu, FmfPolicy, TreatmentAction
+from repro.platform import Ecu, FmfPolicy, ServiceState, TreatmentAction
 
 from testutil import make_safespeed_mapping
 
@@ -36,15 +36,8 @@ class TestHealthyOperation:
 
     def test_services_registered(self):
         ecu = build_ecu()
-        assert ecu.registry.resolve("fmf.fault_report") is not None
-        assert ecu.registry.resolve("watchdog.heartbeat_indication") is not None
-
-    def test_describe(self):
-        ecu = build_ecu()
-        info = ecu.describe()
-        assert info["name"] == "central"
-        assert "SafeSpeedTask" in info["tasks"]
-        assert info["applications"] == ["SafeSpeed"]
+        assert ecu.fmf.state is ServiceState.STARTED
+        assert "fmf.fault_report" in ecu.fmf.interfaces()
 
     def test_external_kernel_accepted(self):
         from repro.kernel import Kernel
@@ -58,7 +51,7 @@ class TestFaultDetectionFlow:
     def test_blocked_runnable_reaches_fmf(self):
         ecu = build_ecu()
         ecu.run_until(ms(200))
-        ecu.system.runnable("SAFE_CC_process").enabled = False
+        ecu.system.runnables["SAFE_CC_process"].enabled = False
         ecu.run_until(ms(800))
         categories = ecu.fmf.faults_by_category()
         assert categories.get("aliveness", 0) > 0
@@ -68,7 +61,7 @@ class TestFaultDetectionFlow:
         ecu = build_ecu(fmf_policy=FmfPolicy(ecu_faulty_task_threshold=5,
                                              max_app_restarts=100))
         ecu.run_until(ms(200))
-        ecu.system.runnable("SAFE_CC_process").enabled = False
+        ecu.system.runnables["SAFE_CC_process"].enabled = False
         ecu.run_until(seconds(1))
         assert ecu.application_restart_counts.get("SafeSpeed", 0) > 0
         assert (
@@ -80,17 +73,17 @@ class TestFaultDetectionFlow:
         ecu = build_ecu(fmf_policy=FmfPolicy(ecu_faulty_task_threshold=5,
                                              max_app_restarts=2))
         ecu.run_until(ms(200))
-        ecu.system.runnable("SAFE_CC_process").enabled = False
+        ecu.system.runnables["SAFE_CC_process"].enabled = False
         ecu.run_until(seconds(2))
         assert len(ecu.reset_times) > 0
-        assert ecu.kernel.trace.count(TraceKind.ECU_RESET) == len(ecu.reset_times)
+        assert len(ecu.kernel.trace.filter(TraceKind.ECU_RESET)) == len(ecu.reset_times)
 
     def test_transient_fault_recovers_after_restart(self):
         """A restart heals a transient fault: no further detections."""
         ecu = build_ecu(fmf_policy=FmfPolicy(ecu_faulty_task_threshold=5,
                                              max_app_restarts=100))
         ecu.run_until(ms(200))
-        runnable = ecu.system.runnable("SAFE_CC_process")
+        runnable = ecu.system.runnables["SAFE_CC_process"]
         runnable.enabled = False
         ecu.run_until(ms(500))
         restarts_before = ecu.application_restart_counts.get("SafeSpeed", 0)
@@ -110,7 +103,7 @@ class TestFaultDetectionFlow:
             fmf_policy=FmfPolicy(ecu_faulty_task_threshold=5),
         )
         ecu.run_until(ms(200))
-        ecu.system.runnable("SAFE_CC_process").enabled = False
+        ecu.system.runnables["SAFE_CC_process"].enabled = False
         ecu.run_until(seconds(1))
         assert "SafeSpeed" in ecu.terminated_applications
         assert ecu.application_state("SafeSpeed") is MonitorState.FAULTY
@@ -127,9 +120,9 @@ class TestSoftwareReset:
         ecu.run_until(ms(300))
         ecu.software_reset()
         assert len(ecu.reset_times) == 1
-        before = ecu.kernel.trace.count(TraceKind.TASK_TERMINATE, "SafeSpeedTask")
+        before = len(ecu.kernel.trace.filter(TraceKind.TASK_TERMINATE, "SafeSpeedTask"))
         ecu.run_until(ecu.now + seconds(1))
-        after = ecu.kernel.trace.count(TraceKind.TASK_TERMINATE, "SafeSpeedTask")
+        after = len(ecu.kernel.trace.filter(TraceKind.TASK_TERMINATE, "SafeSpeedTask"))
         assert after - before >= 95  # ~100 activations in 1 s
         assert ecu.watchdog.detection_count() == 0
 
@@ -144,7 +137,7 @@ class TestSoftwareReset:
         ecu = build_ecu(fmf_policy=FmfPolicy(ecu_faulty_task_threshold=5,
                                              max_app_restarts=1))
         ecu.run_until(ms(200))
-        ecu.system.runnable("SAFE_CC_process").enabled = False
+        ecu.system.runnables["SAFE_CC_process"].enabled = False
         ecu.run_until(seconds(2))
         assert len(ecu.reset_times) >= 1
         assert len(ecu.fmf.treatment_log) >= 1
@@ -155,9 +148,9 @@ class TestRestartTask:
         ecu = build_ecu(fmf_policy=FmfPolicy(ecu_faulty_task_threshold=99,
                                              max_app_restarts=10**6))
         ecu.run_until(ms(200))
-        ecu.system.runnable("SAFE_CC_process").enabled = False
+        ecu.system.runnables["SAFE_CC_process"].enabled = False
         ecu.run_until(ms(600))
-        assert ecu.watchdog.tsi.error_count(task="SafeSpeedTask") >= 0
-        ecu.restart_task("SafeSpeedTask")
+        [app] = ecu.mapping.applications
+        ecu.restart_application(app)
         assert ecu.watchdog.task_state("SafeSpeedTask") is MonitorState.OK
         assert ecu.task_restart_counts["SafeSpeedTask"] >= 1

@@ -81,14 +81,6 @@ class TestFaultIntake:
         )
         assert fmf.fault_log[0].severity is Severity.MAJOR
 
-    def test_fault_listeners_informed(self):
-        """Applications are informed about the fault detection."""
-        fmf = FaultManagementFramework()
-        seen = []
-        fmf.add_fault_listener(seen.append)
-        fmf.report_fault(FaultRecord(1, "s", "x", "c", Severity.INFO))
-        assert len(seen) == 1
-
     def test_faults_by_category(self):
         fmf = FaultManagementFramework()
         for etype in (ErrorType.ALIVENESS, ErrorType.ALIVENESS, ErrorType.PROGRAM_FLOW):
@@ -183,12 +175,3 @@ class TestTreatmentEcuFaulty:
         record = fmf.treatment_log[0]
         assert record.time == ecu.time
         assert "restartable" in record.reason
-
-
-class TestReset:
-    def test_reset_clears_logs(self):
-        fmf = FaultManagementFramework()
-        fmf.report_fault(FaultRecord(1, "s", "x", "c", Severity.INFO))
-        fmf.reset()
-        assert fmf.fault_log == []
-        assert fmf.treatment_log == []

@@ -15,8 +15,8 @@ class TestModulePlacement:
     def test_add_module(self):
         topo = SoftwareTopology()
         module = topo.add_module("OS", Layer.L2_DRIVERS_MCAL, ModuleKind.OPERATING_SYSTEM)
-        assert module.occupies(Layer.L2_DRIVERS_MCAL)
-        assert not module.occupies(Layer.L3_ISS_SERVICES)
+        assert module.layer_range() == (Layer.L2_DRIVERS_MCAL,
+                                        Layer.L2_DRIVERS_MCAL)
 
     def test_duplicate_module_rejected(self):
         topo = SoftwareTopology()
@@ -30,8 +30,8 @@ class TestModulePlacement:
             "OS", Layer.L2_DRIVERS_MCAL, ModuleKind.OPERATING_SYSTEM,
             spans=Layer.L3_ISS_SERVICES,
         )
-        assert os_module.occupies(Layer.L2_DRIVERS_MCAL)
-        assert os_module.occupies(Layer.L3_ISS_SERVICES)
+        assert os_module.layer_range() == (Layer.L2_DRIVERS_MCAL,
+                                           Layer.L3_ISS_SERVICES)
 
     def test_span_must_be_adjacent(self):
         topo = SoftwareTopology()
@@ -43,7 +43,8 @@ class TestModulePlacement:
 
     def test_modules_on_layer(self):
         topo = build_easis_topology()
-        l3 = {m.name for m in topo.modules_on(Layer.L3_ISS_SERVICES)}
+        l3 = {name for name, m in topo.modules.items()
+              if Layer.L3_ISS_SERVICES in m.layer_range()}
         assert "SoftwareWatchdog" in l3
         assert "FaultManagementFramework" in l3
         assert "OperatingSystem" in l3  # spans L2-L3
@@ -125,7 +126,8 @@ class TestReferenceTopology:
     def test_five_layers_populated(self):
         topo = build_easis_topology()
         for layer in Layer:
-            assert topo.modules_on(layer), f"layer {layer} empty"
+            assert any(layer in m.layer_range()
+                       for m in topo.modules.values()), f"layer {layer} empty"
 
     def test_os_spans_l2_l3(self):
         topo = build_easis_topology()

@@ -8,11 +8,9 @@ from repro.platform import (
     TaskTiming,
     assign_rate_monotonic_priorities,
     is_schedulable,
-    liu_layland_bound,
     response_time,
     response_time_analysis,
     total_utilization,
-    utilization_test,
 )
 
 
@@ -39,32 +37,16 @@ class TestTaskTiming:
 
 
 class TestUtilizationTest:
-    def test_liu_layland_known_values(self):
-        assert liu_layland_bound(1) == pytest.approx(1.0)
-        assert liu_layland_bound(2) == pytest.approx(0.8284, abs=1e-3)
-        assert liu_layland_bound(3) == pytest.approx(0.7798, abs=1e-3)
-
-    def test_bound_requires_tasks(self):
-        with pytest.raises(AnalysisError):
-            liu_layland_bound(0)
-
     def test_under_bound_passes(self):
         tasks = [
             TaskTiming("A", wcet=1, period=10, priority=2),
             TaskTiming("B", wcet=2, period=20, priority=1),
         ]
         assert total_utilization(tasks) == pytest.approx(0.2)
-        assert utilization_test(tasks)
-
-    def test_over_bound_fails(self):
-        tasks = [
-            TaskTiming("A", wcet=5, period=10, priority=2),
-            TaskTiming("B", wcet=8, period=20, priority=1),
-        ]
-        assert not utilization_test(tasks)
+        assert is_schedulable(tasks)
 
     def test_empty_set_schedulable(self):
-        assert utilization_test([])
+        assert is_schedulable([])
 
 
 class TestResponseTimeAnalysis:

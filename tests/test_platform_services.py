@@ -35,15 +35,6 @@ class TestService:
         svc.start()
         assert svc.started == 1
 
-    def test_interface_resolution(self):
-        svc = Probe()
-        assert svc.interface("probe.ping")() == "pong"
-
-    def test_unknown_interface(self):
-        svc = Probe()
-        with pytest.raises(ServiceError):
-            svc.interface("ghost")
-
     def test_duplicate_interface_rejected(self):
         svc = Probe()
         with pytest.raises(ServiceError):
@@ -55,32 +46,11 @@ class TestService:
 
 
 class TestRegistry:
-    def test_register_and_lookup(self):
-        registry = ServiceRegistry()
-        svc = registry.register(Probe())
-        assert registry.service("Probe") is svc
-
     def test_duplicate_service_rejected(self):
         registry = ServiceRegistry()
         registry.register(Probe())
         with pytest.raises(ServiceError):
             registry.register(Probe())
-
-    def test_resolve_interface(self):
-        registry = ServiceRegistry()
-        registry.register(Probe())
-        assert registry.resolve("probe.ping")() == "pong"
-
-    def test_resolve_unknown(self):
-        registry = ServiceRegistry()
-        with pytest.raises(ServiceError):
-            registry.resolve("ghost")
-
-    def test_provider_of(self):
-        registry = ServiceRegistry()
-        svc = registry.register(Probe())
-        assert registry.provider_of("probe.ping") is svc
-        assert registry.provider_of("ghost") is None
 
     def test_interface_collision_rejected(self):
         registry = ServiceRegistry()
@@ -97,9 +67,3 @@ class TestRegistry:
         registry.start_all()
         assert a.state is ServiceState.STARTED
         assert b.state is ServiceState.STARTED
-
-    def test_services_listing(self):
-        registry = ServiceRegistry()
-        registry.register(Probe("A"))
-        registry.register(Probe("B"))
-        assert [s.name for s in registry.services()] == ["A", "B"]

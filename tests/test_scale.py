@@ -23,6 +23,8 @@ from repro.platform import (
 )
 from repro.validator import MultiEcuValidator
 
+from testutil import observed_periods
+
 OBSERVE = FmfPolicy(ecu_faulty_task_threshold=10**6, max_app_restarts=10**6)
 
 
@@ -62,8 +64,6 @@ class TestDenseEcu:
         assert dense_ecu.ecu_monitor_state() is MonitorState.OK
 
     def test_all_tasks_run_at_their_periods(self, dense_ecu):
-        from repro.analysis import observed_periods
-
         for t in range(10):
             periods = observed_periods(dense_ecu.kernel.trace, f"Task{t}")
             assert periods, f"Task{t} never ran"
@@ -83,8 +83,8 @@ class TestDenseEcu:
         ]
         assert aliveness_victims == ["t7.r2"]
         # Flow errors attribute to the hosting task's stream.
-        assert dense_ecu.watchdog.tsi.error_count(task="Task7") > 0
-        assert dense_ecu.watchdog.tsi.error_count(task="Task3") == 0
+        assert dense_ecu.watchdog.tsi.error_vectors.get("Task7")
+        assert not dense_ecu.watchdog.tsi.error_vectors.get("Task3")
 
     def test_utilization_accounting_sane(self, dense_ecu):
         # 50 x 0.2 ms across periods 10-55 ms: well under full load.

@@ -429,11 +429,11 @@ class TestPushes:
 
             def dropped_on_corrupt_framing():
                 client.poll()
-                return not client.connected
+                return client._sock is None
 
             wait_for(dropped_on_corrupt_framing, timeout=5, interval=0.01,
                      message="the corrupt framing to drop the connection")
-            assert not client.connected
+            assert client._sock is None
             assert [d["runnable"] for d in client.detections] == ["sense"]
             client.close(say_bye=False)
         finally:
@@ -451,7 +451,7 @@ class TestPushes:
                              error_type="aliveness", time=30)
                 + struct.pack("!I", MAX_FRAME_BYTES + 1))
             assert client.poll() == 1
-            assert not client.connected
+            assert client._sock is None
             assert [d["runnable"] for d in client.detections] == ["sense"]
         finally:
             ours.close()

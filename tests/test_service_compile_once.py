@@ -101,7 +101,7 @@ class TestSharedCompilation:
         names = [f"app{i}" for i in range(N)]
         seen = {name: [] for name in names}
         fleet.add_detection_listener(
-            lambda name, error: seen[name].append(error.to_dict()))
+            lambda name, error: seen[name].append(error))
         for name in names:
             fleet.register(name, wire(pipeline_dict()))
         return fleet, names, seen
@@ -130,13 +130,13 @@ class TestSharedCompilation:
         expected = {name: [] for name in names}
         for name, wd in zip(names, reference):
             wd.add_fault_listener(
-                lambda error, _n=name: expected[_n].append(error.to_dict()))
+                lambda error, _n=name: expected[_n].append(error))
         drive_fleet(fleet, names)
         drive_reference(reference)
 
         assert seen == expected
-        kinds = {e["error_type"] for errors in seen.values() for e in errors}
-        assert kinds == {et.value for et in ErrorType}
+        kinds = {e.error_type for errors in seen.values() for e in errors}
+        assert kinds == set(ErrorType)
         assert fleet.task_states() == {
             name: {task: wd.task_state(task)
                    for task in wd.hypothesis.tasks()}
@@ -215,7 +215,7 @@ class TestAdmissionRules:
         for name in ("p", "q"):
             with pytest.raises(RegistrationError, match="strict"):
                 fleet.register(name, wire(self.warning_dict()))
-        assert len(fleet.hypotheses) == 0
+        assert len(fleet.hypotheses._entries) == 0
         assert fleet.hypotheses.compiles == 2
 
     def test_warning_cache_hit_still_rejected_by_strict_shard(self):
@@ -237,7 +237,7 @@ class TestAdmissionRules:
             with pytest.raises(RegistrationError, match="WD201"):
                 fleet.register(f"p{attempt}", wire(self.error_dict()))
         assert fleet.hypotheses.compiles == 3
-        assert len(fleet.hypotheses) == 0
+        assert len(fleet.hypotheses._entries) == 0
         assert len(fleet.registrations) == 0
 
     def test_equal_json_but_unequal_dicts_are_not_merged(self):
@@ -256,7 +256,7 @@ class TestAdmissionRules:
         fleet.register("p", data)
         fleet.register("q", data)
         assert fleet.hypotheses.compiles == 2
-        assert len(fleet.hypotheses) == 0
+        assert len(fleet.hypotheses._entries) == 0
 
 
 class TestFleetGauges:

@@ -42,7 +42,8 @@ def make_hypothesis(prefix):
 @pytest.fixture
 def daemon(tmp_path):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.join(_REPO_ROOT, "src"), os.environ.get("PYTHONPATH")]))
     telemetry = tmp_path / "serve.jsonl"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",

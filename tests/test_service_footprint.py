@@ -20,14 +20,11 @@ import pytest
 import repro
 import repro.service
 from repro.core import (
-    CounterHistory,
     ErrorType,
     FaultHypothesis,
     HypothesisError,
-    MonitorState,
     RunnableError,
     RunnableHypothesis,
-    SupervisionReport,
     ThresholdPolicy,
 )
 from repro.lint import Diagnostic, LintReport, Severity
@@ -184,8 +181,6 @@ _FRESH_DEFAULTS = [
     (FaultHypothesis, "thresholds"),
     (LintReport, "diagnostics"),
     (RestoredState, "entries"),
-    (CounterHistory, "times"),
-    (CounterHistory, "series"),
 ]
 
 
@@ -210,8 +205,6 @@ def _hypothesis(max_heartbeats=1):
 _VALUE_EQUALITY = {
     "RunnableError": lambda n: RunnableError(
         5, "r", "T", ErrorType.ALIVENESS, {"count": n}, runnable_id=0),
-    "SupervisionReport": lambda n: SupervisionReport(
-        5, "r", "T", MonitorState.SUSPICIOUS, {ErrorType.ALIVENESS: n}),
     "RunnableHypothesis": lambda n: RunnableHypothesis(
         "r", task="T", aliveness_period=n),
     "ThresholdPolicy": lambda n: ThresholdPolicy(

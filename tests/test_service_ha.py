@@ -58,7 +58,8 @@ def make_hypothesis(prefix):
 
 def spawn(*extra_args):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(_REPO_ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.join(_REPO_ROOT, "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--tick-ms", "5",
          *extra_args],
@@ -221,6 +222,41 @@ def test_kill_dash_nine_recovery_round_trip(tmp_path):
             reap(second)
     finally:
         reap(first)
+
+
+def test_kill_dash_nine_restores_from_the_journal_alone(tmp_path):
+    """With no periodic snapshot, a restart after ``kill -9`` rebuilds
+    every ACKed registration by replaying the journal."""
+    state_dir = str(tmp_path / "state")
+    first = spawn("--port", "0", "--http-port", "0",
+                  "--state-dir", state_dir, "--snapshot-interval", "0")
+    try:
+        address = tcp_address(read_banner(first))
+        for name in ("alpha", "bravo"):
+            client = WatchdogClient(address, client_name=name,
+                                    reconnect=False)
+            client.connect()
+            client.register(name, make_hypothesis(name))  # returns on ACK
+            client._drop_connection()
+        first.send_signal(signal.SIGKILL)
+        first.wait(timeout=10)
+    finally:
+        reap(first)
+    assert not os.path.exists(os.path.join(state_dir, "snapshot.json"))
+    assert journal_subjects(state_dir) == [(1, "alpha"), (2, "bravo")]
+
+    second = spawn("--port", "0", "--http-port", "0",
+                   "--state-dir", state_dir, "--snapshot-interval", "0")
+    try:
+        banner = read_banner(second)
+        assert "restored=2" in banner
+        with urllib.request.urlopen(http_url(banner) + "/healthz",
+                                    timeout=5) as rsp:
+            health = json.loads(rsp.read())
+        assert health["registrations"] == 2
+        assert health["restored_registrations"] == 2
+    finally:
+        reap(second)
 
 
 def test_restart_on_a_failover_address_serves_the_client(tmp_path):

@@ -47,7 +47,6 @@ class TestStateStore:
     def test_empty_dir_loads_empty(self, tmp_path):
         store = make_store(tmp_path)
         restored = store.load()
-        assert restored.empty
         assert restored.snapshot is None
         assert restored.entries == []
         assert store.seq == 0

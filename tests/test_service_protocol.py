@@ -66,13 +66,13 @@ class TestDecoder:
             collected.extend(decoder.feed(raw[i:i + 1]))
         assert len(collected) == 1
         assert collected[0].data["batch"] == [["r", 1, None]]
-        assert decoder.pending_bytes() == 0
+        assert len(decoder._buffer) == 0
 
     def test_partial_frame_stays_pending(self):
         raw = encode_frame(T_HELLO, client="a")
         decoder = FrameDecoder()
         assert decoder.feed(raw[:-1]) == []
-        assert decoder.pending_bytes() == len(raw) - 1
+        assert len(decoder._buffer) == len(raw) - 1
         (frame,) = decoder.feed(raw[-1:])
         assert frame.type == T_HELLO
 
@@ -204,7 +204,7 @@ def feed_split(decoder, stream, cuts):
     bounds = sorted({0, len(stream), *(c % (len(stream) + 1) for c in cuts)})
     for start, end in zip(bounds, bounds[1:]):
         items.extend(decoder.feed(stream[start:end]))
-        assert decoder.pending_bytes() <= HEADER.size + MAX_FRAME_BYTES
+        assert len(decoder._buffer) <= HEADER.size + MAX_FRAME_BYTES
     return items
 
 
@@ -216,7 +216,7 @@ class TestDecoderFuzz:
         stream = b"".join(encode_frame(f.type, **f.data) for f in sent)
         decoder = FrameDecoder()
         assert feed_split(decoder, stream, cuts) == sent
-        assert decoder.pending_bytes() == 0
+        assert len(decoder._buffer) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(malformed_bodies, min_size=1, max_size=3), frames,

@@ -1157,8 +1157,8 @@ class TestFraming:
             frame = encode_frame(T_REGISTER, name="p",
                                  hypothesis=make_hyp_dict())
             await peer.send_raw(frame[:2])
-            await until(lambda: next(iter(server._connections))
-                        .decoder.pending_bytes() == 2,
+            await until(lambda: len(next(iter(server._connections))
+                                    .decoder._buffer) == 2,
                         message="the server to read the half header")
             await peer.send_raw(frame[2:])
             assert (await peer.recv_frame()).get("ok")

@@ -277,7 +277,7 @@ def test_stored_tallies_equal_the_derived_ones(fixture):
         assert watchdog.check_cycle_count == stored["check_cycle_count"]
         assert {et.value: n for et, n in watchdog.detected.items()} == (
             stored["detected"])
-        assert watchdog.pfc.lookup_operations == (
+        assert watchdog.pfc.observation_count == (
             stored["pfc"]["lookup_operations"])
     assert fleet.snapshot()["registrations"] == [
         without_derived(record) for record in records]

@@ -124,10 +124,10 @@ class TestTransientFaultSoak:
         fault.restore(target)
         ecu.run_until(ecu.now + seconds(1))
         detections = ecu.watchdog.detection_count()
-        executions = ecu.system.runnable("SAFE_CC_process").execution_count
+        executions = ecu.system.runnables["SAFE_CC_process"].execution_count
         ecu.run_until(ecu.now + seconds(1))
         assert ecu.watchdog.detection_count() == detections
-        assert ecu.system.runnable("SAFE_CC_process").execution_count > executions
+        assert ecu.system.runnables["SAFE_CC_process"].execution_count > executions
         # A single period-straddling error at restore time may leave the
         # task SUSPICIOUS (sub-threshold errors persist until treatment);
         # what must not remain is a FAULTY verdict.

@@ -50,10 +50,6 @@ class TestTelemetryEvent:
         )
         assert event.schema == 99
 
-    def test_frozen(self):
-        with pytest.raises(AttributeError):
-            make_event().time = 0
-
 
 class TestNullSink:
     def test_disabled_and_silent(self):
@@ -72,7 +68,6 @@ class TestInMemorySink:
         sink.emit(first)
         sink.emit(second)
         assert sink.events == [first, second]
-        assert len(sink) == 2
 
     def test_filter_by_kind_and_subject(self):
         sink = InMemorySink()
@@ -83,36 +78,24 @@ class TestInMemorySink:
         assert len(sink.filter(subject="A")) == 2
         assert len(sink.filter(kind=KIND_DETECTION, subject="A")) == 1
 
-    def test_kinds_first_seen_order(self):
-        sink = InMemorySink()
-        sink.emit(make_event(kind="b"))
-        sink.emit(make_event(kind="a"))
-        sink.emit(make_event(kind="b"))
-        assert sink.kinds() == ["b", "a"]
-
-    def test_clear(self):
-        sink = InMemorySink()
-        sink.emit(make_event())
-        sink.clear()
-        assert len(sink) == 0
-
 
 class TestJsonlFileSink:
     def test_writes_one_line_per_event(self, tmp_path):
         path = tmp_path / "events.jsonl"
         events = [make_event(time=t) for t in (1, 2, 3)]
-        with JsonlFileSink(str(path)) as sink:
-            for event in events:
-                sink.emit(event)
-            assert sink.emitted == 3
+        sink = JsonlFileSink(str(path))
+        for event in events:
+            sink.emit(event)
+        assert sink.emitted == 3
+        sink.close()
         assert read_jsonl(path.read_text().splitlines()) == events
 
     def test_append_mode_extends_stream(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        with JsonlFileSink(str(path)) as sink:
-            sink.emit(make_event(time=1))
-        with JsonlFileSink(str(path), mode="a") as sink:
-            sink.emit(make_event(time=2))
+        for time, mode in ((1, "w"), (2, "a")):
+            sink = JsonlFileSink(str(path), mode=mode)
+            sink.emit(make_event(time=time))
+            sink.close()
         times = [e.time for e in read_jsonl(path.read_text().splitlines())]
         assert times == [1, 2]
 

@@ -69,7 +69,7 @@ class TestWatchdogInstruments:
             assert registry.value("wd_detections_total",
                                   error_type=et.value) == 0
         # Healthy: no detection/fault narrative, at most lint warnings.
-        assert KIND_DETECTION not in sink.kinds()
+        assert sink.filter(kind=KIND_DETECTION) == []
 
     def test_detections_counted_by_error_type(self):
         wd, registry, sink = make_instrumented_watchdog()

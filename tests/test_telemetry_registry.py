@@ -63,13 +63,6 @@ class TestHistogram:
         hist.observe(1.0)  # le="1" is an inclusive upper bound
         assert hist.cumulative_buckets()[0] == (1.0, 1)
 
-    def test_mean(self):
-        hist = Histogram("h", buckets=(10.0,))
-        assert hist.mean is None
-        hist.observe(2.0)
-        hist.observe(4.0)
-        assert hist.mean == pytest.approx(3.0)
-
     def test_empty_bucket_list_rejected(self):
         with pytest.raises(ValueError):
             Histogram("h", buckets=())
@@ -79,35 +72,6 @@ class TestHistogram:
             Histogram("h", buckets=(2.0, 1.0))
         with pytest.raises(ValueError):
             Histogram("h", buckets=(1.0, 1.0))
-
-    def test_quantile_empty_is_none(self):
-        assert Histogram("h", buckets=(1.0,)).quantile(50) is None
-
-    def test_quantile_clamped_to_true_extremes(self):
-        hist = Histogram("h", buckets=(1.0, 100.0))
-        hist.observe(0.5)
-        hist.observe(0.7)
-        # Bucket upper bounds over-estimate (both fall in le=1.0), but
-        # the estimate is clamped into [minimum, maximum].
-        assert hist.quantile(0) >= 0.5
-        assert hist.quantile(100) <= 0.7
-
-    def test_quantile_overflow_uses_true_maximum(self):
-        hist = Histogram("h", buckets=(1.0,))
-        hist.observe(42.0)  # lands in the +Inf overflow bucket
-        assert hist.quantile(50) == 42.0
-
-    def test_quantile_matches_percentile_on_exact_buckets(self):
-        # When every observation sits exactly on a bucket bound the
-        # virtual sample equals the real one, so the estimate is the
-        # plain percentile of the observations.
-        from repro.analysis import percentile
-
-        values = [1.0, 2.0, 5.0, 5.0]
-        hist = Histogram("h", buckets=(1.0, 2.0, 5.0))
-        for value in values:
-            hist.observe(value)
-        assert hist.quantile(50) == percentile(sorted(values), 50)
 
 
 class TestRegistryFactories:
@@ -251,15 +215,3 @@ class TestNullRegistry:
         gauge.set(3)
         hist.observe(1.0)
         assert counter.value == 0
-        assert hist.quantile(50) is None
-
-    def test_exports_are_empty(self):
-        registry = NullRegistry()
-        registry.counter("c").inc()
-        assert registry.families() == []
-        assert registry.instruments() == []
-        assert registry.get("c") is None
-        assert registry.value("c") is None
-        assert registry.render_prometheus() == ""
-        assert registry.snapshot() == {"metrics": []}
-        assert json.loads(registry.render_json()) == {"metrics": []}

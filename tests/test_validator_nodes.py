@@ -130,7 +130,7 @@ class TestEnvironmentNode:
         vehicle = Vehicle()
         tcp = TcpLink("t", kernel, latency=ms(1))
         got = []
-        tcp.on_receive(lambda m: got.append(m.value("limit_kph")))
+        tcp.on_receive(lambda m: got.append(m.values()["limit_kph"]))
         EnvironmentNode(kernel, env, vehicle, catalog, tcp, period=ms(50)).start()
         kernel.run_until(ms(200))
         assert got and got[0] == pytest.approx(70.0, abs=0.01)
@@ -140,7 +140,7 @@ class TestEnvironmentNode:
         env.commanded_limit_kph = 30.0
         tcp = TcpLink("t", kernel, latency=ms(1))
         got = []
-        tcp.on_receive(lambda m: got.append(m.value("limit_kph")))
+        tcp.on_receive(lambda m: got.append(m.values()["limit_kph"]))
         EnvironmentNode(kernel, env, Vehicle(), catalog, tcp, period=ms(50)).start()
         kernel.run_until(ms(120))
         assert got[-1] == pytest.approx(30.0, abs=0.01)

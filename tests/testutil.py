@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import json
 import time
 
+from repro.analysis import activation_times
 from repro.kernel import AlarmTable, Kernel, Runnable, Task, ms, runnable_sequence_body
 from repro.platform import (
     Application,
@@ -37,6 +39,23 @@ def make_safespeed_mapping(
     mapping.add_task(TaskSpec("SafeSpeedTask", priority=priority, period=period))
     mapping.map_sequence("SafeSpeedTask", names)
     return mapping
+
+
+def observed_periods(trace, task: str) -> list:
+    """Inter-activation gaps of a task: its period as observed, injected
+    timing faults included."""
+    times = activation_times(trace, task)
+    return [b - a for a, b in zip(times, times[1:])]
+
+
+def trace_to_jsonl(trace) -> str:
+    """A kernel trace as JSON Lines: one record per line, keys sorted,
+    the kind as its stable string value."""
+    return "\n".join(
+        json.dumps({"time": record.time, "kind": record.kind.value,
+                    "subject": record.subject, "info": dict(record.info)},
+                   sort_keys=True)
+        for record in trace.filter())
 
 
 def periodic_task(kernel: Kernel, alarms: AlarmTable, name: str, priority: int,
