@@ -1,9 +1,9 @@
 """Instrumentation-overhead benchmark: live registry vs null registry.
 
 Telemetry rides the watchdog's hottest path — the per-period check
-cycle — so its cost model matters: high-frequency tallies stay plain
-ints and are folded into registry counters once per cycle, and only the
-cycle-duration timing runs per cycle when the registry is live.  The
+cycle — so its cost model matters: the tallies are plain ints the
+registry reads only when it exports, so the cycle-duration timing is
+the only per-cycle telemetry work when the registry is live.  The
 acceptance bound: at 1000 supervised runnables the fully instrumented
 cycle must stay within 1.15× of the null-registry cycle.
 
@@ -78,9 +78,7 @@ def test_bench_telemetry_overhead_within_bound(benchmark):
         f"instrumented cycle {ratio:.3f}x the null-registry cycle "
         f"(null {null_cost * 1e6:.2f} us, live {live_cost * 1e6:.2f} us)"
     )
-    # The live run actually recorded what happened: every cycle timed,
-    # every heartbeat and slot visit folded into the counters.
-    live_unit.sync_telemetry()
+    # The live registry reads what happened: every cycle and heartbeat.
     registry = live_unit.telemetry
     assert registry.value("wd_hbm_check_cycles_total") >= CYCLES * PAIRS
     assert registry.value("wd_hbm_heartbeats_total") > 0

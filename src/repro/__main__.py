@@ -302,7 +302,6 @@ def cmd_metrics(args: argparse.Namespace) -> None:
             rig.run(horizon)
         else:
             rig.run(seconds(args.seconds))
-        rig.ecu.watchdog.sync_telemetry()
     else:  # coverage
         from .experiments import run_coverage_campaign
 

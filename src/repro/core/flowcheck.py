@@ -17,9 +17,9 @@ point).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
-from ..telemetry import NULL_REGISTRY
+from ..telemetry import NULL_REGISTRY, Sample, rebase
 from .hypothesis import FaultHypothesis
 from .reports import ErrorType, RunnableError
 
@@ -27,6 +27,14 @@ ErrorListener = Callable[[RunnableError], None]
 
 #: Key used for heartbeats that carry no task attribution.
 _GLOBAL_STREAM = "<global>"
+
+#: The families a unit reports (read at export time, see ``_metrics``).
+_TM_FAMILIES = (
+    ("wd_pfc_observations_total", "counter", "Monitored executions observed"),
+    ("wd_pfc_violations_total", "counter", "Illegal transitions detected"),
+    ("wd_pfc_table_pairs", "gauge",
+     "Whitelisted (predecessor, successor) pairs in the flow table"),
+)
 
 
 def stream_key(
@@ -109,9 +117,7 @@ class ProgramFlowCheckingUnit:
 
     __slots__ = (
         "table", "task_attribution", "_last", "_listeners",
-        "observation_count", "violation_count",
-        "telemetry", "_tm_enabled", "_tm_observations", "_tm_lookups",
-        "_tm_violations", "_tm_table_pairs", "_tm_synced",
+        "observation_count", "violation_count", "_tm_base",
     )
 
     def __init__(
@@ -130,36 +136,17 @@ class ProgramFlowCheckingUnit:
         self._listeners: List[ErrorListener] = []
         self.observation_count = 0
         self.violation_count = 0
-        # Telemetry mirrors of the plain-int tallies above, folded in by
-        # :meth:`sync_telemetry` (the facade calls it once per check
-        # cycle) so the per-observation hot path stays untouched.
-        self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
-        self._tm_enabled = self.telemetry.enabled
-        tm = self.telemetry
-        self._tm_observations = tm.counter(
-            "wd_pfc_observations_total", "Monitored executions observed")
-        self._tm_lookups = tm.counter(
-            "wd_pfc_lookups_total", "Flow-table look-up operations")
-        self._tm_violations = tm.counter(
-            "wd_pfc_violations_total", "Illegal transitions detected")
-        self._tm_table_pairs = tm.gauge(
-            "wd_pfc_table_pairs",
-            "Whitelisted (predecessor, successor) pairs in the flow table")
-        self._tm_table_pairs.set(table.pair_count())
-        self._tm_synced = (0, 0)
+        #: Subtracted from the two tallies on export (see ``rebase``).
+        self._tm_base = (0, 0)
+        (telemetry or NULL_REGISTRY).add_source(_TM_FAMILIES, self._metrics)
 
-    def sync_telemetry(self) -> None:
-        """Fold the plain-int tallies into the registry counters and
-        refresh the table-size gauge."""
-        if not self._tm_enabled:
-            return
-        last = self._tm_synced
-        observed = self.observation_count - last[0]
-        self._tm_observations.inc(observed)
-        self._tm_lookups.inc(observed)
-        self._tm_violations.inc(self.violation_count - last[1])
-        self._tm_synced = (self.observation_count, self.violation_count)
-        self._tm_table_pairs.set(self.table.pair_count())
+    def _metrics(self) -> Iterator[Sample]:
+        """The registry's read of this unit (a telemetry source)."""
+        observed, violated = self._tm_base
+        yield ("wd_pfc_observations_total", (),
+               self.observation_count - observed)
+        yield "wd_pfc_violations_total", (), self.violation_count - violated
+        yield "wd_pfc_table_pairs", (), self.table.pair_count()
 
     # ------------------------------------------------------------------
     def add_listener(self, listener: ErrorListener) -> None:
@@ -186,11 +173,13 @@ class ProgramFlowCheckingUnit:
     def restore_state(self, state: Dict[str, object]) -> None:
         """Resume from a :meth:`snapshot_state` capture (the unit must
         carry the same flow table and task attribution)."""
+        before = (self.observation_count, self.violation_count)
         self._last = dict(state["last"])
         self.observation_count = int(state["observation_count"])
         self.violation_count = int(state["violation_count"])
-        # Post-restore telemetry deltas count from the restored tallies.
-        self._tm_synced = (self.observation_count, self.violation_count)
+        # Exported counters count only this process's work.
+        self._tm_base = rebase(self._tm_base, before,
+                               (self.observation_count, self.violation_count))
 
     # ------------------------------------------------------------------
     def observe(

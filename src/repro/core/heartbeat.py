@@ -38,9 +38,9 @@ must reproduce.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..telemetry import NULL_REGISTRY
+from ..telemetry import NULL_REGISTRY, Sample, rebase
 from .hypothesis import FaultHypothesis, RunnableHypothesis
 from .reports import ErrorType, RunnableError
 
@@ -53,10 +53,19 @@ _DISARMED = -1
 #: bucket map, so a slot whose two periods are equal costs one bucket.
 _ALIVE, _ARRIVAL = 0, 1
 
-#: Check cycles between automatic telemetry syncs.  Folding the
-#: plain-int tallies into registry counters costs several instrument
-#: updates, so it is batched; exporters force a sync before rendering.
-_TM_SYNC_INTERVAL = 16
+#: The unit's tallies (in ``_tallies`` order), then a gauge.
+_TM_FAMILIES = (
+    ("wd_hbm_check_cycles_total", "counter", "HBM check cycles executed"),
+    ("wd_hbm_heartbeats_total", "counter", "Aliveness indications accepted"),
+    ("wd_hbm_unknown_heartbeats_total", "counter",
+     "Heartbeats carrying an unknown runnable identifier"),
+    ("wd_hbm_slots_checked_total", "counter",
+     "Runnable slots judged due and checked"),
+    ("wd_hbm_counter_resets_total", "counter",
+     "AC/ARC window counter resets at period expiry"),
+    ("wd_hbm_active_runnables", "gauge",
+     "Runnables with Activation Status true"),
+)
 
 
 class HeartbeatMonitoringUnit:
@@ -67,10 +76,8 @@ class HeartbeatMonitoringUnit:
         "cycle_count", "heartbeat_count", "unknown_heartbeats",
         "slots_visited", "counter_resets", "slot_of", "names", "_hyps",
         "ac", "arc", "active", "_alive_due", "_arr_due",
-        "_wheel", "telemetry", "_tm_enabled",
-        "_tm_cycle_seconds", "_tm_cycles", "_tm_heartbeats", "_tm_unknown",
-        "_tm_slots", "_tm_resets", "_tm_monitored", "_tm_synced",
-        "_tm_cycles_unsynced",
+        "_wheel", "telemetry", "_tm_enabled", "_tm_cycle_seconds",
+        "_tm_base",
     )
 
     def __init__(
@@ -114,39 +121,17 @@ class HeartbeatMonitoringUnit:
         # ``_wheel``, due cycle → wheel entries (``slot << 1 | kind``)
         # expiring then.
         self._arm_all()
-        # Telemetry: high-frequency tallies stay plain ints on the hot
-        # path and are folded into registry counters once per check
-        # cycle (sync_telemetry); only the cycle-duration histogram is
-        # measured live, gated on ``enabled``.
+        # Telemetry: the registry reads the unit (:meth:`_metrics`); only
+        # the cycle duration, which no code keeps, is timed here.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self._tm_enabled = self.telemetry.enabled
-        tm = self.telemetry
-        self._tm_cycle_seconds = tm.histogram(
+        self._tm_cycle_seconds = self.telemetry.histogram(
             "wd_hbm_cycle_duration_seconds",
             "Wall-clock cost of one HBM check cycle",
         )
-        self._tm_cycles = tm.counter(
-            "wd_hbm_check_cycles_total", "HBM check cycles executed")
-        self._tm_heartbeats = tm.counter(
-            "wd_hbm_heartbeats_total", "Aliveness indications accepted")
-        self._tm_unknown = tm.counter(
-            "wd_hbm_unknown_heartbeats_total",
-            "Heartbeats carrying an unknown runnable identifier")
-        self._tm_slots = tm.counter(
-            "wd_hbm_slots_checked_total",
-            "Runnable slots judged due and checked")
-        self._tm_resets = tm.counter(
-            "wd_hbm_counter_resets_total",
-            "AC/ARC window counter resets at period expiry")
-        # Units sharing a registry (a daemon's fleet) share this series,
-        # so each contributes deltas and the gauge sums over the fleet.
-        self._tm_monitored = tm.gauge(
-            "wd_hbm_active_runnables",
-            "Runnables with Activation Status true")
-        self._tm_monitored.inc(self.active.count(True))
-        #: Last-synced values of (cycles, heartbeats, unknown, slots, resets).
-        self._tm_synced = (0, 0, 0, 0, 0)
-        self._tm_cycles_unsynced = 0
+        #: Subtracted from :meth:`_tallies` on export (see ``rebase``).
+        self._tm_base = (0, 0, 0, 0, 0)
+        self.telemetry.add_source(_TM_FAMILIES, self._metrics)
 
     # ------------------------------------------------------------------
     def add_listener(self, listener: ErrorListener) -> None:
@@ -179,7 +164,6 @@ class HeartbeatMonitoringUnit:
             self.active[slot] = bool(active)
             self.ac[slot] = 0
             self.arc[slot] = 0
-            self._tm_monitored.inc(1 if active else -1)
             if active:
                 self._arm_slot(slot)
             else:
@@ -251,38 +235,23 @@ class HeartbeatMonitoringUnit:
             begin = perf_counter()
             errors = self._cycle_wheel(time)
             self._tm_cycle_seconds.observe(perf_counter() - begin)
-            # Folding the plain-int tallies into the registry costs a
-            # few instrument updates, so it is amortized over a batch of
-            # cycles; counter freshness at render time comes from the
-            # explicit sync the exporters perform.
-            self._tm_cycles_unsynced += 1
-            if self._tm_cycles_unsynced >= _TM_SYNC_INTERVAL:
-                self.sync_telemetry()
         else:
             errors = self._cycle_wheel(time)
         for error in errors:
             self._emit(error)
         return errors
 
-    def sync_telemetry(self) -> None:
-        """Fold the plain-int tallies into the registry counters.
+    def _tallies(self) -> Tuple[int, ...]:
+        return (self.cycle_count, self.heartbeat_count,
+                self.unknown_heartbeats, self.slots_visited,
+                self.counter_resets)
 
-        Runs automatically every ``_TM_SYNC_INTERVAL`` check cycles when
-        a live registry is attached; call it directly before rendering
-        metrics so the counters include the tail of the run."""
-        if not self._tm_enabled:
-            return
-        self._tm_cycles_unsynced = 0
-        last = self._tm_synced
-        self._tm_cycles.inc(self.cycle_count - last[0])
-        self._tm_heartbeats.inc(self.heartbeat_count - last[1])
-        self._tm_unknown.inc(self.unknown_heartbeats - last[2])
-        self._tm_slots.inc(self.slots_visited - last[3])
-        self._tm_resets.inc(self.counter_resets - last[4])
-        self._tm_synced = (
-            self.cycle_count, self.heartbeat_count, self.unknown_heartbeats,
-            self.slots_visited, self.counter_resets,
-        )
+    def _metrics(self) -> Iterator[Sample]:
+        """The registry's read of this unit (a telemetry source)."""
+        for (name, _kind, _help), tally, base in zip(
+                _TM_FAMILIES, self._tallies(), self._tm_base):
+            yield name, (), tally - base
+        yield "wd_hbm_active_runnables", (), self.active.count(True)
 
     def _cycle_wheel(self, time: int) -> List[RunnableError]:
         """Expiry-wheel implementation: visit only the due buckets."""
@@ -327,7 +296,7 @@ class HeartbeatMonitoringUnit:
 
     # ------------------------------------------------------------------
     def snapshot(self, runnable: str) -> Dict[str, int]:
-        """Current AC/ARC/CCA/CCAR/AS of one runnable (capture/plots).
+        """Current AC/ARC/CCA/CCAR/AS of one runnable.
         CCA and CCAR are not ticked: they are the cycles since the
         period began, one period length before its deadline, and 0
         while AS is off."""
@@ -408,34 +377,20 @@ class HeartbeatMonitoringUnit:
                     f"snapshot has {len(values)} {key!r} entries, this "
                     f"unit has {len(self.names)} slots"
                 )
+        before = self._tallies()
         self.cycle_count = int(state["cycle_count"])
         self.heartbeat_count = int(state["heartbeat_count"])
         self.unknown_heartbeats = int(state["unknown_heartbeats"])
         self.slots_visited = int(state["slots_visited"])
         self.counter_resets = int(state["counter_resets"])
-        active_before = self.active.count(True)
         self.ac = [int(v) for v in per_slot["ac"]]
         self.arc = [int(v) for v in per_slot["arc"]]
         self.active = [bool(v) for v in per_slot["active"]]
         self._alive_due = [int(v) for v in per_slot["alive_due"]]
         self._arr_due = [int(v) for v in per_slot["arr_due"]]
         self._rebuild_wheel()
-        # Telemetry: the gauge moves by this unit's change in restored AS
-        # flags; the sync marks move to the restored tallies so registry
-        # counters only grow by post-restore activity (a restarted
-        # daemon's exporters start fresh, they do not re-count the
-        # previous process's history).
-        self._tm_monitored.inc(self.active.count(True) - active_before)
-        self._tm_synced = (
-            self.cycle_count, self.heartbeat_count, self.unknown_heartbeats,
-            self.slots_visited, self.counter_resets,
-        )
-        self._tm_cycles_unsynced = 0
-
-    def withdraw_telemetry(self) -> None:
-        """Remove this unit's runnables from the shared active-runnables
-        gauge (the unit is being discarded)."""
-        self._tm_monitored.inc(-self.active.count(True))
+        # Exported counters count only this process's work.
+        self._tm_base = rebase(self._tm_base, before, self._tallies())
 
     def reset(self) -> None:
         """Reset every counter and the cycle count (watchdog restart).
@@ -444,16 +399,14 @@ class HeartbeatMonitoringUnit:
         runnable deactivated by the FMF stays unmonitored until it is
         explicitly reactivated.
         """
-        # Fold any unsynced tail first; the registry counters stay
-        # monotonic across watchdog restarts, and re-zeroing the sync
-        # marks makes future deltas count from the freshly reset ints.
-        self.sync_telemetry()
+        before = self._tallies()
         self.cycle_count = 0
         self.heartbeat_count = 0
         self.unknown_heartbeats = 0
         self.slots_visited = 0
         self.counter_resets = 0
-        self._tm_synced = (0, 0, 0, 0, 0)
+        # Exported counters stay monotonic across the reset.
+        self._tm_base = rebase(self._tm_base, before, self._tallies())
         slots = len(self._hyps)
         self.ac = [0] * slots
         self.arc = [0] * slots

@@ -14,9 +14,9 @@ Fault Management Framework uses to pick a treatment (§3.4):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
-from ..telemetry import NULL_REGISTRY
+from ..telemetry import NULL_REGISTRY, Sample
 from .hypothesis import ThresholdPolicy
 from .reports import (
     MONITOR_STATE_RANK,
@@ -33,6 +33,20 @@ from .reports import (
 TaskFaultListener = Callable[[TaskFaultEvent], None]
 EcuStateListener = Callable[[EcuStateChange], None]
 
+#: The families a unit reports (``_metrics``).  States read 0/1/2 for
+#: OK/SUSPICIOUS/FAULTY and carry the owning watchdog's name.
+_TM_FAMILIES = (
+    ("wd_tsi_errors_recorded_total", "counter",
+     "Runnable errors recorded into error indication vectors"),
+    ("wd_tsi_faulty_tasks", "gauge", "Tasks currently declared faulty"),
+    ("wd_tsi_task_state", "gauge",
+     "Derived task state (0=ok 1=suspicious 2=faulty)"),
+    ("wd_tsi_application_state", "gauge",
+     "Derived application state (0=ok 1=suspicious 2=faulty)"),
+    ("wd_tsi_ecu_state", "gauge",
+     "Derived global ECU state (0=ok 1=suspicious 2=faulty)"),
+)
+
 
 class TaskStateIndicationUnit:
     """Error indication vectors, thresholds, and state derivation."""
@@ -41,9 +55,7 @@ class TaskStateIndicationUnit:
         "thresholds", "task_of_runnable", "_owns_task_map", "task_of_slot",
         "app_of_task", "error_vectors", "faulty_tasks", "errors_recorded",
         "_task_fault_listeners", "_ecu_state_listeners", "_last_ecu_state",
-        "last_error_time", "telemetry", "_tm_enabled", "_tm_errors",
-        "_tm_task_faults", "_tm_faulty_tasks", "_tm_faulty_count",
-        "_tm_ecu_state", "_tm_task_gauges", "_tm_app_gauges", "_tm_watchdog",
+        "last_error_time", "_tm_task_faults", "_tm_watchdog", "_tm_base",
     )
 
     def __init__(
@@ -85,33 +97,16 @@ class TaskStateIndicationUnit:
         #: the chronological stream is
         #: :meth:`SoftwareWatchdog.add_fault_listener`'s to deliver.
         self.last_error_time = 0
-        # Telemetry: errors and threshold crossings are rare, so the
-        # instruments are updated live (a no-op under the null
-        # registry).  State gauges encode OK/SUSPICIOUS/FAULTY as 0/1/2
-        # (MONITOR_STATE_RANK) and carry the owning watchdog's name, so
-        # units sharing a registry (a daemon's fleet) keep one series
-        # each instead of overwriting one another's.
-        self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
-        self._tm_enabled = self.telemetry.enabled
-        tm = self.telemetry
-        self._tm_errors = tm.counter(
-            "wd_tsi_errors_recorded_total",
-            "Runnable errors recorded into error indication vectors")
+        # Telemetry: the registry reads the unit (:meth:`_metrics`);
+        # only threshold crossings, which no code counts, are pushed.
+        tm = telemetry if telemetry is not None else NULL_REGISTRY
         self._tm_task_faults = tm.counter(
             "wd_tsi_task_faults_total",
             "Task-faulty threshold crossings")
-        # Shared by every unit on one registry (a daemon's fleet): each
-        # unit adds the change in its own count, so the gauge sums.
-        self._tm_faulty_tasks = tm.gauge(
-            "wd_tsi_faulty_tasks", "Tasks currently declared faulty")
-        self._tm_faulty_count = 0
-        self._tm_watchdog = watchdog
-        self._tm_ecu_state = tm.gauge(
-            "wd_tsi_ecu_state",
-            "Derived global ECU state (0=ok 1=suspicious 2=faulty)",
-            watchdog=watchdog)
-        self._tm_task_gauges: Dict[str, object] = {}
-        self._tm_app_gauges: Dict[str, object] = {}
+        self._tm_watchdog = ("watchdog", watchdog)
+        #: Subtracted from ``errors_recorded`` on export (reset, restore).
+        self._tm_base = 0
+        tm.add_source(_TM_FAMILIES, self._metrics)
 
     # ------------------------------------------------------------------
     def add_task_fault_listener(self, listener: TaskFaultListener) -> None:
@@ -150,7 +145,6 @@ class TaskStateIndicationUnit:
         per_type[error.error_type] = per_type.get(error.error_type, 0) + 1
         self.errors_recorded += 1
         self.last_error_time = error.time
-        self._tm_errors.inc()
         threshold = self.thresholds.threshold_for(error.error_type)
         if per_type[error.error_type] >= threshold and task not in self.faulty_tasks:
             event = TaskFaultEvent(
@@ -168,8 +162,6 @@ class TaskStateIndicationUnit:
         # one); only clear_task/reset can lower it from faulty.
         if self._last_ecu_state is not MonitorState.FAULTY:
             self._update_ecu_state(when)
-        if self._tm_enabled:
-            self._tm_refresh_states(task)
 
     # ------------------------------------------------------------------
     def task_state(self, task: str) -> MonitorState:
@@ -199,8 +191,6 @@ class TaskStateIndicationUnit:
         self.error_vectors.pop(task, None)
         self.faulty_tasks.pop(task, None)
         self._update_ecu_state(time=self.last_error_time)
-        if self._tm_enabled:
-            self._tm_refresh_states(task)
 
     def snapshot_state(self) -> Dict[str, object]:
         """JSON-compatible aggregation state (daemon persistence): the
@@ -237,6 +227,7 @@ class TaskStateIndicationUnit:
         older captures' full maps read the same, because
         :meth:`record_error` never overwrites a configured entry.
         """
+        before = self.errors_recorded
         self.error_vectors = {
             task: error_counts_from_json(vector)
             for task, vector in state["error_vectors"].items()
@@ -258,29 +249,17 @@ class TaskStateIndicationUnit:
             self.task_of_runnable = {**self.task_of_runnable, **learned}
             self._owns_task_map = True
         self._last_ecu_state = MonitorState(state["last_ecu_state"])
-        if self._tm_enabled:
-            for task in self._known_tasks():
-                self._tm_refresh_states(task)
-            self._tm_sync_faulty_count()
+        # Exported counters count only this process's work.
+        self._tm_base += self.errors_recorded - before
 
     def reset(self) -> None:
         """Full reset (ECU software reset)."""
         self.error_vectors.clear()
         self.faulty_tasks.clear()
+        self._tm_base -= self.errors_recorded  # counters stay monotonic
         self.errors_recorded = 0
         self.last_error_time = 0
         self._last_ecu_state = MonitorState.OK
-        if self._tm_enabled:
-            for task in list(self._tm_task_gauges):
-                self._tm_refresh_states(task)
-            self._tm_sync_faulty_count()
-            self._tm_ecu_state.set(0)
-
-    def withdraw_telemetry(self) -> None:
-        """Remove this unit's tasks from the shared faulty-tasks gauge
-        (the unit is being discarded)."""
-        self._tm_faulty_tasks.inc(-self._tm_faulty_count)
-        self._tm_faulty_count = 0
 
     # ------------------------------------------------------------------
     def _known_tasks(self) -> List[str]:
@@ -293,41 +272,24 @@ class TaskStateIndicationUnit:
             seen.setdefault(task, None)
         return list(seen)
 
-    def _tm_refresh_states(self, task: str) -> None:
-        """Refresh the state gauges touched by a change to ``task``.
-
-        Only called when the registry is live; gauge objects are cached
-        per task/application so repeated refreshes do not re-enter the
-        registry's get-or-create path.
-        """
-        gauge = self._tm_task_gauges.get(task)
-        if gauge is None:
-            gauge = self.telemetry.gauge(
-                "wd_tsi_task_state",
-                "Derived task state (0=ok 1=suspicious 2=faulty)",
-                task=task, watchdog=self._tm_watchdog,
-            )
-            self._tm_task_gauges[task] = gauge
-        gauge.set(MONITOR_STATE_RANK[self.task_state(task)])
-        app = self.app_of_task.get(task)
-        if app is not None:
-            app_gauge = self._tm_app_gauges.get(app)
-            if app_gauge is None:
-                app_gauge = self.telemetry.gauge(
-                    "wd_tsi_application_state",
-                    "Derived application state (0=ok 1=suspicious 2=faulty)",
-                    application=app, watchdog=self._tm_watchdog,
-                )
-                self._tm_app_gauges[app] = app_gauge
-            app_gauge.set(MONITOR_STATE_RANK[self.application_state(app)])
-        self._tm_sync_faulty_count()
-        self._tm_ecu_state.set(MONITOR_STATE_RANK[self.ecu_state()])
-
-    def _tm_sync_faulty_count(self) -> None:
-        """Move the shared faulty-task gauge by this unit's change."""
-        count = len(self.faulty_tasks)
-        self._tm_faulty_tasks.inc(count - self._tm_faulty_count)
-        self._tm_faulty_count = count
+    def _metrics(self) -> Iterator[Sample]:
+        """The registry's read of this unit (a telemetry source): one
+        state series per known task and application."""
+        watchdog = self._tm_watchdog
+        yield ("wd_tsi_errors_recorded_total", (),
+               self.errors_recorded - self._tm_base)
+        yield "wd_tsi_faulty_tasks", (), len(self.faulty_tasks)
+        ranks = {task: MONITOR_STATE_RANK[self.task_state(task)]
+                 for task in self._known_tasks()}
+        for task, rank in ranks.items():
+            yield "wd_tsi_task_state", (("task", task), watchdog), rank
+        app_ranks: Dict[str, int] = {}
+        for task, app in self.app_of_task.items():
+            app_ranks[app] = max(app_ranks.get(app, 0), ranks[task])
+        for app, rank in app_ranks.items():
+            yield ("wd_tsi_application_state",
+                   (("application", app), watchdog), rank)
+        yield "wd_tsi_ecu_state", (watchdog,), max(ranks.values(), default=0)
 
     def _update_ecu_state(self, time: int) -> None:
         new_state = self.ecu_state()

@@ -15,14 +15,13 @@ Wires the three basic units together:
 
 The facade also keeps the cumulative detection counters the paper's
 evaluation plots show (``AM Result``, ``ARM Result`` and ``PFC Result``
-in Figures 5 and 6) and an optional per-cycle capture of every monitored
-runnable's counter set.
+in Figures 5 and 6).
 """
 
 from __future__ import annotations
 
 import warnings as _warnings
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..telemetry import (
     NULL_REGISTRY,
@@ -31,10 +30,12 @@ from ..telemetry import (
     KIND_ECU_STATE_CHANGE,
     KIND_LINT_WARNING,
     KIND_TASK_FAULT,
+    Sample,
     TelemetryEvent,
+    rebase,
 )
 from .flowcheck import ProgramFlowCheckingUnit
-from .heartbeat import HeartbeatMonitoringUnit, _TM_SYNC_INTERVAL
+from .heartbeat import HeartbeatMonitoringUnit
 from .hypothesis import FaultHypothesis
 from .reports import (
     ErrorType,
@@ -50,6 +51,11 @@ FaultListener = Callable[[RunnableError], None]
 
 _ERROR_TYPES = tuple(ErrorType)
 
+_TM_FAMILIES = (
+    ("wd_detections_total", "counter",
+     "Detected runnable errors by error type"),
+)
+
 
 class SoftwareWatchdog:
     """The complete dependability software service of the paper.
@@ -62,9 +68,9 @@ class SoftwareWatchdog:
     """
 
     __slots__ = (
-        "telemetry", "event_sink", "_tm_enabled", "name", "hypothesis",
+        "telemetry", "event_sink", "name", "hypothesis",
         "hbm", "pfc", "tsi", "detected", "detected_per_runnable",
-        "history", "_fault_listeners",
+        "_fault_listeners", "_tm_base",
     )
 
     def __init__(
@@ -82,12 +88,11 @@ class SoftwareWatchdog:
             raise ValueError(f"unknown lint mode {lint!r} "
                              "(expected 'error', 'warn' or 'off')")
         # Telemetry knobs mirror ``lint=``: optional, default inert.  The
-        # registry fans out to the three units; the event sink receives
-        # structured JSONL-able records for detections, task faults, ECU
-        # state changes and lint warnings.
+        # registry reads the facade and its three units at export time;
+        # the event sink receives structured JSONL-able records for
+        # detections, task faults, ECU state changes and lint warnings.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self.event_sink = event_sink if event_sink is not None else NULL_SINK
-        self._tm_enabled = self.telemetry.enabled
         hypothesis.validate()
         if lint != "off":
             self._lint_hypothesis(hypothesis, mode=lint, source=name)
@@ -121,10 +126,9 @@ class SoftwareWatchdog:
         #: Cumulative detections per (runnable, error type).
         self.detected_per_runnable: Dict[str, Dict[ErrorType, int]] = {}
         self._fault_listeners: List[FaultListener] = []
-        if self._tm_enabled:
-            # Create every series up front so exports show zeros.
-            for et in _ERROR_TYPES:
-                self._detection_counter(et)
+        #: Subtracted from :meth:`_tallies` on export (see ``rebase``).
+        self._tm_base = (0,) * len(_ERROR_TYPES)
+        self.telemetry.add_source(_TM_FAMILIES, self._metrics)
         if self.event_sink.enabled:
             self.tsi.add_task_fault_listener(self._emit_task_fault_event)
             self.tsi.add_ecu_state_listener(self._emit_ecu_state_event)
@@ -212,25 +216,13 @@ class SoftwareWatchdog:
         """One watchdog check cycle ("shortly before the next period
         begins"): advance all cycle counters, evaluate bounds and emit
         errors."""
-        errors = self.hbm.cycle(time)
-        if self._tm_enabled and self.hbm.cycle_count % _TM_SYNC_INTERVAL == 0:
-            self.pfc.sync_telemetry()
-        return errors
-
-    def sync_telemetry(self) -> None:
-        """Fold every unit's plain-int tallies into the registry.
-
-        :meth:`check_cycle` already does this once per cycle; call it
-        explicitly before rendering a snapshot taken mid-cycle."""
-        self.hbm.sync_telemetry()
-        self.pfc.sync_telemetry()
+        return self.hbm.cycle(time)
 
     def withdraw_telemetry(self) -> None:
-        """Take this watchdog's share back out of the gauges every unit
-        on its registry sums into; for a watchdog being discarded while
-        the registry lives on (a daemon replacing its fleet)."""
-        self.hbm.withdraw_telemetry()
-        self.tsi.withdraw_telemetry()
+        """Stop the registry reading this watchdog and its units; for a
+        watchdog discarded while the registry lives on."""
+        for unit in (self, self.hbm, self.pfc, self.tsi):
+            self.telemetry.remove_source(unit._metrics)
 
     def notify_task_start(self, task: str) -> None:
         """Inform the PFC unit that a task activation began (the stream
@@ -290,11 +282,14 @@ class SoftwareWatchdog:
     def restore_state(self, state: Dict[str, object]) -> None:
         """Resume from a :meth:`snapshot_state` capture (older captures'
         derived ``detected`` and ``check_cycle_count`` are ignored)."""
+        before = self._tallies()
         per_runnable = error_counts_from_json(state["detected_per_runnable"])
         self.detected_per_runnable = per_runnable
         self.detected = {
             et: sum(counts.get(et, 0) for counts in per_runnable.values())
             for et in _ERROR_TYPES}
+        # Exported counters count only this process's work.
+        self._tm_base = rebase(self._tm_base, before, self._tallies())
         self.hbm.restore_state(state["hbm"])
         self.pfc.restore_state(state["pfc"])
         self.tsi.restore_state(state["tsi"])
@@ -305,16 +300,26 @@ class SoftwareWatchdog:
         self.hbm.reset()
         self.pfc.reset_all()
         self.tsi.reset()
+        before = self._tallies()
         self.detected = dict.fromkeys(_ERROR_TYPES, 0)
         self.detected_per_runnable.clear()
+        # Exported counters stay monotonic across the reset.
+        self._tm_base = rebase(self._tm_base, before, self._tallies())
+
+    def _tallies(self) -> Tuple[int, ...]:
+        return tuple(self.detected[et] for et in _ERROR_TYPES)
+
+    def _metrics(self) -> Iterator[Sample]:
+        """The registry's read of the detections (a telemetry source)."""
+        for et, base in zip(_ERROR_TYPES, self._tm_base):
+            yield ("wd_detections_total", (("error_type", et._value_),),
+                   self.detected[et] - base)
 
     # ------------------------------------------------------------------
     def _on_runnable_error(self, error: RunnableError) -> None:
         self.detected[error.error_type] += 1
         per_type = self.detected_per_runnable.setdefault(error.runnable, {})
         per_type[error.error_type] = per_type.get(error.error_type, 0) + 1
-        if self._tm_enabled:
-            self._detection_counter(error.error_type).inc()
         if self.event_sink.enabled:
             self.event_sink.emit(TelemetryEvent(
                 time=error.time,
@@ -329,15 +334,6 @@ class SoftwareWatchdog:
         self.tsi.record_error(error)
         for listener in self._fault_listeners:
             listener(error)
-
-    def _detection_counter(self, error_type: ErrorType):
-        """The registry's detection counter for ``error_type``, looked up
-        per detection (rare) rather than held by every watchdog."""
-        return self.telemetry.counter(
-            "wd_detections_total",
-            "Detected runnable errors by error type",
-            error_type=error_type._value_,
-        )
 
     def _emit_task_fault_event(self, event: TaskFaultEvent) -> None:
         self.event_sink.emit(TelemetryEvent(

@@ -22,12 +22,22 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, Iterator, List, Optional, Protocol
 
 from ..core.reports import ErrorType, RunnableError, TaskFaultEvent
-from ..telemetry import KIND_TREATMENT, NULL_REGISTRY, NULL_SINK, TelemetryEvent
+from ..telemetry import (
+    KIND_TREATMENT, NULL_REGISTRY, NULL_SINK, Sample, TelemetryEvent,
+)
 from .application import Application
 from .services import DependabilityService
+
+
+#: The families the FMF reports, counted from its logs at export time.
+_TM_FAMILIES = (
+    ("fmf_faults_total", "counter", "Faults recorded by the FMF, by category"),
+    ("fmf_treatments_total", "counter",
+     "Treatments carried out by the FMF, by action"),
+)
 
 
 class Severity(enum.IntEnum):
@@ -126,13 +136,8 @@ class FaultManagementFramework(DependabilityService):
         self.fault_log: List[FaultRecord] = []
         self.treatment_log: List[TreatmentRecord] = []
         self.app_restart_counts: Dict[str, int] = {}
-        # Faults and treatments are rare events, so the instruments are
-        # updated live; labelled counters are cached per category/action.
-        self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         self.event_sink = event_sink if event_sink is not None else NULL_SINK
-        self._tm_enabled = self.telemetry.enabled
-        self._tm_faults: Dict[str, object] = {}
-        self._tm_treatments: Dict[TreatmentAction, object] = {}
+        (telemetry or NULL_REGISTRY).add_source(_TM_FAMILIES, self._metrics)
         self.provide_interface("fmf.fault_report", self.report_fault)
         self.provide_interface("fmf.runnable_error", self.on_runnable_error)
         self.provide_interface("fmf.task_fault", self.on_task_fault)
@@ -143,16 +148,6 @@ class FaultManagementFramework(DependabilityService):
     def report_fault(self, record: FaultRecord) -> None:
         """Generic fault-report interface (any platform module may call)."""
         self.fault_log.append(record)
-        if self._tm_enabled:
-            counter = self._tm_faults.get(record.category)
-            if counter is None:
-                counter = self.telemetry.counter(
-                    "fmf_faults_total",
-                    "Faults recorded by the FMF, by category",
-                    category=record.category,
-                )
-                self._tm_faults[record.category] = counter
-            counter.inc()
 
     def on_runnable_error(self, error: RunnableError) -> None:
         """Adapter for the watchdog's detected-fault interface."""
@@ -253,16 +248,6 @@ class FaultManagementFramework(DependabilityService):
         self.treatment_log.append(
             TreatmentRecord(time=time, action=action, subject=subject, reason=reason)
         )
-        if self._tm_enabled:
-            counter = self._tm_treatments.get(action)
-            if counter is None:
-                counter = self.telemetry.counter(
-                    "fmf_treatments_total",
-                    "Treatments carried out by the FMF, by action",
-                    action=action.value,
-                )
-                self._tm_treatments[action] = counter
-            counter.inc()
         if self.event_sink.enabled:
             self.event_sink.emit(TelemetryEvent(
                 time=time,
@@ -287,3 +272,10 @@ class FaultManagementFramework(DependabilityService):
         for record in self.treatment_log:
             out[record.action] = out.get(record.action, 0) + 1
         return out
+
+    def _metrics(self) -> Iterator[Sample]:
+        """The registry's read of the two logs (a telemetry source)."""
+        for category, count in self.faults_by_category().items():
+            yield "fmf_faults_total", (("category", category),), count
+        for action, count in self.treatments_by_action().items():
+            yield "fmf_treatments_total", (("action", action.value),), count

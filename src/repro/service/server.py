@@ -44,10 +44,10 @@ import functools
 import json
 import os
 import time as _time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.reports import EcuStateChange, RunnableError, TaskFaultEvent
-from ..telemetry import MetricsRegistry, NULL_SINK, TelemetryEvent
+from ..telemetry import MetricsRegistry, NULL_SINK, Sample, TelemetryEvent
 from .fleet import Fleet
 from .persistence import (
     JOURNAL_ACTIVATION,
@@ -102,6 +102,25 @@ _CLOSE_FLUSH_S = 1.0
 #: 1.5-3 ms at 16 records, 3.5-4.5 ms at 32 and 5.5-8 ms at 64, while
 #: the snapshot's total on-loop time did not depend on the slice size.
 _SNAPSHOT_SLICE = 16
+
+#: The daemon's own tallies, read at export time (``_metrics``).
+_TM_FAMILIES = (
+    ("service_connections", "gauge", "Currently open client connections"),
+    ("service_registrations", "gauge", "Registered (ever-seen) hypotheses"),
+    ("service_missed_ticks_total", "counter",
+     "Check cycles the real-time ticker could not run on schedule"),
+    ("service_pushes_dropped_total", "counter",
+     "DETECTION/STATE pushes dropped because no client was bound"),
+    ("service_handler_errors_total", "counter",
+     "Indications and registration check cycles whose handler raised "
+     "(isolated: the rest of the frame, and the other registrations' "
+     "cycles, still run)"),
+    ("service_snapshots_total", "counter",
+     "Point-in-time state snapshots written to the state dir"),
+    ("service_snapshot_failures_total", "counter",
+     "Periodic snapshot attempts that failed (the loop retries next "
+     "interval)"),
+)
 
 
 class _Connection(asyncio.BufferedProtocol):
@@ -218,6 +237,7 @@ class SupervisionServer:
         self._snapshot_write: Optional[asyncio.Future] = None
 
         tm = self.telemetry
+        tm.add_source(_TM_FAMILIES, self._metrics)
         self._tm_frames: Dict[str, Any] = {}
         self._tm_malformed = tm.counter(
             "service_malformed_frames_total",
@@ -230,13 +250,6 @@ class SupervisionServer:
         self._tm_unknown = tm.counter(
             "service_unknown_registration_total",
             "Indications naming a registration the fleet does not know")
-        self._tm_missed_ticks = tm.counter(
-            "service_missed_ticks_total",
-            "Check cycles the real-time ticker could not run on schedule")
-        self._tm_connections = tm.gauge(
-            "service_connections", "Currently open client connections")
-        self._tm_registrations = tm.gauge(
-            "service_registrations", "Registered (ever-seen) hypotheses")
         self._tm_disconnects: Dict[bool, Any] = {
             graceful: tm.counter(
                 "service_disconnects_total",
@@ -247,24 +260,9 @@ class SupervisionServer:
         self._tm_tick_duration = tm.histogram(
             "service_tick_duration_seconds",
             "Wall-clock duration of one fleet check cycle")
-        self._tm_pushes_dropped = tm.counter(
-            "service_pushes_dropped_total",
-            "DETECTION/STATE pushes dropped because no client was bound")
-        self._tm_handler_errors = tm.counter(
-            "service_handler_errors_total",
-            "Indications and registration check cycles whose handler "
-            "raised (isolated: the rest of the frame, and the other "
-            "registrations' cycles, still run)")
         self._tm_journal_records = tm.counter(
             "service_journal_records_total",
             "State-changing frames appended to the durable journal")
-        self._tm_snapshots = tm.counter(
-            "service_snapshots_total",
-            "Point-in-time state snapshots written to the state dir")
-        self._tm_snapshot_failures = tm.counter(
-            "service_snapshot_failures_total",
-            "Periodic snapshot attempts that failed (the loop retries "
-            "next interval)")
         self._tm_overflow_aborts = tm.counter(
             "service_overflow_aborts_total",
             "Connections aborted because their unsent output passed the "
@@ -273,6 +271,17 @@ class SupervisionServer:
             "service_register_rebinds_total",
             "REGISTERs that rebound an existing registration (reconnect "
             "replay) instead of creating one")
+
+    def _metrics(self) -> Iterator[Sample]:
+        """The registry's read of the daemon (a telemetry source)."""
+        yield "service_connections", (), len(self._connections)
+        yield "service_registrations", (), len(self.fleet.registrations)
+        yield "service_missed_ticks_total", (), self.missed_ticks
+        yield "service_pushes_dropped_total", (), self.pushes_dropped
+        yield "service_handler_errors_total", (), self.handler_errors
+        yield ("service_snapshots_total", (),
+               self.store.snapshots_written if self.store else 0)
+        yield "service_snapshot_failures_total", (), self.snapshot_failures
 
     def _new_fleet(self) -> Fleet:
         """An empty fleet with every push channel subscribed."""
@@ -375,10 +384,7 @@ class SupervisionServer:
         fleet = self.fleet
         failed = fleet.cycle_errors
         errors = fleet.tick(self.now() if time is None else time)
-        failed = fleet.cycle_errors - failed
-        if failed:
-            self.handler_errors += failed
-            self._tm_handler_errors.inc(failed)
+        self.handler_errors += fleet.cycle_errors - failed
         self._tm_tick_duration.observe(_time.perf_counter() - started)
         return errors
 
@@ -394,7 +400,6 @@ class SupervisionServer:
             if late > period:
                 missed = int(late // period)
                 self.missed_ticks += missed
-                self._tm_missed_ticks.inc(missed)
                 next_at += period * missed
             self.tick()
             next_at += period
@@ -420,7 +425,6 @@ class SupervisionServer:
         for event in restored.entries:
             self._apply_journal_entry(event)
         self.restored_registrations = len(self.fleet.registrations)
-        self._tm_registrations.set(self.restored_registrations)
 
     def _apply_journal_entry(self, event: TelemetryEvent) -> None:
         """Re-apply one journaled control-plane frame.
@@ -458,7 +462,6 @@ class SupervisionServer:
             self.store.append(kind, subject, **data)
         except OSError as exc:
             self.handler_errors += 1
-            self._tm_handler_errors.inc()
             self._send(conn, T_ACK, ok=False, re=re, name=subject,
                        error=f"journal append failed: {exc}")
             return False
@@ -472,11 +475,7 @@ class SupervisionServer:
         event loop keeps serving while the snapshot is written."""
         if self.store is None:
             return None
-        payload = self.store.write_snapshot(
-            self.fleet.snapshot(), name=self.name
-        )
-        self._tm_snapshots.inc()
-        return payload
+        return self.store.write_snapshot(self.fleet.snapshot(), name=self.name)
 
     async def _write_snapshot_async(self) -> None:
         """One periodic snapshot, streamed from live state.
@@ -505,7 +504,6 @@ class SupervisionServer:
             self.store.write_snapshot_payload, snapshot))
         await asyncio.shield(self._snapshot_write)
         self.store.truncate_journal_through(snapshot.seq)
-        self._tm_snapshots.inc()
 
     async def _snapshot_loop(self) -> None:
         while True:
@@ -520,14 +518,12 @@ class SupervisionServer:
                 # silently degrade to journal-only and the journal would
                 # never be truncated again.  Count it; retry next cycle.
                 self.snapshot_failures += 1
-                self._tm_snapshot_failures.inc()
 
     # ------------------------------------------------------------------
     # wire protocol connections
     # ------------------------------------------------------------------
     def _connection_made(self, conn: _Connection) -> None:
         self._connections.add(conn)
-        self._tm_connections.inc()
 
     def _connection_lost(self, conn: _Connection) -> None:
         self._closing.discard(conn)
@@ -651,7 +647,6 @@ class SupervisionServer:
         registration.connected = True
         conn.registrations.add(name)
         self._conn_of[name] = conn
-        self._tm_registrations.set(len(self.fleet.registrations))
         if rebound:
             self._tm_rebinds.inc()
         self._send(
@@ -703,7 +698,6 @@ class SupervisionServer:
                 # One poisoned indication must not abort the rest of
                 # its frame or the connection.  Count and continue.
                 self.handler_errors += 1
-                self._tm_handler_errors.inc()
                 continue
             applied += 1
         if applied:
@@ -716,7 +710,6 @@ class SupervisionServer:
         conn = self._conn_of.get(registration)
         if conn is None or conn.closed:
             self.pushes_dropped += 1
-            self._tm_pushes_dropped.inc()
             return
         self._send(conn, type, name=registration, **data)
 
@@ -791,7 +784,6 @@ class SupervisionServer:
         if conn not in self._connections:
             return
         self._connections.discard(conn)
-        self._tm_connections.dec()
         self._tm_disconnects[conn.said_bye].inc()
         for name in conn.registrations:
             registration = self.fleet.registration(name)
@@ -857,8 +849,6 @@ class SupervisionServer:
                 status, ctype, body = "405 Method Not Allowed", "text/plain", \
                     "only GET is supported\n"
             elif path == "/metrics":
-                for registration in self.fleet.registrations.values():
-                    registration.watchdog.sync_telemetry()
                 status, ctype, body = ("200 OK",
                                        "text/plain; version=0.0.4",
                                        self.telemetry.render_prometheus())

@@ -377,7 +377,7 @@ class SupervisorShard:
 
     def discard(self, name: str) -> None:
         """Undo the admission of ``name``, whose REGISTER could not be
-        journaled, gauges included."""
+        journaled; the registry stops reading its watchdog."""
         self.registrations.pop(name).watchdog.withdraw_telemetry()
 
     # ------------------------------------------------------------------

@@ -4,7 +4,8 @@ The observability layer of the reproduction.  Every supervised
 component — the HBM/PFC/TSI units, the service facade, the Fault
 Management Framework, the campaign engine — accepts a ``telemetry=``
 registry (metrics) and, where it narrates discrete occurrences, an
-``event_sink=`` (structured events).  Both default to no-op twins
+``event_sink=`` (structured events); a component's own tallies are
+read at export time.  Both default to no-op twins
 (:data:`NULL_REGISTRY` / :data:`NULL_SINK`) so an uninstrumented run
 pays one dead attribute check per hot-path block; the overhead
 benchmark (``benchmarks/test_bench_telemetry_overhead.py``) holds the
@@ -48,6 +49,8 @@ from .registry import (
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
+    Sample,
+    rebase,
 )
 
 __all__ = [
@@ -71,7 +74,9 @@ __all__ = [
     "NULL_SINK",
     "NullRegistry",
     "NullSink",
+    "Sample",
     "TelemetryEvent",
     "TelemetrySink",
     "read_jsonl",
+    "rebase",
 ]

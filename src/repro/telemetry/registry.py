@@ -6,11 +6,10 @@ ground truth the service deliberately never sees.  This module provides
 the instruments that close that gap:
 
 * :class:`Counter` — monotonically increasing event count,
-* :class:`Gauge` — a value that can go up and down (current states,
+* :class:`Gauge` — a value that is set, not counted (current states,
   table sizes, utilization),
 * :class:`Histogram` — fixed-bucket distribution (durations, sizes)
-  with Prometheus-style cumulative bucket exposition and quantile
-  estimates that reuse :func:`repro.analysis.metrics.percentile`,
+  with Prometheus-style cumulative bucket exposition,
 * :class:`MetricsRegistry` — the instrument factory and exporter
   (``render_prometheus()`` text exposition + ``snapshot()`` JSON dict),
 * :class:`NullRegistry` — the no-op twin.  Every instrument it hands
@@ -20,12 +19,13 @@ the instruments that close that gap:
   overhead benchmark asserts the live registry stays within 1.15× of
   this null path.
 
-Instruments are get-or-create: asking twice for the same
-``(name, labels)`` returns the same object, so independently
-instrumented units aggregate into one time series.  Label values are
-part of the identity (``wd_detections_total{error_type="aliveness"}``
-and ``...{error_type="program_flow"}`` are distinct series of one
-metric family).
+Code that keeps its own tallies registers them as a *source*, read at
+export time (:meth:`MetricsRegistry.add_source`), so the registry holds
+no copy and observing never writes into the observed code.  Only what
+no code keeps (timings, event counts) is pushed into get-or-create
+instruments.  Label values are part of a series' identity
+(``wd_detections_total{error_type="aliveness"}``); equal series from
+several sources (a daemon's fleet) are summed.
 """
 
 from __future__ import annotations
@@ -34,7 +34,10 @@ import json
 import math
 import re
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import attrgetter
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple)
 
 __all__ = [
     "Counter",
@@ -44,6 +47,8 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
+    "Sample",
+    "rebase",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -63,6 +68,19 @@ DEFAULT_DURATION_BUCKETS: Tuple[float, ...] = (
 )
 
 LabelsKey = Tuple[Tuple[str, str], ...]
+#: What a source yields: ``(name, labels, value)``.
+Sample = Tuple[str, LabelsKey, float]
+Source = Callable[[], Iterable[Sample]]
+#: A source's families: ``(name, kind, help)``, a counter or a gauge.
+Families = Sequence[Tuple[str, str, str]]
+
+
+def rebase(base: Tuple[int, ...], before: Tuple[int, ...],
+           after: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The base keeping exported counters (``tally - base``) unchanged
+    when tallies jump from ``before`` to ``after`` (a reset, a restore):
+    counters stay monotonic and count only this process's work."""
+    return tuple(b + a - p for b, p, a in zip(base, before, after))
 
 
 def _freeze_labels(labels: Dict[str, str]) -> LabelsKey:
@@ -81,6 +99,9 @@ def _render_labels(labels: LabelsKey) -> str:
 
 def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+_name_of = attrgetter("name")
 
 
 def _format_value(value: float) -> str:
@@ -109,7 +130,7 @@ class Counter:
 
 
 class Gauge:
-    """A value that can rise and fall (states, sizes, utilization)."""
+    """A value that is set, not counted (states, sizes, utilization)."""
 
     __slots__ = ("name", "labels", "value")
 
@@ -120,12 +141,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
 
 
 class Histogram:
@@ -184,6 +199,18 @@ class Histogram:
         return out
 
 
+class _Reading:
+    """A source's series as read (summed over sources): no ``inc`` or
+    ``set``, since the source's own tally is the only copy."""
+
+    __slots__ = ("name", "labels", "value")
+
+    def __init__(self, name: str, labels: LabelsKey, value: float) -> None:
+        self.name = name
+        self.labels = labels
+        self.value = value
+
+
 class MetricsRegistry:
     """Instrument factory plus Prometheus/JSON exporters."""
 
@@ -194,17 +221,13 @@ class MetricsRegistry:
     def __init__(self) -> None:
         #: name → (kind, help text); one metric family per name.
         self._families: Dict[str, Tuple[str, str]] = {}
-        #: (name, labels) → instrument.
-        self._instruments: Dict[Tuple[str, LabelsKey], Any] = {}
-        #: (kind, name, labels as passed) → instrument: the factories'
-        #: fast path for an instrument they already created, which skips
-        #: the name check and the label sort.  Only string label values
-        #: are keyed here (``True`` and ``1`` hash alike but label
-        #: differently), and only once the family has its help text, so
-        #: a hit has nothing left to update.
-        self._created: Dict[Tuple[Any, ...], Any] = {}
         #: Family creation order, for stable exposition output.
         self._order: List[str] = []
+        #: (name, labels) → pushed instrument.
+        self._instruments: Dict[Tuple[str, LabelsKey], Any] = {}
+        #: The families sources report, and the sources (an ordered set).
+        self._pulled: set = set()
+        self._sources: Dict[Source, None] = {}
 
     # ------------------------------------------------------------------
     # instrument factories (get-or-create)
@@ -234,18 +257,24 @@ class MetricsRegistry:
         labels: Dict[str, str],
         **extra: Any,
     ) -> Any:
-        try:
-            created_key: Optional[Tuple[Any, ...]] = (
-                kind, name, *labels.items())
-            instrument = self._created.get(created_key)
-        except TypeError:  # an unhashable label value: no fast path
-            created_key = instrument = None
-        if instrument is not None:
-            return instrument
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
+        self._declare(kind, name, help)
+        key = (name, _freeze_labels(labels))
+        if name in self._pulled:
+            # A source keeps this value: hand out a reading of it, never
+            # a second, writable copy.
+            return self.get(name, **labels) or _Reading(*key, 0)
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            instrument = self._KINDS[kind](*key, **extra)
+            self._instruments[key] = instrument
+        return instrument
+
+    def _declare(self, kind: str, name: str, help: str) -> None:
+        """Create family ``name``, or check its kind and fill its help."""
         family = self._families.get(name)
         if family is None:
+            if not _NAME_RE.match(name):
+                raise ValueError(f"invalid metric name {name!r}")
             self._families[name] = (kind, help)
             self._order.append(name)
         elif family[0] != kind:
@@ -255,35 +284,56 @@ class MetricsRegistry:
             )
         elif help and not family[1]:
             self._families[name] = (kind, help)
-        key = (name, _freeze_labels(labels))
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = self._KINDS[kind](name, key[1], **extra)
-            self._instruments[key] = instrument
-        if (created_key is not None and self._families[name][1]
-                and all(type(value) is str for value in labels.values())):
-            self._created[created_key] = instrument
-        return instrument
+
+    # ------------------------------------------------------------------
+    # sources (read at export time)
+    # ------------------------------------------------------------------
+    def add_source(self, families: Families, collect: Source) -> None:
+        """Read ``collect`` at every export.
+
+        ``families`` declares the counter and gauge families it reports
+        (no pushed instrument may join them); ``collect()`` yields
+        ``(name, labels, value)`` samples, labels a key-sorted tuple of
+        ``(label, value)`` string pairs.  Equal ``(name, labels)`` keys
+        from several sources are summed.
+        """
+        for name, kind, help in families:
+            self._declare(kind, name, help)
+            self._pulled.add(name)
+        self._sources[collect] = None
+
+    def remove_source(self, collect: Source) -> None:
+        """Stop reading ``collect`` (its owner is being discarded)."""
+        self._sources.pop(collect, None)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def families(self) -> List[str]:
-        """Registered metric family names, in creation order."""
+        """Declared metric family names, in creation order."""
         return list(self._order)
 
     def instruments(self, name: Optional[str] = None) -> List[Any]:
-        """Every instrument (optionally of one family), label-sorted."""
-        out = [
-            inst
-            for (family, _labels), inst in sorted(self._instruments.items())
-            if name is None or family == name
-        ]
-        return out
+        """Every series (optionally of one family) in family creation
+        order, label-sorted: the pushed instruments and a
+        :class:`_Reading` per distinct source sample key."""
+        pulled: Dict[Tuple[str, LabelsKey], float] = {}
+        for collect in self._sources:
+            for sample_name, labels, value in collect():
+                key = (sample_name, labels)
+                pulled[key] = pulled.get(key, 0) + value
+        found = [*self._instruments.values(),
+                 *(_Reading(*key, value) for key, value in pulled.items())]
+        rank = {family: index for index, family in enumerate(self._order)}
+        found.sort(key=lambda series: (rank[series.name], series.labels))
+        return found if name is None else [
+            series for series in found if series.name == name]
 
     def get(self, name: str, **labels: str) -> Optional[Any]:
-        """An existing instrument, or ``None`` (never creates)."""
-        return self._instruments.get((name, _freeze_labels(labels)))
+        """An existing series, or ``None`` (never creates)."""
+        key = _freeze_labels(labels)
+        return next((series for series in self.instruments(name)
+                     if series.labels == key), None)
 
     def value(self, name: str, **labels: str) -> Optional[float]:
         """Shortcut: the scalar value of a counter/gauge, or ``None``."""
@@ -296,12 +346,12 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition (format 0.0.4) of every series."""
         lines: List[str] = []
-        for name in self._order:
+        for name, family in groupby(self.instruments(), _name_of):
             kind, help_text = self._families[name]
             if help_text:
                 lines.append(f"# HELP {name} {_escape(help_text)}")
             lines.append(f"# TYPE {name} {kind}")
-            for instrument in self.instruments(name):
+            for instrument in family:
                 labels = instrument.labels
                 if kind == "histogram":
                     for le, cumulative in instrument.cumulative_buckets():
@@ -328,10 +378,10 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable snapshot of every series."""
         families: List[Dict[str, Any]] = []
-        for name in self._order:
+        for name, family in groupby(self.instruments(), _name_of):
             kind, help_text = self._families[name]
             series: List[Dict[str, Any]] = []
-            for instrument in self.instruments(name):
+            for instrument in family:
                 entry: Dict[str, Any] = {"labels": dict(instrument.labels)}
                 if kind == "histogram":
                     entry.update(
@@ -389,9 +439,10 @@ class NullRegistry:
     """No-op twin of :class:`MetricsRegistry`'s instrument factories.
 
     ``enabled`` is ``False`` so hot paths can skip whole measurement
-    blocks (``perf_counter`` calls, delta syncs) with one attribute
-    check; instrument handles are a shared singleton whose methods do
-    nothing, so straight-line instrumentation needs no branching.
+    blocks (``perf_counter`` calls) with one attribute check; sources
+    are never read, so registering one is a no-op; instrument handles
+    are a shared singleton whose methods do nothing, so straight-line
+    instrumentation needs no branching.
     """
 
     enabled = False
@@ -410,6 +461,12 @@ class NullRegistry:
         **labels: str,
     ) -> Histogram:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
+
+    def add_source(self, families: Families, collect: Source) -> None:
+        pass
+
+    def remove_source(self, collect: Source) -> None:
+        pass
 
 
 #: Shared process-wide null registry — the default for every

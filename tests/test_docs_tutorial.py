@@ -209,7 +209,6 @@ class TestObservability:
         ecu = Ecu("brake-node", brake_mapping(), watchdog_period=ms(5),
                   telemetry=registry, event_sink=sink)
         ecu.run_until(seconds(10))
-        ecu.watchdog.sync_telemetry()
         text = registry.render_prometheus()
         assert "# TYPE wd_hbm_check_cycles_total counter" in text
         assert registry.value("wd_hbm_check_cycles_total") > 0
@@ -234,7 +233,6 @@ class TestObservability:
         # A fault makes the labelled detection and FMF families appear.
         BlockedRunnableFault("ComputeForce").inject(FaultTarget.from_ecu(ecu))
         ecu.run_until(seconds(1))
-        ecu.watchdog.sync_telemetry()
 
         def system_factory():
             fresh = Ecu("brake-node", brake_mapping(), watchdog_period=ms(5))

@@ -288,6 +288,20 @@ class TestFleetGauges:
         assert restored_registry.value("wd_hbm_active_runnables") == 8
         assert restored_registry.value("wd_tsi_faulty_tasks") == 2
 
+    def test_table_pairs_sum_over_the_fleet(self):
+        """Regression: every PFC unit set the one unlabelled
+        ``wd_pfc_table_pairs`` gauge, so it read the last table built
+        (0 once a flow-less hypothesis joined a 4-pair one)."""
+        registry = MetricsRegistry()
+        fleet = Fleet(telemetry=registry)
+        flowless = FaultHypothesis()
+        flowless.add_runnable(RunnableHypothesis("r", task="T"))
+        fleet.register("pipeline", wire(pipeline_dict()))
+        fleet.register("flowless", wire(hypothesis_to_dict(flowless)))
+        assert registry.value("wd_pfc_table_pairs") == 4
+        fleet.register("pipeline2", wire(pipeline_dict()))
+        assert registry.value("wd_pfc_table_pairs") == 8
+
     def test_state_gauges_keep_one_series_per_watchdog(self):
         """Regression: every registration's TSI wrote the same unlabelled
         ``wd_tsi_ecu_state`` and ``wd_tsi_task_state{task=}`` series, so

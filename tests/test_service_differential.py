@@ -16,12 +16,16 @@ service must not have.
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.core import FaultHypothesis, RunnableHypothesis
 from repro.core.config_io import hypothesis_to_dict
-from repro.service import SupervisionServer, WatchdogClient, build_watchdog
+from repro.service import (
+    Fleet, SupervisionServer, WatchdogClient, build_watchdog,
+)
+from repro.telemetry import MetricsRegistry
 
 
 def make_hypothesis(prefix=""):
@@ -246,7 +250,64 @@ async def run_service_crash(name, state_dir, crash_after_ticks):
         await server.stop(save=False)
 
 
+def run_fleet_exports(names, crash_after_ticks=None):
+    """Apply the scripts to a :class:`Fleet` on its own registry, each
+    registration with a second task ``Q`` whose runnable never misses;
+    with ``crash_after_ticks``, the fleet is snapshotted then and the
+    rest runs on a fleet restored onto a fresh registry.  Returns the
+    exported series and every gauge's value."""
+    def build():
+        registry = MetricsRegistry()
+        return registry, Fleet(telemetry=registry)
+
+    registry, fleet = build()
+    for name in names:
+        hypothesis = make_hypothesis(name)
+        hypothesis.add_runnable(RunnableHypothesis(
+            f"{name}steady", task=f"{name}Q", aliveness_period=2,
+            min_heartbeats=1, arrival_period=2, max_heartbeats=8))
+        fleet.register(name, hypothesis_to_dict(hypothesis), app_of_task={
+            f"{name}T": f"{name}app", f"{name}Q": f"{name}steady_app"})
+    scripts = [make_script(name) for name in names]
+    ticks = 0
+    for steps in zip(*scripts):
+        for name, step in zip(names, steps):
+            if step[0] == "hb":
+                fleet.heartbeat(name, step[1], step[2], step[3])
+            elif step[0] == "task_start":
+                fleet.task_start(name, step[1])
+            else:
+                fleet.heartbeat(name, f"{name}steady", step[1], f"{name}Q")
+        if steps[0][0] == "tick":
+            fleet.tick(steps[0][1])
+            ticks += 1
+            if ticks == crash_after_ticks:
+                state = json.loads(json.dumps(fleet.snapshot()))
+                registry, fleet = build()
+                fleet.restore(state)
+    exported = registry.snapshot()["metrics"]
+    series = {(family["name"], tuple(sorted(entry["labels"].items())))
+              for family in exported for entry in family["series"]}
+    gauges = {(family["name"], tuple(sorted(entry["labels"].items()))):
+              entry["value"]
+              for family in exported if family["type"] == "gauge"
+              for entry in family["series"]}
+    return series, gauges
+
+
 class TestCrashRecoveryDifferential:
+    def test_restored_fleet_exports_what_one_that_never_died_does(self):
+        """The same series, every gauge equal: a task that never erred
+        has its state series whether or not the fleet was restored.
+        (Counters differ by design: a restored process counts only its
+        own work.)"""
+        names = ["x.", "y."]
+        series, gauges = run_fleet_exports(names)
+        assert ("wd_tsi_task_state",
+                (("task", "x.Q"), ("watchdog", "x."))) in series
+        assert run_fleet_exports(names, crash_after_ticks=7) == (
+            series, gauges)
+
     def test_restored_daemon_equals_one_that_never_died(self, tmp_path):
         """kill mid-crash-window, restore, finish the script: detections
         and final states must equal the uninterrupted direct run."""

@@ -10,6 +10,7 @@ expiry-wheel and parallel-campaign equivalence suites.
 import pytest
 
 from repro.core import ErrorType
+from repro.core.reports import MONITOR_STATE_RANK
 from repro.faults import BlockedRunnableFault, Campaign, ErrorInjector, FaultTarget
 from repro.experiments.coverage import standard_fault_specs
 from repro.kernel import ms, seconds
@@ -19,8 +20,9 @@ from repro.telemetry import InMemorySink, MetricsRegistry
 from testutil import make_safespeed_mapping, trace_to_jsonl
 
 
-def run_faulty_ecu(telemetry=None, event_sink=None):
-    """One deterministic faulty scenario: a blocked runnable for 300 ms."""
+def faulty_ecu(telemetry=None, event_sink=None):
+    """One deterministic faulty scenario, armed: a blocked runnable for
+    300 ms."""
     ecu = Ecu(
         "central",
         make_safespeed_mapping(),
@@ -31,6 +33,11 @@ def run_faulty_ecu(telemetry=None, event_sink=None):
     injector = ErrorInjector(FaultTarget.from_ecu(ecu))
     injector.inject_at(ms(300), BlockedRunnableFault("SAFE_CC_process"),
                        restore_at=ms(600))
+    return ecu
+
+
+def run_faulty_ecu(telemetry=None, event_sink=None):
+    ecu = faulty_ecu(telemetry, event_sink)
     ecu.run_until(seconds(1))
     return ecu
 
@@ -70,7 +77,6 @@ class TestEcuEquivalence:
                 == baseline.watchdog.tsi.error_vectors)
 
     def test_instruments_agree_with_ground_truth(self, observed):
-        observed.watchdog.sync_telemetry()
         registry = observed.watchdog.telemetry
         aliveness = observed.watchdog.detection_count(ErrorType.ALIVENESS)
         # The monotonic counter covers the whole run including any
@@ -80,6 +86,46 @@ class TestEcuEquivalence:
         assert registry.value("wd_detections_total",
                               error_type="aliveness") > 0
         assert aliveness > 0  # the scenario actually exercised detection
+
+
+class TestRegistryReadsTheUnits:
+    def test_every_cycle_without_a_sync(self):
+        """At every check cycle of the faulty run the registry reads
+        what the units count.  The ECU-reset treatments restart the HBM
+        and TSI tallies while the exported counters stay monotonic, so
+        those read the tally plus what the resets carried over."""
+        registry = MetricsRegistry()
+        ecu = faulty_ecu(telemetry=registry)
+        wd = ecu.watchdog
+        tallies = {
+            "wd_hbm_check_cycles_total": lambda: wd.hbm.cycle_count,
+            "wd_hbm_heartbeats_total": lambda: wd.hbm.heartbeat_count,
+            "wd_hbm_slots_checked_total": lambda: wd.hbm.slots_visited,
+            "wd_tsi_errors_recorded_total": lambda: wd.tsi.errors_recorded,
+        }
+        carried = dict.fromkeys(tallies, 0)
+        resets = 0
+        for cycle in range(1, 101):
+            ecu.run_until(cycle * ms(10))
+            assert (registry.value("wd_pfc_observations_total")
+                    == wd.pfc.observation_count)
+            assert (registry.value("wd_pfc_violations_total")
+                    == wd.pfc.violation_count)
+            assert (registry.value("wd_hbm_active_runnables")
+                    == wd.hbm.active.count(True))
+            assert (registry.value("wd_tsi_faulty_tasks")
+                    == len(wd.tsi.faulty_tasks))
+            assert (registry.value("wd_tsi_ecu_state", watchdog=wd.name)
+                    == MONITOR_STATE_RANK[wd.ecu_state()])
+            reset = len(ecu.reset_times) > resets
+            resets = len(ecu.reset_times)
+            for name, tally in tallies.items():
+                exported = registry.value(name)
+                if reset:
+                    assert exported - tally() >= carried[name]
+                    carried[name] = exported - tally()
+                assert exported == tally() + carried[name], (name, cycle)
+        assert resets and carried["wd_hbm_check_cycles_total"] > 0
 
 
 class TestCampaignEquivalence:

@@ -60,7 +60,6 @@ class TestWatchdogInstruments:
             for i, name in enumerate(("A", "B", "C")):
                 wd.heartbeat_indication(name, base + i, task="T")
             wd.check_cycle(base + 9)
-        wd.sync_telemetry()
         assert registry.value("wd_hbm_check_cycles_total") == 5
         assert registry.value("wd_hbm_heartbeats_total") == 15
         assert registry.value("wd_pfc_observations_total") == 15
@@ -126,7 +125,6 @@ class TestWatchdogInstruments:
         assert registry.value("wd_hbm_heartbeats_total") == 1
         assert registry.value("wd_tsi_ecu_state", watchdog=wd.name) == 0
         wd.check_cycle(10)
-        wd.sync_telemetry()
         assert registry.value("wd_hbm_check_cycles_total") == 2
 
     def test_lint_warning_events(self):
@@ -160,7 +158,6 @@ class TestEcuInstruments:
         injector.inject_at(ms(300), BlockedRunnableFault("SAFE_CC_process"),
                            restore_at=ms(600))
         ecu.run_until(seconds(1))
-        ecu.watchdog.sync_telemetry()
         detections = registry.value("wd_detections_total",
                                     error_type="aliveness")
         # Counters are monotonic: an ECU-reset treatment zeroes the

@@ -8,7 +8,6 @@ import pytest
 from repro.telemetry import (
     Counter,
     DEFAULT_DURATION_BUCKETS,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_REGISTRY,
@@ -28,20 +27,6 @@ class TestCounter:
         counter = Counter("c")
         with pytest.raises(ValueError):
             counter.inc(-1)
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("g")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value == 13
-
-    def test_may_go_negative(self):
-        gauge = Gauge("g")
-        gauge.dec(3)
-        assert gauge.value == -3
 
 
 class TestHistogram:
