@@ -275,14 +275,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_metrics(args: argparse.Namespace) -> None:
     from .kernel import seconds
-    from .telemetry import (
-        JsonlFileSink,
-        MetricsRegistry,
-        NULL_SINK,
-    )
+    from .telemetry import JsonlFileSink, MetricsRegistry
 
     registry = MetricsRegistry()
-    sink = JsonlFileSink(args.telemetry) if args.telemetry else NULL_SINK
+    sink = JsonlFileSink(args.telemetry) if args.telemetry else None
 
     if args.scenario in ("rig", "faulty"):
         from .validator import HilValidator
@@ -311,7 +307,7 @@ def cmd_metrics(args: argparse.Namespace) -> None:
         print(registry.render_prometheus(), end="")
     else:
         print(registry.render_json())
-    if sink is not NULL_SINK:
+    if sink is not None:
         sink.close()
 
 

@@ -8,8 +8,13 @@ mapping — to application states and a single global ECU state, which the
 Fault Management Framework uses to pick a treatment (§3.4):
 
 * global ECU state faulty  → ECU software reset,
-* ECU OK, application faulty → restart or terminate the application,
-* remaining tasks of terminated applications → restart via OS services.
+* ECU OK, application faulty → restart or terminate the application.
+
+The paper also restarts the remaining tasks of a terminated application
+via OS services.  Here termination (``Ecu.terminate_application``)
+force-terminates each task that only terminated applications own,
+cancels its release alarm and switches its runnables' Activation Status
+off, so the muted task is neither restarted nor monitored (DESIGN.md §7).
 """
 
 from __future__ import annotations

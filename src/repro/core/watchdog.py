@@ -12,6 +12,8 @@ Wires the three basic units together:
   application / ECU states,
 * detected faults and task-fault events are forwarded to registered
   listeners — on the platform this is the Fault Management Framework.
+  Listeners are the watchdog's one way out: the telemetry event stream
+  is a subscriber too (:class:`repro.telemetry.WatchdogEvents`).
 
 The facade also keeps the cumulative detection counters the paper's
 evaluation plots show (``AM Result``, ``ARM Result`` and ``PFC Result``
@@ -23,17 +25,7 @@ from __future__ import annotations
 import warnings as _warnings
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..telemetry import (
-    NULL_REGISTRY,
-    NULL_SINK,
-    KIND_DETECTION,
-    KIND_ECU_STATE_CHANGE,
-    KIND_LINT_WARNING,
-    KIND_TASK_FAULT,
-    Sample,
-    TelemetryEvent,
-    rebase,
-)
+from ..telemetry import NULL_REGISTRY, Sample, rebase
 from .flowcheck import ProgramFlowCheckingUnit
 from .heartbeat import HeartbeatMonitoringUnit
 from .hypothesis import FaultHypothesis
@@ -68,7 +60,7 @@ class SoftwareWatchdog:
     """
 
     __slots__ = (
-        "telemetry", "event_sink", "name", "hypothesis",
+        "telemetry", "lint_report", "name", "hypothesis",
         "hbm", "pfc", "tsi", "detected", "detected_per_runnable",
         "_fault_listeners", "_tm_base",
     )
@@ -82,20 +74,20 @@ class SoftwareWatchdog:
         app_of_task: Optional[Dict[str, str]] = None,
         lint: str = "warn",
         telemetry=None,
-        event_sink=None,
     ) -> None:
         if lint not in ("error", "warn", "off"):
             raise ValueError(f"unknown lint mode {lint!r} "
                              "(expected 'error', 'warn' or 'off')")
-        # Telemetry knobs mirror ``lint=``: optional, default inert.  The
-        # registry reads the facade and its three units at export time;
-        # the event sink receives structured JSONL-able records for
-        # detections, task faults, ECU state changes and lint warnings.
+        # The telemetry knob mirrors ``lint=``: optional, default inert.
+        # The registry reads the facade and its three units at export
+        # time.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
-        self.event_sink = event_sink if event_sink is not None else NULL_SINK
         hypothesis.validate()
-        if lint != "off":
+        #: The construction-time wdlint report (``None`` under
+        #: ``lint="off"``); an event subscriber replays its diagnostics.
+        self.lint_report = (
             self._lint_hypothesis(hypothesis, mode=lint, source=name)
+            if lint != "off" else None)
         self.name = name
         self.hypothesis = hypothesis
         tables = hypothesis.static_tables()
@@ -129,15 +121,13 @@ class SoftwareWatchdog:
         #: Subtracted from :meth:`_tallies` on export (see ``rebase``).
         self._tm_base = (0,) * len(_ERROR_TYPES)
         self.telemetry.add_source(_TM_FAMILIES, self._metrics)
-        if self.event_sink.enabled:
-            self.tsi.add_task_fault_listener(self._emit_task_fault_event)
-            self.tsi.add_ecu_state_listener(self._emit_ecu_state_event)
 
     # ------------------------------------------------------------------
     def _lint_hypothesis(
         self, hypothesis: FaultHypothesis, *, mode: str, source: str
-    ) -> None:
-        """Construction-time wdlint pass (the ``lint=`` knob).
+    ):
+        """Construction-time wdlint pass (the ``lint=`` knob); returns
+        the report.
 
         ``"error"`` refuses to build a watchdog from a hypothesis with
         error-severity diagnostics; ``"warn"`` (the default) surfaces
@@ -154,17 +144,7 @@ class SoftwareWatchdog:
             raise LintError(report)
         for diagnostic in report.diagnostics:
             _warnings.warn(str(diagnostic), LintWarning, stacklevel=3)
-            if self.event_sink.enabled:
-                self.event_sink.emit(TelemetryEvent(
-                    time=0,
-                    kind=KIND_LINT_WARNING,
-                    subject=source,
-                    data={
-                        "code": diagnostic.code,
-                        "severity": diagnostic.severity.value,
-                        "message": diagnostic.message,
-                    },
-                ))
+        return report
 
     # ------------------------------------------------------------------
     # service interfaces (the two main interfaces of §4.4)
@@ -317,44 +297,12 @@ class SoftwareWatchdog:
 
     # ------------------------------------------------------------------
     def _on_runnable_error(self, error: RunnableError) -> None:
+        """Count one detection, report it, then let the TSI aggregate
+        it: a listener hears the cause before the task fault or state
+        change it leads to."""
         self.detected[error.error_type] += 1
         per_type = self.detected_per_runnable.setdefault(error.runnable, {})
         per_type[error.error_type] = per_type.get(error.error_type, 0) + 1
-        if self.event_sink.enabled:
-            self.event_sink.emit(TelemetryEvent(
-                time=error.time,
-                kind=KIND_DETECTION,
-                subject=error.runnable,
-                data={
-                    "error_type": error.error_type.value,
-                    "task": error.task,
-                    "details": dict(error.details or {}),
-                },
-            ))
-        self.tsi.record_error(error)
         for listener in self._fault_listeners:
             listener(error)
-
-    def _emit_task_fault_event(self, event: TaskFaultEvent) -> None:
-        self.event_sink.emit(TelemetryEvent(
-            time=event.time,
-            kind=KIND_TASK_FAULT,
-            subject=event.task,
-            data={
-                "trigger_runnable": event.trigger_runnable,
-                "trigger_error_type": event.trigger_error_type.value,
-                "error_vector": error_counts_to_json(event.error_vector),
-            },
-        ))
-
-    def _emit_ecu_state_event(self, change) -> None:
-        self.event_sink.emit(TelemetryEvent(
-            time=change.time,
-            kind=KIND_ECU_STATE_CHANGE,
-            subject=self.name,
-            data={
-                "old_state": change.old_state.value,
-                "new_state": change.new_state.value,
-                "faulty_tasks": list(change.faulty_tasks),
-            },
-        ))
+        self.tsi.record_error(error)

@@ -217,8 +217,6 @@ class Campaign:
         # no-ops.  Runs are timed either way, outside the run itself.
         self.telemetry = telemetry if telemetry is not None else NULL_REGISTRY
         tm = self.telemetry
-        self._tm_runs = tm.counter(
-            "campaign_runs_total", "Injection experiments completed")
         self._tm_run_seconds = tm.histogram(
             "campaign_run_seconds",
             "Wall-clock duration of one injection experiment",
@@ -301,7 +299,6 @@ class Campaign:
         for index, (runs, durations) in _chunk_outcomes(chunks, workers):
             collected[index] = runs
             busy_seconds += sum(durations)
-            self._tm_runs.inc(len(durations))
             for duration in durations:
                 self._tm_run_seconds.observe(duration)
             done += len(runs)

@@ -10,7 +10,7 @@
   the periodic check task bound into the kernel),
 * the Fault Management Framework, wired to the watchdog's two fault
   interfaces and implementing the treatment primitives of §3.4
-  (software reset, application restart/termination, task restart),
+  (software reset, application restart and termination),
 * the service registry and the layered topology model.
 
 This is the object examples and the HIL validator instantiate; it is
@@ -28,6 +28,7 @@ from ..kernel.alarms import AlarmTable
 from ..kernel.clock import ms
 from ..kernel.scheduler import Kernel
 from ..kernel.tracing import TraceKind
+from ..telemetry import WatchdogEvents
 from .application import Application, BuiltSystem, SystemBuilder, TaskMapping
 from .fmf import FaultManagementFramework, FaultRecord, FmfPolicy, Severity
 from .layers import SoftwareTopology, build_easis_topology
@@ -99,8 +100,11 @@ class Ecu:
             app_of_task=app_of_task,
             lint=lint,
             telemetry=telemetry,
-            event_sink=event_sink,
         )
+        # The event stream subscribes first, so a detection is recorded
+        # before the FMF's treatment of it.
+        if event_sink is not None:
+            WatchdogEvents(event_sink).attach(self.watchdog)
         install_glue_on_all(self.watchdog, self.system.runnables.values())
         if watchdog_priority is None:
             highest_app = max(

@@ -9,9 +9,12 @@ abstract :class:`EcuActions` interface implemented by the ECU model:
 * global ECU state faulty → software reset (if every affected
   application's constraints allow it),
 * global ECU state OK → restart or terminate the faulty application
-  software components,
-* tasks not belonging to any terminated/restarted application may be
-  restarted via OS services.
+  software components.
+
+The paper's third treatment, restarting the remaining tasks of a
+terminated application via OS services, is not ordered: termination
+force-terminates and mutes the application's exclusive tasks instead
+(DESIGN.md §7).
 
 The policy adds one pragmatic element the paper's outlook anticipates
 ("fault handling strategies ... dynamic reconfiguration"): repeated
@@ -53,7 +56,6 @@ class TreatmentAction(enum.Enum):
     """Fault treatments the FMF can order (§3.4)."""
 
     NONE = "none"
-    RESTART_TASK = "restart_task"
     RESTART_APPLICATION = "restart_application"
     TERMINATE_APPLICATION = "terminate_application"
     ECU_RESET = "ecu_reset"

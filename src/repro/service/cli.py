@@ -119,8 +119,6 @@ class _TelemetryFile:
     or by :meth:`open` once the server listens.  A server refused a held
     state directory leaves the running server's file untouched."""
 
-    enabled = True
-
     def __init__(self, path: str) -> None:
         self.path = path
         self._sink = None

@@ -47,7 +47,9 @@ import time as _time
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.reports import EcuStateChange, RunnableError, TaskFaultEvent
-from ..telemetry import MetricsRegistry, NULL_SINK, Sample, TelemetryEvent
+from ..telemetry import (
+    MetricsRegistry, Sample, TelemetryEvent, WatchdogEvents,
+)
 from .fleet import Fleet
 from .persistence import (
     JOURNAL_ACTIVATION,
@@ -204,7 +206,7 @@ class SupervisionServer:
         self.http_port = http_port
         self.tick_interval = tick_interval
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
-        self.event_sink = event_sink if event_sink is not None else NULL_SINK
+        self.event_sink = event_sink
         self._strict = strict
         self.fleet = self._new_fleet()
         self._conn_of: Dict[str, _Connection] = {}
@@ -284,9 +286,11 @@ class SupervisionServer:
         yield "service_snapshot_failures_total", (), self.snapshot_failures
 
     def _new_fleet(self) -> Fleet:
-        """An empty fleet with every push channel subscribed."""
-        fleet = Fleet(strict=self._strict, telemetry=self.telemetry,
-                      event_sink=self.event_sink)
+        """An empty fleet with the event stream (``event_sink``) and
+        every push channel subscribed."""
+        fleet = Fleet(strict=self._strict, telemetry=self.telemetry)
+        if self.event_sink is not None:
+            WatchdogEvents(self.event_sink).attach_table(fleet)
         fleet.add_detection_listener(self._push_detection)
         fleet.add_task_fault_listener(self._push_task_fault)
         fleet.add_ecu_state_listener(self._push_ecu_state)

@@ -9,8 +9,9 @@ path.
 A :class:`SupervisorShard` is the supervision table: it owns every
 registration, drives their check cycles, and fans each registration's
 detections, task faults and ECU-state changes out to table-level
-listeners (``(registration name, event)``), so a subscriber is wired
-once, not per registration.  The daemon's table is a
+listeners (``(registration name, event)``), so a subscriber — the
+daemon's push channels, its event stream — is wired once, not per
+registration.  The daemon's table is a
 :class:`~repro.service.fleet.Fleet`, which adds the fleet rollup.  Each
 registration wraps one
 :class:`~repro.core.watchdog.SoftwareWatchdog` built from the
@@ -69,7 +70,6 @@ def build_watchdog(
     *,
     app_of_task: Optional[Dict[str, str]] = None,
     telemetry=None,
-    event_sink=None,
 ) -> SoftwareWatchdog:
     """The one watchdog construction both supervision paths share.
 
@@ -85,7 +85,6 @@ def build_watchdog(
         app_of_task=app_of_task,
         lint="off",
         telemetry=telemetry,
-        event_sink=event_sink,
     )
 
 
@@ -295,11 +294,9 @@ class SupervisorShard:
         *,
         strict: bool = False,
         telemetry=None,
-        event_sink=None,
     ) -> None:
         self.strict = strict
         self.telemetry = telemetry
-        self.event_sink = event_sink
         self.registrations: Dict[str, Registration] = {}
         #: Compiled hypotheses, one per distinct submitted hypothesis.
         self.hypotheses = HypothesisCache()
@@ -357,7 +354,6 @@ class SupervisorShard:
                 compiled.hypothesis,
                 app_of_task=app_of_task,
                 telemetry=self.telemetry,
-                event_sink=self.event_sink,
             ),
             app_of_task=dict(app_of_task) if app_of_task is not None else None,
             lint_diagnostics=compiled.diagnostics,

@@ -3,13 +3,20 @@
 The observability layer of the reproduction.  Every supervised
 component — the HBM/PFC/TSI units, the service facade, the Fault
 Management Framework, the campaign engine — accepts a ``telemetry=``
-registry (metrics) and, where it narrates discrete occurrences, an
-``event_sink=`` (structured events); a component's own tallies are
-read at export time.  Both default to no-op twins
-(:data:`NULL_REGISTRY` / :data:`NULL_SINK`) so an uninstrumented run
-pays one dead attribute check per hot-path block; the overhead
-benchmark (``benchmarks/test_bench_telemetry_overhead.py``) holds the
-live registry within 1.15× of the null path.
+registry (metrics), whose default no-op twin (:data:`NULL_REGISTRY`)
+costs an uninstrumented run one dead attribute check per hot-path
+block; a component's own tallies are read at export time.  The
+overhead benchmark (``benchmarks/test_bench_telemetry_overhead.py``)
+holds the live registry within 1.15× of the null path.
+
+Structured events (detections, task faults, state changes, lint
+warnings) leave the watchdog the way every report does: through its
+listeners.  :class:`WatchdogEvents` is that subscriber.  The
+integration facades take an ``event_sink=`` and attach it — ``Ecu``
+(and the ``HilValidator`` built on it) to its watchdog, before the
+FMF, whose treatments go to the same sink; ``SupervisionServer`` once
+to its supervision table, so every daemon record names its
+registration.  The watchdog itself has no sink.
 
 Quickstart::
 
@@ -20,7 +27,7 @@ Quickstart::
     rig = HilValidator(telemetry=registry, event_sink=sink)
     rig.run(2_000_000)
     print(registry.render_prometheus())
-    print(sink.kinds())
+    print({event.kind for event in sink.events})
 """
 
 from .events import (
@@ -39,6 +46,7 @@ from .events import (
     NullSink,
     TelemetryEvent,
     TelemetrySink,
+    WatchdogEvents,
     read_jsonl,
 )
 from .registry import (
@@ -77,6 +85,7 @@ __all__ = [
     "Sample",
     "TelemetryEvent",
     "TelemetrySink",
+    "WatchdogEvents",
     "read_jsonl",
     "rebase",
 ]

@@ -8,6 +8,11 @@ stays parseable when the schema grows — and so kernel trace records
 and watchdog telemetry can be correlated record-by-record on the shared
 ``time`` axis.
 
+The watchdog reports outward only through its listeners, so its
+records come from one subscriber, :class:`WatchdogEvents`, attached to
+a watchdog (the ECU) or once to a supervision table (the daemon, where
+every record names its registration).
+
 Sinks implement the :class:`TelemetrySink` protocol (one ``emit``
 method).  Three are provided:
 
@@ -21,6 +26,7 @@ method).  Three are provided:
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any, Dict, IO, Iterable, List, Optional
 
 try:  # pragma: no cover - Protocol exists on every supported Python
@@ -36,6 +42,7 @@ __all__ = [
     "NullSink",
     "TelemetryEvent",
     "TelemetrySink",
+    "WatchdogEvents",
 ]
 
 #: Version stamped into every record; bump on incompatible field changes.
@@ -196,6 +203,72 @@ class JsonlFileSink:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+
+class WatchdogEvents:
+    """The one subscriber that narrates a watchdog as telemetry events:
+    ``detection``, ``task_fault`` and ``ecu_state_change`` records from
+    its listeners, ``lint_warning`` records from its lint report.
+
+    :meth:`attach` subscribes to one watchdog (the ECU path);
+    :meth:`attach_table` subscribes once to a supervision table's
+    ``(registration, event)`` listeners (the daemon path), and each
+    record emitted there carries ``data["registration"]``.
+    """
+
+    __slots__ = ("sink",)
+
+    def __init__(self, sink: TelemetrySink) -> None:
+        self.sink = sink
+
+    def attach(self, watchdog) -> None:
+        """Emit the watchdog's lint warnings now, then narrate it.
+        Attach before other subscribers to keep the stream's order
+        (cause, effect, treatment)."""
+        report = watchdog.lint_report
+        for diagnostic in report.diagnostics if report is not None else ():
+            self._emit(0, KIND_LINT_WARNING, watchdog.name, None, {
+                "code": diagnostic.code,
+                "severity": diagnostic.severity.value,
+                "message": diagnostic.message,
+            })
+        watchdog.add_fault_listener(partial(self.detection, None))
+        watchdog.add_task_fault_listener(partial(self.task_fault, None))
+        watchdog.tsi.add_ecu_state_listener(
+            partial(self.ecu_state_change, None, subject=watchdog.name))
+
+    def attach_table(self, table) -> None:
+        """Narrate every registration of a supervision table."""
+        table.add_detection_listener(self.detection)
+        table.add_task_fault_listener(self.task_fault)
+        table.add_ecu_state_listener(self.ecu_state_change)
+
+    def detection(self, registration: Optional[str], error) -> None:
+        self._emit(error.time, KIND_DETECTION, error.runnable, registration, {
+            "error_type": error.error_type.value,
+            "task": error.task,
+            "details": dict(error.details or {}),
+        })
+
+    def task_fault(self, registration: Optional[str], event) -> None:
+        data = event.to_dict()
+        self._emit(data.pop("time"), KIND_TASK_FAULT, data.pop("task"),
+                   registration, data)
+
+    def ecu_state_change(self, registration: Optional[str], change, *,
+                         subject: Optional[str] = None) -> None:
+        """A registration's state change names the registration; a
+        watchdog's names the watchdog (``subject``)."""
+        data = change.to_dict()
+        self._emit(data.pop("time"), KIND_ECU_STATE_CHANGE,
+                   registration if subject is None else subject,
+                   registration, data)
+
+    def _emit(self, time: int, kind: str, subject: str,
+              registration: Optional[str], data: Dict[str, Any]) -> None:
+        if registration is not None:
+            data["registration"] = registration
+        self.sink.emit(TelemetryEvent(time, kind, subject, data))
 
 
 def read_jsonl(

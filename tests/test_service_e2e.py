@@ -134,4 +134,5 @@ def test_two_clients_one_crash_one_detection(daemon):
     from repro.telemetry.events import read_jsonl
     with open(daemon["telemetry"], encoding="utf-8") as handle:
         events = read_jsonl(handle)
-    assert any(e.kind == "detection" for e in events)
+    assert any(e.kind == "detection" and e.subject == "victim.step"
+               and e.data["registration"] == "victim" for e in events)

@@ -7,6 +7,8 @@ what happened, they never change what happens.  Same contract as the
 expiry-wheel and parallel-campaign equivalence suites.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.core import ErrorType
@@ -18,6 +20,9 @@ from repro.platform import Ecu
 from repro.telemetry import InMemorySink, MetricsRegistry
 
 from testutil import make_safespeed_mapping, trace_to_jsonl
+
+#: The sink stream of :func:`run_faulty_ecu`, one record per line.
+EVENTS_GOLDEN = Path(__file__).parent / "data" / "faulty_ecu_events.jsonl"
 
 
 def faulty_ecu(telemetry=None, event_sink=None):
@@ -86,6 +91,18 @@ class TestEcuEquivalence:
         assert registry.value("wd_detections_total",
                               error_type="aliveness") > 0
         assert aliveness > 0  # the scenario actually exercised detection
+
+
+class TestEcuEventStream:
+    def test_stream_matches_the_pinned_golden(self):
+        """Kind, order, time, subject and data of every record —
+        detections, task faults, state changes and the FMF's
+        treatments — are pinned.  Regenerate the file only for an
+        intended change of the stream."""
+        sink = InMemorySink()
+        run_faulty_ecu(event_sink=sink)
+        assert ([event.to_jsonl() for event in sink.events]
+                == EVENTS_GOLDEN.read_text(encoding="utf-8").splitlines())
 
 
 class TestRegistryReadsTheUnits:
