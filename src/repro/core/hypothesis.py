@@ -179,7 +179,7 @@ class StaticTables:
     """
 
     __slots__ = ("names", "slot_of", "hyps", "task_of_runnable",
-                 "task_of_slot", "flow_table", "_source")
+                 "flow_table", "_source")
 
     def __init__(self, hypothesis: "FaultHypothesis") -> None:
         from .flowcheck import FlowTable
@@ -195,7 +195,6 @@ class StaticTables:
         self.task_of_runnable: Dict[str, str] = {
             h.runnable: h.task for h in self.hyps if h.task is not None
         }
-        self.task_of_slot: List[Optional[str]] = [h.task for h in self.hyps]
         self.flow_table: "FlowTable" = FlowTable.from_hypothesis(hypothesis)
         self._source = (hypothesis.runnables, len(hypothesis.runnables),
                         hypothesis.flow_pairs, len(hypothesis.flow_pairs))

@@ -55,9 +55,9 @@ class RunnableError:
     """One detection event for one runnable.
 
     ``runnable_id`` is the interned slot index the heartbeat monitoring
-    unit assigned to the runnable at configuration time; downstream
-    units (TSI) use it to resolve attribution without re-hashing the
-    name.  Errors from units that do not intern (PFC) leave it ``None``.
+    unit assigned to the runnable at configuration time.  It takes part
+    in equality, but no unit reads it: attribution uses ``task``.
+    Errors from units that do not intern (PFC) leave it ``None``.
     Two errors are equal when every field is.
     """
 

@@ -57,8 +57,8 @@ class TaskStateIndicationUnit:
     """Error indication vectors, thresholds, and state derivation."""
 
     __slots__ = (
-        "thresholds", "task_of_runnable", "_owns_task_map", "task_of_slot",
-        "app_of_task", "error_vectors", "faulty_tasks", "errors_recorded",
+        "thresholds", "task_of_runnable", "_owns_task_map", "app_of_task",
+        "error_vectors", "faulty_tasks", "errors_recorded",
         "_task_fault_listeners", "_ecu_state_listeners", "_last_ecu_state",
         "last_error_time", "_tm_task_faults", "_tm_watchdog", "_tm_base",
     )
@@ -69,7 +69,6 @@ class TaskStateIndicationUnit:
         *,
         task_of_runnable: Optional[Dict[str, str]] = None,
         app_of_task: Optional[Dict[str, str]] = None,
-        task_of_slot: Optional[List[Optional[str]]] = None,
         telemetry=None,
         watchdog: str = "SoftwareWatchdog",
     ) -> None:
@@ -81,11 +80,6 @@ class TaskStateIndicationUnit:
         self.task_of_runnable: Dict[str, str] = (
             task_of_runnable if task_of_runnable is not None else {})
         self._owns_task_map = task_of_runnable is None
-        #: interned slot id → hosting task, in the HBM unit's slot order;
-        #: lets :meth:`record_error` attribute an error that carries a
-        #: ``runnable_id`` without hashing the runnable name (read-only).
-        self.task_of_slot: List[Optional[str]] = (
-            task_of_slot if task_of_slot is not None else [])
         #: task → application (for application state derivation).
         self.app_of_task: Dict[str, str] = dict(app_of_task or {})
         #: task → runnable → error type → count  (the error indication vectors).
@@ -133,10 +127,6 @@ class TaskStateIndicationUnit:
         """
         when = error.time if time is None else time
         task = error.task
-        if task is None:
-            slot = error.runnable_id
-            if slot is not None and 0 <= slot < len(self.task_of_slot):
-                task = self.task_of_slot[slot]
         if task is None:
             task = self.task_of_runnable.get(error.runnable)
         task = task or "<unmapped>"

@@ -105,7 +105,6 @@ class SoftwareWatchdog:
             hypothesis.thresholds,
             task_of_runnable=tables.task_of_runnable,
             app_of_task=app_of_task,
-            task_of_slot=tables.task_of_slot,
             telemetry=telemetry,
             watchdog=name,
         )

@@ -1,16 +1,17 @@
-"""EASIS dependable software platform (layers L1–L5, services, FMF, ECU).
+"""EASIS dependable software platform (layers L1–L5, FMF, ECU).
 
 Public surface:
 
 * :class:`SoftwareTopology` / :func:`build_easis_topology` — the layered
-  module/interface model of Figure 1,
+  module/interface model of Figure 1 (structural: no ECU builds it),
 * :class:`Application` / :class:`SoftwareComponent` /
   :class:`RunnableSpec` / :class:`TaskMapping` / :class:`SystemBuilder` —
   the functional model and its mapping onto OSEK tasks (Figure 3),
 * schedulability analysis (:func:`response_time_analysis`, ...),
 * :class:`FaultManagementFramework` — the platform's fault treatment
   service (§3.4),
-* :class:`Ecu` — one node's fully integrated software platform.
+* :class:`Ecu` — one node's fully integrated software platform, which
+  wires the FMF to the watchdog by direct listener calls.
 """
 
 from .application import (
@@ -23,7 +24,7 @@ from .application import (
     TaskMapping,
     TaskSpec,
 )
-from .ecu import Ecu, WatchdogServiceAdapter
+from .ecu import Ecu
 from .fmf import (
     EcuActions,
     FaultManagementFramework,
@@ -50,17 +51,11 @@ from .schedulability import (
     response_time_analysis,
     total_utilization,
 )
-from .services import (
-    DependabilityService,
-    ServiceRegistry,
-    ServiceState,
-)
 
 __all__ = [
     "AnalysisError",
     "Application",
     "BuiltSystem",
-    "DependabilityService",
     "Ecu",
     "EcuActions",
     "FaultManagementFramework",
@@ -71,8 +66,6 @@ __all__ = [
     "ModuleKind",
     "PlatformModule",
     "RunnableSpec",
-    "ServiceRegistry",
-    "ServiceState",
     "Severity",
     "SoftwareComponent",
     "SoftwareTopology",
@@ -83,7 +76,6 @@ __all__ = [
     "TopologyError",
     "TreatmentAction",
     "TreatmentRecord",
-    "WatchdogServiceAdapter",
     "assign_rate_monotonic_priorities",
     "build_easis_topology",
     "is_schedulable",

@@ -2,16 +2,18 @@
 
 :class:`Ecu` integrates everything one EASIS node runs:
 
-* the simulated OSEK kernel with its alarm table and interrupt
-  controller,
+* the simulated OSEK kernel with its alarm table,
 * the application system built from a :class:`TaskMapping` (tasks,
   sequence charts, runnables, cyclic release alarms),
 * the Software Watchdog (with glue code installed on every runnable and
   the periodic check task bound into the kernel),
-* the Fault Management Framework, wired to the watchdog's two fault
-  interfaces and implementing the treatment primitives of §3.4
-  (software reset, application restart and termination),
-* the service registry and the layered topology model.
+* the Fault Management Framework, subscribed by direct listener calls
+  to the watchdog's two fault interfaces, and the treatment primitives
+  of §3.4 it orders (software reset, application restart and
+  termination).
+
+The layered module/interface model of Figure 1 is structural only
+(:func:`~repro.platform.layers.build_easis_topology`); no ECU builds it.
 
 This is the object examples and the HIL validator instantiate; it is
 the simulated counterpart of the AutoBox central node of §4.2.
@@ -31,21 +33,6 @@ from ..kernel.tracing import TraceKind
 from ..telemetry import WatchdogEvents
 from .application import Application, BuiltSystem, SystemBuilder, TaskMapping
 from .fmf import FaultManagementFramework, FaultRecord, FmfPolicy, Severity
-from .layers import SoftwareTopology, build_easis_topology
-from .services import DependabilityService, ServiceRegistry
-
-
-class WatchdogServiceAdapter(DependabilityService):
-    """Registers the Software Watchdog's interfaces with the registry."""
-
-    def __init__(self, watchdog: SoftwareWatchdog) -> None:
-        super().__init__(watchdog.name)
-        self.watchdog = watchdog
-        self.provide_interface(
-            "watchdog.heartbeat_indication", watchdog.heartbeat_indication
-        )
-        self.provide_interface("watchdog.add_fault_listener", watchdog.add_fault_listener)
-        self.provide_interface("watchdog.ecu_state", watchdog.ecu_state)
 
 
 class Ecu:
@@ -141,12 +128,6 @@ class Ecu:
                     )
                 )
             )
-
-        self.registry = ServiceRegistry()
-        self.registry.register(self.fmf)
-        self.registry.register(WatchdogServiceAdapter(self.watchdog))
-        self.registry.start_all()
-        self.topology: SoftwareTopology = build_easis_topology()
 
         self.terminated_applications: Set[str] = set()
         self.application_restart_counts: Dict[str, int] = {}

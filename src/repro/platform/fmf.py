@@ -29,10 +29,9 @@ from typing import Any, Dict, Iterator, List, Optional, Protocol
 
 from ..core.reports import ErrorType, RunnableError, TaskFaultEvent
 from ..telemetry import (
-    KIND_TREATMENT, NULL_REGISTRY, NULL_SINK, Sample, TelemetryEvent,
+    KIND_TREATMENT, NULL_REGISTRY, Sample, TelemetryEvent,
 )
 from .application import Application
-from .services import DependabilityService
 
 
 #: The families the FMF reports, counted from its logs at export time.
@@ -120,7 +119,7 @@ class FmfPolicy:
     )
 
 
-class FaultManagementFramework(DependabilityService):
+class FaultManagementFramework:
     """The platform's general fault handling service."""
 
     def __init__(
@@ -132,17 +131,14 @@ class FaultManagementFramework(DependabilityService):
         telemetry=None,
         event_sink=None,
     ) -> None:
-        super().__init__(name)
+        self.name = name
         self.ecu = ecu
         self.policy = policy or FmfPolicy()
         self.fault_log: List[FaultRecord] = []
         self.treatment_log: List[TreatmentRecord] = []
         self.app_restart_counts: Dict[str, int] = {}
-        self.event_sink = event_sink if event_sink is not None else NULL_SINK
+        self.event_sink = event_sink
         (telemetry or NULL_REGISTRY).add_source(_TM_FAMILIES, self._metrics)
-        self.provide_interface("fmf.fault_report", self.report_fault)
-        self.provide_interface("fmf.runnable_error", self.on_runnable_error)
-        self.provide_interface("fmf.task_fault", self.on_task_fault)
 
     # ------------------------------------------------------------------
     # fault intake
@@ -250,7 +246,7 @@ class FaultManagementFramework(DependabilityService):
         self.treatment_log.append(
             TreatmentRecord(time=time, action=action, subject=subject, reason=reason)
         )
-        if self.event_sink.enabled:
+        if self.event_sink is not None:
             self.event_sink.emit(TelemetryEvent(
                 time=time,
                 kind=KIND_TREATMENT,

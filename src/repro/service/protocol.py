@@ -201,10 +201,6 @@ class FrameDecoder:
     def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
         self._buffer = bytearray()
         self._max = max_frame_bytes
-        #: Totals kept by the decoder (cheap ints; exported by the
-        #: server's telemetry).
-        self.frames_decoded = 0
-        self.frames_rejected = 0
 
     def feed(self, chunk: bytes) -> List[Union[Frame, ProtocolError]]:
         """Consume ``chunk``; return every complete frame it finished.
@@ -232,9 +228,7 @@ class FrameDecoder:
             try:
                 frame = _decode_body(body)
             except ProtocolError as exc:
-                self.frames_rejected += 1
                 items.append(exc)
             else:
-                self.frames_decoded += 1
                 items.append(frame)
         return items

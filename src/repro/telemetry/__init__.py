@@ -16,7 +16,8 @@ integration facades take an ``event_sink=`` and attach it — ``Ecu``
 (and the ``HilValidator`` built on it) to its watchdog, before the
 FMF, whose treatments go to the same sink; ``SupervisionServer`` once
 to its supervision table, so every daemon record names its
-registration.  The watchdog itself has no sink.
+registration.  The watchdog itself has no sink, and a facade given
+none (``event_sink=None``, the default) builds no event.
 
 Quickstart::
 
@@ -42,8 +43,6 @@ from .events import (
     KIND_TREATMENT,
     InMemorySink,
     JsonlFileSink,
-    NULL_SINK,
-    NullSink,
     TelemetryEvent,
     TelemetrySink,
     WatchdogEvents,
@@ -79,9 +78,7 @@ __all__ = [
     "JsonlFileSink",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "NULL_SINK",
     "NullRegistry",
-    "NullSink",
     "Sample",
     "TelemetryEvent",
     "TelemetrySink",

@@ -14,32 +14,25 @@ a watchdog (the ECU) or once to a supervision table (the daemon, where
 every record names its registration).
 
 Sinks implement the :class:`TelemetrySink` protocol (one ``emit``
-method).  Three are provided:
+method).  Two are provided:
 
 * :class:`InMemorySink` — list-backed, for tests and programmatic use,
 * :class:`JsonlFileSink` — one JSON document per line, for the CLI
-  (``--telemetry out.jsonl``),
-* :class:`NullSink` — the no-op default (``enabled`` is ``False`` so
-  producers can skip event construction entirely).
+  (``--telemetry out.jsonl``).
+
+A producer without a sink holds ``None`` and builds no event.
 """
 
 from __future__ import annotations
 
 import json
 from functools import partial
-from typing import Any, Dict, IO, Iterable, List, Optional
-
-try:  # pragma: no cover - Protocol exists on every supported Python
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
+from typing import Any, Dict, IO, Iterable, List, Optional, Protocol
 
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "InMemorySink",
     "JsonlFileSink",
-    "NULL_SINK",
-    "NullSink",
     "TelemetryEvent",
     "TelemetrySink",
     "WatchdogEvents",
@@ -123,25 +116,8 @@ class TelemetrySink(Protocol):
     def emit(self, event: TelemetryEvent) -> None: ...
 
 
-class NullSink:
-    """Swallows every event; ``enabled`` is ``False`` so producers can
-    skip building the event object in the first place."""
-
-    enabled = False
-
-    def emit(self, event: TelemetryEvent) -> None:
-        pass
-
-
-#: Shared process-wide null sink — the default for every ``event_sink=``
-#: knob.  Stateless, so sharing is safe.
-NULL_SINK = NullSink()
-
-
 class InMemorySink:
     """Collects events in a list (tests and programmatic consumers)."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: List[TelemetryEvent] = []
@@ -169,8 +145,6 @@ class JsonlFileSink:
     daemon's stream is durable without reopening the file; the default
     (``None``) keeps the historical close-time flushing.
     """
-
-    enabled = True
 
     def __init__(
         self, path: str, mode: str = "w", *, flush_every: Optional[int] = None,
@@ -271,16 +245,13 @@ class WatchdogEvents:
         self.sink.emit(TelemetryEvent(time, kind, subject, data))
 
 
-def read_jsonl(
-    lines: Iterable[str], *, strict: bool = False
-) -> List[TelemetryEvent]:
+def read_jsonl(lines: Iterable[str]) -> List[TelemetryEvent]:
     """Parse an iterable of JSONL lines (blank lines skipped).
 
-    A killed daemon leaves a crash-truncated final line; by default that
-    one *trailing* partial line is tolerated and the intact prefix is
-    returned.  A malformed line with more content after it is still
-    corruption and raises, as does any malformed line under
-    ``strict=True`` (the historical behavior).
+    A killed daemon leaves a crash-truncated final line; that one
+    *trailing* partial line is tolerated and the intact prefix is
+    returned.  A malformed line with more content after it is
+    corruption and raises.
     """
     events: List[TelemetryEvent] = []
     pending: Optional[Exception] = None
@@ -293,7 +264,5 @@ def read_jsonl(
         try:
             events.append(TelemetryEvent.from_jsonl(line))
         except (ValueError, KeyError, TypeError) as exc:
-            if strict:
-                raise
             pending = exc
     return events

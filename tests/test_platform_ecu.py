@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ErrorType, MonitorState
 from repro.kernel import TraceKind, ms, seconds
-from repro.platform import Ecu, FmfPolicy, ServiceState, TreatmentAction
+from repro.platform import Ecu, FmfPolicy, TreatmentAction
 
 from testutil import make_safespeed_mapping
 
@@ -33,11 +33,6 @@ class TestHealthyOperation:
         wd_priority = ecu.kernel.tasks["SoftwareWatchdogTask"].priority
         app_priority = ecu.kernel.tasks["SafeSpeedTask"].priority
         assert wd_priority > app_priority
-
-    def test_services_registered(self):
-        ecu = build_ecu()
-        assert ecu.fmf.state is ServiceState.STARTED
-        assert "fmf.fault_report" in ecu.fmf.interfaces()
 
     def test_external_kernel_accepted(self):
         from repro.kernel import Kernel
@@ -143,8 +138,8 @@ class TestSoftwareReset:
         assert len(ecu.fmf.treatment_log) >= 1
 
 
-class TestRestartTask:
-    def test_restart_task_clears_watchdog_state(self):
+class TestRestartApplication:
+    def test_restart_application_clears_watchdog_state(self):
         ecu = build_ecu(fmf_policy=FmfPolicy(ecu_faulty_task_threshold=99,
                                              max_app_restarts=10**6))
         ecu.run_until(ms(200))

@@ -33,9 +33,6 @@ class FakeEcu:
     def terminate_application(self, app):
         self.actions.append(("terminate_app", app.name))
 
-    def restart_task(self, task):
-        self.actions.append(("restart_task", task))
-
     def applications_on_task(self, task):
         return self.apps_by_task.get(task, [])
 

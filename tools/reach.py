@@ -7,12 +7,14 @@ Run from the repository root (``make reach``)::
 A product path is something a user runs: every experiment
 (``python -m repro all``, serial and with worker processes and
 telemetry), ``lint``, ``metrics``, ``rig``, the examples, the
-tutorial's executable snippets and the two daemon smokes with their
-``repro serve`` children.  Each runs in a child process whose
-``PYTHONPATH`` starts with a generated ``sitecustomize`` that installs
-a ``sys.setprofile`` hook.  The hook writes each ``src/`` code object
-the first time it runs, not at exit: daemon children end by
-``SIGKILL``/``SIGTERM`` and never reach ``atexit``.
+tutorial's executable snippets, the F1 benchmark that regenerates the
+platform topology (``benchmarks/test_bench_platform.py``) and the two
+daemon smokes with their ``repro serve`` children.  Each runs in a
+child process whose ``PYTHONPATH`` starts with a generated
+``sitecustomize`` that installs a ``sys.setprofile`` hook.  The hook
+writes each ``src/`` code object the first time it runs, not at exit:
+daemon children end by ``SIGKILL``/``SIGTERM`` and never reach
+``atexit``.
 
 Every function that none of them ran must be listed, with a reason, in
 ``tools/reach_allowlist.txt``; the script exits 1 naming any that is
@@ -54,6 +56,8 @@ PRODUCT_PATHS: List[List[str]] = [
       for path in sorted((ROOT / "examples").glob("*.py"))],
     ["-m", "pytest", "-q", "-p", "no:cacheprovider",
      "tests/test_docs_tutorial.py"],
+    ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable",
+     "benchmarks/test_bench_platform.py"],
     ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-m", "serve_smoke",
      "tests/test_service_e2e.py"],
     ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-m", "ha_smoke",
