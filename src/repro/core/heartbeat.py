@@ -211,7 +211,6 @@ class HeartbeatMonitoringUnit:
                         details={"arc": self.arc[slot],
                                  "max": hyp.max_heartbeats,
                                  "eager": True},
-                        runnable_id=slot,
                     )
                 )
                 # Only ARC restarts: the arrival *window* (CCAR / the
@@ -463,7 +462,6 @@ class HeartbeatMonitoringUnit:
             task=hyp.task,
             error_type=ErrorType.ALIVENESS,
             details={"ac": self.ac[slot], "min": hyp.min_heartbeats},
-            runnable_id=slot,
         )
 
     def _arrival_error(
@@ -475,7 +473,6 @@ class HeartbeatMonitoringUnit:
             task=hyp.task,
             error_type=ErrorType.ARRIVAL_RATE,
             details={"arc": self.arc[slot], "max": hyp.max_heartbeats},
-            runnable_id=slot,
         )
 
     def _slot_for(self, runnable: str) -> int:

@@ -54,26 +54,19 @@ def worst_state(states: Collection[MonitorState]) -> MonitorState:
 class RunnableError:
     """One detection event for one runnable.
 
-    ``runnable_id`` is the interned slot index the heartbeat monitoring
-    unit assigned to the runnable at configuration time.  It takes part
-    in equality, but no unit reads it: attribution uses ``task``.
-    Errors from units that do not intern (PFC) leave it ``None``.
     Two errors are equal when every field is.
     """
 
-    __slots__ = ("time", "runnable", "task", "error_type", "details",
-                 "runnable_id")
+    __slots__ = ("time", "runnable", "task", "error_type", "details")
 
     def __init__(self, time: int, runnable: str, task: Optional[str],
                  error_type: ErrorType,
-                 details: Optional[Dict[str, Any]] = None,
-                 runnable_id: Optional[int] = None) -> None:
+                 details: Optional[Dict[str, Any]] = None) -> None:
         self.time = time
         self.runnable = runnable
         self.task = task
         self.error_type = error_type
         self.details = {} if details is None else details
-        self.runnable_id = runnable_id
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -81,8 +74,7 @@ class RunnableError:
         return (self.time == other.time and self.runnable == other.runnable
                 and self.task == other.task
                 and self.error_type is other.error_type
-                and self.details == other.details
-                and self.runnable_id == other.runnable_id)
+                and self.details == other.details)
 
 
 #: Counts per runnable and error type (error vectors, detection tallies).
@@ -161,12 +153,3 @@ class EcuStateChange:
             "new_state": self.new_state.value,
             "faulty_tasks": list(self.faulty_tasks),
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EcuStateChange":
-        return cls(
-            time=data["time"],
-            old_state=MonitorState(data["old_state"]),
-            new_state=MonitorState(data["new_state"]),
-            faulty_tasks=tuple(data.get("faulty_tasks", ())),
-        )

@@ -39,7 +39,6 @@ class Fleet(SupervisorShard):
     def __init__(self, **table_options: Any) -> None:
         super().__init__(**table_options)
         self.state = MonitorState.OK
-        self.state_changes: List[EcuStateChange] = []
         self._fleet_state_listeners: List[Callable[[EcuStateChange], None]] = []
 
     def registration(self, name: str) -> Optional[Registration]:
@@ -82,7 +81,6 @@ class Fleet(SupervisorShard):
             faulty_tasks=faulty,
         )
         self.state = new_state
-        self.state_changes.append(change)
         for listener in self._fleet_state_listeners:
             listener(change)
 
@@ -101,15 +99,8 @@ class Fleet(SupervisorShard):
         """The fleet state without its registration list, fixed now,
         and an iterator over that list's records
         (:meth:`SupervisorShard.snapshot_records`), each built when it
-        is reached.  The rollup history is copied here, so the state
-        stays the cut's while the records are streamed."""
-        state = {
-            "tick_count": self.tick_count,
-            "state": self.state.value,
-            "state_changes": [
-                change.to_dict() for change in self.state_changes
-            ],
-        }
+        is reached."""
+        state = {"tick_count": self.tick_count, "state": self.state.value}
         return state, self.snapshot_records()
 
     def restore(self, state: Dict[str, Any]) -> None:
@@ -118,7 +109,8 @@ class Fleet(SupervisorShard):
         A schema-1 capture holds one table per shard (``shards``).  Its
         registration records are concatenated in shard-index order, the
         order the sharded fleet ticked them in, so detections within a
-        cycle keep their order.  The fleet must be empty.
+        cycle keep their order.  The rollup history schemas 1-4 stored
+        (``state_changes``) is not read.  The fleet must be empty.
         """
         table_state = state
         if "shards" in state:
@@ -134,10 +126,6 @@ class Fleet(SupervisorShard):
             }
         super().restore(table_state)
         self.state = MonitorState(state["state"])
-        self.state_changes = [
-            EcuStateChange.from_dict(change)
-            for change in state["state_changes"]
-        ]
 
     # ------------------------------------------------------------------
     # push channels

@@ -8,7 +8,7 @@ memory built from two complementary pieces:
 
 * **point-in-time snapshots** — the full fleet state
   (:meth:`repro.service.fleet.Fleet.snapshot`: registrations, Activation
-  Status, HBM/ARC/TSI counter blocks, wheel deadlines, rollup history)
+  Status, HBM/ARC/TSI counter blocks, wheel deadlines, fleet state)
   written atomically (temp file + ``os.replace``) so a crash mid-write
   can never corrupt the previous good snapshot;
 * **an append-only journal** of *state-changing* control frames —
@@ -90,14 +90,15 @@ __all__ = [
 ]
 
 #: Version stamped into every snapshot; bump on incompatible changes.
-#: Schema 4 drops four derived tallies and the configured runnable-to-
+#: Schema 5 drops the fleet's state-change history (``state_changes``);
+#: schema 4 drops four derived tallies and the configured runnable-to-
 #: task map from each record; schema 3 drops the HBM's period bases
 #: and CCA/CCAR lists (derived from the deadlines); schema 2 holds one
 #: registration table; schema 1 held one per shard.
-SNAPSHOT_SCHEMA_VERSION = 4
+SNAPSHOT_SCHEMA_VERSION = 5
 #: Snapshot schemas a daemon restores (:meth:`Fleet.restore` merges a
 #: schema-1 capture's shards; restore reads only keys all of them hold).
-_READABLE_SCHEMAS = (1, 2, 3, SNAPSHOT_SCHEMA_VERSION)
+_READABLE_SCHEMAS = (1, 2, 3, 4, SNAPSHOT_SCHEMA_VERSION)
 
 #: Journal record kinds (the state-changing control-plane frames).
 JOURNAL_REGISTER = "journal.register"

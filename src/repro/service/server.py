@@ -34,7 +34,9 @@ dependability service rather than a liability:
 The daemon also serves HTTP ``GET /metrics`` (Prometheus text
 exposition of the shared :class:`~repro.telemetry.MetricsRegistry`) and
 ``GET /healthz`` (a JSON health summary) from a tiny built-in HTTP/1.0
-responder — no web framework, no dependency.
+responder — no web framework, no dependency.  Every ``service_*`` count
+is a plain integer on the server, read at export (``_metrics``); only
+the check-cycle duration histogram is pushed.
 """
 
 from __future__ import annotations
@@ -122,6 +124,24 @@ _TM_FAMILIES = (
     ("service_snapshot_failures_total", "counter",
      "Periodic snapshot attempts that failed (the loop retries next "
      "interval)"),
+    ("service_frames_total", "counter", "Decoded protocol frames by type"),
+    ("service_malformed_frames_total", "counter",
+     "Frames rejected by the wire-protocol decoder, and HTTP requests "
+     "with an oversized line"),
+    ("service_indications_total", "counter",
+     "Heartbeat and flow indications applied to the supervision table"),
+    ("service_unknown_registration_total", "counter",
+     "Indications naming a registration the fleet does not know"),
+    ("service_disconnects_total", "counter",
+     "Client disconnects by goodbye discipline"),
+    ("service_journal_records_total", "counter",
+     "State-changing frames appended to the durable journal"),
+    ("service_overflow_aborts_total", "counter",
+     "Connections aborted because their unsent output passed the "
+     "per-connection cap (a peer that stopped reading)"),
+    ("service_register_rebinds_total", "counter",
+     "REGISTERs that rebound an existing registration (reconnect "
+     "replay) instead of creating one"),
 )
 
 
@@ -228,6 +248,16 @@ class SupervisionServer:
         self.pushes_dropped = 0
         self.handler_errors = 0
         self.snapshot_failures = 0
+        #: Decoded frames by type.
+        self.frames: Dict[str, int] = {}
+        self.malformed_frames = 0
+        self.indications = 0
+        self.unknown_registrations = 0
+        #: Disconnects by whether the client said BYE first.
+        self.disconnects = {True: 0, False: 0}
+        self.journal_records = 0
+        self.overflow_aborts = 0
+        self.register_rebinds = 0
 
         # --- durable state (the restartable daemon) ---
         self.snapshot_interval = snapshot_interval
@@ -238,41 +268,10 @@ class SupervisionServer:
         self.restored_registrations = 0
         self._snapshot_write: Optional[asyncio.Future] = None
 
-        tm = self.telemetry
-        tm.add_source(_TM_FAMILIES, self._metrics)
-        self._tm_frames: Dict[str, Any] = {}
-        self._tm_malformed = tm.counter(
-            "service_malformed_frames_total",
-            "Frames rejected by the wire-protocol decoder, and HTTP "
-            "requests with an oversized line")
-        self._tm_indications = tm.counter(
-            "service_indications_total",
-            "Heartbeat and flow indications applied to the supervision "
-            "table")
-        self._tm_unknown = tm.counter(
-            "service_unknown_registration_total",
-            "Indications naming a registration the fleet does not know")
-        self._tm_disconnects: Dict[bool, Any] = {
-            graceful: tm.counter(
-                "service_disconnects_total",
-                "Client disconnects by goodbye discipline",
-                graceful=str(graceful).lower())
-            for graceful in (True, False)
-        }
-        self._tm_tick_duration = tm.histogram(
+        self.telemetry.add_source(_TM_FAMILIES, self._metrics)
+        self._tm_tick_duration = self.telemetry.histogram(
             "service_tick_duration_seconds",
             "Wall-clock duration of one fleet check cycle")
-        self._tm_journal_records = tm.counter(
-            "service_journal_records_total",
-            "State-changing frames appended to the durable journal")
-        self._tm_overflow_aborts = tm.counter(
-            "service_overflow_aborts_total",
-            "Connections aborted because their unsent output passed the "
-            "per-connection cap (a peer that stopped reading)")
-        self._tm_rebinds = tm.counter(
-            "service_register_rebinds_total",
-            "REGISTERs that rebound an existing registration (reconnect "
-            "replay) instead of creating one")
 
     def _metrics(self) -> Iterator[Sample]:
         """The registry's read of the daemon (a telemetry source)."""
@@ -284,6 +283,18 @@ class SupervisionServer:
         yield ("service_snapshots_total", (),
                self.store.snapshots_written if self.store else 0)
         yield "service_snapshot_failures_total", (), self.snapshot_failures
+        for frame_type, count in self.frames.items():
+            yield "service_frames_total", (("type", frame_type),), count
+        yield "service_malformed_frames_total", (), self.malformed_frames
+        yield "service_indications_total", (), self.indications
+        yield ("service_unknown_registration_total", (),
+               self.unknown_registrations)
+        for graceful, count in self.disconnects.items():
+            yield ("service_disconnects_total",
+                   (("graceful", str(graceful).lower()),), count)
+        yield "service_journal_records_total", (), self.journal_records
+        yield "service_overflow_aborts_total", (), self.overflow_aborts
+        yield "service_register_rebinds_total", (), self.register_rebinds
 
     def _new_fleet(self) -> Fleet:
         """An empty fleet with the event stream (``event_sink``) and
@@ -469,7 +480,7 @@ class SupervisionServer:
             self._send(conn, T_ACK, ok=False, re=re, name=subject,
                        error=f"journal append failed: {exc}")
             return False
-        self._tm_journal_records.inc()
+        self.journal_records += 1
         return True
 
     def write_snapshot(self) -> Optional[Dict[str, Any]]:
@@ -544,7 +555,7 @@ class SupervisionServer:
             items, fatal = exc.frames, exc
         for item in items:
             if isinstance(item, ProtocolError):
-                self._tm_malformed.inc()
+                self.malformed_frames += 1
                 self._send(conn, T_ACK, ok=False, re=None, error=str(item))
                 continue
             self._dispatch(conn, item)
@@ -552,18 +563,13 @@ class SupervisionServer:
                 self._close(conn)
                 return
         if fatal is not None:
-            self._tm_malformed.inc()
+            self.malformed_frames += 1
             self._send(conn, T_ACK, ok=False, re=None, error=str(fatal))
             self._close(conn)
 
     def _dispatch(self, conn: _Connection, frame: Frame) -> None:
-        counter = self._tm_frames.get(frame.type)
-        if counter is None:
-            counter = self.telemetry.counter(
-                "service_frames_total",
-                "Decoded protocol frames by type", type=frame.type)
-            self._tm_frames[frame.type] = counter
-        counter.inc()
+        frames = self.frames
+        frames[frame.type] = frames.get(frame.type, 0) + 1
         if frame.type == T_HELLO:
             conn.client_name = str(frame.get("client", "") or f"conn{conn.id}")
             # watch=true subscribes this connection to every DETECTION
@@ -652,7 +658,7 @@ class SupervisionServer:
         conn.registrations.add(name)
         self._conn_of[name] = conn
         if rebound:
-            self._tm_rebinds.inc()
+            self.register_rebinds += 1
         self._send(
             conn, T_ACK, ok=True, re=T_REGISTER, name=name, rebound=rebound,
             lint=list(registration.lint_diagnostics),
@@ -664,11 +670,11 @@ class SupervisionServer:
         name = frame.get("name")
         fleet = self.fleet
         if not isinstance(name, str) or name not in fleet.registrations:
-            self._tm_unknown.inc()
+            self.unknown_registrations += 1
             return
         batch = frame.get("batch")
         if not isinstance(batch, list):
-            self._tm_malformed.inc()
+            self.malformed_frames += 1
             self._send(conn, T_ACK, ok=False, re=frame.type, name=name,
                        error="indication frames need a 'batch' list")
             return
@@ -678,7 +684,7 @@ class SupervisionServer:
             if kind == "hb":
                 if (not isinstance(entry, (list, tuple)) or len(entry) != 3
                         or not isinstance(entry[0], str)):
-                    self._tm_malformed.inc()
+                    self.malformed_frames += 1
                     continue
                 runnable, at, task = entry
                 if at is None:
@@ -687,11 +693,11 @@ class SupervisionServer:
                     at = stamp
                 if (not isinstance(at, int) or isinstance(at, bool)
                         or not (task is None or isinstance(task, str))):
-                    self._tm_malformed.inc()
+                    self.malformed_frames += 1
                     continue
             elif (not isinstance(entry, (list, tuple)) or len(entry) != 2
                     or not isinstance(entry[0], str)):
-                self._tm_malformed.inc()
+                self.malformed_frames += 1
                 continue
             try:
                 if kind == "hb":
@@ -704,8 +710,7 @@ class SupervisionServer:
                 self.handler_errors += 1
                 continue
             applied += 1
-        if applied:
-            self._tm_indications.inc(applied)
+        self.indications += applied
 
     # ------------------------------------------------------------------
     # push channels (server → client frames)
@@ -766,7 +771,7 @@ class SupervisionServer:
             # rule 1).
             conn.closed = True
             transport.abort()
-            self._tm_overflow_aborts.inc()
+            self.overflow_aborts += 1
             return False
         return True
 
@@ -788,7 +793,7 @@ class SupervisionServer:
         if conn not in self._connections:
             return
         self._connections.discard(conn)
-        self._tm_disconnects[conn.said_bye].inc()
+        self.disconnects[conn.said_bye] += 1
         for name in conn.registrations:
             registration = self.fleet.registration(name)
             if registration is not None:
@@ -845,7 +850,7 @@ class SupervisionServer:
             method = parts[0] if parts else ""
             path = parts[1].split("?", 1)[0] if len(parts) > 1 else ""
             if request_line is None:
-                self._tm_malformed.inc()
+                self.malformed_frames += 1
                 status, ctype, body = (
                     "431 Request Header Fields Too Large", "text/plain",
                     "request line or header field too long\n")

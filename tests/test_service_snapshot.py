@@ -164,7 +164,7 @@ class TestOlderSnapshots:
         tsi["error_log"] = [
             {"time": error.time, "runnable": error.runnable,
              "task": error.task, "error_type": error.error_type.value,
-             "details": error.details, "runnable_id": error.runnable_id}
+             "details": error.details}
             for error in stream]
         store = StateStore(str(tmp_path / "state"))
         store.write_snapshot(state)

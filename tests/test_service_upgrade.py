@@ -37,6 +37,16 @@ its arrival bound, ``act`` silent) and charlie (said BYE), plus a
 ``journal.jsonl`` holding charlie's rebind and delta's REGISTER beyond
 the snapshot.  ``schema3_one_table.detections.json`` records the
 detections the same release raised restoring it.
+
+``tests/data/schema4_one_table/`` was written by the daemon whose fleet
+still stored its state-change history (``state_changes``) beside its
+current ``state``: the same cast as the schema-3 fixture (alpha with
+program-flow errors and the learned ``alpha.G`` attribution, bravo
+over its arrival bound with ``act`` silent, charlie BYE'd), a faulty
+fleet after two transitions, and a journal holding charlie's rebind and
+delta's REGISTER.  ``schema4_one_table.detections.json`` records the
+detections the same release raised restoring it.  Schema 5 stores the
+same registration records and ignores the history.
 """
 
 import asyncio
@@ -47,6 +57,7 @@ import shutil
 
 import pytest
 
+from repro.core import MonitorState
 from repro.service import Fleet, StateStore, SupervisionServer
 from repro.service.persistence import SNAPSHOT_SCHEMA_VERSION, StateDirHeld
 
@@ -55,6 +66,7 @@ FIXTURE = os.path.join(DATA, "schema1_two_shards")
 SNAPSHOTTED = ["alpha", "charlie", "bravo"]
 SCHEMA2 = "schema2_one_table"
 SCHEMA3 = "schema3_one_table"
+SCHEMA4 = "schema4_one_table"
 #: Record keys schema 4 derives on restore instead of storing.
 DERIVED_TALLIES = ("detections", "check_cycle_count", "detected",
                    "lookup_operations")
@@ -181,7 +193,7 @@ def test_restored_daemon_raises_the_recorded_detections(tmp_path):
     # The journal-replayed REGISTER joins after the snapshotted ones.
     assert order == SNAPSHOTTED + ["delta"]
     assert seen == expected["detections"]
-    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 4
+    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 5
     assert [r["name"] for r in rewritten["fleet"]["registrations"]] == (
         SNAPSHOTTED + ["delta"])
 
@@ -253,7 +265,7 @@ def test_schema_two_daemon_raises_the_recorded_detections(tmp_path):
     assert order == ["alpha", "bravo", "charlie", "delta"]
     assert seen == expected["detections"]
     assert {kind for _, _, kind, _ in seen} == {"aliveness", "arrival_rate"}
-    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 4
+    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 5
     for record in rewritten["fleet"]["registrations"]:
         hbm = record["watchdog"]["hbm"]
         assert not {"alive_base", "arr_base"} & set(hbm)
@@ -297,10 +309,43 @@ def test_schema_three_daemon_raises_the_recorded_detections(tmp_path):
     order, seen, rewritten = restore_and_tick(state_dir, expected["ticks"])
     assert order == ["alpha", "bravo", "charlie", "delta"]
     assert seen == expected["detections"]
-    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 4
+    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 5
     records = rewritten["fleet"]["registrations"]
     assert records[0]["watchdog"]["tsi"]["task_of_runnable"] == {
         "alpha.sense": "alpha.T", "alpha.act": "alpha.T",
         "alpha.ghost": "alpha.G"}
     assert [record["watchdog"]["tsi"]["task_of_runnable"]
             for record in records[1:]] == [{}, {}, {}]
+
+
+def test_schema_four_restores_records_and_state_without_history():
+    """A schema-4 record is a schema-5 record: the restored fleet
+    captures the stored registrations verbatim, keeps the stored fleet
+    ``state``, and drops the history."""
+    payload = fixture_snapshot(os.path.join(DATA, SCHEMA4))
+    assert payload["schema"] == 4
+    stored = payload["fleet"]
+    assert len(stored["state_changes"]) == 2
+    fleet = Fleet()
+    fleet.restore(stored)
+    assert list(fleet.registrations) == ["alpha", "bravo", "charlie"]
+    assert [fleet.registration(name).active
+            for name in fleet.registrations] == [True, True, False]
+    assert fleet.state is MonitorState.FAULTY
+    assert fleet.state.value == stored["state"]
+    assert fleet.tick_count == stored["tick_count"]
+    state = fleet.snapshot()
+    assert state == {"tick_count": stored["tick_count"],
+                     "state": stored["state"],
+                     "registrations": stored["registrations"]}
+
+
+def test_schema_four_daemon_raises_the_recorded_detections(tmp_path):
+    state_dir = copy_fixture(tmp_path, os.path.join(DATA, SCHEMA4))
+    expected = recorded(SCHEMA4)
+    order, seen, rewritten = restore_and_tick(state_dir, expected["ticks"])
+    assert order == ["alpha", "bravo", "charlie", "delta"]
+    assert seen == expected["detections"]
+    assert rewritten["schema"] == SNAPSHOT_SCHEMA_VERSION == 5
+    assert "state_changes" not in rewritten["fleet"]
+    assert rewritten["fleet"]["state"] == "faulty"
