@@ -13,7 +13,7 @@ import time
 import pytest
 
 from benchutil import run_once
-from repro.experiments.coverage import standard_fault_specs
+from repro.experiments.coverage import build_coverage_system, standard_fault_specs
 from repro.faults import Campaign
 from repro.kernel import ms
 
@@ -21,7 +21,8 @@ _CPUS = os.cpu_count() or 1
 
 
 def _campaign(observation=ms(500)):
-    return Campaign("coverage", warmup=ms(300), observation=observation)
+    return Campaign(build_coverage_system, warmup=ms(300),
+                    observation=observation)
 
 
 def test_parallel_campaign_smoke(benchmark):

@@ -16,6 +16,7 @@ runnable-level blocking, arrival-rate and flow faults.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List, Optional
 
 from ..apps.safespeed import safespeed_mapping
@@ -27,10 +28,10 @@ from ..faults.campaigns import (
     CampaignResult,
     CampaignSystem,
     DetectionRecorder,
+    FaultFactory,
     ProgressCallback,
     watchdog_detector,
 )
-from ..faults.registry import FaultSpec, register_fault, register_system
 from ..faults.models import (
     BlockedRunnableFault,
     FaultModel,
@@ -58,7 +59,6 @@ class _BaselineAdapter(DetectionRecorder):
         return self._monitor.first_detection_after(time)
 
 
-@register_system("coverage")
 def build_coverage_system() -> CampaignSystem:
     """One fresh system with all four monitors attached."""
     ecu = Ecu(
@@ -99,7 +99,6 @@ def build_coverage_system() -> CampaignSystem:
         ],
         run_until=ecu.run_until,
         now=lambda: ecu.now,
-        context={"ecu": ecu},
     )
 
 
@@ -116,26 +115,22 @@ class _RunawayFault(FaultModel):
         target.kernel.activate_task("Runaway")
 
 
-register_fault("runaway", lambda system: _RunawayFault())
+def standard_fault_specs(repetitions: int = 1) -> List[FaultFactory]:
+    """The campaign's fault list: one fault factory per (class, variant).
 
-
-def standard_fault_specs(repetitions: int = 1) -> List[FaultSpec]:
-    """The campaign's fault list: one picklable spec per (class, variant).
-
-    Specs are picklable, which is what lets ``workers=N`` ship the
-    very same campaign to worker processes.
+    Each is a class or a ``partial`` of one, so it pickles, which is
+    what lets ``workers=N`` ship the very same campaign to worker
+    processes.
     """
     base = [
-        FaultSpec.of("blocked", runnable="SAFE_CC_process"),
-        FaultSpec.of("blocked", runnable="GetSensorValue"),
-        FaultSpec.of("time_scalar", task="SafeSpeedTask", scalar=4.0),
-        FaultSpec.of("loop_count", runnable="GetSensorValue", repeat=4),
-        FaultSpec.of("skip", chart="SafeSpeedTask", skipped="SAFE_CC_process"),
-        FaultSpec.of("invalid_branch", chart="SafeSpeedTask", at_step=1,
-                     branch_to="Speed_process"),
-        FaultSpec.of("hb_corrupt", runnable="SAFE_CC_process",
-                     reported_as="Speed_process"),
-        FaultSpec.of("runaway"),
+        partial(BlockedRunnableFault, "SAFE_CC_process"),
+        partial(BlockedRunnableFault, "GetSensorValue"),
+        partial(TimeScalarFault, "SafeSpeedTask", 4.0),
+        partial(LoopCountFault, "GetSensorValue", 4),
+        partial(SkipRunnableFault, "SafeSpeedTask", "SAFE_CC_process"),
+        partial(InvalidBranchFault, "SafeSpeedTask", 1, "Speed_process"),
+        partial(HeartbeatCorruptionFault, "SAFE_CC_process", "Speed_process"),
+        _RunawayFault,
     ]
     return base * repetitions
 
@@ -156,7 +151,7 @@ def run_coverage_campaign(
     serial run.
     """
     campaign = Campaign(
-        "coverage",
+        build_coverage_system,
         warmup=warmup,
         observation=observation,
         telemetry=telemetry,

@@ -14,20 +14,25 @@ itself triggers the error.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..analysis.metrics import LatencyStats
 from ..apps.safespeed import safespeed_mapping
 from ..core.reports import ErrorType
 from ..faults.campaigns import Campaign, CampaignResult, CampaignSystem, watchdog_detector
-from ..faults.models import FaultTarget
-from ..faults.registry import FaultSpec, SystemSpec, register_system
+from ..faults.models import (
+    BlockedRunnableFault,
+    FaultTarget,
+    InvalidBranchFault,
+    LoopCountFault,
+    TimeScalarFault,
+)
 from ..kernel.clock import ms, seconds
 from ..platform.ecu import Ecu
 from ..platform.fmf import FmfPolicy
 
 
-@register_system("latency")
 def build_latency_system(eager: bool = False) -> CampaignSystem:
     """One fresh system with per-error-type detection channels."""
     ecu = Ecu(
@@ -52,20 +57,18 @@ def build_latency_system(eager: bool = False) -> CampaignSystem:
         ],
         run_until=ecu.run_until,
         now=lambda: ecu.now,
-        context={"ecu": ecu},
     )
 
 
 _FAULTS = [
     ("aliveness (blocked runnable)", "SW:aliveness",
-     FaultSpec.of("blocked", runnable="SAFE_CC_process")),
+     partial(BlockedRunnableFault, "SAFE_CC_process")),
     ("aliveness (slowed task)", "SW:aliveness",
-     FaultSpec.of("time_scalar", task="SafeSpeedTask", scalar=4.0)),
+     partial(TimeScalarFault, "SafeSpeedTask", 4.0)),
     ("arrival rate (loop counter)", "SW:arrival_rate",
-     FaultSpec.of("loop_count", runnable="GetSensorValue", repeat=4)),
+     partial(LoopCountFault, "GetSensorValue", 4)),
     ("program flow (invalid branch)", "SW:program_flow",
-     FaultSpec.of("invalid_branch", chart="SafeSpeedTask", at_step=1,
-                  branch_to="Speed_process")),
+     partial(InvalidBranchFault, "SafeSpeedTask", 1, "Speed_process")),
 ]
 
 
@@ -86,7 +89,7 @@ def run_latency_study(
     rows: List[Dict[str, object]] = []
     for eager in (False, True):
         campaign = Campaign(
-            SystemSpec.of("latency", eager=eager),
+            partial(build_latency_system, eager=eager),
             warmup=warmup, observation=observation,
             telemetry=telemetry,
         )

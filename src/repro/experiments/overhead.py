@@ -168,14 +168,16 @@ def campaign_scaling_rows(
     ``speedup_vs_serial`` just saturates at the core count.
     """
     from ..faults.campaigns import Campaign
-    from .coverage import standard_fault_specs
+    from .coverage import build_coverage_system, standard_fault_specs
 
     worker_counts = worker_counts or [1, 2, 4]
     specs = standard_fault_specs(repetitions)
     rows: List[Dict[str, object]] = []
     serial_elapsed: float = 0.0
     for workers in worker_counts:
-        campaign = Campaign("coverage", warmup=warmup, observation=observation)
+        campaign = Campaign(
+            build_coverage_system, warmup=warmup, observation=observation
+        )
         start = _time.perf_counter()
         result = campaign.execute(specs, workers=workers)
         elapsed = _time.perf_counter() - start

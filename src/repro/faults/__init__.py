@@ -6,18 +6,10 @@ from .campaigns import (
     CampaignSystem,
     DetectionRecorder,
     RunResult,
+    RunSpec,
     watchdog_detector,
 )
 from .injector import ErrorInjector, InjectionRecord
-from .registry import (
-    FaultSpec,
-    RunSpec,
-    SystemSpec,
-    register_fault,
-    register_system,
-    registered_faults,
-    registered_systems,
-)
 from .models import (
     BlockedRunnableFault,
     FaultModel,
@@ -37,7 +29,6 @@ __all__ = [
     "DetectionRecorder",
     "ErrorInjector",
     "FaultModel",
-    "FaultSpec",
     "FaultTarget",
     "HeartbeatCorruptionFault",
     "InjectionRecord",
@@ -46,11 +37,6 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "SkipRunnableFault",
-    "SystemSpec",
     "TimeScalarFault",
-    "register_fault",
-    "register_system",
-    "registered_faults",
-    "registered_systems",
     "watchdog_detector",
 ]

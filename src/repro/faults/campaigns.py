@@ -11,20 +11,34 @@ observe — and tabulates per fault class and per detector:
 Detectors are anything exposing ``name`` and
 ``first_detection_after(t)``; the Software Watchdog and every baseline
 monitor provide adapters via :class:`DetectionRecorder`.
+
+A run is fully described by a :class:`RunSpec`: ``(system, fault,
+warmup, observation, transient_duration, seed)``, where ``system`` and
+``fault`` are zero-argument factories of a :class:`CampaignSystem` and
+a :class:`~repro.faults.models.FaultModel`.  :func:`execute_run` is the
+only code that runs one, and :func:`execute_chunk` runs a batch and
+times each run, in this process or in a worker, so serial and parallel
+campaigns run the same code.  A run goes to a worker process when its
+factories pickle: module-level functions and classes, and
+``functools.partial`` of them, do (e.g. ``build_coverage_system``,
+``partial(BlockedRunnableFault, "SAFE_CC_process")``); lambdas and local
+functions do not, and run in this process only.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import random
 from bisect import bisect_left, insort
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..telemetry import DEFAULT_DURATION_BUCKETS, NULL_REGISTRY
+from .injector import ErrorInjector
 from .models import FaultModel, FaultTarget
-from .registry import FaultSpec, RunSpec, SystemSpec, execute_chunk
 
 
 class DetectionRecorder:
@@ -82,8 +96,6 @@ class CampaignSystem:
     detectors: List[DetectionRecorder]
     run_until: Callable[[int], None]
     now: Callable[[], int]
-    #: Arbitrary extras a system factory wants to expose to fault factories.
-    context: Dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -179,7 +191,7 @@ class CampaignResult:
         return rows
 
 
-FaultFactory = Callable[[CampaignSystem], FaultModel]
+FaultFactory = Callable[[], FaultModel]
 SystemFactory = Callable[[], CampaignSystem]
 
 #: ``progress(done_runs, total_runs)`` — called after every completed
@@ -187,18 +199,88 @@ SystemFactory = Callable[[], CampaignSystem]
 ProgressCallback = Callable[[int, int], None]
 
 
+@dataclass(frozen=True)
+class RunSpec:
+    """One injection experiment; picklable when both factories are."""
+
+    system: SystemFactory
+    fault: FaultFactory
+    warmup: int
+    observation: int
+    transient_duration: Optional[int] = None
+    seed: int = 0
+
+
+def execute_run(spec: RunSpec) -> RunResult:
+    """Run one experiment: build, warm up, inject, observe, collect.
+
+    The seed pins ``random`` before the system is built; today's
+    builders are deterministic, but a stochastic builder (e.g. a CAN
+    bus with corruption probability) stays reproducible per run.  A
+    transient run needs a fault that can be restored (one that defines
+    ``_revert``); any other raises ``ValueError`` before injection.
+    """
+    random.seed(spec.seed)
+    system = spec.system()
+    system.run_until(spec.warmup)
+    fault = spec.fault()
+    if spec.transient_duration is not None and not hasattr(fault, "_revert"):
+        raise ValueError(
+            f"fault {fault.name!r} ({type(fault).__name__}) cannot be "
+            "restored, so it cannot run in a transient campaign"
+        )
+    inject_time = system.now()
+    ErrorInjector(system.target).inject_now(fault)
+    if spec.transient_duration is not None:
+        system.target.kernel.queue.schedule(
+            inject_time + spec.transient_duration,
+            lambda: fault.restore(system.target),
+            label=f"restore:{fault.name}",
+            persistent=True,
+        )
+    system.run_until(inject_time + spec.observation)
+    return RunResult(
+        fault_name=fault.name,
+        fault_class=type(fault).__name__,
+        expected_error=fault.expected_error,
+        inject_time=inject_time,
+        detections={
+            det.name: det.first_detection_after(inject_time)
+            for det in system.detectors
+        },
+    )
+
+
+def execute_chunk(specs: Sequence[RunSpec]) -> Tuple[List[RunResult], List[float]]:
+    """Run a batch of specs; the worker entry point.
+
+    Returns ``(runs, durations)`` with ``durations[i]`` the wall-clock
+    seconds of ``specs[i]``.  Chunking amortizes pickling and
+    interpreter scheduling over many runs; a campaign of hundreds of
+    10 ms-scale simulations would otherwise spend a visible fraction of
+    its wall clock on dispatch.
+    """
+    runs = []
+    durations = []
+    for spec in specs:
+        begin = perf_counter()
+        runs.append(execute_run(spec))
+        durations.append(perf_counter() - begin)
+    return runs, durations
+
+
 class Campaign:
     """Runs one injection experiment per fault factory.
 
-    ``system_factory`` may be a plain callable, a
-    :class:`~repro.faults.registry.SystemSpec`, or a registered system
-    name (shorthand for a parameterless spec).  Spec-based campaigns can
-    additionally fan out across worker processes — see :meth:`execute`.
+    ``system_factory`` is a zero-argument callable returning a
+    :class:`CampaignSystem`; a picklable one (a module-level function,
+    or a ``functools.partial`` of one) also lets the campaign fan out
+    across worker processes — see :meth:`execute`.
     """
 
     def __init__(
         self,
-        system_factory: Union[SystemFactory, SystemSpec, str],
+        system_factory: SystemFactory,
         *,
         warmup: int,
         observation: int,
@@ -207,8 +289,6 @@ class Campaign:
     ) -> None:
         if warmup < 0 or observation <= 0:
             raise ValueError("warmup must be >= 0 and observation > 0")
-        if isinstance(system_factory, str):
-            system_factory = SystemSpec.of(system_factory)
         self.system_factory = system_factory
         self.warmup = warmup
         self.observation = observation
@@ -242,17 +322,16 @@ class Campaign:
         ``workers=1`` (default) runs serially in this process;
         ``workers=N`` fans the runs out over a ``ProcessPoolExecutor``;
         ``workers=0`` means ``os.cpu_count()``.  Parallel execution
-        requires picklable run descriptions: the campaign must have been
-        built from a :class:`SystemSpec` (or registered name) and every
-        entry of ``fault_factories`` must be a :class:`FaultSpec`.
+        requires the system factory and every fault factory to pickle;
+        otherwise a ``ValueError`` naming the object that does not is
+        raised before any run starts.
 
-        Either way each fault becomes one
-        :class:`~repro.faults.registry.RunSpec`, seeded with ``seed``
-        plus its index, and every run goes through
-        :func:`~repro.faults.registry.execute_chunk`.  The merged result
-        is therefore **order-stable and bit-for-bit identical** to the
-        serial run: runs appear in ``fault_factories`` order regardless
-        of which worker finished first.
+        Either way each fault becomes one :class:`RunSpec`, seeded with
+        ``seed`` plus its index, and every run goes through
+        :func:`execute_chunk`.  The merged result is therefore
+        **order-stable and bit-for-bit identical** to the serial run:
+        runs appear in ``fault_factories`` order regardless of which
+        worker finished first.
 
         ``chunksize`` batches runs per worker dispatch (default: spread
         over ~4 chunks per worker) so interpreter and pickling overhead
@@ -264,15 +343,13 @@ class Campaign:
             workers = os.cpu_count() or 1
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if workers > 1 and not (
-            isinstance(self.system_factory, SystemSpec)
-            and all(isinstance(f, FaultSpec) for f in factories)
-        ):
-            raise ValueError(
-                "parallel execution needs picklable run specs: build the "
-                "Campaign from a SystemSpec (or registered system name) "
-                "and pass FaultSpec entries, not closures"
-            )
+        if workers > 1:
+            try:
+                pickle.dumps((self.system_factory, factories))
+            except (pickle.PicklingError, AttributeError, TypeError) as exc:
+                raise ValueError(
+                    f"parallel execution needs picklable run specs: {exc}"
+                ) from exc
         specs = [
             RunSpec(
                 system=self.system_factory,

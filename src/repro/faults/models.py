@@ -4,9 +4,11 @@
 runnables by changing the timing parameter of runnables, manipulation of
 loop counters and building invalid execution branches."  Each class here
 is one such manipulation, applied to a :class:`FaultTarget` (the handles
-into a built system).  ``inject()`` activates the manipulation; a
-fault that an experiment also restores (a transient fault) defines
-``_revert``, which ``restore()`` calls to remove it.
+into a built system).  ``inject()`` activates the manipulation and
+``restore()`` removes it again through the class's ``_revert``.  Every
+class here defines ``_revert``, so each can run as a transient fault; a
+fault without one (the coverage campaign's runaway task) is permanent,
+and a transient campaign refuses it before injection.
 
 Catalogue (paper mechanism → class):
 
@@ -245,3 +247,6 @@ class HeartbeatCorruptionFault(FaultModel):
 
     def _apply(self, target: FaultTarget) -> None:
         target.runnables[self.runnable].name = self.reported_as
+
+    def _revert(self, target: FaultTarget) -> None:
+        target.runnables[self.runnable].name = self.runnable

@@ -266,6 +266,20 @@ def _compile(name: str, submitted: Dict[str, Any]) -> CompiledHypothesis:
     )
 
 
+def _same_json(a: Any, b: Any) -> bool:
+    """``a == b`` that also tells apart what Python equates across
+    types: ``True`` and ``1``, ``8`` and ``8.0``.  The parser refuses a
+    bool or float where it wants an int, so a rebind that compared with
+    ``==`` admitted such a submission without ever parsing it."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
 def _snapshot_record(entry: Registration) -> Dict[str, Any]:
     return {
         "name": entry.name,
@@ -332,7 +346,7 @@ class SupervisorShard:
         """
         existing = self.registrations.get(name)
         if existing is not None:
-            if existing.hypothesis_dict != hypothesis_dict:
+            if not _same_json(existing.hypothesis_dict, hypothesis_dict):
                 different = "hypothesis"
             elif (existing.app_of_task or {}) != (app_of_task or {}):
                 different = "app_of_task"

@@ -1,22 +1,31 @@
 """Differential equivalence: parallel vs serial campaign execution.
 
 The worker pool is an optimization, not a behavior change: for any
-spec-based campaign the merged ``CampaignResult`` from ``workers=N``
+campaign of picklable factories the merged ``CampaignResult`` from ``workers=N``
 must be bit-for-bit identical to the serial run — same ``RunResult``
 values, same order — exactly like the expiry-wheel equivalence suite
 pins the HBM strategies against each other.
 """
 
+from functools import partial
+
 import pytest
 
-from repro.faults import Campaign, FaultSpec, SystemSpec
+from repro.faults import Campaign, LoopCountFault
 from repro.faults.campaigns import CampaignResult, RunResult
 from repro.kernel import ms
-from repro.experiments.coverage import standard_fault_specs
+from repro.experiments.coverage import build_coverage_system, standard_fault_specs
+from repro.experiments.latency import build_latency_system
 
 
 def _small_campaign():
-    return Campaign("coverage", warmup=ms(300), observation=ms(500))
+    return Campaign(build_coverage_system, warmup=ms(300), observation=ms(500))
+
+
+def user_system():
+    """A system factory defined outside ``repro``: pickled by reference,
+    like any module-level function."""
+    return build_coverage_system()
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +57,10 @@ class TestDeterminism:
 
     def test_latency_system_parallel_equals_serial(self):
         campaign = Campaign(
-            SystemSpec.of("latency", eager=True),
+            partial(build_latency_system, eager=True),
             warmup=ms(300), observation=ms(500),
         )
-        faults = [FaultSpec.of("loop_count", runnable="GetSensorValue",
-                               repeat=4)] * 3
+        faults = [partial(LoopCountFault, "GetSensorValue", 4)] * 3
         assert campaign.execute(faults).runs == \
             campaign.execute(faults, workers=2).runs
 
@@ -73,22 +81,28 @@ class TestParallelApi:
         )
         assert calls == [(i + 1, len(specs)) for i in range(len(specs))]
 
-    def test_closures_rejected_in_parallel_mode(self):
+    def test_closures_rejected_in_parallel_mode(self, specs):
         from repro.faults.models import BlockedRunnableFault
 
         campaign = _small_campaign()
-        with pytest.raises(ValueError, match="picklable run specs"):
+        with pytest.raises(ValueError,
+                           match="picklable run specs: .*<lambda>"):
             campaign.execute(
-                [lambda s: BlockedRunnableFault("SAFE_CC_process")], workers=2
+                [lambda: BlockedRunnableFault("SAFE_CC_process")], workers=2
             )
 
-    def test_callable_system_factory_rejected_in_parallel_mode(self, specs):
-        from repro.experiments.coverage import build_coverage_system
+        def local_system():
+            return build_coverage_system()
 
-        campaign = Campaign(build_coverage_system, warmup=ms(300),
-                            observation=ms(500))
-        with pytest.raises(ValueError, match="picklable run specs"):
+        campaign = Campaign(local_system, warmup=ms(300), observation=ms(500))
+        with pytest.raises(ValueError,
+                           match="picklable run specs: .*local_system"):
             campaign.execute(specs, workers=2)
+
+    def test_module_level_system_factory_runs_in_parallel(self, specs,
+                                                          serial_result):
+        campaign = Campaign(user_system, warmup=ms(300), observation=ms(500))
+        assert campaign.execute(specs, workers=2).runs == serial_result.runs
 
     def test_negative_workers_rejected(self, specs):
         with pytest.raises(ValueError, match="workers"):

@@ -152,7 +152,7 @@ class TestTutorialSections:
 
         campaign = Campaign(system_factory, warmup=ms(200), observation=ms(2000))
         result = campaign.execute(
-            [lambda s: BlockedRunnableFault("ComputeForce")]
+            [lambda: BlockedRunnableFault("ComputeForce")]
         )
         assert result.coverage("SoftwareWatchdog") == 1.0
 
@@ -191,6 +191,21 @@ class TestTutorialSections:
         assert ecu.watchdog.hbm.unknown_heartbeats == 1
         with pytest.raises(ValueError, match="TypoRunnable"):
             ecu.watchdog.set_activation_status("TypoRunnable", False)
+
+    def test_section_9_scaling_campaigns(self):
+        from functools import partial
+
+        from repro.experiments.coverage import build_coverage_system
+
+        campaign = Campaign(build_coverage_system, warmup=ms(300),
+                            observation=ms(500))
+        faults = [partial(BlockedRunnableFault, "SAFE_CC_process")] * 2
+        result = campaign.execute(faults, workers=2)
+        assert result.runs == campaign.execute(faults).runs
+        assert result.coverage("SoftwareWatchdog") == 1.0
+        with pytest.raises(ValueError, match="<lambda>"):
+            campaign.execute(
+                [lambda: BlockedRunnableFault("SAFE_CC_process")], workers=2)
 
     def test_section_10_mcu_sizing(self):
         load = project_cpu_load(S12XF, monitored_runnables=3,
@@ -245,7 +260,7 @@ class TestObservability:
 
         Campaign(system_factory, warmup=ms(100), observation=ms(500),
                  telemetry=registry).execute(
-            [lambda s: BlockedRunnableFault("ComputeForce")])
+            [lambda: BlockedRunnableFault("ComputeForce")])
 
         text = TUTORIAL.read_text()
         table = text[text.index("### The instruments"):

@@ -9,11 +9,13 @@ from repro.faults import (
     CampaignSystem,
     DetectionRecorder,
     FaultTarget,
+    HeartbeatCorruptionFault,
     RunResult,
     TimeScalarFault,
     watchdog_detector,
 )
-from repro.kernel import ms, seconds
+from repro.experiments.coverage import _RunawayFault, build_coverage_system
+from repro.kernel import TraceKind, ms, seconds
 from repro.platform import Ecu, FmfPolicy
 
 from testutil import make_safespeed_mapping
@@ -32,7 +34,6 @@ def system_factory():
         detectors=[detector],
         run_until=ecu.run_until,
         now=lambda: ecu.now,
-        context={"ecu": ecu},
     )
 
 
@@ -85,7 +86,7 @@ class TestCampaign:
     def test_single_fault_detected(self):
         campaign = Campaign(system_factory, warmup=ms(200), observation=ms(800))
         result = campaign.execute(
-            [lambda s: BlockedRunnableFault("SAFE_CC_process")]
+            [lambda: BlockedRunnableFault("SAFE_CC_process")]
         )
         assert len(result.runs) == 1
         run = result.runs[0]
@@ -104,8 +105,8 @@ class TestCampaign:
         campaign = Campaign(factory, warmup=ms(100), observation=ms(300))
         campaign.execute(
             [
-                lambda s: BlockedRunnableFault("SAFE_CC_process"),
-                lambda s: BlockedRunnableFault("GetSensorValue"),
+                lambda: BlockedRunnableFault("SAFE_CC_process"),
+                lambda: BlockedRunnableFault("GetSensorValue"),
             ]
         )
         assert len(seen) == 2
@@ -116,17 +117,50 @@ class TestCampaign:
             system_factory, warmup=ms(200), observation=seconds(1),
             transient_duration=ms(300),
         )
-        result = campaign.execute([lambda s: BlockedRunnableFault("SAFE_CC_process")])
-        ecu = None  # the system is internal; assert via detection instead
+        result = campaign.execute([lambda: BlockedRunnableFault("SAFE_CC_process")])
         assert result.runs[0].detected_by("SoftwareWatchdog")
+
+    def test_transient_heartbeat_corruption_is_restored(self):
+        """Regression: the corruption fault had no ``_revert``, so the
+        restore event raised ``AttributeError`` mid-run."""
+        built = []
+
+        def factory():
+            built.append(system_factory())
+            return built[-1]
+
+        campaign = Campaign(factory, warmup=ms(200), observation=ms(600),
+                            transient_duration=ms(100))
+        result = campaign.execute(
+            [lambda: HeartbeatCorruptionFault("SAFE_CC_process", "Speed_process")]
+        )
+        assert result.runs[0].detected_by("SoftwareWatchdog")
+        [system] = built
+        assert system.target.runnables["SAFE_CC_process"].name == "SAFE_CC_process"
+
+    def test_transient_campaign_refuses_unrestorable_fault(self):
+        """Regression: a fault without ``_revert`` used to be injected and
+        then crash the campaign at its restore event."""
+        built = []
+
+        def factory():
+            built.append(build_coverage_system())
+            return built[-1]
+
+        campaign = Campaign(factory, warmup=ms(200), observation=ms(600),
+                            transient_duration=ms(100))
+        with pytest.raises(ValueError, match="runaway_task.*cannot be restored"):
+            campaign.execute([_RunawayFault])
+        [system] = built
+        assert system.target.kernel.trace.filter(TraceKind.FAULT_INJECTED) == []
 
     def test_coverage_aggregation(self):
         campaign = Campaign(system_factory, warmup=ms(200), observation=ms(800))
         result = campaign.execute(
             [
-                lambda s: BlockedRunnableFault("SAFE_CC_process"),
-                lambda s: BlockedRunnableFault("Speed_process"),
-                lambda s: TimeScalarFault("SafeSpeedTask", 4.0),
+                lambda: BlockedRunnableFault("SAFE_CC_process"),
+                lambda: BlockedRunnableFault("Speed_process"),
+                lambda: TimeScalarFault("SafeSpeedTask", 4.0),
             ]
         )
         assert result.coverage("SoftwareWatchdog") == 1.0
@@ -140,7 +174,7 @@ class TestCampaign:
     def test_latency_statistics(self):
         campaign = Campaign(system_factory, warmup=ms(200), observation=ms(800))
         result = campaign.execute(
-            [lambda s: BlockedRunnableFault("SAFE_CC_process")] * 3
+            [lambda: BlockedRunnableFault("SAFE_CC_process")] * 3
         )
         latencies = result.latencies("SoftwareWatchdog")
         assert len(latencies) == 3
@@ -150,7 +184,7 @@ class TestCampaign:
     def test_coverage_table_rows(self):
         campaign = Campaign(system_factory, warmup=ms(200), observation=ms(600))
         result = campaign.execute(
-            [lambda s: BlockedRunnableFault("SAFE_CC_process")]
+            [lambda: BlockedRunnableFault("SAFE_CC_process")]
         )
         rows = result.coverage_table()
         assert len(rows) == 1

@@ -74,6 +74,21 @@ class TestRegistration:
         with pytest.raises(RegistrationError, match="already in use"):
             table.register("p", hyp_dict(prefix="other."))
 
+    def test_rebind_tells_apart_values_python_equates(self):
+        """Regression: the rebind compared with ``==``, so a REGISTER
+        whose hypothesis held ``True`` for ``1`` or ``8.0`` for ``8``
+        under a taken name was acknowledged without being parsed."""
+        table = SupervisorShard()
+        first = table.register("p", hyp_dict())
+        for field, value in (("min_heartbeats", True),
+                             ("max_heartbeats", 8.0), ("active", 1)):
+            changed = hyp_dict()
+            changed["runnables"][0][field] = value
+            assert changed == hyp_dict()
+            with pytest.raises(RegistrationError, match="already in use"):
+                table.register("p", changed)
+        assert table.register("p", hyp_dict()) is first
+
     def test_duplicate_name_different_app_map_rejected(self):
         """Regression: the rebind compared only the hypothesis, so a
         REGISTER with a changed ``app_of_task`` was acknowledged as a

@@ -14,7 +14,7 @@ import pytest
 from repro.core import ErrorType
 from repro.core.reports import MONITOR_STATE_RANK
 from repro.faults import BlockedRunnableFault, Campaign, ErrorInjector, FaultTarget
-from repro.experiments.coverage import standard_fault_specs
+from repro.experiments.coverage import build_coverage_system, standard_fault_specs
 from repro.kernel import ms, seconds
 from repro.platform import Ecu
 from repro.telemetry import InMemorySink, MetricsRegistry
@@ -148,15 +148,17 @@ class TestRegistryReadsTheUnits:
 class TestCampaignEquivalence:
     def test_telemetered_campaign_runs_identical(self):
         specs = standard_fault_specs(1)[:3]
-        plain = Campaign("coverage", warmup=ms(300), observation=ms(500))
-        observed = Campaign("coverage", warmup=ms(300), observation=ms(500),
-                            telemetry=MetricsRegistry())
+        plain = Campaign(build_coverage_system, warmup=ms(300),
+                         observation=ms(500))
+        observed = Campaign(build_coverage_system, warmup=ms(300),
+                            observation=ms(500), telemetry=MetricsRegistry())
         assert observed.execute(specs).runs == plain.execute(specs).runs
 
     def test_telemetered_parallel_equals_plain_serial(self):
         specs = standard_fault_specs(1)[:3]
-        plain = Campaign("coverage", warmup=ms(300), observation=ms(500))
-        observed = Campaign("coverage", warmup=ms(300), observation=ms(500),
-                            telemetry=MetricsRegistry())
+        plain = Campaign(build_coverage_system, warmup=ms(300),
+                         observation=ms(500))
+        observed = Campaign(build_coverage_system, warmup=ms(300),
+                            observation=ms(500), telemetry=MetricsRegistry())
         assert (observed.execute(specs, workers=2).runs
                 == plain.execute(specs).runs)

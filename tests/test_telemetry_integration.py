@@ -18,7 +18,7 @@ from repro.core import (
     ThresholdPolicy,
 )
 from repro.faults import BlockedRunnableFault, Campaign, ErrorInjector, FaultTarget
-from repro.experiments.coverage import standard_fault_specs
+from repro.experiments.coverage import build_coverage_system, standard_fault_specs
 from repro.kernel import ms, seconds
 from repro.lint import LintWarning
 from repro.platform import Ecu
@@ -181,8 +181,8 @@ class TestEcuInstruments:
 class TestCampaignInstruments:
     def test_serial_campaign_counts_runs(self):
         registry = MetricsRegistry()
-        campaign = Campaign("coverage", warmup=ms(200), observation=ms(300),
-                            telemetry=registry)
+        campaign = Campaign(build_coverage_system, warmup=ms(200),
+                            observation=ms(300), telemetry=registry)
         specs = standard_fault_specs(1)[:2]
         result = campaign.execute(specs)
         assert len(result.runs) == 2
@@ -192,8 +192,8 @@ class TestCampaignInstruments:
 
     def test_parallel_campaign_reports_utilization(self):
         registry = MetricsRegistry()
-        campaign = Campaign("coverage", warmup=ms(200), observation=ms(300),
-                            telemetry=registry)
+        campaign = Campaign(build_coverage_system, warmup=ms(200),
+                            observation=ms(300), telemetry=registry)
         specs = standard_fault_specs(1)[:2]
         result = campaign.execute(specs, workers=2)
         assert len(result.runs) == 2
